@@ -605,32 +605,6 @@ func BenchmarkE18GroupCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkE17Pipeline: experiment E17 — one closed-loop window against
-// a FileStorage cluster pinned behind a 2ms SlowDisk, on the pipelined
-// write path (parallel leader persist + async apply). Reports committed
-// ops/sec and the p50 the pipeline is supposed to cut.
-func BenchmarkE17Pipeline(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-			Nodes:       3,
-			Clients:     8,
-			Duration:    200 * time.Millisecond,
-			Seed:        uint64(i) + 1,
-			FileStorage: true,
-			SlowDisk:    2 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Ops == 0 {
-			b.Fatal("no ops committed")
-		}
-		b.ReportMetric(res.OpsPerSec, "ops/sec")
-		b.ReportMetric(res.P50.Seconds()*1e3, "p50-ms")
-	}
-}
-
 func BenchmarkE15ReadFastPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -220,8 +220,7 @@ func printRequest(w io.Writer, s rtrace.Span, jsonOut bool) error {
 
 	// Waterfall: each interval as a bar positioned on the span's
 	// timeline. Bars sharing columns are phases running concurrently —
-	// under the pipelined write path fsync and network overlap here;
-	// under -sync-pipeline the bars tile end to end.
+	// the write path overlaps fsync and network here.
 	const waterfallWidth = 48
 	fmt.Fprintf(w, "  %-9s  %-10s  %-5s  %-9s  |%-*s|\n",
 		"offset", "phase", "node", "duration", waterfallWidth, timeAxis(v.Elapsed, waterfallWidth))

@@ -53,15 +53,10 @@ var (
 	flights []*rtrace.Flight
 )
 
-// syncPipeline mirrors -sync-pipeline; every mode passes it into
-// raft.Config so one binary can A/B the ordered write path against the
-// pipelined default.
-var syncPipeline bool
-
 // syncCoalesce mirrors -sync-coalesce (default true): persistent modes
 // install a per-node sync coalescer so concurrent durability barriers
 // from co-located Raft groups merge into one device flush. false keeps
-// the per-group fsync baseline in the same binary, like -sync-pipeline.
+// the per-group fsync baseline in the same binary.
 // deviceLatency mirrors -device-latency: a modeled shared-device cost
 // per barrier for the multi-shard bench (the E18 fixture).
 // shardTrace is the multi-shard bench's protocol recorder (non-nil only
@@ -119,13 +114,11 @@ func main() {
 		sample    = flag.Float64("trace-sample", 0, "per-request tracing sample rate in [0,1]; 0 disables (span timelines dump to -trace-out for ooctrace -request)")
 		traceOut  = flag.String("trace-out", "", "write sampled span timelines to this JSON file on exit (requires -trace-sample > 0)")
 		flightDir = flag.String("flight-dir", "", "arm per-node flight recorders dumping recent events to this directory on anomalies (elections, lease expiries, mux backlog drops)")
-		syncPipe  = flag.Bool("sync-pipeline", false, "run the fully ordered write path (fsync before broadcast, apply on the main loop) instead of the pipelined default")
 		coalesce  = flag.Bool("sync-coalesce", true, "coalesce concurrent fsyncs from co-located Raft groups into one device barrier per node; false = per-group fsync baseline")
 		devLat    = flag.Duration("device-latency", 0, "bench mode with -shards>1: model one shared storage device per node with this latency per durability barrier (the E18 fixture; 0 disables)")
 		shardTr   = flag.String("shard-trace-out", "", "bench mode with -shards>1: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
 	)
 	flag.Parse()
-	syncPipeline = *syncPipe
 	syncCoalesce = *coalesce
 	deviceLatency = *devLat
 	if *shardTr != "" {
@@ -255,7 +248,6 @@ func runBench(n, clients int, duration time.Duration, disk bool, seed uint64,
 		ReadRatio:     readRatio,
 		ReadMode:      readMode,
 		LeaseDuration: lease,
-		SyncPipeline:  syncPipeline,
 		SyncCoalesce:  syncCoalesce,
 	})
 	if err != nil {
@@ -291,7 +283,6 @@ func startNode(id int, ep *transport.Transport, kv *raft.KVStore, seed uint64, l
 		Tracer:            tracer,
 		Flight:            flightFor(id),
 		LeaseDuration:     lease,
-		SyncPipeline:      syncPipeline,
 	})
 }
 

@@ -49,7 +49,6 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		ReadRatio:       readRatio,
 		ReadMode:        readMode,
 		LeaseDuration:   lease,
-		SyncPipeline:    syncPipeline,
 		DeviceLatency:   deviceLatency,
 		PerGroupFsync:   !syncCoalesce,
 		Recorder:        shardTrace,
@@ -113,7 +112,6 @@ func runMultiShardDemo(n, shards int, readMode raft.ReadConsistency, lease time.
 		Metrics:           reg,
 		Tracer:            tracer,
 		Flights:           flights,
-		SyncPipeline:      syncPipeline,
 	})
 	if err != nil {
 		return err

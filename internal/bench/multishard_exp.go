@@ -68,9 +68,6 @@ type MultiShardConfig struct {
 	// through the cluster (shard.Config.Tracer / shard.Config.Flights).
 	Tracer  *rtrace.Tracer
 	Flights []*rtrace.Flight
-	// SyncPipeline runs every group's nodes with the fully ordered write
-	// path (raft.Config.SyncPipeline) instead of the pipelined default.
-	SyncPipeline bool
 	// DeviceLatency, when > 0, models each node's *shared* storage
 	// device (shard.Config.DeviceLatency → one raft.Disk per node):
 	// every durability barrier from any of the node's groups pays this
@@ -202,7 +199,6 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Storage:           storage,
 		Metrics:           cfg.Metrics,
 		ShardMetrics:      cfg.ShardMetrics,
-		SyncPipeline:      cfg.SyncPipeline,
 		DeviceLatency:     cfg.DeviceLatency,
 		PerGroupFsync:     cfg.PerGroupFsync,
 		Recorder:          cfg.Recorder,

@@ -42,22 +42,13 @@ type ThroughputConfig struct {
 	// Metrics, if non-nil, instruments the nodes (batch-size and inflight
 	// histograms land here).
 	Metrics *metrics.Registry
-	// SlowDisk, when > 0, wraps every node's storage in raft.SlowDisk
-	// with this latency per durability barrier, pinning the device term
-	// so runs compare write-path structure rather than host fsync moods.
-	SlowDisk time.Duration
-	// SyncPipeline runs the nodes with the fully ordered write path
-	// (raft.Config.SyncPipeline) — the pre-pipeline baseline E17 compares
-	// against.
-	SyncPipeline bool
 	// SyncCoalesce installs a per-node raft.SyncCoalescer under each
 	// node's FileStorage even though every node here runs a single group
 	// — the degenerate case of the PR10 cross-group coalescer, where
 	// every barrier has width 1. Durability behavior is identical to the
 	// direct-fsync path; the zero-overhead gate
 	// (TestE18SingleGroupOverhead) holds this configuration to ≤3% of
-	// the uncoalesced one. No effect without FileStorage, and SlowDisk
-	// wrapping bypasses it (SlowDisk doesn't forward the syncer).
+	// the uncoalesced one. No effect without FileStorage.
 	SyncCoalesce bool
 	// Pipeline knobs; zero values take the raft.Config defaults.
 	MaxEntriesPerAppend int
@@ -160,9 +151,6 @@ func RunRaftThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		} else {
 			store = raft.NewMemStorage()
 		}
-		if cfg.SlowDisk > 0 {
-			store = raft.NewSlowDisk(store, cfg.SlowDisk)
-		}
 		var syncer *raft.SyncCoalescer
 		if cfg.SyncCoalesce && cfg.FileStorage {
 			syncer = raft.NewSyncCoalescer(raft.SyncerConfig{Metrics: cfg.Metrics, Node: id})
@@ -182,7 +170,6 @@ func RunRaftThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			MaxInflightAppends:  cfg.MaxInflightAppends,
 			MaxProposalBatch:    cfg.MaxProposalBatch,
 			LeaseDuration:       cfg.LeaseDuration,
-			SyncPipeline:        cfg.SyncPipeline,
 			Syncer:              syncer,
 		})
 		if err != nil {

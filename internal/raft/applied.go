@@ -12,7 +12,7 @@ import (
 // through the main loop, so a grid of closed-loop clients both
 // quantized its own latency to the poll period and stole main-loop
 // iterations from the commit pipeline it was waiting on. The notifier
-// replaces that with edge-triggered wakeups: the main loop calls
+// replaces that with edge-triggered wakeups: the apply worker calls
 // advance after each apply batch (one mutex acquisition and at most one
 // channel rotation), and waiters block on a closed-channel broadcast
 // without the main loop ever seeing them.
@@ -20,10 +20,9 @@ type appliedNotifier struct {
 	mu  sync.Mutex
 	idx int
 	ch  chan struct{} // closed and rotated whenever idx advances
-	// cur mirrors idx for lock-free reads: in pipelined mode the apply
-	// worker is the advancing side and the main loop polls the value on
-	// every read it serves (appliedView), so the read must not contend
-	// with waiter wakeups.
+	// cur mirrors idx for lock-free reads: the apply worker is the
+	// advancing side and the main loop polls the value on every read it
+	// serves, so the read must not contend with waiter wakeups.
 	cur atomic.Int64
 }
 
@@ -34,8 +33,7 @@ func newAppliedNotifier(idx int) *appliedNotifier {
 }
 
 // advance publishes a new applied index and wakes all current waiters.
-// Called from the node's main loop (sync mode) or the apply worker
-// (pipelined mode) — never both.
+// Called only from the apply worker.
 func (a *appliedNotifier) advance(idx int) {
 	a.mu.Lock()
 	if idx > a.idx {

@@ -42,10 +42,9 @@ func (c *ConsensusNode) Node() *Node { return c.node }
 //
 // Decisions are stable across processors by Raft's State Machine Safety:
 // every processor applies the same entry at index 1, and DecideOnce takes
-// exactly that entry. EventApplied is emitted after Apply returns —
-// whether from the main loop (SyncPipeline) or the apply worker (the
-// pipelined default) — so the Decided() re-check on each event never
-// races the state machine.
+// exactly that entry. The apply worker emits EventApplied after Apply
+// returns, so the Decided() re-check on each event never races the
+// state machine.
 func (c *ConsensusNode) Run(ctx context.Context) (any, error) {
 	c.node.Start(ctx)
 	for {

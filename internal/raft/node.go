@@ -87,19 +87,10 @@ type Config struct {
 	// single leadership-confirmation round (one heartbeat exchange serves
 	// the whole batch). Default 256; minimum 1.
 	MaxReadBatch int
-	// SyncPipeline restores the fully ordered pre-pipeline write path:
-	// every main-loop iteration fsyncs inline before any message leaves
-	// and applies committed entries before the next iteration runs. The
-	// zero value selects the pipelined path (see pipeline.go), which
-	// overlaps the leader's fsync with replication and moves apply onto
-	// a dedicated goroutine. Sync mode exists for the determinism
-	// harnesses (per-seed traces stay byte-identical) and as the
-	// before-side of the pipeline experiments.
-	SyncPipeline bool
-	// ApplyQueueDepth bounds the pipelined apply queue (items, where an
-	// item is one committed batch, snapshot restore, or parked read). A
-	// full queue blocks the main loop — backpressure, not loss. Default
-	// 256; minimum 1. Ignored in SyncPipeline mode.
+	// ApplyQueueDepth bounds the apply queue (items, where an item is
+	// one committed batch, snapshot restore, or parked read). A full
+	// queue blocks the main loop — backpressure, not loss. Default 256;
+	// minimum 1.
 	ApplyQueueDepth int
 	// LeaseDuration enables leader leases for the read fast path: after
 	// each quorum-confirmed round the leader may serve ReadLease reads
@@ -204,23 +195,23 @@ type Node struct {
 
 	// Staged side effects of the current main-loop iteration (the
 	// group-commit seam): handlers record durable mutations and outbound
-	// messages here, and flush() applies them in order — all persistence
-	// first (one Storage.AppendBatch, hence one fsync, however many
-	// messages and proposals the iteration coalesced), then the sends and
-	// proposal replies that externalize the persisted state.
+	// messages here, and flush() hands the mutations to the persist
+	// worker as one batch (one Storage.AppendBatch, hence one fsync,
+	// however many messages and proposals the iteration coalesced)
+	// together with the sends and proposal replies that externalize
+	// them; everything else leaves at once.
 	stateDirty bool
 	pendingLog []LogMutation
 	outbox     []outMsg
 	replies    []stagedReply
 
-	// Pipelined write path (see pipeline.go). pipeApply runs the apply
-	// worker; pipePersist additionally runs the persist worker (it needs
-	// a Storage to be worth a goroutine). durableIndex is the highest log
-	// index the leader's own disk holds — its self-ack for quorum —
-	// raised as persist batches complete (FIFO targets in
-	// pendingPersist, clamped by truncations while in flight).
-	pipeApply     bool
-	pipePersist   bool
+	// Write pipeline (see pipeline.go). The apply worker always runs; the
+	// persist worker and its two channels exist only with a Storage —
+	// without one nothing is staged, so nothing is ever fenced.
+	// durableIndex is the highest log index this node's own disk holds —
+	// the leader's self-ack for quorum — raised as persist batches
+	// complete (FIFO targets in pendingPersist, clamped by truncations
+	// while in flight); with no disk to wait for it is the log tail.
 	applyQ        chan applyItem
 	applyErrCh    chan error
 	compactCh     chan compactReq
@@ -238,9 +229,7 @@ type Node struct {
 	// confirmation rounds, reads holds the unconfirmed ones, curRound is
 	// this iteration's coalescing target, earlyReads park until the
 	// term-opening no-op commits, and leaseUntil is the held lease's
-	// expiry. Follower side: relay tracks reads forwarded to the leader,
-	// and applyWaits parks confirmed reads until the state machine
-	// catches up to their read index.
+	// expiry. Follower side: relay tracks reads forwarded to the leader.
 	readSeq    int
 	reads      []*readRound
 	curRound   *readRound
@@ -249,14 +238,13 @@ type Node struct {
 	termStart  int // index of this leader term's opening no-op
 	relaySeq   int64
 	relay      map[int64]relayWait
-	applyWaits []applyWait
 	rstats     readStats
 
 	// Per-request tracing bookkeeping (leader only, sampled proposals
 	// only): traced maps a log index to its in-flight trace, and
-	// tracedUnsynced lists the indexes whose fsync phase is still open —
-	// closed by the next flushPersist. Both stay empty with tracing off,
-	// so the hot path pays a len check.
+	// tracedUnsynced lists the indexes appended this iteration, whose
+	// fsync phase the persist batch staged by flush() will close. Both
+	// stay empty with tracing off, so the hot path pays a len check.
 	traced         map[int]*tracedOp
 	tracedUnsynced []int
 
@@ -287,8 +275,8 @@ type stagedReply struct {
 	reply proposeReply
 	// fenced marks a reply that externalizes durable state (a proposal
 	// acceptance: "your entry is in the leader's log") and must wait for
-	// the persist queue in pipelined mode. Redirects and read answers
-	// claim nothing the disk has to back, so they leave immediately.
+	// the persist queue to drain. Redirects and read answers claim
+	// nothing the disk has to back, so they leave immediately.
 	fenced bool
 }
 
@@ -300,12 +288,11 @@ type proposeReq struct {
 }
 
 // tracedOp is the leader-side bookkeeping for one sampled proposal:
-// which trace produced the log entry at this index, when it was appended,
-// and when its local fsync completed (the network phase's start).
+// which trace produced the log entry at this index and when it was
+// appended (the network phase's start).
 type tracedOp struct {
 	id       rtrace.ID
 	appended time.Time
-	synced   time.Time
 }
 
 type proposeReply struct {
@@ -332,16 +319,21 @@ func NewNode(cfg Config) (*Node, error) {
 		relay:      make(map[int64]relayWait),
 		campaignCh: make(chan any, 1),
 		statusCh:   make(chan chan Status),
+		applyQ:     make(chan applyItem, cfg.ApplyQueueDepth),
+		applyErrCh: make(chan error, 1),
+		compactCh:  make(chan compactReq, 1),
 		stopped:    make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	var bootSnapData []byte
-	if cfg.Syncer != nil && cfg.Storage != nil {
-		if ss, ok := cfg.Storage.(interface{ SetSyncer(*SyncCoalescer) }); ok {
+	if cfg.Storage != nil {
+		if ss, ok := cfg.Storage.(interface{ SetSyncer(*SyncCoalescer) }); ok && cfg.Syncer != nil {
 			ss.SetSyncer(cfg.Syncer)
 		}
-	}
-	if cfg.Storage != nil {
+		nd.persistQ = make(chan persistReq, persistQueueCap)
+		// Sized past the queue cap so the worker's completion send never
+		// blocks: the loop may block toward the worker, never vice versa.
+		nd.persistDoneCh = make(chan persistDone, persistQueueCap+2)
 		st, err := cfg.Storage.Load()
 		if err != nil {
 			return nil, fmt.Errorf("raft: restore: %w", err)
@@ -354,7 +346,6 @@ func NewNode(cfg Config) (*Node, error) {
 			nd.hs.log.snapIndex = st.SnapIndex
 			nd.hs.log.snapTerm = st.SnapTerm
 			nd.hs.commitIndex = st.SnapIndex
-			nd.hs.lastApplied = st.SnapIndex
 			if st.SnapData != nil {
 				snap, ok := cfg.StateMachine.(Snapshotter)
 				if !ok {
@@ -366,47 +357,18 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	nd.applied = newAppliedNotifier(nd.hs.lastApplied)
-	nd.pipeApply = !cfg.SyncPipeline
-	nd.pipePersist = nd.pipeApply && cfg.Storage != nil
-	if nd.pipeApply {
-		nd.applyQ = make(chan applyItem, cfg.ApplyQueueDepth)
-		nd.applyErrCh = make(chan error, 1)
-		nd.compactCh = make(chan compactReq, 1)
-		nd.bootSnapIndex = nd.hs.log.snapIndex
-		nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
-	}
-	if nd.pipePersist {
-		nd.persistQ = make(chan persistReq, persistQueueCap)
-		// Sized past the queue cap so the worker's completion send never
-		// blocks: the loop may block toward the worker, never vice versa.
-		nd.persistDoneCh = make(chan persistDone, persistQueueCap+2)
-		nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
-	}
+	nd.applied = newAppliedNotifier(nd.hs.commitIndex) // the restored snapshot, if any
+	nd.bootSnapIndex = nd.hs.log.snapIndex
+	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
+	nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
 	return nd, nil
 }
 
-// persistSnapshot durably records a compaction snapshot. Any staged log
-// mutations are flushed first so the record order on disk matches the
-// logical order of mutations.
-func (nd *Node) persistSnapshot(index, term int, data []byte) {
-	if nd.cfg.Storage == nil || nd.fatal != nil {
-		return
-	}
-	nd.flushPersist()
-	if nd.fatal != nil {
-		return
-	}
-	if err := nd.cfg.Storage.SaveSnapshot(index, term, data); err != nil {
-		nd.fatal = err
-	}
-}
-
-// persistState stages term and vote for the iteration's flush; on flush
-// failure the node stops rather than risk violating election safety
-// after a restart.
+// persistState stages term and vote for the iteration's flush; on
+// persist failure the node stops rather than risk violating election
+// safety after a restart.
 func (nd *Node) persistState() {
-	if nd.cfg.Storage != nil {
+	if nd.persistQ != nil {
 		nd.stateDirty = true
 	}
 }
@@ -414,95 +376,11 @@ func (nd *Node) persistState() {
 // persistLog stages a log mutation (Storage.TruncateAndAppend semantics)
 // for the iteration's flush.
 func (nd *Node) persistLog(prevIndex int, entries []Entry) {
-	if nd.cfg.Storage == nil {
+	if nd.persistQ == nil {
+		nd.durableIndex = nd.hs.log.lastIndex() // no disk to wait for
 		return
 	}
 	nd.pendingLog = append(nd.pendingLog, LogMutation{PrevIndex: prevIndex, Entries: entries})
-}
-
-// flushPersist applies the staged durable mutations: term/vote first
-// (scalar, last-write-wins on replay), then the log mutations as one
-// group-committed batch — a single fsync on FileStorage regardless of
-// how many messages and proposals this iteration coalesced.
-func (nd *Node) flushPersist() {
-	if nd.cfg.Storage == nil || nd.fatal != nil {
-		nd.stateDirty = false
-		nd.pendingLog = nd.pendingLog[:0]
-		// No storage means no fsync phase: traced ops' network phase
-		// starts at their append time instead.
-		nd.tracedUnsynced = nd.tracedUnsynced[:0]
-		return
-	}
-	if nd.stateDirty {
-		nd.stateDirty = false
-		if err := nd.cfg.Storage.SetState(nd.hs.currentTerm, nd.hs.votedFor); err != nil {
-			nd.fatal = err
-			nd.pendingLog = nd.pendingLog[:0]
-			return
-		}
-	}
-	if len(nd.pendingLog) > 0 {
-		nd.met.onStorageFlush(len(nd.pendingLog))
-		var t0 time.Time
-		if len(nd.tracedUnsynced) > 0 {
-			t0 = time.Now()
-		}
-		err := nd.cfg.Storage.AppendBatch(nd.pendingLog)
-		nd.pendingLog = nd.pendingLog[:0]
-		if len(nd.tracedUnsynced) > 0 {
-			// The group-committed batch shares one fsync; every traced op in
-			// it is attributed the full flush interval (they really did each
-			// wait that long). The width records whether other groups shared
-			// the covering device barrier too (sync coalescing).
-			t1 := time.Now()
-			width := barrierWidth(nd.cfg.Storage)
-			for _, idx := range nd.tracedUnsynced {
-				if op, ok := nd.traced[idx]; ok {
-					nd.cfg.Tracer.ObserveFsync(op.id, nd.cfg.ID, t0, t1, width)
-					op.synced = t1
-				}
-			}
-			nd.tracedUnsynced = nd.tracedUnsynced[:0]
-		}
-		if err != nil {
-			nd.fatal = err
-		}
-	}
-}
-
-// flush ends a main-loop iteration. In sync mode durable state hits
-// storage first, and only then do the staged sends and proposal replies
-// leave the node — the Raft rule that persistence precedes
-// externalization, preserved across batching. In pipelined mode the
-// same rule is enforced per message class instead (flushPipelined):
-// fenced externalizations ride the persist queue while everything else
-// departs immediately. A persistence failure drops the outbox (nothing
-// may be externalized over unpersisted state) and stops the node.
-func (nd *Node) flush() {
-	if nd.pipePersist {
-		nd.flushPipelined()
-		return
-	}
-	nd.flushPersist()
-	if nd.fatal != nil {
-		nd.outbox = nd.outbox[:0]
-		nd.replies = nd.replies[:0]
-		return
-	}
-	for _, m := range nd.outbox {
-		// Send failures mean we crashed or the network is gone; the
-		// receive pump will notice and stop the loop, so they are safe to
-		// drop here.
-		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
-	}
-	nd.outbox = nd.outbox[:0]
-	for _, r := range nd.replies {
-		r.ch <- r.reply
-	}
-	nd.replies = nd.replies[:0]
-	// A read round only coalesces joiners within the iteration whose
-	// flush carries its probe; later reads need a fresh round.
-	nd.curRound = nil
 }
 
 // Start launches the node's goroutines. The node runs until ctx is
@@ -512,11 +390,9 @@ func (nd *Node) Start(ctx context.Context) {
 	// loop's drain can coalesce a burst of messages into one iteration —
 	// one storage flush, one batch of sends.
 	msgCh := make(chan msgnet.Message, 4*maxMessageDrain)
-	if nd.pipeApply {
-		nd.workers.Add(1)
-		go nd.applyWorker()
-	}
-	if nd.pipePersist {
+	nd.workers.Add(1)
+	go nd.applyWorker()
+	if nd.persistQ != nil {
 		nd.workers.Add(1)
 		go nd.persistWorker()
 	}
@@ -626,10 +502,11 @@ func (nd *Node) run(ctx context.Context, msgCh <-chan msgnet.Message) {
 		case ch := <-nd.statusCh:
 			ch <- nd.statusLocked()
 
-		// Pipeline completions (nil channels in sync mode — the cases
-		// then never fire): a persist batch landed (raise durableIndex,
-		// externalize its fenced bundle, count the self-ack), the apply
-		// worker offered a compaction snapshot, or it hit a fatal error.
+		// Pipeline completions: a persist batch landed (raise
+		// durableIndex, externalize its fenced bundle, count the
+		// self-ack; the channel is nil without a Storage, so the case
+		// then never fires), the apply worker offered a compaction
+		// snapshot, or it hit a fatal error.
 		case d := <-nd.persistDoneCh:
 			nd.onPersistDone(d)
 
@@ -826,7 +703,7 @@ func (nd *Node) statusLocked() Status {
 		State:         nd.hs.state,
 		LeaderID:      nd.hs.leaderID,
 		CommitIndex:   nd.hs.commitIndex,
-		LastApplied:   nd.appliedView(),
+		LastApplied:   nd.applied.current(),
 		LogLength:     nd.hs.log.lastIndex(),
 		LastLogTerm:   nd.hs.log.lastTerm(),
 		SnapshotIndex: nd.hs.log.snapIndex,
@@ -895,8 +772,8 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 	}
 }
 
-// send stages an outbound message; it leaves the node in flush(), after
-// this iteration's durable state has hit storage.
+// send stages an outbound message; it leaves the node in flush() — at
+// once, or behind the persist queue if it claims durability (fencedMsg).
 func (nd *Node) send(to int, payload any) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload})
 }
@@ -1110,14 +987,10 @@ func (nd *Node) becomeLeader() {
 	nd.hs.state = Leader
 	nd.hs.leaderID = nd.cfg.ID
 	nd.ls = newLeaderState(nd.n, nd.hs.log.lastIndex())
-	if nd.pipePersist {
-		// The self-ack is the disk's, not the in-memory log's: entries
-		// still in the persist queue count toward quorum only when their
-		// batch lands (onPersistDone).
-		nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
-	} else {
-		nd.ls.matchIndex[nd.cfg.ID] = nd.hs.log.lastIndex()
-	}
+	// The self-ack is the disk's, not the in-memory log's: entries still
+	// in the persist queue count toward quorum only when their batch
+	// lands (onPersistDone).
+	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
 	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
 	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: leader of term %d", nd.hs.currentTerm)
 
@@ -1185,12 +1058,10 @@ func (nd *Node) appendLocalBatch(cmds []any) int {
 	}
 	last := nd.hs.log.lastIndex()
 	nd.persistLog(first-1, nd.hs.log.slice(first))
-	if !nd.pipePersist {
-		// Pipelined, the leader's self-ack lands with its fsync: see
-		// onPersistDone. Here the inline flush below makes it durable
-		// before anything externalizes, so the ack is immediate.
-		nd.ls.matchIndex[nd.cfg.ID] = last
-	}
+	// Unchanged while the new entries sit in the persist queue (the
+	// self-ack lands with their fsync, see onPersistDone); immediate when
+	// there is no disk to wait for.
+	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
 	for idx := first; idx <= last; idx++ {
 		e, _ := nd.hs.log.entryAt(idx)
 		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: idx, Command: e.Command})
@@ -1316,29 +1187,17 @@ func (nd *Node) broadcastHeartbeat() {
 // sendSnapshot ships the current state-machine snapshot to a follower
 // whose next entry has been compacted away.
 func (nd *Node) sendSnapshot(to int) {
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
+	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
 		// Compaction only happens with a Snapshotter, so this is
 		// unreachable unless the log was restored inconsistently.
 		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: cannot snapshot: state machine is not a Snapshotter")
 		return
 	}
-	var data []byte
-	if nd.pipeApply {
-		// The apply worker may be mid-Apply: use the cached payload that
-		// every snapIndex move refreshed rather than racing SnapshotData.
-		if nd.snapCache.index != nd.hs.log.snapIndex {
-			nd.cfg.Recorder.Note(nd.cfg.ID, "raft: no cached snapshot at %d; deferring send", nd.hs.log.snapIndex)
-			return
-		}
-		data = nd.snapCache.data
-	} else {
-		var err error
-		data, err = snap.SnapshotData()
-		if err != nil {
-			nd.fatal = fmt.Errorf("raft: snapshot: %w", err)
-			return
-		}
+	// The apply worker may be mid-Apply: use the cached payload that
+	// every snapIndex move refreshed rather than racing SnapshotData.
+	if nd.snapCache.index != nd.hs.log.snapIndex {
+		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: no cached snapshot at %d; deferring send", nd.hs.log.snapIndex)
+		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(nd.hs.log.snapIndex), int64(to), "send")
 	nd.send(to, InstallSnapshot{
@@ -1346,7 +1205,7 @@ func (nd *Node) sendSnapshot(to int) {
 		LeaderID:          nd.cfg.ID,
 		LastIncludedIndex: nd.hs.log.snapIndex,
 		LastIncludedTerm:  nd.hs.log.snapTerm,
-		Data:              data,
+		Data:              nd.snapCache.data,
 	})
 }
 
@@ -1373,69 +1232,21 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.commitIndex})
 		return
 	}
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
+	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
 		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
 		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(m.LastIncludedIndex), int64(from), "install")
-	if nd.pipeApply {
-		// The state machine belongs to the apply worker: the restore
-		// rides the queue (ordered after any still-queued apply batches),
-		// the durable record rides the persist queue, and the fenced ack
-		// below departs only once that record is on disk.
-		nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
-		if nd.pipePersist {
-			nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
-		}
-		nd.hs.commitIndex = m.LastIncludedIndex
-		nd.hs.lastApplied = m.LastIncludedIndex
-		nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
-		nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
-		return
-	}
-	if err := snap.RestoreSnapshot(m.LastIncludedIndex, m.Data); err != nil {
-		nd.fatal = fmt.Errorf("raft: install snapshot: %w", err)
-		return
-	}
+	// The state machine belongs to the apply worker: the restore rides
+	// the queue (ordered after any still-queued apply batches), the
+	// durable record rides the persist queue, and the fenced ack below
+	// departs only once that record is on disk.
 	nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
-	nd.persistSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
+	nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
 	nd.hs.commitIndex = m.LastIncludedIndex
-	nd.hs.lastApplied = m.LastIncludedIndex
-	nd.applied.advance(nd.hs.lastApplied)
-	nd.drainApplyWaits()
-	nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: m.LastIncludedIndex, Command: nil})
+	nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
+	nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
 	nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
-}
-
-// maybeCompact snapshots the state machine and discards the applied log
-// prefix once it exceeds the configured threshold. Sync mode only: the
-// pipelined path drives compaction from the apply worker
-// (maybeCompactAsync → compactCh → onCompactReady), which is the only
-// goroutine that can capture a consistent SnapshotData.
-func (nd *Node) maybeCompact() {
-	if nd.cfg.SnapshotThreshold <= 0 || nd.pipeApply {
-		return
-	}
-	if nd.hs.lastApplied-nd.hs.log.snapIndex < nd.cfg.SnapshotThreshold {
-		return
-	}
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
-		return
-	}
-	nd.met.onSnapshot()
-	nd.hs.log.compactTo(nd.hs.lastApplied)
-	if nd.cfg.Storage != nil {
-		data, err := snap.SnapshotData()
-		if err != nil {
-			nd.fatal = fmt.Errorf("raft: snapshot: %w", err)
-			return
-		}
-		nd.persistSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, data)
-	}
-	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: compacted through index %d", nd.hs.log.snapIndex)
 }
 
 // advanceCommit implements the leader commit rule: the largest N with a
@@ -1462,7 +1273,7 @@ func (nd *Node) advanceCommit() {
 }
 
 // setCommitIndex raises the commit index, emitting per-entry commit
-// events and applying to the state machine.
+// events and handing the newly committed range to the apply worker.
 func (nd *Node) setCommitIndex(index int) {
 	if index <= nd.hs.commitIndex {
 		return
@@ -1471,57 +1282,14 @@ func (nd *Node) setCommitIndex(index int) {
 	nd.hs.commitIndex = index
 	nd.met.onCommit(old, index)
 	nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(index), int64(nd.hs.currentTerm), "")
-	var committed time.Time
-	if len(nd.traced) > 0 {
-		committed = time.Now()
-	}
 	for i := old + 1; i <= index; i++ {
 		e, _ := nd.hs.log.entryAt(i)
 		nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: i, Command: e.Command})
 	}
-	if nd.pipeApply {
-		if nd.pipePersist && nd.hs.state == Leader {
-			// Overlap attribution: did the quorum outrun the local disk?
-			nd.met.onCommitOverlap(nd.durableIndex < index)
-		}
-		nd.enqueueApplyEntries(old, index)
-		nd.dispatchEarlyReads()
-		return
+	if nd.hs.state == Leader {
+		// Overlap attribution: did the quorum outrun the local disk?
+		nd.met.onCommitOverlap(nd.durableIndex < index)
 	}
-	for nd.hs.lastApplied < nd.hs.commitIndex {
-		nd.hs.lastApplied++
-		e, _ := nd.hs.log.entryAt(nd.hs.lastApplied)
-		if nd.cfg.StateMachine != nil {
-			nd.cfg.StateMachine.Apply(nd.hs.lastApplied, e.Command)
-		}
-		nd.met.onApply()
-		nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: nd.hs.lastApplied, Command: e.Command})
-	}
-	if !committed.IsZero() {
-		// Close the traced window: network = fsync-done (or append) to
-		// quorum commit, apply = commit to state-machine application.
-		applied := time.Now()
-		for i := old + 1; i <= index; i++ {
-			if op, ok := nd.traced[i]; ok {
-				start := op.synced
-				if start.IsZero() {
-					start = op.appended
-				}
-				nd.cfg.Tracer.ObservePhase(op.id, rtrace.PhaseNetwork, nd.cfg.ID, start, committed)
-				nd.cfg.Tracer.ObservePhase(op.id, rtrace.PhaseApply, nd.cfg.ID, committed, applied)
-				delete(nd.traced, i)
-			}
-		}
-	}
-	nd.applied.advance(nd.hs.lastApplied)
-	nd.drainApplyWaits()
+	nd.enqueueApplyEntries(old, index)
 	nd.dispatchEarlyReads()
-	nd.maybeCompact()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,15 +1,15 @@
 package raft
 
-// The pipelined write path (the default; Config.SyncPipeline restores
-// the fully ordered one). Two worker goroutines take the blocking halves
-// of the old main-loop iteration off the critical path:
+// The write path — the only one. Two worker goroutines take the
+// blocking halves of a main-loop iteration off the critical path:
 //
 //   - The persist worker owns every Storage call after boot. The main
-//     loop stages durable mutations exactly as before, but flush() hands
-//     them to the worker instead of fsyncing inline, so AppendEntries
-//     broadcasts depart while the leader's own disk is still syncing.
-//     Commit latency becomes max(leader fsync, follower RTT+fsync)
-//     instead of their sum.
+//     loop stages durable mutations and flush() hands them to the
+//     worker, so AppendEntries broadcasts depart while the leader's own
+//     disk is still syncing. Commit latency is max(leader fsync,
+//     follower RTT+fsync), not their sum. A node without a Storage runs
+//     the same flush with no worker: it never stages anything, so
+//     nothing is fenced and its durable index is its log tail.
 //   - The apply worker owns StateMachine.Apply, the applied notifier,
 //     and the applied≥readIndex waits, so the main loop can persist and
 //     replicate batch N+1 while batch N applies.
@@ -146,11 +146,14 @@ func fencedMsg(payload any) bool {
 	return false
 }
 
-// flushPipelined is flush() for the pipelined persist path: unfenced
-// sends and replies leave immediately; durable mutations and fenced
-// externalizations become one persist request. With nothing durable in
+// flush ends a main-loop iteration: unfenced sends and replies leave
+// immediately; durable mutations and fenced externalizations become one
+// persist request — the Raft rule that persistence precedes
+// externalization, enforced per message class. With nothing durable in
 // flight the fence is already satisfied and everything leaves at once.
-func (nd *Node) flushPipelined() {
+// After a persistence failure everything staged is dropped (nothing may
+// be externalized over unpersisted state) and the loop stops the node.
+func (nd *Node) flush() {
 	if nd.fatal != nil {
 		nd.stateDirty = false
 		nd.pendingLog = nil
@@ -171,6 +174,9 @@ func (nd *Node) flushPipelined() {
 			fencedMsgs = append(fencedMsgs, m)
 			continue
 		}
+		// Send failures mean we crashed or the network is gone; the
+		// receive pump will notice and stop the loop, so they are safe to
+		// drop here.
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
 	nd.outbox = nd.outbox[:0]
@@ -185,6 +191,10 @@ func (nd *Node) flushPipelined() {
 	if havePersist || len(fencedMsgs) > 0 || len(fencedReplies) > 0 {
 		nd.stagePersistBatch(fencedMsgs, fencedReplies)
 	}
+	// Sampled ops that rode no persist batch have no fsync phase.
+	nd.tracedUnsynced = nd.tracedUnsynced[:0]
+	// A read round only coalesces joiners within the iteration whose
+	// flush carries its probe; later reads need a fresh round.
 	nd.curRound = nil
 }
 
@@ -404,6 +414,10 @@ func (nd *Node) onPersistDone(d persistDone) {
 // second snapshot in one iteration flushes the first as its own batch —
 // record order on disk must match the logical order of mutations.
 func (nd *Node) stageSnapshot(index, term int, data []byte) {
+	if nd.persistQ == nil {
+		nd.durableIndex = nd.hs.log.lastIndex() // as persistLog: no disk to wait for
+		return
+	}
 	if nd.pendingSnap != nil {
 		nd.stagePersistBatch(nil, nil)
 	}
@@ -439,7 +453,6 @@ func (nd *Node) enqueueApplyEntries(old, index int) {
 			}
 		}
 	}
-	nd.hs.lastApplied = index // the enqueued frontier; applied publishes the real one
 	nd.enqueueApply(applyItem{first: old + 1, entries: ents, term: nd.hs.currentTerm, traced: traced})
 }
 
@@ -563,9 +576,7 @@ func (nd *Node) onCompactReady(c compactReq) {
 	nd.met.onSnapshot()
 	nd.hs.log.compactTo(c.index)
 	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: c.data}
-	if nd.pipePersist {
-		nd.stageSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, c.data)
-	}
+	nd.stageSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, c.data)
 	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: compacted through index %d", nd.hs.log.snapIndex)
 }
 
@@ -578,14 +589,4 @@ func (nd *Node) applyFatal(err error) bool {
 	default:
 	}
 	return true
-}
-
-// appliedView is the applied index the main loop may externalize: the
-// notifier's published value in pipelined mode (the apply worker is the
-// authority), hs.lastApplied in sync mode.
-func (nd *Node) appliedView() int {
-	if nd.pipeApply {
-		return nd.applied.current()
-	}
-	return nd.hs.lastApplied
 }

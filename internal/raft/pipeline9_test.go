@@ -115,37 +115,34 @@ func (g *gatedStorage) SaveSnapshot(index, term int, data []byte) error {
 
 func (g *gatedStorage) Load() (PersistentState, error) { return g.inner.Load() }
 
-// pipeCluster is restartableCluster's pipelined sibling: per-node
-// MemStorage behind a gatedStorage wrapper, so a test can park or
-// power-cut one node's durability barrier while the rest of the cluster
-// runs, in either write-path mode.
+// pipeCluster is restartableCluster's sibling with per-node MemStorage
+// behind a gatedStorage wrapper, so a test can park or power-cut one
+// node's durability barrier while the rest of the cluster runs.
 type pipeCluster struct {
-	t        *testing.T
-	nw       *netsim.Network
-	rng      *sim.RNG
-	rec      *trace.Recorder
-	syncMode bool
-	boots    int
-	stores   []*MemStorage
-	gates    []*gatedStorage
-	kvs      []*KVStore
-	nodes    []*Node
-	cancels  []context.CancelFunc
+	t       *testing.T
+	nw      *netsim.Network
+	rng     *sim.RNG
+	rec     *trace.Recorder
+	boots   int
+	stores  []*MemStorage
+	gates   []*gatedStorage
+	kvs     []*KVStore
+	nodes   []*Node
+	cancels []context.CancelFunc
 }
 
-func newPipeCluster(t *testing.T, n int, seed uint64, syncMode bool) *pipeCluster {
+func newPipeCluster(t *testing.T, n int, seed uint64) *pipeCluster {
 	t.Helper()
 	c := &pipeCluster{
-		t:        t,
-		nw:       netsim.New(n, netsim.WithSeed(seed)),
-		rng:      sim.NewRNG(seed),
-		rec:      trace.NewRecorder(),
-		syncMode: syncMode,
-		stores:   make([]*MemStorage, n),
-		gates:    make([]*gatedStorage, n),
-		kvs:      make([]*KVStore, n),
-		nodes:    make([]*Node, n),
-		cancels:  make([]context.CancelFunc, n),
+		t:       t,
+		nw:      netsim.New(n, netsim.WithSeed(seed)),
+		rng:     sim.NewRNG(seed),
+		rec:     trace.NewRecorder(),
+		stores:  make([]*MemStorage, n),
+		gates:   make([]*gatedStorage, n),
+		kvs:     make([]*KVStore, n),
+		nodes:   make([]*Node, n),
+		cancels: make([]context.CancelFunc, n),
 	}
 	for id := 0; id < n; id++ {
 		c.stores[id] = NewMemStorage()
@@ -176,7 +173,6 @@ func (c *pipeCluster) boot(id int) {
 		StateMachine:      c.kvs[id],
 		Storage:           c.gates[id],
 		Recorder:          c.rec,
-		SyncPipeline:      c.syncMode,
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -298,7 +294,7 @@ func (c *pipeCluster) readLinearizable(key string) string {
 // matchIndex — while (2) the proposal reply, which externalizes the
 // accept to the client, stays fenced until the leader's own batch lands.
 func TestProposeReplyFencedBehindLeaderFsync(t *testing.T) {
-	c := newPipeCluster(t, 3, 97, false)
+	c := newPipeCluster(t, 3, 97)
 	c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
 	c.waitValue("x", "1", 0, 1, 2)
 
@@ -377,106 +373,87 @@ func TestProposeReplyFencedBehindLeaderFsync(t *testing.T) {
 // leader never locally fsynced, the leader crashes (its disk power-cut
 // so the entry is truly lost locally), and on restart the cluster must
 // recover the entry from the quorum — no un-commit — with the full
-// read/write history passing the register-linearizability checker. The
-// sync mode runs the same crash shape (the hazard itself cannot be
-// staged there: the ordered loop fsyncs before the broadcast departs,
-// so a parked leader disk would keep followers from ever seeing the
-// entry) to pin that both write paths recover identically.
+// read/write history passing the register-linearizability checker.
 func TestLeaderCrashAfterQuorumCommitOfUnsyncedEntry(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		syncMode bool
-	}{
-		{"pipelined", false},
-		{"sync", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newPipeCluster(t, 3, 101, tc.syncMode)
-			start := time.Now()
-			ns := func() int64 { return time.Since(start).Nanoseconds() }
-			var mu sync.Mutex
-			var history []checker.RWOp
-			record := func(op checker.RWOp) {
-				mu.Lock()
-				history = append(history, op)
-				mu.Unlock()
-			}
+	c := newPipeCluster(t, 3, 101)
+	start := time.Now()
+	ns := func() int64 { return time.Since(start).Nanoseconds() }
+	var mu sync.Mutex
+	var history []checker.RWOp
+	record := func(op checker.RWOp) {
+		mu.Lock()
+		history = append(history, op)
+		mu.Unlock()
+	}
 
-			inv1 := ns()
-			c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
-			c.waitValue("x", "1", 0, 1, 2)
-			record(checker.RWOp{Key: "x", Version: 1, Invoke: inv1, Return: ns()})
+	inv1 := ns()
+	c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
+	c.waitValue("x", "1", 0, 1, 2)
+	record(checker.RWOp{Key: "x", Version: 1, Invoke: inv1, Return: ns()})
 
-			leader := c.waitLeader(nil)
-			var followers []int
-			for id := range c.nodes {
-				if id != leader {
-					followers = append(followers, id)
-				}
-			}
+	leader := c.waitLeader(nil)
+	var followers []int
+	for id := range c.nodes {
+		if id != leader {
+			followers = append(followers, id)
+		}
+	}
 
-			if !tc.syncMode {
-				c.gates[leader].block()
-			}
-			inv2 := ns()
-			go func() {
-				// The reply is fenced behind the gated fsync (pipelined) and
-				// swallowed by the crash; the write's fate is read off the
-				// followers below, and the checker treats it as completing at
-				// the observation point.
-				_, _ = c.nodes[leader].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
-			}()
-			c.waitValue("x", "2", followers...)
-			record(checker.RWOp{Key: "x", Version: 2, Invoke: inv2, Return: ns()})
+	c.gates[leader].block()
+	inv2 := ns()
+	go func() {
+		// The reply is fenced behind the gated fsync and swallowed by the
+		// crash; the write's fate is read off the followers below, and the
+		// checker treats it as completing at the observation point.
+		_, _ = c.nodes[leader].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
+	}()
+	c.waitValue("x", "2", followers...)
+	record(checker.RWOp{Key: "x", Version: 2, Invoke: inv2, Return: ns()})
 
-			if !tc.syncMode {
-				// The hazard is staged: the quorum committed and applied an
-				// entry the leader's disk does not hold.
-				ps, err := c.stores[leader].Load()
-				if err != nil {
-					t.Fatal(err)
-				}
-				af := c.kvs[followers[0]].AppliedIndex()
-				if durable := ps.SnapIndex + len(ps.Entries); durable >= af {
-					t.Fatalf("leader disk holds through %d, followers applied %d: hazard not staged", durable, af)
-				}
-				// The gated leader still externalizes the committed value — a
-				// linearizable read sees x=2 before the leader ever fsyncs it,
-				// which is safe precisely because the value is quorum-durable.
-				rinv := ns()
-				rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
-				_, rerr := c.nodes[leader].ReadIndex(rctx)
-				rcancel()
-				if rerr != nil {
-					t.Fatalf("read on gated leader: %v", rerr)
-				}
-				if v, _ := c.kvs[leader].Get("x"); v != "2" {
-					t.Fatalf("gated leader read x=%q, want \"2\"", v)
-				}
-				record(checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: rinv, Return: ns()})
-			}
+	// The hazard is staged: the quorum committed and applied an entry the
+	// leader's disk does not hold.
+	ps, err := c.stores[leader].Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	af := c.kvs[followers[0]].AppliedIndex()
+	if durable := ps.SnapIndex + len(ps.Entries); durable >= af {
+		t.Fatalf("leader disk holds through %d, followers applied %d: hazard not staged", durable, af)
+	}
+	// The gated leader still externalizes the committed value — a
+	// linearizable read sees x=2 before the leader ever fsyncs it, which
+	// is safe precisely because the value is quorum-durable.
+	rinv := ns()
+	rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	_, rerr := c.nodes[leader].ReadIndex(rctx)
+	rcancel()
+	if rerr != nil {
+		t.Fatalf("read on gated leader: %v", rerr)
+	}
+	if v, _ := c.kvs[leader].Get("x"); v != "2" {
+		t.Fatalf("gated leader read x=%q, want \"2\"", v)
+	}
+	record(checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: rinv, Return: ns()})
 
-			// Power-cut the disk, then crash the process: in pipelined mode
-			// the entry was never locally durable, so recovery must come from
-			// the quorum that committed it.
-			c.gates[leader].powerCut()
-			c.crash(leader)
-			c.waitLeader(map[int]bool{leader: true})
-			c.restart(leader)
-			c.waitValue("x", "2", leader)
+	// Power-cut the disk, then crash the process: the entry was never
+	// locally durable, so recovery must come from the quorum that
+	// committed it.
+	c.gates[leader].powerCut()
+	c.crash(leader)
+	c.waitLeader(map[int]bool{leader: true})
+	c.restart(leader)
+	c.waitValue("x", "2", leader)
 
-			// No un-commit: a linearizable read after recovery still sees v2.
-			rinv := ns()
-			v := c.readLinearizable("x")
-			record(checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: rinv, Return: ns()})
-			if v != "2" {
-				t.Fatalf("committed write rolled back across the crash: x=%q", v)
-			}
+	// No un-commit: a linearizable read after recovery still sees v2.
+	rinv = ns()
+	v := c.readLinearizable("x")
+	record(checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: rinv, Return: ns()})
+	if v != "2" {
+		t.Fatalf("committed write rolled back across the crash: x=%q", v)
+	}
 
-			if rep := checker.CheckRegisterLinearizable(history); !rep.Ok() {
-				t.Fatalf("linearizability violated (%d ops): %v", len(history), rep.Violations[0])
-			}
-		})
+	if rep := checker.CheckRegisterLinearizable(history); !rep.Ok() {
+		t.Fatalf("linearizability violated (%d ops): %v", len(history), rep.Violations[0])
 	}
 }
 

@@ -206,7 +206,7 @@ func (nd *Node) handleReadBatch(reqs []readReq) {
 		if r.mode == ReadStale {
 			nd.rstats.stale.Add(1)
 			nd.met.onReadServed("stale", r.t0)
-			nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: nd.appliedView()}})
+			nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: nd.applied.current()}})
 			continue
 		}
 		w := readWaiter{ch: r.reply, lease: r.mode == ReadLease, t0: r.t0, trace: r.trace}
@@ -402,15 +402,14 @@ func readModeLabel(lease bool) string {
 // resolveRead delivers a confirmed read index: forwarded reads answer
 // their follower (which runs its own applied-wait and counts the read
 // there, attributed by the Lease flag), local reads answer once the
-// local state machine has applied through index — immediately on the
-// leader, whose apply is synchronous with commit. lease records whether
+// local state machine has applied through index. lease records whether
 // the index came from a held lease or a quorum round.
 func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 	if w.ch == nil {
 		nd.send(w.from, ReadIndexReply{Term: nd.hs.currentTerm, ID: w.id, Index: index, Success: true, Lease: lease, LeaderID: nd.cfg.ID})
 		return
 	}
-	if nd.appliedView() >= index {
+	if nd.applied.current() >= index {
 		nd.met.onReadServed(readModeLabel(lease), w.t0)
 		if w.trace != 0 {
 			nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseApply, nd.cfg.ID, w.confirmed, time.Now())
@@ -418,38 +417,10 @@ func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 		nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: proposeReply{index: index}})
 		return
 	}
-	if nd.pipeApply {
-		// The apply worker owns the applied≥readIndex gate: the waiter
-		// rides the queue and is released the moment the state machine
-		// covers its index (releaseApplyWaits).
-		aw := applyWait{w: w, index: index, lease: lease}
-		nd.enqueueApply(applyItem{wait: &aw})
-		return
-	}
-	nd.applyWaits = append(nd.applyWaits, applyWait{w: w, index: index, lease: lease})
-}
-
-// drainApplyWaits releases reads whose target index the state machine
-// has now applied; called whenever lastApplied advances.
-func (nd *Node) drainApplyWaits() {
-	if len(nd.applyWaits) == 0 {
-		return
-	}
-	kept := nd.applyWaits[:0]
-	for _, aw := range nd.applyWaits {
-		if nd.hs.lastApplied >= aw.index {
-			nd.met.onReadServed(readModeLabel(aw.lease), aw.w.t0)
-			if aw.w.trace != 0 {
-				// Apply phase: the read parked until the state machine caught
-				// up to its index.
-				nd.cfg.Tracer.ObservePhase(aw.w.trace, rtrace.PhaseApply, nd.cfg.ID, aw.w.confirmed, time.Now())
-			}
-			nd.replies = append(nd.replies, stagedReply{ch: aw.w.ch, reply: proposeReply{index: aw.index}})
-		} else {
-			kept = append(kept, aw)
-		}
-	}
-	nd.applyWaits = kept
+	// The apply worker owns the applied≥readIndex gate: the waiter rides
+	// the queue and is released the moment the state machine covers its
+	// index (releaseApplyWaits).
+	nd.enqueueApply(applyItem{wait: &applyWait{w: w, index: index, lease: lease}})
 }
 
 // dispatchEarlyReads re-serves reads that arrived before the

@@ -31,13 +31,13 @@ const none = -1
 
 // hardState is the paper's Figure 2: the protocol's inner state
 // variables. The leader-only arrays live in leaderState and are
-// reinitialized on every election, as the paper prescribes.
+// reinitialized on every election, as the paper prescribes; lastApplied
+// belongs to the apply worker, which publishes it through Node.applied.
 type hardState struct {
 	currentTerm int
 	votedFor    int // candidate voted for in currentTerm; none if unset
 	log         raftLog
 	commitIndex int
-	lastApplied int
 	state       State
 	leaderID    int // last known leader of currentTerm; none if unknown
 }

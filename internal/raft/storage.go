@@ -21,10 +21,9 @@ import (
 // and rebuilt from the leader after restart.
 //
 // Implementations must be safe for use from one goroutine at a time:
-// every write lands on the node's persist worker under the default
-// pipelined path (the main loop under Config.SyncPipeline), and Load
-// runs once in NewNode before that goroutine exists. They need not be
-// safe for concurrent nodes.
+// every write lands on the node's persist worker, and Load runs once
+// in NewNode before that goroutine exists. They need not be safe for
+// concurrent nodes.
 type Storage interface {
 	// SetState durably records the term and vote.
 	SetState(term, votedFor int) error

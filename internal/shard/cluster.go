@@ -42,10 +42,6 @@ type Config struct {
 	// ReadMode is the default consistency Get uses (zero =
 	// ReadLinearizable).
 	ReadMode raft.ReadConsistency
-	// SyncPipeline, passed through to every node, restores the fully
-	// ordered single-goroutine write path (raft.Config.SyncPipeline) —
-	// the setting the determinism suites run under.
-	SyncPipeline bool
 	// ClientBackoff is each group client's base retry pause (default
 	// 1ms — the closed-loop benchmark setting).
 	ClientBackoff time.Duration
@@ -320,7 +316,6 @@ func (c *Cluster) Start(ctx context.Context) error {
 				MaxEntriesPerAppend: c.cfg.MaxEntriesPerAppend,
 				MaxInflightAppends:  c.cfg.MaxInflightAppends,
 				MaxProposalBatch:    c.cfg.MaxProposalBatch,
-				SyncPipeline:        c.cfg.SyncPipeline,
 				Syncer:              syncer,
 			})
 			if err != nil {

@@ -79,10 +79,6 @@ func runSeeded(t *testing.T, seed uint64, nodes, shards, ops int, mods ...func(*
 		RNG:               sim.NewRNG(seed),
 		ElectionTimeout:   testElection,
 		HeartbeatInterval: testHeartbeat,
-		// Byte-identical per-seed sequences need the fully ordered write
-		// path: the pipelined workers run on wall-clock goroutines, whose
-		// scheduling perturbs batching between same-seed runs.
-		SyncPipeline: true,
 		StateMachine: func(node, s int) raft.StateMachine {
 			sms[s][node] = &recordingSM{}
 			return sms[s][node]
