@@ -24,6 +24,11 @@ type Message struct {
 // the endpoint is crashed/closed. Send and Broadcast never block on the
 // receiver; delivery order between distinct messages is NOT guaranteed —
 // the simulated network deliberately reorders to model asynchrony.
+//
+// Ready and TryRecv are the non-blocking pair Recv is built from, for a
+// consumer that already owns a select loop and would otherwise need a
+// goroutine just to pump Recv into a channel. An endpoint has ONE
+// consumer: either callers of Recv or one loop over Ready/TryRecv.
 type Endpoint interface {
 	// ID is this processor's index in [0, N).
 	ID() int
@@ -36,6 +41,67 @@ type Endpoint interface {
 	Broadcast(payload any) error
 	// Recv returns the next delivered message.
 	Recv(ctx context.Context) (Message, error)
+	// Ready returns the endpoint's wake-up channel: it yields a token
+	// after a delivery, a crash or a close. Tokens collapse — one may
+	// stand for many messages, and one may arrive with nothing left to
+	// take — so it is an edge, not a count: call TryRecv until it
+	// reports ok=false before waiting on Ready, and again after every
+	// token. The channel is the same one for the endpoint's lifetime.
+	Ready() <-chan struct{}
+	// TryRecv takes the next delivered message without blocking.
+	// ok=false with a nil error means nothing is pending; a non-nil
+	// error means the endpoint is crashed or closed, and is what every
+	// later call returns too.
+	TryRecv() (Message, bool, error)
+}
+
+// Recv is the blocking receive every Endpoint implements Recv with: one
+// loop over the endpoint's own Ready/TryRecv pair. The context is
+// checked before each take, so a cancelled receiver never removes a
+// message a successor on the same endpoint should see (crash-recovery
+// boots a fresh node on the old id).
+func Recv(ctx context.Context, e Endpoint) (Message, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return Message{}, err
+		}
+		m, ok, err := e.TryRecv()
+		if ok || err != nil {
+			return m, err
+		}
+		select {
+		case <-ctx.Done():
+			return Message{}, ctx.Err()
+		case <-e.Ready():
+		}
+	}
+}
+
+// Queue is the unbounded FIFO behind an endpoint's inbox (and raft's
+// event streams). It is consumed from a head index: a pop zeroes the
+// vacated slot, so a taken payload is not kept reachable, and a pop that
+// drains the queue rewinds it onto the same backing array, so steady
+// traffic stops allocating. The zero value is empty; callers lock.
+type Queue[T any] struct {
+	items []T
+	head  int
+}
+
+// Push appends v.
+func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
+
+// Pop removes and returns the oldest element.
+func (q *Queue[T]) Pop() (v T, ok bool) {
+	if q.head == len(q.items) {
+		return v, false
+	}
+	var zero T
+	v, q.items[q.head] = q.items[q.head], zero
+	q.head++
+	if q.head == len(q.items) {
+		q.head, q.items = 0, q.items[:0]
+	}
+	return v, true
 }
 
 // Traced wraps a payload with the per-request trace ID that produced it

@@ -131,7 +131,9 @@ func (m *Mux) Channel(name string) Endpoint {
 		channel: name,
 		notify:  make(chan struct{}, 1),
 	}
-	s.pending = append(s.pending, m.backlog[name]...)
+	for _, msg := range m.backlog[name] {
+		s.pending.Push(msg)
+	}
 	delete(m.backlog, name)
 	m.subs[name] = s
 	return s
@@ -157,7 +159,7 @@ func (m *Mux) dispatch(ctx context.Context) {
 		s, ok := m.subs[tag.Channel]
 		dropped := false
 		if ok {
-			s.pending = append(s.pending, routed)
+			s.pending.Push(routed)
 		} else if len(m.backlog[tag.Channel]) < m.backlogLimit {
 			m.backlog[tag.Channel] = append(m.backlog[tag.Channel], routed)
 		} else {
@@ -199,7 +201,7 @@ type subEndpoint struct {
 	mux     *Mux
 	channel string
 
-	pending []Message
+	pending Queue[Message] // guarded by mux.mu
 	notify  chan struct{}
 }
 
@@ -235,27 +237,25 @@ func (s *subEndpoint) Broadcast(payload any) error {
 }
 
 // Recv implements Endpoint.
-func (s *subEndpoint) Recv(ctx context.Context) (Message, error) {
-	for {
-		s.mux.mu.Lock()
-		if len(s.pending) > 0 {
-			msg := s.pending[0]
-			s.pending = s.pending[1:]
-			s.mux.mu.Unlock()
-			return msg, nil
-		}
-		closed, err := s.mux.closed, s.mux.err
-		s.mux.mu.Unlock()
-		if closed {
-			if err == nil {
-				err = ErrClosed
-			}
-			return Message{}, fmt.Errorf("mux channel %q: %w", s.channel, err)
-		}
-		select {
-		case <-ctx.Done():
-			return Message{}, ctx.Err()
-		case <-s.notify:
-		}
+func (s *subEndpoint) Recv(ctx context.Context) (Message, error) { return Recv(ctx, s) }
+
+// Ready implements Endpoint.
+func (s *subEndpoint) Ready() <-chan struct{} { return s.notify }
+
+// TryRecv implements Endpoint. Messages routed before the dispatcher
+// stopped are still handed out; after them comes the terminating error.
+func (s *subEndpoint) TryRecv() (Message, bool, error) {
+	s.mux.mu.Lock()
+	defer s.mux.mu.Unlock()
+	if msg, ok := s.pending.Pop(); ok {
+		return msg, true, nil
 	}
+	if !s.mux.closed {
+		return Message{}, false, nil
+	}
+	err := s.mux.err
+	if err == nil {
+		err = ErrClosed
+	}
+	return Message{}, false, fmt.Errorf("mux channel %q: %w", s.channel, err)
 }

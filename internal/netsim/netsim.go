@@ -558,31 +558,25 @@ func (e *endpoint) Broadcast(payload any) error {
 }
 
 func (e *endpoint) Recv(ctx context.Context) (msgnet.Message, error) {
-	for {
-		// Check cancellation before draining: a receiver whose context is
-		// dead must not steal messages from a successor on the same
-		// endpoint (crash-recovery boots a fresh node on the old id).
-		if err := ctx.Err(); err != nil {
-			return msgnet.Message{}, err
-		}
-		m, ok, err := e.nw.recvOne(e.id)
-		if err != nil {
-			return msgnet.Message{}, err
-		}
-		if ok {
-			if met := e.nw.met; met != nil {
-				met.delivers.Inc(e.id)
-				met.depth[e.id].Add(-1)
-			}
-			if e.nw.rec != nil {
-				e.nw.rec.Deliver(e.id, m.From, 0, m.Payload)
-			}
-			return m, nil
-		}
-		select {
-		case <-ctx.Done():
-			return msgnet.Message{}, ctx.Err()
-		case <-e.nw.boxes[e.id].notify:
-		}
+	return msgnet.Recv(ctx, e)
+}
+
+// Ready is the receiver's mailbox notify channel. A crash-recovered
+// successor on the same id shares it with its predecessor, which is why
+// consumers check their context before every take (msgnet.Recv does).
+func (e *endpoint) Ready() <-chan struct{} { return e.nw.boxes[e.id].notify }
+
+func (e *endpoint) TryRecv() (msgnet.Message, bool, error) {
+	m, ok, err := e.nw.recvOne(e.id)
+	if !ok {
+		return msgnet.Message{}, false, err
 	}
+	if met := e.nw.met; met != nil {
+		met.delivers.Inc(e.id)
+		met.depth[e.id].Add(-1)
+	}
+	if e.nw.rec != nil {
+		e.nw.rec.Deliver(e.id, m.From, 0, m.Payload)
+	}
+	return m, true, nil
 }

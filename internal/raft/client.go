@@ -125,21 +125,29 @@ func (c *Client) nextBackoff(attempt int) time.Duration {
 // around SubmitWait errors (exactly-once needs client session state,
 // which is out of scope here as in the Raft paper's core protocol).
 func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err error) {
+	rep, node, err := c.submit(ctx, cmd)
+	return rep.index, node, err
+}
+
+// submit is Submit with the leader's whole accept reply: the index and
+// the term it was accepted in, which waitApplied watches.
+func (c *Client) submit(ctx context.Context, cmd any) (proposeReply, int, error) {
 	probe := 0
 	target := int(c.leader.Load()) // last known leader; -1 probes
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, fmt.Errorf("raft: client: %w", err)
+			return proposeReply{}, 0, fmt.Errorf("raft: client: %w", err)
 		}
 		id := target
 		if id < 0 || id >= len(c.nodes) {
 			id = probe % len(c.nodes)
 			probe++
 		}
-		idx, perr := c.nodes[id].Propose(ctx, cmd)
+		rep := c.nodes[id].propose(ctx, cmd)
+		perr := rep.err
 		if perr == nil {
 			c.leader.Store(int32(id))
-			return idx, id, nil
+			return rep, id, nil
 		}
 		var nl ErrNotLeader
 		redirected := false
@@ -153,7 +161,7 @@ func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err 
 		case errors.Is(perr, ErrStopped):
 			target = -1 // that node is gone; probe the others
 		default:
-			return 0, 0, fmt.Errorf("raft: client submit: %w", perr)
+			return proposeReply{}, 0, fmt.Errorf("raft: client submit: %w", perr)
 		}
 		if redirected && attempt < len(c.nodes) {
 			// A concrete redirect: chase it immediately. Backing off
@@ -179,16 +187,16 @@ func (c *Client) SubmitWait(ctx context.Context, cmd any) (index int, err error)
 		defer func() { c.tracer.End(id, err != nil) }()
 	}
 	for {
-		idx, id, err := c.Submit(ctx, cmd)
+		rep, id, err := c.submit(ctx, cmd)
 		if err != nil {
 			return 0, err
 		}
-		applied, err := c.waitApplied(ctx, id, idx)
+		applied, err := c.waitApplied(ctx, id, rep.index, rep.term)
 		if err != nil {
 			return 0, err
 		}
 		if applied {
-			return idx, nil
+			return rep.index, nil
 		}
 		// The entry was lost to a leadership change; resubmit.
 	}
@@ -317,11 +325,11 @@ func (c *Client) readStale(ctx context.Context, key string) (string, bool, error
 // quorum replication).
 func (c *Client) readLogCommand(ctx context.Context, key string) (string, bool, error) {
 	for {
-		idx, id, err := c.Submit(ctx, KVCommand{Op: "get", Key: key})
+		rep, id, err := c.submit(ctx, KVCommand{Op: "get", Key: key})
 		if err != nil {
 			return "", false, err
 		}
-		applied, err := c.waitApplied(ctx, id, idx)
+		applied, err := c.waitApplied(ctx, id, rep.index, rep.term)
 		if err != nil {
 			return "", false, err
 		}
@@ -343,32 +351,25 @@ func (c *Client) get(id int, key string) (string, bool, error) {
 }
 
 // waitApplied blocks until node id's lastApplied covers index (true), or
-// the node's log no longer contains our proposal's term at that position
-// because a new leader truncated it (false → caller resubmits).
+// the node's log no longer contains our proposal at that position
+// because a new leader truncated it (false → caller resubmits). term is
+// the term node id accepted the proposal in.
 //
-// Applies are observed through the node's applied notifier rather than
-// by polling Status every backoff tick: a Status call is a channel
-// round-trip through the node's main loop, so closed-loop clients both
-// quantized their latency to the poll period and stole loop iterations
-// from the commit pipeline. The happy path is now notifier-only — a
-// Status round-trip after the apply edge would stall behind whatever
-// the loop is doing next (typically the following batch's group-commit
-// fsync), adding unattributed milliseconds between apply and reply that
-// rtrace spans made visible. The Status checks remain for the timeout
-// path, where they decide the truncation and stopped-node races the
-// notifier can't see. Note the notifier result carries the same caveat
-// Status.LastApplied always did: applied reaching index does not prove
-// OUR entry survived at that index (see AwaitApplied).
-func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
+// The happy path is one wait on the node's applied notifier, on the
+// caller's own context: no timer, and no Status call (a round-trip
+// through the main loop, which would stall behind the next batch's
+// group-commit fsync). It wakes at the apply edge, and the only thing
+// that can keep the apply from reaching index — a truncation — requires
+// the node to adopt a higher term first, which wakes it too
+// (applied.go, DESIGN §3.7). Only then does the wait fall back to
+// bounded polling, where Status decides the truncation and stopped-node
+// races the notifier cannot see. Reaching index carries the caveat
+// Status.LastApplied always did: it does not prove OUR entry survived
+// at that index (see AwaitApplied).
+func (c *Client) waitApplied(ctx context.Context, id, index, term int) (bool, error) {
+	nd := c.nodes[id]
+	applied, err := nd.applied.wait(ctx, nd.stopped, index, term)
 	for {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("raft: client: %w", err)
-		}
-		// Wake at the apply edge; the timeout bounds how long a
-		// truncation (which applies nothing at our index) can stall us.
-		wctx, cancel := context.WithTimeout(ctx, 10*c.backoff)
-		applied, err := c.nodes[id].AwaitApplied(wctx, index)
-		cancel()
 		if err == nil && applied >= index {
 			return true, nil
 		}
@@ -378,9 +379,10 @@ func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
 		if cerr := ctx.Err(); cerr != nil {
 			return false, fmt.Errorf("raft: client: %w", cerr)
 		}
-		// The wait timed out without the apply reaching index. Consult
-		// Status for what the notifier can't tell us.
-		st := c.nodes[id].Status()
+		// The term moved, or a poll timed out, without the apply
+		// reaching index. Consult Status for what the notifier can't
+		// tell us.
+		st := nd.Status()
 		switch {
 		case st.LastApplied >= index:
 			return true, nil
@@ -391,5 +393,10 @@ func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
 			// Stopped node (zero status); treat as lost.
 			return false, nil
 		}
+		// Still in the log, unapplied. The timeout bounds how long a
+		// truncation (which applies nothing at our index) can stall us.
+		wctx, cancel := context.WithTimeout(ctx, 10*c.backoff)
+		applied, err = nd.AwaitApplied(wctx, index)
+		cancel()
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"ooc/internal/msgnet"
 )
 
 // EventKind enumerates the observable protocol transitions a node emits.
@@ -71,7 +73,7 @@ func (e Event) String() string {
 // event, so neither a bounded channel nor best-effort dropping works.
 type eventQueue struct {
 	mu     sync.Mutex
-	events []Event
+	events msgnet.Queue[Event]
 	closed bool
 	notify chan struct{} // 1-buffered wakeup signal
 	done   chan struct{}
@@ -91,7 +93,7 @@ func (q *eventQueue) push(e Event) {
 		q.mu.Unlock()
 		return
 	}
-	q.events = append(q.events, e)
+	q.events.Push(e)
 	q.mu.Unlock()
 	select {
 	case q.notify <- struct{}{}:
@@ -104,9 +106,8 @@ func (q *eventQueue) push(e Event) {
 func (q *eventQueue) pop(ctx context.Context) (Event, error) {
 	for {
 		q.mu.Lock()
-		if len(q.events) > 0 {
-			e := q.events[0]
-			q.events = q.events[1:]
+		e, ok := q.events.Pop()
+		if ok {
 			q.mu.Unlock()
 			return e, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ooc/internal/metrics"
@@ -257,11 +258,12 @@ type Node struct {
 	done       chan struct{}
 	workers    sync.WaitGroup
 
-	subMu sync.Mutex
-	subs  []*Subscription
+	subMu  sync.Mutex
+	subs   []*Subscription
+	wanted atomic.Uint32 // union of subs' kinds; emit's lock-free early exit
 
-	// applied publishes lastApplied to out-of-loop waiters (AwaitApplied);
-	// see applied.go.
+	// applied publishes lastApplied and currentTerm to out-of-loop
+	// waiters (AwaitApplied, Client.SubmitWait); see applied.go.
 	applied *appliedNotifier
 }
 
@@ -297,6 +299,7 @@ type tracedOp struct {
 
 type proposeReply struct {
 	index int
+	term  int // the accepting leader's term; set on proposal acceptance only
 	err   error
 }
 
@@ -357,7 +360,7 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	nd.applied = newAppliedNotifier(nd.hs.commitIndex) // the restored snapshot, if any
+	nd.applied = newAppliedNotifier(nd.hs.commitIndex, nd.hs.currentTerm) // the restored snapshot and term, if any
 	nd.bootSnapIndex = nd.hs.log.snapIndex
 	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
 	nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
@@ -386,18 +389,13 @@ func (nd *Node) persistLog(prevIndex int, entries []Entry) {
 // Start launches the node's goroutines. The node runs until ctx is
 // cancelled or its endpoint dies (crash injection / network close).
 func (nd *Node) Start(ctx context.Context) {
-	// Buffered so the receive pump can run ahead of the main loop and the
-	// loop's drain can coalesce a burst of messages into one iteration —
-	// one storage flush, one batch of sends.
-	msgCh := make(chan msgnet.Message, 4*maxMessageDrain)
 	nd.workers.Add(1)
 	go nd.applyWorker()
 	if nd.persistQ != nil {
 		nd.workers.Add(1)
 		go nd.persistWorker()
 	}
-	go nd.receive(ctx, msgCh)
-	go nd.run(ctx, msgCh)
+	go nd.run(ctx)
 	// Done() must not fire while a worker could still be mid-write: a
 	// persist worker's fsync outlives the main loop by up to one run,
 	// and callers close the Storage as soon as Done fires.
@@ -408,31 +406,33 @@ func (nd *Node) Start(ctx context.Context) {
 	}()
 }
 
-// maxMessageDrain bounds how many queued messages one main-loop
+// maxMessageDrain bounds how many delivered messages one main-loop
 // iteration handles before flushing; keeps a flooded node responsive to
 // timers and Status requests.
 const maxMessageDrain = 64
 
-// receive pumps the endpoint into the main loop.
-func (nd *Node) receive(ctx context.Context, msgCh chan<- msgnet.Message) {
-	for {
-		m, err := nd.cfg.Endpoint.Recv(ctx)
-		if err != nil {
-			close(msgCh)
-			return
-		}
-		select {
-		case msgCh <- m:
-		case <-ctx.Done():
-			return
-		case <-nd.stopped:
-			return
-		}
+// drainMessages handles the already-delivered messages, up to
+// maxMessageDrain, in one iteration, so their log mutations share one
+// storage flush and their acks leave in one batch. more reports that the
+// cap cut the burst short. The context is checked first: a cancelled
+// node must not take a successor's messages off a shared endpoint
+// (crash-recovery boots a fresh node on the old id).
+func (nd *Node) drainMessages(ctx context.Context) (more bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
 	}
+	for n := 0; n < maxMessageDrain; n++ {
+		m, ok, err := nd.cfg.Endpoint.TryRecv()
+		if !ok {
+			return false, err
+		}
+		nd.handleMessage(m)
+	}
+	return true, nil
 }
 
 // run is the main loop; all hardState access happens here.
-func (nd *Node) run(ctx context.Context, msgCh <-chan msgnet.Message) {
+func (nd *Node) run(ctx context.Context) {
 	defer nd.shutdown()
 
 	clock := nd.cfg.Clock
@@ -442,34 +442,29 @@ func (nd *Node) run(ctx context.Context, msgCh <-chan msgnet.Message) {
 	defer electionTimer.Stop()
 	defer heartbeat.Stop()
 
+	// The endpoint hands messages straight to this loop (DESIGN §3.9).
+	// backlog stands in for Ready while messages may be pending with no
+	// token to announce them: after a capped burst, and on the first
+	// pass (a predecessor on this endpoint may have taken the token).
+	ready := nd.cfg.Endpoint.Ready()
+	backlog := make(chan struct{})
+	close(backlog)
+	var inbox <-chan struct{} = backlog
+
 	for {
 		select {
 		case <-ctx.Done():
 			return
 
-		case m, ok := <-msgCh:
-			if !ok {
-				return // endpoint crashed or network closed
+		case <-inbox:
+			more, err := nd.drainMessages(ctx)
+			if err != nil {
+				nd.flush()
+				return // endpoint crashed, network closed, or ctx ended
 			}
-			// Coalesce a burst: handle every already-delivered message in
-			// this iteration so their log mutations share one storage
-			// flush and their acks leave in one batch.
-			nd.handleMessage(m)
-			for drained := 1; drained < maxMessageDrain; drained++ {
-				var more bool
-				select {
-				case m, ok = <-msgCh:
-					if !ok {
-						nd.flush()
-						return
-					}
-					nd.handleMessage(m)
-					more = true
-				default:
-				}
-				if !more {
-					break
-				}
+			inbox = ready
+			if more {
+				inbox = backlog
 			}
 
 		case <-electionTimer.C():
@@ -650,6 +645,13 @@ func (nd *Node) Campaign(value any) {
 // the entry is in the leader's log, not yet that it is committed — watch
 // EventCommitted or the state machine for that.
 func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
+	rep := nd.propose(ctx, cmd)
+	return rep.index, rep.err
+}
+
+// propose is Propose with the whole accept reply, whose term the
+// client's apply wait needs.
+func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
 	req := proposeReq{cmd: cmd, reply: make(chan proposeReply, 1)}
 	if id := rtrace.FromContext(ctx); id != 0 {
 		req.trace = id
@@ -658,17 +660,17 @@ func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
 	select {
 	case nd.proposeCh <- req:
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return proposeReply{err: ctx.Err()}
 	case <-nd.stopped:
-		return 0, ErrStopped
+		return proposeReply{err: ErrStopped}
 	}
 	select {
 	case rep := <-req.reply:
-		return rep.index, rep.err
+		return rep
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return proposeReply{err: ctx.Err()}
 	case <-nd.stopped:
-		return 0, ErrStopped
+		return proposeReply{err: ErrStopped}
 	}
 }
 
@@ -710,9 +712,11 @@ func (nd *Node) statusLocked() Status {
 	}
 }
 
-// Subscription delivers a node's events in order, without loss.
+// Subscription delivers the node's events of the kinds it asked for, in
+// emission order, without loss.
 type Subscription struct {
-	q *eventQueue
+	q     *eventQueue
+	kinds uint32 // bit k set: deliver EventKind k
 }
 
 // Next returns the next event, blocking until one arrives, the context is
@@ -721,21 +725,38 @@ func (s *Subscription) Next(ctx context.Context) (Event, error) {
 	return s.q.pop(ctx)
 }
 
-// Subscribe registers a new event stream. Events emitted before the
-// subscription are not replayed.
-func (nd *Node) Subscribe() *Subscription {
+// Subscribe registers a new event stream carrying only the given kinds;
+// with none it carries every event (what the VAC view and ConsensusNode
+// need). Events emitted before the subscription are not replayed. A
+// kind nobody subscribed to is never queued.
+func (nd *Node) Subscribe(kinds ...EventKind) *Subscription {
 	s := &Subscription{q: newEventQueue()}
+	for _, k := range kinds {
+		s.kinds |= 1 << k
+	}
+	if len(kinds) == 0 {
+		s.kinds = ^uint32(0)
+	}
 	nd.subMu.Lock()
 	defer nd.subMu.Unlock()
 	nd.subs = append(nd.subs, s)
+	nd.wanted.Store(nd.wanted.Load() | s.kinds)
 	return s
 }
 
+// emit is called from the main loop and the apply worker; wanted is the
+// union of every subscription's kinds, read without the lock.
 func (nd *Node) emit(e Event) {
+	bit := uint32(1) << e.Kind
+	if nd.wanted.Load()&bit == 0 {
+		return
+	}
 	nd.subMu.Lock()
 	defer nd.subMu.Unlock()
 	for _, s := range nd.subs {
-		s.q.push(e)
+		if s.kinds&bit != 0 {
+			s.q.push(e)
+		}
 	}
 }
 
@@ -931,6 +952,7 @@ func (nd *Node) stepDown(term int) {
 	nd.traced = nil
 	nd.tracedUnsynced = nd.tracedUnsynced[:0]
 	nd.hs.currentTerm = term
+	nd.applied.setTerm(term)
 	nd.hs.votedFor = none
 	nd.hs.state = Follower
 	nd.hs.leaderID = none
@@ -947,6 +969,7 @@ func (nd *Node) stepDown(term int) {
 
 func (nd *Node) becomeCandidate() {
 	nd.hs.currentTerm++
+	nd.applied.setTerm(nd.hs.currentTerm)
 	nd.met.onTermChange(nd.hs.currentTerm)
 	nd.met.onElection()
 	// An election is an anomaly from the workload's point of view: dump
@@ -1030,7 +1053,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	first := nd.appendLocalBatch(cmds)
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
-		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i}, fenced: true})
+		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.hs.currentTerm}, fenced: true})
 		if r.trace != 0 {
 			if drained.IsZero() {
 				drained = time.Now()

@@ -175,7 +175,7 @@ func (nd *Node) flush() {
 			continue
 		}
 		// Send failures mean we crashed or the network is gone; the
-		// receive pump will notice and stop the loop, so they are safe to
+		// loop's next TryRecv will notice and stop, so they are safe to
 		// drop here.
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}

@@ -338,7 +338,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 	// EventBecameLeader is missed, then start and place.
 	for _, g := range c.groups {
 		for id, node := range g.Nodes {
-			go c.watchLeadership(ctx, g.Shard, id, node.Subscribe())
+			go c.watchLeadership(ctx, g.Shard, id, node.Subscribe(raft.EventBecameLeader))
 		}
 	}
 	for _, g := range c.groups {
@@ -391,17 +391,14 @@ const (
 	clientRole uint64 = 2 << 32
 )
 
-// watchLeadership follows one replica's event stream and feeds leader
-// transitions into the placement table.
+// watchLeadership follows one replica's EventBecameLeader stream and
+// feeds leader transitions into the placement table.
 func (c *Cluster) watchLeadership(ctx context.Context, shard, node int, sub *raft.Subscription) {
 	for {
-		ev, err := sub.Next(ctx)
-		if err != nil {
+		if _, err := sub.Next(ctx); err != nil {
 			return
 		}
-		if ev.Kind == raft.EventBecameLeader {
-			c.noteLeader(shard, node)
-		}
+		c.noteLeader(shard, node)
 	}
 }
 

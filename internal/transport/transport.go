@@ -144,7 +144,7 @@ type Transport struct {
 	mu      sync.Mutex
 	conns   map[int]*outConn
 	inbound map[net.Conn]struct{}
-	pending []msgnet.Message
+	pending msgnet.Queue[msgnet.Message]
 	closed  bool
 	notify  chan struct{}
 
@@ -253,7 +253,7 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 		return msgnet.ErrClosed
 	}
 	if to == tr.id {
-		tr.pending = append(tr.pending, msgnet.Message{From: tr.id, To: to, Payload: payload})
+		tr.pending.Push(msgnet.Message{From: tr.id, To: to, Payload: payload})
 		tr.mu.Unlock()
 		tr.wake()
 		tr.rec.Send(tr.id, to, 0, 0, payload)
@@ -345,26 +345,27 @@ func (tr *Transport) flushAll() {
 
 // Recv implements msgnet.Endpoint.
 func (tr *Transport) Recv(ctx context.Context) (msgnet.Message, error) {
-	for {
-		tr.mu.Lock()
-		if len(tr.pending) > 0 {
-			m := tr.pending[0]
-			tr.pending = tr.pending[1:]
-			tr.mu.Unlock()
-			tr.rec.Deliver(tr.id, m.From, 0, m.Payload)
-			return m, nil
-		}
-		closed := tr.closed
-		tr.mu.Unlock()
-		if closed {
-			return msgnet.Message{}, msgnet.ErrClosed
-		}
-		select {
-		case <-ctx.Done():
-			return msgnet.Message{}, ctx.Err()
-		case <-tr.notify:
-		}
+	return msgnet.Recv(ctx, tr)
+}
+
+// Ready implements msgnet.Endpoint.
+func (tr *Transport) Ready() <-chan struct{} { return tr.notify }
+
+// TryRecv implements msgnet.Endpoint. Messages decoded before Close are
+// still handed out; after them comes msgnet.ErrClosed.
+func (tr *Transport) TryRecv() (msgnet.Message, bool, error) {
+	tr.mu.Lock()
+	m, ok := tr.pending.Pop()
+	closed := tr.closed
+	tr.mu.Unlock()
+	switch {
+	case ok:
+		tr.rec.Deliver(tr.id, m.From, 0, m.Payload)
+		return m, true, nil
+	case closed:
+		return msgnet.Message{}, false, msgnet.ErrClosed
 	}
+	return msgnet.Message{}, false, nil
 }
 
 // Close shuts the transport down: the listener stops, connections close,
@@ -403,7 +404,7 @@ func (tr *Transport) deliver(m msgnet.Message) {
 		tr.mu.Unlock()
 		return
 	}
-	tr.pending = append(tr.pending, m)
+	tr.pending.Push(m)
 	tr.mu.Unlock()
 	tr.wake()
 }
