@@ -1,0 +1,702 @@
+package raft
+
+// Tests for claim-based fencing (DESIGN §3.3, §3.7): a staged message
+// waits for exactly what it claims about this node's disk. The cluster
+// tests run ManualCampaign nodes over netsim with a tap on every message,
+// one node's disk held at the barrier by gatedStorage, and every history
+// through checker.CheckRegisterLinearizable.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"ooc/internal/checker"
+	"ooc/internal/metrics"
+	"ooc/internal/msgnet"
+	"ooc/internal/netsim"
+	"ooc/internal/sim"
+	"ooc/internal/trace"
+)
+
+// wireTap records every message handed to the network, in send order.
+type wireTap struct {
+	mu   sync.Mutex
+	msgs []msgnet.Message
+}
+
+func (w *wireTap) hook(m msgnet.Message) []msgnet.Message {
+	w.mu.Lock()
+	w.msgs = append(w.msgs, m)
+	w.mu.Unlock()
+	return []msgnet.Message{m}
+}
+
+// mark returns the tap's current length: a position to read on from.
+func (w *wireTap) mark() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.msgs)
+}
+
+// appendReplies returns the AppendEntriesReply messages from→to recorded
+// at or after position pos.
+func (w *wireTap) appendReplies(pos, from, to int) []AppendEntriesReply {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out []AppendEntriesReply
+	for _, m := range w.msgs[pos:] {
+		if r, ok := m.Payload.(AppendEntriesReply); ok && m.From == from && m.To == to {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// fenceCluster is pipeCluster with elections on request only and a tap
+// on the wire. It reuses pipeCluster's helpers; boot and restart are its
+// own because the node configuration differs.
+type fenceCluster struct {
+	*pipeCluster
+	tap   *wireTap
+	start time.Time
+	mu    sync.Mutex
+	hist  []checker.RWOp
+}
+
+func newFenceCluster(t *testing.T, n int, seed uint64) *fenceCluster {
+	t.Helper()
+	tap := &wireTap{}
+	c := &fenceCluster{
+		pipeCluster: &pipeCluster{
+			t:       t,
+			nw:      netsim.New(n, netsim.WithSeed(seed), netsim.WithFIFO(), netsim.WithTamper(tap.hook)),
+			rng:     sim.NewRNG(seed),
+			rec:     trace.NewRecorder(),
+			stores:  make([]*MemStorage, n),
+			gates:   make([]*gatedStorage, n),
+			kvs:     make([]*KVStore, n),
+			nodes:   make([]*Node, n),
+			cancels: make([]context.CancelFunc, n),
+		},
+		tap:   tap,
+		start: time.Now(),
+	}
+	for id := 0; id < n; id++ {
+		c.stores[id] = NewMemStorage()
+		c.boot(id)
+	}
+	t.Cleanup(func() {
+		for id, cancel := range c.cancels {
+			c.gates[id].release()
+			cancel()
+		}
+	})
+	return c
+}
+
+func (c *fenceCluster) boot(id int) {
+	c.t.Helper()
+	c.boots++
+	c.kvs[id] = &KVStore{} // volatile: a restart reapplies the persisted log
+	c.gates[id] = newGatedStorage(c.stores[id])
+	node, err := NewNode(Config{
+		ID:                id,
+		Endpoint:          c.nw.Node(id),
+		RNG:               c.rng.Fork(uint64(id) + 1000*uint64(c.boots)),
+		ElectionTimeout:   testElection,
+		HeartbeatInterval: testHeartbeat,
+		ManualCampaign:    true,
+		StateMachine:      c.kvs[id],
+		Storage:           c.gates[id],
+		Recorder:          c.rec,
+	})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.nodes[id], c.cancels[id] = node, cancel
+	node.Start(ctx)
+}
+
+func (c *fenceCluster) restart(id int) {
+	c.t.Helper()
+	c.nw.Restart(id)
+	c.boot(id)
+}
+
+// poll waits for cond, failing the test with what after ten seconds.
+func (c *fenceCluster) poll(what string, cond func() bool) {
+	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			for id, nd := range c.nodes {
+				c.t.Logf("node %d: %v, disk through %d", id, nd.Status(), c.durable(id))
+			}
+			c.t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// elect makes id campaign and waits until it leads.
+func (c *fenceCluster) elect(id int) {
+	c.t.Helper()
+	c.nodes[id].Campaign(nil)
+	c.poll(fmt.Sprintf("node %d to lead", id), func() bool { return c.nodes[id].Status().State == Leader })
+}
+
+// durable reports the highest log index node id's disk holds.
+func (c *fenceCluster) durable(id int) int {
+	c.t.Helper()
+	ps, err := c.stores[id].Load()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return ps.SnapIndex + len(ps.Entries)
+}
+
+func (c *fenceCluster) ns() int64 { return time.Since(c.start).Nanoseconds() }
+
+func (c *fenceCluster) record(op checker.RWOp) {
+	c.mu.Lock()
+	c.hist = append(c.hist, op)
+	c.mu.Unlock()
+}
+
+// write proposes x=version on node id and returns the entry's index once
+// the proposal is accepted (in the leader's log and on its disk — not
+// yet committed). The caller records the write when it has seen it
+// applied.
+func (c *fenceCluster) write(id, version int) int {
+	c.t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	idx, err := c.nodes[id].Propose(ctx, KVCommand{Op: "set", Key: "x", Value: strconv.Itoa(version)})
+	if err != nil {
+		c.t.Fatalf("propose x=%d on node %d: %v", version, id, err)
+	}
+	return idx
+}
+
+// writeEverywhere commits x=version through node id, waits until every
+// node in ids has applied it and holds it on disk, and records the write.
+func (c *fenceCluster) writeEverywhere(id, version int, ids ...int) int {
+	c.t.Helper()
+	inv := c.ns()
+	idx := c.write(id, version)
+	c.waitValue("x", strconv.Itoa(version), ids...)
+	c.record(checker.RWOp{Key: "x", Version: int64(version), Invoke: inv, Return: c.ns()})
+	for _, n := range ids {
+		c.poll(fmt.Sprintf("node %d's disk to reach %d", n, idx), func() bool { return c.durable(n) >= idx })
+	}
+	return idx
+}
+
+// read serves one ReadIndex read of x on node id within d and records it.
+func (c *fenceCluster) read(id int, d time.Duration) (version, index int, err error) {
+	inv := c.ns()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	index, err = c.nodes[id].ReadIndex(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
+	v, _ := c.kvs[id].Get("x")
+	version, _ = strconv.Atoi(v)
+	c.record(checker.RWOp{Read: true, Key: "x", Version: int64(version), Invoke: inv, Return: c.ns()})
+	return version, index, nil
+}
+
+func (c *fenceCluster) checkHistory() {
+	c.t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rep := checker.CheckRegisterLinearizable(c.hist); !rep.Ok() {
+		c.t.Fatalf("history not linearizable (%d ops): %v", len(c.hist), rep.Violations[0])
+	}
+}
+
+// gatedFollower is the stage the probe and power-cut tests share: node 0
+// leads three nodes, x=1 is on every disk at index idx1, node 2 is cut
+// off so that commit needs node 1, and node 1's disk is held at the
+// barrier with x=2 (index idx2) in its memory and in its persist queue.
+type gatedFollower struct {
+	*fenceCluster
+	idx1, idx2 int
+	inv2       int64 // x=2's invocation time
+	pos        int   // tap position when the gate closed
+}
+
+func stageGatedFollower(t *testing.T, seed uint64) *gatedFollower {
+	t.Helper()
+	c := newFenceCluster(t, 3, seed)
+	c.elect(0)
+	g := &gatedFollower{fenceCluster: c}
+	g.idx1 = c.writeEverywhere(0, 1, 0, 1, 2)
+	c.nw.Partition([]int{0, 1}, []int{2})
+	c.gates[1].block()
+	g.pos = c.tap.mark()
+	g.inv2 = c.ns()
+	g.idx2 = c.write(0, 2) // accepted: on the leader's disk, on nobody else's
+	c.poll("node 1 to take x=2 into memory", func() bool { return c.nodes[1].Status().LogLength >= g.idx2 })
+	if d := c.durable(1); d != g.idx1 {
+		t.Fatalf("node 1's disk holds through %d despite the gate, want %d", d, g.idx1)
+	}
+	return g
+}
+
+// readWhileGated serves a read on the leader while node 1's fsync is
+// parked and checks what made that possible: node 1 echoed the probe,
+// acknowledging no more than its disk held, and the leader counted the
+// echo for leadership but not for commit.
+func (g *gatedFollower) readWhileGated() {
+	g.t.Helper()
+	version, index, err := g.read(0, 5*time.Second)
+	if err != nil {
+		g.t.Fatalf("read with the only reachable follower's disk gated: %v", err)
+	}
+	if version != 1 || index != g.idx1 {
+		g.t.Fatalf("read x=%d at index %d, want x=1 at %d", version, index, g.idx1)
+	}
+	echoed := false
+	for _, r := range g.tap.appendReplies(g.pos, 1, 0) {
+		if r.Success && r.MatchIndex > g.idx1 {
+			g.t.Fatalf("node 1 acknowledged through %d with its disk at %d: %v", r.MatchIndex, g.idx1, r)
+		}
+		if r.ReadID > 0 {
+			echoed = true
+		}
+	}
+	if !echoed {
+		g.t.Fatal("the read was confirmed, but no probe echo from node 1 is on the wire")
+	}
+	if st := g.nodes[0].Status(); st.CommitIndex != g.idx1 {
+		g.t.Fatalf("leader commit index %d, want %d: it advanced on an ack no disk backs", st.CommitIndex, g.idx1)
+	}
+}
+
+// Safety clause (a) and (2): a probe is answered while the follower's
+// fsync is still running, its MatchIndex is at most what that disk
+// holds, and the leader serves the read without advancing commit. The
+// reply to the entry-carrying append stays behind the gate.
+func TestProbeAnsweredWhileFollowerDiskGated(t *testing.T) {
+	g := stageGatedFollower(t, 131)
+	g.readWhileGated()
+
+	g.gates[1].release()
+	g.waitValue("x", "2", 0, 1)
+	g.record(checker.RWOp{Key: "x", Version: 2, Invoke: g.inv2, Return: g.ns()})
+	acked := false
+	for _, r := range g.tap.appendReplies(g.pos, 1, 0) {
+		if r.Success && r.MatchIndex >= g.idx2 {
+			acked = true
+		}
+	}
+	if !acked {
+		t.Fatalf("x=2 committed without node 1 ever acknowledging index %d", g.idx2)
+	}
+	if version, _, err := g.read(0, 5*time.Second); err != nil || version != 2 {
+		t.Fatalf("read after the gate opened: x=%d, %v", version, err)
+	}
+	g.checkHistory()
+}
+
+// Safety clause (c): the power fails right after the early ack. The
+// follower comes back without its unsynced suffix, and nothing it ever
+// acknowledged — hence nothing the leader's matchIndex ever held for it
+// — exceeds what survived.
+func TestPowerCutAfterEarlyAckLosesNothingAcknowledged(t *testing.T) {
+	g := stageGatedFollower(t, 137)
+	g.readWhileGated()
+
+	g.gates[1].powerCut()
+	g.crash(1)
+	survived := g.durable(1)
+	if survived != g.idx1 {
+		t.Fatalf("node 1's disk survived through %d, want %d (x=2 was never synced)", survived, g.idx1)
+	}
+	for _, r := range g.tap.appendReplies(0, 1, 0) {
+		if r.Success && r.MatchIndex > survived {
+			t.Fatalf("node 1 acknowledged through %d, its disk survived through %d: %v", r.MatchIndex, survived, r)
+		}
+	}
+	if st := g.nodes[0].Status(); st.CommitIndex != g.idx1 {
+		t.Fatalf("leader commit index %d, want %d", st.CommitIndex, g.idx1)
+	}
+
+	g.restart(1)
+	g.nw.Heal()
+	g.waitValue("x", "2", 0, 1, 2)
+	g.record(checker.RWOp{Key: "x", Version: 2, Invoke: g.inv2, Return: g.ns()})
+	if version, _, err := g.read(0, 5*time.Second); err != nil || version != 2 {
+		t.Fatalf("read after recovery: x=%d, %v", version, err)
+	}
+	g.checkHistory()
+}
+
+// Safety clause (b) and (3), first half: a follower whose term bump is
+// still in its persist queue says nothing in the new term — no vote, no
+// append reply — until the SetState lands, however many heartbeats it
+// is sent meanwhile.
+func TestRepliesWaitForTermOnDisk(t *testing.T) {
+	c := newFenceCluster(t, 3, 139)
+	c.elect(0)
+	c.writeEverywhere(0, 1, 0, 1, 2)
+	oldTerm := c.nodes[0].Status().Term
+
+	c.gates[2].block()
+	pos := c.tap.mark()
+	c.elect(1) // node 0 votes; node 2's vote is stuck behind its SetState
+	newTerm := c.nodes[1].Status().Term
+	inv := c.ns()
+	idx2 := c.write(1, 2)
+	c.waitValue("x", "2", 0, 1)
+	c.record(checker.RWOp{Key: "x", Version: 2, Invoke: inv, Return: c.ns()})
+	if version, _, err := c.read(1, 5*time.Second); err != nil || version != 2 {
+		t.Fatalf("read on the new leader: x=%d, %v", version, err)
+	}
+	// Node 2 has adopted the term and taken the new leader's entries in
+	// memory; every reply it owes is staged.
+	c.poll("node 2 to take x=2 into memory", func() bool {
+		st := c.nodes[2].Status()
+		return st.Term == newTerm && st.LogLength >= idx2
+	})
+	if ps, _ := c.stores[2].Load(); ps.Term != oldTerm {
+		t.Fatalf("node 2's disk holds term %d despite the gate, want %d", ps.Term, oldTerm)
+	}
+	spoke := func() (votes, acks int) {
+		c.tap.mu.Lock()
+		defer c.tap.mu.Unlock()
+		for _, m := range c.tap.msgs[pos:] {
+			if m.From != 2 {
+				continue
+			}
+			switch p := m.Payload.(type) {
+			case RequestVoteReply:
+				if p.Term >= newTerm {
+					votes++
+				}
+			case AppendEntriesReply:
+				if p.Term >= newTerm {
+					acks++
+				}
+			}
+		}
+		return votes, acks
+	}
+	if votes, acks := spoke(); votes+acks > 0 {
+		t.Fatalf("node 2 sent %d votes and %d append replies in term %d, which its disk does not hold", votes, acks, newTerm)
+	}
+
+	c.gates[2].release()
+	c.poll("node 2 to speak in the new term", func() bool { _, acks := spoke(); return acks > 0 })
+	if ps, _ := c.stores[2].Load(); ps.Term != newTerm {
+		t.Fatalf("node 2 spoke in term %d with term %d on disk", newTerm, ps.Term)
+	}
+	c.waitValue("x", "2", 2)
+	c.checkHistory()
+}
+
+// Safety clause (b) and (1), second half: a deposed leader cut off with
+// a minority never confirms a read, although its one reachable follower
+// echoes every probe at once (that follower's disk is gated mid-append,
+// so the echoes are the early kind). What stops the read is quorum
+// intersection — the majority side's votes were on disk before they left
+// — not any fsync on the minority side.
+func TestDeposedLeaderInMinorityNeverConfirmsRead(t *testing.T) {
+	c := newFenceCluster(t, 5, 149)
+	c.elect(0)
+	c.writeEverywhere(0, 1, 0, 1, 2, 3, 4)
+	term := c.nodes[0].Status().Term
+
+	c.nw.Partition([]int{0, 1}, []int{2, 3, 4})
+	c.gates[1].block()
+	pos := c.tap.mark()
+	// Something for node 1's disk to be busy with; it can never commit.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	stray, err := c.nodes[0].Propose(ctx, KVCommand{Op: "set", Key: "stray", Value: "v"})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.poll("node 1 to take the stray entry into memory", func() bool { return c.nodes[1].Status().LogLength >= stray })
+
+	c.elect(2)
+	inv := c.ns()
+	c.write(2, 2)
+	c.waitValue("x", "2", 2, 3, 4)
+	c.record(checker.RWOp{Key: "x", Version: 2, Invoke: inv, Return: c.ns()})
+
+	// x=2 is complete. A read the old leader served now would return 1.
+	version, _, err := c.read(0, 300*time.Millisecond)
+	if err == nil {
+		t.Fatalf("deposed leader in a 2-of-5 minority confirmed a read (x=%d)", version)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read on the deposed leader: %v, want it to hang until the deadline", err)
+	}
+	if st := c.nodes[0].Status(); st.State != Leader || st.Term != term {
+		t.Fatalf("node 0 is %v: the read was refused for some other reason than quorum", st)
+	}
+	echoed := false
+	for _, r := range c.tap.appendReplies(pos, 1, 0) {
+		if r.ReadID > 0 {
+			echoed = true
+		}
+	}
+	if !echoed {
+		t.Fatal("node 1 never echoed the probe: the read failed for want of any ack, not for want of a quorum")
+	}
+	if version, _, err := c.read(2, 5*time.Second); err != nil || version != 2 {
+		t.Fatalf("read on the new leader: x=%d, %v", version, err)
+	}
+	c.checkHistory()
+}
+
+// Safety clause (d), against a hand-operated leader: with an unrelated
+// persist parked at the barrier, a retransmission of entries the disk
+// already holds is acknowledged at once and in full, a heartbeat over
+// the unsynced tail is acknowledged at once up to the durable index, and
+// the reply to the append that is actually being synced waits. The
+// raft_append_replies_total counters tell the two kinds apart.
+func TestRetransmitOfDurableEntriesNotFenced(t *testing.T) {
+	nw := netsim.New(2, netsim.WithSeed(7), netsim.WithFIFO())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	gate := newGatedStorage(NewMemStorage())
+	defer gate.release()
+	reg := metrics.NewRegistry()
+	node, err := NewNode(Config{
+		ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(7),
+		ElectionTimeout: time.Hour, HeartbeatInterval: time.Hour, ManualCampaign: true,
+		Storage: gate, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start(ctx)
+	leader := nw.Node(1)
+	set := func(i int) Entry {
+		return Entry{Term: 1, Command: KVCommand{Op: "set", Key: "k", Value: strconv.Itoa(i)}}
+	}
+	exchange := func(m AppendEntries) AppendEntriesReply {
+		t.Helper()
+		m.Term, m.LeaderID = 1, 1
+		if err := leader.Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := leader.Recv(ctx)
+		if err != nil {
+			t.Fatalf("no reply to %v: %v", m, err)
+		}
+		return got.Payload.(AppendEntriesReply)
+	}
+
+	first := AppendEntries{Entries: []Entry{set(1), set(2)}}
+	if r := exchange(first); !r.Success || r.MatchIndex != 2 {
+		t.Fatalf("first append: %v", r)
+	}
+
+	gate.block()
+	if err := leader.Send(0, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []Entry{set(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	// The network is FIFO and the node answers in order, so had the reply
+	// to entry 3 left, it would be the next message here.
+	if r := exchange(first); !r.Success || r.MatchIndex != 2 {
+		t.Fatalf("retransmission of durable entries 1..2 behind a gated persist: %v, want an ack through 2", r)
+	}
+	if r := exchange(AppendEntries{PrevLogIndex: 3, PrevLogTerm: 1, ReadID: 9}); !r.Success || r.MatchIndex != 2 || r.ReadID != 9 {
+		t.Fatalf("heartbeat over the unsynced tail: %v, want an echo of read 9 acknowledging through 2", r)
+	}
+	fenced := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "persist"))
+	free := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "none"))
+	if fenced.Value() != 2 || free.Value() != 2 {
+		t.Fatalf("append replies counted: %d behind a persist, %d free; want 2 and 2", fenced.Value(), free.Value())
+	}
+
+	gate.release()
+	got, err := leader.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.Payload.(AppendEntriesReply); !r.Success || r.MatchIndex != 3 {
+		t.Fatalf("after the gate opened: %v, want the ack through 3", r)
+	}
+}
+
+// Safety clause (e): what every site that stages a message claims, and
+// whether flush() lets it go with the node in that state. Handlers run
+// on an unstarted node; flush() then either puts the message on the wire
+// or into the persist request nobody is consuming.
+func TestMessageClaims(t *testing.T) {
+	one := []Entry{{Term: 1, Command: "a"}, {Term: 1, Command: "b"}}
+	// follower returns a node in term 1 following node 1, log = one, the
+	// first durable entries of it on disk and nothing in flight.
+	follower := func(nd *Node, durable int) {
+		nd.hs.currentTerm, nd.hs.leaderID = 1, 1
+		nd.hs.log.entries = append([]Entry(nil), one...)
+		nd.durableIndex = durable
+	}
+	leader := func(nd *Node) {
+		nd.becomeCandidate()
+		nd.becomeLeader()
+		nd.outbox, nd.stateDirty, nd.pendingLog = nil, false, nil
+		nd.durableIndex = nd.hs.log.lastIndex()
+	}
+	type want struct {
+		payload string // %T of the staged message
+		claim   claim
+		fenced  bool
+	}
+	rows := []struct {
+		name    string
+		preVote bool
+		stage   func(nd *Node)
+		want    []want
+	}{
+		{"campaign: the bumped term and self-vote", false,
+			func(nd *Node) { nd.becomeCandidate() },
+			[]want{{"raft.RequestVote", claim{state: true}, true}, {"raft.RequestVote", claim{state: true}, true}}},
+		{"pre-vote probe", true,
+			func(nd *Node) { nd.startPreVote() },
+			[]want{{"raft.PreVote", claim{}, false}, {"raft.PreVote", claim{}, false}}},
+		{"pre-vote answer", false,
+			func(nd *Node) { nd.onPreVote(1, PreVote{Term: 1, CandidateID: 1}) },
+			[]want{{"raft.PreVoteReply", claim{}, false}}},
+		{"vote granted: the vote must be on disk first", false,
+			func(nd *Node) { nd.onRequestVote(1, RequestVote{Term: 1, CandidateID: 1}) },
+			[]want{{"raft.RequestVoteReply", claim{state: true}, true}}},
+		{"vote refused in a term already on disk", false,
+			func(nd *Node) { nd.hs.currentTerm = 3; nd.onRequestVote(1, RequestVote{Term: 1, CandidateID: 1}) },
+			[]want{{"raft.RequestVoteReply", claim{state: true}, false}}},
+		{"append from a stale leader refused", false,
+			func(nd *Node) { nd.hs.currentTerm = 3; nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1}) },
+			[]want{{"raft.AppendEntriesReply", claim{state: true}, false}}},
+		{"append in a term not yet on disk", false,
+			func(nd *Node) { nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1}) },
+			[]want{{"raft.AppendEntriesReply", claim{state: true}, true}}},
+		{"consistency-check rejection", false,
+			func(nd *Node) {
+				follower(nd, 2)
+				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 5, PrevLogTerm: 1})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{state: true}, false}}},
+		{"entries appended: acknowledged through the new tail", false,
+			func(nd *Node) {
+				follower(nd, 2)
+				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []Entry{{Term: 1, Command: "c"}}})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 3, state: true}, true}}},
+		{"heartbeat over an unsynced tail: acknowledged through the disk", false,
+			func(nd *Node) {
+				follower(nd, 1)
+				nd.pendingPersist = []pendingBatch{{target: 2}} // entry 2 is in flight
+				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, ReadID: 4})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 1, state: true}, false}}},
+		{"retransmission of durable entries", false,
+			func(nd *Node) {
+				follower(nd, 2)
+				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, Entries: one})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, false}}},
+		{"conflicting suffix replaced: the old entry stops counting as durable", false,
+			func(nd *Node) {
+				follower(nd, 2)
+				nd.hs.currentTerm = 2
+				nd.onAppendEntries(1, AppendEntries{Term: 2, LeaderID: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []Entry{{Term: 2, Command: "z"}}})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, true}}},
+		{"snapshot installed over a longer durable log", false,
+			func(nd *Node) {
+				follower(nd, 2)
+				nd.onInstallSnapshot(1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 1, state: true}, true}}},
+		{"stale snapshot: acknowledged through the commit index", false,
+			func(nd *Node) {
+				follower(nd, 1)
+				nd.pendingPersist = []pendingBatch{{target: 2}}
+				nd.hs.commitIndex = 2 // the leader's commit ran ahead of this disk
+				nd.onInstallSnapshot(1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
+			},
+			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, true}}},
+		{"leader fan-out and probe", false,
+			func(nd *Node) {
+				leader(nd)
+				nd.appendLocalBatch([]any{"c"})
+				nd.sendAppend(1)
+				nd.sendHeartbeat(2)
+			},
+			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
+		{"snapshot sent to a laggard", false,
+			func(nd *Node) {
+				leader(nd)
+				nd.hs.log.compactTo(1)
+				nd.snapCache = snapCache{index: 1}
+				nd.ls.nextIndex[1] = 1
+				nd.sendAppend(1)
+			},
+			[]want{{"raft.InstallSnapshot", claim{}, false}}},
+		{"read forwarded to the leader", false,
+			func(nd *Node) { follower(nd, 2); nd.forwardRead(readWaiter{ch: make(chan proposeReply, 1)}) },
+			[]want{{"raft.ReadIndexRequest", claim{}, false}}},
+		{"forwarded read refused", false,
+			func(nd *Node) { follower(nd, 2); nd.onReadIndexRequest(2, ReadIndexRequest{Term: 1, ID: 7}) },
+			[]want{{"raft.ReadIndexReply", claim{}, false}}},
+		{"forwarded read answered", false,
+			func(nd *Node) { leader(nd); nd.resolveRead(readWaiter{from: 1, id: 7}, 1, false) },
+			[]want{{"raft.ReadIndexReply", claim{}, false}}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			nw := netsim.New(3, netsim.WithFIFO())
+			nd, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1),
+				PreVote: row.preVote, StateMachine: &KVStore{}, Storage: NewMemStorage()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.stage(nd)
+			if len(nd.outbox) != len(row.want) {
+				t.Fatalf("staged %d messages, want %d: %v", len(nd.outbox), len(row.want), nd.outbox)
+			}
+			for i, w := range row.want {
+				if got := fmt.Sprintf("%T", nd.outbox[i].payload); got != w.payload || nd.outbox[i].claim != w.claim {
+					t.Fatalf("message %d: %s claiming %+v, want %s claiming %+v", i, got, nd.outbox[i].claim, w.payload, w.claim)
+				}
+			}
+			nd.flush()
+			sent := 0
+			for _, peer := range []int{1, 2} {
+				for {
+					if _, ok, _ := nw.Node(peer).TryRecv(); !ok {
+						break
+					}
+					sent++
+				}
+			}
+			var held []outMsg
+			select {
+			case req := <-nd.persistQ:
+				held = req.msgs
+			default:
+			}
+			wantHeld := 0
+			for _, w := range row.want {
+				if w.fenced {
+					wantHeld++
+				}
+			}
+			if len(held) != wantHeld || sent != len(row.want)-wantHeld {
+				t.Fatalf("flush sent %d and held %d behind the persist, want %d and %d", sent, len(held), len(row.want)-wantHeld, wantHeld)
+			}
+		})
+	}
+}

@@ -56,11 +56,18 @@ type nodeMetrics struct {
 	// landed (the pipelined win) or after (disk was not the bottleneck);
 	// self-ack lag is commitIndex − durableIndex at the moment the
 	// leader's fsync completes, i.e. how far the followers ran ahead.
-	persistDepth   *metrics.Gauge
-	applyDepth     *metrics.Gauge
-	commitOverlap  *metrics.Counter // commit reached before leader fsync
-	commitInOrder  *metrics.Counter // leader fsync landed first
-	selfAckLag     *metrics.Histogram
+	persistDepth  *metrics.Gauge
+	applyDepth    *metrics.Gauge
+	commitOverlap *metrics.Counter // commit reached before leader fsync
+	commitInOrder *metrics.Counter // leader fsync landed first
+	selfAckLag    *metrics.Histogram
+
+	// AppendEntriesReply departures by how they left flush(): at once
+	// (the disk already backed the claim) or behind a persist. On a
+	// follower under read load, "are confirmations waiting on the disk?"
+	// is the ratio of the two.
+	repliesFree   *metrics.Counter
+	repliesFenced *metrics.Counter
 
 	// pending maps a leader-appended log index to its append time; the
 	// entry is consumed when that index commits. Losing leadership
@@ -110,6 +117,8 @@ func newNodeMetrics(reg *metrics.Registry, id int) *nodeMetrics {
 		commitOverlap:  reg.Counter(metrics.Label("raft_pipeline_commit_before_fsync_total", "node", node)),
 		commitInOrder:  reg.Counter(metrics.Label("raft_pipeline_fsync_before_commit_total", "node", node)),
 		selfAckLag:     reg.Histogram(metrics.Label("raft_pipeline_selfack_lag_entries", "node", node), countBuckets),
+		repliesFree:    reg.Counter(metrics.Label("raft_append_replies_total", "node", node, "fence", "none")),
+		repliesFenced:  reg.Counter(metrics.Label("raft_append_replies_total", "node", node, "fence", "persist")),
 		pending:        make(map[int]time.Time),
 	}
 }
@@ -283,6 +292,23 @@ func (m *nodeMetrics) onCommitOverlap(commitFirst bool) {
 		m.commitOverlap.Inc(m.node)
 	} else {
 		m.commitInOrder.Inc(m.node)
+	}
+}
+
+// onSend counts a staged message as flush() classifies it; only
+// AppendEntriesReply has a counter (a label, not a fencing rule — the
+// rule is the message's claim).
+func (m *nodeMetrics) onSend(payload any, fenced bool) {
+	if !m.enabled {
+		return
+	}
+	if _, ok := payload.(AppendEntriesReply); !ok {
+		return
+	}
+	if fenced {
+		m.repliesFenced.Inc(m.node)
+	} else {
+		m.repliesFree.Inc(m.node)
 	}
 }
 

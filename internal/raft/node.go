@@ -199,8 +199,8 @@ type Node struct {
 	// messages here, and flush() hands the mutations to the persist
 	// worker as one batch (one Storage.AppendBatch, hence one fsync,
 	// however many messages and proposals the iteration coalesced)
-	// together with the sends and proposal replies that externalize
-	// them; everything else leaves at once.
+	// together with the sends whose claim that batch covers and the
+	// proposal replies that externalize it; everything else leaves at once.
 	stateDirty bool
 	pendingLog []LogMutation
 	outbox     []outMsg
@@ -210,9 +210,11 @@ type Node struct {
 	// persist worker and its two channels exist only with a Storage —
 	// without one nothing is staged, so nothing is ever fenced.
 	// durableIndex is the highest log index this node's own disk holds —
-	// the leader's self-ack for quorum — raised as persist batches
-	// complete (FIFO targets in pendingPersist, clamped by truncations
-	// while in flight); with no disk to wait for it is the log tail.
+	// the leader's self-ack for quorum and the bound on what a message may
+	// claim before it is fenced — raised as persist batches complete (FIFO
+	// in pendingPersist, targets clamped the moment a truncation or a
+	// snapshot install is staged); with no disk to wait for it is the log
+	// tail.
 	applyQ        chan applyItem
 	applyErrCh    chan error
 	compactCh     chan compactReq
@@ -220,7 +222,7 @@ type Node struct {
 	persistDoneCh chan persistDone
 
 	durableIndex   int
-	pendingPersist []int
+	pendingPersist []pendingBatch
 	pendingSnap    *snapStage
 	snapAfterMuts  int
 	snapCache      snapCache
@@ -234,6 +236,8 @@ type Node struct {
 	readSeq    int
 	reads      []*readRound
 	curRound   *readRound
+	roundFree  []*readRound // retired rounds, waiters' storage kept for reuse
+	readBatch  []readReq    // drainReads' scratch; a batch dies with its iteration
 	earlyReads []readWaiter
 	leaseUntil time.Time
 	termStart  int // index of this leader term's opening no-op
@@ -267,9 +271,19 @@ type Node struct {
 	applied *appliedNotifier
 }
 
+// claim is what a staged message asserts about this node's disk. The
+// message waits for exactly that (flush): index is the highest log index
+// it says the disk holds (0 = none), state is set when it speaks for the
+// persisted term and vote.
+type claim struct {
+	index int
+	state bool
+}
+
 type outMsg struct {
 	to      int
 	payload any
+	claim   claim
 }
 
 type stagedReply struct {
@@ -377,12 +391,15 @@ func (nd *Node) persistState() {
 }
 
 // persistLog stages a log mutation (Storage.TruncateAndAppend semantics)
-// for the iteration's flush.
+// for the iteration's flush. Everything above prevIndex is being
+// rewritten, so it stops counting as durable now — before any reply
+// staged later in the iteration reads durableIndex for its claim.
 func (nd *Node) persistLog(prevIndex int, entries []Entry) {
 	if nd.persistQ == nil {
 		nd.durableIndex = nd.hs.log.lastIndex() // no disk to wait for
 		return
 	}
+	nd.clampDurable(prevIndex)
 	nd.pendingLog = append(nd.pendingLog, LogMutation{PrevIndex: prevIndex, Entries: entries})
 }
 
@@ -793,10 +810,29 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 	}
 }
 
-// send stages an outbound message; it leaves the node in flush() — at
-// once, or behind the persist queue if it claims durability (fencedMsg).
+// send stages an outbound message that claims nothing about this node's
+// disk, so flush() lets it leave at once: AppendEntries and
+// InstallSnapshot (the receiver persists before it acknowledges, and
+// only a leader sends them — a node whose term reached its disk before
+// the vote requests that elected it could leave), PreVote and its reply
+// (a probe changes no durable state), ReadIndex traffic (a read index is
+// a commit index, durable on a quorum by definition).
 func (nd *Node) send(to int, payload any) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload})
+}
+
+// sendVote stages a RequestVote or RequestVoteReply. Both speak for hard
+// state — the candidate's bumped term and self-vote, the voter's term and
+// the vote it just recorded (or refused in) — and wait for it in flush().
+func (nd *Node) sendVote(to int, payload any) {
+	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload, claim: claim{state: true}})
+}
+
+// sendAppendReply stages an AppendEntriesReply: it names this node's
+// term and, on success, says the disk holds the leader's log through
+// MatchIndex (0 on a rejection — no claim about the log).
+func (nd *Node) sendAppendReply(to int, r AppendEntriesReply) {
+	nd.outbox = append(nd.outbox, outMsg{to: to, payload: r, claim: claim{index: r.MatchIndex, state: true}})
 }
 
 func (nd *Node) onRequestVote(from int, m RequestVote) {
@@ -808,7 +844,7 @@ func (nd *Node) onRequestVote(from int, m RequestVote) {
 	// would erase the evidence of the live leader.
 	if nd.cfg.LeaseDuration > 0 && m.Term > nd.hs.currentTerm &&
 		nd.hs.leaderID != none && nd.cfg.Clock.Now().Before(nd.electionDeadline) {
-		nd.send(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: false})
+		nd.sendVote(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: false})
 		return
 	}
 	if m.Term > nd.hs.currentTerm {
@@ -823,7 +859,7 @@ func (nd *Node) onRequestVote(from int, m RequestVote) {
 		nd.persistState()
 		nd.pushDeadline()
 	}
-	nd.send(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: grant})
+	nd.sendVote(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: grant})
 }
 
 func (nd *Node) onRequestVoteReply(from int, m RequestVoteReply) {
@@ -845,7 +881,7 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 		nd.stepDown(m.Term)
 	}
 	if m.Term < nd.hs.currentTerm {
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
 		return
 	}
 	// Same term: recognize the leader; a candidate yields.
@@ -862,7 +898,7 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 	if m.PrevLogIndex < nd.hs.log.snapIndex {
 		cut := nd.hs.log.snapIndex - m.PrevLogIndex
 		if cut >= len(m.Entries) {
-			nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.log.snapIndex, ReadID: m.ReadID})
+			nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: min(nd.hs.log.snapIndex, nd.durableIndex), ReadID: m.ReadID})
 			return
 		}
 		m.Entries = m.Entries[cut:]
@@ -875,13 +911,22 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 		// The rejection still echoes ReadID: this follower acknowledged the
 		// sender as the current term's leader, which is all a ReadIndex
 		// confirmation needs — log repair is a separate concern.
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false, RejectHint: hint, ReadID: m.ReadID})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false, RejectHint: hint, ReadID: m.ReadID})
 		return
 	}
 	before := nd.hs.log.lastIndex()
-	lastNew, _ := nd.hs.log.appendAfter(m.PrevLogIndex, m.Entries)
-	if len(m.Entries) > 0 {
+	lastNew, truncated := nd.hs.log.appendAfter(m.PrevLogIndex, m.Entries)
+	// An append that changed the log acknowledges through lastNew and so
+	// waits for the persist staged here. One that changed nothing — a
+	// heartbeat, a read probe, a retransmission — acknowledges only what
+	// the disk already holds of the matched prefix: it claims nothing new
+	// and leaves while whatever fsync is running runs on. The leader
+	// takes the maximum over replies, so the lower index costs nothing.
+	match := lastNew
+	if truncated || nd.hs.log.lastIndex() > before {
 		nd.persistLog(m.PrevLogIndex, m.Entries)
+	} else {
+		match = min(lastNew, nd.durableIndex)
 	}
 	for idx := before + 1; idx <= nd.hs.log.lastIndex() && idx <= lastNew; idx++ {
 		e, _ := nd.hs.log.entryAt(idx)
@@ -890,7 +935,7 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 	if m.LeaderCommit > nd.hs.commitIndex {
 		nd.setCommitIndex(min(m.LeaderCommit, lastNew))
 	}
-	nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: lastNew, ReadID: m.ReadID})
+	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: match, ReadID: m.ReadID})
 }
 
 func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
@@ -904,19 +949,17 @@ func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
 	nd.ls.acked[from] = true // any current-term reply proves the pipe is live
 	nd.onReadAck(from, m.ReadID)
 	if m.Success {
-		if nd.ls.inflight[from] > 0 {
-			nd.ls.inflight[from]--
-		}
 		if m.MatchIndex > nd.ls.matchIndex[from] {
 			nd.ls.matchIndex[from] = m.MatchIndex
 		}
+		nd.ls.ackThrough(from, nd.ls.matchIndex[from])
 		// Only raise nextIndex: with pipelined sends in flight, a reply to
 		// an older message must not rewind past entries already sent.
 		if nd.ls.matchIndex[from]+1 > nd.ls.nextIndex[from] {
 			nd.ls.nextIndex[from] = nd.ls.matchIndex[from] + 1
 		}
 		nd.advanceCommit()
-		nd.sendAppend(from) // window slot freed; push more if pending
+		nd.sendAppend(from) // a window slot may have freed; push more if pending
 		return
 	}
 	// Rejected: the follower's log diverges at or below the probe's prev.
@@ -924,7 +967,7 @@ func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
 	// message, so the rewind makes progress even though sendAppend has
 	// optimistically advanced nextIndex past the probe; without it, the
 	// one-step decrement would only undo the bump and loop forever.
-	nd.ls.inflight[from] = 0
+	nd.ls.inflight[from] = nd.ls.inflight[from][:0]
 	next := nd.ls.nextIndex[from] - 1
 	if m.RejectHint+1 < next {
 		next = m.RejectHint + 1
@@ -999,7 +1042,7 @@ func (nd *Node) becomeCandidate() {
 	}
 	for peer := 0; peer < nd.n; peer++ {
 		if peer != nd.cfg.ID {
-			nd.send(peer, rv)
+			nd.sendVote(peer, rv)
 		}
 	}
 }
@@ -1101,7 +1144,7 @@ func (nd *Node) appendLocalBatch(cmds []any) int {
 // rejection falls back to probe-and-decrement, and the heartbeat's
 // stall recovery rewinds a pipeline whose acks were lost.
 func (nd *Node) sendAppend(to int) {
-	for nd.ls.inflight[to] < nd.cfg.MaxInflightAppends {
+	for len(nd.ls.inflight[to]) < nd.cfg.MaxInflightAppends {
 		next := nd.ls.nextIndex[to]
 		if next < 1 {
 			next = 1
@@ -1140,9 +1183,9 @@ func (nd *Node) sendAppend(to int) {
 			}
 		}
 		nd.send(to, payload)
-		nd.ls.inflight[to]++
 		nd.ls.nextIndex[to] = next + len(entries) // optimistic; rolled back on rejection
-		nd.met.onAppendSend(len(entries), nd.ls.inflight[to])
+		nd.ls.inflight[to] = append(nd.ls.inflight[to], nd.ls.nextIndex[to]-1)
+		nd.met.onAppendSend(len(entries), len(nd.ls.inflight[to]))
 	}
 }
 
@@ -1194,8 +1237,8 @@ func (nd *Node) broadcastHeartbeat() {
 		if peer == nd.cfg.ID {
 			continue
 		}
-		if nd.ls.inflight[peer] > 0 && !nd.ls.acked[peer] {
-			nd.ls.inflight[peer] = 0
+		if len(nd.ls.inflight[peer]) > 0 && !nd.ls.acked[peer] {
+			nd.ls.inflight[peer] = nd.ls.inflight[peer][:0]
 			nd.ls.nextIndex[peer] = nd.ls.matchIndex[peer] + 1
 		}
 		nd.ls.acked[peer] = false
@@ -1239,7 +1282,7 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 		nd.stepDown(m.Term)
 	}
 	if m.Term < nd.hs.currentTerm {
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
 		return
 	}
 	if nd.hs.state != Follower {
@@ -1251,25 +1294,29 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 	nd.pushDeadline()
 
 	if m.LastIncludedIndex <= nd.hs.commitIndex {
-		// Stale snapshot; we are already past it.
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.commitIndex})
+		// Stale snapshot; we are already past it. A follower's commit index
+		// can run ahead of its own disk, so the claim may still be fenced.
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.commitIndex})
 		return
 	}
 	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
 		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(m.LastIncludedIndex), int64(from), "install")
 	// The state machine belongs to the apply worker: the restore rides
 	// the queue (ordered after any still-queued apply batches), the
-	// durable record rides the persist queue, and the fenced ack below
-	// departs only once that record is on disk.
+	// durable record rides the persist queue, and the ack below departs
+	// only once that record is on disk: until then nothing from the
+	// snapshot's index up counts as durable, whatever of the old log the
+	// restore kept or dropped.
 	nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
+	nd.clampDurable(m.LastIncludedIndex - 1)
 	nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
 	nd.hs.commitIndex = m.LastIncludedIndex
 	nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
 	nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
-	nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
+	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
 }
 
 // advanceCommit implements the leader commit rule: the largest N with a

@@ -15,19 +15,30 @@ package raft
 //     replicate batch N+1 while batch N applies.
 //
 // Safety is preserved by fencing externalization, not transmission
-// (Raft requires only that persistence precede *externalization*):
+// (Raft requires only that persistence precede *externalization*), and a
+// message waits for exactly what it claims about this node's disk:
 //
-//   - Messages that claim durability — AppendEntriesReply (MatchIndex),
-//     RequestVote (the candidate's bumped term), RequestVoteReply (the
-//     persisted vote) — and proposal replies ride the persist request
-//     and are released by the main loop only after its fsync lands.
+//   - Every staged message carries a claim (node.go): a log index it says
+//     the disk holds, and whether it speaks for the persisted term and
+//     vote. flush() sends it at once iff the index is already durable and,
+//     when it speaks for hard state, no SetState is staged or in flight.
+//     Otherwise it rides the iteration's persist request and the main
+//     loop releases it when that request — and, FIFO, every one before it
+//     — has landed.
+//   - So a vote request or a vote waits for the term and vote it names; an
+//     AppendEntriesReply waits for the term it names and for the entries
+//     it acknowledges; a reply to an append that added nothing (heartbeat,
+//     read probe, retransmission) acknowledges only what is already on
+//     disk and waits for nothing, whatever fsync happens to be running.
+//     AppendEntries / InstallSnapshot fan-out, PreVote and ReadIndex
+//     traffic claim nothing: receivers persist before acking, and a
+//     confirmed read index is quorum-durable by definition.
+//   - Proposal-accept replies ("your entry is in the leader's log") wait
+//     for the whole persist queue to drain.
 //   - The leader's self-ack counts toward quorum only when its own
 //     batch is durable: matchIndex[self] tracks durableIndex, not the
 //     in-memory log tail, so advanceCommit treats the leader's disk as
 //     just another follower. Commit may be reached by followers alone.
-//   - AppendEntries / InstallSnapshot fan-out, PreVote traffic, and
-//     ReadIndex traffic are unfenced: receivers persist before acking,
-//     and a confirmed read index is quorum-durable by definition.
 //
 // All Endpoint sends and reply-channel sends stay on the main loop: the
 // persist worker returns its release bundle through persistDoneCh and
@@ -38,7 +49,6 @@ import (
 	"fmt"
 	"time"
 
-	"ooc/internal/msgnet"
 	"ooc/internal/rtrace"
 )
 
@@ -74,11 +84,18 @@ type snapStage struct {
 	data        []byte
 }
 
+// pendingBatch is the main loop's record of one persistReq in flight,
+// FIFO with persistQ: the durable index once it lands (kept here, not in
+// the request, so truncations can clamp it while the batch is in flight)
+// and whether it carries term and vote.
+type pendingBatch struct {
+	target   int
+	setState bool
+}
+
 // persistDone reports the completion of a run of n consecutive batches,
-// FIFO with persistQ. The durable targets ride the main loop's
-// pendingPersist queue instead so truncations can clamp them while the
-// run is in flight; msgs and replies are the runs' release bundles
-// concatenated in staging order.
+// FIFO with persistQ and pendingPersist; msgs and replies are the runs'
+// release bundles concatenated in staging order.
 type persistDone struct {
 	err     error
 	n       int // persistReqs this run covered
@@ -122,37 +139,29 @@ type snapCache struct {
 	data  []byte
 }
 
-// fencedMsg reports whether a staged message externalizes durable state
-// and must wait for the in-flight persist queue to drain — the
-// persistence-precedes-externalization rule applied per message class:
-//
-//   - RequestVote follows the candidate's persisted term and self-vote.
-//   - RequestVoteReply follows the voter's persisted vote.
-//   - AppendEntriesReply carries MatchIndex, a durability claim over
-//     this follower's log (and acks InstallSnapshot persistence).
-//
-// Everything else may depart while the disk syncs: AppendEntries and
-// InstallSnapshot receivers persist before acking, PreVote touches no
-// durable state, and ReadIndex indexes are quorum-durable commit
-// indexes.
-func fencedMsg(payload any) bool {
-	if id, inner := msgnet.TraceOf(payload); id != 0 {
-		payload = inner
-	}
-	switch payload.(type) {
-	case AppendEntriesReply, RequestVote, RequestVoteReply:
+// hardStateBusy reports whether a SetState is staged or in flight: the
+// term and vote in memory are then ahead of the disk, and a message that
+// speaks for them must wait.
+func (nd *Node) hardStateBusy() bool {
+	if nd.stateDirty {
 		return true
+	}
+	for _, b := range nd.pendingPersist {
+		if b.setState {
+			return true
+		}
 	}
 	return false
 }
 
-// flush ends a main-loop iteration: unfenced sends and replies leave
-// immediately; durable mutations and fenced externalizations become one
-// persist request — the Raft rule that persistence precedes
-// externalization, enforced per message class. With nothing durable in
-// flight the fence is already satisfied and everything leaves at once.
-// After a persistence failure everything staged is dropped (nothing may
-// be externalized over unpersisted state) and the loop stops the node.
+// flush ends a main-loop iteration: every staged message whose claim the
+// disk already backs leaves immediately; durable mutations, the messages
+// still waiting on them and the accept replies become one persist
+// request — the Raft rule that persistence precedes externalization,
+// enforced per claim. With nothing durable staged or in flight every
+// claim is already met and everything leaves at once. After a
+// persistence failure everything staged is dropped (nothing may be
+// externalized over unpersisted state) and the loop stops the node.
 func (nd *Node) flush() {
 	if nd.fatal != nil {
 		nd.stateDirty = false
@@ -166,11 +175,13 @@ func (nd *Node) flush() {
 		return
 	}
 	havePersist := nd.stateDirty || len(nd.pendingLog) > 0 || nd.pendingSnap != nil
-	fence := havePersist || len(nd.pendingPersist) > 0
+	stateBusy := nd.hardStateBusy()
 	var fencedMsgs []outMsg
 	var fencedReplies []stagedReply
 	for _, m := range nd.outbox {
-		if fence && fencedMsg(m.payload) {
+		fenced := m.claim.index > nd.durableIndex || (m.claim.state && stateBusy)
+		nd.met.onSend(m.payload, fenced)
+		if fenced {
 			fencedMsgs = append(fencedMsgs, m)
 			continue
 		}
@@ -180,6 +191,7 @@ func (nd *Node) flush() {
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
 	nd.outbox = nd.outbox[:0]
+	fence := havePersist || len(nd.pendingPersist) > 0
 	for _, r := range nd.replies {
 		if fence && r.fenced {
 			fencedReplies = append(fencedReplies, r)
@@ -199,10 +211,10 @@ func (nd *Node) flush() {
 }
 
 // stagePersistBatch hands the iteration's staged durable work (possibly
-// none: a pure fence barrier) to the persist worker and records its
-// durable target. A mutation that truncates below durableIndex clamps
-// both the index and every in-flight batch's target: the disk will hold
-// the *new* entries at those indexes only once this batch lands.
+// none: a pure fence barrier) to the persist worker and records what it
+// will have made durable. The target is the log tail: whatever a staged
+// truncation or snapshot install took away was clamped out of
+// durableIndex when it was staged (persistLog, onInstallSnapshot).
 func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	req := persistReq{
 		setState:  nd.stateDirty,
@@ -227,16 +239,7 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 		}
 		nd.tracedUnsynced = nd.tracedUnsynced[:0]
 	}
-	for _, mut := range req.muts {
-		if mut.PrevIndex < nd.durableIndex {
-			nd.clampDurable(mut.PrevIndex)
-		}
-	}
-	target := nd.hs.log.lastIndex()
-	if target < nd.durableIndex {
-		nd.clampDurable(target) // snapshot install shrank the log
-	}
-	nd.pendingPersist = append(nd.pendingPersist, target)
+	nd.pendingPersist = append(nd.pendingPersist, pendingBatch{target: nd.hs.log.lastIndex(), setState: req.setState})
 	// A full queue is persistence backpressure — but block with the
 	// completion channel in hand, so a worker stalled on a full
 	// persistDoneCh can always make progress and the pair cannot
@@ -253,15 +256,17 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 }
 
 // clampDurable lowers durableIndex and every in-flight batch's target
-// to at most idx: entries above it are being rewritten, so completions
-// of older batches must not claim them durable.
+// to at most idx: entries above it are being rewritten, so neither a
+// claim made from now on nor the completion of an older batch may count
+// them durable. The disk will hold the *new* entries at those indexes
+// only once the batch staged after this call lands.
 func (nd *Node) clampDurable(idx int) {
 	if idx < nd.durableIndex {
 		nd.durableIndex = idx
 	}
-	for i, t := range nd.pendingPersist {
-		if t > idx {
-			nd.pendingPersist[i] = idx
+	for i := range nd.pendingPersist {
+		if nd.pendingPersist[i].target > idx {
+			nd.pendingPersist[i].target = idx
 		}
 	}
 }
@@ -374,8 +379,8 @@ func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
 
 // onPersistDone runs on the main loop when a run of batches lands:
 // raise durableIndex to the run's last (possibly clamped) target,
-// externalize the fenced bundles, and count the leader's self-ack
-// toward quorum — advanceCommit sees the disk as just another
+// externalize the bundles that waited on it, and count the leader's
+// self-ack toward quorum — advanceCommit sees the disk as just another
 // matchIndex.
 func (nd *Node) onPersistDone(d persistDone) {
 	n := d.n
@@ -384,7 +389,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 	}
 	// Clamping keeps targets non-decreasing, so the run's last is its
 	// highest.
-	target := nd.pendingPersist[n-1]
+	target := nd.pendingPersist[n-1].target
 	nd.pendingPersist = nd.pendingPersist[n:]
 	nd.met.onPersistDepth(len(nd.persistQ))
 	if d.err != nil {

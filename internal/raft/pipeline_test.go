@@ -2,6 +2,7 @@ package raft
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,12 +44,18 @@ func TestDrainProposalsCoalescesUpToCap(t *testing.T) {
 // follower endpoint and checks the pipeline invariants as they appear on
 // the wire: no AppendEntries carries more than MaxEntriesPerAppend
 // entries, and never more than MaxInflightAppends entry-carrying messages
-// are outstanding between acknowledgements.
+// are outstanding between acknowledgements — also while ReadIndex rounds
+// run, whose probes the follower answers at once like a real one does
+// (success, acknowledging only what it has already acknowledged). Once
+// reads flow, the follower sits on each full window until it has
+// answered two probes: a reply that acknowledges no append must not
+// open a window slot, and if the first did, the extra append is on the
+// wire before the second probe.
 func TestReplicationWindowOnTheWire(t *testing.T) {
 	const (
 		maxEntries  = 3
 		maxInflight = 2
-		total       = 10 // proposals; the log also holds the term-opening no-op
+		total       = 20 // proposals; the log also holds the term-opening no-op
 	)
 	nw := netsim.New(2, netsim.WithSeed(11), netsim.WithFIFO())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -69,22 +76,33 @@ func TestReplicationWindowOnTheWire(t *testing.T) {
 	peer := nw.Node(1)
 	var (
 		log       []Entry
+		acked     int // highest MatchIndex released to the leader
 		unacked   int
 		maxSeen   int
+		probes    int // answered while the current window was full
+		held      int // full windows held across two probes
 		proposing bool
 		pendAcks  []AppendEntriesReply
 	)
-	for len(log) < total+1 {
+	release := func() {
+		for _, a := range pendAcks {
+			_ = peer.Send(0, a)
+		}
+		pendAcks, unacked, probes = nil, 0, 0
+		acked = len(log)
+	}
+	var reads atomic.Int64
+	for len(log) < total+1 || reads.Load() == 0 {
 		m, err := peer.Recv(ctx)
 		if err != nil {
-			t.Fatalf("peer recv (log=%d): %v", len(log), err)
+			t.Fatalf("peer recv (log=%d, reads=%d): %v", len(log), reads.Load(), err)
 		}
 		switch p := m.Payload.(type) {
 		case RequestVote:
 			_ = peer.Send(0, RequestVoteReply{Term: p.Term, VoteGranted: true})
 		case AppendEntries:
 			// The first append is the term-opening no-op: leadership is
-			// established, so feed in the client proposals.
+			// established, so feed in the client proposals and the reads.
 			if !proposing {
 				proposing = true
 				go func() {
@@ -95,9 +113,25 @@ func TestReplicationWindowOnTheWire(t *testing.T) {
 						}
 					}
 				}()
+				go func() {
+					for ctx.Err() == nil {
+						if _, err := node.ReadIndex(ctx); err == nil {
+							reads.Add(1)
+						}
+					}
+				}()
 			}
 			if len(p.Entries) == 0 {
-				continue // heartbeat: exempt from the window
+				// Heartbeat or read probe: exempt from the window, answered
+				// at once without acknowledging anything held back below.
+				_ = peer.Send(0, AppendEntriesReply{Term: p.Term, Success: true, MatchIndex: min(p.PrevLogIndex, acked), ReadID: p.ReadID})
+				if unacked == maxInflight {
+					if probes++; probes == 2 {
+						held++
+						release()
+					}
+				}
+				continue
 			}
 			if len(p.Entries) > maxEntries {
 				t.Fatalf("AppendEntries carried %d entries, cap is %d", len(p.Entries), maxEntries)
@@ -114,19 +148,20 @@ func TestReplicationWindowOnTheWire(t *testing.T) {
 			}
 			log = log[:p.PrevLogIndex]
 			log = append(log, p.Entries...)
-			pendAcks = append(pendAcks, AppendEntriesReply{Term: p.Term, Success: true, MatchIndex: len(log)})
+			pendAcks = append(pendAcks, AppendEntriesReply{Term: p.Term, Success: true, MatchIndex: len(log), ReadID: p.ReadID})
 			// Hold acks until the window is full, so the test observes the
-			// leader actually pipelining rather than ping-ponging.
-			if unacked == maxInflight || len(log) >= total+1 {
-				for _, a := range pendAcks {
-					_ = peer.Send(0, a)
-				}
-				pendAcks = nil
-				unacked = 0
+			// leader actually pipelining rather than ping-ponging. The first
+			// window goes back at once: no read is served, hence no probe
+			// sent, before the term's no-op commits.
+			if (unacked == maxInflight && acked == 0) || len(log) >= total+1 {
+				release()
 			}
 		}
 	}
 	if maxSeen != maxInflight {
 		t.Fatalf("pipeline depth never reached the window: saw %d, want %d", maxSeen, maxInflight)
+	}
+	if held == 0 {
+		t.Fatal("no full window was held across read probes: the cap was not exercised under read load")
 	}
 }

@@ -63,12 +63,6 @@ func ParseReadConsistency(s string) (ReadConsistency, error) {
 	return 0, fmt.Errorf("raft: unknown read consistency %q (want linearizable, lease, stale, or log)", s)
 }
 
-// ErrLeaseNotEnabled is returned by lease-mode reads on clusters whose
-// nodes were configured without Config.LeaseDuration.
-// (Lease-mode reads still work — they fall back to ReadIndex rounds —
-// so this error is currently unused; it is reserved for a strict mode.)
-var ErrLeaseNotEnabled = errors.New("raft: leases not enabled (Config.LeaseDuration is 0)")
-
 // readReq is one read waiting on the main loop, mirroring proposeReq.
 type readReq struct {
 	mode  ReadConsistency
@@ -178,16 +172,20 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 
 // drainReads collects the reads already queued behind first, up to the
 // coalescing cap — one leadership-confirmation round serves them all.
+// The batch lives in node-owned scratch: handleReadBatch consumes it
+// within the iteration.
 func (nd *Node) drainReads(first readReq) []readReq {
-	reqs := append(make([]readReq, 0, 8), first)
+	reqs := append(nd.readBatch[:0], first)
+drain:
 	for len(reqs) < nd.cfg.MaxReadBatch {
 		select {
 		case r := <-nd.readCh:
 			reqs = append(reqs, r)
 		default:
-			return reqs
+			break drain
 		}
 	}
+	nd.readBatch = reqs
 	return reqs
 }
 
@@ -284,17 +282,45 @@ func (nd *Node) joinReadRound(w readWaiter) {
 		nd.curRound.waiters = append(nd.curRound.waiters, w)
 		return
 	}
-	nd.readSeq++
-	r := &readRound{
-		id:      nd.readSeq,
-		start:   nd.cfg.Clock.Now(),
-		index:   nd.hs.commitIndex,
-		waiters: []readWaiter{w},
-	}
-	nd.reads = append(nd.reads, r)
+	r := nd.openReadRound()
+	r.waiters = append(r.waiters, w)
 	nd.curRound = r
 	nd.broadcastReadProbe()
 	nd.confirmReads() // single-node clusters are their own quorum
+}
+
+// maxFreeRounds bounds the retired rounds kept for reuse; more than a
+// few are pending only while confirmations are stalled.
+const maxFreeRounds = 8
+
+// openReadRound starts the next confirmation round at the current commit
+// index. Rounds outlive the iteration that opens them, so they (and
+// their waiter storage) are recycled when a round retires rather than
+// allocated per round.
+func (nd *Node) openReadRound() *readRound {
+	var r *readRound
+	if n := len(nd.roundFree); n > 0 {
+		r, nd.roundFree = nd.roundFree[n-1], nd.roundFree[:n-1]
+	} else {
+		r = new(readRound)
+	}
+	nd.readSeq++
+	r.id, r.start, r.index = nd.readSeq, nd.cfg.Clock.Now(), nd.hs.commitIndex
+	nd.reads = append(nd.reads, r)
+	return r
+}
+
+// retireReadRound returns a confirmed or failed round to the free list,
+// dropping its waiters' channels.
+func (nd *Node) retireReadRound(r *readRound) {
+	if nd.curRound == r {
+		nd.curRound = nil
+	}
+	if len(nd.roundFree) < maxFreeRounds {
+		clear(r.waiters)
+		r.waiters = r.waiters[:0]
+		nd.roundFree = append(nd.roundFree, r)
+	}
 }
 
 // startLeaseRound opens a waiterless confirmation round on the
@@ -306,12 +332,7 @@ func (nd *Node) startLeaseRound() {
 	if len(nd.reads) > 0 {
 		return
 	}
-	nd.readSeq++
-	nd.reads = append(nd.reads, &readRound{
-		id:    nd.readSeq,
-		start: nd.cfg.Clock.Now(),
-		index: nd.hs.commitIndex,
-	})
+	nd.openReadRound()
 	nd.confirmReads() // single-node clusters confirm immediately
 }
 
@@ -383,10 +404,12 @@ func (nd *Node) confirmReads() {
 			}
 			nd.resolveRead(w, r.index, false)
 		}
-		nd.reads = nd.reads[1:]
-		if nd.curRound == r {
-			nd.curRound = nil
-		}
+		// Shift rather than re-slice: the backing array is reused, so a
+		// steady stream of rounds appends without allocating.
+		n := copy(nd.reads, nd.reads[1:])
+		nd.reads[n] = nil
+		nd.reads = nd.reads[:n]
+		nd.retireReadRound(r)
 	}
 }
 
@@ -453,8 +476,10 @@ func (nd *Node) failReads() {
 				nd.send(w.from, ReadIndexReply{Term: nd.hs.currentTerm, ID: w.id, Success: false, LeaderID: nd.hs.leaderID})
 			}
 		}
+		nd.retireReadRound(r)
 	}
-	nd.reads = nil
+	clear(nd.reads)
+	nd.reads = nd.reads[:0]
 	nd.curRound = nil
 	for _, w := range nd.earlyReads {
 		if w.ch != nil {
