@@ -37,7 +37,7 @@ type Storage interface {
 	// AppendBatch durably applies a sequence of log mutations with a
 	// single durability barrier — the group-commit seam. It is equivalent
 	// to calling TruncateAndAppend for each mutation in order, except that
-	// a FileStorage pays one fsync for the whole batch instead of one per
+	// a FileStorage pays one barrier for the whole batch instead of one per
 	// mutation. Crash-consistency contract: a crash mid-batch may lose a
 	// suffix of the batch, but the surviving prefix must replay to a
 	// consistent PersistentState (see Load).
@@ -185,7 +185,7 @@ func (s *MemStorage) Load() (PersistentState, error) {
 	}, nil
 }
 
-// record is one append-only entry in a FileStorage log.
+// record is one entry in a FileStorage log.
 type record struct {
 	Kind      recordKind
 	Term      int
@@ -215,32 +215,69 @@ const frameHeaderSize = 8
 // version rather than silently shifting offsets (DESIGN.md §3.5).
 const recordVersion = 1
 
-// FileStorage is an append-only on-disk store: every state change is a
-// framed binary record appended to the file, and Load replays the
-// records. Each record is its own frame — [len][crc32][version][codec
-// payload] — so Load can tell a torn final record (incomplete frame:
-// dropped, and the file is truncated back to the last complete record so
-// later appends land on a clean tail) from interior corruption (a
-// complete frame whose checksum or decode fails: surfaced as an error
-// rather than silently swallowed).
+// runAheadMin and runAheadMax bound the zero-filled region FileStorage
+// keeps allocated past its last record: as much again as the file
+// already holds, so the file doubles until the steady size, where a file
+// taking 0.6 MB/s changes its length once every second or two instead
+// of on every flush. A store holding less than runAheadMin lays none
+// down — one that only ever takes a few records (a cluster set-up) would
+// pay for it with a truncate at Close, and measurably.
+const (
+	runAheadMin = 4 << 10
+	runAheadMax = 1 << 20
+)
+
+// sectorSize is the unit a crash is assumed to tear writes at: a
+// file-aligned 512-byte sector holds either all of what a write put there
+// or all of what it held before (DESIGN.md §3.5).
+const sectorSize = 512
+
+// zeroFill is the source of every run-ahead extension.
+var zeroFill [runAheadMax]byte
+
+// FileStorage is a log-structured on-disk store: every state change is a
+// framed binary record written after the previous one, and Load replays
+// the records. Each record is its own frame — [len][crc32][version][codec
+// payload] — so Load can tell a torn final record (dropped, and the file
+// is truncated back to the last complete record so later writes land on
+// a clean tail) from interior corruption (a complete frame whose checksum
+// or decode fails: surfaced as an error rather than silently swallowed).
+//
+// The file is not opened for append. Records overwrite, in place, a
+// region the store has already filled with zeros and made durable (the
+// run-ahead, [pos, alloc)), and the barrier is fdatasync: a flush that
+// stays inside the run-ahead changes no metadata, so the barrier is a
+// data write and a device flush, not a filesystem journal commit. Only
+// the flush that uses the run-ahead up extends it, under the same single
+// barrier. Load's recovery rules (DESIGN.md §3.5) are what make
+// overwriting safe; Close truncates the run-ahead away, so a cleanly
+// closed file is exactly the sum of its frames.
 //
 // Records are hand-rolled varint encodings (see wirecodec.go), built in
-// a scratch buffer the store reuses across appends — the gob layout this
+// a scratch buffer the store reuses across writes — the gob layout this
 // replaced paid a fresh encoder, its type metadata, and ~25 heap
-// allocations per fsync'd frame. Writes are coalesced through a buffered
-// writer: a single record costs one flush and one Sync, and AppendBatch
-// amortizes that Sync over the whole batch — the group-commit path the
-// leader's proposal coalescing feeds.
+// allocations per barriered frame. Writes are coalesced through a
+// buffered writer: a single record costs one flush and one barrier, and
+// AppendBatch amortizes that barrier over the whole batch — the
+// group-commit path the leader's proposal coalescing feeds.
 type FileStorage struct {
 	path    string
-	f       *os.File
+	f       *os.File // its offset is pos less what w still buffers
 	w       *bufio.Writer
 	scratch []byte
 	syncs   atomic.Int64
 
+	// pos is the end of the records written (buffered ones included),
+	// counted from the frame sizes; alloc is the end of the run-ahead,
+	// which is the file's size whenever it is past pos. They are valid
+	// once ready is set: by Load, or by the first write to a store that
+	// is empty.
+	pos, alloc int64
+	ready      bool
+
 	// syncer, when set (SetSyncer), routes every durability barrier
-	// through the node's SyncCoalescer instead of a private f.Sync, so
-	// one device barrier can cover several groups' flushes. lastWidth
+	// through the node's SyncCoalescer instead of a private one, so one
+	// device barrier can cover several groups' flushes. lastWidth
 	// remembers the width of the barrier that covered the most recent
 	// flush; it is written and read only by the goroutine that owns this
 	// store's writes (the persist worker), like the rest of the struct.
@@ -254,42 +291,49 @@ var _ Storage = (*FileStorage)(nil)
 // of types the binary codec does not know natively must be
 // gob-registered (see transport.Register / raft.WireTypes).
 func OpenFileStorage(path string) (*FileStorage, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open storage: %w", err)
 	}
 	return &FileStorage{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), scratch: make([]byte, 0, 4096)}, nil
 }
 
-// Close flushes buffered records and releases the file handle.
+// Close flushes buffered records, truncates the unused run-ahead away
+// and releases the file handle.
 func (s *FileStorage) Close() error {
-	if err := s.w.Flush(); err != nil {
+	err := s.w.Flush()
+	if err == nil && s.ready && s.alloc > s.pos {
+		err = s.f.Truncate(s.pos)
+		s.alloc = s.pos
+	}
+	if err != nil {
 		_ = s.f.Close()
 		return fmt.Errorf("raft: close storage: %w", err)
 	}
 	return s.f.Close()
 }
 
-// Syncs reports how many fsyncs this store has issued — the number the
-// throughput harness divides by committed ops to show group-commit
-// amortization. Per-file fsyncs count here whether they ran inline or
-// under a coalesced barrier; the *device* barrier count lives on the
-// SyncCoalescer.
+// Syncs reports how many barriers (fdatasync calls) this store has
+// issued — the number the throughput harness divides by committed ops to
+// show group-commit amortization. Per-file barriers count here whether
+// they ran inline or under a coalesced one; the *device* barrier count
+// lives on the SyncCoalescer.
 func (s *FileStorage) Syncs() int64 { return s.syncs.Load() }
 
 // SetSyncer routes this store's durability barriers through a per-node
 // SyncCoalescer (see syncer.go). Call before the node starts writing;
-// a nil syncer restores the private-fsync path.
+// a nil syncer restores the private barrier.
 func (s *FileStorage) SetSyncer(sc *SyncCoalescer) { s.syncer = sc }
 
-// SyncDevice implements SyncTarget: the real per-file fsync. Unlike the
-// rest of FileStorage it may be called from the barrier leader's
-// goroutine while the owner is parked on the syncer — os.File.Sync and
-// the counter are both safe for that, and the buffered writer was
-// flushed by the owner before parking.
+// SyncDevice implements SyncTarget: the per-file barrier, fdatasync — the
+// only place this store asks the device for durability. Unlike the rest
+// of FileStorage it may be called from the barrier leader's goroutine
+// while the owner is parked on the syncer — the descriptor and the
+// counter are both safe for that, and the owner drained the buffered
+// writer and wrote any run-ahead extension before parking.
 func (s *FileStorage) SyncDevice() error {
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("raft: fsync: %w", err)
+	if err := fdatasync(s.f); err != nil {
+		return fmt.Errorf("raft: fdatasync: %w", err)
 	}
 	s.syncs.Add(1)
 	return nil
@@ -311,6 +355,18 @@ func (s *FileStorage) LastBarrierWidth() int {
 // no heap allocation; each frame is self-contained (its own length and
 // checksum) so Load can validate records independently.
 func (s *FileStorage) encodeRecord(r record) error {
+	if !s.ready {
+		// The file is not in append mode: a write lands where pos says,
+		// and only Load knows where a non-empty file's records end.
+		info, err := s.f.Stat()
+		if err != nil {
+			return fmt.Errorf("raft: persist: %w", err)
+		}
+		if info.Size() != 0 {
+			return fmt.Errorf("raft: persist: write to non-empty store %s before Load", s.path)
+		}
+		s.ready = true
+	}
 	payload, err := appendRecord(s.scratch[:0], r)
 	if err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
@@ -325,6 +381,9 @@ func (s *FileStorage) encodeRecord(r record) error {
 	if _, err := s.w.Write(payload); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
 	}
+	// Counted here, not read back from w.Buffered(): a batch larger than
+	// the buffer has already spilled part of itself to the file.
+	s.pos += frameHeaderSize + int64(len(payload))
 	return nil
 }
 
@@ -385,14 +444,27 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 	return rec, nil
 }
 
-// flush pushes buffered frames to the kernel and issues the durability
-// barrier — exactly one Sync however many records were encoded. With a
-// syncer wired, the barrier is the node-wide coalesced one: the write
-// buffer drains here (owner goroutine), then the syncer fsyncs this
-// file under whichever shared barrier covers it.
+// flush pushes buffered frames to the kernel — over the run-ahead, at
+// the file's offset — and issues the durability barrier, exactly one
+// however many records were encoded. When the records have come within a
+// frame header of the end of the file (and fill its first runAheadMin
+// bytes), the next run-ahead is written first, so the same barrier
+// covers it and a record only ever lands on durable zeros or, when it
+// outruns them, past the end of the file.
+// With a syncer wired, the barrier is the node-wide coalesced one: the
+// owner goroutine does the writes here, then the syncer calls SyncDevice
+// under whichever shared barrier covers this file.
 func (s *FileStorage) flush() error {
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
+	}
+	if s.pos >= runAheadMin && s.pos+frameHeaderSize > s.alloc {
+		size := max(s.pos, s.alloc) // a frame that outran the run-ahead grew the file
+		alloc := s.pos + min(s.pos, runAheadMax)
+		if _, err := s.f.WriteAt(zeroFill[:alloc-size], size); err != nil {
+			return fmt.Errorf("raft: persist: extend: %w", err)
+		}
+		s.alloc = alloc
 	}
 	if s.syncer != nil {
 		width, err := s.syncer.Sync(s)
@@ -421,7 +493,7 @@ func (s *FileStorage) TruncateAndAppend(prevIndex int, entries []Entry) error {
 }
 
 // AppendBatch implements Storage: the whole batch is encoded into the
-// write buffer and made durable with a single Sync.
+// write buffer and made durable with a single barrier.
 func (s *FileStorage) AppendBatch(muts []LogMutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -445,48 +517,62 @@ func (s *FileStorage) SaveSnapshot(index, term int, data []byte) error {
 // dropping the suffix would roll back acknowledged state.
 var errCorrupt = errors.New("raft: corrupt storage record")
 
-// Load implements Storage by replaying the framed record log. It must be
-// called on a freshly opened store, before any writes. A torn final
-// record (incomplete frame at EOF — a crash mid-append) is dropped and
-// the file is truncated back to the last complete record, so subsequent
-// appends continue from a clean tail. A complete frame that fails its
-// checksum or does not decode is interior corruption and surfaces as an
-// error.
+// Load implements Storage by replaying the framed record log. Call it
+// before the first write; it may be called more than once. The log ends
+// at the first of: the end of the file; an all-zero frame header (the
+// run-ahead a crash left behind — a real frame is never empty); a frame
+// whose length runs past the end of the file; a complete frame whose
+// checksum fails and that holds a sector the interrupted flush never
+// reached (tornFrame). Whatever follows that point is truncated away, so
+// later writes continue from a clean tail and nothing after a torn
+// record can come back. A complete frame that fails its checksum any
+// other way, or passes it and does not decode, is interior corruption and
+// surfaces as an error.
 func (s *FileStorage) Load() (PersistentState, error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return PersistentState{}, fmt.Errorf("raft: load storage: %w", err)
 	}
 	defer func() { _ = f.Close() }()
+	info, err := f.Stat()
+	if err != nil {
+		return PersistentState{}, fmt.Errorf("raft: load storage: %w", err)
+	}
+	size := info.Size()
 	br := bufio.NewReaderSize(f, 1<<16)
 	st := PersistentState{VotedFor: none}
 	var dec EntryDecoder
 	var valid int64 // offset just past the last fully-applied record
-	var hdr [frameHeaderSize]byte
-	payload := []byte(nil)
-	for recNo := 0; ; recNo++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end of log
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				break // torn header: crash mid-append
-			}
+	// One buffer for header and payload, so a failed checksum can be
+	// judged over the frame as it lies across the file's sectors.
+	frame := make([]byte, frameHeaderSize, 4096)
+	for recNo := 0; size-valid >= frameHeaderSize; recNo++ {
+		hdr := frame[:frameHeaderSize]
+		if _, err := io.ReadFull(br, hdr); err != nil {
 			return st, fmt.Errorf("raft: load storage: %w", err)
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if int(length) > cap(payload) {
-			payload = make([]byte, length)
+		if allZero(hdr) {
+			break // run-ahead: the log ends here
 		}
-		payload = payload[:length]
+		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		// Checked before the buffer is sized: a torn or garbage length
+		// must not decide how much memory Load asks for.
+		if length > size-valid-frameHeaderSize {
+			break // torn tail: the frame was never written out whole
+		}
+		if frameHeaderSize+length > int64(cap(frame)) {
+			frame = append(make([]byte, 0, frameHeaderSize+length), hdr...)
+		}
+		frame = frame[:frameHeaderSize+length]
+		payload := frame[frameHeaderSize:]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break // torn payload: crash mid-append
-			}
 			return st, fmt.Errorf("raft: load storage: %w", err)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
+			if tornFrame(valid, frame) {
+				break
+			}
 			return st, fmt.Errorf("%w %d: checksum mismatch", errCorrupt, recNo)
 		}
 		r, err := decodeRecord(payload, &dec)
@@ -509,15 +595,49 @@ func (s *FileStorage) Load() (PersistentState, error) {
 		default:
 			return st, fmt.Errorf("%w %d: unknown kind %d", errCorrupt, recNo, r.Kind)
 		}
-		valid += frameHeaderSize + int64(length)
+		valid += frameHeaderSize + length
 	}
-	// Discard the torn tail so future appends don't land after garbage —
-	// without this, the next Load would hit the garbage and drop every
-	// record written after the crash.
-	if info, err := s.f.Stat(); err == nil && info.Size() > valid {
+	// Discard the run-ahead and any torn tail, so the next write starts
+	// where the last good record ends: an intact record the torn one
+	// preceded (sectors reach the disk in any order) was never
+	// acknowledged and must not be replayed by a later Load.
+	if size > valid {
 		if err := s.f.Truncate(valid); err != nil {
 			return st, fmt.Errorf("raft: truncate torn tail: %w", err)
 		}
 	}
+	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
+		return st, fmt.Errorf("raft: load storage: %w", err)
+	}
+	s.pos, s.alloc, s.ready = valid, valid, true
 	return st, nil
+}
+
+// tornFrame reports whether the complete frame at file offset off, whose
+// checksum failed, is the work of an interrupted flush rather than of a
+// lying disk: cut the frame where the file's sector boundaries cut it,
+// and a piece that is all zero is a sector the flush never reached —
+// records are only ever written over durable zeros or past the end of
+// the file. A frame damaged any
+// other way (flipped bits, garbage, a short write of non-zero data) has
+// no such piece.
+func tornFrame(off int64, frame []byte) bool {
+	for len(frame) > 0 {
+		n := min(int(sectorSize-off%sectorSize), len(frame))
+		if allZero(frame[:n]) {
+			return true
+		}
+		frame = frame[n:]
+		off += int64(n)
+	}
+	return false
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,13 @@
 package raft
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ooc/internal/sim"
@@ -48,6 +51,12 @@ func TestFileStorageAppendBatchSingleSync(t *testing.T) {
 	}
 }
 
+// TestFileStorageRejectsInteriorCorruption: a complete interior frame
+// that fails validation is the disk lying, not a crash — silently
+// dropping the suffix would roll back acknowledged state, so Load must
+// refuse. Reading a zero sector as a torn tail (storage_crash_test.go)
+// must not have loosened this: bit-flips, garbage and undecodable
+// records hold no aligned run of zeros and are refused as before.
 func TestFileStorageRejectsInteriorCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "raft.log")
 	s, err := OpenFileStorage(path)
@@ -57,37 +66,55 @@ func TestFileStorageRejectsInteriorCorruption(t *testing.T) {
 	if err := s.SetState(3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TruncateAndAppend(0, []Entry{{Term: 1, Command: KVCommand{Op: "set", Key: "a", Value: "1"}}}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		e := Entry{Term: 1, Command: KVCommand{Op: "set", Key: "a", Value: strings.Repeat("interior", 100)}}
+		if err := s.TruncateAndAppend(i, []Entry{e}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte inside the *first* record: a complete frame
-	// whose checksum no longer matches. Unlike a torn tail this is disk
-	// corruption, and silently dropping the suffix would roll back
-	// acknowledged state — Load must refuse.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o600)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 1)
-	if _, err := f.ReadAt(buf, frameHeaderSize+2); err != nil {
-		t.Fatal(err)
+	ends := frameEnds(good)
+	if len(ends) != 4 {
+		t.Fatalf("parsed %d frames, want 4", len(ends))
 	}
-	buf[0] ^= 0xFF
-	if _, err := f.WriteAt(buf, frameHeaderSize+2); err != nil {
-		t.Fatal(err)
+	if _, _, err := loadImage(t, good); err != nil {
+		t.Fatalf("undamaged file: %v", err)
 	}
-	_ = f.Close()
-
-	s2, err := OpenFileStorage(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := ends[0] // the first log record: interior, ~800 bytes, over a sector boundary
+	flip := func(off int64, mask byte) func([]byte) []byte {
+		return func(img []byte) []byte { img[off] ^= mask; return img }
 	}
-	defer func() { _ = s2.Close() }()
-	if _, err := s2.Load(); !errors.Is(err, errCorrupt) {
-		t.Fatalf("Load on interior corruption = %v, want errCorrupt", err)
+	unknownKind := []byte{recordVersion, 9}
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(unknownKind)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(unknownKind))
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"payload bit", flip(rec+frameHeaderSize+20, 0x10)},
+		// The frame still fits in the file; a length that runs past the
+		// end of the file is a torn tail, as it always was.
+		{"len low bit", flip(rec, 0x01)},
+		{"crc bit", flip(rec+4, 0x01)},
+		{"garbage over a payload", func(img []byte) []byte {
+			copy(img[rec+frameHeaderSize+10:], bytes.Repeat([]byte{0xA5}, 600))
+			return img
+		}},
+		{"good crc, unknown kind", func(img []byte) []byte {
+			return append(append(append([]byte(nil), img[:rec]...), append(hdr[:], unknownKind...)...), img[rec:]...)
+		}},
+	} {
+		img := tc.damage(append([]byte(nil), good...))
+		if _, _, err := loadImage(t, img); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: Load = %v, want errCorrupt", tc.name, err)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func (d *Disk) Barrier() {
 }
 
 // SyncTarget is what the coalescer makes durable: one group's log file.
-// SyncDevice must issue the real per-file fsync and must be safe to call
+// SyncDevice must issue the file's real barrier and must be safe to call
 // from the barrier leader's goroutine — the caller's own goroutine is
 // parked while a shared barrier covers it. FileStorage implements it.
 type SyncTarget interface {
