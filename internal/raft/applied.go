@@ -13,9 +13,9 @@ import (
 // clients both quantized its own latency to the poll period and stole
 // main-loop iterations from the commit pipeline it was waiting on. The
 // notifier replaces that with edge-triggered wakeups: the apply worker
-// calls advance after each apply batch (one mutex acquisition and at
-// most one channel rotation), and waiters block on a closed-channel
-// broadcast without the main loop ever seeing them.
+// calls advance after each apply batch (one mutex acquisition and, when
+// somebody is parked, one channel rotation), and waiters block on a
+// closed-channel broadcast without the main loop ever seeing them.
 //
 // The term rides along because it is the one thing that can make an
 // accepted entry NOT reach its index: a leader's log is only ever
@@ -23,10 +23,11 @@ import (
 // term its entry was accepted in therefore needs no timer — either the
 // index is applied or the term moves, and both wake it.
 type appliedNotifier struct {
-	mu   sync.Mutex
-	idx  int
-	term int
-	ch   chan struct{} // closed and rotated whenever idx advances or term changes
+	mu     sync.Mutex
+	idx    int
+	term   int
+	ch     chan struct{} // closed and rotated when idx or term moves with a waiter parked
+	parked int           // waiters blocked on ch; at zero (a follower, always) nothing rotates
 	// cur mirrors idx for lock-free reads: the apply worker is the
 	// advancing side and the main loop polls the value on every read it
 	// serves, so the read must not contend with waiter wakeups.
@@ -46,10 +47,19 @@ func (a *appliedNotifier) advance(idx int) {
 	if idx > a.idx {
 		a.idx = idx
 		a.cur.Store(int64(idx))
+		a.wake()
+	}
+	a.mu.Unlock()
+}
+
+// wake releases everyone parked on ch; the caller holds mu. A waiter that
+// left by its context stays counted and costs one spare rotation.
+func (a *appliedNotifier) wake() {
+	if a.parked > 0 {
+		a.parked = 0
 		close(a.ch)
 		a.ch = make(chan struct{})
 	}
-	a.mu.Unlock()
 }
 
 // setTerm publishes the node's term and wakes all current waiters.
@@ -58,8 +68,7 @@ func (a *appliedNotifier) setTerm(term int) {
 	a.mu.Lock()
 	if term != a.term {
 		a.term = term
-		close(a.ch)
-		a.ch = make(chan struct{})
+		a.wake()
 	}
 	a.mu.Unlock()
 }
@@ -81,8 +90,12 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index,
 	for {
 		a.mu.Lock()
 		idx, cur, ch := a.idx, a.term, a.ch
+		done := idx >= index || (term != anyTerm && cur != term)
+		if !done {
+			a.parked++ // in the section that read ch: the next change sees it
+		}
 		a.mu.Unlock()
-		if idx >= index || (term != anyTerm && cur != term) {
+		if done {
 			return idx, nil
 		}
 		select {

@@ -69,6 +69,10 @@ type nodeMetrics struct {
 	repliesFree   *metrics.Counter
 	repliesFenced *metrics.Counter
 
+	// Main-loop passes and what they took in, in onLoopPass's order.
+	loopWakes  *metrics.Counter
+	loopInputs [5]*metrics.Counter
+
 	// pending maps a leader-appended log index to its append time; the
 	// entry is consumed when that index commits. Losing leadership
 	// abandons the map (those entries may commit under a later leader,
@@ -81,7 +85,7 @@ func newNodeMetrics(reg *metrics.Registry, id int) *nodeMetrics {
 		return &nodeMetrics{}
 	}
 	node := strconv.Itoa(id)
-	return &nodeMetrics{
+	m := &nodeMetrics{
 		enabled:       true,
 		node:          id,
 		termChanges:   reg.Counter(metrics.Label("raft_term_changes_total", "node", node)),
@@ -119,7 +123,24 @@ func newNodeMetrics(reg *metrics.Registry, id int) *nodeMetrics {
 		selfAckLag:     reg.Histogram(metrics.Label("raft_pipeline_selfack_lag_entries", "node", node), countBuckets),
 		repliesFree:    reg.Counter(metrics.Label("raft_append_replies_total", "node", node, "fence", "none")),
 		repliesFenced:  reg.Counter(metrics.Label("raft_append_replies_total", "node", node, "fence", "persist")),
+		loopWakes:      reg.Counter(metrics.Label("raft_loop_wakes_total", "node", node)),
 		pending:        make(map[int]time.Time),
+	}
+	for k, kind := range [...]string{"proposal", "read", "message", "persist_done", "status"} {
+		m.loopInputs[k] = reg.Counter(metrics.Label("raft_loop_inputs_total", "node", node, "kind", kind))
+	}
+	return m
+}
+
+// onLoopPass counts one wake of the main loop and what its pass handled:
+// proposals, reads, messages, persist completions, Status requests.
+func (m *nodeMetrics) onLoopPass(inputs [5]int) {
+	if !m.enabled {
+		return
+	}
+	m.loopWakes.Inc(m.node)
+	for k, n := range inputs {
+		m.loopInputs[k].Add(m.node, int64(n))
 	}
 }
 

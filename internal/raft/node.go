@@ -207,19 +207,16 @@ type Node struct {
 	replies    []stagedReply
 
 	// Write pipeline (see pipeline.go). The apply worker always runs; the
-	// persist worker and its two channels exist only with a Storage —
-	// without one nothing is staged, so nothing is ever fenced.
+	// persist worker and its queue exist only with a Storage — without
+	// one nothing is staged, so nothing is ever fenced.
 	// durableIndex is the highest log index this node's own disk holds —
 	// the leader's self-ack for quorum and the bound on what a message may
 	// claim before it is fenced — raised as persist batches complete (FIFO
 	// in pendingPersist, targets clamped the moment a truncation or a
 	// snapshot install is staged); with no disk to wait for it is the log
 	// tail.
-	applyQ        chan applyItem
-	applyErrCh    chan error
-	compactCh     chan compactReq
-	persistQ      chan persistReq
-	persistDoneCh chan persistDone
+	applyQ   chan applyItem
+	persistQ chan persistReq
 
 	durableIndex   int
 	pendingPersist []pendingBatch
@@ -237,7 +234,6 @@ type Node struct {
 	reads      []*readRound
 	curRound   *readRound
 	roundFree  []*readRound // retired rounds, waiters' storage kept for reuse
-	readBatch  []readReq    // drainReads' scratch; a batch dies with its iteration
 	earlyReads []readWaiter
 	leaseUntil time.Time
 	termStart  int // index of this leader term's opening no-op
@@ -253,14 +249,12 @@ type Node struct {
 	traced         map[int]*tracedOp
 	tracedUnsynced []int
 
-	proposeCh  chan proposeReq
-	readCh     chan readReq
-	campaignCh chan any
-	statusCh   chan chan Status
-	stopped    chan struct{}
-	stopOnce   sync.Once
-	done       chan struct{}
-	workers    sync.WaitGroup
+	box      mailbox // the way in for callers and workers (mailbox.go)
+	in       inputs  // what the loop took from box for the pass in progress
+	stopped  chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+	workers  sync.WaitGroup
 
 	subMu  sync.Mutex
 	subs   []*Subscription
@@ -325,22 +319,15 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	nd := &Node{
-		cfg: cfg,
-		n:   cfg.Endpoint.N(),
-		met: newNodeMetrics(cfg.Metrics, cfg.ID),
-		hs:  hardState{votedFor: none, state: Follower, leaderID: none},
-		// Buffered so concurrent proposers queue up and the leader's
-		// drain can coalesce them into one batch.
-		proposeCh:  make(chan proposeReq, cfg.MaxProposalBatch),
-		readCh:     make(chan readReq, cfg.MaxReadBatch),
-		relay:      make(map[int64]relayWait),
-		campaignCh: make(chan any, 1),
-		statusCh:   make(chan chan Status),
-		applyQ:     make(chan applyItem, cfg.ApplyQueueDepth),
-		applyErrCh: make(chan error, 1),
-		compactCh:  make(chan compactReq, 1),
-		stopped:    make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:     cfg,
+		n:       cfg.Endpoint.N(),
+		met:     newNodeMetrics(cfg.Metrics, cfg.ID),
+		hs:      hardState{votedFor: none, state: Follower, leaderID: none},
+		relay:   make(map[int64]relayWait),
+		box:     mailbox{wake: make(chan struct{}, 1)},
+		applyQ:  make(chan applyItem, cfg.ApplyQueueDepth),
+		stopped: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	var bootSnapData []byte
 	if cfg.Storage != nil {
@@ -348,9 +335,6 @@ func NewNode(cfg Config) (*Node, error) {
 			ss.SetSyncer(cfg.Syncer)
 		}
 		nd.persistQ = make(chan persistReq, persistQueueCap)
-		// Sized past the queue cap so the worker's completion send never
-		// blocks: the loop may block toward the worker, never vice versa.
-		nd.persistDoneCh = make(chan persistDone, persistQueueCap+2)
 		st, err := cfg.Storage.Load()
 		if err != nil {
 			return nil, fmt.Errorf("raft: restore: %w", err)
@@ -424,31 +408,32 @@ func (nd *Node) Start(ctx context.Context) {
 }
 
 // maxMessageDrain bounds how many delivered messages one main-loop
-// iteration handles before flushing; keeps a flooded node responsive to
+// pass handles before flushing; keeps a flooded node responsive to
 // timers and Status requests.
 const maxMessageDrain = 64
 
 // drainMessages handles the already-delivered messages, up to
-// maxMessageDrain, in one iteration, so their log mutations share one
-// storage flush and their acks leave in one batch. more reports that the
-// cap cut the burst short. The context is checked first: a cancelled
-// node must not take a successor's messages off a shared endpoint
-// (crash-recovery boots a fresh node on the old id).
-func (nd *Node) drainMessages(ctx context.Context) (more bool, err error) {
+// maxMessageDrain, in one pass, so their log mutations share one storage
+// flush and their acks leave in one batch; n == maxMessageDrain means the
+// cap may have cut the burst short. The context is checked first: a
+// cancelled node must not take a successor's messages off a shared
+// endpoint (crash-recovery boots a fresh node on the old id).
+func (nd *Node) drainMessages(ctx context.Context) (n int, err error) {
 	if err := ctx.Err(); err != nil {
-		return false, err
+		return 0, err
 	}
-	for n := 0; n < maxMessageDrain; n++ {
+	for ; n < maxMessageDrain; n++ {
 		m, ok, err := nd.cfg.Endpoint.TryRecv()
 		if !ok {
-			return false, err
+			return n, err
 		}
 		nd.handleMessage(m)
 	}
-	return true, nil
+	return n, nil
 }
 
-// run is the main loop; all hardState access happens here.
+// run is the main loop; all hardState access happens here. Whichever of
+// its five channels wakes it, it makes one pass over all that waits (step).
 func (nd *Node) run(ctx context.Context) {
 	defer nd.shutdown()
 
@@ -459,10 +444,10 @@ func (nd *Node) run(ctx context.Context) {
 	defer electionTimer.Stop()
 	defer heartbeat.Stop()
 
-	// The endpoint hands messages straight to this loop (DESIGN §3.9).
-	// backlog stands in for Ready while messages may be pending with no
-	// token to announce them: after a capped burst, and on the first
-	// pass (a predecessor on this endpoint may have taken the token).
+	// backlog stands in for Ready and the doorbell while input may be
+	// pending with no token to announce it: after a pass that a cap cut
+	// short, and on the first pass (a predecessor on this endpoint may
+	// have taken the token). It leaves the timers their turn in the select.
 	ready := nd.cfg.Endpoint.Ready()
 	backlog := make(chan struct{})
 	close(backlog)
@@ -474,15 +459,7 @@ func (nd *Node) run(ctx context.Context) {
 			return
 
 		case <-inbox:
-			more, err := nd.drainMessages(ctx)
-			if err != nil {
-				nd.flush()
-				return // endpoint crashed, network closed, or ctx ended
-			}
-			inbox = ready
-			if more {
-				inbox = backlog
-			}
+		case <-nd.box.wake:
 
 		case <-electionTimer.C():
 			now := clock.Now()
@@ -500,56 +477,57 @@ func (nd *Node) run(ctx context.Context) {
 				nd.broadcastHeartbeat()
 			}
 			heartbeat.Reset(nd.cfg.HeartbeatInterval)
-
-		case req := <-nd.proposeCh:
-			nd.handleProposeBatch(nd.drainProposals(req))
-
-		case req := <-nd.readCh:
-			nd.handleReadBatch(nd.drainReads(req))
-
-		case v := <-nd.campaignCh:
-			nd.campaign = v
-			nd.becomeCandidate()
-
-		case ch := <-nd.statusCh:
-			ch <- nd.statusLocked()
-
-		// Pipeline completions: a persist batch landed (raise
-		// durableIndex, externalize its fenced bundle, count the
-		// self-ack; the channel is nil without a Storage, so the case
-		// then never fires), the apply worker offered a compaction
-		// snapshot, or it hit a fatal error.
-		case d := <-nd.persistDoneCh:
-			nd.onPersistDone(d)
-
-		case c := <-nd.compactCh:
-			nd.onCompactReady(c)
-
-		case err := <-nd.applyErrCh:
-			nd.fatal = err
 		}
-		nd.flush()
+		select {
+		case <-ready: // spent here: the pass below looks at the endpoint anyway
+		default:
+		}
+		more, err := nd.step(ctx)
+		if err != nil {
+			return // endpoint crashed, network closed, or ctx ended
+		}
 		if nd.fatal != nil {
 			nd.cfg.Recorder.Note(nd.cfg.ID, "raft: fatal: %v", nd.fatal)
 			return
 		}
+		inbox = ready
+		if more {
+			inbox = backlog
+		}
 	}
 }
 
-// drainProposals collects the proposals already queued behind first, up
-// to the coalescing cap — the batch handleProposeBatch turns into one
-// append, one flush, one broadcast.
-func (nd *Node) drainProposals(first proposeReq) []proposeReq {
-	reqs := append(make([]proposeReq, 0, 8), first)
-	for len(reqs) < nd.cfg.MaxProposalBatch {
-		select {
-		case r := <-nd.proposeCh:
-			reqs = append(reqs, r)
-		default:
-			return reqs
-		}
+// step is one pass of the main loop, in a fixed order: persist completions
+// first (they raise durableIndex, which decides what the rest of the pass
+// must fence), the rare inputs, requests and messages up to their caps,
+// and one flush for all of it. more reports that a cap left input behind.
+func (nd *Node) step(ctx context.Context) (more bool, err error) {
+	in := &nd.in
+	more = nd.box.take(in, nd.cfg.MaxProposalBatch, nd.cfg.MaxReadBatch)
+	for _, d := range in.persisted {
+		nd.onPersistDone(d)
 	}
-	return reqs
+	if in.err != nil {
+		nd.fatal = in.err
+	}
+	if in.compact != nil {
+		nd.onCompactReady(*in.compact)
+	}
+	if in.campaign != nil {
+		nd.campaign = *in.campaign
+		nd.becomeCandidate()
+	}
+	for _, ch := range in.status {
+		ch <- nd.statusLocked()
+	}
+	if len(in.proposals) > 0 {
+		nd.handleProposeBatch(in.proposals)
+	}
+	nd.handleReadBatch(in.reads)
+	msgs, err := nd.drainMessages(ctx)
+	nd.flush()
+	nd.met.onLoopPass([...]int{len(in.proposals), len(in.reads), msgs, len(in.persisted), len(in.status)})
+	return more || msgs == maxMessageDrain, err
 }
 
 // timerSleep computes how long the election timer should sleep: until the
@@ -649,12 +627,9 @@ func (nd *Node) onPreVoteReply(from int, m PreVoteReply) {
 // propose value (nil = nothing). It is how the VAC reconciliator restarts
 // the protocol. Non-blocking: a pending campaign request is replaced.
 func (nd *Node) Campaign(value any) {
-	select {
-	case nd.campaignCh <- value:
-	case <-nd.stopped:
-	default:
-		// An election request is already queued; one is enough.
-	}
+	nd.box.mu.Lock()
+	nd.box.campaign = &value
+	nd.box.ring()
 }
 
 // Propose appends a command to the replicated log. Only the leader
@@ -669,20 +644,35 @@ func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
 // propose is Propose with the whole accept reply, whose term the
 // client's apply wait needs.
 func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
+	if err := nd.admit(ctx); err != nil {
+		return proposeReply{err: err}
+	}
 	req := proposeReq{cmd: cmd, reply: make(chan proposeReply, 1)}
 	if id := rtrace.FromContext(ctx); id != 0 {
 		req.trace = id
 		req.enq = nd.cfg.Tracer.Now(id)
 	}
+	nd.box.mu.Lock()
+	nd.box.proposals = append(nd.box.proposals, req)
+	nd.box.ring()
+	return nd.await(ctx, req.reply)
+}
+
+// admit turns away a caller that has already given up (its request must
+// not run after it was told so) and any caller of a stopped node.
+func (nd *Node) admit(ctx context.Context) error {
 	select {
-	case nd.proposeCh <- req:
-	case <-ctx.Done():
-		return proposeReply{err: ctx.Err()}
 	case <-nd.stopped:
-		return proposeReply{err: ErrStopped}
+		return ErrStopped
+	default:
+		return ctx.Err()
 	}
+}
+
+// await parks a caller whose request is in the box.
+func (nd *Node) await(ctx context.Context, reply chan proposeReply) proposeReply {
 	select {
-	case rep := <-req.reply:
+	case rep := <-reply:
 		return rep
 	case <-ctx.Done():
 		return proposeReply{err: ctx.Err()}
@@ -707,9 +697,14 @@ func (nd *Node) Done() <-chan struct{} { return nd.done }
 // Status snapshots the node's state.
 func (nd *Node) Status() Status {
 	ch := make(chan Status, 1)
+	if nd.admit(context.Background()) == nil {
+		nd.box.mu.Lock()
+		nd.box.status = append(nd.box.status, ch)
+		nd.box.ring()
+	}
 	select {
-	case nd.statusCh <- ch:
-		return <-ch
+	case st := <-ch:
+		return st
 	case <-nd.stopped:
 		return Status{ID: nd.cfg.ID, LeaderID: none}
 	}

@@ -41,7 +41,7 @@ package raft
 //     just another follower. Commit may be reached by followers alone.
 //
 // All Endpoint sends and reply-channel sends stay on the main loop: the
-// persist worker returns its release bundle through persistDoneCh and
+// persist worker returns its release bundle through the mailbox and
 // the main loop externalizes it, so netsim's per-sender RNG streams and
 // the transport never see concurrent senders.
 
@@ -240,19 +240,10 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 		nd.tracedUnsynced = nd.tracedUnsynced[:0]
 	}
 	nd.pendingPersist = append(nd.pendingPersist, pendingBatch{target: nd.hs.log.lastIndex(), setState: req.setState})
-	// A full queue is persistence backpressure — but block with the
-	// completion channel in hand, so a worker stalled on a full
-	// persistDoneCh can always make progress and the pair cannot
-	// deadlock.
-	for {
-		select {
-		case nd.persistQ <- req:
-			nd.met.onPersistDepth(len(nd.persistQ))
-			return
-		case d := <-nd.persistDoneCh:
-			nd.onPersistDone(d)
-		}
-	}
+	// A full queue is persistence backpressure. The worker never waits on
+	// the loop (completions go into the mailbox), so this cannot deadlock.
+	nd.persistQ <- req
+	nd.met.onPersistDepth(len(nd.persistQ))
 }
 
 // clampDurable lowers durableIndex and every in-flight batch's target
@@ -272,13 +263,12 @@ func (nd *Node) clampDurable(idx int) {
 }
 
 // persistWorker owns Storage after boot: one goroutine, runs in FIFO
-// order, one completion per run through the buffered persistDoneCh. On
-// each wakeup it greedily drains the queue and persists the whole run
-// at once — this is where group commit survives pipelining: the main
-// loop no longer blocks in fsync, so it stages many small batches, and
-// the worker re-coalesces every batch that piled up behind the disk
-// into (usually) a single AppendBatch call, one durability barrier for
-// all of them.
+// order, one completion per run into the mailbox. On each wakeup it
+// greedily drains the queue and persists the whole run at once — this is
+// where group commit survives pipelining: the main loop no longer blocks
+// in fsync, so it stages many small batches, and the worker re-coalesces
+// every batch that piled up behind the disk into (usually) a single
+// AppendBatch call, one durability barrier for all of them.
 func (nd *Node) persistWorker() {
 	defer nd.workers.Done()
 	for {
@@ -294,7 +284,10 @@ func (nd *Node) persistWorker() {
 					break drained
 				}
 			}
-			nd.persistDoneCh <- nd.doPersistRun(reqs)
+			done := nd.doPersistRun(reqs)
+			nd.box.mu.Lock()
+			nd.box.persisted = append(nd.box.persisted, done)
+			nd.box.ring()
 		case <-nd.stopped:
 			return
 		}
@@ -562,12 +555,12 @@ func (nd *Node) maybeCompactAsync(applied, snapBase int) int {
 		nd.applyFatal(fmt.Errorf("raft: snapshot: %w", err))
 		return snapBase
 	}
-	select {
-	case nd.compactCh <- compactReq{index: applied, data: data}:
-		return applied
-	default:
-		return snapBase
+	nd.box.mu.Lock()
+	if nd.box.compact == nil {
+		nd.box.compact, snapBase = &compactReq{index: applied, data: data}, applied
 	}
+	nd.box.ring()
+	return snapBase
 }
 
 // onCompactReady runs on the main loop: discard the log prefix the
@@ -589,9 +582,10 @@ func (nd *Node) onCompactReady(c compactReq) {
 // worker keeps draining its queue afterward so the loop can never block
 // on a dead consumer; the loop stops the node when it sees the error.
 func (nd *Node) applyFatal(err error) bool {
-	select {
-	case nd.applyErrCh <- err:
-	default:
+	nd.box.mu.Lock()
+	if nd.box.err == nil {
+		nd.box.err = err
 	}
+	nd.box.ring()
 	return true
 }

@@ -11,32 +11,35 @@ import (
 )
 
 func TestDrainProposalsCoalescesUpToCap(t *testing.T) {
-	nd := &Node{
-		cfg:       Config{MaxProposalBatch: 4},
-		proposeCh: make(chan proposeReq, 8),
+	b := mailbox{wake: make(chan struct{}, 1)}
+	push := func(cmd int) {
+		b.mu.Lock()
+		b.proposals = append(b.proposals, proposeReq{cmd: cmd})
+		b.ring()
 	}
 	for i := 0; i < 6; i++ {
-		nd.proposeCh <- proposeReq{cmd: i}
+		push(i)
 	}
-	first := <-nd.proposeCh
-	batch := nd.drainProposals(first)
-	if len(batch) != 4 {
-		t.Fatalf("drained %d proposals, want the cap of 4", len(batch))
+	var in inputs
+	if more := b.take(&in, 4, 256); !more || len(in.proposals) != 4 {
+		t.Fatalf("took %d proposals (more=%v), want the cap of 4 and more", len(in.proposals), more)
 	}
-	for i, r := range batch {
+	for i, r := range in.proposals {
 		if r.cmd != i {
 			t.Fatalf("batch[%d] = %v, want %d (FIFO order)", i, r.cmd, i)
 		}
 	}
-	if left := len(nd.proposeCh); left != 2 {
+	if left := len(b.proposals); left != 2 {
 		t.Fatalf("%d proposals left queued, want 2", left)
 	}
-	// A lone proposal drains to a batch of one without blocking.
-	nd.proposeCh <- proposeReq{cmd: 6}
-	nd.proposeCh <- proposeReq{cmd: 7}
-	first = <-nd.proposeCh
-	if batch = nd.drainProposals(first); len(batch) != 4 {
-		t.Fatalf("second drain got %d, want the 4 remaining", len(batch))
+	// What the cap left behind leads the next take, without a new ring.
+	push(6)
+	push(7)
+	if more := b.take(&in, 4, 256); more || len(in.proposals) != 4 || in.proposals[0].cmd != 4 || in.proposals[3].cmd != 7 {
+		t.Fatalf("second take got %v (more=%v), want the 4 remaining, 4..7", in.proposals, more)
+	}
+	if b.take(&in, 4, 256) || len(in.proposals) != 0 {
+		t.Fatalf("take from an empty box returned %v", in.proposals)
 	}
 }
 

@@ -150,46 +150,20 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 	if mode == ReadLogCommand {
 		return 0, errors.New("raft: ReadLogCommand is served by the Client, not the node")
 	}
+	if err := nd.admit(ctx); err != nil {
+		return 0, err
+	}
 	req := readReq{mode: mode, reply: make(chan proposeReply, 1), t0: time.Now(), trace: rtrace.FromContext(ctx)}
-	select {
-	case nd.readCh <- req:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-nd.stopped:
-		return 0, ErrStopped
-	}
-	select {
-	case rep := <-req.reply:
-		return rep.index, rep.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-nd.stopped:
-		return 0, ErrStopped
-	}
+	nd.box.mu.Lock()
+	nd.box.reads = append(nd.box.reads, req)
+	nd.box.ring()
+	rep := nd.await(ctx, req.reply)
+	return rep.index, rep.err
 }
 
 // ---- main-loop read handling ----
 
-// drainReads collects the reads already queued behind first, up to the
-// coalescing cap — one leadership-confirmation round serves them all.
-// The batch lives in node-owned scratch: handleReadBatch consumes it
-// within the iteration.
-func (nd *Node) drainReads(first readReq) []readReq {
-	reqs := append(nd.readBatch[:0], first)
-drain:
-	for len(reqs) < nd.cfg.MaxReadBatch {
-		select {
-		case r := <-nd.readCh:
-			reqs = append(reqs, r)
-		default:
-			break drain
-		}
-	}
-	nd.readBatch = reqs
-	return reqs
-}
-
-// handleReadBatch dispatches a drained batch of local reads: stale reads
+// handleReadBatch dispatches the pass's batch of local reads: stale reads
 // answer immediately from any role, leader reads take the lease or
 // ReadIndex path, and follower reads are forwarded to the leader.
 func (nd *Node) handleReadBatch(reqs []readReq) {
