@@ -113,8 +113,13 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // Handler serves the registry's current state at scrape time: JSON when
 // the request asks for it (?format=json or an Accept header preferring
-// application/json), Prometheus text otherwise.
+// application/json), Prometheus text otherwise. The text document ends
+// with the Go scheduler's latency over the interval since this handler's
+// previous scrape (go_sched_latency_seconds, go_sched_gomaxprocs), read
+// from runtime/metrics at scrape time; they are floats the Snapshot's
+// integer maps cannot hold, so the JSON form does not carry them.
 func (r *Registry) Handler() http.Handler {
+	sched := newSchedSampler()
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := r.Snapshot()
 		if req.URL.Query().Get("format") == "json" ||
@@ -124,7 +129,9 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = snap.WritePrometheus(w)
+		if snap.WritePrometheus(w) == nil {
+			_ = sched.writePrometheus(w)
+		}
 	})
 }
 

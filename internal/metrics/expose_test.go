@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -136,6 +140,85 @@ func TestServeMountsMetricsAndPprof(t *testing.T) {
 		}
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("GET %s missing %q:\n%s", path, want, body)
+		}
+	}
+}
+
+// Two scrapes, goroutines made to queue before each: both scheduler
+// latency quantiles and the P count are on the text document, the
+// quantiles are non-negative and ordered, and the second scrape — the
+// first to subtract a previous reading — is as well-formed as the first.
+func TestHandlerExportsSchedulerLatency(t *testing.T) {
+	h := testRegistry().Handler()
+	scrape := func() map[string]float64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		got := map[string]float64{}
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if !strings.HasPrefix(line, "go_sched_") {
+				continue
+			}
+			name, value, ok := strings.Cut(line, " ")
+			if !ok {
+				t.Fatalf("malformed series line %q", line)
+			}
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			got[name] = v
+		}
+		return got
+	}
+	for round := 0; round < 2; round++ {
+		// More runnable goroutines than Ps, so some of them wait.
+		var wg sync.WaitGroup
+		for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 100; j++ {
+					runtime.Gosched()
+				}
+			}()
+		}
+		wg.Wait()
+		got := scrape()
+		p50, ok50 := got[`go_sched_latency_seconds{quantile="0.5"}`]
+		p99, ok99 := got[`go_sched_latency_seconds{quantile="0.99"}`]
+		procs, okProcs := got["go_sched_gomaxprocs"]
+		if !ok50 || !ok99 || !okProcs {
+			t.Fatalf("scrape %d: scheduler series missing: %v", round, got)
+		}
+		if p50 < 0 || p99 < p50 {
+			t.Fatalf("scrape %d: p50 %g, p99 %g: want 0 <= p50 <= p99", round, p50, p99)
+		}
+		if int(procs) != runtime.GOMAXPROCS(0) {
+			t.Fatalf("scrape %d: go_sched_gomaxprocs %g, runtime says %d", round, procs, runtime.GOMAXPROCS(0))
+		}
+	}
+}
+
+func TestBucketQuantile(t *testing.T) {
+	bounds := []float64{math.Inf(-1), 0, 1e-6, 1e-3, math.Inf(1)}
+	for _, tc := range []struct {
+		counts []uint64
+		q      float64
+		want   float64
+	}{
+		{[]uint64{0, 0, 0, 0}, 0.5, 0},      // an idle interval
+		{[]uint64{0, 99, 1, 0}, 0.5, 1e-6},  // upper bound of the bucket holding the rank
+		{[]uint64{0, 99, 1, 0}, 0.99, 1e-6}, // rank 99 is still in the second bucket
+		{[]uint64{0, 98, 2, 0}, 0.99, 1e-3}, // rank 99 is the first of the third
+		{[]uint64{0, 0, 0, 5}, 0.5, 1e-3},   // overflow bucket reports its lower bound
+		{[]uint64{3, 0, 0, 0}, 0.99, 0},     // underflow bucket's upper bound
+	} {
+		var total uint64
+		for _, c := range tc.counts {
+			total += c
+		}
+		if got := bucketQuantile(bounds, tc.counts, total, tc.q); got != tc.want {
+			t.Errorf("bucketQuantile(%v, q=%g) = %g, want %g", tc.counts, tc.q, got, tc.want)
 		}
 	}
 }

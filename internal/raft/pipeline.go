@@ -14,6 +14,11 @@ package raft
 //     and the applied≥readIndex waits, so the main loop can persist and
 //     replicate batch N+1 while batch N applies.
 //
+// What a pass woke runs before the disk does: flush() readies the persist
+// worker last, so the scheduler runs it first, and FileStorage.SyncDevice
+// yields before the barrier parks its P (DESIGN.md §3.7, "What runs
+// before a barrier").
+//
 // Safety is preserved by fencing externalization, not transmission
 // (Raft requires only that persistence precede *externalization*), and a
 // message waits for exactly what it claims about this node's disk:
@@ -269,6 +274,14 @@ func (nd *Node) clampDurable(idx int) {
 // in fsync, so it stages many small batches, and the worker re-coalesces
 // every batch that piled up behind the disk into (usually) a single
 // AppendBatch call, one durability barrier for all of them.
+//
+// flush() readies this goroutine last, so it runs ahead of the apply
+// worker and the clients the same pass woke. It does not yield to them
+// here: the goroutine that blocks is whichever one reaches
+// FileStorage.SyncDevice — under a SyncCoalescer often another group's
+// worker — so the yield lives there, and a second one before the drain
+// below bought write-tcp nothing and cost readmix-tcp's p50 11–20 %
+// (DESIGN.md §3.7, "What runs before a barrier").
 func (nd *Node) persistWorker() {
 	defer nd.workers.Done()
 	for {

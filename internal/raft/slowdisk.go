@@ -19,7 +19,10 @@ import "time"
 // Like the device it models, SlowDisk serializes its caller for the
 // whole barrier: a Raft node blocked in it cannot do anything else,
 // which is exactly the per-group fsync queue that sharding across
-// groups parallelizes.
+// groups parallelizes. What it does not model is the scheduler: its
+// barrier is time.Sleep, which frees the caller's P at once, where a
+// real one is a syscall that keeps it (FileStorage.SyncDevice) — E16
+// never saw that cost.
 type SlowDisk struct {
 	inner   Storage
 	latency time.Duration

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -331,7 +332,17 @@ func (s *FileStorage) SetSyncer(sc *SyncCoalescer) { s.syncer = sc }
 // while the owner is parked on the syncer — the descriptor and the
 // counter are both safe for that, and the owner drained the buffered
 // writer and wrote any run-ahead extension before parking.
+//
+// It yields once before blocking. The syscall parks this goroutine's P
+// with it until a steal or sysmon's retake, and a goroutine readied last
+// — as the persist worker is by flush(), and a promoted round leader by
+// handoff() — runs ahead of everything else its waker readied, so without
+// the yield the apply worker and the clients that same pass woke sit out
+// the barrier in the parked P's queue (DESIGN.md §3.7, "What runs before
+// a barrier"). A caller must therefore not hold a lock across SyncDevice
+// that a runnable goroutine needs.
 func (s *FileStorage) SyncDevice() error {
+	runtime.Gosched()
 	if err := fdatasync(s.f); err != nil {
 		return fmt.Errorf("raft: fdatasync: %w", err)
 	}

@@ -22,7 +22,10 @@ import (
 // lock, so K concurrent barriers cost K·latency — exactly the queueing
 // the SyncCoalescer removes by paying one Barrier for K groups. A nil
 // *Disk (or zero latency) is a free barrier: real fsyncs already paid at
-// the file layer, and the host device is not being modeled.
+// the file layer, and the host device is not being modeled. A modeled
+// barrier is time.Sleep, which frees the caller's P at once; a real one
+// is a syscall that keeps it (FileStorage.SyncDevice), so E16 and E18
+// never saw what a barrier costs the goroutines queued behind its caller.
 type Disk struct {
 	mu      sync.Mutex
 	latency time.Duration
@@ -47,7 +50,9 @@ func (d *Disk) Barrier() {
 // SyncTarget is what the coalescer makes durable: one group's log file.
 // SyncDevice must issue the file's real barrier and must be safe to call
 // from the barrier leader's goroutine — the caller's own goroutine is
-// parked while a shared barrier covers it. FileStorage implements it.
+// parked while a shared barrier covers it. FileStorage implements it, and
+// yields once before blocking, so a caller must not hold a lock across
+// SyncDevice that a runnable goroutine needs.
 type SyncTarget interface {
 	SyncDevice() error
 }
@@ -172,7 +177,7 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
 	if !c.busy {
 		c.busy = true
 		c.mu.Unlock()
-		err := t.SyncDevice()
+		err := t.SyncDevice() // c.mu released: SyncDevice yields
 		width := c.closeRound(nil)
 		return width, err
 	}
@@ -191,7 +196,8 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
 // leadBatch runs a barrier round on behalf of a promoted waiter:
 // batch[0] is the promoted request itself (its own fsync not yet
 // issued), the rest are its cohort. Results land in each req; the
-// cohort is released, batch[0]'s caller reads its fields directly.
+// cohort is released, batch[0]'s caller reads its fields directly. Called
+// without c.mu, as SyncDevice's yield requires.
 func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 	for _, q := range batch {
 		q.err = q.target.SyncDevice()
@@ -204,7 +210,8 @@ func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 // absorb late arrivals, pay the one device barrier, release everyone,
 // hand leadership to any still-parked requests. synced holds requests
 // whose files are already clean (the promoted batch); late arrivals are
-// fsynced here. Returns the round's width.
+// fsynced here, with c.mu released (SyncDevice yields). Returns the
+// round's width.
 func (c *SyncCoalescer) closeRound(synced []*syncReq) int {
 	c.mu.Lock()
 	extra := c.pending
