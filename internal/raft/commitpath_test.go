@@ -20,7 +20,7 @@ import (
 // ---- events filtered at source ----
 
 // drainSub collects everything queued on a stopped node's subscription.
-func drainSub(t *testing.T, sub *Subscription) []Event {
+func drainSub(t testing.TB, sub *Subscription) []Event {
 	t.Helper()
 	var evs []Event
 	for {

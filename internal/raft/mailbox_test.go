@@ -532,6 +532,29 @@ func TestLoopInputMetricsMatchNetwork(t *testing.T) {
 	}
 }
 
+// closedLoop splits ops calls among callers goroutines, each making its
+// share one after the other, and returns when all are done.
+func closedLoop(tb testing.TB, callers, ops int, call func() error) {
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		share := ops / callers
+		if c < ops%callers {
+			share++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < share; i++ {
+				if err := call(); err != nil {
+					tb.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // BenchmarkNodeIntake is the intake layer's local signal: closed-loop
 // SubmitWait callers against a 1-node netsim group — no network, no disk,
 // so what is timed is the way into the loop, one pass, apply and the way
@@ -557,24 +580,37 @@ func BenchmarkNodeIntake(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < callers; c++ {
-				ops := b.N / callers
-				if c < b.N%callers {
-					ops++
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < ops; i++ {
-						if _, err := client.SubmitWait(ctx, cmd); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
+			closedLoop(b, callers, b.N, func() error {
+				_, err := client.SubmitWait(ctx, cmd)
+				return err
+			})
 		})
+	}
+}
+
+// BenchmarkReadIndexClosedLoop is the pass's local signal for reads, the
+// micro row that moves with readmix-tcp: 8 closed-loop ReadIndex callers
+// on the leader of a 3-node netsim group. ns/op is per read; reads/round
+// is how many shared each confirmation round, which is what a change to
+// the end of the pass moves (TestReleasedCallersShareTheNextPass bounds it).
+func BenchmarkReadIndexClosedLoop(b *testing.B) {
+	reg := metrics.NewRegistry()
+	c := newCluster(b, 3, 97, func(cfg *Config) { cfg.Metrics = reg })
+	leader := c.waitLeader()
+	c.waitApplied(c.propose(KVCommand{Op: "set", Key: "k", Value: "v"}), leader)
+	node := c.nodes[leader]
+	rounds := func() int64 {
+		return reg.Snapshot().Counters[metrics.Label("raft_read_rounds_total", "node", strconv.Itoa(leader))]
+	}
+	rounds0 := rounds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	closedLoop(b, 8, b.N, func() error {
+		_, err := node.ReadIndex(c.ctx)
+		return err
+	})
+	b.StopTimer()
+	if n := rounds() - rounds0; n > 0 {
+		b.ReportMetric(float64(b.N)/float64(n), "reads/round")
 	}
 }

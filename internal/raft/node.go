@@ -432,8 +432,8 @@ func (nd *Node) drainMessages(ctx context.Context) (n int, err error) {
 	return n, nil
 }
 
-// run is the main loop; all hardState access happens here. Whichever of
-// its five channels wakes it, it makes one pass over all that waits (step).
+// run is the main loop; all hardState access happens here. Whichever arm
+// of its select wakes it, it makes one pass over all that waits (step).
 func (nd *Node) run(ctx context.Context) {
 	defer nd.shutdown()
 

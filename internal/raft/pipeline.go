@@ -17,7 +17,15 @@ package raft
 // What a pass woke runs before the disk does: flush() readies the persist
 // worker last, so the scheduler runs it first, and FileStorage.SyncDevice
 // yields before the barrier parks its P (DESIGN.md §3.7, "What runs
-// before a barrier").
+// before a barrier"). And it runs before the loop's next pass does: a
+// flush() that sent a reply on a caller's channel ends by yielding, so the
+// callers it released run and resubmit while the loop waits its turn, and
+// the next mailbox.take finds them together — reads share a confirmation
+// round, proposals an AppendEntries, and nothing waits on a timer (§3.7,
+// "What runs after a pass", which also measures the cost: with no P free
+// the loop can wait in the global queue behind the worker's barrier).
+// Replies onPersistDone releases do not count: counting them too was
+// measured and bought nothing (ROADMAP house rules).
 //
 // Safety is preserved by fencing externalization, not transmission
 // (Raft requires only that persistence precede *externalization*), and a
@@ -52,6 +60,7 @@ package raft
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ooc/internal/rtrace"
@@ -197,12 +206,14 @@ func (nd *Node) flush() {
 	}
 	nd.outbox = nd.outbox[:0]
 	fence := havePersist || len(nd.pendingPersist) > 0
+	released := 0
 	for _, r := range nd.replies {
 		if fence && r.fenced {
 			fencedReplies = append(fencedReplies, r)
 			continue
 		}
 		r.ch <- r.reply
+		released++
 	}
 	nd.replies = nd.replies[:0]
 	if havePersist || len(fencedMsgs) > 0 || len(fencedReplies) > 0 {
@@ -213,6 +224,14 @@ func (nd *Node) flush() {
 	// A read round only coalesces joiners within the iteration whose
 	// flush carries its probe; later reads need a fresh round.
 	nd.curRound = nil
+	// A pass that released a caller lets that caller run before the loop
+	// takes more input: the callers resubmit, and the next mailbox.take
+	// finds them together — one confirmation round for the reads, one
+	// AppendEntries for the proposals. After the persist hand-off, so the
+	// worker keeps runnext and still runs first.
+	if released > 0 {
+		runtime.Gosched()
+	}
 }
 
 // stagePersistBatch hands the iteration's staged durable work (possibly

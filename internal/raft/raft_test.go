@@ -19,7 +19,7 @@ const (
 
 // cluster is a test harness: n Raft nodes over a simulated network.
 type cluster struct {
-	t      *testing.T
+	t      testing.TB
 	nw     *netsim.Network
 	nodes  []*Node
 	kvs    []*KVStore
@@ -28,7 +28,7 @@ type cluster struct {
 	ctx    context.Context
 }
 
-func newCluster(t *testing.T, n int, seed uint64, opts ...func(*Config)) *cluster {
+func newCluster(t testing.TB, n int, seed uint64, opts ...func(*Config)) *cluster {
 	t.Helper()
 	nw := netsim.New(n, netsim.WithSeed(seed))
 	ctx, cancel := context.WithCancel(context.Background())
