@@ -60,7 +60,7 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 	fmt.Printf("  throughput      %.0f ops/sec\n", res.OpsPerSec)
 	fmt.Printf("  latency p50     %v\n", res.P50.Round(10*time.Microsecond))
 	fmt.Printf("  latency p99     %v\n", res.P99.Round(10*time.Microsecond))
-	fmt.Printf("  fsyncs          %d (%.3f per op, per-file)\n", res.Fsyncs, res.FsyncsPerOp)
+	fmt.Printf("  fsyncs          %d (%.3f per op, fdatasync calls)\n", res.Fsyncs, res.FsyncsPerOp)
 	if res.Barriers > 0 {
 		fmt.Printf("  device barriers %d (%.3f per op, mean width %.2f)\n",
 			res.Barriers, res.BarriersPerOp, res.MeanWidth)

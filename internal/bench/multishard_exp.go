@@ -94,12 +94,13 @@ type MultiShardResult struct {
 	OpsPerSec   float64       // Ops / wall-clock elapsed
 	P50         time.Duration // client-observed op latency
 	P99         time.Duration
-	Fsyncs      int64   // total per-file fsyncs across all replicas (file storage only)
+	Fsyncs      int64   // total fdatasync calls across all replicas' files (file storage only)
 	FsyncsPerOp float64 // Fsyncs / Ops
 	// Device-barrier accounting from the per-node sync coalescers (file
 	// storage only). Barriers is the number of device flushes actually
-	// paid across the cluster — the node-wide fsync count that
-	// coalescing reduces while Fsyncs (per-file) stays put. MeanWidth is
+	// paid across the cluster — the rounds coalescing folds flushes
+	// into; Fsyncs follows it down where a round can write its files back
+	// and flush once (raft.SyncCoalescer). MeanWidth is
 	// how many group flushes the average barrier covered (Requests /
 	// Barriers; 1.0 when nothing coalesced or PerGroupFsync is set).
 	Barriers      int64

@@ -1,9 +1,21 @@
-//go:build !linux
+//go:build !linux || !(amd64 || arm64)
 
 package raft
 
-import "os"
+import (
+	"os"
+	"syscall"
+)
 
-// fdatasync is fsync where the platform has no fdatasync the standard
-// library reaches: still one barrier covering everything written.
-func fdatasync(f *os.File) error { return f.Sync() }
+// sysSync's opFdatasync is fsync where the platform has no fdatasync the
+// standard library reaches: still one barrier covering everything
+// written. No filesystem is known to overwrite in place here, so no file
+// is ever written back and the other ops are never asked for.
+func sysSync(op string, f *os.File, _, _ int64) error {
+	if op != opFdatasync {
+		return syscall.ENOSYS
+	}
+	return f.Sync()
+}
+
+func overwritesInPlace(*os.File) (uint64, bool) { return 0, false }

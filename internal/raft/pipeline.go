@@ -16,8 +16,9 @@ package raft
 //
 // What a pass woke runs before the disk does: flush() readies the persist
 // worker last, so the scheduler runs it first, and FileStorage.SyncDevice
-// yields before the barrier parks its P (DESIGN.md §3.7, "What runs
-// before a barrier"). And it runs before the loop's next pass does: a
+// — or the coalesced round's write-back stage standing in for it — yields
+// before the barrier parks its P (DESIGN.md §3.7, "What runs before a
+// barrier"). And it runs before the loop's next pass does: a
 // flush() that sent a reply on a caller's channel ends by yielding, so the
 // callers it released run and resubmit while the loop waits its turn, and
 // the next mailbox.take finds them together — reads share a confirmation
@@ -297,8 +298,9 @@ func (nd *Node) clampDurable(idx int) {
 // flush() readies this goroutine last, so it runs ahead of the apply
 // worker and the clients the same pass woke. It does not yield to them
 // here: the goroutine that blocks is whichever one reaches
-// FileStorage.SyncDevice — under a SyncCoalescer often another group's
-// worker — so the yield lives there, and a second one before the drain
+// FileStorage.SyncDevice or the head of a SyncCoalescer round's
+// write-back stage — often another group's worker — so the yield lives
+// at those two, once per blocking stage, and a second one before the drain
 // below bought write-tcp nothing and cost readmix-tcp's p50 11–20 %
 // (DESIGN.md §3.7, "What runs before a barrier").
 func (nd *Node) persistWorker() {

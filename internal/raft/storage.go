@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"ooc/internal/codec/bin"
 )
@@ -248,11 +249,13 @@ var zeroFill [runAheadMax]byte
 // region the store has already filled with zeros and made durable (the
 // run-ahead, [pos, alloc)), and the barrier is fdatasync: a flush that
 // stays inside the run-ahead changes no metadata, so the barrier is a
-// data write and a device flush, not a filesystem journal commit. Only
-// the flush that uses the run-ahead up extends it, under the same single
-// barrier. Load's recovery rules (DESIGN.md §3.5) are what make
-// overwriting safe; Close truncates the run-ahead away, so a cleanly
-// closed file is exactly the sum of its frames.
+// data write and a device flush, not a filesystem journal commit — and
+// under a SyncCoalescer the two halves come apart: the round writes each
+// such file's bytes back and flushes the device once for all of them
+// (inPlace below). Only the flush that uses the run-ahead up extends it,
+// under the same single barrier. Load's recovery rules (DESIGN.md §3.5)
+// are what make overwriting safe; Close truncates the run-ahead away, so
+// a cleanly closed file is exactly the sum of its frames.
 //
 // Records are hand-rolled varint encodings (see wirecodec.go), built in
 // a scratch buffer the store reuses across writes — the gob layout this
@@ -275,6 +278,21 @@ type FileStorage struct {
 	// is empty.
 	pos, alloc int64
 	ready      bool
+
+	// inPlace: the flush now at its barrier changed nothing but the bytes
+	// of [synced, pos), all inside the run-ahead as the previous barrier
+	// left it — durable zeros in written blocks — so writing those pages
+	// back and flushing dev's cache through any file on it is the whole
+	// barrier. synced is pos at the previous flush. overwrites is the
+	// filesystem's half (overwritesInPlace), looked up by the first flush
+	// that needs it — a set-up's few records never do, and it reads the
+	// mount table — and cleared for good if the kernel refuses the call
+	// or a barrier fails; a round leader may do that while the owner is
+	// parked in the syncer.
+	synced              int64
+	dev                 uint64
+	fsKnown, overwrites bool
+	inPlace             bool
 
 	// syncer, when set (SetSyncer), routes every durability barrier
 	// through the node's SyncCoalescer instead of a private one, so one
@@ -314,11 +332,12 @@ func (s *FileStorage) Close() error {
 	return s.f.Close()
 }
 
-// Syncs reports how many barriers (fdatasync calls) this store has
-// issued — the number the throughput harness divides by committed ops to
-// show group-commit amortization. Per-file barriers count here whether
-// they ran inline or under a coalesced one; the *device* barrier count
-// lives on the SyncCoalescer.
+// Syncs reports how many fdatasync calls were issued on this store's
+// file — the number the throughput harness divides by committed ops to
+// show group-commit amortization. A flush a coalesced round covered by
+// writing this file back and flushing the device through another counts
+// on that other file, so over a node's stores the sum is its device
+// flushes; rounds are counted on the SyncCoalescer.
 func (s *FileStorage) Syncs() int64 { return s.syncs.Load() }
 
 // SetSyncer routes this store's durability barriers through a per-node
@@ -343,11 +362,49 @@ func (s *FileStorage) SetSyncer(sc *SyncCoalescer) { s.syncer = sc }
 // that a runnable goroutine needs.
 func (s *FileStorage) SyncDevice() error {
 	runtime.Gosched()
-	if err := fdatasync(s.f); err != nil {
+	return s.flushDevice()
+}
+
+// flushDevice is SyncDevice without the yield, for a round's closing
+// flush: the write-back stage before it has already yielded.
+func (s *FileStorage) flushDevice() error {
+	if err := syncFile(opFdatasync, s.f, 0, 0); err != nil {
 		return fmt.Errorf("raft: fdatasync: %w", err)
 	}
 	s.syncs.Add(1)
 	return nil
+}
+
+// writeBack starts (opWriteBack) or completes (opWriteBackWait) writing
+// an inPlace flush's bytes out and reports whether that is still under
+// way. A kernel or filesystem without the call clears overwrites, and the
+// file takes its own SyncDevice from this round on; any other failure is
+// this flush's error.
+func (s *FileStorage) writeBack(op string) (bool, error) {
+	err := syncFile(op, s.f, s.synced, s.pos-s.synced)
+	if err == nil {
+		return true, nil
+	}
+	if errors.Is(err, syscall.ENOSYS) || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.EOPNOTSUPP) {
+		s.overwrites, s.inPlace = false, false
+		return false, nil
+	}
+	return false, fmt.Errorf("raft: write back: %w", err)
+}
+
+// The durability syscalls, by the names syscallHook sees them under.
+const opFdatasync, opWriteBack, opWriteBackWait = "fdatasync", "writeback", "writeback-wait"
+
+// syscallHook, when a test sets it, runs in place of every durability
+// syscall with the real one as do, to time it or fail it. syncFile is
+// sysSync (fdatasync_*.go) behind it.
+var syscallHook atomic.Pointer[func(op string, f *os.File, do func() error) error]
+
+func syncFile(op string, f *os.File, off, n int64) error {
+	if h := syscallHook.Load(); h != nil {
+		return (*h)(op, f, func() error { return sysSync(op, f, off, n) })
+	}
+	return sysSync(op, f, off, n)
 }
 
 // LastBarrierWidth reports how many groups shared the durability barrier
@@ -463,13 +520,18 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 // covers it and a record only ever lands on durable zeros or, when it
 // outruns them, past the end of the file.
 // With a syncer wired, the barrier is the node-wide coalesced one: the
-// owner goroutine does the writes here, then the syncer calls SyncDevice
-// under whichever shared barrier covers this file.
+// owner goroutine does the writes here, then the round that covers this
+// file writes it back (inPlace) or calls its SyncDevice. A flush that
+// extends the run-ahead or lands past it — every flush of a file under
+// runAheadMin, and the first after Load truncated the run-ahead away — is
+// not in place: it changes the file's size, which only the file's own
+// fdatasync commits.
 func (s *FileStorage) flush() error {
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
 	}
-	if s.pos >= runAheadMin && s.pos+frameHeaderSize > s.alloc {
+	extend := s.pos >= runAheadMin && s.pos+frameHeaderSize > s.alloc
+	if extend {
 		size := max(s.pos, s.alloc) // a frame that outran the run-ahead grew the file
 		alloc := s.pos + min(s.pos, runAheadMax)
 		if _, err := s.f.WriteAt(zeroFill[:alloc-size], size); err != nil {
@@ -477,13 +539,23 @@ func (s *FileStorage) flush() error {
 		}
 		s.alloc = alloc
 	}
-	if s.syncer != nil {
-		width, err := s.syncer.Sync(s)
-		s.lastWidth = width
-		return err
+	s.inPlace = !extend && s.synced < s.pos && s.pos <= s.alloc
+	if s.inPlace && !s.fsKnown {
+		s.dev, s.overwrites = overwritesInPlace(s.f)
+		s.fsKnown = true
 	}
-	s.lastWidth = 1
-	return s.SyncDevice()
+	s.inPlace = s.inPlace && s.overwrites
+	var err error
+	if s.syncer != nil {
+		s.lastWidth, err = s.syncer.sync(s, s)
+	} else {
+		s.lastWidth, err = 1, s.SyncDevice()
+	}
+	s.synced = s.pos
+	if err != nil {
+		s.fsKnown, s.overwrites = true, false // what is durable is no longer known
+	}
+	return err
 }
 
 func (s *FileStorage) append(r record) error {
@@ -620,7 +692,7 @@ func (s *FileStorage) Load() (PersistentState, error) {
 	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
 		return st, fmt.Errorf("raft: load storage: %w", err)
 	}
-	s.pos, s.alloc, s.ready = valid, valid, true
+	s.pos, s.alloc, s.synced, s.ready = valid, valid, valid, true
 	return st, nil
 }
 

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,11 +22,12 @@ import (
 // Barrier blocks for the configured latency while holding the device
 // lock, so K concurrent barriers cost K·latency — exactly the queueing
 // the SyncCoalescer removes by paying one Barrier for K groups. A nil
-// *Disk (or zero latency) is a free barrier: real fsyncs already paid at
-// the file layer, and the host device is not being modeled. A modeled
-// barrier is time.Sleep, which frees the caller's P at once; a real one
-// is a syscall that keeps it (FileStorage.SyncDevice), so E16 and E18
-// never saw what a barrier costs the goroutines queued behind its caller.
+// *Disk (or zero latency) is a free barrier: the round has already paid
+// the host device's real flush, and that device is not being modeled. A
+// modeled barrier is time.Sleep, which frees the caller's P at once; a
+// real one is a syscall that keeps it (FileStorage.SyncDevice), so E16 and
+// E18 never saw what a barrier costs the goroutines queued behind its
+// caller.
 type Disk struct {
 	mu      sync.Mutex
 	latency time.Duration
@@ -61,9 +63,12 @@ type SyncTarget interface {
 // buffered handshake channel (never closed, reused via the pool): the
 // leader sends exactly one token, either releasing the waiter with its
 // barrier's outcome or — when lead is set — promoting it to lead the
-// next round itself.
+// next round itself. file is the target again when a FileStorage asked;
+// wb is set while its write-back awaits a device flush to cover it.
 type syncReq struct {
 	target SyncTarget
+	file   *FileStorage
+	wb     bool
 	err    error
 	width  int
 	lead   []*syncReq // non-nil after promotion: the batch this req now leads
@@ -82,8 +87,8 @@ type SyncerConfig struct {
 	PerGroup bool
 	// Metrics, if non-nil, registers the syncer's instruments
 	// (raft_sync_requests_total, raft_sync_barriers_total,
-	// raft_sync_coalesced_total, raft_sync_barrier_width), labeled by
-	// Node.
+	// raft_sync_coalesced_total, raft_sync_writebacks_total,
+	// raft_sync_flushes_total, raft_sync_barrier_width), labeled by Node.
 	Metrics *metrics.Registry
 	// Node labels the metrics; the syncer is per-node, not per-group.
 	Node int
@@ -91,21 +96,33 @@ type SyncerConfig struct {
 
 // SyncCoalescer turns K concurrent durability requests from a node's
 // Raft groups into one device barrier. Each group's persist worker
-// appends to its own file, then calls Sync; the first requester becomes
-// the barrier leader, fsyncs its own file, absorbs every request that
-// arrived meanwhile (fsyncing their files too — a waiter is only covered
-// once its own fd is clean), pays one Disk.Barrier for the whole round,
-// and releases the waiters. Requests that arrive mid-round park; when
-// the round ends, leadership hands off to the oldest waiter so a hot
-// leader can't starve the queue.
+// writes to its own file, then asks for the barrier; the first requester
+// becomes the round leader, gets its own file's bytes to the device,
+// absorbs every request that arrived meanwhile and does the same for
+// their files, flushes the device's cache, pays one Disk.Barrier for the
+// whole round, and releases the waiters. Requests that arrive mid-round
+// park; when the round ends, leadership hands off to the oldest waiter so
+// a hot leader can't starve the queue.
+//
+// A barrier has two halves, as Disk.Barrier models: the bytes reach the
+// device, then its cache is flushed. A FileStorage whose flush stayed in
+// place (FileStorage.inPlace) is only written back (sync_file_range), and
+// one fdatasync after the last stage is the flush for every such file on
+// its device. Sound because that flush changed no metadata and the
+// filesystem overwrites in place (overwritesInPlace): only the device's
+// cache stands between written pages and the medium, and a crash before
+// the flush leaves what one inside fdatasync always could (DESIGN.md
+// §3.5). Any other member — a flush that changed its file's size, a
+// filesystem off the list, a foreign SyncTarget — takes its own SyncDevice.
 //
 // The uncontended path — one group, or requests that never overlap —
 // takes three uncontended mutex sections and no allocations, so a
 // single-shard node pays nothing for the machinery (the degenerate-case
 // gate in groupcommit_accept_test.go holds this to ≤3% vs PR9).
 //
-// Errors stay per-group: each covered request carries the error from its
-// own file's fsync, so one group's bad fd fails only that group.
+// Errors stay per-group: each request carries the error from getting its
+// own file to the device, so one group's bad fd fails only that group;
+// only a failed closing flush is shared, by the members it was for.
 type SyncCoalescer struct {
 	disk     *Disk
 	perGroup bool
@@ -120,12 +137,14 @@ type SyncCoalescer struct {
 	barriers  atomic.Int64
 	coalesced atomic.Int64
 
-	metricsOn  bool
-	node       int
-	reqsC      *metrics.Counter
-	barriersC  *metrics.Counter
-	coalescedC *metrics.Counter
-	widthH     *metrics.Histogram
+	metricsOn   bool
+	node        int
+	reqsC       *metrics.Counter
+	barriersC   *metrics.Counter
+	coalescedC  *metrics.Counter
+	writebacksC *metrics.Counter
+	flushesC    *metrics.Counter
+	widthH      *metrics.Histogram
 }
 
 // NewSyncCoalescer builds a per-node syncer. One instance serves every
@@ -138,6 +157,8 @@ func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 		c.reqsC = reg.Counter(metrics.Label("raft_sync_requests_total", "node", node))
 		c.barriersC = reg.Counter(metrics.Label("raft_sync_barriers_total", "node", node))
 		c.coalescedC = reg.Counter(metrics.Label("raft_sync_coalesced_total", "node", node))
+		c.writebacksC = reg.Counter(metrics.Label("raft_sync_writebacks_total", "node", node))
+		c.flushesC = reg.Counter(metrics.Label("raft_sync_flushes_total", "node", node))
 		c.widthH = reg.Histogram(metrics.Label("raft_sync_barrier_width", "node", node), countBuckets)
 	}
 	return c
@@ -160,9 +181,13 @@ func (c *SyncCoalescer) Coalesced() int64 { return c.coalesced.Load() }
 
 // Sync makes t durable and returns the width of the barrier that covered
 // it — how many groups' requests shared the device flush (1 when it flew
-// alone). Blocks until t's own fsync and the covering barrier have both
-// completed; the returned error is from t's own fsync only.
-func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
+// alone). Blocks until t's own bytes are on the device and the covering
+// barrier has completed; the returned error is t's own, or that of the
+// flush that closed the round t was written back in.
+func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) { return c.sync(t, nil) }
+
+// sync is Sync with the target's FileStorage beside it, nil if foreign.
+func (c *SyncCoalescer) sync(t SyncTarget, file *FileStorage) (int, error) {
 	c.requests.Add(1)
 	if c.metricsOn {
 		c.reqsC.Inc(c.node)
@@ -170,18 +195,19 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
 	if c.perGroup {
 		err := t.SyncDevice()
 		c.disk.Barrier()
-		c.observeBarrier(1)
+		c.observeBarrier(1, 0, 1)
 		return 1, err
 	}
 	c.mu.Lock()
 	if !c.busy {
 		c.busy = true
 		c.mu.Unlock()
-		err := t.SyncDevice() // c.mu released: SyncDevice yields
-		width := c.closeRound(nil)
-		return width, err
+		self := syncReq{target: t, file: file} // stays on the stack
+		batch := [1]*syncReq{&self}
+		c.leadBatch(batch[:])
+		return self.width, self.err
 	}
-	r := c.newReq(t)
+	r := c.newReq(t, file)
 	c.pending = append(c.pending, r)
 	c.mu.Unlock()
 	<-r.done
@@ -193,51 +219,103 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
 	return width, err
 }
 
-// leadBatch runs a barrier round on behalf of a promoted waiter:
-// batch[0] is the promoted request itself (its own fsync not yet
-// issued), the rest are its cohort. Results land in each req; the
-// cohort is released, batch[0]'s caller reads its fields directly. Called
-// without c.mu, as SyncDevice's yield requires.
-func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
-	for _, q := range batch {
-		q.err = q.target.SyncDevice()
-	}
-	width := c.closeRound(batch)
-	batch[0].width = width
+// round is the requests one barrier covers — the leader's batch, then the
+// arrivals absorbed while that was written out — and what it cost.
+type round struct {
+	batch, extra        []*syncReq
+	writebacks, flushes int
 }
 
-// closeRound finishes the in-flight round after the leader's own fsync:
-// absorb late arrivals, pay the one device barrier, release everyone,
-// hand leadership to any still-parked requests. synced holds requests
-// whose files are already clean (the promoted batch); late arrivals are
-// fsynced here, with c.mu released (SyncDevice yields). Returns the
-// round's width.
-func (c *SyncCoalescer) closeRound(synced []*syncReq) int {
-	c.mu.Lock()
-	extra := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	for _, q := range extra {
-		q.err = q.target.SyncDevice()
+func (r *round) width() int { return len(r.batch) + len(r.extra) }
+
+func (r *round) at(i int) *syncReq {
+	if i < len(r.batch) {
+		return r.batch[i]
 	}
-	c.disk.Barrier()
-	width := 1 + len(extra)
-	if synced != nil {
-		width = len(synced) + len(extra)
-	}
-	c.observeBarrier(width)
-	if synced != nil {
-		for _, q := range synced[1:] {
-			q.width = width
-			q.done <- struct{}{}
+	return r.extra[i-len(r.batch)]
+}
+
+// cover ends the wait of every written-back member on dev: that device's
+// cache has been flushed since their bytes reached it, or the flush
+// failed with err, which is then theirs.
+func (r *round) cover(dev uint64, err error) {
+	for i := 0; i < r.width(); i++ {
+		if q := r.at(i); q.wb && q.file.dev == dev {
+			q.wb = false
+			if err != nil {
+				q.err = err
+			}
 		}
 	}
-	for _, q := range extra {
+}
+
+// leadBatch runs a barrier round: batch[0] is the leader's own request
+// (first arrival, or promoted by handoff), the rest its cohort. Two
+// stages get bytes to the device — the batch, then whatever parked
+// during that wait, the absorb window — and the closing flush follows,
+// one per device with a written-back member no SyncDevice has covered.
+// The cohort is released; batch[0]'s caller reads its fields directly.
+// Called without c.mu: every stage yields.
+func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
+	r := round{batch: batch}
+	r.stage(batch)
+	c.mu.Lock()
+	r.extra = c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	r.stage(r.extra)
+	for i := 0; i < r.width(); i++ {
+		if q := r.at(i); q.wb {
+			r.flushes++
+			r.cover(q.file.dev, q.file.flushDevice())
+		}
+	}
+	c.disk.Barrier()
+	width := r.width()
+	c.observeBarrier(width, r.writebacks, r.flushes)
+	for i := 1; i < width; i++ {
+		q := r.at(i)
 		q.width = width
 		q.done <- struct{}{}
 	}
+	batch[0].width = width
 	c.handoff()
-	return width
+}
+
+// stage gets members' bytes to the device. In-place files are written
+// back, all submitted before any is waited for so their I/Os overlap,
+// after one yield — SyncDevice's, made by the stage because it is the
+// stage that blocks. Every other member, and one whose write-back the
+// kernel refused, then takes its own SyncDevice; coming after the waits,
+// a FileStorage's also covers what the round has written back so far.
+func (r *round) stage(members []*syncReq) {
+	yielded := false
+	for _, q := range members {
+		if q.file != nil && q.file.inPlace {
+			if !yielded {
+				runtime.Gosched()
+				yielded = true
+			}
+			q.wb, q.err = q.file.writeBack(opWriteBack)
+		}
+	}
+	for _, q := range members {
+		if q.wb {
+			if q.wb, q.err = q.file.writeBack(opWriteBackWait); q.wb {
+				r.writebacks++
+			}
+		}
+	}
+	for _, q := range members {
+		if q.err != nil || q.file != nil && q.file.inPlace {
+			continue // failed, or written back above
+		}
+		r.flushes++
+		q.err = q.target.SyncDevice()
+		if q.file != nil && q.err == nil {
+			r.cover(q.file.dev, nil)
+		}
+	}
 }
 
 // handoff ends the round: if requests parked after the last steal, the
@@ -258,13 +336,15 @@ func (c *SyncCoalescer) handoff() {
 	next[0].done <- struct{}{}
 }
 
-func (c *SyncCoalescer) observeBarrier(width int) {
+func (c *SyncCoalescer) observeBarrier(width, writebacks, flushes int) {
 	c.barriers.Add(1)
 	if width > 1 {
 		c.coalesced.Add(int64(width - 1))
 	}
 	if c.metricsOn {
 		c.barriersC.Inc(c.node)
+		c.writebacksC.Add(c.node, int64(writebacks))
+		c.flushesC.Add(c.node, int64(flushes))
 		if width > 1 {
 			c.coalescedC.Add(c.node, int64(width-1))
 		}
@@ -282,16 +362,16 @@ func barrierWidth(st Storage) int {
 	return 1
 }
 
-func (c *SyncCoalescer) newReq(t SyncTarget) *syncReq {
+func (c *SyncCoalescer) newReq(t SyncTarget, file *FileStorage) *syncReq {
 	if v := c.pool.Get(); v != nil {
 		r := v.(*syncReq)
-		r.target, r.err, r.width, r.lead = t, nil, 0, nil
+		r.target, r.file, r.wb, r.err, r.width, r.lead = t, file, false, nil, 0, nil
 		return r
 	}
-	return &syncReq{target: t, done: make(chan struct{}, 1)}
+	return &syncReq{target: t, file: file, done: make(chan struct{}, 1)}
 }
 
 func (c *SyncCoalescer) freeReq(r *syncReq) {
-	r.target, r.err, r.lead = nil, nil, nil
+	r.target, r.file, r.err, r.lead = nil, nil, nil, nil
 	c.pool.Put(r)
 }

@@ -1,0 +1,372 @@
+package raft
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// sysCall is one durability syscall as syscallHook saw it: start and end
+// are ticks of the log's clock, which the tests also read when a flush
+// returns, so "this fdatasync began after that write-back had finished
+// and ended before the caller was released" is a comparison of integers.
+type sysCall struct {
+	op         string
+	f          *os.File
+	start, end int64
+	err        error
+}
+
+// sysLog records every fdatasync and sync_file_range the package issues
+// while it is installed. before, when set, runs ahead of the real call:
+// it may block (to hold a round open) and a non-nil error from it is
+// returned in the call's place.
+type sysLog struct {
+	clock  atomic.Int64
+	before func(op string, f *os.File) error
+
+	mu    sync.Mutex
+	calls []sysCall
+}
+
+func installSysLog(t *testing.T, before func(op string, f *os.File) error) *sysLog {
+	t.Helper()
+	l := &sysLog{before: before}
+	hook := l.run
+	syscallHook.Store(&hook)
+	t.Cleanup(func() { syscallHook.Store(nil) })
+	return l
+}
+
+func (l *sysLog) run(op string, f *os.File, do func() error) error {
+	c := sysCall{op: op, f: f}
+	if l.before != nil {
+		c.err = l.before(op, f)
+	}
+	c.start = l.clock.Add(1)
+	if c.err == nil {
+		c.err = do()
+	}
+	c.end = l.clock.Add(1)
+	l.mu.Lock()
+	l.calls = append(l.calls, c)
+	l.mu.Unlock()
+	return c.err
+}
+
+// ops renders the calls made since the log's from'th as "op:file" in
+// order, files named by names.
+func (l *sysLog) ops(from int, names map[*os.File]string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, c := range l.calls[from:] {
+		out = append(out, c.op+":"+names[c.f])
+	}
+	return strings.Join(out, " ")
+}
+
+func (l *sysLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.calls)
+}
+
+// covered reports whether a flush of s that was entered after tick lo and
+// had returned by tick hi was durable when it returned: its bytes were
+// written back and a successful fdatasync — on any file, the stores share
+// a device — started after that and ended before hi; or, not written
+// back, s's own fdatasync ran inside the interval.
+func (l *sysLog) covered(s *FileStorage, lo, hi int64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var wbEnd int64
+	for _, c := range l.calls {
+		if c.op == "writeback-wait" && c.f == s.f && c.err == nil && c.start > lo && c.end < hi {
+			wbEnd = max(wbEnd, c.end)
+		}
+	}
+	for _, c := range l.calls {
+		if c.op != "fdatasync" || c.err != nil || c.end > hi {
+			continue
+		}
+		if wbEnd > 0 && c.start > wbEnd || wbEnd == 0 && c.f == s.f && c.start > lo {
+			return true
+		}
+	}
+	return false
+}
+
+// testWAL is a FileStorage with the index of its next entry, so appends
+// stay a log Load will replay.
+type testWAL struct {
+	*FileStorage
+	next int
+}
+
+func (w *testWAL) append(valueLen int) error {
+	e := Entry{Term: 1, Command: KVCommand{Op: "set", Key: "k", Value: strings.Repeat("v", valueLen)}}
+	err := w.AppendBatch([]LogMutation{{PrevIndex: w.next, Entries: []Entry{e}}})
+	w.next++
+	return err
+}
+
+// openGrownWAL opens a store on sc and appends until it holds a run-ahead
+// with at least 32 KiB to spare, so the flushes a test goes on to make
+// stay in place. It skips the test where the filesystem under t.TempDir
+// is not one FileStorage writes back on.
+func openGrownWAL(t *testing.T, path string, sc *SyncCoalescer) *testWAL {
+	t.Helper()
+	s, err := OpenFileStorage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	if _, err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	s.SetSyncer(sc)
+	w := &testWAL{FileStorage: s}
+	for s.alloc-s.pos < 32<<10 {
+		if err := w.append(1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.overwrites {
+		t.Skip("the filesystem under t.TempDir() is not on the overwrite-in-place list")
+	}
+	return w
+}
+
+func sumSyncs(ws []*testWAL) (n int64) {
+	for _, w := range ws {
+		n += w.Syncs()
+	}
+	return n
+}
+
+// The count and the order, not the speed: four stores flushing together,
+// round after round, cost one fdatasync per round between them — on the
+// parent each request cost one — and nobody is released before a device
+// flush that began after its own bytes had been written back.
+func TestCoalescedRoundFlushesOnce(t *testing.T) {
+	const stores, rounds = 4, 60
+	sc := NewSyncCoalescer(SyncerConfig{})
+	dir := t.TempDir()
+	ws := make([]*testWAL, stores)
+	for i := range ws {
+		ws[i] = openGrownWAL(t, filepath.Join(dir, fmt.Sprintf("g%d.wal", i)), sc)
+	}
+	log := installSysLog(t, nil)
+	syncs0, barriers0, requests0 := sumSyncs(ws), sc.Barriers(), sc.Requests()
+
+	// returned[i][k] is the clock when store i's k'th flush returned.
+	returned := make([][]int64, stores)
+	errs := make([]error, stores)
+	var wg sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		start := make(chan struct{})
+		for i := range ws {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				if err := ws[i].append(40); err != nil {
+					errs[i] = err
+				}
+				returned[i] = append(returned[i], log.clock.Add(1))
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+	}
+
+	syncs, barriers, requests := sumSyncs(ws)-syncs0, sc.Barriers()-barriers0, sc.Requests()-requests0
+	t.Logf("%d requests, %d rounds, %d fdatasyncs", requests, barriers, syncs)
+	if requests != stores*rounds {
+		t.Fatalf("requests = %d, want %d", requests, stores*rounds)
+	}
+	if barriers == requests {
+		t.Fatalf("no round was wider than one in %d gated starts: nothing coalesced, nothing tested", rounds)
+	}
+	if syncs != barriers {
+		t.Errorf("%d fdatasyncs for %d rounds, want one a round", syncs, barriers)
+	}
+	for i, w := range ws {
+		if !w.overwrites {
+			t.Errorf("store %d lost its eligibility", i)
+		}
+		var lo int64
+		for k, hi := range returned[i] {
+			if !log.covered(w.FileStorage, lo, hi) {
+				t.Errorf("store %d flush %d returned with no device flush after its bytes reached the device", i, k)
+			}
+			lo = hi
+		}
+	}
+}
+
+// heldRound starts a flush of lead in its own goroutine and holds the
+// round it leads inside the leader's write-back until release is called,
+// so the test can park exactly the arrivals it wants absorbed. The
+// returned channel carries lead's result.
+func heldRound(t *testing.T, lead *testWAL, fail func(op string, f *os.File) error) (log *sysLog, release func(), done chan error) {
+	t.Helper()
+	gate, entered := make(chan struct{}), make(chan struct{})
+	log = installSysLog(t, func(op string, f *os.File) error {
+		if op == "writeback" && f == lead.f {
+			close(entered)
+			<-gate
+		}
+		if fail != nil {
+			return fail(op, f)
+		}
+		return nil
+	})
+	done = make(chan error, 1)
+	go func() { done <- lead.append(40) }()
+	<-entered
+	return log, func() { close(gate) }, done
+}
+
+// flushParked starts a flush of w and returns once it is parked on sc as
+// the n'th waiter.
+func flushParked(t *testing.T, sc *SyncCoalescer, w *testWAL, valueLen, n int) chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.append(valueLen) }()
+	waitPending(t, sc, n)
+	return done
+}
+
+// A member whose flush extends its run-ahead changed its file's size, so
+// it takes its own fdatasync — after its stage's write-backs, although it
+// parked ahead of c — and since every write-back of the round has
+// finished by then, it is the round's device flush too: no closing one
+// is issued.
+func TestExtendingMemberFlushesForTheRound(t *testing.T) {
+	sc := NewSyncCoalescer(SyncerConfig{})
+	dir := t.TempDir()
+	a := openGrownWAL(t, filepath.Join(dir, "a.wal"), sc)
+	b := openGrownWAL(t, filepath.Join(dir, "b.wal"), sc)
+	c := openGrownWAL(t, filepath.Join(dir, "c.wal"), sc)
+	names := map[*os.File]string{a.f: "a", b.f: "b", c.f: "c"}
+	syncs := []int64{a.Syncs(), b.Syncs(), c.Syncs()}
+	bAlloc, barriers := b.alloc, sc.Barriers()
+
+	log, release, aDone := heldRound(t, a, nil)
+	bDone := flushParked(t, sc, b, int(b.alloc-b.pos), 1) // outruns the run-ahead
+	cDone := flushParked(t, sc, c, 40, 2)
+	release()
+	for _, done := range []chan error{aDone, bDone, cDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.alloc == bAlloc || b.inPlace {
+		t.Fatalf("b's flush was meant to extend its run-ahead: alloc %d → %d, inPlace %v", bAlloc, b.alloc, b.inPlace)
+	}
+	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:c writeback-wait:c fdatasync:b"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
+	}
+	for i, w := range []*testWAL{a, b, c} {
+		if got, want := w.Syncs()-syncs[i], int64(i%2); got != want { // b alone
+			t.Errorf("%s: %+d fdatasyncs, want %+d", names[w.f], got, want)
+		}
+		if w.LastBarrierWidth() != 3 {
+			t.Errorf("%s: width %d, want 3", names[w.f], w.LastBarrierWidth())
+		}
+	}
+	if sc.Barriers() != barriers+1 {
+		t.Fatalf("%d rounds, want 1", sc.Barriers()-barriers)
+	}
+}
+
+// A foreign SyncTarget says nothing about which device it flushed, so
+// beside in-place files it takes its own SyncDevice and the round still
+// closes with one fdatasync for the files it wrote back.
+func TestForeignTargetBesideInPlaceFiles(t *testing.T) {
+	sc := NewSyncCoalescer(SyncerConfig{})
+	dir := t.TempDir()
+	a := openGrownWAL(t, filepath.Join(dir, "a.wal"), sc)
+	b := openGrownWAL(t, filepath.Join(dir, "b.wal"), sc)
+	names := map[*os.File]string{a.f: "a", b.f: "b"}
+	foreign, barriers := &fakeTarget{}, sc.Barriers()
+
+	log, release, aDone := heldRound(t, a, nil)
+	foreignDone := make(chan error, 1)
+	go func() {
+		width, err := sc.Sync(foreign)
+		if err == nil && width != 3 {
+			err = fmt.Errorf("foreign target's width = %d, want 3", width)
+		}
+		foreignDone <- err
+	}()
+	waitPending(t, sc, 1)
+	bDone := flushParked(t, sc, b, 40, 2)
+	release()
+	for _, done := range []chan error{aDone, foreignDone, bDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:b writeback-wait:b fdatasync:a"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
+	}
+	if foreign.count() != 1 || sc.Barriers() != barriers+1 {
+		t.Fatalf("foreign SyncDevice calls = %d in %d rounds, want 1 in 1", foreign.count(), sc.Barriers()-barriers)
+	}
+}
+
+// Load truncates the run-ahead away, so the first flush after it grows
+// the file and is the file's own fdatasync; the flushes after the
+// run-ahead is back are written back, and a round of one is write-back,
+// wait, flush, in that order on the one file.
+func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
+	sc := NewSyncCoalescer(SyncerConfig{})
+	path := filepath.Join(t.TempDir(), "a.wal")
+	w := openGrownWAL(t, path, sc)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFileStorage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	st, err := s.Load()
+	if err != nil || len(st.Entries) != w.next {
+		t.Fatalf("Load: %d entries, %v; want %d", len(st.Entries), err, w.next)
+	}
+	s.SetSyncer(sc)
+	re := &testWAL{FileStorage: s, next: w.next}
+	names := map[*os.File]string{s.f: "a"}
+
+	log := installSysLog(t, nil)
+	for i, want := range []string{
+		"fdatasync:a", // lands past the end of the file, and extends it
+		"writeback:a writeback-wait:a fdatasync:a",
+		"writeback:a writeback-wait:a fdatasync:a",
+	} {
+		from, syncs, barriers := log.len(), s.Syncs(), sc.Barriers()
+		if err := re.append(40); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.ops(from, names); got != want {
+			t.Fatalf("flush %d after Load: syscalls = %q, want %q", i, got, want)
+		}
+		if s.Syncs() != syncs+1 || sc.Barriers() != barriers+1 || s.LastBarrierWidth() != 1 {
+			t.Fatalf("flush %d after Load: %+d fdatasyncs, %+d rounds, width %d; want +1, +1, 1",
+				i, s.Syncs()-syncs, sc.Barriers()-barriers, s.LastBarrierWidth())
+		}
+	}
+}

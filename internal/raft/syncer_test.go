@@ -2,7 +2,11 @@ package raft
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -128,42 +132,127 @@ func TestSyncerCoalescesConcurrentRequests(t *testing.T) {
 }
 
 // A failing file fails only its own group: cohort members covered by the
-// same barrier still get nil.
+// same barrier still get nil. With written-back files in the round the
+// rule has one more clause — the flush that closes the round is shared
+// by the members it was for, and by nobody else.
 func TestSyncerErrorIsolation(t *testing.T) {
-	c := NewSyncCoalescer(SyncerConfig{})
-	leader := &fakeTarget{gate: make(chan struct{})}
-	bad := &fakeTarget{err: errors.New("bad fd")}
-	good := &fakeTarget{}
+	t.Run("own SyncDevice", func(t *testing.T) {
+		c := NewSyncCoalescer(SyncerConfig{})
+		leader := &fakeTarget{gate: make(chan struct{})}
+		bad := &fakeTarget{err: errors.New("bad fd")}
+		good := &fakeTarget{}
 
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := c.Sync(leader)
-		leaderErr <- err
-	}()
-	for c.Requests() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+		leaderErr := make(chan error, 1)
+		go func() {
+			_, err := c.Sync(leader)
+			leaderErr <- err
+		}()
+		for c.Requests() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 
-	errs := make([]chan error, 2)
-	for i, tgt := range []*fakeTarget{bad, good} {
-		errs[i] = make(chan error, 1)
-		go func(i int, tgt *fakeTarget) {
-			_, err := c.Sync(tgt)
-			errs[i] <- err
-		}(i, tgt)
-	}
-	waitPending(t, c, 2)
-	leader.gate <- struct{}{}
+		errs := make([]chan error, 2)
+		for i, tgt := range []*fakeTarget{bad, good} {
+			errs[i] = make(chan error, 1)
+			go func(i int, tgt *fakeTarget) {
+				_, err := c.Sync(tgt)
+				errs[i] <- err
+			}(i, tgt)
+		}
+		waitPending(t, c, 2)
+		leader.gate <- struct{}{}
 
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader error = %v, want nil", err)
+		if err := <-leaderErr; err != nil {
+			t.Fatalf("leader error = %v, want nil", err)
+		}
+		if err := <-errs[0]; err == nil || err.Error() != "bad fd" {
+			t.Fatalf("bad target error = %v, want bad fd", err)
+		}
+		if err := <-errs[1]; err != nil {
+			t.Fatalf("good target error = %v, want nil (one group's bad fd leaked)", err)
+		}
+	})
+
+	// Rounds of real files, each led by a and held in a's write-back
+	// while b, and in one case a foreign target, park behind it.
+	type result struct{ a, b, foreign error }
+	run := func(t *testing.T, withForeign bool, fail func(a, b *testWAL) func(string, *os.File) error) (a, b *testWAL, log *sysLog, r result) {
+		sc := NewSyncCoalescer(SyncerConfig{})
+		dir := t.TempDir()
+		a = openGrownWAL(t, filepath.Join(dir, "a.wal"), sc)
+		b = openGrownWAL(t, filepath.Join(dir, "b.wal"), sc)
+		log, release, aDone := heldRound(t, a, fail(a, b))
+		bDone := flushParked(t, sc, b, 40, 1)
+		foreignDone := make(chan error, 1)
+		if withForeign {
+			go func() { _, err := sc.Sync(&fakeTarget{}); foreignDone <- err }()
+			waitPending(t, sc, 2)
+		} else {
+			foreignDone <- nil
+		}
+		release()
+		return a, b, log, result{<-aDone, <-bDone, <-foreignDone}
 	}
-	if err := <-errs[0]; err == nil || err.Error() != "bad fd" {
-		t.Fatalf("bad target error = %v, want bad fd", err)
-	}
-	if err := <-errs[1]; err != nil {
-		t.Fatalf("good target error = %v, want nil (one group's bad fd leaked)", err)
-	}
+	names := func(a, b *testWAL) map[*os.File]string { return map[*os.File]string{a.f: "a", b.f: "b"} }
+
+	t.Run("write-back failure is the request's own", func(t *testing.T) {
+		a, b, log, r := run(t, false, func(_, b *testWAL) func(string, *os.File) error {
+			return func(op string, f *os.File) error {
+				if op == "writeback-wait" && f == b.f {
+					return syscall.EIO
+				}
+				return nil
+			}
+		})
+		if r.a != nil || !errors.Is(r.b, syscall.EIO) {
+			t.Fatalf("a: %v, b: %v; want nil, EIO", r.a, r.b)
+		}
+		if got, want := log.ops(0, names(a, b)), "writeback:a writeback-wait:a writeback:b writeback-wait:b fdatasync:a"; got != want {
+			t.Fatalf("syscalls = %q, want %q", got, want)
+		}
+	})
+
+	t.Run("closing flush failure is every written-back member's", func(t *testing.T) {
+		_, _, _, r := run(t, true, func(_, _ *testWAL) func(string, *os.File) error {
+			return func(op string, _ *os.File) error {
+				if op == "fdatasync" {
+					return syscall.EIO
+				}
+				return nil
+			}
+		})
+		if !errors.Is(r.a, syscall.EIO) || !errors.Is(r.b, syscall.EIO) || r.foreign != nil {
+			t.Fatalf("a: %v, b: %v, foreign: %v; want EIO, EIO, nil", r.a, r.b, r.foreign)
+		}
+	})
+
+	t.Run("ENOSYS demotes the file and the round succeeds", func(t *testing.T) {
+		a, b, log, r := run(t, false, func(_, b *testWAL) func(string, *os.File) error {
+			return func(op string, f *os.File) error {
+				if strings.HasPrefix(op, "writeback") && f == b.f {
+					return syscall.ENOSYS
+				}
+				return nil
+			}
+		})
+		if r.a != nil || r.b != nil {
+			t.Fatalf("a: %v, b: %v; want nil, nil", r.a, r.b)
+		}
+		// b's own fdatasync came after a's write-back, so it closed the round.
+		if got, want := log.ops(0, names(a, b)), "writeback:a writeback-wait:a writeback:b fdatasync:b"; got != want {
+			t.Fatalf("syscalls = %q, want %q", got, want)
+		}
+		if !a.overwrites || b.overwrites {
+			t.Fatalf("eligible after the round: a %v, b %v; want true, false", a.overwrites, b.overwrites)
+		}
+		from := log.len()
+		if err := b.append(40); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.ops(from, names(a, b)); got != "fdatasync:b" {
+			t.Fatalf("demoted file's next flush: syscalls = %q, want its own fdatasync alone", got)
+		}
+	})
 }
 
 // Requests that park while the leader is fsyncing the stolen cohort
