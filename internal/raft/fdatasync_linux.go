@@ -20,8 +20,14 @@ import (
 // barrier — so, unlike f.Sync, it must not race f.Close; FileStorage's
 // owner is parked on the barrier for exactly that long.
 //
-// The write-back ops are sync_file_range over [off, off+n): start writing
-// the range's dirty pages out, or write them and wait. They commit no
+// The write-back ops are sync_file_range over [off, off+n). opWriteBack
+// (WRITE alone) is a hint: the kernel runs it as WB_SYNC_NONE write-out,
+// which may pass over a page that is locked or already under I/O, so its
+// return says only that the device has been given work; FileStorage.flush
+// issues it so that the I/O runs while the flush waits for a round.
+// opWriteBackWait (WAIT_BEFORE|WRITE|WAIT_AFTER) is the guarantee, and the
+// round's: it waits out I/O in flight, writes whatever is still dirty as
+// WB_SYNC_ALL, skipping nothing, and waits for that. Both commit no
 // metadata and flush no cache, so they are a step toward durability only
 // on a file overwritesInPlace accepts, over bytes already allocated and
 // written, with an opFdatasync on the same device to follow.

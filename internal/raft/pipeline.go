@@ -297,7 +297,9 @@ func (nd *Node) clampDurable(idx int) {
 //
 // flush() readies this goroutine last, so it runs ahead of the apply
 // worker and the clients the same pass woke. It does not yield to them
-// here: the goroutine that blocks is whichever one reaches
+// here: what this goroutine does for the barrier itself is the writes and
+// the submit of their write-out (FileStorage.flush), neither of which
+// blocks; the goroutine that blocks is whichever one reaches
 // FileStorage.SyncDevice or the head of a SyncCoalescer round's
 // write-back stage — often another group's worker — so the yield lives
 // at those two, once per blocking stage, and a second one before the drain

@@ -250,12 +250,13 @@ var zeroFill [runAheadMax]byte
 // run-ahead, [pos, alloc)), and the barrier is fdatasync: a flush that
 // stays inside the run-ahead changes no metadata, so the barrier is a
 // data write and a device flush, not a filesystem journal commit — and
-// under a SyncCoalescer the two halves come apart: the round writes each
-// such file's bytes back and flushes the device once for all of them
-// (inPlace below). Only the flush that uses the run-ahead up extends it,
-// under the same single barrier. Load's recovery rules (DESIGN.md §3.5)
-// are what make overwriting safe; Close truncates the run-ahead away, so
-// a cleanly closed file is exactly the sum of its frames.
+// under a SyncCoalescer the two halves come apart: the flush starts its
+// own bytes' write-out, and the round waits for each such file's and
+// flushes the device once for all of them (inPlace below). Only the
+// flush that uses the run-ahead up extends it, under the same single
+// barrier. Load's recovery rules (DESIGN.md §3.5) are what make
+// overwriting safe; Close truncates the run-ahead away, so a cleanly
+// closed file is exactly the sum of its frames.
 //
 // Records are hand-rolled varint encodings (see wirecodec.go), built in
 // a scratch buffer the store reuses across writes — the gob layout this
@@ -283,12 +284,14 @@ type FileStorage struct {
 	// of [synced, pos), all inside the run-ahead as the previous barrier
 	// left it — durable zeros in written blocks — so writing those pages
 	// back and flushing dev's cache through any file on it is the whole
-	// barrier. synced is pos at the previous flush. overwrites is the
-	// filesystem's half (overwritesInPlace), looked up by the first flush
-	// that needs it — a set-up's few records never do, and it reads the
-	// mount table — and cleared for good if the kernel refuses the call
-	// or a barrier fails; a round leader may do that while the owner is
-	// parked in the syncer.
+	// barrier: flush submits the pages before it queues, the round waits
+	// for them and flushes. synced is pos at the previous flush.
+	// overwrites is the filesystem's half (overwritesInPlace), looked up
+	// by the first flush that needs it — a set-up's few records never do,
+	// and it reads the mount table — and cleared for good if the kernel
+	// refuses the call or a barrier fails; the owner does that at its
+	// submit, a round leader at the wait, while the owner is parked in
+	// the syncer.
 	synced              int64
 	dev                 uint64
 	fsKnown, overwrites bool
@@ -375,11 +378,12 @@ func (s *FileStorage) flushDevice() error {
 	return nil
 }
 
-// writeBack starts (opWriteBack) or completes (opWriteBackWait) writing
-// an inPlace flush's bytes out and reports whether that is still under
-// way. A kernel or filesystem without the call clears overwrites, and the
-// file takes its own SyncDevice from this round on; any other failure is
-// this flush's error.
+// writeBack starts (opWriteBack: the owner's, in flush, a hint) or
+// completes (opWriteBackWait: the round's, the guarantee) writing an
+// inPlace flush's bytes out and reports whether the file is still one a
+// device flush will cover. A kernel or filesystem without the call clears
+// overwrites, and the file takes its own SyncDevice from this round on;
+// any other failure is this flush's error.
 func (s *FileStorage) writeBack(op string) (bool, error) {
 	err := syncFile(op, s.f, s.synced, s.pos-s.synced)
 	if err == nil {
@@ -520,12 +524,15 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 // covers it and a record only ever lands on durable zeros or, when it
 // outruns them, past the end of the file.
 // With a syncer wired, the barrier is the node-wide coalesced one: the
-// owner goroutine does the writes here, then the round that covers this
-// file writes it back (inPlace) or calls its SyncDevice. A flush that
-// extends the run-ahead or lands past it — every flush of a file under
-// runAheadMin, and the first after Load truncated the run-ahead away — is
-// not in place: it changes the file's size, which only the file's own
-// fdatasync commits.
+// owner goroutine does the writes here and, when the flush is inPlace
+// and the syncer coalesces, submits them for write-out before it queues
+// — the device works through the round's yield and the round in
+// progress, not after them — and the round that covers this file waits
+// for that write-back, or calls its SyncDevice. A failed submit is a
+// failed barrier, without a round. A flush that extends the run-ahead or
+// lands past it — every flush of a file under runAheadMin, and the first
+// after Load truncated the run-ahead away — is not in place: it changes
+// the file's size, which only the file's own fdatasync commits.
 func (s *FileStorage) flush() error {
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
@@ -547,7 +554,12 @@ func (s *FileStorage) flush() error {
 	s.inPlace = s.inPlace && s.overwrites
 	var err error
 	if s.syncer != nil {
-		s.lastWidth, err = s.syncer.sync(s, s)
+		if s.inPlace && !s.syncer.perGroup { // per group: no round waits for it
+			_, err = s.writeBack(opWriteBack)
+		}
+		if err == nil {
+			s.lastWidth, err = s.syncer.sync(s, s)
+		}
 	} else {
 		s.lastWidth, err = 1, s.SyncDevice()
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -135,6 +136,58 @@ func BenchmarkFileStorageAppend(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCoalescedAppend is the same append through a SyncCoalescer, as
+// a node's groups make it: each of the stores has one goroutine appending
+// b.N one-entry records to its own file, all on one coalescer. ns/op is
+// therefore a flush as one caller sees it — its own write and submit, the
+// wait for a round, the round — and rounds/flush says how many of those
+// rounds the coalescer ran per flush (1 at stores=1; under 1 is sharing).
+func BenchmarkCoalescedAppend(b *testing.B) {
+	for _, stores := range []int{1, 4} {
+		b.Run(fmt.Sprintf("stores=%d", stores), func(b *testing.B) {
+			sc := NewSyncCoalescer(SyncerConfig{})
+			dir := b.TempDir()
+			ws := make([]*testWAL, stores)
+			for i := range ws {
+				s, err := OpenFileStorage(filepath.Join(dir, fmt.Sprintf("g%d.wal", i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() { _ = s.Close() }()
+				s.SetSyncer(sc)
+				ws[i] = &testWAL{FileStorage: s}
+				for s.pos < 16*runAheadMin { // past the flushes that grow the file
+					if err := ws[i].append(1024); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			requests, barriers := sc.Requests(), sc.Barriers()
+			errs := make([]error, stores)
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range ws {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for k := 0; k < b.N && errs[i] == nil; k++ {
+						errs[i] = ws[i].append(40)
+					}
+				}(i)
+			}
+			wg.Wait()
+			b.StopTimer()
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sc.Barriers()-barriers)/float64(sc.Requests()-requests), "rounds/flush")
+		})
+	}
 }
 
 // TestRecordEncodeZeroAlloc is the acceptance gate for the disk layer:

@@ -88,7 +88,9 @@ type SyncerConfig struct {
 	// Metrics, if non-nil, registers the syncer's instruments
 	// (raft_sync_requests_total, raft_sync_barriers_total,
 	// raft_sync_coalesced_total, raft_sync_writebacks_total,
-	// raft_sync_flushes_total, raft_sync_barrier_width), labeled by Node.
+	// raft_sync_flushes_total, raft_sync_barrier_width, and how long a
+	// round's steps take: raft_sync_stage_seconds{stage="wait"|"flush"},
+	// raft_sync_parked_seconds), labeled by Node.
 	Metrics *metrics.Registry
 	// Node labels the metrics; the syncer is per-node, not per-group.
 	Node int
@@ -96,24 +98,29 @@ type SyncerConfig struct {
 
 // SyncCoalescer turns K concurrent durability requests from a node's
 // Raft groups into one device barrier. Each group's persist worker
-// writes to its own file, then asks for the barrier; the first requester
-// becomes the round leader, gets its own file's bytes to the device,
-// absorbs every request that arrived meanwhile and does the same for
-// their files, flushes the device's cache, pays one Disk.Barrier for the
-// whole round, and releases the waiters. Requests that arrive mid-round
-// park; when the round ends, leadership hands off to the oldest waiter so
+// writes to its own file and starts those bytes' write-out where that is
+// a step toward durability (FileStorage.flush), then asks for the barrier;
+// the first requester becomes the round leader, sees its own file's bytes
+// onto the device, absorbs every request that arrived meanwhile and does
+// the same for their files, flushes the device's cache, pays one
+// Disk.Barrier for the whole round, and releases the waiters. Requests
+// that arrive mid-round park, their write-out under way beneath the round
+// in progress; when it ends, leadership hands off to the oldest waiter so
 // a hot leader can't starve the queue.
 //
 // A barrier has two halves, as Disk.Barrier models: the bytes reach the
 // device, then its cache is flushed. A FileStorage whose flush stayed in
-// place (FileStorage.inPlace) is only written back (sync_file_range), and
-// one fdatasync after the last stage is the flush for every such file on
-// its device. Sound because that flush changed no metadata and the
-// filesystem overwrites in place (overwritesInPlace): only the device's
-// cache stands between written pages and the medium, and a crash before
-// the flush leaves what one inside fdatasync always could (DESIGN.md
-// §3.5). Any other member — a flush that changed its file's size, a
-// filesystem off the list, a foreign SyncTarget — takes its own SyncDevice.
+// place (FileStorage.inPlace) is only written back: its owner submitted
+// the range before queueing (a hint), the round — which never submits —
+// writes whatever is still dirty and waits for all of it (the guarantee;
+// sysSync says why), and one fdatasync after the last stage is the flush
+// for every such file on its device. Sound because that flush changed no
+// metadata and the filesystem overwrites in place (overwritesInPlace):
+// only the device's cache stands between written pages and the medium,
+// and a crash before the flush leaves what one inside fdatasync always
+// could (DESIGN.md §3.5). Any other member — a flush that changed its
+// file's size, a filesystem off the list, a foreign SyncTarget — takes
+// its own SyncDevice.
 //
 // The uncontended path — one group, or requests that never overlap —
 // takes three uncontended mutex sections and no allocations, so a
@@ -145,7 +152,14 @@ type SyncCoalescer struct {
 	writebacksC *metrics.Counter
 	flushesC    *metrics.Counter
 	widthH      *metrics.Histogram
+	waitH       *metrics.Histogram // one stage: yield, waits, members' own SyncDevices
+	flushH      *metrics.Histogram // the closing flush, in rounds that issue one
+	parkedH     *metrics.Histogram // a parked request, until release or promotion
 }
+
+// barrierBuckets resolve a round's steps, 8 µs to 65 ms doubling: a local
+// device's tens to hundreds of µs, a modeled or struggling one's ms.
+var barrierBuckets = []time.Duration{8e3, 16e3, 32e3, 64e3, 128e3, 256e3, 512e3, 1024e3, 2048e3, 4096e3, 8192e3, 16384e3, 32768e3, 65536e3}
 
 // NewSyncCoalescer builds a per-node syncer. One instance serves every
 // group on the node; Sync is safe for concurrent use.
@@ -160,6 +174,9 @@ func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 		c.writebacksC = reg.Counter(metrics.Label("raft_sync_writebacks_total", "node", node))
 		c.flushesC = reg.Counter(metrics.Label("raft_sync_flushes_total", "node", node))
 		c.widthH = reg.Histogram(metrics.Label("raft_sync_barrier_width", "node", node), countBuckets)
+		c.waitH = reg.Histogram(metrics.Label("raft_sync_stage_seconds", "node", node, "stage", "wait"), barrierBuckets)
+		c.flushH = reg.Histogram(metrics.Label("raft_sync_stage_seconds", "node", node, "stage", "flush"), barrierBuckets)
+		c.parkedH = reg.Histogram(metrics.Label("raft_sync_parked_seconds", "node", node), barrierBuckets)
 	}
 	return c
 }
@@ -210,7 +227,9 @@ func (c *SyncCoalescer) sync(t SyncTarget, file *FileStorage) (int, error) {
 	r := c.newReq(t, file)
 	c.pending = append(c.pending, r)
 	c.mu.Unlock()
+	t0 := c.now()
 	<-r.done
+	c.since(c.parkedH, t0)
 	if r.lead != nil {
 		c.leadBatch(r.lead)
 	}
@@ -251,24 +270,34 @@ func (r *round) cover(dev uint64, err error) {
 
 // leadBatch runs a barrier round: batch[0] is the leader's own request
 // (first arrival, or promoted by handoff), the rest its cohort. Two
-// stages get bytes to the device — the batch, then whatever parked
+// stages see bytes onto the device — the batch, then whatever parked
 // during that wait, the absorb window — and the closing flush follows,
 // one per device with a written-back member no SyncDevice has covered.
 // The cohort is released; batch[0]'s caller reads its fields directly.
 // Called without c.mu: every stage yields.
 func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 	r := round{batch: batch}
+	t0 := c.now()
 	r.stage(batch)
+	c.since(c.waitH, t0)
 	c.mu.Lock()
 	r.extra = c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	r.stage(r.extra)
+	if len(r.extra) > 0 {
+		t0 = c.now()
+		r.stage(r.extra)
+		c.since(c.waitH, t0)
+	}
+	t0, staged := c.now(), r.flushes
 	for i := 0; i < r.width(); i++ {
 		if q := r.at(i); q.wb {
 			r.flushes++
 			r.cover(q.file.dev, q.file.flushDevice())
 		}
+	}
+	if r.flushes > staged {
+		c.since(c.flushH, t0)
 	}
 	c.disk.Barrier()
 	width := r.width()
@@ -282,12 +311,13 @@ func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 	c.handoff()
 }
 
-// stage gets members' bytes to the device. In-place files are written
-// back, all submitted before any is waited for so their I/Os overlap,
-// after one yield — SyncDevice's, made by the stage because it is the
-// stage that blocks. Every other member, and one whose write-back the
-// kernel refused, then takes its own SyncDevice; coming after the waits,
-// a FileStorage's also covers what the round has written back so far.
+// stage sees members' bytes onto the device. In-place files are waited
+// for — each owner submitted its own range before it queued, so their
+// I/Os have overlapped since, with each other and with the round then in
+// progress — after one yield: SyncDevice's, made by the stage because it
+// is the stage that blocks. Every other member, and one whose write-back
+// the kernel refused, then takes its own SyncDevice; coming after the
+// waits, a FileStorage's also covers what the round has written back.
 func (r *round) stage(members []*syncReq) {
 	yielded := false
 	for _, q := range members {
@@ -296,11 +326,6 @@ func (r *round) stage(members []*syncReq) {
 				runtime.Gosched()
 				yielded = true
 			}
-			q.wb, q.err = q.file.writeBack(opWriteBack)
-		}
-	}
-	for _, q := range members {
-		if q.wb {
 			if q.wb, q.err = q.file.writeBack(opWriteBackWait); q.wb {
 				r.writebacks++
 			}
@@ -315,6 +340,21 @@ func (r *round) stage(members []*syncReq) {
 		if q.file != nil && q.err == nil {
 			r.cover(q.file.dev, nil)
 		}
+	}
+}
+
+// now and since time a step into h with metrics on, and read no clock
+// with them off.
+func (c *SyncCoalescer) now() (t time.Time) {
+	if c.metricsOn {
+		t = time.Now()
+	}
+	return t
+}
+
+func (c *SyncCoalescer) since(h *metrics.Histogram, t0 time.Time) {
+	if c.metricsOn {
+		h.ObserveSince(c.node, t0)
 	}
 }
 

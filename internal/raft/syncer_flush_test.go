@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ooc/internal/metrics"
 )
 
 // sysCall is one durability syscall as syscallHook saw it: start and end
@@ -216,19 +219,27 @@ func TestCoalescedRoundFlushesOnce(t *testing.T) {
 }
 
 // heldRound starts a flush of lead in its own goroutine and holds the
-// round it leads inside the leader's write-back until release is called,
-// so the test can park exactly the arrivals it wants absorbed. The
-// returned channel carries lead's result.
+// round it leads at the head of the leader's write-back wait — the first
+// call the round makes; the flush's own submit has gone by then — until
+// release is called, so the test can park exactly the arrivals it wants
+// absorbed. The returned channel carries lead's result.
 func heldRound(t *testing.T, lead *testWAL, fail func(op string, f *os.File) error) (log *sysLog, release func(), done chan error) {
 	t.Helper()
+	return heldAt(t, opWriteBackWait, lead, fail)
+}
+
+// heldAt is heldRound with the held call named: the one call of op the
+// flush makes on lead's file.
+func heldAt(t *testing.T, op string, lead *testWAL, fail func(op string, f *os.File) error) (log *sysLog, release func(), done chan error) {
+	t.Helper()
 	gate, entered := make(chan struct{}), make(chan struct{})
-	log = installSysLog(t, func(op string, f *os.File) error {
-		if op == "writeback" && f == lead.f {
+	log = installSysLog(t, func(o string, f *os.File) error {
+		if o == op && f == lead.f {
 			close(entered)
 			<-gate
 		}
 		if fail != nil {
-			return fail(op, f)
+			return fail(o, f)
 		}
 		return nil
 	})
@@ -275,7 +286,7 @@ func TestExtendingMemberFlushesForTheRound(t *testing.T) {
 	if b.alloc == bAlloc || b.inPlace {
 		t.Fatalf("b's flush was meant to extend its run-ahead: alloc %d → %d, inPlace %v", bAlloc, b.alloc, b.inPlace)
 	}
-	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:c writeback-wait:c fdatasync:b"; got != want {
+	if got, want := log.ops(0, names), "writeback:a writeback:c writeback-wait:a writeback-wait:c fdatasync:b"; got != want {
 		t.Fatalf("syscalls = %q, want %q", got, want)
 	}
 	for i, w := range []*testWAL{a, b, c} {
@@ -319,7 +330,7 @@ func TestForeignTargetBesideInPlaceFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:b writeback-wait:b fdatasync:a"; got != want {
+	if got, want := log.ops(0, names), "writeback:a writeback:b writeback-wait:a writeback-wait:b fdatasync:a"; got != want {
 		t.Fatalf("syscalls = %q, want %q", got, want)
 	}
 	if foreign.count() != 1 || sc.Barriers() != barriers+1 {
@@ -368,5 +379,96 @@ func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
 			t.Fatalf("flush %d after Load: %+d fdatasyncs, %+d rounds, width %d; want +1, +1, 1",
 				i, s.Syncs()-syncs, sc.Barriers()-barriers, s.LastBarrierWidth())
 		}
+	}
+}
+
+// The submit is the owner's, not the round's: a flush starts its own
+// write-back before it queues, so the device works on b's bytes while a's
+// round is still at its flush, before any round has taken b up. What
+// releases b is the three-flag wait in its own round, then a device flush
+// that began after it.
+func TestParkedFlushHasSubmittedItsWriteBack(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sc := NewSyncCoalescer(SyncerConfig{Metrics: reg})
+	dir := t.TempDir()
+	a := openGrownWAL(t, filepath.Join(dir, "a.wal"), sc)
+	b := openGrownWAL(t, filepath.Join(dir, "b.wal"), sc)
+	names := map[*os.File]string{a.f: "a", b.f: "b"}
+	barriers, before := sc.Barriers(), reg.Snapshot()
+
+	log, release, aDone := heldAt(t, opFdatasync, a, nil) // past the absorb: b waits for the next round
+	lo := log.clock.Add(1)
+	bDone := flushParked(t, sc, b, 40, 1)
+	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:b"; got != want {
+		t.Fatalf("with b parked behind a's flush: syscalls = %q, want %q", got, want)
+	}
+	release()
+	for _, done := range []chan error{aDone, bDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	hi := log.clock.Add(1)
+	if got, want := log.ops(0, names), "writeback:a writeback-wait:a writeback:b fdatasync:a writeback-wait:b fdatasync:b"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
+	}
+	if !log.covered(b.FileStorage, lo, hi) {
+		t.Fatal("b returned with no device flush after its three-flag wait")
+	}
+	if sc.Barriers() != barriers+2 || b.LastBarrierWidth() != 1 {
+		t.Fatalf("b was meant to lead a round of its own: %d rounds, width %d", sc.Barriers()-barriers, b.LastBarrierWidth())
+	}
+	// The round's length is on /metrics: two rounds of one stage and one
+	// closing flush each, and b parked for as long as a's flush was held.
+	after := reg.Snapshot()
+	for name, want := range map[string]int64{
+		metrics.Label("raft_sync_stage_seconds", "node", "0", "stage", "wait"):  2,
+		metrics.Label("raft_sync_stage_seconds", "node", "0", "stage", "flush"): 2,
+		metrics.Label("raft_sync_parked_seconds", "node", "0"):                  1,
+	} {
+		h := after.Histograms[name]
+		if got := h.Count - before.Histograms[name].Count; got != want || h.Sum <= before.Histograms[name].Sum {
+			t.Errorf("%s: %+d observations, sum %v → %v; want %+d and time on them", name, got, before.Histograms[name].Sum, h.Sum, want)
+		}
+	}
+}
+
+// A round of one is submit, yield, wait, flush: the stage-head yield has
+// the file's I/O under it. At one P a witness readied just before the
+// append runs at that yield (all but every 61st, when the scheduler serves
+// the yielder first) and finds the submit, and only the submit, logged.
+func TestYieldFallsBetweenSubmitAndWait(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const appends = 60
+	sc := NewSyncCoalescer(SyncerConfig{})
+	a := openGrownWAL(t, filepath.Join(t.TempDir(), "a.wal"), sc)
+	names := map[*os.File]string{a.f: "a"}
+	log := installSysLog(t, nil)
+
+	ready, saw := make(chan struct{}), make(chan int, 1)
+	defer close(ready)
+	go func() {
+		for range ready {
+			saw <- log.len()
+		}
+	}()
+	between := 0
+	for i := 0; i < appends; i++ {
+		runtime.Gosched() // the witness is parked on ready again
+		from := log.len()
+		ready <- struct{}{}
+		if err := a.append(40); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := log.ops(from, names), "writeback:a writeback-wait:a fdatasync:a"; got != want {
+			t.Fatalf("append %d: syscalls = %q, want %q", i, got, want)
+		}
+		if <-saw == from+1 {
+			between++
+		}
+	}
+	t.Logf("witness ran between submit and wait in %d of %d", between, appends)
+	if between < appends*3/4 {
+		t.Fatalf("the yield fell between the submit and the wait in %d of %d flushes, want at least %d", between, appends, appends*3/4)
 	}
 }

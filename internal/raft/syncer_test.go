@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -173,8 +172,9 @@ func TestSyncerErrorIsolation(t *testing.T) {
 		}
 	})
 
-	// Rounds of real files, each led by a and held in a's write-back
-	// while b, and in one case a foreign target, park behind it.
+	// Rounds of real files, each led by a and held at the head of a's
+	// write-back wait while b, and in one case a foreign target, park
+	// behind it: b's own submit is in the log before a's wait.
 	type result struct{ a, b, foreign error }
 	run := func(t *testing.T, withForeign bool, fail func(a, b *testWAL) func(string, *os.File) error) (a, b *testWAL, log *sysLog, r result) {
 		sc := NewSyncCoalescer(SyncerConfig{})
@@ -194,20 +194,24 @@ func TestSyncerErrorIsolation(t *testing.T) {
 		return a, b, log, result{<-aDone, <-bDone, <-foreignDone}
 	}
 	names := func(a, b *testWAL) map[*os.File]string { return map[*os.File]string{a.f: "a", b.f: "b"} }
-
-	t.Run("write-back failure is the request's own", func(t *testing.T) {
-		a, b, log, r := run(t, false, func(_, b *testWAL) func(string, *os.File) error {
-			return func(op string, f *os.File) error {
-				if op == "writeback-wait" && f == b.f {
-					return syscall.EIO
+	// failB fails op on b's file with err.
+	failB := func(op string, err error) func(a, b *testWAL) func(string, *os.File) error {
+		return func(_, b *testWAL) func(string, *os.File) error {
+			return func(o string, f *os.File) error {
+				if o == op && f == b.f {
+					return err
 				}
 				return nil
 			}
-		})
+		}
+	}
+
+	t.Run("write-back failure is the request's own", func(t *testing.T) {
+		a, b, log, r := run(t, false, failB(opWriteBackWait, syscall.EIO))
 		if r.a != nil || !errors.Is(r.b, syscall.EIO) {
 			t.Fatalf("a: %v, b: %v; want nil, EIO", r.a, r.b)
 		}
-		if got, want := log.ops(0, names(a, b)), "writeback:a writeback-wait:a writeback:b writeback-wait:b fdatasync:a"; got != want {
+		if got, want := log.ops(0, names(a, b)), "writeback:a writeback:b writeback-wait:a writeback-wait:b fdatasync:a"; got != want {
 			t.Fatalf("syscalls = %q, want %q", got, want)
 		}
 	})
@@ -226,31 +230,70 @@ func TestSyncerErrorIsolation(t *testing.T) {
 		}
 	})
 
-	t.Run("ENOSYS demotes the file and the round succeeds", func(t *testing.T) {
-		a, b, log, r := run(t, false, func(_, b *testWAL) func(string, *os.File) error {
-			return func(op string, f *os.File) error {
-				if strings.HasPrefix(op, "writeback") && f == b.f {
-					return syscall.ENOSYS
-				}
-				return nil
+	// The kernel may refuse either call. Refused at the round's wait, b is
+	// demoted there; refused at its own submit, b is demoted before it
+	// queues and the round never waits on it. Either way b's own fdatasync
+	// comes after a's wait, so it closes the round, and b flushes alone
+	// from then on.
+	for _, tc := range []struct{ name, op, want string }{
+		{"ENOSYS demotes the file and the round succeeds", opWriteBackWait,
+			"writeback:a writeback:b writeback-wait:a writeback-wait:b fdatasync:b"},
+		{"ENOSYS from the early submit demotes the file before it queues", opWriteBack,
+			"writeback:a writeback:b writeback-wait:a fdatasync:b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, log, r := run(t, false, failB(tc.op, syscall.ENOSYS))
+			if r.a != nil || r.b != nil {
+				t.Fatalf("a: %v, b: %v; want nil, nil", r.a, r.b)
+			}
+			if got := log.ops(0, names(a, b)); got != tc.want {
+				t.Fatalf("syscalls = %q, want %q", got, tc.want)
+			}
+			if !a.overwrites || b.overwrites {
+				t.Fatalf("eligible after the round: a %v, b %v; want true, false", a.overwrites, b.overwrites)
+			}
+			from := log.len()
+			if err := b.append(40); err != nil {
+				t.Fatal(err)
+			}
+			if got := log.ops(from, names(a, b)); got != "fdatasync:b" {
+				t.Fatalf("demoted file's next flush: syscalls = %q, want its own fdatasync alone", got)
 			}
 		})
-		if r.a != nil || r.b != nil {
-			t.Fatalf("a: %v, b: %v; want nil, nil", r.a, r.b)
+	}
+
+	// The early submit runs on the owner's goroutine, outside any round:
+	// its failure is that flush's own, returned while a's round is still
+	// held, with nothing parked and no round spent on it.
+	t.Run("EIO from the early submit is the flush's own and takes no round", func(t *testing.T) {
+		sc := NewSyncCoalescer(SyncerConfig{})
+		dir := t.TempDir()
+		a := openGrownWAL(t, filepath.Join(dir, "a.wal"), sc)
+		b := openGrownWAL(t, filepath.Join(dir, "b.wal"), sc)
+		requests, barriers := sc.Requests(), sc.Barriers()
+		log, release, aDone := heldRound(t, a, failB(opWriteBack, syscall.EIO)(a, b))
+		if err := b.append(40); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("b: %v, want EIO", err)
 		}
-		// b's own fdatasync came after a's write-back, so it closed the round.
-		if got, want := log.ops(0, names(a, b)), "writeback:a writeback-wait:a writeback:b fdatasync:b"; got != want {
+		if b.overwrites || b.synced != b.pos {
+			t.Fatalf("after the failed submit: b eligible %v, synced %d of %d; want false, all", b.overwrites, b.synced, b.pos)
+		}
+		release()
+		if err := <-aDone; err != nil {
+			t.Fatalf("a: %v, want nil", err)
+		}
+		if got, want := log.ops(0, names(a, b)), "writeback:a writeback:b writeback-wait:a fdatasync:a"; got != want {
 			t.Fatalf("syscalls = %q, want %q", got, want)
 		}
-		if !a.overwrites || b.overwrites {
-			t.Fatalf("eligible after the round: a %v, b %v; want true, false", a.overwrites, b.overwrites)
+		if sc.Requests() != requests+1 || sc.Barriers() != barriers+1 {
+			t.Fatalf("%+d requests, %+d rounds; want a's alone", sc.Requests()-requests, sc.Barriers()-barriers)
 		}
 		from := log.len()
 		if err := b.append(40); err != nil {
 			t.Fatal(err)
 		}
 		if got := log.ops(from, names(a, b)); got != "fdatasync:b" {
-			t.Fatalf("demoted file's next flush: syscalls = %q, want its own fdatasync alone", got)
+			t.Fatalf("b's next flush: syscalls = %q, want its own fdatasync alone", got)
 		}
 	})
 }
@@ -321,6 +364,23 @@ func TestSyncerPerGroupNeverCoalesces(t *testing.T) {
 	if c.Requests() != 200 || c.Barriers() != 200 || c.Coalesced() != 0 {
 		t.Fatalf("requests/barriers/coalesced = %d/%d/%d, want 200/200/0",
 			c.Requests(), c.Barriers(), c.Coalesced())
+	}
+}
+
+// And a FileStorage under it makes the one call a store with no syncer
+// makes: no round will wait for a write-back, so its flush submits none.
+func TestSyncerPerGroupFlushIsOneFdatasync(t *testing.T) {
+	sc := NewSyncCoalescer(SyncerConfig{PerGroup: true})
+	a := openGrownWAL(t, filepath.Join(t.TempDir(), "a.wal"), sc)
+	log := installSysLog(t, nil)
+	if err := a.append(40); err != nil {
+		t.Fatal(err)
+	}
+	if !a.inPlace {
+		t.Fatal("the flush was meant to stay in place")
+	}
+	if got, want := log.ops(0, map[*os.File]string{a.f: "a"}), "fdatasync:a"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
 	}
 }
 
