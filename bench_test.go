@@ -535,45 +535,13 @@ func BenchmarkE14RaftThroughput(b *testing.B) {
 }
 
 // BenchmarkE16MultiShard: experiment E16 — one closed-loop multi-Raft
-// window (2 shards over 3 nodes, file storage). Asserts the shard
-// router spread work across groups and leadership across nodes; reports
-// aggregate committed ops/sec.
-func BenchmarkE16MultiShard(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunMultiShard(bench.MultiShardConfig{
-			Nodes:           3,
-			Shards:          2,
-			ClientsPerShard: 8,
-			Duration:        200 * time.Millisecond,
-			Seed:            uint64(i) + 1,
-			FileStorage:     true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Ops == 0 {
-			b.Fatal("no ops committed")
-		}
-		for s, n := range res.PerShardOps {
-			if n == 0 {
-				b.Fatalf("shard %d committed nothing: router funnelled %v", s, res.PerShardOps)
-			}
-		}
-		if res.LeaderSpread < 2 {
-			b.Fatalf("leaders on %d node(s), placement %v", res.LeaderSpread, res.LeaderPlacement)
-		}
-		b.ReportMetric(res.OpsPerSec, "ops/sec")
-		b.ReportMetric(res.FsyncsPerOp, "fsyncs/op")
-	}
-}
-
-// BenchmarkE18GroupCommit: experiment E18 — one closed-loop multi-Raft
 // window (4 shards over 3 nodes, file storage) with all of a node's
-// replicas sharing one modeled 2ms device, sync coalescing on. Asserts
-// the node-wide syncer actually merged flushes (mean barrier width above
-// 1) and reports ops/sec plus the device-barrier cost per op.
-func BenchmarkE18GroupCommit(b *testing.B) {
+// replicas sharing one modeled 2ms device. Asserts the shard router
+// spread work across groups and leadership across nodes, and that the
+// node-wide syncer recorded barriers and merged flushes (mean barrier
+// width above 1); reports aggregate committed ops/sec plus the
+// device-barrier cost per op.
+func BenchmarkE16MultiShard(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := bench.RunMultiShard(bench.MultiShardConfig{
@@ -592,6 +560,14 @@ func BenchmarkE18GroupCommit(b *testing.B) {
 		if res.Ops == 0 {
 			b.Fatal("no ops committed")
 		}
+		for s, n := range res.PerShardOps {
+			if n == 0 {
+				b.Fatalf("shard %d committed nothing: router funnelled %v", s, res.PerShardOps)
+			}
+		}
+		if res.LeaderSpread < 2 {
+			b.Fatalf("leaders on %d node(s), placement %v", res.LeaderSpread, res.LeaderPlacement)
+		}
 		if res.Barriers == 0 {
 			b.Fatal("no device barriers recorded: syncer not wired")
 		}
@@ -600,6 +576,7 @@ func BenchmarkE18GroupCommit(b *testing.B) {
 				res.MeanWidth, res.Barriers)
 		}
 		b.ReportMetric(res.OpsPerSec, "ops/sec")
+		b.ReportMetric(res.FsyncsPerOp, "fsyncs/op")
 		b.ReportMetric(res.BarriersPerOp, "barriers/op")
 		b.ReportMetric(res.MeanWidth, "width")
 	}

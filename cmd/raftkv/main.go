@@ -38,12 +38,6 @@ import (
 	"ooc/internal/transport"
 )
 
-// wireCodec is the TCP encoding selected by -codec; demo and server
-// modes pass it to every transport they open. Bench mode runs over the
-// in-memory simulator, which passes payloads by reference — the codec
-// reaches its numbers through the storage path there.
-var wireCodec transport.Codec
-
 // tracer samples per-request spans when -trace-sample > 0 (nil
 // otherwise: every hook no-ops). flights holds one flight recorder per
 // in-process node when -flight-dir is set (nil otherwise), dumping to
@@ -53,18 +47,13 @@ var (
 	flights []*rtrace.Flight
 )
 
-// syncCoalesce mirrors -sync-coalesce (default true): persistent modes
-// install a per-node sync coalescer so concurrent durability barriers
-// from co-located Raft groups merge into one device flush. false keeps
-// the per-group fsync baseline in the same binary.
 // deviceLatency mirrors -device-latency: a modeled shared-device cost
-// per barrier for the multi-shard bench (the E18 fixture).
+// per barrier for the multi-shard bench (the E16 fixture).
 // shardTrace is the multi-shard bench's protocol recorder (non-nil only
 // when -shard-trace-out is set): it captures mux-tagged message events
 // plus per-flush fsync notes, the input for ooctrace's per-channel
 // fsyncs/width columns.
 var (
-	syncCoalesce  bool
 	deviceLatency time.Duration
 	shardTrace    *trace.Recorder
 )
@@ -110,16 +99,13 @@ func main() {
 		lease     = flag.Duration("lease", 0, "leader lease duration (0 disables; reads with -read-consistency lease skip the quorum round while it holds)")
 		readRatio = flag.Float64("read-ratio", 0, "bench mode: fraction of ops that are reads (0 = write-only E14 loop)")
 		shards    = flag.Int("shards", 1, "split the keyspace across this many independent Raft groups (demo and bench modes)")
-		codecName = flag.String("codec", "binary", "TCP wire encoding: binary (hand-rolled zero-alloc codec) | gob (compatibility oracle)")
 		sample    = flag.Float64("trace-sample", 0, "per-request tracing sample rate in [0,1]; 0 disables (span timelines dump to -trace-out for ooctrace -request)")
 		traceOut  = flag.String("trace-out", "", "write sampled span timelines to this JSON file on exit (requires -trace-sample > 0)")
 		flightDir = flag.String("flight-dir", "", "arm per-node flight recorders dumping recent events to this directory on anomalies (elections, lease expiries, mux backlog drops)")
-		coalesce  = flag.Bool("sync-coalesce", true, "coalesce concurrent fsyncs from co-located Raft groups into one device barrier per node; false = per-group fsync baseline")
-		devLat    = flag.Duration("device-latency", 0, "bench mode with -shards>1: model one shared storage device per node with this latency per durability barrier (the E18 fixture; 0 disables)")
+		devLat    = flag.Duration("device-latency", 0, "bench mode with -shards>1: model one shared storage device per node with this latency per durability barrier (the E16 fixture; 0 disables)")
 		shardTr   = flag.String("shard-trace-out", "", "bench mode with -shards>1: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
 	)
 	flag.Parse()
-	syncCoalesce = *coalesce
 	deviceLatency = *devLat
 	if *shardTr != "" {
 		if !*benchMode || *shards <= 1 {
@@ -134,15 +120,6 @@ func main() {
 	readMode, err := raft.ParseReadConsistency(*readCons)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "raftkv: %v\n", err)
-		os.Exit(1)
-	}
-	switch *codecName {
-	case "binary":
-		wireCodec = transport.Binary
-	case "gob":
-		wireCodec = transport.Gob
-	default:
-		fmt.Fprintf(os.Stderr, "raftkv: unknown -codec %q (binary | gob)\n", *codecName)
 		os.Exit(1)
 	}
 
@@ -248,7 +225,6 @@ func runBench(n, clients int, duration time.Duration, disk bool, seed uint64,
 		ReadRatio:     readRatio,
 		ReadMode:      readMode,
 		LeaseDuration: lease,
-		SyncCoalesce:  syncCoalesce,
 	})
 	if err != nil {
 		return err
@@ -300,7 +276,7 @@ func flightFor(id int) *rtrace.Flight {
 
 func runDemo(n int, lease time.Duration, reg *metrics.Registry) error {
 	fmt.Printf("starting %d-node raft kv cluster on loopback TCP...\n", n)
-	eps, err := transport.NewLocalCluster(n, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}
@@ -419,7 +395,7 @@ func runServer(id int, peers []string, readMode raft.ReadConsistency, lease time
 	if readMode == raft.ReadLogCommand {
 		return fmt.Errorf("-read-consistency log is a benchmark baseline; server mode serves linearizable, lease, or stale")
 	}
-	ep, err := transport.Listen(id, peers, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	ep, err := transport.Listen(id, peers, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}

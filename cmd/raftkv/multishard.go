@@ -28,9 +28,6 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		mix = fmt.Sprintf("%.0f%% %v reads", readRatio*100, readMode)
 	}
 	fsync := "coalesced"
-	if !syncCoalesce {
-		fsync = "per-group"
-	}
 	if deviceLatency > 0 {
 		fsync += fmt.Sprintf(", %v shared device", deviceLatency)
 	}
@@ -50,7 +47,6 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		ReadMode:        readMode,
 		LeaseDuration:   lease,
 		DeviceLatency:   deviceLatency,
-		PerGroupFsync:   !syncCoalesce,
 		Recorder:        shardTrace,
 	})
 	if err != nil {
@@ -85,7 +81,7 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 // comes back through the owning group's fast path.
 func runMultiShardDemo(n, shards int, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
 	fmt.Printf("starting %d-node / %d-shard raft kv cluster on loopback TCP...\n", n, shards)
-	eps, err := transport.NewLocalCluster(n, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}

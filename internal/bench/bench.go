@@ -169,7 +169,6 @@ func Experiments() []Experiment {
 		{ID: "E14", Name: "Raft closed-loop throughput: coalescing, group commit, pipelining", Run: RunE14, WallClock: true},
 		{ID: "E15", Name: "Raft linearizable reads: ReadIndex, leases, and batching vs the log-command baseline", Run: RunE15, WallClock: true},
 		{ID: "E16", Name: "Multi-Raft scaling: sharded keyspace over independent consensus groups", Run: RunE16, WallClock: true},
-		{ID: "E18", Name: "Shared-disk group commit: per-node sync coalescing across Raft groups", Run: RunE18, WallClock: true},
 	}
 }
 

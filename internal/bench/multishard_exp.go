@@ -35,19 +35,15 @@ type MultiShardConfig struct {
 	Seed            uint64
 	// FileStorage gives every (node, shard) replica its own on-disk log
 	// in Dir (a temp dir when empty) — the configuration where sharding
-	// pays, because independent leaders run independent fsync queues.
+	// pays, because independent leaders run independent group-commit
+	// pipelines.
 	FileStorage bool
 	Dir         string
-	// FsyncFloor, when > 0, wraps each replica's store in raft.SlowDisk
-	// so every durability barrier costs at least this long — pinning the
-	// device term of the latency equation to a known constant instead of
-	// whatever the host's disk felt like this minute. Scaling numbers
-	// with a floor compare topologies; without one they compare runs.
-	FsyncFloor time.Duration
 	// ElectionTimeout/HeartbeatInterval override the bench defaults.
 	// Slow modeled disks need a wider election timeout: every barrier
-	// stalls a node's loop for the floor, and an in-window election is a
-	// multi-heartbeat throughput hole that reads as a scaling loss.
+	// stalls a node's loop for the device latency, and an in-window
+	// election is a multi-heartbeat throughput hole that reads as a
+	// scaling loss.
 	ElectionTimeout   time.Duration
 	HeartbeatInterval time.Duration
 	// Metrics, if non-nil, receives the cluster-level telemetry (leader
@@ -71,14 +67,11 @@ type MultiShardConfig struct {
 	// DeviceLatency, when > 0, models each node's *shared* storage
 	// device (shard.Config.DeviceLatency → one raft.Disk per node):
 	// every durability barrier from any of the node's groups pays this
-	// latency, and concurrent barriers serialize. Contrast FsyncFloor,
-	// which models an independent device per replica (raft.SlowDisk).
-	// E18 uses DeviceLatency; E16 keeps FsyncFloor.
+	// latency, and concurrent barriers serialize — pinning the device
+	// term of the latency equation to a known constant instead of
+	// whatever the host's disk felt like this minute. The node-wide
+	// syncer coalesces its groups' flushes onto those barriers.
 	DeviceLatency time.Duration
-	// PerGroupFsync disables cross-group sync coalescing (the pre-PR10
-	// baseline): each group's flush pays its own serialized device
-	// barrier. Zero means the node-wide syncer coalesces them.
-	PerGroupFsync bool
 	// Recorder, when set, captures the run's protocol trace: mux-tagged
 	// message events from the simulated network plus per-flush fsync
 	// notes from every replica's storage (shard.Config.Recorder), the
@@ -102,7 +95,7 @@ type MultiShardResult struct {
 	// into; Fsyncs follows it down where a round can write its files back
 	// and flush once (raft.SyncCoalescer). MeanWidth is
 	// how many group flushes the average barrier covered (Requests /
-	// Barriers; 1.0 when nothing coalesced or PerGroupFsync is set).
+	// Barriers; 1.0 when nothing coalesced).
 	Barriers      int64
 	BarriersPerOp float64
 	MeanWidth     float64
@@ -181,9 +174,6 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 			filesMu.Lock()
 			files = append(files, fs)
 			filesMu.Unlock()
-			if cfg.FsyncFloor > 0 {
-				return raft.NewSlowDisk(fs, cfg.FsyncFloor), nil
-			}
 			return fs, nil
 		}
 	}
@@ -201,7 +191,6 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Metrics:           cfg.Metrics,
 		ShardMetrics:      cfg.ShardMetrics,
 		DeviceLatency:     cfg.DeviceLatency,
-		PerGroupFsync:     cfg.PerGroupFsync,
 		Recorder:          cfg.Recorder,
 	})
 	if err != nil {
@@ -384,32 +373,35 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	return res, nil
 }
 
-// e16FsyncFloor is the modeled device latency per durability barrier in
-// E16 (a commodity-SSD-class fsync). Without it the experiment compares
+// e16DeviceLatency is the modeled device latency per durability barrier
+// in E16 (a commodity-SSD-class fsync), paid at one raft.Disk per node and
+// shared by all of the node's groups. Without it the experiment compares
 // host storage moods, not topologies: on shared infrastructure a
 // page-cache-fast fsync lets one un-batched client saturate the device
 // from a single group (no headroom for sharding to claim), while a slow
-// minute shows near-linear scaling — the same binary, 10x apart. The
-// floor pins the term the architecture is designed around: one group =
-// one serialized fsync queue.
-const e16FsyncFloor = 2 * time.Millisecond
+// minute shows near-linear scaling — the same binary, 10x apart. One
+// device per node is the deployment where groups' flushes collide, so
+// the curve shows what the node-wide SyncCoalescer makes of it.
+const e16DeviceLatency = 2 * time.Millisecond
 
 // RunE16 measures multi-Raft scaling end to end: the same 3-node
 // machine, the keyspace hash-split across 1/2/4/8 groups, one pinned
-// closed-loop client per shard, file storage with a modeled 1ms device
-// latency per fsync (see e16FsyncFloor). One group's throughput is
-// bounded by its single leader's serialized commit pipeline — latency
-// per group-commit round, not CPU — so independent groups with leaders
-// spread across nodes overlap those rounds and aggregate ops/sec climbs
-// until the fsync device or the CPU saturates. speedup_vs_1shard is the
-// headline column; leader_spread verifies the placement half of the
-// design actually happened.
+// closed-loop client per shard, file storage, and one modeled 2ms device
+// per node (see e16DeviceLatency) under the node's SyncCoalescer. One
+// group's throughput is bounded by its single leader's serialized commit
+// pipeline — latency per group-commit round, not CPU — so independent
+// groups with leaders spread across nodes overlap those rounds, and their
+// concurrent flushes share a node's device barriers, so aggregate ops/sec
+// climbs until the device or the CPU saturates. speedup_vs_1shard is the
+// headline column; barriers_per_op and mean_width show the sharing, and
+// leader_spread verifies the placement half of the design actually
+// happened.
 func RunE16(s Suite) (Table, error) {
 	tbl := Table{
 		ID:    "E16",
-		Title: "Multi-Raft scaling: hash-split keyspace over independent groups, closed loop, file storage + 1ms fsync floor",
+		Title: "Multi-Raft scaling: hash-split keyspace over independent groups, closed loop, file storage + one 2ms device per node",
 		Columns: []string{"shards", "clients", "trials", "ops", "ops_per_sec", "speedup_vs_1shard",
-			"p50_ms", "p99_ms", "fsyncs_per_op", "leader_spread", "rebalances", "key_imbalance"},
+			"p50_ms", "p99_ms", "fsyncs_per_op", "barriers_per_op", "mean_width", "leader_spread", "rebalances", "key_imbalance"},
 	}
 	shardCounts := []int{1, 2, 4, 8}
 	duration := 500 * time.Millisecond
@@ -433,7 +425,7 @@ func RunE16(s Suite) (Table, error) {
 			}
 			shardMetrics = func(i int) *metrics.Registry { return shardRegs[i] }
 		}
-		var opsPerSec, p50, p99, fsyncsPerOp, imbalance stats
+		var opsPerSec, p50, p99, fsyncsPerOp, barriersPerOp, meanWidth, imbalance stats
 		ops, spreadMin, rebalances := 0, 0, 0
 		for trial := 0; trial < trials; trial++ {
 			res, err := RunMultiShard(MultiShardConfig{
@@ -443,11 +435,11 @@ func RunE16(s Suite) (Table, error) {
 				Duration:        duration,
 				Seed:            s.BaseSeed + uint64(shards*10+trial),
 				FileStorage:     true,
-				FsyncFloor:      e16FsyncFloor,
-				// ~100 modeled barriers of headroom before a follower
-				// suspects its leader; keeps failover machinery out of a
-				// window that measures steady-state replication.
-				ElectionTimeout: 100 * time.Millisecond,
+				DeviceLatency:   e16DeviceLatency,
+				// An 8-shard node can queue several 2ms barriers ahead of a
+				// replica's flush; the headroom keeps failover machinery out
+				// of a window that measures steady-state replication.
+				ElectionTimeout: 150 * time.Millisecond,
 				Metrics:         reg,
 				ShardMetrics:    shardMetrics,
 			})
@@ -459,6 +451,8 @@ func RunE16(s Suite) (Table, error) {
 			p50.add(res.P50.Seconds() * 1000)
 			p99.add(res.P99.Seconds() * 1000)
 			fsyncsPerOp.add(res.FsyncsPerOp)
+			barriersPerOp.add(res.BarriersPerOp)
+			meanWidth.add(res.MeanWidth)
 			imbalance.add(res.KeyImbalance)
 			rebalances += res.Rebalances
 			if trial == 0 || res.LeaderSpread < spreadMin {
@@ -474,7 +468,7 @@ func RunE16(s Suite) (Table, error) {
 			speedup = mean / base
 		}
 		tbl.AddRow(shards, shards, trials, ops, mean, speedup,
-			p50.mean(), p99.mean(), fsyncsPerOp.mean(), spreadMin, rebalances, imbalance.mean())
+			p50.mean(), p99.mean(), fsyncsPerOp.mean(), barriersPerOp.mean(), meanWidth.mean(), spreadMin, rebalances, imbalance.mean())
 		if s.CollectMetrics {
 			tbl.attachMetrics(fmt.Sprintf("shards=%d", shards), reg.Snapshot())
 			for i, sreg := range shardRegs {
@@ -485,9 +479,10 @@ func RunE16(s Suite) (Table, error) {
 	tbl.Notes = append(tbl.Notes,
 		"weak scaling: one closed-loop client pinned per shard, so per-shard offered load is constant as groups are added",
 		"the 1-shard row is the un-amortized floor: a lone client gets no proposal batching, so each op pays a full group-commit round (fsyncs_per_op ≈ replicas)",
-		"each (node, shard) replica persists to its own log file: S groups run S independent group-commit fsync queues",
-		"every barrier pays a modeled 1ms device latency (raft.SlowDisk over FileStorage) so the scaling curve measures the topology, not the benchmark host's storage speed of the minute; real fsyncs still run and are counted underneath",
-		"speedup_vs_1shard > 1 is leaders' commit pipelines overlapping; the ceiling is the modeled device, then the CPU",
+		"each (node, shard) replica persists to its own log file, and all of a node's replicas share ONE modeled 2ms device (shard.Config.DeviceLatency → raft.Disk) so the scaling curve measures the topology, not the benchmark host's storage speed of the minute; real fsyncs still run and are counted underneath",
+		"one raft.SyncCoalescer per node parks concurrent group flushes on a shared barrier; barriers_per_op is the node-wide device-barrier count per committed op, mean_width = sync requests / barriers paid",
+		"fsyncs_per_op counts real fdatasync calls underneath the modeled barrier: one per round where the filesystem overwrites in place (the round writes its files back, then flushes once), one per flush elsewhere",
+		"speedup_vs_1shard > 1 is leaders' commit pipelines overlapping and sharing barriers; the ceiling is the modeled device, then the CPU",
 		"leader_spread is the minimum over trials of distinct nodes leading ≥1 shard at window end (placement check)",
 		"key_imbalance is max/mean keys per shard over the workload key table — near 1.0 rules out a hot-shard artifact",
 		"E14 measures the same machine's single group under a saturating 8-client load — the batch-amortized ceiling one leader can reach")

@@ -36,20 +36,14 @@ type ThroughputConfig struct {
 	Seed     uint64
 	// FileStorage routes every node's persistence through an on-disk
 	// store in Dir (a temp dir when empty) — the fsync-bound configuration
-	// group commit exists for. Otherwise nodes run MemStorage.
+	// group commit exists for — on a per-node raft.SyncCoalescer, which
+	// with one group per node runs every barrier at width 1. Otherwise
+	// nodes run MemStorage.
 	FileStorage bool
 	Dir         string
 	// Metrics, if non-nil, instruments the nodes (batch-size and inflight
 	// histograms land here).
 	Metrics *metrics.Registry
-	// SyncCoalesce installs a per-node raft.SyncCoalescer under each
-	// node's FileStorage even though every node here runs a single group
-	// — the degenerate case of the PR10 cross-group coalescer, where
-	// every barrier has width 1. Durability behavior is identical to the
-	// direct-fsync path; the zero-overhead gate
-	// (TestE18SingleGroupOverhead) holds this configuration to ≤3% of
-	// the uncoalesced one. No effect without FileStorage.
-	SyncCoalesce bool
 	// Pipeline knobs; zero values take the raft.Config defaults.
 	MaxEntriesPerAppend int
 	MaxInflightAppends  int
@@ -137,6 +131,7 @@ func RunRaftThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	}()
 	for id := 0; id < cfg.Nodes; id++ {
 		var store raft.Storage
+		var syncer *raft.SyncCoalescer
 		if cfg.FileStorage {
 			fs, err := raft.OpenFileStorage(filepath.Join(dir, fmt.Sprintf("node-%d.log", id)))
 			if err != nil {
@@ -148,12 +143,9 @@ func RunRaftThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			}
 			files = append(files, fs)
 			store = fs
+			syncer = raft.NewSyncCoalescer(raft.SyncerConfig{Metrics: cfg.Metrics, Node: id})
 		} else {
 			store = raft.NewMemStorage()
-		}
-		var syncer *raft.SyncCoalescer
-		if cfg.SyncCoalesce && cfg.FileStorage {
-			syncer = raft.NewSyncCoalescer(raft.SyncerConfig{Metrics: cfg.Metrics, Node: id})
 		}
 		node, err := raft.NewNode(raft.Config{
 			ID:                  id,

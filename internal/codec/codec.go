@@ -7,8 +7,7 @@
 // state; decoding amortizes through a reusable Decoder. Types the codec
 // does not know natively (e.g. the benor package's messages, or
 // application-defined commands) ride through a gob-encoded fallback
-// frame, so the codec is a strict superset of the gob transport's
-// reach: anything that was transport.Register-ed keeps working.
+// frame, so anything that was transport.Register-ed crosses the wire.
 //
 // Frame layout (the body of a transport frame or a storage record —
 // outer length prefixes and checksums belong to those layers):
@@ -43,14 +42,10 @@ const Version = 1
 //	[2][uvarint trace id][type tag byte][body]
 //
 // Untraced messages keep emitting Version-1 frames byte-identical to
-// the previous release, so a trace-enabled sender only speaks version 2
-// on the (sampled) messages that need it and old peers keep decoding
-// everything else. Peers that must never see version 2 at all are
-// pinned with transport.WithMaxFrameVersion (DESIGN §3.6).
+// the release before the trace field, so a sender speaks version 2 only
+// on the (sampled) messages that need it, and the decoder takes both
+// (DESIGN §3.6).
 const VersionTraced = 2
-
-// MaxVersion is the highest frame version this build emits and accepts.
-const MaxVersion = VersionTraced
 
 // Type tags. Wire format — never renumber; new message types append.
 const (
@@ -79,15 +74,8 @@ const (
 // type. Everything else emits Version 1, byte-identical to before the
 // trace field existed.
 func Append(dst []byte, msg any) ([]byte, error) {
-	return AppendMax(dst, msg, MaxVersion)
-}
-
-// AppendMax is Append with a frame-version ceiling. maxVersion below
-// VersionTraced strips trace wrappers instead of encoding them — the
-// rolling-upgrade path for peers that reject unknown versions.
-func AppendMax(dst []byte, msg any, maxVersion byte) ([]byte, error) {
 	id, inner := hoistTrace(msg)
-	if id != 0 && maxVersion >= VersionTraced {
+	if id != 0 {
 		dst = append(dst, VersionTraced)
 		dst = bin.AppendUvarint(dst, id)
 		return appendBody(dst, inner)

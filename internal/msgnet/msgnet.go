@@ -107,9 +107,9 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 // Traced wraps a payload with the per-request trace ID that produced it
 // (internal/rtrace). The wrapper exists so the ID can cross process
 // boundaries: the binary codec hoists it into the frame header (frame
-// version 2, DESIGN §3.6) instead of encoding the wrapper itself, and
-// the gob compatibility path strips it. In-process consumers (the raft
-// node loop, the mux) unwrap it with TraceOf. ID 0 never wraps.
+// version 2, DESIGN §3.6) instead of encoding the wrapper itself.
+// In-process consumers (the raft node loop, the mux) unwrap it with
+// TraceOf. ID 0 never wraps.
 type Traced struct {
 	ID      uint64
 	Payload any
@@ -131,21 +131,6 @@ func TraceOf(payload any) (uint64, any) {
 		return t.ID, t.Payload
 	}
 	return 0, payload
-}
-
-// StripTrace removes trace wrappers wherever they ride — top level or
-// nested inside Tagged — for paths that cannot carry them (the gob
-// compatibility codec, version-pinned peers).
-func StripTrace(payload any) any {
-	switch m := payload.(type) {
-	case Traced:
-		return m.Payload
-	case Tagged:
-		if t, ok := m.Payload.(Traced); ok {
-			return Tagged{Channel: m.Channel, Payload: t.Payload}
-		}
-	}
-	return payload
 }
 
 // Sentinel errors shared by all Endpoint implementations.

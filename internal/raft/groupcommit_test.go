@@ -319,128 +319,116 @@ func (c *gcGroup) readLinearizable(key string) string {
 // dies with all three caches dirty. Every group must recover
 // independently — the lost batches come back from each group's own
 // quorum, no group's recovery depends on another's — and each group's
-// history must stay linearizable. The per-group mode runs the same
-// crash shape without the shared round, pinning that both modes recover
-// identically.
+// history must stay linearizable.
 func TestGroupCommitPowerCutRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		perGroup bool
-	}{
-		{"coalesced", false},
-		{"pergroup", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const groups = 3
-			sc := NewSyncCoalescer(SyncerConfig{PerGroup: tc.perGroup})
-			start := time.Now()
-			ns := func() int64 { return time.Since(start).Nanoseconds() }
+	t.Run("coalesced", func(t *testing.T) {
+		const groups = 3
+		sc := NewSyncCoalescer(SyncerConfig{})
+		start := time.Now()
+		ns := func() int64 { return time.Since(start).Nanoseconds() }
 
-			gs := make([]*gcGroup, groups)
-			histories := make([][]checker.RWOp, groups)
-			for g := range gs {
-				gs[g] = newGCGroup(t, g, 131, sc)
-				gs[g].electNode0()
-			}
+		gs := make([]*gcGroup, groups)
+		histories := make([][]checker.RWOp, groups)
+		for g := range gs {
+			gs[g] = newGCGroup(t, g, 131, sc)
+			gs[g].electNode0()
+		}
 
-			// A committed baseline write per group, durable everywhere.
-			for g, c := range gs {
-				inv := ns()
-				c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
-				c.waitValue("x", "1", 0, 1, 2)
-				histories[g] = append(histories[g], checker.RWOp{Key: "x", Version: 1, Invoke: inv, Return: ns()})
-			}
+		// A committed baseline write per group, durable everywhere.
+		for g, c := range gs {
+			inv := ns()
+			c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
+			c.waitValue("x", "1", 0, 1, 2)
+			histories[g] = append(histories[g], checker.RWOp{Key: "x", Version: 1, Invoke: inv, Return: ns()})
+		}
 
-			// Freeze the shared device under group 0's next flush, then
-			// write through every group: group 0's persist worker becomes
-			// the stuck barrier leader, and in coalesced mode groups 1-2
-			// park their dirty batches on the same frozen round.
-			entered := gs[0].cache.block()
-			invs := make([]int64, groups)
-			invs[0] = ns()
-			go func() {
-				_, _ = gs[0].nodes[0].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
-			}()
-			select {
-			case <-entered:
-			case <-time.After(15 * time.Second):
-				t.Fatal("group 0's flush never reached the device")
-			}
-			for g := 1; g < groups; g++ {
-				invs[g] = ns()
-				go func(g int) {
-					_, _ = gs[g].nodes[0].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
-				}(g)
-			}
+		// Freeze the shared device under group 0's next flush, then
+		// write through every group: group 0's persist worker becomes
+		// the stuck barrier leader, and groups 1-2 park their dirty
+		// batches on the same frozen round.
+		entered := gs[0].cache.block()
+		invs := make([]int64, groups)
+		invs[0] = ns()
+		go func() {
+			_, _ = gs[0].nodes[0].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
+		}()
+		select {
+		case <-entered:
+		case <-time.After(15 * time.Second):
+			t.Fatal("group 0's flush never reached the device")
+		}
+		for g := 1; g < groups; g++ {
+			invs[g] = ns()
+			go func(g int) {
+				_, _ = gs[g].nodes[0].Propose(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
+			}(g)
+		}
 
-			// The pipelined path commits off follower acks alone: every
-			// group's quorum applies x=2 while the machine's device is
-			// frozen (coalesced) or group 0's is (per-group).
-			for g, c := range gs {
-				c.waitValue("x", "2", 1, 2)
-				histories[g] = append(histories[g], checker.RWOp{Key: "x", Version: 2, Invoke: invs[g], Return: ns()})
+		// The pipelined path commits off follower acks alone: every
+		// group's quorum applies x=2 while the machine's device is
+		// frozen.
+		for g, c := range gs {
+			c.waitValue("x", "2", 1, 2)
+			histories[g] = append(histories[g], checker.RWOp{Key: "x", Version: 2, Invoke: invs[g], Return: ns()})
+		}
+		// The shared round is genuinely frozen mid-flight: groups
+		// 1 and 2 are parked on the coalescer behind group 0's
+		// stuck leadership.
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			sc.mu.Lock()
+			parked := len(sc.pending)
+			sc.mu.Unlock()
+			if parked >= groups-1 {
+				break
 			}
-			if !tc.perGroup {
-				// The shared round is genuinely frozen mid-flight: groups
-				// 1 and 2 are parked on the coalescer behind group 0's
-				// stuck leadership.
-				deadline := time.Now().Add(15 * time.Second)
-				for {
-					sc.mu.Lock()
-					parked := len(sc.pending)
-					sc.mu.Unlock()
-					if parked >= groups-1 {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("only %d groups parked on the shared barrier, want %d", parked, groups-1)
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-				// And the hazard is staged for the stuck barrier leader:
-				// its platter does not hold what its followers applied.
-				ps, err := gs[0].inner[0].Load()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if durable := ps.SnapIndex + len(ps.Entries); durable >= gs[0].kvs[1].AppliedIndex() {
-					t.Fatalf("group 0 platter holds through %d, followers applied %d: hazard not staged",
-						durable, gs[0].kvs[1].AppliedIndex())
-				}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d groups parked on the shared barrier, want %d", parked, groups-1)
 			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		// And the hazard is staged for the stuck barrier leader:
+		// its platter does not hold what its followers applied.
+		ps, err := gs[0].inner[0].Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if durable := ps.SnapIndex + len(ps.Entries); durable >= gs[0].kvs[1].AppliedIndex() {
+			t.Fatalf("group 0 platter holds through %d, followers applied %d: hazard not staged",
+				durable, gs[0].kvs[1].AppliedIndex())
+		}
 
-			// Power cut: every cache's dirty batches are gone at once,
-			// mid-barrier. Then the machine's replicas crash.
-			for _, c := range gs {
-				c.cache.powerCut()
-			}
-			for _, c := range gs {
-				c.crashNode0()
-			}
+		// Power cut: every cache's dirty batches are gone at once,
+		// mid-barrier. Then the machine's replicas crash.
+		for _, c := range gs {
+			c.cache.powerCut()
+		}
+		for _, c := range gs {
+			c.crashNode0()
+		}
 
-			// Each group re-elects among survivors and keeps the value,
-			// then the machine comes back and node 0 recovers from its
-			// surviving prefix plus the quorum — per group, independently.
-			for _, c := range gs {
-				c.waitLeader(0)
+		// Each group re-elects among survivors and keeps the value,
+		// then the machine comes back and node 0 recovers from its
+		// surviving prefix plus the quorum — per group, independently.
+		for _, c := range gs {
+			c.waitLeader(0)
+		}
+		for _, c := range gs {
+			c.restartNode0()
+		}
+		for g, c := range gs {
+			c.waitValue("x", "2", 0)
+			inv := ns()
+			if v := c.readLinearizable("x"); v != "2" {
+				t.Fatalf("group %d rolled back a committed write across the power cut: x=%q", g, v)
 			}
-			for _, c := range gs {
-				c.restartNode0()
-			}
-			for g, c := range gs {
-				c.waitValue("x", "2", 0)
-				inv := ns()
-				if v := c.readLinearizable("x"); v != "2" {
-					t.Fatalf("group %d rolled back a committed write across the power cut: x=%q", g, v)
-				}
-				histories[g] = append(histories[g], checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: inv, Return: ns()})
-			}
+			histories[g] = append(histories[g], checker.RWOp{Read: true, Key: "x", Version: 2, Invoke: inv, Return: ns()})
+		}
 
-			for g, h := range histories {
-				if rep := checker.CheckRegisterLinearizable(h); !rep.Ok() {
-					t.Fatalf("group %d linearizability violated (%d ops): %v", g, len(h), rep.Violations[0])
-				}
+		for g, h := range histories {
+			if rep := checker.CheckRegisterLinearizable(h); !rep.Ok() {
+				t.Fatalf("group %d linearizability violated (%d ops): %v", g, len(h), rep.Violations[0])
 			}
-		})
-	}
+		}
+	})
 }

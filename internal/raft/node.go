@@ -125,10 +125,10 @@ type Config struct {
 	// One Syncer is shared by every Raft group co-located on a node, so
 	// concurrent flushes from different groups merge into one device
 	// barrier. It is wired into any Storage exposing
-	// SetSyncer(*SyncCoalescer) — FileStorage does; wrappers that don't
-	// forward it (SlowDisk) leave the barrier private. durableIndex
-	// semantics are unchanged: a group's self-ack still waits for the
-	// barrier that covers its own writes.
+	// SetSyncer(*SyncCoalescer) — FileStorage does; nil, or a store that
+	// doesn't take it, leaves a FileStorage on its own coalescer.
+	// durableIndex semantics are unchanged: a group's self-ack still waits
+	// for the barrier that covers its own writes.
 	Syncer *SyncCoalescer
 }
 

@@ -358,7 +358,7 @@ func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
 			// waited the full interval. Stamped here, it overlaps the
 			// network phase the main loop opened at broadcast time. The
 			// width marks whether the interval was a shared cross-group
-			// barrier (sync coalescing) rather than a private fsync.
+			// barrier (sync coalescing) rather than a round of one.
 			t1 := time.Now()
 			width := barrierWidth(st)
 			for _, id := range traced {

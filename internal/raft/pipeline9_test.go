@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -576,13 +577,33 @@ func TestApplyQueueBackpressureStallsWithoutDropping(t *testing.T) {
 
 // TestPipelineChaosSoak runs the pipelined write path under concurrent
 // clients, slow disks, and forced elections (CI runs it under -race).
-// Invariants: AwaitApplied never fires before the state machine covers
-// the index it reports, the cluster converges to one state afterward,
-// and no acknowledged write is lost.
+// Every replica persists to a FileStorage whose barriers also pay a
+// modeled 200 µs device, through the seam production uses
+// (Config.Syncer). Invariants: AwaitApplied never fires before the state
+// machine covers the index it reports, the cluster converges to one state
+// afterward, and no acknowledged write is lost.
 func TestPipelineChaosSoak(t *testing.T) {
 	const clients = 4
+	dir := t.TempDir()
+	var stores []*FileStorage
 	c := newCluster(t, 3, 113, func(cfg *Config) {
-		cfg.Storage = NewSlowDisk(NewMemStorage(), 200*time.Microsecond)
+		s, err := OpenFileStorage(filepath.Join(dir, fmt.Sprintf("n%d.wal", cfg.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, s)
+		cfg.Storage = s
+		cfg.Syncer = NewSyncCoalescer(SyncerConfig{Disk: NewDisk(200 * time.Microsecond)})
+	})
+	// Files close only once every node has stopped writing to them.
+	t.Cleanup(func() {
+		c.cancel()
+		for _, nd := range c.nodes {
+			<-nd.Done()
+		}
+		for _, s := range stores {
+			_ = s.Close()
+		}
 	})
 	c.waitLeader()
 	client, err := NewClient(c.nodes, WithClientBackoff(time.Millisecond))

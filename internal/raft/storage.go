@@ -250,9 +250,9 @@ var zeroFill [runAheadMax]byte
 // run-ahead, [pos, alloc)), and the barrier is fdatasync: a flush that
 // stays inside the run-ahead changes no metadata, so the barrier is a
 // data write and a device flush, not a filesystem journal commit — and
-// under a SyncCoalescer the two halves come apart: the flush starts its
-// own bytes' write-out, and the round waits for each such file's and
-// flushes the device once for all of them (inPlace below). Only the
+// the two halves come apart: the flush starts its own bytes' write-out,
+// and the SyncCoalescer round that covers it waits for each such file's
+// and flushes the device once for all of them (inPlace below). Only the
 // flush that uses the run-ahead up extends it, under the same single
 // barrier. Load's recovery rules (DESIGN.md §3.5) are what make
 // overwriting safe; Close truncates the run-ahead away, so a cleanly
@@ -297,27 +297,32 @@ type FileStorage struct {
 	fsKnown, overwrites bool
 	inPlace             bool
 
-	// syncer, when set (SetSyncer), routes every durability barrier
-	// through the node's SyncCoalescer instead of a private one, so one
-	// device barrier can cover several groups' flushes. lastWidth
-	// remembers the width of the barrier that covered the most recent
-	// flush; it is written and read only by the goroutine that owns this
-	// store's writes (the persist worker), like the rest of the struct.
+	// syncer is the SyncCoalescer every durability barrier goes through:
+	// the store's own from OpenFileStorage, or the node's shared one
+	// (SetSyncer), so one device barrier can cover several groups'
+	// flushes. lastWidth remembers the width of the barrier that covered
+	// the most recent flush; it is written and read only by the goroutine
+	// that owns this store's writes (the persist worker), like the rest of
+	// the struct.
 	syncer    *SyncCoalescer
 	lastWidth int
 }
 
 var _ Storage = (*FileStorage)(nil)
 
-// OpenFileStorage opens (or creates) the store at path. Entry commands
-// of types the binary codec does not know natively must be
+// OpenFileStorage opens (or creates) the store at path, on a
+// SyncCoalescer of its own until SetSyncer shares the node's. Entry
+// commands of types the binary codec does not know natively must be
 // gob-registered (see transport.Register / raft.WireTypes).
 func OpenFileStorage(path string) (*FileStorage, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open storage: %w", err)
 	}
-	return &FileStorage{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), scratch: make([]byte, 0, 4096)}, nil
+	return &FileStorage{
+		path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), scratch: make([]byte, 0, 4096),
+		syncer: NewSyncCoalescer(SyncerConfig{}),
+	}, nil
 }
 
 // Close flushes buffered records, truncates the unused run-ahead away
@@ -337,16 +342,21 @@ func (s *FileStorage) Close() error {
 
 // Syncs reports how many fdatasync calls were issued on this store's
 // file — the number the throughput harness divides by committed ops to
-// show group-commit amortization. A flush a coalesced round covered by
-// writing this file back and flushing the device through another counts
-// on that other file, so over a node's stores the sum is its device
-// flushes; rounds are counted on the SyncCoalescer.
+// show group-commit amortization. A flush a round covered by writing this
+// file back and flushing the device through another counts on that other
+// file, so over a node's stores the sum is its device flushes; rounds are
+// counted on the SyncCoalescer.
 func (s *FileStorage) Syncs() int64 { return s.syncs.Load() }
 
-// SetSyncer routes this store's durability barriers through a per-node
-// SyncCoalescer (see syncer.go). Call before the node starts writing;
-// a nil syncer restores the private barrier.
-func (s *FileStorage) SetSyncer(sc *SyncCoalescer) { s.syncer = sc }
+// SetSyncer routes this store's durability barriers through the node's
+// shared SyncCoalescer (see syncer.go). Call before the node starts
+// writing; a nil syncer gives the store a coalescer of its own again.
+func (s *FileStorage) SetSyncer(sc *SyncCoalescer) {
+	if sc == nil {
+		sc = NewSyncCoalescer(SyncerConfig{})
+	}
+	s.syncer = sc
+}
 
 // SyncDevice implements SyncTarget: the per-file barrier, fdatasync — the
 // only place this store asks the device for durability. Unlike the rest
@@ -412,8 +422,9 @@ func syncFile(op string, f *os.File, off, n int64) error {
 }
 
 // LastBarrierWidth reports how many groups shared the durability barrier
-// that covered this store's most recent flush (1 when it flew alone or
-// no syncer is wired). Read it from the goroutine that issued the flush.
+// that covered this store's most recent flush (1 when it flew alone, as
+// every flush on the store's own coalescer does). Read it from the
+// goroutine that issued the flush.
 func (s *FileStorage) LastBarrierWidth() int {
 	if s.lastWidth < 1 {
 		return 1
@@ -523,13 +534,13 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 // bytes), the next run-ahead is written first, so the same barrier
 // covers it and a record only ever lands on durable zeros or, when it
 // outruns them, past the end of the file.
-// With a syncer wired, the barrier is the node-wide coalesced one: the
-// owner goroutine does the writes here and, when the flush is inPlace
-// and the syncer coalesces, submits them for write-out before it queues
-// — the device works through the round's yield and the round in
-// progress, not after them — and the round that covers this file waits
-// for that write-back, or calls its SyncDevice. A failed submit is a
-// failed barrier, without a round. A flush that extends the run-ahead or
+// The barrier is a SyncCoalescer round, the store's own or the node's
+// shared one: the owner goroutine does the writes here and, when the
+// flush is inPlace, submits them for write-out before it queues — the
+// device works through the round's yield and the round in progress, not
+// after them — and the round that covers this file waits for that
+// write-back, or calls its SyncDevice. A failed submit is a failed
+// barrier, without a round. A flush that extends the run-ahead or
 // lands past it — every flush of a file under runAheadMin, and the first
 // after Load truncated the run-ahead away — is not in place: it changes
 // the file's size, which only the file's own fdatasync commits.
@@ -553,15 +564,11 @@ func (s *FileStorage) flush() error {
 	}
 	s.inPlace = s.inPlace && s.overwrites
 	var err error
-	if s.syncer != nil {
-		if s.inPlace && !s.syncer.perGroup { // per group: no round waits for it
-			_, err = s.writeBack(opWriteBack)
-		}
-		if err == nil {
-			s.lastWidth, err = s.syncer.sync(s, s)
-		}
-	} else {
-		s.lastWidth, err = 1, s.SyncDevice()
+	if s.inPlace {
+		_, err = s.writeBack(opWriteBack)
+	}
+	if err == nil {
+		s.lastWidth, err = s.syncer.sync(s, s)
 	}
 	s.synced = s.pos
 	if err != nil {

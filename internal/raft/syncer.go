@@ -10,14 +10,12 @@ import (
 	"ooc/internal/metrics"
 )
 
-// Disk models one shared storage device. Multi-Raft runs many FileStorage
-// logs on a node, but they usually share a disk: however many files are
-// dirty, the device can absorb their writes in a single flush, and
-// concurrent barriers serialize at the device. SlowDisk (per-Storage
-// latency, concurrent sleeps overlap) models the opposite — one
-// independent device per group — so the two are different fixtures, not
-// alternatives: E16 keeps SlowDisk, E18 shares one Disk across a node's
-// groups.
+// Disk models one shared storage device, the only device model there is.
+// Multi-Raft runs many FileStorage logs on a node, but they share a disk:
+// however many files are dirty, the device can absorb their writes in a
+// single flush, and concurrent barriers serialize at the device. E16 gives
+// each node one Disk, reached through SyncerConfig.Disk
+// (shard.Config.DeviceLatency).
 //
 // Barrier blocks for the configured latency while holding the device
 // lock, so K concurrent barriers cost K·latency — exactly the queueing
@@ -25,8 +23,8 @@ import (
 // *Disk (or zero latency) is a free barrier: the round has already paid
 // the host device's real flush, and that device is not being modeled. A
 // modeled barrier is time.Sleep, which frees the caller's P at once; a
-// real one is a syscall that keeps it (FileStorage.SyncDevice), so E16 and
-// E18 never saw what a barrier costs the goroutines queued behind its
+// real one is a syscall that keeps it (FileStorage.SyncDevice), so E16
+// does not see what a barrier costs the goroutines queued behind its
 // caller.
 type Disk struct {
 	mu      sync.Mutex
@@ -81,10 +79,6 @@ type SyncerConfig struct {
 	// Nil means "real device only": per-file fsyncs still happen, the
 	// modeled barrier is free.
 	Disk *Disk
-	// PerGroup disables coalescing: every Sync pays its own device
-	// barrier, serialized through Disk. This is the pre-PR10 baseline,
-	// kept in-binary for A/B runs (raftkv -sync-coalesce=false).
-	PerGroup bool
 	// Metrics, if non-nil, registers the syncer's instruments
 	// (raft_sync_requests_total, raft_sync_barriers_total,
 	// raft_sync_coalesced_total, raft_sync_writebacks_total,
@@ -97,9 +91,12 @@ type SyncerConfig struct {
 }
 
 // SyncCoalescer turns K concurrent durability requests from a node's
-// Raft groups into one device barrier. Each group's persist worker
-// writes to its own file and starts those bytes' write-out where that is
-// a step toward durability (FileStorage.flush), then asks for the barrier;
+// Raft groups into one device barrier. It is the one way a FileStorage
+// reaches its device: a store on the node's shared coalescer (SetSyncer)
+// rounds with the node's other groups, and a store not on a shared
+// coalescer runs its own. Each group's persist worker writes to its own
+// file and starts those bytes' write-out where that is a step toward
+// durability (FileStorage.flush), then asks for the barrier;
 // the first requester becomes the round leader, sees its own file's bytes
 // onto the device, absorbs every request that arrived meanwhile and does
 // the same for their files, flushes the device's cache, pays one
@@ -123,16 +120,15 @@ type SyncerConfig struct {
 // its own SyncDevice.
 //
 // The uncontended path — one group, or requests that never overlap —
-// takes three uncontended mutex sections and no allocations, so a
-// single-shard node pays nothing for the machinery (the degenerate-case
-// gate in groupcommit_accept_test.go holds this to ≤3% vs PR9).
+// takes three uncontended mutex sections and no allocations. A round of
+// one in-place file is still submit, yield, wait, flush: the store's own
+// coalescer costs it the same round a shared one would.
 //
 // Errors stay per-group: each request carries the error from getting its
 // own file to the device, so one group's bad fd fails only that group;
 // only a failed closing flush is shared, by the members it was for.
 type SyncCoalescer struct {
-	disk     *Disk
-	perGroup bool
+	disk *Disk
 
 	mu      sync.Mutex
 	busy    bool // a barrier round is in flight
@@ -164,7 +160,7 @@ var barrierBuckets = []time.Duration{8e3, 16e3, 32e3, 64e3, 128e3, 256e3, 512e3,
 // NewSyncCoalescer builds a per-node syncer. One instance serves every
 // group on the node; Sync is safe for concurrent use.
 func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
-	c := &SyncCoalescer{disk: cfg.Disk, perGroup: cfg.PerGroup, node: cfg.Node}
+	c := &SyncCoalescer{disk: cfg.Disk, node: cfg.Node}
 	if reg := cfg.Metrics; reg != nil {
 		node := strconv.Itoa(cfg.Node)
 		c.metricsOn = true
@@ -181,19 +177,15 @@ func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 	return c
 }
 
-// PerGroup reports whether coalescing is disabled (the A/B baseline).
-func (c *SyncCoalescer) PerGroup() bool { return c.perGroup }
-
 // Requests reports how many Sync calls the syncer has served.
 func (c *SyncCoalescer) Requests() int64 { return c.requests.Load() }
 
-// Barriers reports how many device barriers were paid. With coalescing
-// this is the node-wide fsync count E18 divides by ops; per-group mode
-// pins it equal to Requests.
+// Barriers reports how many device barriers were paid: the rounds, the
+// node-wide device-flush count E16 divides by ops.
 func (c *SyncCoalescer) Barriers() int64 { return c.barriers.Load() }
 
 // Coalesced reports how many requests rode another request's barrier
-// (Requests − Barriers in coalesced mode).
+// (Requests − Barriers).
 func (c *SyncCoalescer) Coalesced() int64 { return c.coalesced.Load() }
 
 // Sync makes t durable and returns the width of the barrier that covered
@@ -208,12 +200,6 @@ func (c *SyncCoalescer) sync(t SyncTarget, file *FileStorage) (int, error) {
 	c.requests.Add(1)
 	if c.metricsOn {
 		c.reqsC.Inc(c.node)
-	}
-	if c.perGroup {
-		err := t.SyncDevice()
-		c.disk.Barrier()
-		c.observeBarrier(1, 0, 1)
-		return 1, err
 	}
 	c.mu.Lock()
 	if !c.busy {

@@ -118,10 +118,11 @@ func (w *testWAL) append(valueLen int) error {
 	return err
 }
 
-// openGrownWAL opens a store on sc and appends until it holds a run-ahead
-// with at least 32 KiB to spare, so the flushes a test goes on to make
-// stay in place. It skips the test where the filesystem under t.TempDir
-// is not one FileStorage writes back on.
+// openGrownWAL opens a store on sc — on the coalescer the store opened
+// with when sc is nil — and appends until it holds a run-ahead with at
+// least 32 KiB to spare, so the flushes a test goes on to make stay in
+// place. It skips the test where the filesystem under t.TempDir is not
+// one FileStorage writes back on.
 func openGrownWAL(t *testing.T, path string, sc *SyncCoalescer) *testWAL {
 	t.Helper()
 	s, err := OpenFileStorage(path)
@@ -132,7 +133,9 @@ func openGrownWAL(t *testing.T, path string, sc *SyncCoalescer) *testWAL {
 	if _, err := s.Load(); err != nil {
 		t.Fatal(err)
 	}
-	s.SetSyncer(sc)
+	if sc != nil {
+		s.SetSyncer(sc)
+	}
 	w := &testWAL{FileStorage: s}
 	for s.alloc-s.pos < 32<<10 {
 		if err := w.append(1024); err != nil {
@@ -379,6 +382,29 @@ func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
 			t.Fatalf("flush %d after Load: %+d fdatasyncs, %+d rounds, width %d; want +1, +1, 1",
 				i, s.Syncs()-syncs, sc.Barriers()-barriers, s.LastBarrierWidth())
 		}
+	}
+}
+
+// A store nobody called SetSyncer on flushes through the coalescer it
+// opened with, so an in-place flush is the same round of one a shared
+// coalescer runs — submit, wait, flush — and costs its file one fdatasync.
+// There is no second barrier path for it to take instead.
+func TestUnsharedStoreFlushesThroughItsOwnRound(t *testing.T) {
+	a := openGrownWAL(t, filepath.Join(t.TempDir(), "a.wal"), nil)
+	names := map[*os.File]string{a.f: "a"}
+	log := installSysLog(t, nil)
+	syncs := a.Syncs()
+	if err := a.append(40); err != nil {
+		t.Fatal(err)
+	}
+	if !a.inPlace {
+		t.Fatal("the flush was meant to stay in place")
+	}
+	if got, want := log.ops(0, names), "writeback:a writeback-wait:a fdatasync:a"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
+	}
+	if a.Syncs() != syncs+1 || a.LastBarrierWidth() != 1 {
+		t.Fatalf("%+d fdatasyncs, width %d; want +1, 1", a.Syncs()-syncs, a.LastBarrierWidth())
 	}
 }
 

@@ -342,48 +342,6 @@ func TestSyncerHandoffPromotesLateArrival(t *testing.T) {
 	}
 }
 
-// PerGroup mode is the uncoalesced baseline: every request pays its own
-// barrier even under contention.
-func TestSyncerPerGroupNeverCoalesces(t *testing.T) {
-	c := NewSyncCoalescer(SyncerConfig{PerGroup: true})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tgt := &fakeTarget{}
-			for j := 0; j < 25; j++ {
-				width, err := c.Sync(tgt)
-				if err != nil || width != 1 {
-					panic("per-group sync must be width 1 and error-free")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Requests() != 200 || c.Barriers() != 200 || c.Coalesced() != 0 {
-		t.Fatalf("requests/barriers/coalesced = %d/%d/%d, want 200/200/0",
-			c.Requests(), c.Barriers(), c.Coalesced())
-	}
-}
-
-// And a FileStorage under it makes the one call a store with no syncer
-// makes: no round will wait for a write-back, so its flush submits none.
-func TestSyncerPerGroupFlushIsOneFdatasync(t *testing.T) {
-	sc := NewSyncCoalescer(SyncerConfig{PerGroup: true})
-	a := openGrownWAL(t, filepath.Join(t.TempDir(), "a.wal"), sc)
-	log := installSysLog(t, nil)
-	if err := a.append(40); err != nil {
-		t.Fatal(err)
-	}
-	if !a.inPlace {
-		t.Fatal("the flush was meant to stay in place")
-	}
-	if got, want := log.ops(0, map[*os.File]string{a.f: "a"}), "fdatasync:a"; got != want {
-		t.Fatalf("syscalls = %q, want %q", got, want)
-	}
-}
-
 // Uncontended Sync allocates nothing: the single-group degenerate case
 // must not pay for machinery it doesn't use.
 func TestSyncerUncontendedPathAllocFree(t *testing.T) {

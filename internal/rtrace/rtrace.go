@@ -126,7 +126,7 @@ type PhaseInterval struct {
 	// above 1 means other groups' writes rode the same flush and the
 	// request did not pay the whole interval alone — the shared-barrier
 	// analogue of the pipelined fsync/network overlap. 0 or 1 means the
-	// barrier was private (or the field predates coalescing).
+	// barrier covered this group alone (or the field predates coalescing).
 	Width int `json:"width,omitempty"`
 }
 
@@ -358,7 +358,7 @@ func (t *Tracer) ObservePhase(id ID, p Phase, node int, start, end time.Time) {
 // ObserveFsync attributes a fsync interval that also records the width
 // of the device barrier that covered it — how many groups' requests
 // shared the flush (see PhaseInterval.Width). Width values below 2 are
-// recorded as 0 (private barrier), keeping pre-coalescing span JSON
+// recorded as 0 (a round of one), keeping pre-coalescing span JSON
 // byte-identical.
 func (t *Tracer) ObserveFsync(id ID, node int, start, end time.Time, width int) {
 	if width < 2 {

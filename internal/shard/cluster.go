@@ -46,20 +46,15 @@ type Config struct {
 	// 1ms — the closed-loop benchmark setting).
 	ClientBackoff time.Duration
 	// Storage, if non-nil, supplies each (node, shard) replica's
-	// persistence; nil runs every group unpersisted.
+	// persistence; nil runs every group unpersisted. Each node runs one
+	// raft.SyncCoalescer under all of its groups, so K concurrent group
+	// flushes share one barrier.
 	Storage func(node, shard int) (raft.Storage, error)
-	// PerGroupFsync disables cross-group sync coalescing, restoring the
-	// pre-PR10 baseline where every group's flush pays its own device
-	// barrier (serialized at the shared Disk when DeviceLatency > 0).
-	// The zero value coalesces: each node runs one raft.SyncCoalescer
-	// under all of its groups, so K concurrent group flushes share one
-	// barrier. Only meaningful with Storage set.
-	PerGroupFsync bool
 	// DeviceLatency, when > 0, models each node's shared storage device:
 	// every durability barrier on the node — from any group — pays this
 	// latency through one raft.Disk, and concurrent barriers serialize
-	// there. This is the E18 fixture (one disk per node, not one per
-	// group — contrast raft.SlowDisk). Zero models no device.
+	// there. This is the E16 fixture (one disk per node, not one per
+	// group). Zero models no device.
 	DeviceLatency time.Duration
 	// Recorder, if non-nil, has every replica's storage emit one trace
 	// note per durability flush ("fsync <channel> entries=E width=W"),
@@ -262,10 +257,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 		c.syncers = make([]*raft.SyncCoalescer, c.n)
 		for id := 0; id < c.n; id++ {
 			c.syncers[id] = raft.NewSyncCoalescer(raft.SyncerConfig{
-				Disk:     raft.NewDisk(c.cfg.DeviceLatency),
-				PerGroup: c.cfg.PerGroupFsync,
-				Metrics:  c.cfg.Metrics,
-				Node:     id,
+				Disk:    raft.NewDisk(c.cfg.DeviceLatency),
+				Metrics: c.cfg.Metrics,
+				Node:    id,
 			})
 		}
 	}

@@ -137,10 +137,9 @@ func runSeeded(t *testing.T, seed uint64, nodes, shards, ops int, mods ...func(*
 }
 
 // runSeededDisk is runSeeded on FileStorage: every (node, shard) replica
-// persists to its own log under a temp dir, and perGroup selects the
-// fsync mode — false routes every flush through the node's shared
-// SyncCoalescer (PR10), true keeps the uncoalesced baseline.
-func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int, perGroup bool) [][][]string {
+// persists to its own log under a temp dir, and every flush rides the
+// node's shared SyncCoalescer (PR10).
+func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int) [][][]string {
 	t.Helper()
 	dir := t.TempDir()
 	var (
@@ -148,7 +147,6 @@ func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int, perGroup b
 		files   []*raft.FileStorage
 	)
 	out := runSeeded(t, seed, nodes, shards, ops, func(cfg *shard.Config) {
-		cfg.PerGroupFsync = perGroup
 		cfg.Storage = func(node, s int) (raft.Storage, error) {
 			fs, err := raft.OpenFileStorage(fmt.Sprintf("%s/node-%d-shard-%d.log", dir, node, s))
 			if err != nil {
@@ -197,25 +195,24 @@ func TestClusterDeterministicCommitSequences(t *testing.T) {
 
 // TestClusterCoalescedFsyncDeterminism extends the determinism check to
 // the shared-disk group-commit path (PR10): with every replica on
-// FileStorage, a seed must yield identical per-shard commit sequences
-// whether the node's flushes ride coalesced device barriers or the
-// per-group baseline — barrier timing may move fsyncs between batches,
-// but it must never reorder a shard's committed commands.
+// FileStorage and the node's flushes riding coalesced device barriers,
+// two runs of one seed must yield identical per-shard commit sequences —
+// barrier timing may move fsyncs between batches and rounds, but it must
+// never reorder a shard's committed commands.
 func TestClusterCoalescedFsyncDeterminism(t *testing.T) {
 	const nodes, shards, ops = 3, 4, 80
-	coalesced := runSeededDisk(t, 42, nodes, shards, ops, false)
-	baseline := runSeededDisk(t, 42, nodes, shards, ops, true)
+	a := runSeededDisk(t, 42, nodes, shards, ops)
+	b := runSeededDisk(t, 42, nodes, shards, ops)
 	for s := 0; s < shards; s++ {
 		for id := 1; id < nodes; id++ {
-			if !reflect.DeepEqual(coalesced[s][0], coalesced[s][id]) {
-				t.Fatalf("coalesced run shard %d: node %d diverged from node 0", s, id)
+			if !reflect.DeepEqual(a[s][0], a[s][id]) {
+				t.Fatalf("run A shard %d: node %d diverged from node 0", s, id)
 			}
 		}
-		if !reflect.DeepEqual(coalesced[s][0], baseline[s][0]) {
-			t.Fatalf("shard %d commit sequence differs between fsync modes:\ncoalesced: %v\nper-group: %v",
-				s, coalesced[s][0], baseline[s][0])
+		if !reflect.DeepEqual(a[s][0], b[s][0]) {
+			t.Fatalf("shard %d commit sequence differs across same-seed runs:\nA: %v\nB: %v", s, a[s][0], b[s][0])
 		}
-		if len(coalesced[s][0]) == 0 {
+		if len(a[s][0]) == 0 {
 			t.Fatalf("shard %d committed nothing; router is funnelling", s)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"ooc/internal/msgnet"
+	"ooc/internal/netsim"
 	"ooc/internal/raft"
 	"ooc/internal/sim"
 )
@@ -33,13 +35,12 @@ func (s *recordingKV) commits() []string {
 	return append([]string(nil), s.seq...)
 }
 
-// runSequence drives cmds through a 3-node TCP Raft cluster using the
-// given wire codec and returns the commit sequence and final key space
-// observed by every node.
-func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seqs [][]string, snaps [][]string) {
+// runSequence drives cmds through a Raft cluster over eps, one node per
+// endpoint, and returns the commit sequence and final key space observed
+// by every node.
+func runSequence(t *testing.T, name string, eps []msgnet.Endpoint, seed uint64, cmds []raft.KVCommand) (seqs [][]string, snaps [][]string) {
 	t.Helper()
-	const n = 3
-	trs := localCluster(t, n, WithCodec(c))
+	n := len(eps)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rng := sim.NewRNG(seed)
@@ -49,7 +50,7 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 		sms[id] = &recordingKV{}
 		node, err := raft.NewNode(raft.Config{
 			ID:                id,
-			Endpoint:          trs[id],
+			Endpoint:          eps[id],
 			RNG:               rng.Fork(uint64(id)),
 			ElectionTimeout:   60 * time.Millisecond,
 			HeartbeatInterval: 12 * time.Millisecond,
@@ -66,7 +67,7 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			if time.Now().After(deadline) {
-				t.Fatalf("codec %v: proposal %v made no progress", c, cmd)
+				t.Fatalf("%s: proposal %v made no progress", name, cmd)
 			}
 			leader := -1
 			for id, node := range nodes {
@@ -101,7 +102,7 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("codec %v: replication did not complete", c)
+			t.Fatalf("%s: replication did not complete", name)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -112,14 +113,17 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 	return seqs, snaps
 }
 
-// TestCodecDifferentialAgainstGob is the end-to-end differential check:
-// the same command sequence driven through a binary-codec cluster and a
-// gob-codec cluster must produce identical post-apply state machines on
-// every node, and identical commit sequences per seed. Leader no-ops
-// make the absolute log indexes election-dependent, so the state-machine
+// TestCodecDifferentialAgainstNetsim is the end-to-end differential
+// check: the same command sequence driven through a TCP cluster, where
+// every message is encoded and decoded by the binary codec, and through a
+// netsim cluster, where payloads pass by reference and nothing is
+// encoded, must produce identical post-apply state machines on every
+// node, and identical commit sequences per seed. Leader no-ops make the
+// absolute log indexes election-dependent, so the state-machine
 // comparison is exact while the commit sequences are compared after
 // filtering to KV commands only.
-func TestCodecDifferentialAgainstGob(t *testing.T) {
+func TestCodecDifferentialAgainstNetsim(t *testing.T) {
+	const n = 3
 	cmds := []raft.KVCommand{
 		{Op: "set", Key: "a", Value: "1"},
 		{Op: "set", Key: "b", Value: "2"},
@@ -128,18 +132,24 @@ func TestCodecDifferentialAgainstGob(t *testing.T) {
 		{Op: "set", Key: "c", Value: "4"},
 	}
 	for _, seed := range []uint64{1, 42} {
-		binSeqs, binSnaps := runSequence(t, Binary, seed, cmds)
-		gobSeqs, gobSnaps := runSequence(t, Gob, seed, cmds)
+		nw := netsim.New(n, netsim.WithSeed(seed))
+		t.Cleanup(nw.Close)
+		tcp, ref := make([]msgnet.Endpoint, n), make([]msgnet.Endpoint, n)
+		for i, tr := range localCluster(t, n) {
+			tcp[i], ref[i] = tr, nw.Node(i)
+		}
+		binSeqs, binSnaps := runSequence(t, "tcp", tcp, seed, cmds)
+		refSeqs, refSnaps := runSequence(t, "netsim", ref, seed, cmds)
 
 		for id := range binSnaps {
-			if !reflect.DeepEqual(binSnaps[id], gobSnaps[id]) {
-				t.Fatalf("seed %d node %d: binary state %v != gob state %v", seed, id, binSnaps[id], gobSnaps[id])
+			if !reflect.DeepEqual(binSnaps[id], refSnaps[id]) {
+				t.Fatalf("seed %d node %d: tcp state %v != netsim state %v", seed, id, binSnaps[id], refSnaps[id])
 			}
 		}
 		for id := range binSeqs {
-			b, g := kvOnly(binSeqs[id]), kvOnly(gobSeqs[id])
-			if !reflect.DeepEqual(b, g) {
-				t.Fatalf("seed %d node %d: binary commits %v != gob commits %v", seed, id, b, g)
+			b, r := kvOnly(binSeqs[id]), kvOnly(refSeqs[id])
+			if !reflect.DeepEqual(b, r) {
+				t.Fatalf("seed %d node %d: tcp commits %v != netsim commits %v", seed, id, b, r)
 			}
 		}
 	}

@@ -3,50 +3,38 @@ package transport
 import (
 	"context"
 	"fmt"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 	"ooc/internal/rtrace"
 	"ooc/internal/sim"
 )
 
-// perNodeCluster builds n connected transports where optsFor(i) picks
-// each node's options — the per-node knob NewLocalCluster doesn't
-// expose, needed to pin one peer to an older frame version.
-func perNodeCluster(t *testing.T, n int, optsFor func(i int) []Option) []*Transport {
-	t.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	trs := make([]*Transport, n)
-	for i := 0; i < n; i++ {
-		trs[i] = listenOn(i, addrs, listeners[i], optsFor(i)...)
-	}
-	t.Cleanup(func() {
-		for _, tr := range trs {
-			_ = tr.Close()
-		}
-	})
-	return trs
+// v1Peer is a peer built before the trace field: it emits only frame-V1
+// messages, its trace wrappers never reaching the wire, while it decodes
+// the V2 frames its peers send it like any other.
+type v1Peer struct{ *Transport }
+
+func (p v1Peer) Send(to int, payload any) error {
+	_, inner := msgnet.TraceOf(payload)
+	return p.Transport.Send(to, inner)
 }
 
-// runTracedCluster drives traced writes through a 3-node TCP cluster
-// built from trs and returns the tracer for span assertions. Every
-// committed write must land on every node's state machine regardless of
-// what frame version each peer speaks.
-func runTracedCluster(t *testing.T, trs []*Transport, tracer *rtrace.Tracer) {
+func (p v1Peer) Broadcast(payload any) error {
+	_, inner := msgnet.TraceOf(payload)
+	return p.Transport.Broadcast(inner)
+}
+
+// runTracedCluster drives traced writes through a 3-node cluster over
+// eps and returns once every node has applied them. Every committed write
+// must land on every node's state machine regardless of what frame
+// version each peer speaks.
+func runTracedCluster(t *testing.T, eps []msgnet.Endpoint, tracer *rtrace.Tracer) {
 	t.Helper()
-	n := len(trs)
+	n := len(eps)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rng := sim.NewRNG(11)
@@ -56,7 +44,7 @@ func runTracedCluster(t *testing.T, trs []*Transport, tracer *rtrace.Tracer) {
 		sms[id] = &raft.KVStore{}
 		node, err := raft.NewNode(raft.Config{
 			ID:                id,
-			Endpoint:          trs[id],
+			Endpoint:          eps[id],
 			RNG:               rng.Fork(uint64(id)),
 			ElectionTimeout:   60 * time.Millisecond,
 			HeartbeatInterval: 12 * time.Millisecond,
@@ -131,28 +119,14 @@ func assertTracedSpans(t *testing.T, tracer *rtrace.Tracer, minSpans int) {
 }
 
 // TestMixedFrameVersionCluster is the compatibility regression for the
-// frame V2 (trace ID) bump: one peer pinned to frame V1 — a binary
+// frame V2 (trace ID) bump: a peer that emits only frame V1 — a binary
 // built before tracing existed — joins two V2 peers, tracing enabled at
-// sample 1.0. Writes must commit on every node (the V1 peer just never
-// sees trace IDs), and the V2 side must still assemble spans.
+// sample 1.0. Writes must commit on every node (the V1 peer's trace IDs
+// never reach the wire), and the V2 side must still assemble spans.
 func TestMixedFrameVersionCluster(t *testing.T) {
-	trs := perNodeCluster(t, 3, func(i int) []Option {
-		if i == 2 {
-			return []Option{WithMaxFrameVersion(1)}
-		}
-		return nil
-	})
+	trs := localCluster(t, 3)
+	eps := []msgnet.Endpoint{trs[0], trs[1], v1Peer{trs[2]}}
 	tracer := rtrace.New(rtrace.Options{Sample: 1})
-	runTracedCluster(t, trs, tracer)
-	assertTracedSpans(t, tracer, 1)
-}
-
-// TestGobClusterWithTracing pins the whole cluster to the gob codec,
-// which has no frame header at all: trace IDs are stripped at the wire
-// (msgnet.StripTrace) and the cluster must behave exactly as untraced.
-func TestGobClusterWithTracing(t *testing.T) {
-	trs := perNodeCluster(t, 3, func(int) []Option { return []Option{WithCodec(Gob)} })
-	tracer := rtrace.New(rtrace.Options{Sample: 1})
-	runTracedCluster(t, trs, tracer)
+	runTracedCluster(t, eps, tracer)
 	assertTracedSpans(t, tracer, 1)
 }

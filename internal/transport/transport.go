@@ -11,15 +11,15 @@
 // guaranteed, and duplication does not occur. Raft's retries and Ben-Or's
 // quorum waits tolerate exactly this.
 //
-// Two wire codecs are available (WithCodec): the default hand-rolled
-// binary format, which encodes the known message set with zero
-// steady-state allocations, and the original gob streams, kept as a
-// compatibility path and as the differential-testing oracle. Each
-// connection declares its codec in a one-byte preamble, so a receiver
-// decodes whatever its peer sends regardless of its own setting.
+// There is one wire encoding, the hand-rolled binary codec, which encodes
+// the known message set with zero steady-state allocations. A dialer opens
+// each connection with the one-byte 'B' preamble and its node id; a
+// connection that opens with anything else is dropped. Frames are V1, or
+// V2 when they carry a trace ID, and the decoder takes both.
 //
 // Payload types outside the codec's native set must be registered with
-// Register before use, on both sides (they travel as gob either way).
+// Register before use, on both sides (they ride a gob-encoded fallback
+// frame inside the binary stream).
 package transport
 
 import (
@@ -40,40 +40,19 @@ import (
 	"ooc/internal/trace"
 )
 
-// envelope is the gob wire record (the binary codec carries the sender
-// id in the connection preamble instead, since it never changes).
-type envelope struct {
-	From    int
-	Payload any
-}
-
 // Register makes a payload type encodable; call it once per concrete
 // type before any Send (e.g. for Raft: Register(raft.WireTypes()...)).
-// The binary codec needs this only for types outside its native set,
-// but registering everything is harmless and keeps the gob path usable.
+// The codec needs this only for types outside its native set, but
+// registering everything is harmless.
 func Register(values ...any) {
 	for _, v := range values {
 		gob.Register(v)
 	}
 }
 
-// Codec selects the wire encoding for outbound connections.
-type Codec int
-
-const (
-	// Binary is the hand-rolled zero-allocation format (internal/codec).
-	Binary Codec = iota
-	// Gob is the original encoding/gob stream — slower and allocation
-	// heavy, kept as the compatibility path and differential oracle.
-	Gob
-)
-
-// Connection preamble bytes; the dialer sends one so the receiver knows
-// how to decode the stream.
-const (
-	preambleBinary = 'B'
-	preambleGob    = 'G'
-)
+// preambleBinary opens every connection: the dialer sends it so the
+// receiver knows the stream is the binary codec's.
+const preambleBinary = 'B'
 
 // maxFrame caps an inbound binary frame. Snapshot transfers dominate
 // frame size; anything beyond this is a corrupt length prefix, not a
@@ -84,42 +63,16 @@ const maxFrame = 1 << 28
 // Option configures a Transport.
 type Option func(*Transport)
 
-// WithRecorder attaches a trace recorder. Binary-codec sends record
-// their exact framed byte count; gob sends record zero (the stream
-// encoder gives no per-message size without double buffering).
+// WithRecorder attaches a trace recorder. Remote sends record their
+// exact framed byte count.
 func WithRecorder(rec *trace.Recorder) Option {
 	return func(tr *Transport) { tr.rec = rec }
 }
 
-// WithCodec selects the wire encoding for connections this transport
-// dials. The default is Binary; pass Gob to restore the original
-// encoding (e.g. to differential-test the codec against its oracle).
-func WithCodec(c Codec) Option {
-	return func(tr *Transport) { tr.codec = c }
-}
-
-// WithMaxFrameVersion caps the codec frame version this transport
-// emits. Pinning codec.Version (1) strips per-request trace IDs instead
-// of emitting VersionTraced frames — the rolling-upgrade knob for
-// clusters with peers that predate the trace field and reject unknown
-// versions (DESIGN §3.5/§3.6). Values outside [1, codec.MaxVersion] are
-// clamped.
-func WithMaxFrameVersion(v byte) Option {
-	return func(tr *Transport) {
-		if v < codec.Version {
-			v = codec.Version
-		}
-		if v > codec.MaxVersion {
-			v = codec.MaxVersion
-		}
-		tr.maxVer = v
-	}
-}
-
 // WithMetrics counts encoded and decoded wire bytes in reg as
 // codec_encode_bytes_total / codec_decode_bytes_total, attributed to
-// this transport's node id. Only binary-codec traffic is counted — the
-// counters measure the codec, and the gob path predates them.
+// this transport's node id. All remote traffic is counted; a self-send
+// never reaches the wire.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(tr *Transport) {
 		if reg != nil {
@@ -131,12 +84,10 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // Transport is one node's TCP endpoint.
 type Transport struct {
-	id     int
-	addrs  []string
-	ln     net.Listener
-	rec    *trace.Recorder
-	codec  Codec
-	maxVer byte // highest codec frame version to emit
+	id    int
+	addrs []string
+	ln    net.Listener
+	rec   *trace.Recorder
 
 	encBytes *metrics.Counter
 	decBytes *metrics.Counter
@@ -151,17 +102,14 @@ type Transport struct {
 	wg sync.WaitGroup
 }
 
-// outConn is one buffered outbound stream. Binary connections build
-// each frame in the reusable scratch buffer and write it length-prefixed
-// into bw; gob connections keep a long-lived stream encoder. Either way
-// each Send flushes after encoding — so a message still leaves in one
-// syscall — and Broadcast batches its per-peer copies into a single
-// flush each.
+// outConn is one buffered outbound stream. Each frame is built in the
+// reusable scratch buffer and written length-prefixed into bw; each Send
+// flushes after encoding — so a message leaves in one syscall — and
+// Broadcast batches its per-peer copies into a single flush each.
 type outConn struct {
 	conn    net.Conn
 	bw      *bufio.Writer
-	enc     *gob.Encoder // gob codec only
-	scratch []byte       // binary codec only; reused frame buffer
+	scratch []byte // reused frame buffer
 }
 
 // outBufSize is the per-peer write buffer. Large enough to hold a
@@ -189,7 +137,6 @@ func listenOn(id int, addrs []string, ln net.Listener, opts ...Option) *Transpor
 		id:      id,
 		addrs:   append([]string(nil), addrs...),
 		ln:      ln,
-		maxVer:  codec.MaxVersion,
 		conns:   make(map[int]*outConn),
 		inbound: make(map[net.Conn]struct{}),
 		notify:  make(chan struct{}, 1),
@@ -280,23 +227,15 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 		// simulator's drops. The caller cannot act on it anyway.
 		return nil //nolint:nilerr // deliberate: async send never fails on remote errors
 	}
-	if wire > 0 {
-		tr.encBytes.Add(tr.id, int64(wire))
-	}
+	tr.encBytes.Add(tr.id, int64(wire))
 	tr.rec.Send(tr.id, to, 0, wire, payload)
 	return nil
 }
 
 // encodeLocked writes one message into oc's buffered writer and reports
-// the framed byte count (zero on the gob path, which has no per-message
-// size without double buffering). Caller holds tr.mu.
+// the framed byte count. Caller holds tr.mu.
 func (tr *Transport) encodeLocked(oc *outConn, payload any) (int, error) {
-	if oc.enc != nil {
-		// Gob is the compatibility path: it predates the trace field, so
-		// trace wrappers are stripped rather than gob-encoded.
-		return 0, oc.enc.Encode(envelope{From: tr.id, Payload: msgnet.StripTrace(payload)})
-	}
-	frame, err := codec.AppendMax(oc.scratch[:0], payload, tr.maxVer)
+	frame, err := codec.Append(oc.scratch[:0], payload)
 	oc.scratch = frame[:0] // keep growth for the next frame
 	if err != nil {
 		return 0, err
@@ -410,8 +349,8 @@ func (tr *Transport) deliver(m msgnet.Message) {
 }
 
 // connLocked returns the outbound connection to peer, dialing if needed.
-// A fresh connection's codec preamble is buffered ahead of the first
-// message, so it costs no extra syscall.
+// A fresh connection's preamble is buffered ahead of the first message,
+// so it costs no extra syscall.
 func (tr *Transport) connLocked(to int) (*outConn, error) {
 	if oc, ok := tr.conns[to]; ok {
 		return oc, nil
@@ -421,18 +360,11 @@ func (tr *Transport) connLocked(to int) (*outConn, error) {
 		return nil, fmt.Errorf("transport: dial node %d (%s): %w", to, tr.addrs[to], err)
 	}
 	bw := bufio.NewWriterSize(conn, outBufSize)
-	oc := &outConn{conn: conn, bw: bw}
-	if tr.codec == Gob {
-		_ = bw.WriteByte(preambleGob)
-		oc.enc = gob.NewEncoder(bw)
-	} else {
-		_ = bw.WriteByte(preambleBinary)
-		// The sender id never changes on a connection, so it rides in
-		// the preamble rather than in every frame.
-		hdr := bin.AppendVarint(nil, int64(tr.id))
-		_, _ = bw.Write(hdr)
-		oc.scratch = make([]byte, 0, 4096)
-	}
+	_ = bw.WriteByte(preambleBinary)
+	// The sender id never changes on a connection, so it rides in the
+	// preamble rather than in every frame.
+	_, _ = bw.Write(bin.AppendVarint(nil, int64(tr.id)))
+	oc := &outConn{conn: conn, bw: bw, scratch: make([]byte, 0, 4096)}
 	tr.conns[to] = oc
 	return oc, nil
 }
@@ -466,10 +398,9 @@ func (tr *Transport) acceptLoop() {
 	}
 }
 
-// readLoop decodes one inbound connection until it dies. The peer's
-// preamble byte selects the decoder, so a binary transport understands a
-// gob peer and vice versa — the codecs interoperate during a rollout or
-// a differential test.
+// readLoop decodes one inbound connection until it dies. A connection
+// that does not open with the binary preamble — a foreign client, or a
+// peer speaking an encoding this build does not — is dropped.
 func (tr *Transport) readLoop(conn net.Conn) {
 	defer tr.wg.Done()
 	defer func() {
@@ -479,31 +410,9 @@ func (tr *Transport) readLoop(conn net.Conn) {
 		tr.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, outBufSize)
-	switch pre, err := br.ReadByte(); {
-	case err != nil:
-		return
-	case pre == preambleGob:
-		tr.readGob(br)
-	case pre == preambleBinary:
-		tr.readBinary(br)
-	default:
-		// Unknown preamble: a foreign client or protocol mismatch.
+	if pre, err := br.ReadByte(); err != nil || pre != preambleBinary {
 		return
 	}
-}
-
-func (tr *Transport) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		tr.deliver(msgnet.Message{From: env.From, To: tr.id, Payload: env.Payload})
-	}
-}
-
-func (tr *Transport) readBinary(br *bufio.Reader) {
 	from64, err := binary.ReadVarint(br)
 	if err != nil {
 		return

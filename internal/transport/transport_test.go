@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +47,20 @@ func localCluster(t *testing.T, n int, opts ...Option) []*Transport {
 
 func TestSendRecvOverTCP(t *testing.T) {
 	trs := localCluster(t, 2)
+	// A connection that opens with the retired gob preamble is dropped,
+	// and the transport goes on serving its peers.
+	conn, err := net.Dial("tcp", trs[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write([]byte{'G', 0x0f, 0xff, 0x81}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("'G' connection: read %d bytes, err %v; want it closed", n, err)
+	}
 	if err := trs[0].Send(1, "hello"); err != nil {
 		t.Fatal(err)
 	}
