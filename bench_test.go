@@ -511,17 +511,19 @@ func BenchmarkE12SharedMemory(b *testing.B) {
 }
 
 // BenchmarkE14RaftThroughput: experiment E14 — one closed-loop throughput
-// window against a FileStorage-backed cluster, the group-commit and
-// pipelining hot path. Reports committed ops/sec and fsyncs per op.
+// window against a FileStorage-backed one-group shard.Cluster, the
+// group-commit and pipelining hot path. Reports committed ops/sec and
+// fsyncs per op.
 func BenchmarkE14RaftThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-			Nodes:       3,
-			Clients:     8,
-			Duration:    200 * time.Millisecond,
-			Seed:        uint64(i) + 1,
-			FileStorage: true,
+		res, err := bench.RunMultiShard(bench.MultiShardConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            uint64(i) + 1,
+			FileStorage:     true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -585,16 +587,17 @@ func BenchmarkE16MultiShard(b *testing.B) {
 func BenchmarkE15ReadFastPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-			Nodes:         3,
-			Clients:       8,
-			Duration:      200 * time.Millisecond,
-			Seed:          uint64(i) + 1,
-			FileStorage:   true,
-			ReadRatio:     0.9,
-			ReadMode:      raft.ReadLease,
-			LeaseDuration: 15 * time.Millisecond,
-			Keys:          256,
+		res, err := bench.RunMultiShard(bench.MultiShardConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            uint64(i) + 1,
+			FileStorage:     true,
+			ReadRatio:       0.9,
+			ReadMode:        raft.ReadLease,
+			LeaseDuration:   15 * time.Millisecond,
+			Keys:            256,
 		})
 		if err != nil {
 			b.Fatal(err)

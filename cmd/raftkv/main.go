@@ -1,10 +1,15 @@
 // Command raftkv is a replicated key-value store over real TCP — the
 // kind of application log Raft was designed for (paper §4.3).
 //
-// Demo mode runs a whole cluster in one process on loopback sockets,
-// exercises replication and leader failover, and exits:
+// Demo mode runs a whole shard.Cluster in one process on loopback
+// sockets, exercises routed replication and leader failover, and exits:
 //
-//	raftkv -demo -n 5
+//	raftkv -demo -n 5 -shards 2
+//
+// Bench mode runs the closed-loop benchmark (experiments E14–E16) on the
+// same builder over a simulated network:
+//
+//	raftkv -bench -clients 32 -duration 2s
 //
 // Server mode runs one node of a multi-process cluster and accepts
 // commands on stdin (set k v | del k | get k | status | quit):
@@ -28,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"ooc/internal/bench"
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
@@ -48,17 +52,16 @@ var (
 )
 
 // deviceLatency mirrors -device-latency: a modeled shared-device cost
-// per barrier for the multi-shard bench (the E16 fixture).
-// shardTrace is the multi-shard bench's protocol recorder (non-nil only
-// when -shard-trace-out is set): it captures mux-tagged message events
-// plus per-flush fsync notes, the input for ooctrace's per-channel
-// fsyncs/width columns.
+// per barrier for the bench (the E16 fixture). shardTrace is the bench's
+// protocol recorder (non-nil only when -shard-trace-out is set): it
+// captures mux-tagged message events plus per-flush fsync notes, the
+// input for ooctrace's per-channel fsyncs/width columns.
 var (
 	deviceLatency time.Duration
 	shardTrace    *trace.Recorder
 )
 
-// writeShardTrace dumps the multi-shard bench's protocol trace to path.
+// writeShardTrace dumps the bench's protocol trace to path.
 func writeShardTrace(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -86,36 +89,36 @@ func newFlights(count int, dir string, reg *metrics.Registry) []*rtrace.Flight {
 func main() {
 	var (
 		demo      = flag.Bool("demo", false, "run an in-process demo cluster and exit")
-		n         = flag.Int("n", 3, "demo cluster size")
+		n         = flag.Int("n", 3, "demo and bench cluster size")
 		id        = flag.Int("id", 0, "this node's index into -peers")
 		peers     = flag.String("peers", "", "comma-separated cluster addresses, indexed by node id")
 		telemetry = flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100)")
 		benchMode = flag.Bool("bench", false, "run the closed-loop throughput benchmark and exit")
-		clients   = flag.Int("clients", 8, "bench mode: concurrent closed-loop clients")
+		clients   = flag.Int("clients", 8, "bench mode: concurrent closed-loop clients per shard")
 		duration  = flag.Duration("duration", time.Second, "bench mode: measurement window")
 		diskStore = flag.Bool("disk", true, "bench mode: persist through FileStorage (fsync path); false = MemStorage")
 		seed      = flag.Uint64("seed", 1, "bench mode: simulation seed")
-		readCons  = flag.String("read-consistency", "linearizable", "how get serves reads: linearizable | lease | stale (bench mode also accepts log)")
+		readCons  = flag.String("read-consistency", "linearizable", "how get serves reads: linearizable | lease | stale")
 		lease     = flag.Duration("lease", 0, "leader lease duration (0 disables; reads with -read-consistency lease skip the quorum round while it holds)")
 		readRatio = flag.Float64("read-ratio", 0, "bench mode: fraction of ops that are reads (0 = write-only E14 loop)")
 		shards    = flag.Int("shards", 1, "split the keyspace across this many independent Raft groups (demo and bench modes)")
 		sample    = flag.Float64("trace-sample", 0, "per-request tracing sample rate in [0,1]; 0 disables (span timelines dump to -trace-out for ooctrace -request)")
 		traceOut  = flag.String("trace-out", "", "write sampled span timelines to this JSON file on exit (requires -trace-sample > 0)")
 		flightDir = flag.String("flight-dir", "", "arm per-node flight recorders dumping recent events to this directory on anomalies (elections, lease expiries, mux backlog drops)")
-		devLat    = flag.Duration("device-latency", 0, "bench mode with -shards>1: model one shared storage device per node with this latency per durability barrier (the E16 fixture; 0 disables)")
-		shardTr   = flag.String("shard-trace-out", "", "bench mode with -shards>1: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
+		devLat    = flag.Duration("device-latency", 0, "bench mode: model one shared storage device per node with this latency per durability barrier (the E16 fixture; 0 disables)")
+		shardTr   = flag.String("shard-trace-out", "", "bench mode: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
 	)
 	flag.Parse()
 	deviceLatency = *devLat
 	if *shardTr != "" {
-		if !*benchMode || *shards <= 1 {
-			fmt.Fprintln(os.Stderr, "raftkv: -shard-trace-out needs -bench with -shards > 1")
+		if !*benchMode {
+			fmt.Fprintln(os.Stderr, "raftkv: -shard-trace-out needs -bench")
 			os.Exit(1)
 		}
 		shardTrace = trace.NewTimedRecorder()
 	}
 	transport.Register(raft.WireTypes()...)
-	transport.Register(msgnet.WireTypes()...) // multi-shard traffic rides the mux wrapper
+	transport.Register(msgnet.WireTypes()...) // demo traffic rides the mux wrapper
 
 	readMode, err := raft.ParseReadConsistency(*readCons)
 	if err != nil {
@@ -164,14 +167,10 @@ func main() {
 	}
 
 	switch {
-	case *benchMode && *shards > 1:
-		err = runMultiShardBench(*n, *shards, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
 	case *benchMode:
-		err = runBench(*n, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
-	case *demo && *shards > 1:
-		err = runMultiShardDemo(*n, *shards, readMode, *lease, reg)
+		err = runMultiShardBench(*n, *shards, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
 	case *demo:
-		err = runDemo(*n, *lease, reg)
+		err = runClusterDemo(*n, *shards, readMode, *lease, reg)
 	default:
 		if *shards > 1 {
 			err = fmt.Errorf("-shards applies to -demo and -bench; server mode runs one single-group node per process")
@@ -199,55 +198,13 @@ func main() {
 	}
 }
 
-// runBench runs the closed-loop throughput benchmark (the engine behind
-// experiments E14 and E15) and prints a one-screen report.
-func runBench(n, clients int, duration time.Duration, disk bool, seed uint64,
-	readRatio float64, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
-	kind := "mem"
-	if disk {
-		kind = "file (group-commit fsync)"
-	}
-	mix := "write-only"
-	if readRatio > 0 {
-		mix = fmt.Sprintf("%.0f%% %v reads", readRatio*100, readMode)
-	}
-	fmt.Printf("raftkv bench: %d nodes, %d closed-loop clients, %v window, storage=%s, %s\n",
-		n, clients, duration, kind, mix)
-	res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-		Nodes:         n,
-		Clients:       clients,
-		Duration:      duration,
-		Seed:          seed,
-		FileStorage:   disk,
-		Metrics:       reg,
-		Tracer:        tracer,
-		Flights:       flights,
-		ReadRatio:     readRatio,
-		ReadMode:      readMode,
-		LeaseDuration: lease,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  committed ops   %d\n", res.Ops)
-	fmt.Printf("  throughput      %.0f ops/sec\n", res.OpsPerSec)
-	fmt.Printf("  latency p50     %v\n", res.P50.Round(10*time.Microsecond))
-	fmt.Printf("  latency p99     %v\n", res.P99.Round(10*time.Microsecond))
-	if disk {
-		fmt.Printf("  fsyncs          %d (%.3f per op)\n", res.Fsyncs, res.FsyncsPerOp)
-	}
-	fmt.Printf("  allocs per op   %.1f (process-wide)\n", res.AllocsPerOp)
-	if readRatio > 0 {
-		fmt.Printf("  reads/writes    %d / %d\n", res.Reads, res.Writes)
-		fmt.Printf("  read p50/p99    %v / %v\n",
-			res.ReadP50.Round(10*time.Microsecond), res.ReadP99.Round(10*time.Microsecond))
-		fmt.Printf("  served by       lease=%d readindex=%d stale=%d forwarded=%d\n",
-			res.LeaseReads, res.IndexReads, res.StaleReads, res.ForwardedReads)
-	}
-	return nil
-}
-
+// startNode builds server mode's one node: a single Raft group on its
+// own transport, not an in-process cluster.
 func startNode(id int, ep *transport.Transport, kv *raft.KVStore, seed uint64, lease time.Duration, reg *metrics.Registry) (*raft.Node, error) {
+	var flight *rtrace.Flight
+	if len(flights) > 0 {
+		flight = flights[0]
+	}
 	return raft.NewNode(raft.Config{
 		ID:                id,
 		Endpoint:          ep,
@@ -257,143 +214,14 @@ func startNode(id int, ep *transport.Transport, kv *raft.KVStore, seed uint64, l
 		StateMachine:      kv,
 		Metrics:           reg,
 		Tracer:            tracer,
-		Flight:            flightFor(id),
+		Flight:            flight,
 		LeaseDuration:     lease,
 	})
-}
-
-// flightFor maps an in-process node id to its recorder (server mode has
-// exactly one, whatever the node's cluster id).
-func flightFor(id int) *rtrace.Flight {
-	if len(flights) == 1 {
-		return flights[0]
-	}
-	if id < len(flights) {
-		return flights[id]
-	}
-	return nil
-}
-
-func runDemo(n int, lease time.Duration, reg *metrics.Registry) error {
-	fmt.Printf("starting %d-node raft kv cluster on loopback TCP...\n", n)
-	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
-	if err != nil {
-		return err
-	}
-	defer func() {
-		for _, ep := range eps {
-			_ = ep.Close()
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	kvs := make([]*raft.KVStore, n)
-	nodes := make([]*raft.Node, n)
-	for id := 0; id < n; id++ {
-		kvs[id] = &raft.KVStore{}
-		node, err := startNode(id, eps[id], kvs[id], 42, lease, reg)
-		if err != nil {
-			return err
-		}
-		nodes[id] = node
-		node.Start(ctx)
-		fmt.Printf("  node %d listening on %s\n", id, eps[id].Addr())
-	}
-
-	leader, err := awaitLeader(ctx, nodes, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("leader elected: node %d (term %d)\n", leader, nodes[leader].Status().Term)
-
-	var lastIdx int
-	for i := 0; i < 5; i++ {
-		key, val := fmt.Sprintf("key%d", i), fmt.Sprintf("val%d", i)
-		lastIdx, err = nodes[leader].Propose(ctx, raft.KVCommand{Op: "set", Key: key, Value: val})
-		if err != nil {
-			return fmt.Errorf("propose %s: %w", key, err)
-		}
-	}
-	if err := awaitApplied(ctx, kvs, lastIdx, nil); err != nil {
-		return err
-	}
-	fmt.Printf("replicated %d entries to all nodes; node %d sees %v\n", lastIdx, n-1, kvs[n-1].Snapshot())
-
-	// A linearizable read through the fast path: no log append, no fsync —
-	// one piggybacked heartbeat round confirms leadership, then the value
-	// is served from the leader's local state machine.
-	if _, err := nodes[leader].ReadIndex(ctx); err != nil {
-		return fmt.Errorf("read index: %w", err)
-	}
-	if v, ok := kvs[leader].Get("key0"); ok {
-		fmt.Printf("linearizable read (ReadIndex fast path): key0=%s\n", v)
-	}
-
-	fmt.Printf("crashing leader node %d...\n", leader)
-	_ = eps[leader].Close()
-	dead := map[int]bool{leader: true}
-	leader2, err := awaitLeader(ctx, nodes, dead)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("failover complete: new leader node %d (term %d)\n", leader2, nodes[leader2].Status().Term)
-	lastIdx, err = nodes[leader2].Propose(ctx, raft.KVCommand{Op: "set", Key: "post-failover", Value: "ok"})
-	if err != nil {
-		return err
-	}
-	if err := awaitApplied(ctx, kvs, lastIdx, dead); err != nil {
-		return err
-	}
-	fmt.Printf("post-failover write committed; node %d sees %v\n", leader2, kvs[leader2].Snapshot())
-	fmt.Println("demo ok")
-	return nil
-}
-
-func awaitLeader(ctx context.Context, nodes []*raft.Node, dead map[int]bool) (int, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return -1, fmt.Errorf("no leader: %w", err)
-		}
-		for id, node := range nodes {
-			if dead[id] {
-				continue
-			}
-			if node.Status().State == raft.Leader {
-				return id, nil
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func awaitApplied(ctx context.Context, kvs []*raft.KVStore, index int, dead map[int]bool) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("replication incomplete: %w", err)
-		}
-		done := true
-		for id, kv := range kvs {
-			if dead[id] {
-				continue
-			}
-			if kv.AppliedIndex() < index {
-				done = false
-			}
-		}
-		if done {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 func runServer(id int, peers []string, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
 	if len(peers) < 1 || peers[0] == "" {
 		return fmt.Errorf("-peers is required in server mode (or use -demo)")
-	}
-	if readMode == raft.ReadLogCommand {
-		return fmt.Errorf("-read-consistency log is a benchmark baseline; server mode serves linearizable, lease, or stale")
 	}
 	ep, err := transport.Listen(id, peers, transport.WithMetrics(reg))
 	if err != nil {

@@ -167,7 +167,7 @@ func Experiments() []Experiment {
 		{ID: "E12", Name: "Shared-memory consensus (Aspnes framework, Algorithm 2)", Run: RunE12},
 		{ID: "E13", Name: "PreVote ablation: term inflation and post-heal disruption", Run: RunE13, WallClock: true},
 		{ID: "E14", Name: "Raft closed-loop throughput: coalescing, group commit, pipelining", Run: RunE14, WallClock: true},
-		{ID: "E15", Name: "Raft linearizable reads: ReadIndex, leases, and batching vs the log-command baseline", Run: RunE15, WallClock: true},
+		{ID: "E15", Name: "Raft linearizable reads: ReadIndex, leases, and batching", Run: RunE15, WallClock: true},
 		{ID: "E16", Name: "Multi-Raft scaling: sharded keyspace over independent consensus groups", Run: RunE16, WallClock: true},
 	}
 }

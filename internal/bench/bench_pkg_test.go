@@ -91,6 +91,36 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestE15RowsServedByTheirOwnPath checks that E15's read mode and lease
+// reach cluster.Get: each row's reads are attributed (raft.ReadStats) to
+// the path the row names.
+func TestE15RowsServedByTheirOwnPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins fsync-bound clusters")
+	}
+	tbl, err := RunE15(QuickSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := map[string]int{}
+	for i, c := range tbl.Columns {
+		col[c] = i
+	}
+	want := map[string]string{"linearizable": "index_reads", "lease": "lease_reads", "stale": "stale_reads"}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("E15 has %d rows, want %d", len(tbl.Rows), len(want))
+	}
+	for _, row := range tbl.Rows {
+		counter, ok := want[row[col["mode"]]]
+		if !ok {
+			t.Fatalf("unexpected E15 row %v", row)
+		}
+		if n := row[col[counter]]; n == "0" {
+			t.Fatalf("%s row: %s = 0 (row %v)", row[col["mode"]], counter, row)
+		}
+	}
+}
+
 func TestEAOutcomeShape(t *testing.T) {
 	tbl, err := RunEA(QuickSuite())
 	if err != nil {

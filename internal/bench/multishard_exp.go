@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -36,7 +37,7 @@ type MultiShardConfig struct {
 	// FileStorage gives every (node, shard) replica its own on-disk log
 	// in Dir (a temp dir when empty) — the configuration where sharding
 	// pays, because independent leaders run independent group-commit
-	// pipelines.
+	// pipelines. Otherwise every replica persists to a raft.MemStorage.
 	FileStorage bool
 	Dir         string
 	// ElectionTimeout/HeartbeatInterval override the bench defaults.
@@ -89,6 +90,14 @@ type MultiShardResult struct {
 	P99         time.Duration
 	Fsyncs      int64   // total fdatasync calls across all replicas' files (file storage only)
 	FsyncsPerOp float64 // Fsyncs / Ops
+	AllocsPerOp float64 // process-wide heap allocations per op (approximate)
+	// Read/write split of Ops, and the client-observed read latency.
+	Reads   int
+	Writes  int
+	ReadP50 time.Duration
+	ReadP99 time.Duration
+	// Per-path serving counts summed over every replica (raft.ReadStats).
+	LeaseReads, IndexReads, StaleReads, ForwardedReads int64
 	// Device-barrier accounting from the per-node sync coalescers (file
 	// storage only). Barriers is the number of device flushes actually
 	// paid across the cluster — the rounds coalescing folds flushes
@@ -112,9 +121,9 @@ type MultiShardResult struct {
 	KeyImbalance float64
 }
 
-// RunMultiShard runs one closed-loop multi-Raft trial. It is the engine
-// behind experiment E16, BenchmarkE16MultiShard, and `raftkv -bench
-// -shards=N`.
+// RunMultiShard runs one closed-loop trial on a shard.Cluster. It is the
+// engine behind experiments E14–E16, their Benchmark* wrappers, and
+// `raftkv -bench`; E14 and E15 run it with Shards: 1.
 func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
@@ -160,7 +169,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		filesMu sync.Mutex
 		files   []*raft.FileStorage
 	)
-	var storage func(node, s int) (raft.Storage, error)
+	storage := func(int, int) (raft.Storage, error) { return raft.NewMemStorage(), nil }
 	if cfg.FileStorage {
 		storage = func(node, s int) (raft.Storage, error) {
 			fs, err := raft.OpenFileStorage(filepath.Join(dir, fmt.Sprintf("node-%d-shard-%d.log", node, s)))
@@ -277,9 +286,13 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		}
 	}
 
+	var ms0 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+
 	clients := cfg.ClientsPerShard * cfg.Shards
 	runCtx, runCancel := context.WithCancel(ctx)
 	lat := make([][]time.Duration, clients)
+	rlat := make([][]time.Duration, clients)
 	shardOps := make([][]int, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -294,7 +307,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 			pin := c % cfg.Shards // clients 0..S-1 on shard 0..S-1, wrapping
 			keys := keysByShard[pin]
 			// Values carry the client id for global uniqueness; keys are
-			// shared within a shard's partition, like E15's keyspace.
+			// shared within a shard's partition.
 			vprefix := fmt.Sprintf("c%d-", c)
 			for {
 				op := mix.Next()
@@ -304,7 +317,9 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 					if _, _, err := cluster.Get(runCtx, key); err != nil {
 						return // window over
 					}
-					lat[c] = append(lat[c], time.Since(t0))
+					d := time.Since(t0)
+					lat[c] = append(lat[c], d)
+					rlat[c] = append(rlat[c], d)
 					counts[pin]++
 					continue
 				}
@@ -322,6 +337,9 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	timer.Stop()
 	runCancel()
 
+	var ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms1)
+
 	res := MultiShardResult{
 		Shards:          cfg.Shards,
 		Clients:         clients,
@@ -332,18 +350,30 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		KeyImbalance:    workload.SpreadImbalance(spread),
 	}
 	all := make([]time.Duration, 0, 1024)
+	reads := make([]time.Duration, 0, 1024)
 	for c := range lat {
 		res.Ops += len(lat[c])
 		all = append(all, lat[c]...)
+		reads = append(reads, rlat[c]...)
 		for s, n := range shardOps[c] {
 			res.PerShardOps[s] += n
 		}
 	}
+	res.Reads, res.Writes = len(reads), res.Ops-len(reads)
 	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		res.P50 = all[len(all)/2]
-		res.P99 = all[len(all)*99/100]
+	res.P50, res.P99 = p50p99(all)
+	res.ReadP50, res.ReadP99 = p50p99(reads)
+	if res.Ops > 0 {
+		res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Ops)
+	}
+	for s := 0; s < cfg.Shards; s++ {
+		for _, nd := range cluster.Group(s).Nodes {
+			lease, index, stale, fwd := nd.ReadStats()
+			res.LeaseReads += lease
+			res.IndexReads += index
+			res.StaleReads += stale
+			res.ForwardedReads += fwd
+		}
 	}
 	// Stop the cluster before reading the sync counters so in-flight
 	// persist runs are counted, not raced (the deferred cleanup re-runs
@@ -371,6 +401,16 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		res.MeanWidth = float64(requests) / float64(res.Barriers)
 	}
 	return res, nil
+}
+
+// p50p99 sorts ds in place and returns its median and 99th percentile
+// (zero when empty).
+func p50p99(ds []time.Duration) (p50, p99 time.Duration) {
+	if len(ds) == 0 {
+		return 0, 0
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2], ds[len(ds)*99/100]
 }
 
 // e16DeviceLatency is the modeled device latency per durability barrier

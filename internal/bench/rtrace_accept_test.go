@@ -23,13 +23,14 @@ func TestE14PhaseAttributionCoversLatency(t *testing.T) {
 		t.Skip("spins a real fsync-bound cluster")
 	}
 	tracer := rtrace.New(rtrace.Options{Sample: 1})
-	res, err := RunRaftThroughput(ThroughputConfig{
-		Nodes:       3,
-		Clients:     1, // single closed loop: no cross-request queueing noise
-		Duration:    400 * time.Millisecond,
-		Seed:        42,
-		FileStorage: true,
-		Tracer:      tracer,
+	res, err := RunMultiShard(MultiShardConfig{
+		Nodes:           3,
+		Shards:          1,
+		ClientsPerShard: 1, // single closed loop: no cross-request queueing noise
+		Duration:        400 * time.Millisecond,
+		Seed:            42,
+		FileStorage:     true,
+		Tracer:          tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,18 +98,19 @@ func TestE14DisabledTracingOverhead(t *testing.T) {
 		k, limit = 9, 0.03
 	}
 	run := func(seed uint64, traced bool) float64 {
-		cfg := ThroughputConfig{
-			Nodes:    3,
-			Clients:  8,
-			Duration: 200 * time.Millisecond,
-			Seed:     seed,
+		cfg := MultiShardConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            seed,
 		}
 		if traced {
 			// Tracer armed but sampling nothing: the configuration a
 			// production cluster runs with tracing compiled in and off.
 			cfg.Tracer = rtrace.New(rtrace.Options{Sample: 0})
 		}
-		res, err := RunRaftThroughput(cfg)
+		res, err := RunMultiShard(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +153,14 @@ func TestE14TracedRunProducesConsumableSpans(t *testing.T) {
 		t.Skip("spins a real fsync-bound cluster")
 	}
 	tracer := rtrace.New(rtrace.Options{Sample: 0.5})
-	if _, err := RunRaftThroughput(ThroughputConfig{
-		Nodes:       3,
-		Clients:     4,
-		Duration:    300 * time.Millisecond,
-		Seed:        7,
-		FileStorage: true,
-		Tracer:      tracer,
+	if _, err := RunMultiShard(MultiShardConfig{
+		Nodes:           3,
+		Shards:          1,
+		ClientsPerShard: 4,
+		Duration:        300 * time.Millisecond,
+		Seed:            7,
+		FileStorage:     true,
+		Tracer:          tracer,
 	}); err != nil {
 		t.Fatal(err)
 	}

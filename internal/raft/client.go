@@ -238,10 +238,6 @@ func (c *Client) Read(ctx context.Context, key string) (value string, found bool
 //     cluster's current leader — follower forwarding works but adds a
 //     relay hop — and follows redirects like Submit does.
 //   - ReadStale reads any node's state machine with no coordination.
-//   - ReadLogCommand replicates the read through the log like a write
-//     (the pre-fast-path baseline): a no-mutation command is submitted,
-//     committed, and applied, and the value is then read from the
-//     accepting node.
 func (c *Client) ReadWith(ctx context.Context, key string, mode ReadConsistency) (value string, found bool, err error) {
 	if c.tracer != nil {
 		if id, ok := c.tracer.Begin(int(c.leader.Load()), "get:"+mode.String(), key); ok {
@@ -249,11 +245,8 @@ func (c *Client) ReadWith(ctx context.Context, key string, mode ReadConsistency)
 			defer func() { c.tracer.End(id, err != nil) }()
 		}
 	}
-	switch mode {
-	case ReadStale:
+	if mode == ReadStale {
 		return c.readStale(ctx, key)
-	case ReadLogCommand:
-		return c.readLogCommand(ctx, key)
 	}
 	probe := 0
 	for attempt := 0; ; attempt++ {
@@ -315,29 +308,6 @@ func (c *Client) readStale(ctx context.Context, key string) (string, bool, error
 		return c.get(id, key)
 	}
 	return "", false, errors.New("raft: client read: no live nodes")
-}
-
-// readLogCommand is the reads-as-log-commands baseline: replicate a
-// no-mutation command, wait for it to commit and apply on the accepting
-// node, then read that node's state machine. The applied index at read
-// time is ≥ the command's own index, which is after the read's
-// invocation — linearizable, at full write-path cost (log append, fsync,
-// quorum replication).
-func (c *Client) readLogCommand(ctx context.Context, key string) (string, bool, error) {
-	for {
-		rep, id, err := c.submit(ctx, KVCommand{Op: "get", Key: key})
-		if err != nil {
-			return "", false, err
-		}
-		applied, err := c.waitApplied(ctx, id, rep.index, rep.term)
-		if err != nil {
-			return "", false, err
-		}
-		if applied {
-			return c.get(id, key)
-		}
-		// Lost to a leadership change; resubmit like SubmitWait does.
-	}
 }
 
 // get reads key from node id's state machine.

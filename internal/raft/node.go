@@ -72,8 +72,7 @@ type Config struct {
 	// MaxEntriesPerAppend caps how many log entries one AppendEntries
 	// message carries. Replication to a lagging follower proceeds in
 	// pipelined windows of this size instead of re-sending the whole
-	// suffix. Default 64; negative means unlimited (the pre-pipelining
-	// behaviour).
+	// suffix. Default 64; minimum 1.
 	MaxEntriesPerAppend int
 	// MaxInflightAppends caps how many unacknowledged entry-carrying
 	// AppendEntries may be outstanding per follower — the pipeline
@@ -151,10 +150,8 @@ func (c *Config) normalize() error {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = c.ElectionTimeout / 5
 	}
-	if c.MaxEntriesPerAppend == 0 {
+	if c.MaxEntriesPerAppend < 1 {
 		c.MaxEntriesPerAppend = 64
-	} else if c.MaxEntriesPerAppend < 0 {
-		c.MaxEntriesPerAppend = 0 // sliceLimit treats 0 as unlimited
 	}
 	if c.MaxInflightAppends < 1 {
 		c.MaxInflightAppends = 4

@@ -2,7 +2,6 @@ package raft
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -30,18 +29,12 @@ const (
 	// ReadStale reads the local state machine with no coordination and no
 	// consistency guarantee beyond "some applied prefix of the log".
 	ReadStale
-	// ReadLogCommand replicates the read through the log like a write —
-	// the pre-fast-path baseline. Only the Client implements it (a node
-	// cannot decide commitment by itself); it exists so benchmarks and
-	// tests can compare the fast path against reads-as-log-commands.
-	ReadLogCommand
 )
 
 var readConsistencyNames = map[ReadConsistency]string{
 	ReadLinearizable: "linearizable",
 	ReadLease:        "lease",
 	ReadStale:        "stale",
-	ReadLogCommand:   "log",
 }
 
 // String implements fmt.Stringer.
@@ -53,14 +46,14 @@ func (rc ReadConsistency) String() string {
 }
 
 // ParseReadConsistency maps a flag value ("linearizable", "lease",
-// "stale", "log") to its ReadConsistency.
+// "stale") to its ReadConsistency.
 func ParseReadConsistency(s string) (ReadConsistency, error) {
 	for rc, name := range readConsistencyNames {
 		if name == s {
 			return rc, nil
 		}
 	}
-	return 0, fmt.Errorf("raft: unknown read consistency %q (want linearizable, lease, stale, or log)", s)
+	return 0, fmt.Errorf("raft: unknown read consistency %q (want linearizable, lease, or stale)", s)
 }
 
 // readReq is one read waiting on the main loop, mirroring proposeReq.
@@ -144,12 +137,8 @@ func (nd *Node) ReadIndex(ctx context.Context) (int, error) {
 // ReadIndexMode is ReadIndex with an explicit consistency mode:
 // ReadLinearizable always runs a confirmation round, ReadLease uses the
 // leader's lease when valid (falling back to a round), and ReadStale
-// returns the local applied index immediately. ReadLogCommand is a
-// client-side mode and is rejected here.
+// returns the local applied index immediately.
 func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, error) {
-	if mode == ReadLogCommand {
-		return 0, errors.New("raft: ReadLogCommand is served by the Client, not the node")
-	}
 	if err := nd.admit(ctx); err != nil {
 		return 0, err
 	}

@@ -17,7 +17,7 @@ func withLease(d time.Duration) func(*Config) {
 }
 
 func TestReadConsistencyParseRoundTrip(t *testing.T) {
-	for _, rc := range []ReadConsistency{ReadLinearizable, ReadLease, ReadStale, ReadLogCommand} {
+	for _, rc := range []ReadConsistency{ReadLinearizable, ReadLease, ReadStale} {
 		got, err := ParseReadConsistency(rc.String())
 		if err != nil || got != rc {
 			t.Fatalf("round trip %v: got %v, %v", rc, got, err)

@@ -31,14 +31,11 @@ type Config struct {
 	// required, and the reason two same-seeded clusters elect the same
 	// leaders.
 	RNG *sim.RNG
-	// Raft timing and pipeline knobs, passed through to every node.
-	// Zero values take the raft.Config defaults.
-	ElectionTimeout     time.Duration
-	HeartbeatInterval   time.Duration
-	LeaseDuration       time.Duration
-	MaxEntriesPerAppend int
-	MaxInflightAppends  int
-	MaxProposalBatch    int
+	// Raft timing knobs, passed through to every node. Zero values take
+	// the raft.Config defaults.
+	ElectionTimeout   time.Duration
+	HeartbeatInterval time.Duration
+	LeaseDuration     time.Duration
 	// ReadMode is the default consistency Get uses (zero =
 	// ReadLinearizable).
 	ReadMode raft.ReadConsistency
@@ -296,21 +293,18 @@ func (c *Cluster) Start(ctx context.Context) error {
 				syncer = c.syncers[id]
 			}
 			node, err := raft.NewNode(raft.Config{
-				ID:                  id,
-				Endpoint:            c.muxes[id].Channel(ChannelName(s)),
-				RNG:                 c.cfg.RNG.Stream(nodeRole+uint64(s), uint64(id)),
-				ElectionTimeout:     c.cfg.ElectionTimeout,
-				HeartbeatInterval:   c.cfg.HeartbeatInterval,
-				LeaseDuration:       c.cfg.LeaseDuration,
-				StateMachine:        sm,
-				Storage:             store,
-				Metrics:             reg,
-				Tracer:              c.cfg.Tracer,
-				Flight:              c.flightFor(id),
-				MaxEntriesPerAppend: c.cfg.MaxEntriesPerAppend,
-				MaxInflightAppends:  c.cfg.MaxInflightAppends,
-				MaxProposalBatch:    c.cfg.MaxProposalBatch,
-				Syncer:              syncer,
+				ID:                id,
+				Endpoint:          c.muxes[id].Channel(ChannelName(s)),
+				RNG:               c.cfg.RNG.Stream(nodeRole+uint64(s), uint64(id)),
+				ElectionTimeout:   c.cfg.ElectionTimeout,
+				HeartbeatInterval: c.cfg.HeartbeatInterval,
+				LeaseDuration:     c.cfg.LeaseDuration,
+				StateMachine:      sm,
+				Storage:           store,
+				Metrics:           reg,
+				Tracer:            c.cfg.Tracer,
+				Flight:            c.flightFor(id),
+				Syncer:            syncer,
 			})
 			if err != nil {
 				return fmt.Errorf("shard %d node %d: %w", s, id, err)
