@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"ooc/internal/bench"
@@ -92,10 +93,11 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 // writes route by key, and a linearizable read comes back through the
 // owning group's fast path. Then it crashes the node leading shard 0 by
 // closing its transport — every replica that node hosts stops with it —
-// waits until every shard has a leader on a live node, and commits one
-// write per shard.
-func runClusterDemo(n, shards int, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
-	fmt.Printf("starting %d-node / %d-shard raft kv cluster on loopback TCP...\n", n, shards)
+// waits until every shard has a leader on a live node, commits one write
+// per shard, and prints how long the cluster went without service. The
+// narration goes to out.
+func runClusterDemo(out io.Writer, n, shards int, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
+	fmt.Fprintf(out, "starting %d-node / %d-shard raft kv cluster on loopback TCP...\n", n, shards)
 	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
 	if err != nil {
 		return err
@@ -136,12 +138,12 @@ func runClusterDemo(n, shards int, readMode raft.ReadConsistency, lease time.Dur
 		cluster.Wait()
 	}()
 	for i, ep := range eps {
-		fmt.Printf("  node %d listening on %s (%d group channels)\n", i, ep.Addr(), shards)
+		fmt.Fprintf(out, "  node %d listening on %s (%d group channels)\n", i, ep.Addr(), shards)
 	}
 	if err := cluster.WaitForLeaders(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("leaders elected:%s  (spread %d/%d nodes)\n", leaders(cluster), cluster.LeaderSpread(), n)
+	fmt.Fprintf(out, "leaders elected:%s  (spread %d/%d nodes)\n", leaders(cluster), cluster.LeaderSpread(), n)
 
 	for i := 0; i < 2*shards; i++ {
 		key, val := fmt.Sprintf("key%d", i), fmt.Sprintf("val%d", i)
@@ -149,16 +151,17 @@ func runClusterDemo(n, shards int, readMode raft.ReadConsistency, lease time.Dur
 		if err != nil {
 			return fmt.Errorf("put %s: %w", key, err)
 		}
-		fmt.Printf("put %s=%s → shard %d index %d\n", key, val, s, idx)
+		fmt.Fprintf(out, "put %s=%s → shard %d index %d\n", key, val, s, idx)
 	}
 	v, ok, err := cluster.GetWith(ctx, "key0", raft.ReadLinearizable)
 	if err != nil {
 		return fmt.Errorf("get key0: %w", err)
 	}
-	fmt.Printf("linearizable read via shard %d: key0=%q (found=%v)\n", cluster.ShardOf("key0"), v, ok)
+	fmt.Fprintf(out, "linearizable read via shard %d: key0=%q (found=%v)\n", cluster.ShardOf("key0"), v, ok)
 
 	dead := leaderOf(cluster.Group(0))
-	fmt.Printf("crashing node %d, leader of shard 0...\n", dead)
+	fmt.Fprintf(out, "crashing node %d, leader of shard 0...\n", dead)
+	crashed := time.Now()
 	_ = eps[dead].Close()
 	for s := 0; s < shards; s++ {
 		select {
@@ -172,7 +175,9 @@ func runClusterDemo(n, shards int, readMode raft.ReadConsistency, lease time.Dur
 	if err := cluster.WaitForLeaders(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("failover complete:%s\n", leaders(cluster))
+	toLeaders := time.Since(crashed)
+	fmt.Fprintf(out, "failover complete:%s\n", leaders(cluster))
+	var toWrite time.Duration
 	for s, i := 0, 0; s < shards; i++ {
 		key := fmt.Sprintf("after%d", i)
 		if cluster.ShardOf(key) != s {
@@ -182,20 +187,25 @@ func runClusterDemo(n, shards int, readMode raft.ReadConsistency, lease time.Dur
 		if err != nil {
 			return fmt.Errorf("post-failover put %s: %w", key, err)
 		}
-		fmt.Printf("post-failover put %s → shard %d index %d\n", key, s, idx)
+		if s == 0 {
+			toWrite = time.Since(crashed)
+		}
+		fmt.Fprintf(out, "post-failover put %s → shard %d index %d\n", key, s, idx)
 		s++
 	}
+	fmt.Fprintf(out, "time without service: %v to a leader on every shard, %v to the first acknowledged write\n",
+		toLeaders.Round(10*time.Microsecond), toWrite.Round(10*time.Microsecond))
 
 	// Read each shard's leader replica: follower replicas may be an apply
 	// batch behind at any instant, which would read as data loss.
-	fmt.Printf("per-shard state:\n")
+	fmt.Fprintf(out, "per-shard state:\n")
 	for s := 0; s < shards; s++ {
 		leader := leaderOf(cluster.Group(s))
 		if kv, ok := cluster.Group(s).StateMachine(leader).(*raft.KVStore); ok {
-			fmt.Printf("  shard %d (leader node %d): %v\n", s, leader, kv.Snapshot())
+			fmt.Fprintf(out, "  shard %d (leader node %d): %v\n", s, leader, kv.Snapshot())
 		}
 	}
-	fmt.Println("demo ok")
+	fmt.Fprintln(out, "demo ok")
 	return nil
 }
 

@@ -170,7 +170,7 @@ func main() {
 	case *benchMode:
 		err = runMultiShardBench(*n, *shards, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
 	case *demo:
-		err = runClusterDemo(*n, *shards, readMode, *lease, reg)
+		err = runClusterDemo(os.Stdout, *n, *shards, readMode, *lease, reg)
 	default:
 		if *shards > 1 {
 			err = fmt.Errorf("-shards applies to -demo and -bench; server mode runs one single-group node per process")

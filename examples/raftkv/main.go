@@ -35,6 +35,7 @@ func main() {
 	rng := sim.NewRNG(99)
 	kvs := make([]*raft.KVStore, n)
 	nodes := make([]*raft.Node, n)
+	won := make(chan int) // a node's id, each time it wins an election
 	for id := 0; id < n; id++ {
 		kvs[id] = &raft.KVStore{}
 		node, err := raft.NewNode(raft.Config{
@@ -49,11 +50,13 @@ func main() {
 			log.Fatal(err)
 		}
 		nodes[id] = node
+		// Subscribed before Start, so no win goes unseen.
+		go forwardWins(ctx, id, node.Subscribe(raft.EventBecameLeader), won)
 		node.Start(ctx)
 		fmt.Printf("node %d on %s\n", id, eps[id].Addr())
 	}
 
-	leader := waitLeader(nodes, nil)
+	leader := waitLeader(ctx, nodes, won, nil)
 	fmt.Printf("elected leader: node %d\n", leader)
 
 	var last int
@@ -68,52 +71,65 @@ func main() {
 		}
 		last = idx
 	}
-	waitApplied(kvs, last, nil)
+	waitApplied(ctx, nodes, last, nil)
 	fmt.Printf("all nodes applied %d entries; node 2 sees %v\n", last, kvs[2].Snapshot())
 
 	fmt.Printf("crashing leader %d...\n", leader)
 	_ = eps[leader].Close()
 	dead := map[int]bool{leader: true}
-	leader2 := waitLeader(nodes, dead)
+	leader2 := waitLeader(ctx, nodes, won, dead)
 	fmt.Printf("new leader: node %d (term %d)\n", leader2, nodes[leader2].Status().Term)
 
 	idx, err := nodes[leader2].Propose(ctx, raft.KVCommand{Op: "set", Key: "failover", Value: "survived"})
 	if err != nil {
 		log.Fatalf("post-failover propose: %v", err)
 	}
-	waitApplied(kvs, idx, dead)
+	waitApplied(ctx, nodes, idx, dead)
 	v, _ := kvs[leader2].Get("failover")
 	fmt.Printf("post-failover write visible everywhere: failover=%s\n", v)
 	fmt.Println("ok")
 }
 
-func waitLeader(nodes []*raft.Node, dead map[int]bool) int {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
+// forwardWins passes on node id's EventBecameLeader stream.
+func forwardWins(ctx context.Context, id int, sub *raft.Subscription, won chan<- int) {
+	for {
+		if _, err := sub.Next(ctx); err != nil {
+			return
+		}
+		select {
+		case won <- id:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// waitLeader returns a live node that leads by its own status. It checks
+// the level, then sleeps until the next win anywhere; a win from before
+// the check only costs one more check.
+func waitLeader(ctx context.Context, nodes []*raft.Node, won <-chan int, dead map[int]bool) int {
+	for {
 		for id, node := range nodes {
 			if !dead[id] && node.Status().State == raft.Leader {
 				return id
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-won:
+		case <-ctx.Done():
+			log.Fatal("no leader elected")
+		}
 	}
-	log.Fatal("no leader elected")
-	return -1
 }
 
-func waitApplied(kvs []*raft.KVStore, index int, dead map[int]bool) {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for id, kv := range kvs {
-			if !dead[id] && kv.AppliedIndex() < index {
-				done = false
-			}
+// waitApplied returns once every live node has applied through index.
+func waitApplied(ctx context.Context, nodes []*raft.Node, index int, dead map[int]bool) {
+	for id, node := range nodes {
+		if dead[id] {
+			continue
 		}
-		if done {
-			return
+		if _, err := node.AwaitApplied(ctx, index); err != nil {
+			log.Fatalf("node %d applying through %d: %v", id, index, err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	log.Fatal("replication incomplete")
 }

@@ -157,6 +157,10 @@ type Cluster struct {
 	nudges  int   // rebalance campaigns requested
 	started bool
 	running []*raft.Node // nodes Start actually launched, for Wait
+	// elected is closed and replaced on every EventBecameLeader a
+	// watcher sees, a node winning again included; WaitForLeaders parks
+	// on it. Nil until Start has built every group.
+	elected chan struct{}
 }
 
 // NewCluster validates cfg and sizes the cluster; Start runs it.
@@ -322,6 +326,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 		g.Client = client
 		c.groups[s] = g
 	}
+	c.mu.Lock()
+	c.elected = make(chan struct{})
+	c.mu.Unlock()
 	// Subscribe the placement watchers before starting any node so no
 	// EventBecameLeader is missed, then start and place.
 	for _, g := range c.groups {
@@ -398,6 +405,11 @@ func (c *Cluster) watchLeadership(ctx context.Context, shard, node int, sub *raf
 // of oscillating.
 func (c *Cluster) noteLeader(shard, node int) {
 	c.mu.Lock()
+	// Wake WaitForLeaders on every win, before the early return: a node
+	// that wins again moves nothing in the table, but a waiter may have
+	// seen it as a candidate.
+	close(c.elected)
+	c.elected = make(chan struct{})
 	old := c.leader[shard]
 	if old == node {
 		c.mu.Unlock()
@@ -456,24 +468,39 @@ func (c *Cluster) RebalanceNudges() int {
 }
 
 // WaitForLeaders blocks until every shard has an elected leader (per
-// raft status, not just the watcher table) or ctx expires.
+// raft status, not just the watcher table) or ctx expires. It wakes on
+// the watchers' leadership edge, never on a timer: it takes the edge
+// before checking the level, so a win that lands after the check still
+// closes the channel it parks on.
 func (c *Cluster) WaitForLeaders(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("shard: waiting for leaders: %w", err)
+		c.mu.Lock()
+		elected := c.elected
+		c.mu.Unlock()
+		if elected == nil {
+			return errors.New("shard: WaitForLeaders before Start")
 		}
-		ready := 0
-		for _, g := range c.groups {
-			for _, node := range g.Nodes {
-				if node.Status().State == raft.Leader {
-					ready++
-					break
-				}
-			}
-		}
-		if ready == len(c.groups) {
+		if c.allLed() {
 			return nil
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-elected:
+		case <-ctx.Done():
+			return fmt.Errorf("shard: waiting for leaders: %w", ctx.Err())
+		}
 	}
+}
+
+// allLed reports whether some replica of every group says it leads.
+func (c *Cluster) allLed() bool {
+groups:
+	for _, g := range c.groups {
+		for _, node := range g.Nodes {
+			if node.Status().State == raft.Leader {
+				continue groups
+			}
+		}
+		return false
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -356,6 +357,126 @@ func TestClusterMultiShardSoak(t *testing.T) {
 					t.Fatalf("shard %d node %d holds key %q owned by shard %d", s, id, key, got)
 				}
 			}
+		}
+	}
+}
+
+// newSimCluster builds a nodes×shards cluster over a FIFO netsim with no
+// storage, not yet started.
+func newSimCluster(t *testing.T, seed uint64, nodes, shards int) (*shard.Cluster, *netsim.Network) {
+	t.Helper()
+	nw := netsim.New(nodes, netsim.WithSeed(seed), netsim.WithFIFO())
+	c, err := shard.NewCluster(shard.Config{
+		Endpoints:         endpoints(nw, nodes),
+		Shards:            shards,
+		RNG:               sim.NewRNG(seed),
+		ElectionTimeout:   testElection,
+		HeartbeatInterval: testHeartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, nw
+}
+
+// TestClusterMisuse pins the errors for calls out of order: each returns
+// an error instead of panicking or hanging.
+func TestClusterMisuse(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start bool // Start the cluster before the call
+		call  func(*shard.Cluster, context.Context) error
+	}{
+		{"WaitForLeaders before Start", false, (*shard.Cluster).WaitForLeaders},
+		{"Start twice", true, (*shard.Cluster).Start},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			c, nw := newSimCluster(t, 3, 3, 2)
+			defer func() {
+				cancel()
+				c.Wait()
+				nw.Close()
+			}()
+			if tc.start {
+				if err := c.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.call(c, ctx); err == nil {
+				t.Fatalf("%s returned nil", tc.name)
+			}
+		})
+	}
+}
+
+// TestWaitForLeadersReturnsAtTheElection pins the bring-up wait to the
+// election: over netsim with no storage the boot campaign wins in tens of
+// microseconds, so the median time from Start returning to WaitForLeaders
+// returning stays far under a millisecond. A wait that sleeps or polls
+// on a 1 ms clock cannot pass.
+func TestWaitForLeadersReturnsAtTheElection(t *testing.T) {
+	const bringUps, nodes = 20, 3
+	waits := make([]time.Duration, bringUps)
+	for i := range waits {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		c, nw := newSimCluster(t, uint64(i+1), nodes, 1)
+		if err := c.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		err := c.WaitForLeaders(ctx)
+		waits[i] = time.Since(t0)
+		cancel()
+		c.Wait()
+		nw.Close()
+		if err != nil {
+			t.Fatalf("bring-up %d: %v", i, err)
+		}
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	med := waits[bringUps/2]
+	if med >= 500*time.Microsecond {
+		t.Fatalf("median leader wait %v over %d bring-ups (want < 500µs); sorted: %v", med, bringUps, waits)
+	}
+	t.Logf("median leader wait %v over %d bring-ups", med, bringUps)
+}
+
+// TestWaitForLeadersSeesSameNodeWinAgain has shard 0's leader campaign
+// and win again, then waits: the wait sees the campaigner as a candidate
+// and must be woken by its second win, which changes no placement.
+func TestWaitForLeadersSeesSameNodeWinAgain(t *testing.T) {
+	const nodes, rounds = 3, 5
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, nw := newSimCluster(t, 5, nodes, 1)
+	defer nw.Close()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cancel()
+		c.Wait()
+	}()
+	for r := 0; r < rounds; r++ {
+		if err := c.WaitForLeaders(ctx); err != nil {
+			t.Fatal(err)
+		}
+		leader := -1
+		for id, nd := range c.Group(0).Nodes {
+			if nd.Status().State == raft.Leader {
+				leader = id
+			}
+		}
+		if leader < 0 {
+			continue // lost between the wait and the scan; the next round waits again
+		}
+		c.Group(0).Nodes[leader].Campaign(nil)
+		wctx, wcancel := context.WithTimeout(ctx, 2*time.Second)
+		err := c.WaitForLeaders(wctx)
+		wcancel()
+		if err != nil {
+			t.Fatalf("round %d: after node %d campaigned: %v", r, leader, err)
 		}
 	}
 }
