@@ -9,8 +9,8 @@ import (
 
 // sysSync's opFdatasync is fsync where the platform has no fdatasync the
 // standard library reaches: still one barrier covering everything
-// written. No filesystem is known to overwrite in place here, so no file
-// is ever written back and the other ops are never asked for.
+// written. No filesystem is known to overwrite in place here: a store's
+// first submit is refused, and the file is never written back after it.
 func sysSync(op string, f *os.File, _, _ int64) error {
 	if op != opFdatasync {
 		return syscall.ENOSYS

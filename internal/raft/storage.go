@@ -258,21 +258,18 @@ var zeroFill [runAheadMax]byte
 // overwriting safe; Close truncates the run-ahead away, so a cleanly
 // closed file is exactly the sum of its frames.
 //
-// Records are hand-rolled varint encodings (see wirecodec.go), built in
-// a scratch buffer the store reuses across writes — the gob layout this
-// replaced paid a fresh encoder, its type metadata, and ~25 heap
-// allocations per barriered frame. Writes are coalesced through a
-// buffered writer: a single record costs one flush and one barrier, and
-// AppendBatch amortizes that barrier over the whole batch — the
+// Records are hand-rolled varint encodings (see wirecodec.go), framed in
+// place in one buffer the store reuses across writes and that grows from
+// empty to what a flush carries: a single record costs one write and one
+// barrier, and AppendBatch amortizes both over the whole batch — the
 // group-commit path the leader's proposal coalescing feeds.
 type FileStorage struct {
-	path    string
-	f       *os.File // its offset is pos less what w still buffers
-	w       *bufio.Writer
-	scratch []byte
-	syncs   atomic.Int64
+	path  string
+	f     *os.File
+	buf   []byte // frames not yet written; they end at pos
+	syncs atomic.Int64
 
-	// pos is the end of the records written (buffered ones included),
+	// pos is the end of the records encoded (buffered ones included),
 	// counted from the frame sizes; alloc is the end of the run-ahead,
 	// which is the file's size whenever it is past pos. They are valid
 	// once ready is set: by Load, or by the first write to a store that
@@ -284,14 +281,14 @@ type FileStorage struct {
 	// of [synced, pos), all inside the run-ahead as the previous barrier
 	// left it — durable zeros in written blocks — so writing those pages
 	// back and flushing dev's cache through any file on it is the whole
-	// barrier: flush submits the pages before it queues, the round waits
-	// for them and flushes. synced is pos at the previous flush.
-	// overwrites is the filesystem's half (overwritesInPlace), looked up
-	// by the first flush that needs it — a set-up's few records never do,
-	// and it reads the mount table — and cleared for good if the kernel
-	// refuses the call or a barrier fails; the owner does that at its
-	// submit, a round leader at the wait, while the owner is parked in
-	// the syncer.
+	// barrier: the round waits for the pages and flushes. synced is pos at
+	// the previous flush. overwrites is the filesystem's half
+	// (overwritesInPlace), looked up by the first flush that needs it — a
+	// set-up's few records never do, and it reads the mount table — and
+	// cleared for good if the kernel refuses the call or a barrier fails;
+	// the owner does that at its submit, a round leader at the wait, while
+	// the owner is parked in the syncer. fsKnown && !overwrites is a file
+	// flush no longer submits on.
 	synced              int64
 	dev                 uint64
 	fsKnown, overwrites bool
@@ -319,16 +316,13 @@ func OpenFileStorage(path string) (*FileStorage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("raft: open storage: %w", err)
 	}
-	return &FileStorage{
-		path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), scratch: make([]byte, 0, 4096),
-		syncer: NewSyncCoalescer(SyncerConfig{}),
-	}, nil
+	return &FileStorage{path: path, f: f, syncer: NewSyncCoalescer(SyncerConfig{})}, nil
 }
 
-// Close flushes buffered records, truncates the unused run-ahead away
+// Close writes any buffered records, truncates the unused run-ahead away
 // and releases the file handle.
 func (s *FileStorage) Close() error {
-	err := s.w.Flush()
+	err := s.writeOut()
 	if err == nil && s.ready && s.alloc > s.pos {
 		err = s.f.Truncate(s.pos)
 		s.alloc = s.pos
@@ -362,8 +356,8 @@ func (s *FileStorage) SetSyncer(sc *SyncCoalescer) {
 // only place this store asks the device for durability. Unlike the rest
 // of FileStorage it may be called from the barrier leader's goroutine
 // while the owner is parked on the syncer — the descriptor and the
-// counter are both safe for that, and the owner drained the buffered
-// writer and wrote any run-ahead extension before parking.
+// counter are both safe for that, and the owner wrote its buffered
+// frames and any run-ahead extension before parking.
 //
 // It yields once before blocking. The syscall parks this goroutine's P
 // with it until a steal or sysmon's retake, and a goroutine readied last
@@ -389,18 +383,19 @@ func (s *FileStorage) flushDevice() error {
 }
 
 // writeBack starts (opWriteBack: the owner's, in flush, a hint) or
-// completes (opWriteBackWait: the round's, the guarantee) writing an
-// inPlace flush's bytes out and reports whether the file is still one a
-// device flush will cover. A kernel or filesystem without the call clears
-// overwrites, and the file takes its own SyncDevice from this round on;
-// any other failure is this flush's error.
+// completes (opWriteBackWait: the round's, the guarantee, inPlace flushes
+// only) writing a flush's bytes out and reports whether the file is still
+// one a device flush will cover. A kernel or filesystem without the call
+// clears overwrites for good — flush submits on the file no more, and it
+// takes its own SyncDevice from this round on; any other failure is this
+// flush's error.
 func (s *FileStorage) writeBack(op string) (bool, error) {
 	err := syncFile(op, s.f, s.synced, s.pos-s.synced)
 	if err == nil {
 		return true, nil
 	}
 	if errors.Is(err, syscall.ENOSYS) || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.EOPNOTSUPP) {
-		s.overwrites, s.inPlace = false, false
+		s.fsKnown, s.overwrites, s.inPlace = true, false, false
 		return false, nil
 	}
 	return false, fmt.Errorf("raft: write back: %w", err)
@@ -432,11 +427,12 @@ func (s *FileStorage) LastBarrierWidth() int {
 	return s.lastWidth
 }
 
-// encodeRecord appends one framed record to the buffered writer without
-// flushing. The payload — [version][kind][varint fields] — is built in
-// the store's reusable scratch buffer, so a steady-state append performs
-// no heap allocation; each frame is self-contained (its own length and
-// checksum) so Load can validate records independently.
+// encodeRecord appends one framed record to buf without writing it. The
+// header is reserved, the payload — [version][kind][varint fields] — is
+// appended after it, and its length and checksum are patched in, so a
+// steady-state append performs no heap allocation; each frame is
+// self-contained so Load can validate records independently. A record
+// that fails to encode leaves buf and pos as they were.
 func (s *FileStorage) encodeRecord(r record) error {
 	if !s.ready {
 		// The file is not in append mode: a write lands where pos says,
@@ -450,23 +446,38 @@ func (s *FileStorage) encodeRecord(r record) error {
 		}
 		s.ready = true
 	}
-	payload, err := appendRecord(s.scratch[:0], r)
+	start := len(s.buf)
+	buf, err := appendRecord(append(s.buf, make([]byte, frameHeaderSize)...), r)
 	if err != nil {
+		s.buf = buf[:start]
 		return fmt.Errorf("raft: persist: %w", err)
 	}
-	s.scratch = payload // keep any growth for the next record
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("raft: persist: %w", err)
+	payload := buf[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	s.buf = buf
+	s.pos += int64(len(buf) - start)
+	return nil
+}
+
+// bufKeep is the most buffer capacity the store keeps between flushes: a
+// large batch or snapshot is one write, and then its memory goes.
+const bufKeep = 64 << 10
+
+// writeOut hands the buffered frames to the kernel in one write, where
+// they belong: just short of pos. They stay buffered if it fails.
+func (s *FileStorage) writeOut() error {
+	if len(s.buf) == 0 {
+		return nil
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return fmt.Errorf("raft: persist: %w", err)
+	if _, err := s.f.WriteAt(s.buf, s.pos-int64(len(s.buf))); err != nil {
+		return err
 	}
-	// Counted here, not read back from w.Buffered(): a batch larger than
-	// the buffer has already spilled part of itself to the file.
-	s.pos += frameHeaderSize + int64(len(payload))
+	if cap(s.buf) > bufKeep {
+		s.buf = nil
+	} else {
+		s.buf = s.buf[:0]
+	}
 	return nil
 }
 
@@ -527,25 +538,28 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 	return rec, nil
 }
 
-// flush pushes buffered frames to the kernel — over the run-ahead, at
-// the file's offset — and issues the durability barrier, exactly one
-// however many records were encoded. When the records have come within a
-// frame header of the end of the file (and fill its first runAheadMin
-// bytes), the next run-ahead is written first, so the same barrier
-// covers it and a record only ever lands on durable zeros or, when it
-// outruns them, past the end of the file.
+// flush writes the buffered frames — over the run-ahead — and issues the
+// durability barrier, exactly one however many records were encoded.
+// When the records have come within a frame header of the end of the
+// file (and fill its first runAheadMin bytes), the next run-ahead is
+// written first, so the same barrier covers it and a record only ever
+// lands on durable zeros or, when it outruns them, past the end of the
+// file.
 // The barrier is a SyncCoalescer round, the store's own or the node's
-// shared one: the owner goroutine does the writes here and, when the
-// flush is inPlace, submits them for write-out before it queues — the
-// device works through the round's yield and the round in progress, not
-// after them — and the round that covers this file waits for that
-// write-back, or calls its SyncDevice. A failed submit is a failed
-// barrier, without a round. A flush that extends the run-ahead or
-// lands past it — every flush of a file under runAheadMin, and the first
-// after Load truncated the run-ahead away — is not in place: it changes
-// the file's size, which only the file's own fdatasync commits.
+// shared one: the owner goroutine does the writes here and submits the
+// new bytes for write-out before it queues — the device works through
+// the round's yield and the round in progress, not after them — and the
+// round that covers this file waits for that write-back when the flush
+// is inPlace, or calls its SyncDevice. A failed submit is a failed
+// barrier, without a round. A flush that extends the run-ahead or lands
+// past it — every flush of a file under runAheadMin, and the first after
+// Load truncated the run-ahead away — is not in place: it changes the
+// file's size, which only the file's own fdatasync commits. Its submit
+// still pays: under delayed allocation it allocates the new blocks in
+// the journal transaction then running, so when another file's
+// fdatasync commits that transaction, this one's finds it committed.
 func (s *FileStorage) flush() error {
-	if err := s.w.Flush(); err != nil {
+	if err := s.writeOut(); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
 	}
 	extend := s.pos >= runAheadMin && s.pos+frameHeaderSize > s.alloc
@@ -564,7 +578,7 @@ func (s *FileStorage) flush() error {
 	}
 	s.inPlace = s.inPlace && s.overwrites
 	var err error
-	if s.inPlace {
+	if s.synced < s.pos && (s.overwrites || !s.fsKnown) {
 		_, err = s.writeBack(opWriteBack)
 	}
 	if err == nil {
@@ -595,13 +609,17 @@ func (s *FileStorage) TruncateAndAppend(prevIndex int, entries []Entry) error {
 }
 
 // AppendBatch implements Storage: the whole batch is encoded into the
-// write buffer and made durable with a single barrier.
+// write buffer and made durable with a single barrier. A mutation that
+// fails to encode takes the batch's earlier ones with it: nothing of a
+// failed call is left to a later flush.
 func (s *FileStorage) AppendBatch(muts []LogMutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
+	buffered, pos := len(s.buf), s.pos
 	for _, m := range muts {
 		if err := s.encodeRecord(record{Kind: recordLog, PrevIndex: m.PrevIndex, Entries: m.Entries}); err != nil {
+			s.buf, s.pos = s.buf[:buffered], pos
 			return err
 		}
 	}
@@ -641,7 +659,7 @@ func (s *FileStorage) Load() (PersistentState, error) {
 		return PersistentState{}, fmt.Errorf("raft: load storage: %w", err)
 	}
 	size := info.Size()
-	br := bufio.NewReaderSize(f, 1<<16)
+	br := bufio.NewReaderSize(f, int(min(size, 64<<10)))
 	st := PersistentState{VotedFor: none}
 	var dec EntryDecoder
 	var valid int64 // offset just past the last fully-applied record
@@ -708,10 +726,7 @@ func (s *FileStorage) Load() (PersistentState, error) {
 			return st, fmt.Errorf("raft: truncate torn tail: %w", err)
 		}
 	}
-	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
-		return st, fmt.Errorf("raft: load storage: %w", err)
-	}
-	s.pos, s.alloc, s.synced, s.ready = valid, valid, valid, true
+	s.buf, s.pos, s.alloc, s.synced, s.ready = s.buf[:0], valid, valid, valid, true
 	return st, nil
 }
 

@@ -130,10 +130,11 @@ func TestCloseLeavesNoRunAhead(t *testing.T) {
 	}
 }
 
-// TestLargeBatchSpillKeepsPos: a record larger than the write buffer
-// reaches the file before flush runs. If the store worked out where its
-// records end from what the buffer still holds, the run-ahead's zeros
-// would land on the spilled record.
+// TestLargeBatchSpillKeepsPos: a record larger than bufKeep does not
+// spill — nothing of it reaches the file before flush, which writes it in
+// one piece where pos says and then lets the buffer's capacity go. The
+// file's frames end where the store says its records do, so the
+// run-ahead's zeros land after the record, not on it.
 func TestLargeBatchSpillKeepsPos(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "raft.log")
 	s, err := OpenFileStorage(path)
@@ -145,8 +146,18 @@ func TestLargeBatchSpillKeepsPos(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := []byte(strings.Repeat("snapshot", 200<<10/8))
-	if err := s.SaveSnapshot(10, 1, snap); err != nil {
+	size := fileSize(t, path)
+	if err := s.encodeRecord(record{Kind: recordSnapshot, SnapIndex: 10, SnapTerm: 1, SnapData: snap}); err != nil {
 		t.Fatal(err)
+	}
+	if now := fileSize(t, path); now != size || int64(len(s.buf)) != s.pos-size {
+		t.Fatalf("a %d-byte record spilled before flush: file %d → %d bytes, %d buffered", len(snap), size, now, len(s.buf))
+	}
+	if err := s.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.buf) != 0 || cap(s.buf) > bufKeep {
+		t.Fatalf("after the flush the buffer holds %d bytes with capacity %d, want 0 and at most %d", len(s.buf), cap(s.buf), bufKeep)
 	}
 	for i := 0; i < 3; i++ {
 		if err := s.TruncateAndAppend(10+i, entries(2)); err != nil {
@@ -166,7 +177,43 @@ func TestLargeBatchSpillKeepsPos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.SnapIndex != 10 || string(st.SnapData) != string(snap) || len(st.Entries) != 3 {
-		t.Fatalf("reload after a spilled record: snap=%d (%d bytes) entries=%d", st.SnapIndex, len(st.SnapData), len(st.Entries))
+		t.Fatalf("reload after a large record: snap=%d (%d bytes) entries=%d", st.SnapIndex, len(st.SnapData), len(st.Entries))
+	}
+}
+
+// A batch whose second mutation cannot be encoded fails as a whole: the
+// first mutation's frame does not stay buffered for the next flush to
+// write, so a reload finds none of the failed call.
+func TestFailedAppendBatchLeavesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "raft.log")
+	s, err := OpenFileStorage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Entry{{Term: 1, Command: struct{ C chan int }{}}}
+	if err := s.AppendBatch([]LogMutation{{PrevIndex: 0, Entries: entries(1)}, {PrevIndex: 1, Entries: bad}}); err == nil {
+		t.Fatal("a batch with an unencodable command succeeded")
+	}
+	if len(s.buf) != 0 || s.pos != 0 {
+		t.Fatalf("the failed batch left %d bytes buffered, pos %d", len(s.buf), s.pos)
+	}
+	if err := s.SetState(3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenFileStorage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	st, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Term != 3 || st.VotedFor != 1 || len(st.Entries) != 0 {
+		t.Fatalf("reload: term %d, vote %d, %d entries; want 3, 1, 0", st.Term, st.VotedFor, len(st.Entries))
 	}
 }
 

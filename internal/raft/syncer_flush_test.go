@@ -266,7 +266,8 @@ func flushParked(t *testing.T, sc *SyncCoalescer, w *testWAL, valueLen, n int) c
 // it takes its own fdatasync — after its stage's write-backs, although it
 // parked ahead of c — and since every write-back of the round has
 // finished by then, it is the round's device flush too: no closing one
-// is issued.
+// is issued. Its flush still submitted its bytes before it queued; the
+// round waits on no write-back of b's.
 func TestExtendingMemberFlushesForTheRound(t *testing.T) {
 	sc := NewSyncCoalescer(SyncerConfig{})
 	dir := t.TempDir()
@@ -289,7 +290,7 @@ func TestExtendingMemberFlushesForTheRound(t *testing.T) {
 	if b.alloc == bAlloc || b.inPlace {
 		t.Fatalf("b's flush was meant to extend its run-ahead: alloc %d → %d, inPlace %v", bAlloc, b.alloc, b.inPlace)
 	}
-	if got, want := log.ops(0, names), "writeback:a writeback:c writeback-wait:a writeback-wait:c fdatasync:b"; got != want {
+	if got, want := log.ops(0, names), "writeback:a writeback:b writeback:c writeback-wait:a writeback-wait:c fdatasync:b"; got != want {
 		t.Fatalf("syscalls = %q, want %q", got, want)
 	}
 	for i, w := range []*testWAL{a, b, c} {
@@ -342,9 +343,10 @@ func TestForeignTargetBesideInPlaceFiles(t *testing.T) {
 }
 
 // Load truncates the run-ahead away, so the first flush after it grows
-// the file and is the file's own fdatasync; the flushes after the
-// run-ahead is back are written back, and a round of one is write-back,
-// wait, flush, in that order on the one file.
+// the file: it submits its bytes and then takes the file's own fdatasync,
+// with no wait between. The flushes after the run-ahead is back are
+// written back, and a round of one is write-back, wait, flush, in that
+// order on the one file.
 func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
 	sc := NewSyncCoalescer(SyncerConfig{})
 	path := filepath.Join(t.TempDir(), "a.wal")
@@ -367,7 +369,7 @@ func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
 
 	log := installSysLog(t, nil)
 	for i, want := range []string{
-		"fdatasync:a", // lands past the end of the file, and extends it
+		"writeback:a fdatasync:a", // lands past the end of the file, and extends it
 		"writeback:a writeback-wait:a fdatasync:a",
 		"writeback:a writeback-wait:a fdatasync:a",
 	} {
@@ -381,6 +383,50 @@ func TestFirstFlushAfterLoadIsNotInPlace(t *testing.T) {
 		if s.Syncs() != syncs+1 || sc.Barriers() != barriers+1 || s.LastBarrierWidth() != 1 {
 			t.Fatalf("flush %d after Load: %+d fdatasyncs, %+d rounds, width %d; want +1, +1, 1",
 				i, s.Syncs()-syncs, sc.Barriers()-barriers, s.LastBarrierWidth())
+		}
+	}
+}
+
+// A fresh store's flushes change its file's size, so each takes its own
+// fdatasync; each still submits its bytes before it queues. Under delayed
+// allocation that puts the file's new blocks in the journal transaction
+// then running, so when another store's fdatasync commits it, this one's
+// finds its transaction committed: a set-up's files share commits instead
+// of taking one each in series. b, parked behind a's held fdatasync, has
+// submitted before either fdatasync runs.
+func TestSizeChangingFlushSubmitsBeforeItQueues(t *testing.T) {
+	sc := NewSyncCoalescer(SyncerConfig{})
+	dir := t.TempDir()
+	ws := make([]*testWAL, 2)
+	for i, name := range []string{"a.wal", "b.wal"} {
+		s, err := OpenFileStorage(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		s.SetSyncer(sc)
+		ws[i] = &testWAL{FileStorage: s}
+	}
+	a, b := ws[0], ws[1]
+	names := map[*os.File]string{a.f: "a", b.f: "b"}
+
+	log, release, aDone := heldAt(t, opFdatasync, a, nil)
+	bDone := flushParked(t, sc, b, 40, 1)
+	if got, want := log.ops(0, names), "writeback:a writeback:b"; got != want {
+		t.Fatalf("with a's fdatasync held and b parked: syscalls = %q, want %q", got, want)
+	}
+	release()
+	for _, done := range []chan error{aDone, bDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := log.ops(0, names), "writeback:a writeback:b fdatasync:a fdatasync:b"; got != want {
+		t.Fatalf("syscalls = %q, want %q", got, want)
+	}
+	for _, w := range ws {
+		if w.inPlace || w.Syncs() != 1 {
+			t.Errorf("%s: inPlace %v, %d fdatasyncs; want a flush of its own", names[w.f], w.inPlace, w.Syncs())
 		}
 	}
 }

@@ -102,19 +102,19 @@ type Transport struct {
 	wg sync.WaitGroup
 }
 
-// outConn is one buffered outbound stream. Each frame is built in the
-// reusable scratch buffer and written length-prefixed into bw; each Send
-// flushes after encoding — so a message leaves in one syscall — and
-// Broadcast batches its per-peer copies into a single flush each.
+// outConn is one buffered outbound stream. Frames are encoded
+// length-prefixed into buf, which grows from empty to what a write
+// carries; each Send writes it after encoding — so a message leaves in
+// one syscall — and Broadcast batches its per-peer copies into a single
+// write each.
 type outConn struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	scratch []byte // reused frame buffer
+	conn net.Conn
+	buf  []byte // preamble (first write only), then frames not yet written
 }
 
-// outBufSize is the per-peer write buffer. Large enough to hold a
-// typical AppendEntries batch; anything bigger spills through bufio's
-// large-write path unharmed.
+// outBufSize is the most write-buffer capacity a peer keeps between
+// writes: a typical AppendEntries batch fits, and a larger frame leaves in
+// one write and then its memory goes.
 const outBufSize = 64 << 10
 
 var _ msgnet.Endpoint = (*Transport)(nil)
@@ -211,7 +211,7 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 	if err == nil {
 		wire, err = tr.encodeLocked(oc, payload)
 		if err == nil && flush {
-			err = oc.bw.Flush()
+			err = oc.write()
 		}
 		if err != nil {
 			// Broken pipe or unencodable payload: drop the connection;
@@ -232,23 +232,36 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 	return nil
 }
 
-// encodeLocked writes one message into oc's buffered writer and reports
-// the framed byte count. Caller holds tr.mu.
+// encodeLocked appends one message to oc's buffer and reports the framed
+// byte count. The frame is encoded in place and its varint length slid in
+// ahead of it. Caller holds tr.mu.
 func (tr *Transport) encodeLocked(oc *outConn, payload any) (int, error) {
-	frame, err := codec.Append(oc.scratch[:0], payload)
-	oc.scratch = frame[:0] // keep growth for the next frame
+	start := len(oc.buf)
+	buf, err := codec.Append(oc.buf, payload)
 	if err != nil {
+		oc.buf = buf[:start]
 		return 0, err
 	}
+	frame := len(buf) - start
 	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
-	if _, err := oc.bw.Write(hdr[:n]); err != nil {
-		return 0, err
+	n := binary.PutUvarint(hdr[:], uint64(frame))
+	buf = append(buf, hdr[:n]...)
+	copy(buf[start+n:], buf[start:start+frame])
+	copy(buf[start:], hdr[:n])
+	oc.buf = buf
+	return n + frame, nil
+}
+
+// write hands oc's buffer to the connection in one write and empties it,
+// keeping no more than outBufSize of capacity.
+func (oc *outConn) write() error {
+	_, err := oc.conn.Write(oc.buf)
+	if cap(oc.buf) > outBufSize {
+		oc.buf = nil
+	} else {
+		oc.buf = oc.buf[:0]
 	}
-	if _, err := oc.bw.Write(frame); err != nil {
-		return 0, err
-	}
-	return n + len(frame), nil
+	return err
 }
 
 // Broadcast implements msgnet.Endpoint. Each peer's copy is encoded into
@@ -272,10 +285,10 @@ func (tr *Transport) flushAll() {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	for to, oc := range tr.conns {
-		if oc.bw.Buffered() == 0 {
+		if len(oc.buf) == 0 {
 			continue
 		}
-		if err := oc.bw.Flush(); err != nil {
+		if err := oc.write(); err != nil {
 			_ = oc.conn.Close()
 			delete(tr.conns, to)
 		}
@@ -350,7 +363,8 @@ func (tr *Transport) deliver(m msgnet.Message) {
 
 // connLocked returns the outbound connection to peer, dialing if needed.
 // A fresh connection's preamble is buffered ahead of the first message,
-// so it costs no extra syscall.
+// so it costs no extra syscall. The sender id never changes on a
+// connection, so it rides in the preamble rather than in every frame.
 func (tr *Transport) connLocked(to int) (*outConn, error) {
 	if oc, ok := tr.conns[to]; ok {
 		return oc, nil
@@ -359,12 +373,7 @@ func (tr *Transport) connLocked(to int) (*outConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial node %d (%s): %w", to, tr.addrs[to], err)
 	}
-	bw := bufio.NewWriterSize(conn, outBufSize)
-	_ = bw.WriteByte(preambleBinary)
-	// The sender id never changes on a connection, so it rides in the
-	// preamble rather than in every frame.
-	_, _ = bw.Write(bin.AppendVarint(nil, int64(tr.id)))
-	oc := &outConn{conn: conn, bw: bw, scratch: make([]byte, 0, 4096)}
+	oc := &outConn{conn: conn, buf: bin.AppendVarint([]byte{preambleBinary}, int64(tr.id))}
 	tr.conns[to] = oc
 	return oc, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -282,6 +283,36 @@ func TestBenOrOverTCP(t *testing.T) {
 	for id := 1; id < n; id++ {
 		if decisions[id].Value != decisions[0].Value {
 			t.Fatalf("agreement violated over TCP: %v", decisions)
+		}
+	}
+}
+
+// A frame larger than outBufSize leaves in one write and arrives whole,
+// and the peer's write buffer does not keep the capacity it took: a
+// snapshot transfer is not what the next heartbeat pays memory for.
+func TestFrameOverOutBufSizeArrivesWhole(t *testing.T) {
+	trs := localCluster(t, 2)
+	want := raft.InstallSnapshot{Term: 4, LeaderID: 0, LastIncludedIndex: 90, LastIncludedTerm: 3, Data: make([]byte, 3*outBufSize)}
+	for i := range want.Data {
+		want.Data[i] = byte(i * 7)
+	}
+	for _, payload := range []any{want, raft.RequestVote{Term: 5}} {
+		if err := trs[0].Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		m, err := trs[1].Recv(ctxT(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.Payload, payload) {
+			t.Fatalf("%T arrived mangled", payload)
+		}
+		trs[0].mu.Lock()
+		oc := trs[0].conns[1]
+		held, capacity := len(oc.buf), cap(oc.buf)
+		trs[0].mu.Unlock()
+		if held != 0 || capacity > outBufSize {
+			t.Fatalf("after a %T: buffer holds %d bytes with capacity %d, want 0 and at most %d", payload, held, capacity, outBufSize)
 		}
 	}
 }
