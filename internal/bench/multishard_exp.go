@@ -35,18 +35,16 @@ type MultiShardConfig struct {
 	Duration        time.Duration
 	Seed            uint64
 	// FileStorage gives every (node, shard) replica its own on-disk log
-	// in Dir (a temp dir when empty) — the configuration where sharding
-	// pays, because independent leaders run independent group-commit
-	// pipelines. Otherwise every replica persists to a raft.MemStorage.
+	// in a temp dir — the configuration where sharding pays, because
+	// independent leaders run independent group-commit pipelines.
+	// Otherwise every replica persists to a raft.MemStorage.
 	FileStorage bool
-	Dir         string
-	// ElectionTimeout/HeartbeatInterval override the bench defaults.
-	// Slow modeled disks need a wider election timeout: every barrier
-	// stalls a node's loop for the device latency, and an in-window
-	// election is a multi-heartbeat throughput hole that reads as a
-	// scaling loss.
-	ElectionTimeout   time.Duration
-	HeartbeatInterval time.Duration
+	// ElectionTimeout overrides the bench default; the heartbeat is
+	// always benchHeartbeat. Slow modeled disks need a wider election
+	// timeout: every barrier stalls a node's loop for the device latency,
+	// and an in-window election is a multi-heartbeat throughput hole that
+	// reads as a scaling loss.
+	ElectionTimeout time.Duration
 	// Metrics, if non-nil, receives the cluster-level telemetry (leader
 	// placement, per-shard routed ops, mux drops).
 	Metrics *metrics.Registry
@@ -54,13 +52,12 @@ type MultiShardConfig struct {
 	// internals, passed through to shard.Config.
 	ShardMetrics func(shard int) *metrics.Registry
 	// Workload shape: ReadRatio > 0 mixes reads (served per shard via
-	// ReadMode) into the loop; Keys sizes the shared keyspace (default
-	// 1024); Zipfian selects the skewed distribution.
+	// ReadMode) into the loop; Keys sizes the shared, uniformly drawn
+	// keyspace (default 1024).
 	ReadRatio     float64
 	ReadMode      raft.ReadConsistency
 	LeaseDuration time.Duration
 	Keys          int
-	Zipfian       bool
 	// Tracer/Flights thread per-request tracing and flight recording
 	// through the cluster (shard.Config.Tracer / shard.Config.Flights).
 	Tracer  *rtrace.Tracer
@@ -143,11 +140,8 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = benchElection
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = benchHeartbeat
-	}
-	dir := cfg.Dir
-	if cfg.FileStorage && dir == "" {
+	var dir string
+	if cfg.FileStorage {
 		d, err := os.MkdirTemp("", "ooc-multishard-bench-*")
 		if err != nil {
 			return MultiShardResult{}, err
@@ -191,7 +185,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Shards:            cfg.Shards,
 		RNG:               rng,
 		ElectionTimeout:   cfg.ElectionTimeout,
-		HeartbeatInterval: cfg.HeartbeatInterval,
+		HeartbeatInterval: benchHeartbeat,
 		LeaseDuration:     cfg.LeaseDuration,
 		ReadMode:          cfg.ReadMode,
 		Tracer:            cfg.Tracer,
@@ -223,12 +217,8 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	// The shared workload family: one key table and CDF across the whole
 	// client grid, plus the router self-check before any number is
 	// trusted.
-	dist := workload.KeysUniform
-	if cfg.Zipfian {
-		dist = workload.KeysZipfian
-	}
 	fam, err := workload.NewKVMixFamily(workload.KVMixConfig{
-		ReadRatio: cfg.ReadRatio, Keys: cfg.Keys, Dist: dist,
+		ReadRatio: cfg.ReadRatio, Keys: cfg.Keys, Dist: workload.KeysUniform,
 	})
 	if err != nil {
 		return MultiShardResult{}, err
@@ -238,11 +228,10 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		return MultiShardResult{}, err
 	}
 	// The per-shard grid: partition the shared key table by owning
-	// group, preserving family rank order within each partition (so a
-	// zipfian head stays a head on every shard). Each client is pinned
-	// to one shard and remaps its drawn rank into that shard's
-	// partition; ops still travel through the router (which must agree
-	// with the pin — that's the closed loop exercising the real path).
+	// group, preserving family rank order within each partition. Each
+	// client is pinned to one shard and remaps its drawn rank into that
+	// shard's partition; ops still travel through the router (which must
+	// agree with the pin — that's the closed loop exercising the real path).
 	// Pinning matters for the measurement: randomly routed closed-loop
 	// clients collide (two clients landing on one group serialize behind
 	// its commit pipeline while another group idles), which reads as a

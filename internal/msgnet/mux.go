@@ -18,15 +18,14 @@ import (
 // Channels are matched by name across processors. Traffic arriving for a
 // channel that has not been created yet is buffered and handed over on
 // creation, so instances may start at different times on different
-// processors. The buffer is bounded per channel (WithBacklogLimit):
+// processors. The buffer is bounded per channel (DefaultBacklogLimit):
 // past the cap, the newest message for that channel is dropped and
 // counted, so a channel nobody ever creates — a misrouted tag, or a
 // shard group that failed to boot — cannot grow an unbounded queue.
 type Mux struct {
-	parent       Endpoint
-	backlogLimit int
-	dropped      *metrics.Counter
-	onDrop       func(channel string, from int)
+	parent  Endpoint
+	dropped *metrics.Counter
+	onDrop  func(channel string, from int)
 
 	mu      sync.Mutex
 	subs    map[string]*subEndpoint
@@ -44,17 +43,6 @@ type MuxOption func(*Mux)
 // spans at most a few protocol rounds of traffic; 4096 covers that with
 // a wide margin while bounding a never-created channel's memory.
 const DefaultBacklogLimit = 4096
-
-// WithBacklogLimit overrides the per-channel backlog cap. Zero or
-// negative restores the default; there is deliberately no unbounded
-// setting.
-func WithBacklogLimit(n int) MuxOption {
-	return func(m *Mux) {
-		if n > 0 {
-			m.backlogLimit = n
-		}
-	}
-}
 
 // WithMuxMetrics counts backlog drops in reg as
 // mux_backlog_dropped_total, attributed to the parent endpoint's id. A
@@ -105,10 +93,9 @@ func ChannelOf(payload any) (string, bool) {
 // Recv fails with the terminating error.
 func NewMux(ctx context.Context, parent Endpoint, opts ...MuxOption) *Mux {
 	m := &Mux{
-		parent:       parent,
-		backlogLimit: DefaultBacklogLimit,
-		subs:         make(map[string]*subEndpoint),
-		backlog:      make(map[string][]Message),
+		parent:  parent,
+		subs:    make(map[string]*subEndpoint),
+		backlog: make(map[string][]Message),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -160,7 +147,7 @@ func (m *Mux) dispatch(ctx context.Context) {
 		dropped := false
 		if ok {
 			s.pending.Push(routed)
-		} else if len(m.backlog[tag.Channel]) < m.backlogLimit {
+		} else if len(m.backlog[tag.Channel]) < DefaultBacklogLimit {
 			m.backlog[tag.Channel] = append(m.backlog[tag.Channel], routed)
 		} else {
 			// Over the cap: drop the newest. The protocols above the mux

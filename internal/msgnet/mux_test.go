@@ -189,47 +189,51 @@ func TestMuxBacklogBounded(t *testing.T) {
 	ctx := ctxT(t)
 	reg := metrics.NewRegistry()
 	m0 := msgnet.NewMux(ctx, nw.Node(0))
-	m1 := msgnet.NewMux(ctx, nw.Node(1), msgnet.WithBacklogLimit(3), msgnet.WithMuxMetrics(reg))
+	m1 := msgnet.NewMux(ctx, nw.Node(1), msgnet.WithMuxMetrics(reg))
 
-	const sent = 10
+	const (
+		limit = msgnet.DefaultBacklogLimit
+		over  = 7
+		sent  = limit + over
+	)
 	for i := 0; i < sent; i++ {
 		if err := m0.Channel("late").Send(1, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the receiver's dispatcher has routed everything: 3
-	// buffered + 7 dropped.
+	// Wait until the receiver's dispatcher has routed everything: the
+	// cap buffered, the rest dropped.
 	dropped := reg.Counter("mux_backlog_dropped_total")
 	deadline := time.Now().Add(5 * time.Second)
-	for dropped.Value() < sent-3 {
+	for dropped.Value() < over {
 		if time.Now().After(deadline) {
-			t.Fatalf("dropped = %d, want %d", dropped.Value(), sent-3)
+			t.Fatalf("dropped = %d, want %d", dropped.Value(), over)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	sub := m1.Channel("late")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < limit; i++ {
 		msg, err := sub.Recv(ctx)
 		if err != nil || msg.Payload != i {
 			t.Fatalf("recv %d: %v %v", i, msg, err)
 		}
 	}
-	if got := dropped.Value(); got != sent-3 {
-		t.Fatalf("dropped = %d, want %d", got, sent-3)
+	if got := dropped.Value(); got != over {
+		t.Fatalf("dropped = %d, want %d", got, over)
 	}
 	// Once the channel exists, delivery is no longer backlog-bounded.
 	for i := 0; i < sent; i++ {
-		if err := m0.Channel("late").Send(1, 100+i); err != nil {
+		if err := m0.Channel("late").Send(1, sent+i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < sent; i++ {
 		msg, err := sub.Recv(ctx)
-		if err != nil || msg.Payload != 100+i {
+		if err != nil || msg.Payload != sent+i {
 			t.Fatalf("post-create recv %d: %v %v", i, msg, err)
 		}
 	}
-	if got := dropped.Value(); got != sent-3 {
+	if got := dropped.Value(); got != over {
 		t.Fatalf("post-create drops moved: %d", got)
 	}
 }

@@ -120,5 +120,9 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index,
 // the accepting term as well and, once it has moved, combine this with
 // a Status check for the truncation races.
 func (nd *Node) AwaitApplied(ctx context.Context, index int) (int, error) {
-	return nd.applied.wait(ctx, nd.stopped, index, anyTerm)
+	idx, err := nd.applied.wait(ctx, nd.stopped, index, anyTerm)
+	if err == ErrStopped {
+		err = nd.stopErr
+	}
+	return idx, err
 }

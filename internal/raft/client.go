@@ -20,37 +20,21 @@ import (
 // The client only needs handles to the nodes it may contact; in a
 // multi-process deployment that is typically one local node.
 type Client struct {
-	nodes      []*Node
-	clock      sim.Clock
-	backoff    time.Duration // base retry pause; doubles per attempt
-	backoffMax time.Duration // exponential growth cap
-	rng        *sim.RNG      // jitter source; deterministic under a fixed seed
-	readMode   ReadConsistency
-	tracer     *rtrace.Tracer // nil = tracing disabled
-	leader     atomic.Int32   // last node that served a read, or redirect hint; -1 unknown
-	rr         atomic.Int64   // round-robin cursor for stale reads
+	nodes    []*Node
+	backoff  time.Duration // base retry pause (clientBackoff); doubles per attempt up to 32×
+	rng      *sim.RNG      // jitter source; deterministic under a fixed seed
+	readMode ReadConsistency
+	tracer   *rtrace.Tracer // nil = tracing disabled
+	leader   atomic.Int32   // last node that served a read, or redirect hint; -1 unknown
+	rr       atomic.Int64   // round-robin cursor for stale reads
 }
+
+// clientBackoff is the base retry pause: the closed-loop setting every
+// deployment runs.
+const clientBackoff = time.Millisecond
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithClientClock injects a clock (tests use the fake one for backoff).
-func WithClientClock(clock sim.Clock) ClientOption {
-	return func(c *Client) { c.clock = clock }
-}
-
-// WithClientBackoff sets the base retry pause (default 5ms). Consecutive
-// failed attempts double it, jittered, up to the WithClientBackoffMax
-// cap.
-func WithClientBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.backoff = d }
-}
-
-// WithClientBackoffMax caps the exponential backoff growth (default
-// 32× the base pause).
-func WithClientBackoffMax(d time.Duration) ClientOption {
-	return func(c *Client) { c.backoffMax = d }
-}
 
 // WithClientRNG injects the jitter source, letting simulations keep
 // client retry timing on a deterministic seed.
@@ -80,14 +64,10 @@ func NewClient(nodes []*Node, opts ...ClientOption) (*Client, error) {
 	}
 	c := &Client{
 		nodes:   append([]*Node(nil), nodes...),
-		clock:   sim.RealClock{},
-		backoff: 5 * time.Millisecond,
+		backoff: clientBackoff,
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.backoffMax <= 0 {
-		c.backoffMax = 32 * c.backoff
 	}
 	if c.rng == nil {
 		c.rng = sim.NewRNG(0x0c11e47ba7c0ffee)
@@ -97,16 +77,17 @@ func NewClient(nodes []*Node, opts ...ClientOption) (*Client, error) {
 }
 
 // nextBackoff computes the pause after attempt consecutive failures:
-// exponential growth capped at backoffMax, with "equal jitter" — half
+// exponential growth capped at 32× the base, with "equal jitter" — half
 // the window is deterministic, half uniform — so a burst of clients
 // retrying after the same election does not thunder back in lockstep.
 func (c *Client) nextBackoff(attempt int) time.Duration {
+	limit := 32 * c.backoff
 	d := c.backoff
-	for i := 0; i < attempt && d < c.backoffMax; i++ {
+	for i := 0; i < attempt && d < limit; i++ {
 		d *= 2
 	}
-	if d > c.backoffMax {
-		d = c.backoffMax
+	if d > limit {
+		d = limit
 	}
 	half := d / 2
 	if half <= 0 {
@@ -173,7 +154,7 @@ func (c *Client) submit(ctx context.Context, cmd any) (proposeReply, int, error)
 			// each pointing at the other mid-election) still backs off.
 			continue
 		}
-		c.clock.Sleep(c.nextBackoff(attempt))
+		time.Sleep(c.nextBackoff(attempt))
 	}
 }
 
@@ -272,7 +253,7 @@ func (c *Client) ReadWith(ctx context.Context, key string, mode ReadConsistency)
 		default:
 			return "", false, fmt.Errorf("raft: client read: %w", rerr)
 		}
-		c.clock.Sleep(c.nextBackoff(attempt))
+		time.Sleep(c.nextBackoff(attempt))
 	}
 }
 

@@ -110,7 +110,7 @@ func TestClientContextCancelled(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
 	node.Start(runCtx)
-	client, err := NewClient([]*Node{node}, WithClientBackoff(time.Millisecond))
+	client, err := NewClient([]*Node{node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +240,11 @@ func TestRaftReplicationUnderDuplication(t *testing.T) {
 }
 
 func TestClientBackoffGrowsCappedAndJittered(t *testing.T) {
-	c := &Client{backoff: time.Millisecond, backoffMax: 8 * time.Millisecond, rng: sim.NewRNG(7)}
-	// The pause after attempt k lies in [base*2^k/2, base*2^k), capped.
+	c := &Client{backoff: clientBackoff, rng: sim.NewRNG(7)}
+	// The pause after attempt k lies in [base*2^k/2, base*2^k), capped at
+	// 32× the base.
 	for attempt := 0; attempt < 12; attempt++ {
-		exp := time.Millisecond << attempt
-		if exp > c.backoffMax {
-			exp = c.backoffMax
-		}
+		exp := min(clientBackoff<<attempt, 32*clientBackoff)
 		for i := 0; i < 50; i++ {
 			d := c.nextBackoff(attempt)
 			if d < exp/2 || d >= exp {
@@ -255,8 +253,8 @@ func TestClientBackoffGrowsCappedAndJittered(t *testing.T) {
 		}
 	}
 	// Same seed, same sequence: deterministic under simulation.
-	a := &Client{backoff: time.Millisecond, backoffMax: 8 * time.Millisecond, rng: sim.NewRNG(42)}
-	b := &Client{backoff: time.Millisecond, backoffMax: 8 * time.Millisecond, rng: sim.NewRNG(42)}
+	a := &Client{backoff: clientBackoff, rng: sim.NewRNG(42)}
+	b := &Client{backoff: clientBackoff, rng: sim.NewRNG(42)}
 	for attempt := 0; attempt < 8; attempt++ {
 		if da, db := a.nextBackoff(attempt), b.nextBackoff(attempt); da != db {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", attempt, da, db)

@@ -375,10 +375,11 @@ func newTermWaitCluster(t *testing.T, seed uint64) *termWaitCluster {
 	if l := c.waitLeader(); l != 0 {
 		t.Fatalf("leader = %d, want 0", l)
 	}
-	client, err := NewClient(c.nodes, WithClientBackoff(time.Minute))
+	client, err := NewClient(c.nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	client.backoff = time.Minute
 	ctx, cancel := context.WithTimeout(c.ctx, 20*time.Second)
 	t.Cleanup(cancel)
 	return &termWaitCluster{cluster: c, client: client, ctx: ctx, start: time.Now()}

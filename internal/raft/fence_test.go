@@ -20,7 +20,6 @@ import (
 	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 // wireTap records every message handed to the network, in send order.
@@ -76,7 +75,6 @@ func newFenceCluster(t *testing.T, n int, seed uint64) *fenceCluster {
 			t:       t,
 			nw:      netsim.New(n, netsim.WithSeed(seed), netsim.WithFIFO(), netsim.WithTamper(tap.hook)),
 			rng:     sim.NewRNG(seed),
-			rec:     trace.NewRecorder(),
 			stores:  make([]*MemStorage, n),
 			gates:   make([]*gatedStorage, n),
 			kvs:     make([]*KVStore, n),
@@ -113,7 +111,6 @@ func (c *fenceCluster) boot(id int) {
 		ManualCampaign:    true,
 		StateMachine:      c.kvs[id],
 		Storage:           c.gates[id],
-		Recorder:          c.rec,
 	})
 	if err != nil {
 		c.t.Fatal(err)

@@ -36,15 +36,16 @@ func (b *mailbox) ring() {
 }
 
 // take moves everything queued into in, proposals and reads up to their
-// caps, and leaves in's old storage behind for the producers to fill, so
-// steady state allocates nothing. more: a cap left requests queued.
-func (b *mailbox) take(in *inputs, maxProposals, maxReads int) (more bool) {
+// caps (maxProposalBatch, maxReadBatch), and leaves in's old storage
+// behind for the producers to fill, so steady state allocates nothing.
+// more: a cap left requests queued.
+func (b *mailbox) take(in *inputs) (more bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	in.persisted, b.persisted = b.persisted, in.persisted[:0]
 	in.status, b.status = b.status, in.status[:0]
-	in.proposals = takeUpTo(&b.proposals, in.proposals, maxProposals)
-	in.reads = takeUpTo(&b.reads, in.reads, maxReads)
+	in.proposals = takeUpTo(&b.proposals, in.proposals, maxProposalBatch)
+	in.reads = takeUpTo(&b.reads, in.reads, maxReadBatch)
 	in.campaign, in.compact, in.err = b.campaign, b.compact, b.err
 	b.campaign, b.compact, b.err = nil, nil, nil
 	return len(b.proposals)+len(b.reads) > 0

@@ -111,7 +111,7 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 			t.Fatalf("consumer parked with %d items in the box (%d of %d taken): a wake-up was lost", b.queued(), taken, want)
 		}
 		for more := true; more; {
-			more = b.take(&in, 64, 256)
+			more = b.take(&in)
 			if len(in.proposals) > 64 || len(in.reads) > 256 {
 				t.Fatalf("take exceeded its caps: %d proposals, %d reads", len(in.proposals), len(in.reads))
 			}
@@ -196,12 +196,12 @@ func TestOneFlushPerWake(t *testing.T) {
 	}
 }
 
-// (3) 200 proposers are queued behind MaxProposalBatch=64: no pass hands
-// handleProposeBatch more than 64, and a Status request that arrived
-// meanwhile is answered after the first pass, not after the last.
+// (3) 200 proposers are queued behind maxProposalBatch (64): no pass
+// hands handleProposeBatch more than 64, and a Status request that
+// arrived meanwhile is answered after the first pass, not after the last.
 func TestCapsSurviveTheMailbox(t *testing.T) {
-	const proposers, limit = 200, 64
-	nd := soloLeader(t, netsim.New(1), func(cfg *Config) { cfg.MaxProposalBatch = limit })
+	const proposers, limit = 200, maxProposalBatch
+	nd := soloLeader(t, netsim.New(1))
 	replies := make([]chan proposeReply, proposers)
 	nd.box.mu.Lock()
 	for i := range replies {
@@ -313,8 +313,7 @@ func TestStopWhileQueued(t *testing.T) {
 func TestFullPersistQueueIsBackpressure(t *testing.T) {
 	gate := newGatedStorage(NewMemStorage())
 	nd, err := NewNode(Config{ID: 0, Endpoint: netsim.New(1).Node(0), RNG: sim.NewRNG(5),
-		ElectionTimeout: testElection, StateMachine: &KVStore{}, Storage: gate,
-		MaxProposalBatch: 1}) // one proposal a pass: one persist batch each
+		ElectionTimeout: testElection, StateMachine: &KVStore{}, Storage: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestFullPersistQueueIsBackpressure(t *testing.T) {
 	const writers = persistQueueCap + 6 // one batch in the worker, a full queue, one blocking the loop, four in the box
 	var opened atomic.Bool
 	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
+	write := func(w int) {
 		go func() {
 			_, err := nd.Propose(ctx, w)
 			if err == nil && !opened.Load() {
@@ -342,11 +341,26 @@ func TestFullPersistQueueIsBackpressure(t *testing.T) {
 			errs <- err
 		}()
 	}
-	for len(nd.persistQ) < persistQueueCap {
-		if ctx.Err() != nil {
-			t.Fatalf("persist queue reached %d of %d", len(nd.persistQ), persistQueueCap)
+	waitFor := func(cond func() bool) {
+		for !cond() {
+			if ctx.Err() != nil {
+				t.Fatalf("persist queue reached %d of %d, %d write(s) parked at the disk",
+					len(nd.persistQ), persistQueueCap, gate.parked.Load())
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	// The worker drains every batch queued when it wakes, so the writers
+	// come one at a time: the first is the batch the worker holds at the
+	// shut disk, and each later one adds one batch to the queue.
+	write(0)
+	waitFor(func() bool { return gate.parked.Load() == 1 })
+	for w := 1; w <= persistQueueCap; w++ {
+		write(w)
+		waitFor(func() bool { return len(nd.persistQ) == w })
+	}
+	for w := persistQueueCap + 1; w < writers; w++ {
+		write(w)
 	}
 	status := make(chan Status, 1)
 	go func() { status <- nd.Status() }()

@@ -12,7 +12,6 @@ import (
 	"ooc/internal/msgnet"
 	"ooc/internal/rtrace"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 // ErrNotLeader is returned by Propose on a non-leader; it carries the
@@ -26,7 +25,9 @@ func (e ErrNotLeader) Error() string {
 	return fmt.Sprintf("raft: not leader (known leader: %d)", e.LeaderID)
 }
 
-// ErrStopped is returned once the node's context has been cancelled.
+// ErrStopped is returned once the node has stopped. When a persistence
+// or apply error stopped it, the error returned wraps ErrStopped with
+// that cause; match it with errors.Is.
 var ErrStopped = errors.New("raft: node stopped")
 
 // Config configures a Node.
@@ -69,29 +70,6 @@ type Config struct {
 	// the mode the VAC decomposition runs in, where the reconciliator —
 	// not the node — owns the timer's consequence.
 	ManualCampaign bool
-	// MaxEntriesPerAppend caps how many log entries one AppendEntries
-	// message carries. Replication to a lagging follower proceeds in
-	// pipelined windows of this size instead of re-sending the whole
-	// suffix. Default 64; minimum 1.
-	MaxEntriesPerAppend int
-	// MaxInflightAppends caps how many unacknowledged entry-carrying
-	// AppendEntries may be outstanding per follower — the pipeline
-	// window. Once full, new entries wait for acks (or for the heartbeat
-	// stall-recovery rewind). Default 4; minimum 1.
-	MaxInflightAppends int
-	// MaxProposalBatch caps how many queued Propose calls the leader
-	// coalesces into a single log append, one storage flush, and one
-	// broadcast per main-loop iteration. Default 64; minimum 1.
-	MaxProposalBatch int
-	// MaxReadBatch caps how many queued ReadIndex calls coalesce into a
-	// single leadership-confirmation round (one heartbeat exchange serves
-	// the whole batch). Default 256; minimum 1.
-	MaxReadBatch int
-	// ApplyQueueDepth bounds the apply queue (items, where an item is
-	// one committed batch, snapshot restore, or parked read). A full
-	// queue blocks the main loop — backpressure, not loss. Default 256;
-	// minimum 1.
-	ApplyQueueDepth int
 	// LeaseDuration enables leader leases for the read fast path: after
 	// each quorum-confirmed round the leader may serve ReadLease reads
 	// without any further messaging until the lease (anchored at the
@@ -104,8 +82,6 @@ type Config struct {
 	// unexpired — Raft dissertation §4.2.3). Every node in a cluster must
 	// agree on whether leases are enabled.
 	LeaseDuration time.Duration
-	// Recorder, if non-nil, receives trace events.
-	Recorder *trace.Recorder
 	// Metrics, if non-nil, receives counters, gauges, and latency
 	// histograms (term changes, elections, heartbeats, commit latency).
 	Metrics *metrics.Registry
@@ -119,17 +95,29 @@ type Config struct {
 	// and snapshot traffic are recorded into its bounded ring, and
 	// elections trigger a dump (rtrace.Flight).
 	Flight *rtrace.Flight
-	// Syncer, if non-nil, is the node-wide sync coalescer this replica's
-	// Storage should park its durability barriers on (see syncer.go).
-	// One Syncer is shared by every Raft group co-located on a node, so
-	// concurrent flushes from different groups merge into one device
-	// barrier. It is wired into any Storage exposing
-	// SetSyncer(*SyncCoalescer) — FileStorage does; nil, or a store that
-	// doesn't take it, leaves a FileStorage on its own coalescer.
-	// durableIndex semantics are unchanged: a group's self-ack still waits
-	// for the barrier that covers its own writes.
-	Syncer *SyncCoalescer
 }
+
+// The main loop's caps. Every deployment and ledger workload runs these
+// values; tests reach the edges they guard through them.
+const (
+	// maxEntriesPerAppend caps the log entries one AppendEntries carries:
+	// a lagging follower is caught up in pipelined windows of this size.
+	maxEntriesPerAppend = 64
+	// maxInflightAppends caps the unacknowledged entry-carrying
+	// AppendEntries outstanding per follower — the pipeline window. Once
+	// full, new entries wait for acks or the heartbeat's stall rewind.
+	maxInflightAppends = 4
+	// maxProposalBatch caps the queued Propose calls one pass coalesces
+	// into a single log append, persist batch and broadcast.
+	maxProposalBatch = 64
+	// maxReadBatch caps the queued ReadIndex calls one pass coalesces into
+	// a single leadership-confirmation round.
+	maxReadBatch = 256
+	// applyQueueDepth bounds the apply queue (an item is one committed
+	// batch, snapshot restore or parked read). A full queue blocks the
+	// main loop: backpressure, not loss.
+	applyQueueDepth = 256
+)
 
 func (c *Config) normalize() error {
 	if c.Endpoint == nil {
@@ -149,23 +137,6 @@ func (c *Config) normalize() error {
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = c.ElectionTimeout / 5
-	}
-	if c.MaxEntriesPerAppend < 1 {
-		c.MaxEntriesPerAppend = 64
-	}
-	if c.MaxInflightAppends < 1 {
-		c.MaxInflightAppends = 4
-	}
-	if c.MaxProposalBatch < 1 {
-		c.MaxProposalBatch = 64
-	}
-	if c.MaxReadBatch < 1 {
-		c.MaxReadBatch = 256
-	}
-	if c.ApplyQueueDepth == 0 {
-		c.ApplyQueueDepth = 256
-	} else if c.ApplyQueueDepth < 1 {
-		c.ApplyQueueDepth = 1
 	}
 	if max := c.ElectionTimeout * 9 / 10; c.LeaseDuration > max {
 		c.LeaseDuration = max // clock-skew discount; see Config.LeaseDuration
@@ -246,9 +217,13 @@ type Node struct {
 	traced         map[int]*tracedOp
 	tracedUnsynced []int
 
-	box      mailbox // the way in for callers and workers (mailbox.go)
-	in       inputs  // what the loop took from box for the pass in progress
-	stopped  chan struct{}
+	box     mailbox // the way in for callers and workers (mailbox.go)
+	in      inputs  // what the loop took from box for the pass in progress
+	stopped chan struct{}
+	// stopErr is what callers of a stopped node get: ErrStopped, wrapped
+	// with the fatal error when one stopped the loop. Written once, before
+	// stopped closes.
+	stopErr  error
 	stopOnce sync.Once
 	done     chan struct{}
 	workers  sync.WaitGroup
@@ -322,15 +297,13 @@ func NewNode(cfg Config) (*Node, error) {
 		hs:      hardState{votedFor: none, state: Follower, leaderID: none},
 		relay:   make(map[int64]relayWait),
 		box:     mailbox{wake: make(chan struct{}, 1)},
-		applyQ:  make(chan applyItem, cfg.ApplyQueueDepth),
+		applyQ:  make(chan applyItem, applyQueueDepth),
 		stopped: make(chan struct{}),
+		stopErr: ErrStopped,
 		done:    make(chan struct{}),
 	}
 	var bootSnapData []byte
 	if cfg.Storage != nil {
-		if ss, ok := cfg.Storage.(interface{ SetSyncer(*SyncCoalescer) }); ok && cfg.Syncer != nil {
-			ss.SetSyncer(cfg.Syncer)
-		}
 		nd.persistQ = make(chan persistReq, persistQueueCap)
 		st, err := cfg.Storage.Load()
 		if err != nil {
@@ -484,8 +457,7 @@ func (nd *Node) run(ctx context.Context) {
 			return // endpoint crashed, network closed, or ctx ended
 		}
 		if nd.fatal != nil {
-			nd.cfg.Recorder.Note(nd.cfg.ID, "raft: fatal: %v", nd.fatal)
-			return
+			return // shutdown puts the cause in stopErr
 		}
 		inbox = ready
 		if more {
@@ -500,7 +472,7 @@ func (nd *Node) run(ctx context.Context) {
 // and one flush for all of it. more reports that a cap left input behind.
 func (nd *Node) step(ctx context.Context) (more bool, err error) {
 	in := &nd.in
-	more = nd.box.take(in, nd.cfg.MaxProposalBatch, nd.cfg.MaxReadBatch)
+	more = nd.box.take(in)
 	for _, d := range in.persisted {
 		nd.onPersistDone(d)
 	}
@@ -540,7 +512,12 @@ func (nd *Node) timerSleep(clock sim.Clock) time.Duration {
 }
 
 func (nd *Node) shutdown() {
-	nd.stopOnce.Do(func() { close(nd.stopped) })
+	nd.stopOnce.Do(func() {
+		if nd.fatal != nil {
+			nd.stopErr = fmt.Errorf("%w: %v", ErrStopped, nd.fatal)
+		}
+		close(nd.stopped)
+	})
 	nd.subMu.Lock()
 	defer nd.subMu.Unlock()
 	for _, s := range nd.subs {
@@ -660,7 +637,7 @@ func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
 func (nd *Node) admit(ctx context.Context) error {
 	select {
 	case <-nd.stopped:
-		return ErrStopped
+		return nd.stopErr
 	default:
 		return ctx.Err()
 	}
@@ -674,7 +651,7 @@ func (nd *Node) await(ctx context.Context, reply chan proposeReply) proposeReply
 	case <-ctx.Done():
 		return proposeReply{err: ctx.Err()}
 	case <-nd.stopped:
-		return proposeReply{err: ErrStopped}
+		return proposeReply{err: nd.stopErr}
 	}
 }
 
@@ -797,8 +774,6 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 		nd.onReadIndexRequest(m.From, p)
 	case ReadIndexReply:
 		nd.onReadIndexReply(m.From, p)
-	default:
-		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: dropping foreign message %T", m.Payload)
 	}
 }
 
@@ -1020,7 +995,6 @@ func (nd *Node) becomeCandidate() {
 	nd.persistState()
 	nd.pushDeadline()
 	nd.emit(Event{Kind: EventBecameCandidate, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: campaigning in term %d", nd.hs.currentTerm)
 
 	if 2*len(nd.votes) > nd.n { // single-node cluster
 		nd.becomeLeader()
@@ -1050,7 +1024,6 @@ func (nd *Node) becomeLeader() {
 	// lands (onPersistDone).
 	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
 	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: leader of term %d", nd.hs.currentTerm)
 
 	// The term-opening no-op (§5.4.2): without it, entries inherited from
 	// earlier terms could never commit until a client happened to write.
@@ -1130,13 +1103,13 @@ func (nd *Node) appendLocalBatch(cmds []any) int {
 // ---- replication & commitment (main loop only) ----
 
 // sendAppend ships the next window of entries to one follower,
-// respecting the pipeline: at most MaxEntriesPerAppend entries per
-// message and at most MaxInflightAppends unacknowledged entry-carrying
+// respecting the pipeline: at most maxEntriesPerAppend entries per
+// message and at most maxInflightAppends unacknowledged entry-carrying
 // messages outstanding. The next index advances optimistically; a
 // rejection falls back to probe-and-decrement, and the heartbeat's
 // stall recovery rewinds a pipeline whose acks were lost.
 func (nd *Node) sendAppend(to int) {
-	for len(nd.ls.inflight[to]) < nd.cfg.MaxInflightAppends {
+	for len(nd.ls.inflight[to]) < maxInflightAppends {
 		next := nd.ls.nextIndex[to]
 		if next < 1 {
 			next = 1
@@ -1153,7 +1126,7 @@ func (nd *Node) sendAppend(to int) {
 		if !ok {
 			prev, prevTerm = 0, 0
 		}
-		entries := nd.hs.log.sliceLimit(next, nd.cfg.MaxEntriesPerAppend)
+		entries := nd.hs.log.sliceLimit(next, maxEntriesPerAppend)
 		var payload any = AppendEntries{
 			Term:         nd.hs.currentTerm,
 			LeaderID:     nd.cfg.ID,
@@ -1248,13 +1221,11 @@ func (nd *Node) sendSnapshot(to int) {
 	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
 		// Compaction only happens with a Snapshotter, so this is
 		// unreachable unless the log was restored inconsistently.
-		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: cannot snapshot: state machine is not a Snapshotter")
 		return
 	}
 	// The apply worker may be mid-Apply: use the cached payload that
 	// every snapIndex move refreshed rather than racing SnapshotData.
 	if nd.snapCache.index != nd.hs.log.snapIndex {
-		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: no cached snapshot at %d; deferring send", nd.hs.log.snapIndex)
 		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(nd.hs.log.snapIndex), int64(to), "send")

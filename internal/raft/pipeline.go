@@ -611,7 +611,6 @@ func (nd *Node) onCompactReady(c compactReq) {
 	nd.hs.log.compactTo(c.index)
 	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: c.data}
 	nd.stageSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, c.data)
-	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: compacted through index %d", nd.hs.log.snapIndex)
 }
 
 // applyFatal reports a fatal apply-side error to the main loop. The

@@ -4,7 +4,7 @@ package raft
 // followers while the leader's own fsync is parked, proposal replies
 // fenced behind leader durability, recovery after a leader crash that
 // loses an entry the quorum committed, bounded-apply-queue backpressure,
-// and a chaos soak for the apply worker (run under -race in CI).
+// the error a failed disk stops a node with, and a chaos soak for the apply worker (run under -race in CI).
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,6 @@ import (
 	"ooc/internal/checker"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 // gatedStorage wraps a Storage and can hold every write at the
@@ -29,10 +29,11 @@ import (
 // cut). It stages the parallel-persist hazard: followers quorum-commit
 // an entry the leader never made locally durable.
 type gatedStorage struct {
-	inner Storage
-	mu    sync.Mutex
-	gate  chan struct{} // non-nil: writes wait for it to close
-	dead  bool          // power cut: writes fail without reaching inner
+	inner  Storage
+	mu     sync.Mutex
+	gate   chan struct{} // non-nil: writes wait for it to close
+	dead   bool          // power cut: writes fail without reaching inner
+	parked atomic.Int32  // writes waiting at the gate right now
 }
 
 func newGatedStorage(inner Storage) *gatedStorage { return &gatedStorage{inner: inner} }
@@ -75,7 +76,9 @@ func (g *gatedStorage) barrier() error {
 	gate := g.gate
 	g.mu.Unlock()
 	if gate != nil {
+		g.parked.Add(1)
 		<-gate
+		g.parked.Add(-1)
 	}
 	g.mu.Lock()
 	dead := g.dead
@@ -123,7 +126,6 @@ type pipeCluster struct {
 	t       *testing.T
 	nw      *netsim.Network
 	rng     *sim.RNG
-	rec     *trace.Recorder
 	boots   int
 	stores  []*MemStorage
 	gates   []*gatedStorage
@@ -138,7 +140,6 @@ func newPipeCluster(t *testing.T, n int, seed uint64) *pipeCluster {
 		t:       t,
 		nw:      netsim.New(n, netsim.WithSeed(seed)),
 		rng:     sim.NewRNG(seed),
-		rec:     trace.NewRecorder(),
 		stores:  make([]*MemStorage, n),
 		gates:   make([]*gatedStorage, n),
 		kvs:     make([]*KVStore, n),
@@ -173,7 +174,6 @@ func (c *pipeCluster) boot(id int) {
 		HeartbeatInterval: testHeartbeat,
 		StateMachine:      c.kvs[id],
 		Storage:           c.gates[id],
-		Recorder:          c.rec,
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -496,12 +496,12 @@ func (b *blockingSM) applied() []int {
 }
 
 // TestApplyQueueBackpressureStallsWithoutDropping wedges the apply
-// worker on its first entry with a depth-1 apply queue while a burst of
-// writes commits behind it. The bounded queue must stall the pipeline —
-// never drop work — so once the state machine unblocks, every committed
-// entry applies exactly once, in index order.
+// worker on its first entry while writes commit behind it one batch at a
+// time, more batches than the apply queue holds. The full queue must
+// stall the pipeline — never drop work — so once the state machine
+// unblocks, every committed entry applies exactly once, in index order.
 func TestApplyQueueBackpressureStallsWithoutDropping(t *testing.T) {
-	const writes = 12
+	const writes = applyQueueDepth + 8
 	nw := netsim.New(1, netsim.WithSeed(5))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -515,7 +515,6 @@ func TestApplyQueueBackpressureStallsWithoutDropping(t *testing.T) {
 		HeartbeatInterval: testHeartbeat,
 		StateMachine:      sm,
 		Storage:           NewMemStorage(),
-		ApplyQueueDepth:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,32 +528,43 @@ func TestApplyQueueBackpressureStallsWithoutDropping(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, writes)
-	for i := 0; i < writes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pctx, pcancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer pcancel()
-			_, errs[i] = node.Propose(pctx, KVCommand{Op: "set", Key: fmt.Sprintf("k%d", i), Value: "v"})
-		}(i)
-	}
+	// One proposer, one write at a time: each accept reply leaves before
+	// its commit is queued for apply, so every write is its own batch.
+	proposed := make(chan error, 1)
+	go func() {
+		pctx, pcancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer pcancel()
+		for i := 0; i < writes; i++ {
+			if _, err := node.Propose(pctx, KVCommand{Op: "set", Key: fmt.Sprintf("k%d", i), Value: "v"}); err != nil {
+				proposed <- fmt.Errorf("propose %d: %w", i, err)
+				return
+			}
+		}
+		proposed <- nil
+	}()
 
 	// Let the pipeline wedge: the worker is parked on the term-opening
-	// no-op, the depth-1 queue fills, and the main loop blocks in
-	// enqueueApply. Nothing may reach the state machine past the gate.
-	time.Sleep(50 * time.Millisecond)
+	// no-op, the queue fills with single-write batches, and the main loop
+	// blocks in enqueueApply. Nothing may reach the state machine past the
+	// gate, and the proposer cannot finish.
+	for len(node.applyQ) < applyQueueDepth {
+		if time.Now().After(deadline) {
+			t.Fatalf("apply queue reached %d of %d", len(node.applyQ), applyQueueDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-proposed:
+		t.Fatalf("all %d writes returned behind a wedged apply worker (%v)", writes, err)
+	case <-time.After(20 * time.Millisecond):
+	}
 	if got := sm.applied(); len(got) != 0 {
 		t.Fatalf("entries applied while the gate was held: %v", got)
 	}
 
 	sm.release()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("propose %d: %v", i, err)
-		}
+	if err := <-proposed; err != nil {
+		t.Fatal(err)
 	}
 	want := writes + 1 // the term-opening no-op, then the writes
 	deadline = time.Now().Add(15 * time.Second)
@@ -575,11 +585,51 @@ func TestApplyQueueBackpressureStallsWithoutDropping(t *testing.T) {
 	}
 }
 
+// TestFatalStopSaysWhy cuts the power under a lone leader's disk: the
+// write that hit the cut, and every call after the node stopped, fail
+// with an error that is still ErrStopped and names the cause.
+func TestFatalStopSaysWhy(t *testing.T) {
+	gate := newGatedStorage(NewMemStorage())
+	nd, err := NewNode(Config{ID: 0, Endpoint: netsim.New(1).Node(0), RNG: sim.NewRNG(9),
+		ElectionTimeout: testElection, StateMachine: &KVStore{}, Storage: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	nd.Start(ctx)
+	for nd.Status().State != Leader {
+		if ctx.Err() != nil {
+			t.Fatal("single node never elected itself")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := nd.Propose(ctx, "before"); err != nil {
+		t.Fatal(err)
+	}
+	gate.powerCut()
+	check := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrStopped) || !strings.Contains(fmt.Sprint(err), "power cut") {
+			t.Fatalf("%s returned %v, want ErrStopped naming the power cut", call, err)
+		}
+	}
+	_, err = nd.Propose(ctx, "cut")
+	check("the Propose that hit the cut", err)
+	<-nd.Done()
+	_, err = nd.Propose(ctx, "after")
+	check("Propose", err)
+	_, err = nd.ReadIndex(ctx)
+	check("ReadIndex", err)
+	_, err = nd.AwaitApplied(ctx, 1000)
+	check("AwaitApplied", err)
+}
+
 // TestPipelineChaosSoak runs the pipelined write path under concurrent
 // clients, slow disks, and forced elections (CI runs it under -race).
 // Every replica persists to a FileStorage whose barriers also pay a
 // modeled 200 µs device, through the seam production uses
-// (Config.Syncer). Invariants: AwaitApplied never fires before the state
+// (FileStorage.SetSyncer). Invariants: AwaitApplied never fires before the state
 // machine covers the index it reports, the cluster converges to one state
 // afterward, and no acknowledged write is lost.
 func TestPipelineChaosSoak(t *testing.T) {
@@ -592,8 +642,8 @@ func TestPipelineChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		stores = append(stores, s)
+		s.SetSyncer(NewSyncCoalescer(SyncerConfig{Disk: NewDisk(200 * time.Microsecond)}))
 		cfg.Storage = s
-		cfg.Syncer = NewSyncCoalescer(SyncerConfig{Disk: NewDisk(200 * time.Microsecond)})
 	})
 	// Files close only once every node has stopped writing to them.
 	t.Cleanup(func() {
@@ -606,7 +656,7 @@ func TestPipelineChaosSoak(t *testing.T) {
 		}
 	})
 	c.waitLeader()
-	client, err := NewClient(c.nodes, WithClientBackoff(time.Millisecond))
+	client, err := NewClient(c.nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

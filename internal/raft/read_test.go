@@ -240,7 +240,7 @@ func TestReadHistoryLinearizable(t *testing.T) {
 			}
 			c := newCluster(t, 3, 6+uint64(mode), opts...)
 			c.waitLeader()
-			client, err := NewClient(c.nodes, WithClientBackoff(time.Millisecond))
+			client, err := NewClient(c.nodes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ type hardState struct {
 // leader and only for the current term, plus the per-peer replication
 // pipeline: inflight lists the unacknowledged entry-carrying
 // AppendEntries by the last index each carried, oldest first (bounded by
-// Config.MaxInflightAppends), and acked records whether any reply
+// maxInflightAppends), and acked records whether any reply
 // arrived since the last heartbeat tick so a stalled pipeline (lost
 // messages) can be detected and rewound to matchIndex+1.
 type leaderState struct {

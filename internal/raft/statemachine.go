@@ -11,7 +11,7 @@ import (
 // StateMachine consumes committed log entries in index order.
 // Apply is called from a single goroutine, the node's dedicated apply
 // worker. An Apply that blocks never loses or reorders entries — the
-// bounded apply queue (Config.ApplyQueueDepth) fills and backpressures
+// bounded apply queue (applyQueueDepth) fills and backpressures
 // the main loop — but it stalls ReadIndex waiters and, once the queue
 // is full, the whole node.
 type StateMachine interface {

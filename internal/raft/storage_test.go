@@ -12,7 +12,6 @@ import (
 	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 func init() {
@@ -234,7 +233,6 @@ type restartableCluster struct {
 	t       *testing.T
 	nw      *netsim.Network
 	rng     *sim.RNG
-	rec     *trace.Recorder
 	stores  []*MemStorage
 	kvs     []*KVStore
 	nodes   []*Node
@@ -247,7 +245,6 @@ func newRestartableCluster(t *testing.T, n int, seed uint64) *restartableCluster
 		t:       t,
 		nw:      netsim.New(n, netsim.WithSeed(seed)),
 		rng:     sim.NewRNG(seed),
-		rec:     trace.NewRecorder(),
 		stores:  make([]*MemStorage, n),
 		kvs:     make([]*KVStore, n),
 		nodes:   make([]*Node, n),
@@ -278,7 +275,6 @@ func (c *restartableCluster) boot(id int) {
 		HeartbeatInterval: testHeartbeat,
 		StateMachine:      c.kvs[id],
 		Storage:           c.stores[id],
-		Recorder:          c.rec,
 	})
 	if err != nil {
 		c.t.Fatal(err)

@@ -22,10 +22,8 @@ type Config struct {
 	// TCP transports. Their count fixes the cluster size; every shard's
 	// group replicates across all of them.
 	Endpoints []msgnet.Endpoint
-	// Desc is the shard map. Zero value means SplitEven(Shards,
-	// DefaultSlots).
-	Desc Descriptor
-	// Shards is the group count when Desc is zero. Default 1.
+	// Shards is the group count (default 1); the shard map is
+	// SplitEven(Shards, DefaultSlots).
 	Shards int
 	// RNG seeds every group's election timers and client jitter;
 	// required, and the reason two same-seeded clusters elect the same
@@ -39,13 +37,11 @@ type Config struct {
 	// ReadMode is the default consistency Get uses (zero =
 	// ReadLinearizable).
 	ReadMode raft.ReadConsistency
-	// ClientBackoff is each group client's base retry pause (default
-	// 1ms — the closed-loop benchmark setting).
-	ClientBackoff time.Duration
 	// Storage, if non-nil, supplies each (node, shard) replica's
 	// persistence; nil runs every group unpersisted. Each node runs one
 	// raft.SyncCoalescer under all of its groups, so K concurrent group
-	// flushes share one barrier.
+	// flushes share one barrier: Start wires it into every store that
+	// takes one (SetSyncer, as FileStorage does).
 	Storage func(node, shard int) (raft.Storage, error)
 	// DeviceLatency, when > 0, models each node's shared storage device:
 	// every durability barrier on the node — from any group — pays this
@@ -74,9 +70,6 @@ type Config struct {
 	// metric names carry no shard label — separate registries keep the
 	// attribution clean).
 	ShardMetrics func(shard int) *metrics.Registry
-	// MuxOptions are applied to every node's mux (backlog limits; the
-	// drop counter is wired to Metrics automatically).
-	MuxOptions []msgnet.MuxOption
 	// Tracer, if non-nil, samples per-request spans across the whole
 	// stack: every group's client opens spans (raft.WithClientTracer)
 	// and every raft node attributes queue/fsync/network/apply phases
@@ -171,19 +164,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.RNG == nil {
 		return nil, errors.New("shard: Config.RNG is required")
 	}
-	desc := cfg.Desc
-	if desc.Slots == 0 && len(desc.Ranges) == 0 {
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		desc = SplitEven(shards, DefaultSlots)
-	}
+	desc := SplitEven(max(cfg.Shards, 1), DefaultSlots)
 	if err := desc.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.ClientBackoff <= 0 {
-		cfg.ClientBackoff = time.Millisecond
 	}
 	shards := desc.NumShards()
 	c := &Cluster{
@@ -235,17 +218,15 @@ func (c *Cluster) Start(ctx context.Context) error {
 	c.started = true
 	c.mu.Unlock()
 
-	muxOpts := append([]msgnet.MuxOption{msgnet.WithMuxMetrics(c.cfg.Metrics)}, c.cfg.MuxOptions...)
 	c.muxes = make([]*msgnet.Mux, c.n)
 	for id := 0; id < c.n; id++ {
-		opts := muxOpts
+		opts := []msgnet.MuxOption{msgnet.WithMuxMetrics(c.cfg.Metrics)}
 		if fl := c.flightFor(id); fl != nil {
 			// A backlog drop is an anomaly worth a dump: record which
-			// channel lost a message and who sent it (ISSUE 8 satellite).
-			opts = append(append([]msgnet.MuxOption(nil), muxOpts...),
-				msgnet.WithMuxDropHook(func(channel string, from int) {
-					fl.Trigger(rtrace.EvMuxDrop, 0, int64(from), 0, channel)
-				}))
+			// channel lost a message and who sent it.
+			opts = append(opts, msgnet.WithMuxDropHook(func(channel string, from int) {
+				fl.Trigger(rtrace.EvMuxDrop, 0, int64(from), 0, channel)
+			}))
 		}
 		c.muxes[id] = msgnet.NewMux(ctx, c.cfg.Endpoints[id], opts...)
 	}
@@ -284,17 +265,18 @@ func (c *Cluster) Start(ctx context.Context) error {
 			}
 			g.sms[id] = sm
 			var store raft.Storage
-			var syncer *raft.SyncCoalescer
 			if c.cfg.Storage != nil {
 				st, err := c.cfg.Storage(id, s)
 				if err != nil {
 					return fmt.Errorf("shard %d node %d storage: %w", s, id, err)
 				}
+				if ss, ok := st.(interface{ SetSyncer(*raft.SyncCoalescer) }); ok {
+					ss.SetSyncer(c.syncers[id])
+				}
 				store = st
 				if store != nil && c.cfg.Recorder != nil {
 					store = &noteStorage{inner: store, rec: c.cfg.Recorder, node: id, channel: ChannelName(s)}
 				}
-				syncer = c.syncers[id]
 			}
 			node, err := raft.NewNode(raft.Config{
 				ID:                id,
@@ -308,7 +290,6 @@ func (c *Cluster) Start(ctx context.Context) error {
 				Metrics:           reg,
 				Tracer:            c.cfg.Tracer,
 				Flight:            c.flightFor(id),
-				Syncer:            syncer,
 			})
 			if err != nil {
 				return fmt.Errorf("shard %d node %d: %w", s, id, err)
@@ -316,7 +297,6 @@ func (c *Cluster) Start(ctx context.Context) error {
 			g.Nodes[id] = node
 		}
 		client, err := raft.NewClient(g.Nodes,
-			raft.WithClientBackoff(c.cfg.ClientBackoff),
 			raft.WithClientRNG(c.cfg.RNG.Stream(clientRole, uint64(s))),
 			raft.WithReadConsistency(c.cfg.ReadMode),
 			raft.WithClientTracer(c.cfg.Tracer))

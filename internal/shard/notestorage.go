@@ -14,9 +14,10 @@ import (
 // many groups shared the covering device barrier (LastBarrierWidth on
 // storages that track it, 1 otherwise).
 //
-// It forwards the two optional interfaces the raft layer discovers by
-// assertion — SetSyncer and LastBarrierWidth — which interface
-// embedding alone would hide.
+// It forwards LastBarrierWidth, the optional interface the raft layer
+// discovers by assertion, which interface embedding alone would hide.
+// Cluster.Start wires the node's coalescer into the store it wraps
+// before wrapping it.
 type noteStorage struct {
 	inner   raft.Storage
 	rec     *trace.Recorder
@@ -72,13 +73,6 @@ func (s *noteStorage) SaveSnapshot(index, term int, data []byte) error {
 
 // Load implements raft.Storage.
 func (s *noteStorage) Load() (raft.PersistentState, error) { return s.inner.Load() }
-
-// SetSyncer forwards the node-wide coalescer to the wrapped storage.
-func (s *noteStorage) SetSyncer(sc *raft.SyncCoalescer) {
-	if ss, ok := s.inner.(interface{ SetSyncer(*raft.SyncCoalescer) }); ok {
-		ss.SetSyncer(sc)
-	}
-}
 
 // LastBarrierWidth forwards the wrapped storage's barrier width, 1 when
 // it doesn't track one.

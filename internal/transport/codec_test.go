@@ -1,13 +1,14 @@
 package transport
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"ooc/internal/codec"
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
-	"ooc/internal/trace"
 )
 
 func exchange(t *testing.T, trs []*Transport, payload any) any {
@@ -82,20 +83,30 @@ func TestCodecMetricsCountWireBytes(t *testing.T) {
 	}
 }
 
+// TestBinarySendsRecordWireBytes: a remote send counts its exact framed
+// size — the codec frame and its varint length — and a self-send, which
+// never reaches the wire, counts nothing.
 func TestBinarySendsRecordWireBytes(t *testing.T) {
-	rec := trace.NewRecorder()
-	trs := localCluster(t, 2, WithRecorder(rec))
+	reg := metrics.NewRegistry()
+	trs := localCluster(t, 2, WithMetrics(reg))
 	msg := raft.RequestVote{Term: 2, CandidateID: 0, LastLogIndex: 3, LastLogTerm: 1}
+	frame, err := codec.Append(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	want := int64(binary.PutUvarint(hdr[:], uint64(len(frame))) + len(frame))
+
+	if err := trs[0].Send(0, msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trs[0].Recv(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
 	if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
 		t.Fatalf("got %#v", got)
 	}
-	var sendBytes int
-	for _, ev := range rec.Snapshot().Events {
-		if ev.Kind == trace.KindSend && ev.Node == 0 {
-			sendBytes += ev.Bytes
-		}
-	}
-	if sendBytes == 0 {
-		t.Fatal("binary send recorded no wire bytes in the trace")
+	if got := reg.Counter("codec_encode_bytes_total").Value(); got != want {
+		t.Fatalf("codec_encode_bytes_total = %d, want the one remote frame's %d bytes", got, want)
 	}
 }

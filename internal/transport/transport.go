@@ -37,7 +37,6 @@ import (
 	"ooc/internal/codec/bin"
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
-	"ooc/internal/trace"
 )
 
 // Register makes a payload type encodable; call it once per concrete
@@ -63,12 +62,6 @@ const maxFrame = 1 << 28
 // Option configures a Transport.
 type Option func(*Transport)
 
-// WithRecorder attaches a trace recorder. Remote sends record their
-// exact framed byte count.
-func WithRecorder(rec *trace.Recorder) Option {
-	return func(tr *Transport) { tr.rec = rec }
-}
-
 // WithMetrics counts encoded and decoded wire bytes in reg as
 // codec_encode_bytes_total / codec_decode_bytes_total, attributed to
 // this transport's node id. All remote traffic is counted; a self-send
@@ -87,7 +80,6 @@ type Transport struct {
 	id    int
 	addrs []string
 	ln    net.Listener
-	rec   *trace.Recorder
 
 	encBytes *metrics.Counter
 	decBytes *metrics.Counter
@@ -203,7 +195,6 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 		tr.pending.Push(msgnet.Message{From: tr.id, To: to, Payload: payload})
 		tr.mu.Unlock()
 		tr.wake()
-		tr.rec.Send(tr.id, to, 0, 0, payload)
 		return nil
 	}
 	var wire int
@@ -222,13 +213,11 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 	}
 	tr.mu.Unlock()
 	if err != nil {
-		tr.rec.Drop(to, tr.id, 0, payload)
 		// Best-effort semantics: remote loss is silent, like the
 		// simulator's drops. The caller cannot act on it anyway.
 		return nil //nolint:nilerr // deliberate: async send never fails on remote errors
 	}
 	tr.encBytes.Add(tr.id, int64(wire))
-	tr.rec.Send(tr.id, to, 0, wire, payload)
 	return nil
 }
 
@@ -312,7 +301,6 @@ func (tr *Transport) TryRecv() (msgnet.Message, bool, error) {
 	tr.mu.Unlock()
 	switch {
 	case ok:
-		tr.rec.Deliver(tr.id, m.From, 0, m.Payload)
 		return m, true, nil
 	case closed:
 		return msgnet.Message{}, false, msgnet.ErrClosed

@@ -15,7 +15,6 @@ import (
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 func init() {
@@ -170,8 +169,7 @@ func TestCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestSendToDeadPeerIsSilentDrop(t *testing.T) {
-	rec := trace.NewRecorder()
-	trs := localCluster(t, 2, WithRecorder(rec))
+	trs := localCluster(t, 2)
 	if err := trs[1].Close(); err != nil {
 		t.Fatal(err)
 	}
