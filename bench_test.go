@@ -7,9 +7,7 @@ package ooc
 // run.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,6 +17,7 @@ import (
 	"ooc/internal/adapters"
 	"ooc/internal/bench"
 	"ooc/internal/benor"
+	"ooc/internal/codec"
 	"ooc/internal/core"
 	"ooc/internal/multivalue"
 	"ooc/internal/netsim"
@@ -346,13 +345,10 @@ func BenchmarkE10MessageComplexity(b *testing.B) {
 	benchBenOr(b, true, 5, workload.SplitHalf)
 }
 
-// BenchmarkF1RaftMessageCodec: figure F1 — encode/decode all four Raft
-// message formats.
+// BenchmarkF1RaftMessageCodec: figure F1 — all four Raft message formats
+// round-trip through the wire codec.
 func BenchmarkF1RaftMessageCodec(b *testing.B) {
 	b.ReportAllocs()
-	for _, wt := range raft.WireTypes() {
-		gob.Register(wt)
-	}
 	msgs := []any{
 		raft.RequestVote{Term: 3, CandidateID: 1, LastLogIndex: 7, LastLogTerm: 2},
 		raft.RequestVoteReply{Term: 3, VoteGranted: true},
@@ -360,18 +356,16 @@ func BenchmarkF1RaftMessageCodec(b *testing.B) {
 			Entries: []raft.Entry{{Term: 3, Command: raft.DS{Value: "v"}}}, LeaderCommit: 6},
 		raft.AppendEntriesReply{Term: 3, Success: true, MatchIndex: 7},
 	}
+	var frame []byte
+	var dec codec.Decoder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
 		for _, m := range msgs {
-			env := struct{ Payload any }{Payload: m}
-			if err := enc.Encode(env); err != nil {
+			var err error
+			if frame, err = codec.Append(frame[:0], m); err != nil {
 				b.Fatal(err)
 			}
-			var out struct{ Payload any }
-			if err := dec.Decode(&out); err != nil {
+			if _, err := dec.Decode(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"ooc/internal/metrics"
-	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 	"ooc/internal/rtrace"
 	"ooc/internal/sim"
@@ -117,8 +116,6 @@ func main() {
 		}
 		shardTrace = trace.NewTimedRecorder()
 	}
-	transport.Register(raft.WireTypes()...)
-	transport.Register(msgnet.WireTypes()...) // demo traffic rides the mux wrapper
 
 	readMode, err := raft.ParseReadConsistency(*readCons)
 	if err != nil {

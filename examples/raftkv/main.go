@@ -18,7 +18,6 @@ import (
 )
 
 func main() {
-	transport.Register(raft.WireTypes()...)
 	const n = 3
 	eps, err := transport.NewLocalCluster(n)
 	if err != nil {

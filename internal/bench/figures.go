@@ -1,12 +1,12 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
+	"reflect"
 	"time"
 
+	"ooc/internal/codec"
 	"ooc/internal/netsim"
 	"ooc/internal/raft"
 	"ooc/internal/sim"
@@ -18,11 +18,8 @@ import (
 func RunF1(Suite) (Table, error) {
 	tbl := Table{
 		ID:      "F1",
-		Title:   "Raft consensus messages (paper Figure 1): gob round-trip",
+		Title:   "Raft consensus messages (paper Figure 1): wire codec round-trip",
 		Columns: []string{"message", "fields", "encoded_bytes", "roundtrip"},
-	}
-	for _, wt := range raft.WireTypes() {
-		gob.Register(wt)
 	}
 	samples := []struct {
 		name   string
@@ -39,22 +36,21 @@ func RunF1(Suite) (Table, error) {
 		{"ack_AppendEntries", "term, success (+ matchIndex, see messages.go)",
 			raft.AppendEntriesReply{Term: 3, Success: true, MatchIndex: 7}},
 	}
+	var dec codec.Decoder
 	for _, s := range samples {
-		var buf bytes.Buffer
-		env := struct{ Payload any }{Payload: s.value}
-		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		frame, err := codec.Append(nil, s.value)
+		if err != nil {
 			return tbl, fmt.Errorf("F1 encode %s: %w", s.name, err)
 		}
-		size := buf.Len()
-		var out struct{ Payload any }
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		out, err := dec.Decode(frame)
+		if err != nil {
 			return tbl, fmt.Errorf("F1 decode %s: %w", s.name, err)
 		}
 		ok := "ok"
-		if fmt.Sprintf("%v", out.Payload) != fmt.Sprintf("%v", s.value) {
+		if !reflect.DeepEqual(out, s.value) {
 			ok = "MISMATCH"
 		}
-		tbl.AddRow(s.name, s.fields, size, ok)
+		tbl.AddRow(s.name, s.fields, len(frame), ok)
 	}
 	tbl.Notes = append(tbl.Notes,
 		"the ack_AppendEntries matchIndex field is an async-channel substitution documented in raft/messages.go")

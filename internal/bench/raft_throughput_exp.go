@@ -152,7 +152,7 @@ func RunE15(s Suite) (Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"90/10 read/write closed loop, 3 nodes, file storage — ops/sec counts completed client ops of both kinds",
-		"log rows append every read to the log (fsyncs_per_op near 1); readindex rows serve reads without touching storage",
+		"readindex rows serve reads without touching storage",
 		"lease rows skip the confirmation round while the lease holds: read_p50 drops below the readindex row's",
 		"the per-path columns come from raft.ReadStats and attribute each read to the mechanism that served it")
 	return tbl, nil

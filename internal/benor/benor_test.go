@@ -398,7 +398,4 @@ func TestMessageStrings(t *testing.T) {
 	if got := (Ratify{Round: 3}).String(); got != "<2,?>@3" {
 		t.Errorf("question Ratify.String() = %q", got)
 	}
-	if got := len(WireTypes()); got != 2 {
-		t.Errorf("WireTypes() has %d entries", got)
-	}
 }

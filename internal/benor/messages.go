@@ -39,9 +39,3 @@ func (r Ratify) String() string {
 	}
 	return fmt.Sprintf("<2,?>@%d", r.Round)
 }
-
-// WireTypes lists every message type this package puts on the network,
-// for registration with gob-based transports.
-func WireTypes() []any {
-	return []any{Report{}, Ratify{}}
-}

@@ -85,17 +85,11 @@ type Reader struct {
 // View results share b's backing array.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-// Reset points the Reader at b and clears any sticky error.
-func (r *Reader) Reset(b []byte) { r.b, r.off, r.err = b, 0, nil }
-
 // Err reports the first decode failure, if any.
 func (r *Reader) Err() error { return r.err }
 
 // Len reports how many bytes remain.
 func (r *Reader) Len() int { return len(r.b) - r.off }
-
-// Offset reports how many bytes have been consumed.
-func (r *Reader) Offset() int { return r.off }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -178,20 +172,15 @@ func (r *Reader) String() string { return string(r.View()) }
 // Bytes reads an AppendBytes-encoded slice, copying out of the input;
 // the nil marker decodes as nil and an empty slice stays empty-not-nil.
 func (r *Reader) Bytes() []byte {
-	v := r.BytesView()
+	n := r.Uvarint()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	v := r.take(n - 1)
 	if v == nil {
 		return nil
 	}
 	out := make([]byte, len(v))
 	copy(out, v)
 	return out
-}
-
-// BytesView is Bytes without the copy: the result aliases the input.
-func (r *Reader) BytesView() []byte {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	return r.take(n - 1)
 }

@@ -1,13 +1,11 @@
 // Package codec is the hand-rolled binary wire format for the repo's
-// message traffic: every raft.WireTypes message plus the msgnet mux
-// wrapper encodes as a compact length-free frame of varints — no type
-// metadata, no reflection — with an explicit version byte so the layout
-// can evolve (DESIGN.md §3.5). Encoding is append-style into a
+// message traffic: the Raft messages, Ben-Or's two messages and the
+// msgnet mux wrapper encode as a compact length-free frame of varints —
+// no type metadata, no reflection — with an explicit version byte so the
+// layout can evolve (DESIGN.md §3.5). Encoding is append-style into a
 // caller-owned buffer and performs zero heap allocations in steady
-// state; decoding amortizes through a reusable Decoder. Types the codec
-// does not know natively (e.g. the benor package's messages, or
-// application-defined commands) ride through a gob-encoded fallback
-// frame, so anything that was transport.Register-ed crosses the wire.
+// state; decoding amortizes through a reusable Decoder. The set is
+// closed: Append refuses any other payload type.
 //
 // Frame layout (the body of a transport frame or a storage record —
 // outer length prefixes and checksums belong to those layers):
@@ -21,11 +19,9 @@
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 
+	"ooc/internal/benor"
 	"ooc/internal/codec/bin"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
@@ -48,6 +44,8 @@ const Version = 1
 const VersionTraced = 2
 
 // Type tags. Wire format — never renumber; new message types append.
+// Retired, never to be reused: 8 (ReadIndexReply without LeaderID) and
+// 31 (the gob fallback frame).
 const (
 	tRequestVote        = 1
 	tRequestVoteReply   = 2
@@ -56,17 +54,17 @@ const (
 	tAppendEntries      = 5
 	tAppendEntriesReply = 6
 	tReadIndexRequest   = 7
-	tReadIndexReply     = 8 // pre-PR9 layout, decode-only (no LeaderID field)
 	tInstallSnapshot    = 9
-	tReadIndexReply2    = 10 // adds trailing LeaderID
+	tReadIndexReply     = 10
+	tBenOrReport        = 11
+	tBenOrRatify        = 12
 	tTagged             = 20 // msgnet.Tagged: [string channel][nested frame body]
-	tGob                = 31 // foreign payload: [bytes gob blob]
 )
 
 // Append appends the frame for msg — version byte, type tag, body — and
-// returns the extended buffer. For the known message set this is
-// allocation-free once dst has warmed to steady-state capacity; foreign
-// types pay a gob encode inside the frame.
+// returns the extended buffer. It is allocation-free once dst has warmed
+// to steady-state capacity, and returns an error for a payload type
+// outside the codec's set.
 //
 // A msgnet.Traced wrapper (top level or directly inside msgnet.Tagged)
 // is hoisted into the frame header: the frame becomes VersionTraced and
@@ -152,7 +150,7 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendVarint(dst, m.ID)
 		return bin.AppendBool(dst, m.Lease), nil
 	case raft.ReadIndexReply:
-		dst = append(dst, tReadIndexReply2)
+		dst = append(dst, tReadIndexReply)
 		dst = bin.AppendInt(dst, m.Term)
 		dst = bin.AppendVarint(dst, m.ID)
 		dst = bin.AppendInt(dst, m.Index)
@@ -166,6 +164,15 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendInt(dst, m.LastIncludedIndex)
 		dst = bin.AppendInt(dst, m.LastIncludedTerm)
 		return bin.AppendBytes(dst, m.Data), nil
+	case benor.Report:
+		dst = append(dst, tBenOrReport)
+		dst = bin.AppendInt(dst, m.Round)
+		return bin.AppendInt(dst, m.Value), nil
+	case benor.Ratify:
+		dst = append(dst, tBenOrRatify)
+		dst = bin.AppendInt(dst, m.Round)
+		dst = bin.AppendInt(dst, m.Value)
+		return bin.AppendBool(dst, m.HasValue), nil
 	case msgnet.Tagged:
 		// The mux wrapper nests: the inner payload is a full body (tag +
 		// fields) without a repeated version byte.
@@ -173,16 +180,7 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendString(dst, m.Channel)
 		return appendBody(dst, m.Payload)
 	default:
-		// Foreign payload: gob inside the frame. Same registration
-		// contract as the gob transport (transport.Register), so
-		// everything that worked before the codec still works — it just
-		// pays gob's cost while the known message set does not.
-		var buf bytes.Buffer
-		boxed := msg
-		if err := gob.NewEncoder(&buf).Encode(&boxed); err != nil {
-			return dst, fmt.Errorf("codec: encode %T: %w", msg, err)
-		}
-		return bin.AppendBytes(append(dst, tGob), buf.Bytes()), nil
+		return dst, fmt.Errorf("codec: payload type %T has no wire encoding", msg)
 	}
 }
 
@@ -253,9 +251,12 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 		m := raft.PreVoteReply{Term: r.Int(), Granted: r.Bool()}
 		return m, r.Err()
 	case tAppendEntries:
-		var m raft.AppendEntries
-		err := d.readAppendEntries(r, &m, nil)
-		return m, err
+		m := raft.AppendEntries{Term: r.Int(), LeaderID: r.Int(), PrevLogIndex: r.Int(), PrevLogTerm: r.Int(), LeaderCommit: r.Int(), ReadID: r.Int()}
+		var err error
+		if m.Entries, err = d.ents.ReadEntries(r); err != nil {
+			return nil, err
+		}
+		return m, r.Err()
 	case tAppendEntriesReply:
 		m := raft.AppendEntriesReply{Term: r.Int(), Success: r.Bool(), MatchIndex: r.Int(), RejectHint: r.Int(), ReadID: r.Int()}
 		return m, r.Err()
@@ -263,16 +264,16 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 		m := raft.ReadIndexRequest{Term: r.Int(), ID: r.Varint(), Lease: r.Bool()}
 		return m, r.Err()
 	case tReadIndexReply:
-		// Old layout from a pre-PR9 peer: no LeaderID on the wire. -1
-		// means "unknown" to the raft layer; the zero value would name
-		// node 0.
-		m := raft.ReadIndexReply{Term: r.Int(), ID: r.Varint(), Index: r.Int(), Success: r.Bool(), Lease: r.Bool(), LeaderID: -1}
-		return m, r.Err()
-	case tReadIndexReply2:
 		m := raft.ReadIndexReply{Term: r.Int(), ID: r.Varint(), Index: r.Int(), Success: r.Bool(), Lease: r.Bool(), LeaderID: r.Int()}
 		return m, r.Err()
 	case tInstallSnapshot:
 		m := raft.InstallSnapshot{Term: r.Int(), LeaderID: r.Int(), LastIncludedIndex: r.Int(), LastIncludedTerm: r.Int(), Data: r.Bytes()}
+		return m, r.Err()
+	case tBenOrReport:
+		m := benor.Report{Round: r.Int(), Value: r.Int()}
+		return m, r.Err()
+	case tBenOrRatify:
+		m := benor.Ratify{Round: r.Int(), Value: r.Int(), HasValue: r.Bool()}
 		return m, r.Err()
 	case tTagged:
 		ch := r.String()
@@ -284,79 +285,7 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 			return nil, err
 		}
 		return msgnet.Tagged{Channel: ch, Payload: inner}, nil
-	case tGob:
-		blob := r.BytesView()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("codec: decode gob frame: %w", err)
-		}
-		return v, nil
 	default:
 		return nil, fmt.Errorf("codec: unknown type tag %d", tag)
 	}
-}
-
-func (d *Decoder) readAppendEntries(r *bin.Reader, m *raft.AppendEntries, reuse []raft.Entry) error {
-	m.Term = r.Int()
-	m.LeaderID = r.Int()
-	m.PrevLogIndex = r.Int()
-	m.PrevLogTerm = r.Int()
-	m.LeaderCommit = r.Int()
-	m.ReadID = r.Int()
-	var err error
-	m.Entries, err = d.ents.ReadEntries(r, reuse)
-	if err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-// DecodeAppendEntriesInto is the allocation-free fast path for the
-// dominant replication message: it decodes frame into *m, reusing
-// reuse's backing array for the entry slice. With interned commands and
-// a warmed reuse slice, steady-state decode performs zero heap
-// allocations — this is the path the codec micro-benchmarks pin.
-// Callers own the lifecycle: the entries alias reuse, so hand the slice
-// back only after the previous message is fully consumed.
-func (d *Decoder) DecodeAppendEntriesInto(frame []byte, m *raft.AppendEntries, reuse []raft.Entry) error {
-	r := bin.NewReader(frame)
-	if _, err := readHeader(r); err != nil {
-		return err
-	}
-	if tag := r.Byte(); tag != tAppendEntries {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("codec: frame tag %d is not AppendEntries", tag)
-	}
-	return d.readAppendEntries(r, m, reuse)
-}
-
-// bufPool recycles frame buffers across sends: a transport grabs a
-// buffer, appends the frame, writes it out, and returns it. Pooling a
-// pointer-to-slice (not the slice) keeps the Put side allocation-free.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// GetBuf returns a pooled buffer with length 0 and warm capacity.
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuf returns a buffer to the pool. Oversized buffers (a snapshot
-// transfer, a huge batch) are dropped rather than pinned forever.
-func PutBuf(b *[]byte) {
-	if cap(*b) > 1<<20 {
-		return
-	}
-	bufPool.Put(b)
 }

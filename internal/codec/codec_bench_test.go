@@ -73,9 +73,9 @@ func BenchmarkEncodeAppendEntries(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeAppendEntries pins the decode side: the typed
-// DecodeAppendEntriesInto path with a recycled entry slice must be
-// 0 allocs/op, against a long-lived gob stream decoder.
+// BenchmarkDecodeAppendEntries pins the decode side: Decoder.Decode,
+// the call the transport's receive loop makes, against a long-lived gob
+// stream decoder.
 func BenchmarkDecodeAppendEntries(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		msg := benchAppendEntries(n)
@@ -85,19 +85,13 @@ func BenchmarkDecodeAppendEntries(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("codec/entries=%d", n), func(b *testing.B) {
 			var dec Decoder
-			var m raft.AppendEntries
-			if err := dec.DecodeAppendEntriesInto(frame, &m, nil); err != nil {
-				b.Fatal(err)
-			}
-			reuse := m.Entries
 			b.SetBytes(int64(len(frame)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := dec.DecodeAppendEntriesInto(frame, &m, reuse); err != nil {
+				if _, err := dec.Decode(frame); err != nil {
 					b.Fatal(err)
 				}
-				reuse = m.Entries
 			}
 		})
 		b.Run(fmt.Sprintf("gob-stream/entries=%d", n), func(b *testing.B) {

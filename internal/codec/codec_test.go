@@ -1,12 +1,13 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/gob"
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
-	"ooc/internal/codec/bin"
+	"ooc/internal/benor"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 )
@@ -16,13 +17,14 @@ type foreignMsg struct {
 	Est   []int
 }
 
+// The gob oracle boxes every wire message, and the commands inside
+// entries, in an interface.
 func init() {
-	gob.Register(foreignMsg{})
-	for _, wt := range raft.WireTypes() {
-		gob.Register(wt)
+	for _, msg := range wireMessages() {
+		gob.Register(msg)
 	}
-	for _, wt := range msgnet.WireTypes() {
-		gob.Register(wt)
+	for _, cmd := range []any{raft.Noop{}, raft.KVCommand{}, raft.DS{}} {
+		gob.Register(cmd)
 	}
 }
 
@@ -53,8 +55,10 @@ func wireMessages() []any {
 		msgnet.Tagged{Channel: "shard/0", Payload: raft.AppendEntries{
 			Term: 1, Entries: []raft.Entry{{Term: 1, Command: raft.KVCommand{Op: "get", Key: "x"}}},
 		}},
-		foreignMsg{Round: 9, Est: []int{0, 1}}, // gob fallback
-		msgnet.Tagged{Channel: "benor/1", Payload: foreignMsg{Round: 2}},
+		benor.Report{Round: 9, Value: 1},
+		benor.Ratify{Round: 9, Value: 0, HasValue: true},
+		benor.Ratify{Round: 10}, // the question mark <2, ?>
+		msgnet.Tagged{Channel: "benor/1", Payload: benor.Report{Round: 2, Value: 0}},
 	}
 }
 
@@ -97,6 +101,37 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesForeignPayload: the message set is closed. A payload
+// outside it, at the top or inside the mux wrapper, has no encoding, and
+// the error names its type.
+func TestAppendRefusesForeignPayload(t *testing.T) {
+	for _, c := range []struct {
+		msg  any
+		name string
+	}{
+		{foreignMsg{Round: 9}, "codec.foreignMsg"},
+		{msgnet.Tagged{Channel: "benor/1", Payload: foreignMsg{Round: 2}}, "codec.foreignMsg"},
+		{"hello", "string"},
+	} {
+		if _, err := Append(nil, c.msg); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Fatalf("%#v: err = %v, want a refusal naming %s", c.msg, err, c.name)
+		}
+	}
+}
+
+// TestRetiredTagsDecodeAsUnknown: tag 8 (ReadIndexReply without its
+// LeaderID) and tag 31 (the gob fallback frame) are retired, and a frame
+// carrying either is refused like any unknown tag.
+func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
+	var dec Decoder
+	for _, tag := range []byte{8, 31} {
+		_, err := dec.Decode([]byte{Version, tag, 10, 2, 24, 1, 0})
+		if err == nil || !strings.Contains(err.Error(), "unknown type tag") {
+			t.Fatalf("tag %d: err = %v, want unknown type tag", tag, err)
+		}
+	}
+}
+
 func TestDecodeMatchesGobOracle(t *testing.T) {
 	// Differential check: everything the codec round-trips must equal
 	// what a gob round trip of the same value produces (gob, the encoding
@@ -120,35 +155,15 @@ func TestDecodeMatchesGobOracle(t *testing.T) {
 
 func gobRoundTrip(t *testing.T, msg any) any {
 	t.Helper()
-	buf := GetBuf()
-	defer PutBuf(buf)
-	w := writerTo{buf}
-	if err := gob.NewEncoder(w).Encode(&msg); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
 		t.Fatal(err)
 	}
 	var v any
-	if err := gob.NewDecoder(readerFrom{buf, new(int)}).Decode(&v); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
-}
-
-type writerTo struct{ b *[]byte }
-
-func (w writerTo) Write(p []byte) (int, error) { *w.b = append(*w.b, p...); return len(p), nil }
-
-type readerFrom struct {
-	b   *[]byte
-	off *int
-}
-
-func (r readerFrom) Read(p []byte) (int, error) {
-	if *r.off >= len(*r.b) {
-		return 0, fmt.Errorf("EOF")
-	}
-	n := copy(p, (*r.b)[*r.off:])
-	*r.off += n
-	return n, nil
 }
 
 func TestEncodeZeroAlloc(t *testing.T) {
@@ -179,88 +194,5 @@ func TestEncodeZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%T: encode allocates %.1f/op; want 0", msg, allocs)
 		}
-	}
-}
-
-func TestDecodeAppendEntriesIntoZeroAlloc(t *testing.T) {
-	frame, err := Append(nil, raft.AppendEntries{
-		Term: 5, LeaderID: 0, PrevLogIndex: 9, PrevLogTerm: 4,
-		Entries: []raft.Entry{
-			{Term: 5, Command: raft.KVCommand{Op: "set", Key: "hot", Value: "v1"}},
-			{Term: 5, Command: raft.KVCommand{Op: "set", Key: "hot", Value: "v2"}},
-		},
-		LeaderCommit: 8, ReadID: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec Decoder
-	var m raft.AppendEntries
-	if err := dec.DecodeAppendEntriesInto(frame, &m, nil); err != nil {
-		t.Fatal(err)
-	}
-	reuse := m.Entries
-	allocs := testing.AllocsPerRun(100, func() {
-		if err = dec.DecodeAppendEntriesInto(frame, &m, reuse); err == nil {
-			reuse = m.Entries
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state AppendEntries decode allocates %.1f/op; want 0", allocs)
-	}
-}
-
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	*b = append(*b, make([]byte, 2<<20)...) // oversize: must not be pooled
-	PutBuf(b)
-	c := GetBuf()
-	if cap(*c) > 1<<20 {
-		t.Fatal("oversized buffer returned to pool")
-	}
-	if len(*c) != 0 {
-		t.Fatal("pooled buffer not reset to length 0")
-	}
-	PutBuf(c)
-}
-
-// TestReadIndexReplyLegacyFrameDecodes pins the ReadIndexReply upgrade
-// seam: a pre-LeaderID peer emits the old tag with no trailing field,
-// and the decoder must map it to LeaderID -1 ("unknown") — the zero
-// value would silently name node 0 as the leader.
-func TestReadIndexReplyLegacyFrameDecodes(t *testing.T) {
-	frame := []byte{Version, tReadIndexReply}
-	frame = bin.AppendInt(frame, 5)
-	frame = bin.AppendVarint(frame, 77)
-	frame = bin.AppendInt(frame, 12)
-	frame = bin.AppendBool(frame, true)
-	frame = bin.AppendBool(frame, false)
-	var dec Decoder
-	got, err := dec.Decode(frame)
-	if err != nil {
-		t.Fatalf("legacy frame: %v", err)
-	}
-	want := raft.ReadIndexReply{Term: 5, ID: 77, Index: 12, Success: true, Lease: false, LeaderID: -1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy decode = %#v, want %#v", got, want)
-	}
-	// The current encoder always emits the new tag, round-tripping the
-	// hint verbatim.
-	neu, err := Append(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neu[1] != tReadIndexReply2 {
-		t.Fatalf("encoder emitted tag %d, want %d", neu[1], tReadIndexReply2)
-	}
-	back, err := dec.Decode(neu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, want) {
-		t.Fatalf("new-tag round trip = %#v, want %#v", back, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ooc/internal/benor"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 )
@@ -23,7 +24,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			es[i] = raft.Entry{Term: a + i, Command: raft.KVCommand{Op: op, Key: key, Value: val}}
 		}
 		var msg any
-		switch kind % 10 {
+		switch kind % 12 {
 		case 0:
 			msg = raft.RequestVote{Term: a, CandidateID: b, LastLogIndex: c, LastLogTerm: d}
 		case 1:
@@ -48,6 +49,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			msg = raft.InstallSnapshot{Term: a, LeaderID: b, LastIncludedIndex: c, LastIncludedTerm: d, Data: data}
 		case 9:
 			msg = msgnet.Tagged{Channel: op, Payload: raft.AppendEntries{Term: a, Entries: es}}
+		case 10:
+			msg = benor.Report{Round: a, Value: b}
+		case 11:
+			msg = benor.Ratify{Round: a, Value: b, HasValue: c&1 == 0}
 		}
 		frame, err := Append(nil, msg)
 		if err != nil {

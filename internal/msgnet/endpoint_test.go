@@ -8,6 +8,7 @@ import (
 
 	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
+	"ooc/internal/raft"
 	"ooc/internal/transport"
 )
 
@@ -81,9 +82,11 @@ func TestEndpointReadyTryRecvContract(t *testing.T) {
 			}
 
 			// A burst arrives as at most one token per message, in order.
+			// Payloads are raft messages: the transport carries only the
+			// codec's closed set.
 			const burst = 3
 			for i := 0; i < burst; i++ {
-				if err := tc.send(i); err != nil {
+				if err := tc.send(raft.RequestVote{Term: i}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -97,7 +100,7 @@ func TestEndpointReadyTryRecvContract(t *testing.T) {
 					if !ok {
 						break
 					}
-					if m.Payload != got || m.From != 0 || m.To != 1 {
+					if m.Payload != (raft.RequestVote{Term: got}) || m.From != 0 || m.To != 1 {
 						t.Fatalf("message %d = %+v", got, m)
 					}
 					got++
@@ -106,7 +109,8 @@ func TestEndpointReadyTryRecvContract(t *testing.T) {
 
 			// Recv is the same queue: it takes what TryRecv would have,
 			// and a dead context takes nothing.
-			if err := tc.send("kept"); err != nil {
+			kept := raft.RequestVoteReply{Term: 9}
+			if err := tc.send(kept); err != nil {
 				t.Fatal(err)
 			}
 			dead, cancel := context.WithCancel(ctx)
@@ -114,7 +118,7 @@ func TestEndpointReadyTryRecvContract(t *testing.T) {
 			if _, err := ep.Recv(dead); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled Recv: %v", err)
 			}
-			if m, err := ep.Recv(ctx); err != nil || m.Payload != "kept" {
+			if m, err := ep.Recv(ctx); err != nil || m.Payload != kept {
 				t.Fatalf("Recv = %+v %v", m, err)
 			}
 			if _, ok, err := ep.TryRecv(); ok || err != nil {

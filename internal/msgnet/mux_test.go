@@ -174,12 +174,6 @@ func TestTwoConsensusInstancesOverOneNetwork(t *testing.T) {
 	}
 }
 
-func TestMuxWireTypes(t *testing.T) {
-	if got := len(msgnet.WireTypes()); got != 2 {
-		t.Fatalf("WireTypes() has %d entries, want 2 (Tagged, Traced)", got)
-	}
-}
-
 // TestMuxBacklogBounded models multi-shard boot skew gone permanent: a
 // channel that is never created on the receiver must buffer at most the
 // backlog cap, counting the overflow as drops, and hand exactly the

@@ -188,26 +188,11 @@ type ReadIndexReply struct {
 	Lease   bool // the leader served this from a held lease (telemetry)
 	// LeaderID names the current leader as the responder knows it, so a
 	// failed forward seeds the remote client's leader hint on the first
-	// redirect instead of the second. none (-1) when unknown — including
-	// replies decoded from peers running the pre-PR9 wire format.
+	// redirect instead of the second. none (-1) when unknown.
 	LeaderID int
 }
 
 // String implements fmt.Stringer.
 func (m ReadIndexReply) String() string {
 	return fmt.Sprintf("ReadIndexReply{t=%d id=%d idx=%d ok=%v lease=%v ldr=%d}", m.Term, m.ID, m.Index, m.Success, m.Lease, m.LeaderID)
-}
-
-// WireTypes lists every message type this package puts on the network,
-// for registration with gob-based transports. Entry commands must be
-// registered separately by the application (see transport.Register).
-func WireTypes() []any {
-	return []any{
-		RequestVote{}, RequestVoteReply{},
-		PreVote{}, PreVoteReply{},
-		AppendEntries{}, AppendEntriesReply{},
-		ReadIndexRequest{}, ReadIndexReply{},
-		InstallSnapshot{},
-		Entry{}, DS{}, KVCommand{}, Noop{},
-	}
 }

@@ -618,6 +618,9 @@ func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
 // propose is Propose with the whole accept reply, whose term the
 // client's apply wait needs.
 func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
+	if _, err := commandTag(cmd); err != nil {
+		return proposeReply{err: err}
+	}
 	if err := nd.admit(ctx); err != nil {
 		return proposeReply{err: err}
 	}

@@ -1,12 +1,14 @@
 package raft
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"ooc/internal/codec/bin"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
 )
@@ -111,6 +113,57 @@ func TestKVStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := restored.RestoreSnapshot(1, []byte("garbage")); err == nil {
 		t.Fatal("garbage snapshot accepted")
+	}
+}
+
+// TestKVStoreSnapshotIsDeterministic: stores holding the same keys
+// snapshot to the same bytes, whatever order the keys were set in.
+func TestKVStoreSnapshotIsDeterministic(t *testing.T) {
+	const keys = 64
+	var up, down KVStore
+	for i := 0; i < keys; i++ {
+		j := keys - 1 - i
+		up.Apply(i+1, KVCommand{Op: "set", Key: fmt.Sprintf("k%02d", i), Value: fmt.Sprint(i)})
+		down.Apply(i+1, KVCommand{Op: "set", Key: fmt.Sprintf("k%02d", j), Value: fmt.Sprint(j)})
+	}
+	a, err := up.SnapshotData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := down.SnapshotData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("the same key space snapshots to different bytes")
+	}
+}
+
+// TestKVStoreRestoreRefusesMalformedInput: a snapshot cut short, one with
+// bytes after its last pair, and one counting more pairs than it has
+// bytes are refused, and the store keeps what it held.
+func TestKVStoreRestoreRefusesMalformedInput(t *testing.T) {
+	var src KVStore
+	src.Apply(1, KVCommand{Op: "set", Key: "a", Value: "1"})
+	src.Apply(2, KVCommand{Op: "set", Key: "b", Value: "2"})
+	good, err := src.SnapshotData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"empty":      nil,
+		"truncated":  good[:len(good)-1],
+		"trailing":   append(append([]byte{}, good...), 0),
+		"huge count": bin.AppendUvarint(nil, 1<<40),
+	} {
+		var kv KVStore
+		kv.Apply(3, KVCommand{Op: "set", Key: "keep", Value: "me"})
+		if err := kv.RestoreSnapshot(9, data); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		if v, _ := kv.Get("keep"); v != "me" || kv.AppliedIndex() != 3 {
+			t.Errorf("%s: a refused restore changed the store", name)
+		}
 	}
 }
 

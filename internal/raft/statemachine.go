@@ -1,11 +1,11 @@
 package raft
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
+
+	"ooc/internal/codec/bin"
 )
 
 // StateMachine consumes committed log entries in index order.
@@ -169,28 +169,47 @@ func (s *KVStore) AppliedIndex() int {
 
 var _ Snapshotter = (*KVStore)(nil)
 
-// SnapshotData implements Snapshotter by gob-encoding the key space.
+// SnapshotData implements Snapshotter: [uvarint n], then the n
+// [key][value] string pairs in key order, so stores holding the same
+// keys snapshot to the same bytes.
 func (s *KVStore) SnapshotData() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.data); err != nil {
-		return nil, fmt.Errorf("raft: kv snapshot: %w", err)
+	keys := make([]string, 0, len(s.data))
+	for k := range s.data {
+		keys = append(keys, k)
 	}
-	return buf.Bytes(), nil
+	sort.Strings(keys)
+	out := bin.AppendUvarint(nil, uint64(len(keys)))
+	for _, k := range keys {
+		out = bin.AppendString(out, k)
+		out = bin.AppendString(out, s.data[k])
+	}
+	return out, nil
 }
 
-// RestoreSnapshot implements Snapshotter.
+// RestoreSnapshot implements Snapshotter. It refuses input that is
+// truncated, runs past the last pair, or counts more pairs than it has
+// bytes.
 func (s *KVStore) RestoreSnapshot(index int, data []byte) error {
-	var m map[string]string
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+	r := bin.NewReader(data)
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		return fmt.Errorf("raft: kv restore: %d pairs in %d bytes", n, r.Len())
+	}
+	m := make(map[string]string, n)
+	for i := uint64(0); i < n; i++ {
+		k := r.String()
+		m[k] = r.String()
+	}
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("raft: kv restore: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("raft: kv restore: %d trailing bytes", r.Len())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m == nil {
-		m = make(map[string]string)
-	}
 	s.data = m
 	s.applied = index
 	return nil

@@ -308,9 +308,7 @@ type FileStorage struct {
 var _ Storage = (*FileStorage)(nil)
 
 // OpenFileStorage opens (or creates) the store at path, on a
-// SyncCoalescer of its own until SetSyncer shares the node's. Entry
-// commands of types the binary codec does not know natively must be
-// gob-registered (see transport.Register / raft.WireTypes).
+// SyncCoalescer of its own until SetSyncer shares the node's.
 func OpenFileStorage(path string) (*FileStorage, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
@@ -491,7 +489,7 @@ func appendRecord(dst []byte, r record) ([]byte, error) {
 		return bin.AppendInt(dst, r.VotedFor), nil
 	case recordLog:
 		dst = bin.AppendInt(dst, r.PrevIndex)
-		return appendEntries(dst, r.Entries)
+		return AppendWireEntries(dst, r.Entries)
 	case recordSnapshot:
 		dst = bin.AppendInt(dst, r.SnapIndex)
 		dst = bin.AppendInt(dst, r.SnapTerm)
@@ -519,7 +517,7 @@ func decodeRecord(payload []byte, dec *EntryDecoder) (record, error) {
 	case recordLog:
 		rec.PrevIndex = r.Int()
 		var err error
-		rec.Entries, err = dec.ReadEntries(r, nil)
+		rec.Entries, err = dec.ReadEntries(r)
 		if err != nil {
 			return record{}, err
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,9 +16,10 @@ import (
 	"ooc/internal/sim"
 )
 
+// The gob oracles in this package's tests carry these in Entry.Command.
 func init() {
-	for _, wt := range WireTypes() {
-		gob.Register(wt)
+	for _, cmd := range []any{Noop{}, KVCommand{}, DS{}} {
+		gob.Register(cmd)
 	}
 }
 
@@ -458,5 +461,53 @@ func TestRepeatedCrashRecoveryCycles(t *testing.T) {
 		if v, _ := c.kvs[id].Get("cycle"); v != "c" {
 			t.Fatalf("node %d: cycle=%q", id, v)
 		}
+	}
+}
+
+// TestProposeRefusesForeignCommand: a command outside the closed set,
+// bare or inside a D&S, is refused at Propose with its type named,
+// before it enters the log — on a netsim node, and on a FileStorage node
+// whose next flush it would otherwise fail — and the node goes on
+// serving.
+func TestProposeRefusesForeignCommand(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			var files []*FileStorage
+			var opts []func(*Config)
+			if disk {
+				dir := t.TempDir()
+				opts = append(opts, func(cfg *Config) {
+					fs, err := OpenFileStorage(filepath.Join(dir, fmt.Sprintf("n%d.wal", cfg.ID)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files = append(files, fs)
+					cfg.Storage = fs
+				})
+			}
+			c := newCluster(t, 3, 53, opts...)
+			t.Cleanup(func() {
+				c.cancel()
+				for _, nd := range c.nodes {
+					<-nd.Done()
+				}
+				for _, fs := range files {
+					_ = fs.Close()
+				}
+			})
+			c.waitApplied(c.propose(KVCommand{Op: "set", Key: "a", Value: "1"}), 0, 1, 2)
+			leader := c.waitLeader()
+			before := c.nodes[leader].Status().LogLength
+			for _, cmd := range []any{customCmd{N: 1}, DS{Value: customCmd{N: 2}}} {
+				_, err := c.nodes[leader].Propose(c.ctx, cmd)
+				if err == nil || !strings.Contains(err.Error(), "raft.customCmd") {
+					t.Fatalf("Propose(%#v) = %v, want a refusal naming raft.customCmd", cmd, err)
+				}
+			}
+			if got := c.nodes[leader].Status().LogLength; got != before {
+				t.Fatalf("log length %d after the refusals, want %d", got, before)
+			}
+			c.waitApplied(c.propose(KVCommand{Op: "set", Key: "b", Value: "2"}), 0, 1, 2)
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package raft
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"ooc/internal/codec/bin"
@@ -18,14 +16,13 @@ import (
 //	[uvarint count] then per entry: [zigzag term][command]
 //
 // and a command is a one-byte tag followed by a tag-specific body. The
-// known command kinds (Noop, KVCommand, D&S, plus the scalar value
-// kinds D&S wraps) encode natively; anything else falls back to a
-// gob-encoded blob (tag cmdGob), so applications with custom command
-// types keep working — they pay gob's cost, the hot path does not.
+// command kinds are a closed set — Noop, KVCommand, D&S, plus the scalar
+// value kinds D&S wraps — listed once, in commandTag; Propose refuses
+// anything else before it reaches the log.
 
 // Command tags. New kinds append to the list; existing values are wire
 // format and must never be renumbered (see the version rules in
-// DESIGN.md §3.5).
+// DESIGN.md §3.5). 15, the retired gob fallback, is never to be reused.
 const (
 	cmdNil    = 0
 	cmdNoop   = 1
@@ -36,11 +33,10 @@ const (
 	cmdInt    = 6
 	cmdInt64  = 7
 	cmdBool   = 8
-	cmdGob    = 15
 )
 
-// appendEntries appends the wire form of a log entry slice.
-func appendEntries(dst []byte, es []Entry) ([]byte, error) {
+// AppendWireEntries appends the wire form of a log entry slice.
+func AppendWireEntries(dst []byte, es []Entry) ([]byte, error) {
 	dst = bin.AppendUvarint(dst, uint64(len(es)))
 	var err error
 	for i := range es {
@@ -52,50 +48,63 @@ func appendEntries(dst []byte, es []Entry) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendWireEntries is appendEntries for use by internal/codec.
-func AppendWireEntries(dst []byte, es []Entry) ([]byte, error) {
-	return appendEntries(dst, es)
+// commandTag names cmd's wire kind. Its cases are the one list of
+// command kinds the log carries; any other type, at any depth inside a
+// D&S, has no encoding.
+func commandTag(cmd any) (byte, error) {
+	switch v := cmd.(type) {
+	case nil:
+		return cmdNil, nil
+	case Noop:
+		return cmdNoop, nil
+	case KVCommand:
+		return cmdKV, nil
+	case DS:
+		if _, err := commandTag(v.Value); err != nil {
+			return 0, err
+		}
+		return cmdDS, nil
+	case []byte:
+		return cmdBytes, nil
+	case string:
+		return cmdString, nil
+	case int:
+		return cmdInt, nil
+	case int64:
+		return cmdInt64, nil
+	case bool:
+		return cmdBool, nil
+	}
+	return 0, fmt.Errorf("raft: command type %T has no wire encoding", cmd)
 }
 
 // appendCommand appends one tagged command (or D&S value).
 func appendCommand(dst []byte, cmd any) ([]byte, error) {
-	switch v := cmd.(type) {
-	case nil:
-		return append(dst, cmdNil), nil
-	case Noop:
-		return append(dst, cmdNoop), nil
-	case KVCommand:
-		dst = append(dst, cmdKV)
-		dst = bin.AppendString(dst, v.Op)
-		dst = bin.AppendString(dst, v.Key)
-		return bin.AppendString(dst, v.Value), nil
-	case DS:
-		dst = append(dst, cmdDS)
-		return appendCommand(dst, v.Value)
-	case []byte:
-		return bin.AppendBytes(append(dst, cmdBytes), v), nil
-	case string:
-		return bin.AppendString(append(dst, cmdString), v), nil
-	case int:
-		return bin.AppendVarint(append(dst, cmdInt), int64(v)), nil
-	case int64:
-		return bin.AppendVarint(append(dst, cmdInt64), v), nil
-	case bool:
-		return bin.AppendBool(append(dst, cmdBool), v), nil
-	default:
-		// Foreign command type: gob inside the frame. The type must be
-		// gob-registered on both sides, exactly as the gob transport
-		// already required (transport.Register). Copy to a local before
-		// taking an address: &cmd would make the parameter escape and
-		// charge every call — including the native fast paths above —
-		// one heap-boxed interface.
-		var buf bytes.Buffer
-		boxed := cmd
-		if err := gob.NewEncoder(&buf).Encode(&boxed); err != nil {
-			return dst, fmt.Errorf("raft: encode command %T: %w", cmd, err)
-		}
-		return bin.AppendBytes(append(dst, cmdGob), buf.Bytes()), nil
+	tag, err := commandTag(cmd)
+	if err != nil {
+		return dst, err
 	}
+	dst = append(dst, tag)
+	switch tag {
+	case cmdKV:
+		kv := cmd.(KVCommand)
+		dst = bin.AppendString(dst, kv.Op)
+		dst = bin.AppendString(dst, kv.Key)
+		return bin.AppendString(dst, kv.Value), nil
+	case cmdDS:
+		return appendCommand(dst, cmd.(DS).Value)
+	case cmdBytes:
+		return bin.AppendBytes(dst, cmd.([]byte)), nil
+	case cmdString:
+		return bin.AppendString(dst, cmd.(string)), nil
+	case cmdInt:
+		return bin.AppendVarint(dst, int64(cmd.(int))), nil
+	case cmdInt64:
+		return bin.AppendVarint(dst, cmd.(int64)), nil
+	case cmdBool:
+		return bin.AppendBool(dst, cmd.(bool)), nil
+	}
+	return dst, nil // nil and Noop: the tag is the whole command
 }
 
 // internLimit bounds each interning table in an EntryDecoder. Real
@@ -111,7 +120,7 @@ const (
 // EntryDecoder decodes entries and commands, amortizing steady-state
 // allocations: repeated strings (ops, keys) intern to a single shared
 // string, repeated KV commands intern to a single pre-boxed `any`, and
-// the caller can recycle the decoded entry slice. A zero EntryDecoder is
+// A zero EntryDecoder is
 // ready to use; it is not safe for concurrent use (give each decoding
 // goroutine its own).
 type EntryDecoder struct {
@@ -157,11 +166,9 @@ func (d *EntryDecoder) internKV(kv KVCommand) any {
 	return c
 }
 
-// ReadEntries decodes an appendEntries-encoded slice from r. The result
-// is appended into reuse[:0] (pass nil for a fresh slice); steady-state
-// callers hand back the previous slice so the backing array is
-// recycled. Decoded commands never alias r's input.
-func (d *EntryDecoder) ReadEntries(r *bin.Reader, reuse []Entry) ([]Entry, error) {
+// ReadEntries decodes an AppendWireEntries-encoded slice from r into a
+// fresh slice. Decoded commands never alias r's input.
+func (d *EntryDecoder) ReadEntries(r *bin.Reader) ([]Entry, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -174,10 +181,10 @@ func (d *EntryDecoder) ReadEntries(r *bin.Reader, reuse []Entry) ([]Entry, error
 	if n > uint64(r.Len()) {
 		return nil, fmt.Errorf("raft: entry count %d exceeds frame (%d bytes left)", n, r.Len())
 	}
-	es := reuse[:0]
+	var es []Entry
 	for i := uint64(0); i < n; i++ {
 		term := r.Int()
-		cmd, err := d.ReadCommand(r)
+		cmd, err := d.readCommand(r)
 		if err != nil {
 			return nil, err
 		}
@@ -189,8 +196,8 @@ func (d *EntryDecoder) ReadEntries(r *bin.Reader, reuse []Entry) ([]Entry, error
 	return es, nil
 }
 
-// ReadCommand decodes one tagged command.
-func (d *EntryDecoder) ReadCommand(r *bin.Reader) (any, error) {
+// readCommand decodes one tagged command.
+func (d *EntryDecoder) readCommand(r *bin.Reader) (any, error) {
 	tag := r.Byte()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -209,7 +216,7 @@ func (d *EntryDecoder) ReadCommand(r *bin.Reader) (any, error) {
 		}
 		return d.internKV(KVCommand{Op: op, Key: key, Value: val}), nil
 	case cmdDS:
-		v, err := d.ReadCommand(r)
+		v, err := d.readCommand(r)
 		if err != nil {
 			return nil, err
 		}
@@ -224,16 +231,6 @@ func (d *EntryDecoder) ReadCommand(r *bin.Reader) (any, error) {
 		return r.Varint(), r.Err()
 	case cmdBool:
 		return r.Bool(), r.Err()
-	case cmdGob:
-		blob := r.BytesView()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("raft: decode gob command: %w", err)
-		}
-		return v, nil
 	default:
 		return nil, fmt.Errorf("raft: unknown command tag %d", tag)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ooc/internal/codec/bin"
@@ -13,8 +14,6 @@ type customCmd struct {
 	N    int
 	Tags []string
 }
-
-func init() { gob.Register(customCmd{}) }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
 	cases := [][]Entry{
@@ -30,7 +29,6 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{{Term: 8, Command: int64(-9)}},
 		{{Term: 9, Command: true}},
 		{{Term: 10, Command: nil}},
-		{{Term: 11, Command: customCmd{N: 7, Tags: []string{"a", "b"}}}}, // gob fallback
 		{
 			{Term: 12, Command: KVCommand{Op: "set", Key: "x", Value: "1"}},
 			{Term: 12, Command: KVCommand{Op: "delete", Key: "x"}},
@@ -39,12 +37,12 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 	var dec EntryDecoder
 	for i, es := range cases {
-		enc, err := appendEntries(nil, es)
+		enc, err := AppendWireEntries(nil, es)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
 		r := bin.NewReader(enc)
-		got, err := dec.ReadEntries(r, nil)
+		got, err := dec.ReadEntries(r)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -61,6 +59,18 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEntryCodecRefusesForeignCommands: a command outside the closed
+// set, bare or inside a D&S, has no encoding, and the error names its
+// type.
+func TestEntryCodecRefusesForeignCommands(t *testing.T) {
+	for _, cmd := range []any{customCmd{N: 7, Tags: []string{"a", "b"}}, DS{Value: customCmd{N: 1}}} {
+		_, err := AppendWireEntries(nil, []Entry{{Term: 11, Command: cmd}})
+		if err == nil || !strings.Contains(err.Error(), "raft.customCmd") {
+			t.Fatalf("%#v: err = %v, want a refusal naming raft.customCmd", cmd, err)
+		}
+	}
+}
+
 func TestEntryCodecMatchesGobSemantics(t *testing.T) {
 	// The differential oracle at the entry level: a sequence encoded by
 	// the binary codec and by gob must decode to the same values.
@@ -68,14 +78,13 @@ func TestEntryCodecMatchesGobSemantics(t *testing.T) {
 		{Term: 1, Command: Noop{}},
 		{Term: 2, Command: KVCommand{Op: "set", Key: "alpha", Value: "1"}},
 		{Term: 2, Command: DS{Value: "v"}},
-		{Term: 3, Command: customCmd{N: 1, Tags: []string{"t"}}},
 	}
-	enc, err := appendEntries(nil, es)
+	enc, err := AppendWireEntries(nil, es)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dec EntryDecoder
-	viaCodec, err := dec.ReadEntries(bin.NewReader(enc), nil)
+	viaCodec, err := dec.ReadEntries(bin.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,29 +104,25 @@ func TestEntryCodecMatchesGobSemantics(t *testing.T) {
 
 func TestEntryDecoderInternsRepeats(t *testing.T) {
 	es := []Entry{{Term: 1, Command: KVCommand{Op: "set", Key: "hot-key", Value: "vv"}}}
-	enc, err := appendEntries(nil, es)
+	enc, err := AppendWireEntries(nil, es)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dec EntryDecoder
-	r := bin.NewReader(enc)
-	first, err := dec.ReadEntries(r, nil)
-	if err != nil {
+	if _, err := dec.ReadEntries(bin.NewReader(enc)); err != nil {
 		t.Fatal(err)
 	}
-	// Steady state: decoding the same bytes again must not allocate —
-	// strings intern, the boxed command interns, and the entry slice is
-	// recycled by the caller.
-	scratch := first
+	// Steady state: decoding the same bytes again allocates the entry
+	// slice and nothing else — strings intern, and so does the boxed
+	// command.
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(enc)
-		scratch, err = dec.ReadEntries(r, scratch)
+		_, err = dec.ReadEntries(bin.NewReader(enc))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs != 0 {
-		t.Fatalf("steady-state entry decode allocates %.1f/op; want 0", allocs)
+	if allocs != 1 {
+		t.Fatalf("steady-state entry decode allocates %.1f/op; want 1, the entry slice", allocs)
 	}
 }
 
@@ -125,7 +130,7 @@ func TestReadEntriesRejectsHugeCount(t *testing.T) {
 	// A corrupt count must error out before sizing any allocation.
 	enc := bin.AppendUvarint(nil, 1<<40)
 	var dec EntryDecoder
-	if _, err := dec.ReadEntries(bin.NewReader(enc), nil); err == nil {
+	if _, err := dec.ReadEntries(bin.NewReader(enc)); err == nil {
 		t.Fatal("oversized entry count decoded without error")
 	}
 }

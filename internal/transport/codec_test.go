@@ -48,16 +48,17 @@ func TestCodecCarriesMuxWrapper(t *testing.T) {
 	}
 }
 
-func TestCodecForeignPayloadFallsBackToGob(t *testing.T) {
-	// A payload outside the codec's native set still crosses the wire
-	// (inside a gob-fallback frame); it only needs Register, exactly as
-	// the old transport did.
+// TestCodecForeignPayloadIsDropped: a payload outside the codec's set
+// has no encoding, so Send drops it like any remote loss, and the next
+// message still crosses the wire.
+func TestCodecForeignPayloadIsDropped(t *testing.T) {
 	trs := localCluster(t, 2)
-	if got := exchange(t, trs, "plain string"); got != "plain string" {
-		t.Fatalf("got %#v", got)
+	if err := trs[0].Send(1, "plain string"); err != nil {
+		t.Fatal(err)
 	}
-	if got := exchange(t, trs, 42); got != 42 {
-		t.Fatalf("got %#v", got)
+	msg := raft.RequestVote{Term: 4}
+	if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
+		t.Fatalf("got %#v, want %#v", got, msg)
 	}
 }
 

@@ -12,21 +12,17 @@
 // quorum waits tolerate exactly this.
 //
 // There is one wire encoding, the hand-rolled binary codec, which encodes
-// the known message set with zero steady-state allocations. A dialer opens
-// each connection with the one-byte 'B' preamble and its node id; a
+// its closed message set with zero steady-state allocations; a payload
+// outside that set is dropped like any remote loss. A dialer opens each
+// connection with the one-byte 'B' preamble and its node id; a
 // connection that opens with anything else is dropped. Frames are V1, or
 // V2 when they carry a trace ID, and the decoder takes both.
-//
-// Payload types outside the codec's native set must be registered with
-// Register before use, on both sides (they ride a gob-encoded fallback
-// frame inside the binary stream).
 package transport
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -38,16 +34,6 @@ import (
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 )
-
-// Register makes a payload type encodable; call it once per concrete
-// type before any Send (e.g. for Raft: Register(raft.WireTypes()...)).
-// The codec needs this only for types outside its native set, but
-// registering everything is harmless.
-func Register(values ...any) {
-	for _, v := range values {
-		gob.Register(v)
-	}
-}
 
 // preambleBinary opens every connection: the dialer sends it so the
 // receiver knows the stream is the binary codec's.

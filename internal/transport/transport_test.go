@@ -17,13 +17,6 @@ import (
 	"ooc/internal/sim"
 )
 
-func init() {
-	Register(raft.WireTypes()...)
-	Register(benor.WireTypes()...)
-	Register("")
-	Register(0)
-}
-
 func ctxT(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -61,14 +54,15 @@ func TestSendRecvOverTCP(t *testing.T) {
 	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("'G' connection: read %d bytes, err %v; want it closed", n, err)
 	}
-	if err := trs[0].Send(1, "hello"); err != nil {
+	hello := raft.RequestVote{Term: 1, LastLogIndex: 2, LastLogTerm: 1}
+	if err := trs[0].Send(1, hello); err != nil {
 		t.Fatal(err)
 	}
 	m, err := trs[1].Recv(ctxT(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.From != 0 || m.To != 1 || m.Payload != "hello" {
+	if m.From != 0 || m.To != 1 || m.Payload != hello {
 		t.Fatalf("got %+v", m)
 	}
 }
@@ -87,7 +81,8 @@ func TestSelfSendShortCircuits(t *testing.T) {
 func TestBroadcastOverTCP(t *testing.T) {
 	const n = 4
 	trs := localCluster(t, n)
-	if err := trs[2].Broadcast("b"); err != nil {
+	b := raft.RequestVoteReply{Term: 2, VoteGranted: true}
+	if err := trs[2].Broadcast(b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -95,7 +90,7 @@ func TestBroadcastOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		if m.From != 2 || m.Payload != "b" {
+		if m.From != 2 || m.Payload != b {
 			t.Fatalf("node %d got %+v", i, m)
 		}
 	}
