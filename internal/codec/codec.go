@@ -44,13 +44,12 @@ const Version = 1
 const VersionTraced = 2
 
 // Type tags. Wire format — never renumber; new message types append.
-// Retired, never to be reused: 8 (ReadIndexReply without LeaderID) and
-// 31 (the gob fallback frame).
+// Retired, never to be reused: 3 and 4 (PreVote and its reply, now the
+// Pre flag of tags 1 and 2), 8 (ReadIndexReply without LeaderID) and 31
+// (the gob fallback frame).
 const (
 	tRequestVote        = 1
 	tRequestVoteReply   = 2
-	tPreVote            = 3
-	tPreVoteReply       = 4
 	tAppendEntries      = 5
 	tAppendEntriesReply = 6
 	tReadIndexRequest   = 7
@@ -113,21 +112,13 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendInt(dst, m.Term)
 		dst = bin.AppendInt(dst, m.CandidateID)
 		dst = bin.AppendInt(dst, m.LastLogIndex)
-		return bin.AppendInt(dst, m.LastLogTerm), nil
+		dst = bin.AppendInt(dst, m.LastLogTerm)
+		return bin.AppendBool(dst, m.Pre), nil
 	case raft.RequestVoteReply:
 		dst = append(dst, tRequestVoteReply)
 		dst = bin.AppendInt(dst, m.Term)
-		return bin.AppendBool(dst, m.VoteGranted), nil
-	case raft.PreVote:
-		dst = append(dst, tPreVote)
-		dst = bin.AppendInt(dst, m.Term)
-		dst = bin.AppendInt(dst, m.CandidateID)
-		dst = bin.AppendInt(dst, m.LastLogIndex)
-		return bin.AppendInt(dst, m.LastLogTerm), nil
-	case raft.PreVoteReply:
-		dst = append(dst, tPreVoteReply)
-		dst = bin.AppendInt(dst, m.Term)
-		return bin.AppendBool(dst, m.Granted), nil
+		dst = bin.AppendBool(dst, m.VoteGranted)
+		return bin.AppendBool(dst, m.Pre), nil
 	case raft.AppendEntries:
 		dst = append(dst, tAppendEntries)
 		dst = bin.AppendInt(dst, m.Term)
@@ -239,16 +230,10 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 	}
 	switch tag {
 	case tRequestVote:
-		m := raft.RequestVote{Term: r.Int(), CandidateID: r.Int(), LastLogIndex: r.Int(), LastLogTerm: r.Int()}
+		m := raft.RequestVote{Term: r.Int(), CandidateID: r.Int(), LastLogIndex: r.Int(), LastLogTerm: r.Int(), Pre: r.Bool()}
 		return m, r.Err()
 	case tRequestVoteReply:
-		m := raft.RequestVoteReply{Term: r.Int(), VoteGranted: r.Bool()}
-		return m, r.Err()
-	case tPreVote:
-		m := raft.PreVote{Term: r.Int(), CandidateID: r.Int(), LastLogIndex: r.Int(), LastLogTerm: r.Int()}
-		return m, r.Err()
-	case tPreVoteReply:
-		m := raft.PreVoteReply{Term: r.Int(), Granted: r.Bool()}
+		m := raft.RequestVoteReply{Term: r.Int(), VoteGranted: r.Bool(), Pre: r.Bool()}
 		return m, r.Err()
 	case tAppendEntries:
 		m := raft.AppendEntries{Term: r.Int(), LeaderID: r.Int(), PrevLogIndex: r.Int(), PrevLogTerm: r.Int(), LeaderCommit: r.Int(), ReadID: r.Int()}

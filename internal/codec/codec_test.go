@@ -32,8 +32,8 @@ func wireMessages() []any {
 	return []any{
 		raft.RequestVote{Term: 3, CandidateID: 1, LastLogIndex: 10, LastLogTerm: 2},
 		raft.RequestVoteReply{Term: 3, VoteGranted: true},
-		raft.PreVote{Term: 4, CandidateID: 2, LastLogIndex: 11, LastLogTerm: 3},
-		raft.PreVoteReply{Term: 4, Granted: false},
+		raft.RequestVote{Term: 4, CandidateID: 2, LastLogIndex: 11, LastLogTerm: 3, Pre: true},
+		raft.RequestVoteReply{Term: 4, VoteGranted: false, Pre: true},
 		raft.AppendEntries{
 			Term: 5, LeaderID: 0, PrevLogIndex: 9, PrevLogTerm: 4,
 			Entries: []raft.Entry{
@@ -119,12 +119,14 @@ func TestAppendRefusesForeignPayload(t *testing.T) {
 	}
 }
 
-// TestRetiredTagsDecodeAsUnknown: tag 8 (ReadIndexReply without its
-// LeaderID) and tag 31 (the gob fallback frame) are retired, and a frame
-// carrying either is refused like any unknown tag.
+// TestRetiredTagsDecodeAsUnknown: tags 3 and 4 (PreVote and its reply,
+// now RequestVote and RequestVoteReply with Pre set), tag 8
+// (ReadIndexReply without its LeaderID) and tag 31 (the gob fallback
+// frame) are retired, and a frame carrying any of them is refused like
+// any unknown tag.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	var dec Decoder
-	for _, tag := range []byte{8, 31} {
+	for _, tag := range []byte{3, 4, 8, 31} {
 		_, err := dec.Decode([]byte{Version, tag, 10, 2, 24, 1, 0})
 		if err == nil || !strings.Contains(err.Error(), "unknown type tag") {
 			t.Fatalf("tag %d: err = %v, want unknown type tag", tag, err)

@@ -30,9 +30,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		case 1:
 			msg = raft.RequestVoteReply{Term: a, VoteGranted: b&1 == 0}
 		case 2:
-			msg = raft.PreVote{Term: a, CandidateID: b, LastLogIndex: c, LastLogTerm: d}
+			msg = raft.RequestVote{Term: a, CandidateID: b, LastLogIndex: c, LastLogTerm: d, Pre: true}
 		case 3:
-			msg = raft.PreVoteReply{Term: a, Granted: b&1 == 0}
+			msg = raft.RequestVoteReply{Term: a, VoteGranted: b&1 == 0, Pre: true}
 		case 4:
 			msg = raft.AppendEntries{Term: a, LeaderID: b, PrevLogIndex: c, PrevLogTerm: d, Entries: es, LeaderCommit: e, ReadID: g}
 		case 5:

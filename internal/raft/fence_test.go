@@ -537,18 +537,28 @@ func TestMessageClaims(t *testing.T) {
 	// follower returns a node in term 1 following node 1, log = one, the
 	// first durable entries of it on disk and nothing in flight.
 	follower := func(nd *Node, durable int) {
-		nd.hs.currentTerm, nd.hs.leaderID = 1, 1
+		nd.el.term, nd.el.leader = 1, 1
 		nd.hs.log.entries = append([]Entry(nil), one...)
 		nd.durableIndex = durable
 	}
 	leader := func(nd *Node) {
-		nd.becomeCandidate()
-		nd.becomeLeader()
+		win(nd)
 		nd.outbox, nd.stateDirty, nd.pendingLog = nil, false, nil
 		nd.durableIndex = nd.hs.log.lastIndex()
 	}
+	recv := func(nd *Node, from int, payload any) {
+		nd.handleMessage(msgnet.Message{From: from, Payload: payload})
+	}
+	// The election rows drive the core's entry points, and the node
+	// carries out what they return.
+	elect := func(nd *Node, step func(e *election, now time.Time) elOut) {
+		nd.applyElection(step(&nd.el, nd.cfg.Clock.Now()))
+	}
+	ask := func(nd *Node, m RequestVote) {
+		elect(nd, func(e *election, now time.Time) elOut { return e.receive(1, m, now) })
+	}
 	type want struct {
-		payload string // %T of the staged message
+		payload string // %T of the staged message, "(pre)" appended for a probe or its answer
 		claim   claim
 		fenced  bool
 	}
@@ -559,62 +569,62 @@ func TestMessageClaims(t *testing.T) {
 		want    []want
 	}{
 		{"campaign: the bumped term and self-vote", false,
-			func(nd *Node) { nd.becomeCandidate() },
+			func(nd *Node) { elect(nd, (*election).campaign) },
 			[]want{{"raft.RequestVote", claim{state: true}, true}, {"raft.RequestVote", claim{state: true}, true}}},
 		{"pre-vote probe", true,
-			func(nd *Node) { nd.startPreVote() },
-			[]want{{"raft.PreVote", claim{}, false}, {"raft.PreVote", claim{}, false}}},
+			func(nd *Node) { elect(nd, (*election).tick) }, // an unstarted node's deadline is long past
+			[]want{{"raft.RequestVote(pre)", claim{}, false}, {"raft.RequestVote(pre)", claim{}, false}}},
 		{"pre-vote answer", false,
-			func(nd *Node) { nd.onPreVote(1, PreVote{Term: 1, CandidateID: 1}) },
-			[]want{{"raft.PreVoteReply", claim{}, false}}},
+			func(nd *Node) { ask(nd, RequestVote{Term: 1, CandidateID: 1, Pre: true}) },
+			[]want{{"raft.RequestVoteReply(pre)", claim{}, false}}},
 		{"vote granted: the vote must be on disk first", false,
-			func(nd *Node) { nd.onRequestVote(1, RequestVote{Term: 1, CandidateID: 1}) },
+			func(nd *Node) { ask(nd, RequestVote{Term: 1, CandidateID: 1}) },
 			[]want{{"raft.RequestVoteReply", claim{state: true}, true}}},
 		{"vote refused in a term already on disk", false,
-			func(nd *Node) { nd.hs.currentTerm = 3; nd.onRequestVote(1, RequestVote{Term: 1, CandidateID: 1}) },
+			func(nd *Node) { nd.el.term = 3; ask(nd, RequestVote{Term: 1, CandidateID: 1}) },
 			[]want{{"raft.RequestVoteReply", claim{state: true}, false}}},
 		{"append from a stale leader refused", false,
-			func(nd *Node) { nd.hs.currentTerm = 3; nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1}) },
+			func(nd *Node) { nd.el.term = 3; recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1}) },
 			[]want{{"raft.AppendEntriesReply", claim{state: true}, false}}},
 		{"append in a term not yet on disk", false,
-			func(nd *Node) { nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1}) },
+			func(nd *Node) { recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1}) },
 			[]want{{"raft.AppendEntriesReply", claim{state: true}, true}}},
 		{"consistency-check rejection", false,
 			func(nd *Node) {
 				follower(nd, 2)
-				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 5, PrevLogTerm: 1})
+				recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 5, PrevLogTerm: 1})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{state: true}, false}}},
 		{"entries appended: acknowledged through the new tail", false,
 			func(nd *Node) {
 				follower(nd, 2)
-				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []Entry{{Term: 1, Command: "c"}}})
+				recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []Entry{{Term: 1, Command: "c"}}})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 3, state: true}, true}}},
 		{"heartbeat over an unsynced tail: acknowledged through the disk", false,
 			func(nd *Node) {
 				follower(nd, 1)
 				nd.pendingPersist = []pendingBatch{{target: 2}} // entry 2 is in flight
-				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, ReadID: 4})
+				recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, ReadID: 4})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 1, state: true}, false}}},
 		{"retransmission of durable entries", false,
 			func(nd *Node) {
 				follower(nd, 2)
-				nd.onAppendEntries(1, AppendEntries{Term: 1, LeaderID: 1, Entries: one})
+				recv(nd, 1, AppendEntries{Term: 1, LeaderID: 1, Entries: one})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, false}}},
 		{"conflicting suffix replaced: the old entry stops counting as durable", false,
 			func(nd *Node) {
 				follower(nd, 2)
-				nd.hs.currentTerm = 2
-				nd.onAppendEntries(1, AppendEntries{Term: 2, LeaderID: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []Entry{{Term: 2, Command: "z"}}})
+				nd.el.term = 2
+				recv(nd, 1, AppendEntries{Term: 2, LeaderID: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []Entry{{Term: 2, Command: "z"}}})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, true}}},
 		{"snapshot installed over a longer durable log", false,
 			func(nd *Node) {
 				follower(nd, 2)
-				nd.onInstallSnapshot(1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
+				recv(nd, 1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 1, state: true}, true}}},
 		{"stale snapshot: acknowledged through the commit index", false,
@@ -622,7 +632,7 @@ func TestMessageClaims(t *testing.T) {
 				follower(nd, 1)
 				nd.pendingPersist = []pendingBatch{{target: 2}}
 				nd.hs.commitIndex = 2 // the leader's commit ran ahead of this disk
-				nd.onInstallSnapshot(1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
+				recv(nd, 1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, true}}},
 		{"leader fan-out and probe", false,
@@ -646,7 +656,7 @@ func TestMessageClaims(t *testing.T) {
 			func(nd *Node) { follower(nd, 2); nd.forwardRead(readWaiter{ch: make(chan proposeReply, 1)}) },
 			[]want{{"raft.ReadIndexRequest", claim{}, false}}},
 		{"forwarded read refused", false,
-			func(nd *Node) { follower(nd, 2); nd.onReadIndexRequest(2, ReadIndexRequest{Term: 1, ID: 7}) },
+			func(nd *Node) { follower(nd, 2); recv(nd, 2, ReadIndexRequest{Term: 1, ID: 7}) },
 			[]want{{"raft.ReadIndexReply", claim{}, false}}},
 		{"forwarded read answered", false,
 			func(nd *Node) { leader(nd); nd.resolveRead(readWaiter{from: 1, id: 7}, 1, false) },
@@ -665,7 +675,14 @@ func TestMessageClaims(t *testing.T) {
 				t.Fatalf("staged %d messages, want %d: %v", len(nd.outbox), len(row.want), nd.outbox)
 			}
 			for i, w := range row.want {
-				if got := fmt.Sprintf("%T", nd.outbox[i].payload); got != w.payload || nd.outbox[i].claim != w.claim {
+				got := fmt.Sprintf("%T", nd.outbox[i].payload)
+				if rv, ok := nd.outbox[i].payload.(RequestVote); ok && rv.Pre {
+					got += "(pre)"
+				}
+				if rv, ok := nd.outbox[i].payload.(RequestVoteReply); ok && rv.Pre {
+					got += "(pre)"
+				}
+				if got != w.payload || nd.outbox[i].claim != w.claim {
 					t.Fatalf("message %d: %s claiming %+v, want %s claiming %+v", i, got, nd.outbox[i].claim, w.payload, w.claim)
 				}
 			}

@@ -235,8 +235,8 @@ func TestKVStore(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	checks := map[string]string{
-		RequestVote{Term: 1, CandidateID: 2}.String():                                 "RequestVote{t=1 cand=2 lastIdx=0 lastTerm=0}",
-		RequestVoteReply{Term: 1}.String():                                            "RequestVoteReply{t=1 granted=false}",
+		RequestVote{Term: 1, CandidateID: 2}.String():                                 "RequestVote{t=1 cand=2 lastIdx=0 lastTerm=0 pre=false}",
+		RequestVoteReply{Term: 1}.String():                                            "RequestVoteReply{t=1 granted=false pre=false}",
 		AppendEntriesReply{Term: 2, Success: true}.String():                           "AppendEntriesReply{t=2 ok=true match=0 hint=0 read=0}",
 		ReadIndexRequest{Term: 3, ID: 7}.String():                                     "ReadIndexRequest{t=3 id=7 lease=false}",
 		ReadIndexReply{Term: 3, ID: 7, Index: 4, Success: true, LeaderID: 1}.String(): "ReadIndexReply{t=3 id=7 idx=4 ok=true lease=false ldr=1}",

@@ -38,16 +38,25 @@ func soloLeader(t *testing.T, nw *netsim.Network, opts ...func(*Config)) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.becomeCandidate()
-	if nd.hs.state != Leader {
-		nd.becomeLeader()
-	}
+	win(nd)
 	nd.flush()
 	if nd.persistQ != nil {
 		nd.onPersistDone(nd.doPersistRun([]persistReq{<-nd.persistQ}))
 		nd.flush()
 	}
 	return nd
+}
+
+// win elects an unstarted node through the election core: it campaigns,
+// and its peers grant their votes until it leads.
+func win(nd *Node) {
+	now := nd.cfg.Clock.Now()
+	nd.applyElection(nd.el.campaign(now))
+	for p := 0; nd.el.role != Leader; p++ {
+		if p != nd.cfg.ID {
+			nd.applyElection(nd.el.receive(p, RequestVoteReply{Term: nd.el.term, VoteGranted: true}, now))
+		}
+	}
 }
 
 // queued counts what take would find in the box.

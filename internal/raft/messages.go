@@ -33,59 +33,36 @@ import "fmt"
 
 // RequestVote solicits a vote for CandidateID in Term. LastLogIndex and
 // LastLogTerm describe the candidate's log so voters can enforce the
-// up-to-date restriction.
+// up-to-date restriction. Pre marks a pre-vote probe (Raft dissertation
+// §9.6, Config.PreVote): Term is the term the sender would stand in, and
+// answering it changes nothing on the receiver, so a processor cut off
+// from the majority never inflates its term or deposes a healthy leader.
 type RequestVote struct {
 	Term         int
 	CandidateID  int
 	LastLogIndex int
 	LastLogTerm  int
+	Pre          bool
 }
 
 // String implements fmt.Stringer.
 func (m RequestVote) String() string {
-	return fmt.Sprintf("RequestVote{t=%d cand=%d lastIdx=%d lastTerm=%d}",
-		m.Term, m.CandidateID, m.LastLogIndex, m.LastLogTerm)
+	return fmt.Sprintf("RequestVote{t=%d cand=%d lastIdx=%d lastTerm=%d pre=%v}",
+		m.Term, m.CandidateID, m.LastLogIndex, m.LastLogTerm, m.Pre)
 }
 
-// PreVote probes whether an election for Term (the sender's currentTerm
-// + 1) could succeed, without disturbing anyone's actual term — the
-// standard PreVote extension (Raft dissertation §9.6) that stops
-// partitioned processors from inflating terms and deposing a healthy
-// leader on reconnection. Enabled via Config.PreVote.
-type PreVote struct {
-	Term         int // the term the sender would campaign in
-	CandidateID  int
-	LastLogIndex int
-	LastLogTerm  int
-}
-
-// String implements fmt.Stringer.
-func (m PreVote) String() string {
-	return fmt.Sprintf("PreVote{t=%d cand=%d lastIdx=%d lastTerm=%d}",
-		m.Term, m.CandidateID, m.LastLogIndex, m.LastLogTerm)
-}
-
-// PreVoteReply grants or denies a PreVote probe. Term is the responder's
-// actual current term, so a stale prober can catch up.
-type PreVoteReply struct {
-	Term    int
-	Granted bool
-}
-
-// String implements fmt.Stringer.
-func (m PreVoteReply) String() string {
-	return fmt.Sprintf("PreVoteReply{t=%d granted=%v}", m.Term, m.Granted)
-}
-
-// RequestVoteReply is the paper's ack_RequestVote[term, voteGranted].
+// RequestVoteReply is the paper's ack_RequestVote[term, voteGranted];
+// Pre echoes the request's. Term is the responder's own term, so a stale
+// candidate catches up.
 type RequestVoteReply struct {
 	Term        int
 	VoteGranted bool
+	Pre         bool
 }
 
 // String implements fmt.Stringer.
 func (m RequestVoteReply) String() string {
-	return fmt.Sprintf("RequestVoteReply{t=%d granted=%v}", m.Term, m.VoteGranted)
+	return fmt.Sprintf("RequestVoteReply{t=%d granted=%v pre=%v}", m.Term, m.VoteGranted, m.Pre)
 }
 
 // AppendEntries carries log entries (or a bare heartbeat / commit-index

@@ -40,7 +40,7 @@ type nodeMetrics struct {
 	// Read fast-path instruments (reads never touch the log, so they get
 	// their own family): per-mode served counters, the coalescing width
 	// of confirmation rounds, request→reply latency, and the lease
-	// lifecycle (renewals, lapses under load, stepDown invalidations).
+	// lifecycle (renewals, lapses under load, step-down invalidations).
 	readsByMode    map[string]*metrics.Counter
 	readRounds     *metrics.Counter
 	readBatch      *metrics.Histogram // waiters per confirmed round

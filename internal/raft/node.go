@@ -78,9 +78,9 @@ type Config struct {
 	// before any other node can be elected, so normalization clamps it to
 	// 9/10 of ElectionTimeout (the missing tenth is the clock-skew
 	// allowance), and enabling leases also enables the leader-stickiness
-	// vote rule (a node refuses to vote while its election deadline is
-	// unexpired — Raft dissertation §4.2.3). Every node in a cluster must
-	// agree on whether leases are enabled.
+	// vote rule (a node refuses to vote while it leads or has heard from
+	// its leader within its election deadline — Raft dissertation §4.2.3).
+	// Every node in a cluster must agree on whether leases are enabled.
 	LeaseDuration time.Duration
 	// Metrics, if non-nil, receives counters, gauges, and latency
 	// histograms (term changes, elections, heartbeats, commit latency).
@@ -153,12 +153,9 @@ type Node struct {
 	met *nodeMetrics
 
 	hs       hardState
+	el       election
 	ls       *leaderState
-	votes    map[int]bool
-	preVotes map[int]bool // nil unless a pre-vote probe is in flight
-	campaign any          // value to propose upon winning a manual campaign
-
-	electionDeadline time.Time
+	campaign any // value to propose upon winning a manual campaign
 
 	fatal error // set on persistence failure; stops the loop
 
@@ -294,7 +291,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:     cfg,
 		n:       cfg.Endpoint.N(),
 		met:     newNodeMetrics(cfg.Metrics, cfg.ID),
-		hs:      hardState{votedFor: none, state: Follower, leaderID: none},
 		relay:   make(map[int64]relayWait),
 		box:     mailbox{wake: make(chan struct{}, 1)},
 		applyQ:  make(chan applyItem, applyQueueDepth),
@@ -302,6 +298,7 @@ func NewNode(cfg Config) (*Node, error) {
 		stopErr: ErrStopped,
 		done:    make(chan struct{}),
 	}
+	nd.el = newElection(&nd.cfg, nd.n, &nd.hs.log)
 	var bootSnapData []byte
 	if cfg.Storage != nil {
 		nd.persistQ = make(chan persistReq, persistQueueCap)
@@ -310,8 +307,7 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("raft: restore: %w", err)
 		}
 		bootSnapData = st.SnapData
-		nd.hs.currentTerm = st.Term
-		nd.hs.votedFor = st.VotedFor
+		nd.el.term, nd.el.votedFor = st.Term, st.VotedFor
 		nd.hs.log.entries = append([]Entry(nil), st.Entries...)
 		if st.SnapIndex > 0 {
 			nd.hs.log.snapIndex = st.SnapIndex
@@ -328,20 +324,11 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	nd.applied = newAppliedNotifier(nd.hs.commitIndex, nd.hs.currentTerm) // the restored snapshot and term, if any
+	nd.applied = newAppliedNotifier(nd.hs.commitIndex, nd.el.term) // the restored snapshot and term, if any
 	nd.bootSnapIndex = nd.hs.log.snapIndex
 	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
 	nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
 	return nd, nil
-}
-
-// persistState stages term and vote for the iteration's flush; on
-// persist failure the node stops rather than risk violating election
-// safety after a restart.
-func (nd *Node) persistState() {
-	if nd.persistQ != nil {
-		nd.stateDirty = true
-	}
 }
 
 // persistLog stages a log mutation (Storage.TruncateAndAppend semantics)
@@ -408,8 +395,9 @@ func (nd *Node) run(ctx context.Context) {
 	defer nd.shutdown()
 
 	clock := nd.cfg.Clock
-	nd.electionDeadline = clock.Now().Add(nd.randTimeout())
-	electionTimer := clock.NewTimer(nd.randTimeout())
+	now := clock.Now()
+	nd.el.push(now)
+	electionTimer := clock.NewTimer(nd.el.deadline.Sub(now))
 	heartbeat := clock.NewTimer(nd.cfg.HeartbeatInterval)
 	defer electionTimer.Stop()
 	defer heartbeat.Stop()
@@ -433,13 +421,11 @@ func (nd *Node) run(ctx context.Context) {
 
 		case <-electionTimer.C():
 			now := clock.Now()
-			if !now.Before(nd.electionDeadline) && nd.hs.state != Leader {
-				nd.onElectionTimeout()
-			}
-			electionTimer.Reset(nd.timerSleep(clock))
+			nd.applyElection(nd.el.tick(now))
+			electionTimer.Reset(nd.el.deadline.Sub(now))
 
 		case <-heartbeat.C():
-			if nd.hs.state == Leader {
+			if nd.el.role == Leader {
 				nd.met.onHeartbeat()
 				if nd.cfg.LeaseDuration > 0 {
 					nd.startLeaseRound() // keep an idle leader's lease warm
@@ -484,7 +470,7 @@ func (nd *Node) step(ctx context.Context) (more bool, err error) {
 	}
 	if in.campaign != nil {
 		nd.campaign = *in.campaign
-		nd.becomeCandidate()
+		nd.applyElection(nd.el.campaign(nd.cfg.Clock.Now()))
 	}
 	for _, ch := range in.status {
 		ch <- nd.statusLocked()
@@ -499,18 +485,6 @@ func (nd *Node) step(ctx context.Context) (more bool, err error) {
 	return more || msgs == maxMessageDrain, err
 }
 
-// timerSleep computes how long the election timer should sleep: until the
-// current deadline, which message arrivals keep pushing forward.
-func (nd *Node) timerSleep(clock sim.Clock) time.Duration {
-	d := nd.electionDeadline.Sub(clock.Now())
-	if d <= 0 {
-		// Deadline already due (we just acted on it, or it expires now):
-		// sleep a fresh random interval.
-		return nd.randTimeout()
-	}
-	return d
-}
-
 func (nd *Node) shutdown() {
 	nd.stopOnce.Do(func() {
 		if nd.fatal != nil {
@@ -522,78 +496,6 @@ func (nd *Node) shutdown() {
 	defer nd.subMu.Unlock()
 	for _, s := range nd.subs {
 		s.q.close()
-	}
-}
-
-func (nd *Node) randTimeout() time.Duration {
-	base := nd.cfg.ElectionTimeout
-	return base + time.Duration(nd.cfg.RNG.Int63()%int64(base))
-}
-
-func (nd *Node) pushDeadline() {
-	nd.electionDeadline = nd.cfg.Clock.Now().Add(nd.randTimeout())
-}
-
-// onElectionTimeout fires the paper's across-state response: "if Timer T
-// runs out: initialize T randomly, increment term and start algorithm 7".
-func (nd *Node) onElectionTimeout() {
-	nd.pushDeadline()
-	nd.emit(Event{Kind: EventTimeout, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-	if nd.cfg.ManualCampaign {
-		return
-	}
-	if nd.cfg.PreVote {
-		nd.startPreVote()
-		return
-	}
-	nd.becomeCandidate()
-}
-
-// startPreVote probes the cluster for a would-be election in term+1
-// without touching any durable state.
-func (nd *Node) startPreVote() {
-	nd.preVotes = map[int]bool{nd.cfg.ID: true}
-	if 2*len(nd.preVotes) > nd.n { // single-node cluster
-		nd.becomeCandidate()
-		return
-	}
-	probe := PreVote{
-		Term:         nd.hs.currentTerm + 1,
-		CandidateID:  nd.cfg.ID,
-		LastLogIndex: nd.hs.log.lastIndex(),
-		LastLogTerm:  nd.hs.log.lastTerm(),
-	}
-	for peer := 0; peer < nd.n; peer++ {
-		if peer != nd.cfg.ID {
-			nd.send(peer, probe)
-		}
-	}
-}
-
-// onPreVote answers a probe. The grant rule is deliberately stricter
-// than a real vote: the responder must itself have lost contact with a
-// leader (its election deadline expired, or it knows no leader), so a
-// live leader's followers collectively veto disruption.
-func (nd *Node) onPreVote(from int, m PreVote) {
-	leaderAlive := nd.hs.leaderID != none && nd.cfg.Clock.Now().Before(nd.electionDeadline)
-	grant := m.Term > nd.hs.currentTerm &&
-		nd.hs.log.upToDate(m.LastLogIndex, m.LastLogTerm) &&
-		!leaderAlive
-	nd.send(from, PreVoteReply{Term: nd.hs.currentTerm, Granted: grant})
-}
-
-func (nd *Node) onPreVoteReply(from int, m PreVoteReply) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-		return
-	}
-	if nd.preVotes == nil || nd.hs.state == Leader || !m.Granted {
-		return
-	}
-	nd.preVotes[from] = true
-	if 2*len(nd.preVotes) > nd.n {
-		nd.preVotes = nil
-		nd.becomeCandidate()
 	}
 }
 
@@ -690,9 +592,9 @@ func (nd *Node) Status() Status {
 func (nd *Node) statusLocked() Status {
 	return Status{
 		ID:            nd.cfg.ID,
-		Term:          nd.hs.currentTerm,
-		State:         nd.hs.state,
-		LeaderID:      nd.hs.leaderID,
+		Term:          nd.el.term,
+		State:         nd.el.role,
+		LeaderID:      nd.el.leader,
 		CommitIndex:   nd.hs.commitIndex,
 		LastApplied:   nd.applied.current(),
 		LogLength:     nd.hs.log.lastIndex(),
@@ -758,15 +660,10 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 		m.Payload = inner
 		nd.cfg.Flight.Record(rtrace.EvNote, rtrace.ID(id), int64(m.From), 0, "traced-recv")
 	}
+	if nd.el.heeds(m.Payload) {
+		nd.applyElection(nd.el.receive(m.From, m.Payload, nd.cfg.Clock.Now()))
+	}
 	switch p := m.Payload.(type) {
-	case RequestVote:
-		nd.onRequestVote(m.From, p)
-	case RequestVoteReply:
-		nd.onRequestVoteReply(m.From, p)
-	case PreVote:
-		nd.onPreVote(m.From, p)
-	case PreVoteReply:
-		nd.onPreVoteReply(m.From, p)
 	case AppendEntries:
 		nd.onAppendEntries(m.From, p)
 	case InstallSnapshot:
@@ -784,18 +681,11 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 // disk, so flush() lets it leave at once: AppendEntries and
 // InstallSnapshot (the receiver persists before it acknowledges, and
 // only a leader sends them — a node whose term reached its disk before
-// the vote requests that elected it could leave), PreVote and its reply
-// (a probe changes no durable state), ReadIndex traffic (a read index is
-// a commit index, durable on a quorum by definition).
+// the vote requests that elected it could leave), ReadIndex traffic (a
+// read index is a commit index, durable on a quorum by definition). The
+// election core sets its vote messages' claims itself.
 func (nd *Node) send(to int, payload any) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload})
-}
-
-// sendVote stages a RequestVote or RequestVoteReply. Both speak for hard
-// state — the candidate's bumped term and self-vote, the voter's term and
-// the vote it just recorded (or refused in) — and wait for it in flush().
-func (nd *Node) sendVote(to int, payload any) {
-	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload, claim: claim{state: true}})
 }
 
 // sendAppendReply stages an AppendEntriesReply: it names this node's
@@ -805,70 +695,19 @@ func (nd *Node) sendAppendReply(to int, r AppendEntriesReply) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: r, claim: claim{index: r.MatchIndex, state: true}})
 }
 
-func (nd *Node) onRequestVote(from int, m RequestVote) {
-	// Leader stickiness (dissertation §4.2.3), enabled with leases: while
-	// this node's election deadline is unexpired it has heard from a live
-	// leader recently, and granting a vote could elect a new leader inside
-	// that leader's read lease. Refuse without even updating the term —
-	// checked before the stepDown below precisely because stepping down
-	// would erase the evidence of the live leader.
-	if nd.cfg.LeaseDuration > 0 && m.Term > nd.hs.currentTerm &&
-		nd.hs.leaderID != none && nd.cfg.Clock.Now().Before(nd.electionDeadline) {
-		nd.sendVote(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: false})
-		return
-	}
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-	}
-	grant := false
-	if m.Term == nd.hs.currentTerm &&
-		(nd.hs.votedFor == none || nd.hs.votedFor == m.CandidateID) &&
-		nd.hs.log.upToDate(m.LastLogIndex, m.LastLogTerm) {
-		grant = true
-		nd.hs.votedFor = m.CandidateID
-		nd.persistState()
-		nd.pushDeadline()
-	}
-	nd.sendVote(from, RequestVoteReply{Term: nd.hs.currentTerm, VoteGranted: grant})
-}
-
-func (nd *Node) onRequestVoteReply(from int, m RequestVoteReply) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-		return
-	}
-	if nd.hs.state != Candidate || m.Term != nd.hs.currentTerm || !m.VoteGranted {
-		return
-	}
-	nd.votes[from] = true
-	if 2*len(nd.votes) > nd.n {
-		nd.becomeLeader()
-	}
-}
-
+// onAppendEntries runs after the election core has recognized the
+// sender as this term's leader, unless its term is stale.
 func (nd *Node) onAppendEntries(from int, m AppendEntries) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-	}
-	if m.Term < nd.hs.currentTerm {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+	if m.Term < nd.el.term {
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
 		return
 	}
-	// Same term: recognize the leader; a candidate yields.
-	if nd.hs.state != Follower {
-		nd.hs.state = Follower
-		nd.ls = nil
-		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-	}
-	nd.hs.leaderID = m.LeaderID
-	nd.pushDeadline()
-
 	// Entries at or below our compaction point are committed and applied
 	// already; renormalize the consistency check to the snapshot marker.
 	if m.PrevLogIndex < nd.hs.log.snapIndex {
 		cut := nd.hs.log.snapIndex - m.PrevLogIndex
 		if cut >= len(m.Entries) {
-			nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: min(nd.hs.log.snapIndex, nd.durableIndex), ReadID: m.ReadID})
+			nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: min(nd.hs.log.snapIndex, nd.durableIndex), ReadID: m.ReadID})
 			return
 		}
 		m.Entries = m.Entries[cut:]
@@ -881,7 +720,7 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 		// The rejection still echoes ReadID: this follower acknowledged the
 		// sender as the current term's leader, which is all a ReadIndex
 		// confirmation needs — log repair is a separate concern.
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false, RejectHint: hint, ReadID: m.ReadID})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false, RejectHint: hint, ReadID: m.ReadID})
 		return
 	}
 	before := nd.hs.log.lastIndex()
@@ -900,20 +739,16 @@ func (nd *Node) onAppendEntries(from int, m AppendEntries) {
 	}
 	for idx := before + 1; idx <= nd.hs.log.lastIndex() && idx <= lastNew; idx++ {
 		e, _ := nd.hs.log.entryAt(idx)
-		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: idx, Command: e.Command})
+		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.el.term, Index: idx, Command: e.Command})
 	}
 	if m.LeaderCommit > nd.hs.commitIndex {
 		nd.setCommitIndex(min(m.LeaderCommit, lastNew))
 	}
-	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: match, ReadID: m.ReadID})
+	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: match, ReadID: m.ReadID})
 }
 
 func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-		return
-	}
-	if nd.hs.state != Leader || m.Term != nd.hs.currentTerm {
+	if nd.el.role != Leader || m.Term != nd.el.term {
 		return
 	}
 	nd.ls.acked[from] = true // any current-term reply proves the pipe is live
@@ -951,82 +786,64 @@ func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
 
 // ---- role transitions (main loop only) ----
 
-func (nd *Node) stepDown(term int) {
-	wasLeader := nd.hs.state != Follower
-	if term != nd.hs.currentTerm {
-		nd.met.onTermChange(term)
+// applyElection carries out one election step: the one site where a
+// term, vote or role change reaches the disk, the outbox, the reads and
+// the telemetry.
+func (nd *Node) applyElection(o elOut) {
+	e := &nd.el
+	if o.timeout {
+		nd.emit(Event{Kind: EventTimeout, Node: nd.cfg.ID, Term: e.term})
 	}
-	nd.met.dropPending()
-	if wasLeader {
-		nd.cfg.Flight.Record(rtrace.EvStepDown, 0, int64(term), int64(nd.hs.commitIndex), "")
+	if o.newTerm {
+		nd.met.onTermChange(e.term)
+		nd.applied.setTerm(e.term)
 	}
-	// In-flight traced proposals die with the reign; their clients see
-	// the error and close the spans.
-	nd.traced = nil
-	nd.tracedUnsynced = nd.tracedUnsynced[:0]
-	nd.hs.currentTerm = term
-	nd.applied.setTerm(term)
-	nd.hs.votedFor = none
-	nd.hs.state = Follower
-	nd.hs.leaderID = none
-	nd.ls = nil
-	nd.votes = nil
-	nd.preVotes = nil
-	nd.failReads()
-	nd.persistState()
-	nd.pushDeadline()
-	if wasLeader {
-		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: term})
+	if o.newTerm || o.enter == Follower {
+		// A reign or a candidacy ends, and what rode on it: pending reads,
+		// commit-latency attribution, and in-flight traced proposals,
+		// whose clients see the error and close the spans.
+		nd.ls = nil
+		nd.traced = nil
+		nd.tracedUnsynced = nd.tracedUnsynced[:0]
+		nd.met.dropPending()
+		nd.failReads()
 	}
-}
-
-func (nd *Node) becomeCandidate() {
-	nd.hs.currentTerm++
-	nd.applied.setTerm(nd.hs.currentTerm)
-	nd.met.onTermChange(nd.hs.currentTerm)
-	nd.met.onElection()
-	// An election is an anomaly from the workload's point of view: dump
-	// the flight ring so the run-up (lost heartbeats, drops, backlog) is
-	// preserved before new-term traffic overwrites it.
-	nd.cfg.Flight.Trigger(rtrace.EvElection, 0, int64(nd.hs.currentTerm), int64(nd.hs.commitIndex), "")
-	nd.hs.state = Candidate
-	nd.hs.votedFor = nd.cfg.ID
-	nd.hs.leaderID = none
-	nd.ls = nil
-	nd.votes = map[int]bool{nd.cfg.ID: true}
-	nd.failReads()
-	nd.persistState()
-	nd.pushDeadline()
-	nd.emit(Event{Kind: EventBecameCandidate, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-
-	if 2*len(nd.votes) > nd.n { // single-node cluster
-		nd.becomeLeader()
-		return
+	if o.persist && nd.persistQ != nil {
+		nd.stateDirty = true // term and vote ride the pass's flush
 	}
-	rv := RequestVote{
-		Term:         nd.hs.currentTerm,
-		CandidateID:  nd.cfg.ID,
-		LastLogIndex: nd.hs.log.lastIndex(),
-		LastLogTerm:  nd.hs.log.lastTerm(),
+	for to := 0; o.vote.payload != nil && to < nd.n; to++ {
+		if to != nd.cfg.ID && (o.vote.to == none || o.vote.to == to) {
+			nd.outbox = append(nd.outbox, outMsg{to: to, payload: o.vote.payload, claim: o.vote.claim})
+		}
 	}
-	for peer := 0; peer < nd.n; peer++ {
-		if peer != nd.cfg.ID {
-			nd.sendVote(peer, rv)
+	switch o.enter {
+	case Follower:
+		nd.cfg.Flight.Record(rtrace.EvStepDown, 0, int64(e.term), int64(nd.hs.commitIndex), "")
+		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: e.term})
+	case Candidate, Leader:
+		if o.newTerm {
+			nd.met.onElection()
+			// An election is an anomaly from the workload's point of view:
+			// dump the flight ring so the run-up (lost heartbeats, drops,
+			// backlog) is preserved before new-term traffic overwrites it.
+			nd.cfg.Flight.Trigger(rtrace.EvElection, 0, int64(e.term), int64(nd.hs.commitIndex), "")
+			nd.emit(Event{Kind: EventBecameCandidate, Node: nd.cfg.ID, Term: e.term})
+		}
+		if o.enter == Leader {
+			nd.becomeLeader()
 		}
 	}
 }
 
 func (nd *Node) becomeLeader() {
 	nd.met.onElectionWon()
-	nd.cfg.Flight.Record(rtrace.EvBecameLeader, 0, int64(nd.hs.currentTerm), int64(nd.hs.log.lastIndex()), "")
-	nd.hs.state = Leader
-	nd.hs.leaderID = nd.cfg.ID
+	nd.cfg.Flight.Record(rtrace.EvBecameLeader, 0, int64(nd.el.term), int64(nd.hs.log.lastIndex()), "")
 	nd.ls = newLeaderState(nd.n, nd.hs.log.lastIndex())
 	// The self-ack is the disk's, not the in-memory log's: entries still
 	// in the persist queue count toward quorum only when their batch
 	// lands (onPersistDone).
 	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
-	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
+	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.el.term})
 
 	// The term-opening no-op (§5.4.2): without it, entries inherited from
 	// earlier terms could never commit until a client happened to write.
@@ -1049,8 +866,8 @@ func (nd *Node) becomeLeader() {
 // leader's group-commit hot path. Replies are staged so they reach the
 // proposers only after the batch is durable.
 func (nd *Node) handleProposeBatch(reqs []proposeReq) {
-	if nd.hs.state != Leader {
-		rep := proposeReply{err: ErrNotLeader{LeaderID: nd.hs.leaderID}}
+	if nd.el.role != Leader {
+		rep := proposeReply{err: ErrNotLeader{LeaderID: nd.el.leader}}
 		for _, r := range reqs {
 			nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: rep})
 		}
@@ -1064,7 +881,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	first := nd.appendLocalBatch(cmds)
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
-		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.hs.currentTerm}, fenced: true})
+		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.el.term}, fenced: true})
 		if r.trace != 0 {
 			if drained.IsZero() {
 				drained = time.Now()
@@ -1087,7 +904,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 func (nd *Node) appendLocalBatch(cmds []any) int {
 	first := nd.hs.log.lastIndex() + 1
 	for _, cmd := range cmds {
-		idx := nd.hs.log.appendEntry(Entry{Term: nd.hs.currentTerm, Command: cmd})
+		idx := nd.hs.log.appendEntry(Entry{Term: nd.el.term, Command: cmd})
 		nd.met.onAppendLocal(idx)
 	}
 	last := nd.hs.log.lastIndex()
@@ -1098,7 +915,7 @@ func (nd *Node) appendLocalBatch(cmds []any) int {
 	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
 	for idx := first; idx <= last; idx++ {
 		e, _ := nd.hs.log.entryAt(idx)
-		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: idx, Command: e.Command})
+		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.el.term, Index: idx, Command: e.Command})
 	}
 	return first
 }
@@ -1131,7 +948,7 @@ func (nd *Node) sendAppend(to int) {
 		}
 		entries := nd.hs.log.sliceLimit(next, maxEntriesPerAppend)
 		var payload any = AppendEntries{
-			Term:         nd.hs.currentTerm,
+			Term:         nd.el.term,
 			LeaderID:     nd.cfg.ID,
 			PrevLogIndex: prev,
 			PrevLogTerm:  prevTerm,
@@ -1175,7 +992,7 @@ func (nd *Node) sendHeartbeat(to int) {
 		prev, prevTerm = 0, 0
 	}
 	nd.send(to, AppendEntries{
-		Term:         nd.hs.currentTerm,
+		Term:         nd.el.term,
 		LeaderID:     nd.cfg.ID,
 		PrevLogIndex: prev,
 		PrevLogTerm:  prevTerm,
@@ -1233,7 +1050,7 @@ func (nd *Node) sendSnapshot(to int) {
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(nd.hs.log.snapIndex), int64(to), "send")
 	nd.send(to, InstallSnapshot{
-		Term:              nd.hs.currentTerm,
+		Term:              nd.el.term,
 		LeaderID:          nd.cfg.ID,
 		LastIncludedIndex: nd.hs.log.snapIndex,
 		LastIncludedTerm:  nd.hs.log.snapTerm,
@@ -1244,29 +1061,18 @@ func (nd *Node) sendSnapshot(to int) {
 // onInstallSnapshot applies a leader's snapshot: state machine, log, and
 // commit bookkeeping jump to the snapshot point.
 func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-	}
-	if m.Term < nd.hs.currentTerm {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+	if m.Term < nd.el.term {
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
 		return
 	}
-	if nd.hs.state != Follower {
-		nd.hs.state = Follower
-		nd.ls = nil
-		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
-	}
-	nd.hs.leaderID = m.LeaderID
-	nd.pushDeadline()
-
 	if m.LastIncludedIndex <= nd.hs.commitIndex {
 		// Stale snapshot; we are already past it. A follower's commit index
 		// can run ahead of its own disk, so the claim may still be fenced.
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.commitIndex})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: nd.hs.commitIndex})
 		return
 	}
 	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
 		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(m.LastIncludedIndex), int64(from), "install")
@@ -1281,18 +1087,18 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 	nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
 	nd.hs.commitIndex = m.LastIncludedIndex
 	nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
-	nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
-	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
+	nd.enqueueApply(applyItem{term: nd.el.term, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
+	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: m.LastIncludedIndex})
 }
 
 // advanceCommit implements the leader commit rule: the largest N with a
 // majority of MatchIndex ≥ N and log[N].term == currentTerm.
 func (nd *Node) advanceCommit() {
-	if nd.hs.state != Leader {
+	if nd.el.role != Leader {
 		return
 	}
 	for n := nd.hs.log.lastIndex(); n > nd.hs.commitIndex; n-- {
-		if term, _ := nd.hs.log.termAt(n); term != nd.hs.currentTerm {
+		if term, _ := nd.hs.log.termAt(n); term != nd.el.term {
 			break // only current-term entries commit by counting (§5.4.2)
 		}
 		count := 0
@@ -1317,12 +1123,12 @@ func (nd *Node) setCommitIndex(index int) {
 	old := nd.hs.commitIndex
 	nd.hs.commitIndex = index
 	nd.met.onCommit(old, index)
-	nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(index), int64(nd.hs.currentTerm), "")
+	nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(index), int64(nd.el.term), "")
 	for i := old + 1; i <= index; i++ {
 		e, _ := nd.hs.log.entryAt(i)
-		nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: i, Command: e.Command})
+		nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.el.term, Index: i, Command: e.Command})
 	}
-	if nd.hs.state == Leader {
+	if nd.el.role == Leader {
 		// Overlap attribution: did the quorum outrun the local disk?
 		nd.met.onCommitOverlap(nd.durableIndex < index)
 	}

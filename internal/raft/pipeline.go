@@ -44,7 +44,7 @@ package raft
 //     it acknowledges; a reply to an append that added nothing (heartbeat,
 //     read probe, retransmission) acknowledges only what is already on
 //     disk and waits for nothing, whatever fsync happens to be running.
-//     AppendEntries / InstallSnapshot fan-out, PreVote and ReadIndex
+//     AppendEntries / InstallSnapshot fan-out, pre-votes and ReadIndex
 //     traffic claim nothing: receivers persist before acking, and a
 //     confirmed read index is quorum-durable by definition.
 //   - Proposal-accept replies ("your entry is in the leader's log") wait
@@ -243,8 +243,8 @@ func (nd *Node) flush() {
 func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	req := persistReq{
 		setState:  nd.stateDirty,
-		term:      nd.hs.currentTerm,
-		vote:      nd.hs.votedFor,
+		term:      nd.el.term,
+		vote:      nd.el.votedFor,
 		muts:      nd.pendingLog,
 		snap:      nd.pendingSnap,
 		snapAfter: nd.snapAfterMuts,
@@ -434,7 +434,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 	for _, r := range d.replies {
 		r.ch <- r.reply
 	}
-	if nd.hs.state == Leader && nd.ls != nil {
+	if nd.el.role == Leader && nd.ls != nil {
 		nd.met.onSelfAckLag(nd.hs.commitIndex - nd.durableIndex)
 		if nd.durableIndex > nd.ls.matchIndex[nd.cfg.ID] {
 			nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
@@ -487,7 +487,7 @@ func (nd *Node) enqueueApplyEntries(old, index int) {
 			}
 		}
 	}
-	nd.enqueueApply(applyItem{first: old + 1, entries: ents, term: nd.hs.currentTerm, traced: traced})
+	nd.enqueueApply(applyItem{first: old + 1, entries: ents, term: nd.el.term, traced: traced})
 }
 
 // applyWorker owns the state machine: applies committed batches in

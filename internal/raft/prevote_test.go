@@ -148,7 +148,7 @@ func TestPreVoteDeniedWhileLeaderAlive(t *testing.T) {
 	// Wait until the follower has heard from the leader, then probe it.
 	time.Sleep(4 * testHeartbeat)
 	term := nodes[follower].Status().Term
-	if err := nw.Node(prober).Send(follower, PreVote{Term: term + 1, CandidateID: prober, LastLogIndex: 99, LastLogTerm: 99}); err != nil {
+	if err := nw.Node(prober).Send(follower, RequestVote{Term: term + 1, CandidateID: prober, LastLogIndex: 99, LastLogTerm: 99, Pre: true}); err != nil {
 		t.Fatal(err)
 	}
 	recvCtx, recvCancel := context.WithTimeout(ctx, 10*time.Second)
@@ -158,8 +158,8 @@ func TestPreVoteDeniedWhileLeaderAlive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no reply: %v", err)
 		}
-		if r, ok := m.Payload.(PreVoteReply); ok {
-			if r.Granted {
+		if r, ok := m.Payload.(RequestVoteReply); ok {
+			if r.VoteGranted {
 				t.Fatal("pre-vote granted while the leader is alive")
 			}
 			return
@@ -170,4 +170,48 @@ func TestPreVoteDeniedWhileLeaderAlive(t *testing.T) {
 func TestPreVoteSingleNode(t *testing.T) {
 	nw, nodes, _, _ := preVoteCluster(t, 1, 59)
 	waitForLeader(t, nodes, nw)
+}
+
+func TestPreVoteDeniedByTheLeader(t *testing.T) {
+	// The leader counts its own reign as a live leader: long after any
+	// deadline it drew as a follower, it still refuses a probe. (A grant
+	// plus the prober's own vote would be a quorum of three.)
+	const prober = 3
+	nw := netsim.New(4, netsim.WithSeed(61))
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	rng := sim.NewRNG(61)
+	nodes := make([]*Node, 3)
+	for id := range nodes {
+		node, err := NewNode(Config{ID: id, Endpoint: nw.Node(id), RNG: rng.Fork(uint64(id)),
+			ElectionTimeout: testElection, HeartbeatInterval: testHeartbeat, PreVote: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = node
+		node.Start(ctx)
+	}
+	leader := waitForLeader(t, nodes, nw)
+	time.Sleep(3 * testElection)
+	st := nodes[leader].Status()
+	if st.State != Leader {
+		t.Fatalf("leadership moved without a fault: %v", st)
+	}
+	if err := nw.Node(prober).Send(leader, RequestVote{Term: st.Term + 1, CandidateID: prober, LastLogIndex: 99, LastLogTerm: 99, Pre: true}); err != nil {
+		t.Fatal(err)
+	}
+	recvCtx, recvCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer recvCancel()
+	for {
+		m, err := nw.Node(prober).Recv(recvCtx)
+		if err != nil {
+			t.Fatalf("no reply: %v", err)
+		}
+		if r, ok := m.Payload.(RequestVoteReply); ok {
+			if r.VoteGranted {
+				t.Fatalf("the leader granted a pre-vote for term %d: %v", st.Term+1, r)
+			}
+			return
+		}
+	}
 }

@@ -171,7 +171,7 @@ func (nd *Node) handleReadBatch(reqs []readReq) {
 			continue
 		}
 		w := readWaiter{ch: r.reply, lease: r.mode == ReadLease, t0: r.t0, trace: r.trace}
-		if nd.hs.state == Leader {
+		if nd.el.role == Leader {
 			nd.leaderRead(w)
 			continue
 		}
@@ -182,7 +182,7 @@ func (nd *Node) handleReadBatch(reqs []readReq) {
 // forwardRead relays a follower-received read to the known leader, or
 // fails it when no leader is known (the client retries after backoff).
 func (nd *Node) forwardRead(w readWaiter) {
-	if nd.hs.leaderID == none || nd.hs.leaderID == nd.cfg.ID {
+	if nd.el.leader == none || nd.el.leader == nd.cfg.ID {
 		nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: proposeReply{err: ErrNotLeader{LeaderID: none}}})
 		return
 	}
@@ -190,7 +190,7 @@ func (nd *Node) forwardRead(w readWaiter) {
 	nd.relay[nd.relaySeq] = relayWait{ch: w.ch, t0: w.t0, lease: w.lease}
 	nd.rstats.forwarded.Add(1)
 	nd.met.onReadForwarded()
-	nd.send(nd.hs.leaderID, ReadIndexRequest{Term: nd.hs.currentTerm, ID: nd.relaySeq, Lease: w.lease})
+	nd.send(nd.el.leader, ReadIndexRequest{Term: nd.el.term, ID: nd.relaySeq, Lease: w.lease})
 }
 
 // leaderRead serves one read on the leader: until the term-opening no-op
@@ -217,7 +217,7 @@ func (nd *Node) leaderRead(w readWaiter) {
 		nd.met.onLeaseExpired()
 		// A lapsed lease on a live leader means heartbeats stalled long
 		// enough to matter — dump the run-up.
-		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.hs.currentTerm), int64(nd.hs.commitIndex), "")
+		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.el.term), int64(nd.hs.commitIndex), "")
 	}
 	nd.joinReadRound(w)
 }
@@ -228,7 +228,7 @@ func (nd *Node) leaderRead(w readWaiter) {
 // expires before any other node can possibly win an election — see the
 // safety argument in DESIGN.md §3.3.
 func (nd *Node) leaseValid() bool {
-	return nd.cfg.LeaseDuration > 0 && nd.hs.state == Leader &&
+	return nd.cfg.LeaseDuration > 0 && nd.el.role == Leader &&
 		nd.cfg.Clock.Now().Before(nd.leaseUntil)
 }
 
@@ -328,7 +328,7 @@ func (nd *Node) onReadAck(from, id int) {
 // renews the lease from its own start time and releases its waiters at
 // its recorded read index.
 func (nd *Node) confirmReads() {
-	if nd.hs.state != Leader {
+	if nd.el.role != Leader {
 		return
 	}
 	for len(nd.reads) > 0 {
@@ -392,7 +392,7 @@ func readModeLabel(lease bool) string {
 // the index came from a held lease or a quorum round.
 func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 	if w.ch == nil {
-		nd.send(w.from, ReadIndexReply{Term: nd.hs.currentTerm, ID: w.id, Index: index, Success: true, Lease: lease, LeaderID: nd.cfg.ID})
+		nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Index: index, Success: true, Lease: lease, LeaderID: nd.cfg.ID})
 		return
 	}
 	if nd.applied.current() >= index {
@@ -412,7 +412,7 @@ func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 // dispatchEarlyReads re-serves reads that arrived before the
 // term-opening no-op committed; called when the commit index advances.
 func (nd *Node) dispatchEarlyReads() {
-	if len(nd.earlyReads) == 0 || nd.hs.state != Leader || nd.hs.commitIndex < nd.termStart {
+	if len(nd.earlyReads) == 0 || nd.el.role != Leader || nd.hs.commitIndex < nd.termStart {
 		return
 	}
 	pending := nd.earlyReads
@@ -427,8 +427,8 @@ func (nd *Node) dispatchEarlyReads() {
 // follower-side relays (the answering leader may be gone). Reads already
 // past confirmation and merely waiting on apply stay parked — their
 // linearization point is already fixed, and a later leader's entries
-// will advance the apply index. Called on stepDown and on becoming a
-// candidate.
+// will advance the apply index. Called on every term change and step
+// down (applyElection).
 func (nd *Node) failReads() {
 	rep := proposeReply{err: ErrNotLeader{LeaderID: none}}
 	for _, r := range nd.reads {
@@ -436,7 +436,7 @@ func (nd *Node) failReads() {
 			if w.ch != nil {
 				nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: rep})
 			} else {
-				nd.send(w.from, ReadIndexReply{Term: nd.hs.currentTerm, ID: w.id, Success: false, LeaderID: nd.hs.leaderID})
+				nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Success: false, LeaderID: nd.el.leader})
 			}
 		}
 		nd.retireReadRound(r)
@@ -448,7 +448,7 @@ func (nd *Node) failReads() {
 		if w.ch != nil {
 			nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: rep})
 		} else {
-			nd.send(w.from, ReadIndexReply{Term: nd.hs.currentTerm, ID: w.id, Success: false, LeaderID: nd.hs.leaderID})
+			nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Success: false, LeaderID: nd.el.leader})
 		}
 	}
 	nd.earlyReads = nil
@@ -467,27 +467,20 @@ func (nd *Node) failReads() {
 // ---- forwarded-read message handlers (main loop only) ----
 
 func (nd *Node) onReadIndexRequest(from int, m ReadIndexRequest) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term)
-	}
-	if nd.hs.state != Leader || m.Term != nd.hs.currentTerm {
+	if nd.el.role != Leader || m.Term != nd.el.term {
 		// Carry this node's leader hint so the forwarding follower — and
 		// ultimately the remote client — can re-route in one hop instead
 		// of probing (the cross-process NotLeader redirect).
-		nd.send(from, ReadIndexReply{Term: nd.hs.currentTerm, ID: m.ID, Success: false, LeaderID: nd.hs.leaderID})
+		nd.send(from, ReadIndexReply{Term: nd.el.term, ID: m.ID, Success: false, LeaderID: nd.el.leader})
 		return
 	}
 	nd.leaderRead(readWaiter{from: from, id: m.ID, lease: m.Lease, t0: time.Now()})
 }
 
 func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
-	if m.Term > nd.hs.currentTerm {
-		nd.stepDown(m.Term) // clears the relay table; the client retries
-		return
-	}
 	rw, ok := nd.relay[m.ID]
 	if !ok {
-		return // superseded by a term change, or a duplicate
+		return // superseded by a term change (failReads), or a duplicate
 	}
 	delete(nd.relay, m.ID)
 	if !m.Success {
@@ -497,7 +490,7 @@ func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
 		// replier itself.
 		hint := m.LeaderID
 		if hint == none {
-			hint = nd.hs.leaderID
+			hint = nd.el.leader
 		}
 		nd.replies = append(nd.replies, stagedReply{ch: rw.ch, reply: proposeReply{err: ErrNotLeader{LeaderID: hint}}})
 		return

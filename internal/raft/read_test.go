@@ -213,7 +213,7 @@ func TestDeposedLeaderDoesNotServeStaleReads(t *testing.T) {
 	}
 
 	// After healing, the deposed leader catches up and a linearizable
-	// read through it (forwarded or local after stepDown) sees "new".
+	// read through it (forwarded or local after a step-down) sees "new".
 	c.nw.Heal()
 	c.waitApplied(idx2, old)
 	rctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)

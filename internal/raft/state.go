@@ -29,17 +29,13 @@ func (s State) String() string {
 // none marks an empty VotedFor.
 const none = -1
 
-// hardState is the paper's Figure 2: the protocol's inner state
-// variables. The leader-only arrays live in leaderState and are
-// reinitialized on every election, as the paper prescribes; lastApplied
+// hardState is the paper's Figure 2 less currentTerm and votedFor, which
+// the election core holds. The leader-only arrays live in leaderState,
+// reinitialized on every election as the paper prescribes; lastApplied
 // belongs to the apply worker, which publishes it through Node.applied.
 type hardState struct {
-	currentTerm int
-	votedFor    int // candidate voted for in currentTerm; none if unset
 	log         raftLog
 	commitIndex int
-	state       State
-	leaderID    int // last known leader of currentTerm; none if unknown
 }
 
 // leaderState holds NextIndex[] and MatchIndex[], valid only while

@@ -170,8 +170,8 @@ func TestNewNodeRestoresFromStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.hs.currentTerm != 5 || node.hs.votedFor != 2 {
-		t.Fatalf("restored state: term=%d vote=%d", node.hs.currentTerm, node.hs.votedFor)
+	if node.el.term != 5 || node.el.votedFor != 2 {
+		t.Fatalf("restored state: term=%d vote=%d", node.el.term, node.el.votedFor)
 	}
 	if node.hs.log.lastIndex() != 3 || node.hs.log.lastTerm() != 5 {
 		t.Fatalf("restored log: %v", &node.hs.log)
