@@ -538,13 +538,13 @@ func TestMessageClaims(t *testing.T) {
 	// first durable entries of it on disk and nothing in flight.
 	follower := func(nd *Node, durable int) {
 		nd.el.term, nd.el.leader = 1, 1
-		nd.hs.log.entries = append([]Entry(nil), one...)
-		nd.durableIndex = durable
+		nd.rep.log.entries = append([]Entry(nil), one...)
+		nd.rep.durable = durable
 	}
 	leader := func(nd *Node) {
 		win(nd)
 		nd.outbox, nd.stateDirty, nd.pendingLog = nil, false, nil
-		nd.durableIndex = nd.hs.log.lastIndex()
+		nd.rep.durable = nd.rep.log.lastIndex()
 	}
 	recv := func(nd *Node, from int, payload any) {
 		nd.handleMessage(msgnet.Message{From: from, Payload: payload})
@@ -631,27 +631,26 @@ func TestMessageClaims(t *testing.T) {
 			func(nd *Node) {
 				follower(nd, 1)
 				nd.pendingPersist = []pendingBatch{{target: 2}}
-				nd.hs.commitIndex = 2 // the leader's commit ran ahead of this disk
+				nd.rep.commit = 2 // the leader's commit ran ahead of this disk
 				recv(nd, 1, InstallSnapshot{Term: 1, LeaderID: 1, LastIncludedIndex: 1, LastIncludedTerm: 1})
 			},
 			[]want{{"raft.AppendEntriesReply", claim{index: 2, state: true}, true}}},
 		{"leader fan-out and probe", false,
 			func(nd *Node) {
 				leader(nd)
-				nd.appendLocalBatch([]any{"c"})
-				nd.sendAppend(1)
-				nd.sendHeartbeat(2)
+				nd.applyReplication(nd.rep.propose([]any{"c"}))
+				nd.applyReplication(nd.rep.probe())
 			},
-			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
+			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false},
+				{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"snapshot sent to a laggard", false,
 			func(nd *Node) {
 				leader(nd)
-				nd.hs.log.compactTo(1)
-				nd.snapCache = snapCache{index: 1}
-				nd.ls.nextIndex[1] = 1
-				nd.sendAppend(1)
+				nd.rep.log.compactTo(1)
+				nd.rep.peers[1] = progress{next: 1}
+				nd.applyReplication(nd.rep.probe())
 			},
-			[]want{{"raft.InstallSnapshot", claim{}, false}}},
+			[]want{{"raft.InstallSnapshot", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"read forwarded to the leader", false,
 			func(nd *Node) { follower(nd, 2); nd.forwardRead(readWaiter{ch: make(chan proposeReply, 1)}) },
 			[]want{{"raft.ReadIndexRequest", claim{}, false}}},

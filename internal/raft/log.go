@@ -12,11 +12,13 @@ type Entry struct {
 // raftLog wraps the indexed entry list with the index arithmetic Raft
 // needs. Index 0 is the empty log's sentinel (term 0). After compaction
 // the prefix up to snapIndex lives only in the state-machine snapshot;
-// entries[i] then holds global index snapIndex+1+i.
+// entries[i] then holds global index snapIndex+1+i, and snapData is the
+// state machine's snapshot at snapIndex, what a laggard is sent.
 type raftLog struct {
 	entries   []Entry
 	snapIndex int // last compacted index (0 = nothing compacted)
 	snapTerm  int // term of the entry at snapIndex
+	snapData  []byte
 }
 
 // lastIndex reports the index of the newest entry (snapIndex when the

@@ -155,8 +155,8 @@ func TestOneFlushPerWake(t *testing.T) {
 	nd := soloLeader(t, nw, func(cfg *Config) { cfg.Storage = NewMemStorage() })
 	received(nw, 1)
 	received(nw, 2)
-	if nd.durableIndex != 1 || nd.hs.commitIndex != 0 || len(nd.persistQ) != 0 {
-		t.Fatalf("setup: durable %d commit %d queued %d", nd.durableIndex, nd.hs.commitIndex, len(nd.persistQ))
+	if nd.rep.durable != 1 || nd.rep.commit != 0 || len(nd.persistQ) != 0 {
+		t.Fatalf("setup: durable %d commit %d queued %d", nd.rep.durable, nd.rep.commit, len(nd.persistQ))
 	}
 
 	// A barrier-only batch in flight, whose completion is in the box.
@@ -177,9 +177,9 @@ func TestOneFlushPerWake(t *testing.T) {
 	if more || err != nil {
 		t.Fatalf("step = %v, %v", more, err)
 	}
-	if len(nd.pendingPersist) != 1 || nd.hs.log.lastIndex() != 2 || nd.hs.commitIndex != 1 {
+	if len(nd.pendingPersist) != 1 || nd.rep.log.lastIndex() != 2 || nd.rep.commit != 1 {
 		t.Fatalf("one pass left: %d batches in flight (want the proposal's only), log %d (want 2), commit %d (want 1)",
-			len(nd.pendingPersist), nd.hs.log.lastIndex(), nd.hs.commitIndex)
+			len(nd.pendingPersist), nd.rep.log.lastIndex(), nd.rep.commit)
 	}
 	if len(nd.persistQ) != 1 {
 		t.Fatalf("%d hand-offs to the persist worker, want 1", len(nd.persistQ))
@@ -221,7 +221,7 @@ func TestCapsSurviveTheMailbox(t *testing.T) {
 	nd.box.status = append(nd.box.status, status)
 	nd.box.ring()
 
-	base := nd.hs.log.lastIndex()
+	base := nd.rep.log.lastIndex()
 	for pass, left := 1, proposers; left > 0; pass++ {
 		more, err := nd.step(context.Background())
 		if err != nil {

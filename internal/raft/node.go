@@ -152,9 +152,8 @@ type Node struct {
 	n   int
 	met *nodeMetrics
 
-	hs       hardState
 	el       election
-	ls       *leaderState
+	rep      replication
 	campaign any // value to propose upon winning a manual campaign
 
 	fatal error // set on persistence failure; stops the loop
@@ -173,29 +172,24 @@ type Node struct {
 
 	// Write pipeline (see pipeline.go). The apply worker always runs; the
 	// persist worker and its queue exist only with a Storage — without
-	// one nothing is staged, so nothing is ever fenced.
-	// durableIndex is the highest log index this node's own disk holds —
-	// the leader's self-ack for quorum and the bound on what a message may
-	// claim before it is fenced — raised as persist batches complete (FIFO
-	// in pendingPersist, targets clamped the moment a truncation or a
-	// snapshot install is staged); with no disk to wait for it is the log
-	// tail.
+	// one nothing is staged, so nothing is ever fenced. rep.durable is the
+	// highest log index this node's own disk holds — the leader's self-ack
+	// and the bound on what a message may claim before it is fenced —
+	// raised as persist batches complete (FIFO in pendingPersist, targets
+	// clamped the moment a truncation or a snapshot install is staged).
 	applyQ   chan applyItem
 	persistQ chan persistReq
 
-	durableIndex   int
 	pendingPersist []pendingBatch
 	pendingSnap    *snapStage
 	snapAfterMuts  int
-	snapCache      snapCache
 	bootSnapIndex  int
 
-	// Read fast-path state (see read.go). Leader side: readSeq numbers
+	// Read fast-path state (see read.go). Leader side: rep.readSeq numbers
 	// confirmation rounds, reads holds the unconfirmed ones, curRound is
 	// this iteration's coalescing target, earlyReads park until the
 	// term-opening no-op commits, and leaseUntil is the held lease's
 	// expiry. Follower side: relay tracks reads forwarded to the leader.
-	readSeq    int
 	reads      []*readRound
 	curRound   *readRound
 	roundFree  []*readRound // retired rounds, waiters' storage kept for reuse
@@ -298,21 +292,19 @@ func NewNode(cfg Config) (*Node, error) {
 		stopErr: ErrStopped,
 		done:    make(chan struct{}),
 	}
-	nd.el = newElection(&nd.cfg, nd.n, &nd.hs.log)
-	var bootSnapData []byte
+	nd.el = newElection(&nd.cfg, nd.n, &nd.rep.log)
+	nd.rep = newReplication(&nd.cfg, nd.n, &nd.el)
 	if cfg.Storage != nil {
 		nd.persistQ = make(chan persistReq, persistQueueCap)
 		st, err := cfg.Storage.Load()
 		if err != nil {
 			return nil, fmt.Errorf("raft: restore: %w", err)
 		}
-		bootSnapData = st.SnapData
 		nd.el.term, nd.el.votedFor = st.Term, st.VotedFor
-		nd.hs.log.entries = append([]Entry(nil), st.Entries...)
+		nd.rep.log.entries = append([]Entry(nil), st.Entries...)
 		if st.SnapIndex > 0 {
-			nd.hs.log.snapIndex = st.SnapIndex
-			nd.hs.log.snapTerm = st.SnapTerm
-			nd.hs.commitIndex = st.SnapIndex
+			nd.rep.log.snapIndex, nd.rep.log.snapTerm, nd.rep.log.snapData = st.SnapIndex, st.SnapTerm, st.SnapData
+			nd.rep.commit = st.SnapIndex
 			if st.SnapData != nil {
 				snap, ok := cfg.StateMachine.(Snapshotter)
 				if !ok {
@@ -324,24 +316,22 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	nd.applied = newAppliedNotifier(nd.hs.commitIndex, nd.el.term) // the restored snapshot and term, if any
-	nd.bootSnapIndex = nd.hs.log.snapIndex
-	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
-	nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
+	nd.applied = newAppliedNotifier(nd.rep.commit, nd.el.term) // the restored snapshot and term, if any
+	nd.bootSnapIndex = nd.rep.log.snapIndex
+	nd.rep.durable = nd.rep.log.lastIndex() // the restored log IS the disk
 	return nd, nil
 }
 
 // persistLog stages a log mutation (Storage.TruncateAndAppend semantics)
-// for the iteration's flush. Everything above prevIndex is being
-// rewritten, so it stops counting as durable now — before any reply
-// staged later in the iteration reads durableIndex for its claim.
-func (nd *Node) persistLog(prevIndex int, entries []Entry) {
+// for the iteration's flush. Everything above PrevIndex is being
+// rewritten, so it stops counting as durable now — before the flush
+// reads the durable index for the claims staged with it.
+func (nd *Node) persistLog(mut LogMutation) {
 	if nd.persistQ == nil {
-		nd.durableIndex = nd.hs.log.lastIndex() // no disk to wait for
-		return
+		return // no disk to wait for: the core counts the tail durable
 	}
-	nd.clampDurable(prevIndex)
-	nd.pendingLog = append(nd.pendingLog, LogMutation{PrevIndex: prevIndex, Entries: entries})
+	nd.clampDurable(mut.PrevIndex)
+	nd.pendingLog = append(nd.pendingLog, mut)
 }
 
 // Start launches the node's goroutines. The node runs until ctx is
@@ -389,7 +379,7 @@ func (nd *Node) drainMessages(ctx context.Context) (n int, err error) {
 	return n, nil
 }
 
-// run is the main loop; all hardState access happens here. Whichever arm
+// run is the main loop; all protocol state is touched here. Whichever arm
 // of its select wakes it, it makes one pass over all that waits (step).
 func (nd *Node) run(ctx context.Context) {
 	defer nd.shutdown()
@@ -430,7 +420,7 @@ func (nd *Node) run(ctx context.Context) {
 				if nd.cfg.LeaseDuration > 0 {
 					nd.startLeaseRound() // keep an idle leader's lease warm
 				}
-				nd.broadcastHeartbeat()
+				nd.applyReplication(nd.rep.heartbeat())
 			}
 			heartbeat.Reset(nd.cfg.HeartbeatInterval)
 		}
@@ -452,10 +442,10 @@ func (nd *Node) run(ctx context.Context) {
 	}
 }
 
-// step is one pass of the main loop, in a fixed order: persist completions
-// first (they raise durableIndex, which decides what the rest of the pass
-// must fence), the rare inputs, requests and messages up to their caps,
-// and one flush for all of it. more reports that a cap left input behind.
+// step is one pass of the main loop, in a fixed order: persist
+// completions first (they raise the durable index, which decides what the
+// rest of the pass must fence), the rare inputs, requests and messages up
+// to their caps, and one flush for all of it. more reports that a cap left input behind.
 func (nd *Node) step(ctx context.Context) (more bool, err error) {
 	in := &nd.in
 	more = nd.box.take(in)
@@ -595,11 +585,11 @@ func (nd *Node) statusLocked() Status {
 		Term:          nd.el.term,
 		State:         nd.el.role,
 		LeaderID:      nd.el.leader,
-		CommitIndex:   nd.hs.commitIndex,
+		CommitIndex:   nd.rep.commit,
 		LastApplied:   nd.applied.current(),
-		LogLength:     nd.hs.log.lastIndex(),
-		LastLogTerm:   nd.hs.log.lastTerm(),
-		SnapshotIndex: nd.hs.log.snapIndex,
+		LogLength:     nd.rep.log.lastIndex(),
+		LastLogTerm:   nd.rep.log.lastTerm(),
+		SnapshotIndex: nd.rep.log.snapIndex,
 	}
 }
 
@@ -665,11 +655,11 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 	}
 	switch p := m.Payload.(type) {
 	case AppendEntries:
-		nd.onAppendEntries(m.From, p)
+		nd.applyReplication(nd.rep.onAppend(m.From, p))
 	case InstallSnapshot:
 		nd.onInstallSnapshot(m.From, p)
 	case AppendEntriesReply:
-		nd.onAppendEntriesReply(m.From, p)
+		nd.applyReplication(nd.rep.onAppendReply(m.From, p))
 	case ReadIndexRequest:
 		nd.onReadIndexRequest(m.From, p)
 	case ReadIndexReply:
@@ -678,12 +668,9 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 }
 
 // send stages an outbound message that claims nothing about this node's
-// disk, so flush() lets it leave at once: AppendEntries and
-// InstallSnapshot (the receiver persists before it acknowledges, and
-// only a leader sends them — a node whose term reached its disk before
-// the vote requests that elected it could leave), ReadIndex traffic (a
-// read index is a commit index, durable on a quorum by definition). The
-// election core sets its vote messages' claims itself.
+// disk, so flush() lets it leave at once: ReadIndex traffic (a read index
+// is a commit index, durable on a quorum by definition). The cores set
+// their own messages' claims.
 func (nd *Node) send(to int, payload any) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload})
 }
@@ -693,95 +680,6 @@ func (nd *Node) send(to int, payload any) {
 // MatchIndex (0 on a rejection — no claim about the log).
 func (nd *Node) sendAppendReply(to int, r AppendEntriesReply) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: r, claim: claim{index: r.MatchIndex, state: true}})
-}
-
-// onAppendEntries runs after the election core has recognized the
-// sender as this term's leader, unless its term is stale.
-func (nd *Node) onAppendEntries(from int, m AppendEntries) {
-	if m.Term < nd.el.term {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
-		return
-	}
-	// Entries at or below our compaction point are committed and applied
-	// already; renormalize the consistency check to the snapshot marker.
-	if m.PrevLogIndex < nd.hs.log.snapIndex {
-		cut := nd.hs.log.snapIndex - m.PrevLogIndex
-		if cut >= len(m.Entries) {
-			nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: min(nd.hs.log.snapIndex, nd.durableIndex), ReadID: m.ReadID})
-			return
-		}
-		m.Entries = m.Entries[cut:]
-		m.PrevLogIndex = nd.hs.log.snapIndex
-		m.PrevLogTerm = nd.hs.log.snapTerm
-	}
-
-	if !nd.hs.log.matches(m.PrevLogIndex, m.PrevLogTerm) {
-		hint := min(m.PrevLogIndex-1, nd.hs.log.lastIndex())
-		// The rejection still echoes ReadID: this follower acknowledged the
-		// sender as the current term's leader, which is all a ReadIndex
-		// confirmation needs — log repair is a separate concern.
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false, RejectHint: hint, ReadID: m.ReadID})
-		return
-	}
-	before := nd.hs.log.lastIndex()
-	lastNew, truncated := nd.hs.log.appendAfter(m.PrevLogIndex, m.Entries)
-	// An append that changed the log acknowledges through lastNew and so
-	// waits for the persist staged here. One that changed nothing — a
-	// heartbeat, a read probe, a retransmission — acknowledges only what
-	// the disk already holds of the matched prefix: it claims nothing new
-	// and leaves while whatever fsync is running runs on. The leader
-	// takes the maximum over replies, so the lower index costs nothing.
-	match := lastNew
-	if truncated || nd.hs.log.lastIndex() > before {
-		nd.persistLog(m.PrevLogIndex, m.Entries)
-	} else {
-		match = min(lastNew, nd.durableIndex)
-	}
-	for idx := before + 1; idx <= nd.hs.log.lastIndex() && idx <= lastNew; idx++ {
-		e, _ := nd.hs.log.entryAt(idx)
-		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.el.term, Index: idx, Command: e.Command})
-	}
-	if m.LeaderCommit > nd.hs.commitIndex {
-		nd.setCommitIndex(min(m.LeaderCommit, lastNew))
-	}
-	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: match, ReadID: m.ReadID})
-}
-
-func (nd *Node) onAppendEntriesReply(from int, m AppendEntriesReply) {
-	if nd.el.role != Leader || m.Term != nd.el.term {
-		return
-	}
-	nd.ls.acked[from] = true // any current-term reply proves the pipe is live
-	nd.onReadAck(from, m.ReadID)
-	if m.Success {
-		if m.MatchIndex > nd.ls.matchIndex[from] {
-			nd.ls.matchIndex[from] = m.MatchIndex
-		}
-		nd.ls.ackThrough(from, nd.ls.matchIndex[from])
-		// Only raise nextIndex: with pipelined sends in flight, a reply to
-		// an older message must not rewind past entries already sent.
-		if nd.ls.matchIndex[from]+1 > nd.ls.nextIndex[from] {
-			nd.ls.nextIndex[from] = nd.ls.matchIndex[from] + 1
-		}
-		nd.advanceCommit()
-		nd.sendAppend(from) // a window slot may have freed; push more if pending
-		return
-	}
-	// Rejected: the follower's log diverges at or below the probe's prev.
-	// Drain the pipeline and rewind. The hint is anchored to the rejected
-	// message, so the rewind makes progress even though sendAppend has
-	// optimistically advanced nextIndex past the probe; without it, the
-	// one-step decrement would only undo the bump and loop forever.
-	nd.ls.inflight[from] = nd.ls.inflight[from][:0]
-	next := nd.ls.nextIndex[from] - 1
-	if m.RejectHint+1 < next {
-		next = m.RejectHint + 1
-	}
-	if next < 1 {
-		next = 1
-	}
-	nd.ls.nextIndex[from] = next
-	nd.sendAppend(from)
 }
 
 // ---- role transitions (main loop only) ----
@@ -802,7 +700,6 @@ func (nd *Node) applyElection(o elOut) {
 		// A reign or a candidacy ends, and what rode on it: pending reads,
 		// commit-latency attribution, and in-flight traced proposals,
 		// whose clients see the error and close the spans.
-		nd.ls = nil
 		nd.traced = nil
 		nd.tracedUnsynced = nd.tracedUnsynced[:0]
 		nd.met.dropPending()
@@ -818,7 +715,7 @@ func (nd *Node) applyElection(o elOut) {
 	}
 	switch o.enter {
 	case Follower:
-		nd.cfg.Flight.Record(rtrace.EvStepDown, 0, int64(e.term), int64(nd.hs.commitIndex), "")
+		nd.cfg.Flight.Record(rtrace.EvStepDown, 0, int64(e.term), int64(nd.rep.commit), "")
 		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: e.term})
 	case Candidate, Leader:
 		if o.newTerm {
@@ -826,7 +723,7 @@ func (nd *Node) applyElection(o elOut) {
 			// An election is an anomaly from the workload's point of view:
 			// dump the flight ring so the run-up (lost heartbeats, drops,
 			// backlog) is preserved before new-term traffic overwrites it.
-			nd.cfg.Flight.Trigger(rtrace.EvElection, 0, int64(e.term), int64(nd.hs.commitIndex), "")
+			nd.cfg.Flight.Trigger(rtrace.EvElection, 0, int64(e.term), int64(nd.rep.commit), "")
 			nd.emit(Event{Kind: EventBecameCandidate, Node: nd.cfg.ID, Term: e.term})
 		}
 		if o.enter == Leader {
@@ -837,12 +734,8 @@ func (nd *Node) applyElection(o elOut) {
 
 func (nd *Node) becomeLeader() {
 	nd.met.onElectionWon()
-	nd.cfg.Flight.Record(rtrace.EvBecameLeader, 0, int64(nd.el.term), int64(nd.hs.log.lastIndex()), "")
-	nd.ls = newLeaderState(nd.n, nd.hs.log.lastIndex())
-	// The self-ack is the disk's, not the in-memory log's: entries still
-	// in the persist queue count toward quorum only when their batch
-	// lands (onPersistDone).
-	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
+	nd.cfg.Flight.Record(rtrace.EvBecameLeader, 0, int64(nd.el.term), int64(nd.rep.log.lastIndex()), "")
+	nd.rep.win()
 	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.el.term})
 
 	// The term-opening no-op (§5.4.2): without it, entries inherited from
@@ -853,12 +746,11 @@ func (nd *Node) becomeLeader() {
 		cmds = append(cmds, nd.campaign)
 		nd.campaign = nil
 	}
+	nd.leaseUntil = time.Time{} // a new reign earns its lease from scratch
 	// Reads are gated on this index committing: until then the new leader
 	// cannot know the true commit frontier (§6.4 step 1, §5.4.2).
-	nd.termStart = nd.appendLocalBatch(cmds)
-	nd.leaseUntil = time.Time{} // a new reign earns its lease from scratch
-	nd.advanceCommit()
-	nd.broadcastAppend()
+	nd.termStart = nd.rep.log.lastIndex() + 1
+	nd.applyReplication(nd.rep.propose(cmds))
 }
 
 // handleProposeBatch coalesces a drained batch of proposals into one log
@@ -878,7 +770,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	for i, r := range reqs {
 		cmds[i] = r.cmd
 	}
-	first := nd.appendLocalBatch(cmds)
+	first := nd.rep.log.lastIndex() + 1
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
 		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.el.term}, fenced: true})
@@ -894,168 +786,75 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 			nd.tracedUnsynced = append(nd.tracedUnsynced, first+i)
 		}
 	}
-	nd.cfg.Flight.Record(rtrace.EvProposeBatch, 0, int64(len(reqs)), int64(nd.hs.log.lastIndex()), "")
-	nd.advanceCommit() // single-node clusters commit immediately
-	nd.broadcastAppend()
+	nd.applyReplication(nd.rep.propose(cmds))
+	nd.cfg.Flight.Record(rtrace.EvProposeBatch, 0, int64(len(reqs)), int64(nd.rep.log.lastIndex()), "")
 }
 
-// appendLocalBatch appends commands to the leader's own log as one
-// persisted mutation and returns the global index of the first.
-func (nd *Node) appendLocalBatch(cmds []any) int {
-	first := nd.hs.log.lastIndex() + 1
-	for _, cmd := range cmds {
-		idx := nd.hs.log.appendEntry(Entry{Term: nd.el.term, Command: cmd})
-		nd.met.onAppendLocal(idx)
+// applyReplication carries out one replication step: the one site where
+// the log, the commit index and the leader's windows reach the disk, the
+// outbox, the apply worker, the reads and the telemetry.
+func (nd *Node) applyReplication(o repOut) {
+	if o.persist {
+		nd.persistLog(o.mut)
 	}
-	last := nd.hs.log.lastIndex()
-	nd.persistLog(first-1, nd.hs.log.slice(first))
-	// Unchanged while the new entries sit in the persist queue (the
-	// self-ack lands with their fsync, see onPersistDone); immediate when
-	// there is no disk to wait for.
-	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
-	for idx := first; idx <= last; idx++ {
-		e, _ := nd.hs.log.entryAt(idx)
-		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.el.term, Index: idx, Command: e.Command})
+	leader := nd.el.role == Leader
+	for i := o.adopted.after + 1; i <= o.adopted.through; i++ {
+		e, _ := nd.rep.log.entryAt(i)
+		if leader {
+			nd.met.onAppendLocal(i)
+		}
+		nd.emit(Event{Kind: EventAppended, Node: nd.cfg.ID, Term: nd.el.term, Index: i, Command: e.Command})
 	}
-	return first
-}
-
-// ---- replication & commitment (main loop only) ----
-
-// sendAppend ships the next window of entries to one follower,
-// respecting the pipeline: at most maxEntriesPerAppend entries per
-// message and at most maxInflightAppends unacknowledged entry-carrying
-// messages outstanding. The next index advances optimistically; a
-// rejection falls back to probe-and-decrement, and the heartbeat's
-// stall recovery rewinds a pipeline whose acks were lost.
-func (nd *Node) sendAppend(to int) {
-	for len(nd.ls.inflight[to]) < maxInflightAppends {
-		next := nd.ls.nextIndex[to]
-		if next < 1 {
-			next = 1
-		}
-		if next <= nd.hs.log.snapIndex {
-			nd.sendSnapshot(to)
-			return
-		}
-		if next > nd.hs.log.lastIndex() {
-			return // fully replicated; heartbeats carry commit updates
-		}
-		prev := next - 1
-		prevTerm, ok := nd.hs.log.termAt(prev)
-		if !ok {
-			prev, prevTerm = 0, 0
-		}
-		entries := nd.hs.log.sliceLimit(next, maxEntriesPerAppend)
-		var payload any = AppendEntries{
-			Term:         nd.el.term,
-			LeaderID:     nd.cfg.ID,
-			PrevLogIndex: prev,
-			PrevLogTerm:  prevTerm,
-			Entries:      entries,
-			LeaderCommit: nd.hs.commitIndex,
-			ReadID:       nd.readSeq,
-		}
-		if len(nd.traced) > 0 {
-			// Carry the newest sampled entry's trace ID across the wire so
-			// peers' flight recorders can correlate (frame version 2; one ID
-			// per frame is enough for correlation).
-			for idx := next + len(entries) - 1; idx >= next; idx-- {
-				if op, ok := nd.traced[idx]; ok {
-					payload = msgnet.WithTraceID(uint64(op.id), payload)
-					break
+	for i, m := range o.msgs {
+		switch p := m.payload.(type) {
+		case AppendEntries:
+			if len(p.Entries) == 0 {
+				break
+			}
+			// The window's depth after this send: later sends in this step
+			// to the same peer are still to come.
+			depth := len(nd.rep.peers[m.to].inflight)
+			for _, later := range o.msgs[i+1:] {
+				if ae, ok := later.payload.(AppendEntries); ok && later.to == m.to && len(ae.Entries) > 0 {
+					depth--
 				}
 			}
+			nd.met.onAppendSend(len(p.Entries), depth)
+			m.payload = nd.traceAppend(m.payload, p)
+		case InstallSnapshot:
+			nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(p.LastIncludedIndex), int64(m.to), "send")
 		}
-		nd.send(to, payload)
-		nd.ls.nextIndex[to] = next + len(entries) // optimistic; rolled back on rejection
-		nd.ls.inflight[to] = append(nd.ls.inflight[to], nd.ls.nextIndex[to]-1)
-		nd.met.onAppendSend(len(entries), len(nd.ls.inflight[to]))
+		nd.outbox = append(nd.outbox, m)
+	}
+	if c := o.committed; c.through > c.after {
+		nd.met.onCommit(c.after, c.through)
+		nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(c.through), int64(nd.el.term), "")
+		for i := c.after + 1; i <= c.through; i++ {
+			e, _ := nd.rep.log.entryAt(i)
+			nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.el.term, Index: i, Command: e.Command})
+		}
+		if leader {
+			// Overlap attribution: did the quorum outrun the local disk?
+			nd.met.onCommitOverlap(nd.rep.durable < c.through)
+		}
+		nd.enqueueApplyEntries(c.after, c.through)
+		nd.dispatchEarlyReads()
+	}
+	if o.reads {
+		nd.confirmReads()
 	}
 }
 
-// sendHeartbeat sends an empty AppendEntries: a keep-alive that also
-// propagates the leader's commit index. It bypasses the inflight window
-// (it carries no entries, so re-sending costs nothing).
-func (nd *Node) sendHeartbeat(to int) {
-	next := nd.ls.nextIndex[to]
-	if next < 1 {
-		next = 1
-	}
-	if next <= nd.hs.log.snapIndex {
-		nd.sendSnapshot(to)
-		return
-	}
-	prev := next - 1
-	prevTerm, ok := nd.hs.log.termAt(prev)
-	if !ok {
-		prev, prevTerm = 0, 0
-	}
-	nd.send(to, AppendEntries{
-		Term:         nd.el.term,
-		LeaderID:     nd.cfg.ID,
-		PrevLogIndex: prev,
-		PrevLogTerm:  prevTerm,
-		LeaderCommit: nd.hs.commitIndex,
-		ReadID:       nd.readSeq,
-	})
-}
-
-// broadcastAppend pushes pending entries to every follower whose
-// pipeline window is open.
-func (nd *Node) broadcastAppend() {
-	for peer := 0; peer < nd.n; peer++ {
-		if peer != nd.cfg.ID {
-			nd.sendAppend(peer)
+// traceAppend wraps payload, the append m, in the trace ID of its newest
+// sampled entry so peers' flight recorders can correlate (one ID per
+// frame is enough), and returns it as it is, boxed once, otherwise.
+func (nd *Node) traceAppend(payload any, m AppendEntries) any {
+	for i := len(m.Entries) - 1; i >= 0 && len(nd.traced) > 0; i-- {
+		if op, ok := nd.traced[m.PrevLogIndex+1+i]; ok {
+			return msgnet.WithTraceID(uint64(op.id), payload)
 		}
 	}
-}
-
-// broadcastHeartbeat runs the leader's periodic tick: per follower it
-// first recovers a stalled pipeline (sends outstanding but nothing
-// acknowledged since the previous tick — the acks or the appends were
-// lost, so rewind to the last known match and resend), then pushes
-// pending entries, and falls back to an empty keep-alive when the
-// follower is already caught up.
-func (nd *Node) broadcastHeartbeat() {
-	for peer := 0; peer < nd.n; peer++ {
-		if peer == nd.cfg.ID {
-			continue
-		}
-		if len(nd.ls.inflight[peer]) > 0 && !nd.ls.acked[peer] {
-			nd.ls.inflight[peer] = nd.ls.inflight[peer][:0]
-			nd.ls.nextIndex[peer] = nd.ls.matchIndex[peer] + 1
-		}
-		nd.ls.acked[peer] = false
-		before := len(nd.outbox)
-		nd.sendAppend(peer)
-		if len(nd.outbox) == before {
-			nd.sendHeartbeat(peer)
-		}
-	}
-}
-
-// sendSnapshot ships the current state-machine snapshot to a follower
-// whose next entry has been compacted away.
-func (nd *Node) sendSnapshot(to int) {
-	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
-		// Compaction only happens with a Snapshotter, so this is
-		// unreachable unless the log was restored inconsistently.
-		return
-	}
-	// The apply worker may be mid-Apply: use the cached payload that
-	// every snapIndex move refreshed rather than racing SnapshotData.
-	if nd.snapCache.index != nd.hs.log.snapIndex {
-		return
-	}
-	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(nd.hs.log.snapIndex), int64(to), "send")
-	nd.send(to, InstallSnapshot{
-		Term:              nd.el.term,
-		LeaderID:          nd.cfg.ID,
-		LastIncludedIndex: nd.hs.log.snapIndex,
-		LastIncludedTerm:  nd.hs.log.snapTerm,
-		Data:              nd.snapCache.data,
-	})
+	return payload
 }
 
 // onInstallSnapshot applies a leader's snapshot: state machine, log, and
@@ -1065,10 +864,10 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
 		return
 	}
-	if m.LastIncludedIndex <= nd.hs.commitIndex {
+	if m.LastIncludedIndex <= nd.rep.commit {
 		// Stale snapshot; we are already past it. A follower's commit index
 		// can run ahead of its own disk, so the claim may still be fenced.
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: nd.hs.commitIndex})
+		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: nd.rep.commit})
 		return
 	}
 	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
@@ -1082,56 +881,11 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 	// only once that record is on disk: until then nothing from the
 	// snapshot's index up counts as durable, whatever of the old log the
 	// restore kept or dropped.
-	nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
+	nd.rep.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
+	nd.rep.log.snapData = m.Data
 	nd.clampDurable(m.LastIncludedIndex - 1)
 	nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
-	nd.hs.commitIndex = m.LastIncludedIndex
-	nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
+	nd.rep.commit = m.LastIncludedIndex
 	nd.enqueueApply(applyItem{term: nd.el.term, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
 	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: m.LastIncludedIndex})
-}
-
-// advanceCommit implements the leader commit rule: the largest N with a
-// majority of MatchIndex ≥ N and log[N].term == currentTerm.
-func (nd *Node) advanceCommit() {
-	if nd.el.role != Leader {
-		return
-	}
-	for n := nd.hs.log.lastIndex(); n > nd.hs.commitIndex; n-- {
-		if term, _ := nd.hs.log.termAt(n); term != nd.el.term {
-			break // only current-term entries commit by counting (§5.4.2)
-		}
-		count := 0
-		for _, match := range nd.ls.matchIndex {
-			if match >= n {
-				count++
-			}
-		}
-		if 2*count > nd.n {
-			nd.setCommitIndex(n)
-			return
-		}
-	}
-}
-
-// setCommitIndex raises the commit index, emitting per-entry commit
-// events and handing the newly committed range to the apply worker.
-func (nd *Node) setCommitIndex(index int) {
-	if index <= nd.hs.commitIndex {
-		return
-	}
-	old := nd.hs.commitIndex
-	nd.hs.commitIndex = index
-	nd.met.onCommit(old, index)
-	nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(index), int64(nd.el.term), "")
-	for i := old + 1; i <= index; i++ {
-		e, _ := nd.hs.log.entryAt(i)
-		nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.el.term, Index: i, Command: e.Command})
-	}
-	if nd.el.role == Leader {
-		// Overlap attribution: did the quorum outrun the local disk?
-		nd.met.onCommitOverlap(nd.durableIndex < index)
-	}
-	nd.enqueueApplyEntries(old, index)
-	nd.dispatchEarlyReads()
 }

@@ -49,10 +49,6 @@ package raft
 //     confirmed read index is quorum-durable by definition.
 //   - Proposal-accept replies ("your entry is in the leader's log") wait
 //     for the whole persist queue to drain.
-//   - The leader's self-ack counts toward quorum only when its own
-//     batch is durable: matchIndex[self] tracks durableIndex, not the
-//     in-memory log tail, so advanceCommit treats the leader's disk as
-//     just another follower. Commit may be reached by followers alone.
 //
 // All Endpoint sends and reply-channel sends stay on the main loop: the
 // persist worker returns its release bundle through the mailbox and
@@ -145,15 +141,6 @@ type compactReq struct {
 	data  []byte
 }
 
-// snapCache is the main loop's copy of the latest snapshot data, kept
-// so a leader's sendSnapshot never calls SnapshotData concurrently with
-// the apply worker. Updated wherever snapIndex moves: boot restore,
-// compaction, InstallSnapshot.
-type snapCache struct {
-	index int
-	data  []byte
-}
-
 // hardStateBusy reports whether a SetState is staged or in flight: the
 // term and vote in memory are then ahead of the disk, and a message that
 // speaks for them must wait.
@@ -194,7 +181,7 @@ func (nd *Node) flush() {
 	var fencedMsgs []outMsg
 	var fencedReplies []stagedReply
 	for _, m := range nd.outbox {
-		fenced := m.claim.index > nd.durableIndex || (m.claim.state && stateBusy)
+		fenced := m.claim.index > nd.rep.durable || (m.claim.state && stateBusy)
 		nd.met.onSend(m.payload, fenced)
 		if fenced {
 			fencedMsgs = append(fencedMsgs, m)
@@ -239,7 +226,7 @@ func (nd *Node) flush() {
 // none: a pure fence barrier) to the persist worker and records what it
 // will have made durable. The target is the log tail: whatever a staged
 // truncation or snapshot install took away was clamped out of
-// durableIndex when it was staged (persistLog, onInstallSnapshot).
+// the durable index when it was staged (persistLog, onInstallSnapshot).
 func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	req := persistReq{
 		setState:  nd.stateDirty,
@@ -264,22 +251,20 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 		}
 		nd.tracedUnsynced = nd.tracedUnsynced[:0]
 	}
-	nd.pendingPersist = append(nd.pendingPersist, pendingBatch{target: nd.hs.log.lastIndex(), setState: req.setState})
+	nd.pendingPersist = append(nd.pendingPersist, pendingBatch{target: nd.rep.log.lastIndex(), setState: req.setState})
 	// A full queue is persistence backpressure. The worker never waits on
 	// the loop (completions go into the mailbox), so this cannot deadlock.
 	nd.persistQ <- req
 	nd.met.onPersistDepth(len(nd.persistQ))
 }
 
-// clampDurable lowers durableIndex and every in-flight batch's target
+// clampDurable lowers the durable index and every in-flight batch's target
 // to at most idx: entries above it are being rewritten, so neither a
 // claim made from now on nor the completion of an older batch may count
 // them durable. The disk will hold the *new* entries at those indexes
 // only once the batch staged after this call lands.
 func (nd *Node) clampDurable(idx int) {
-	if idx < nd.durableIndex {
-		nd.durableIndex = idx
-	}
+	nd.rep.durable = min(nd.rep.durable, idx)
 	for i := range nd.pendingPersist {
 		if nd.pendingPersist[i].target > idx {
 			nd.pendingPersist[i].target = idx
@@ -407,10 +392,9 @@ func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
 }
 
 // onPersistDone runs on the main loop when a run of batches lands:
-// raise durableIndex to the run's last (possibly clamped) target,
-// externalize the bundles that waited on it, and count the leader's
-// self-ack toward quorum — advanceCommit sees the disk as just another
-// matchIndex.
+// externalize the bundles that waited on it and report the run's last
+// (possibly clamped) target to the core, which raises the durable index
+// and counts it as the leader's own ack.
 func (nd *Node) onPersistDone(d persistDone) {
 	n := d.n
 	if n < 1 {
@@ -425,22 +409,17 @@ func (nd *Node) onPersistDone(d persistDone) {
 		nd.fatal = d.err
 		return
 	}
-	if target > nd.durableIndex {
-		nd.durableIndex = target
-	}
 	for _, m := range d.msgs {
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
 	for _, r := range d.replies {
 		r.ch <- r.reply
 	}
-	if nd.el.role == Leader && nd.ls != nil {
-		nd.met.onSelfAckLag(nd.hs.commitIndex - nd.durableIndex)
-		if nd.durableIndex > nd.ls.matchIndex[nd.cfg.ID] {
-			nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
-			nd.advanceCommit()
-		}
+	o := nd.rep.persisted(target)
+	if nd.el.role == Leader {
+		nd.met.onSelfAckLag(o.committed.after - nd.rep.durable)
 	}
+	nd.applyReplication(o)
 }
 
 // stageSnapshot stages a snapshot record for the persist worker,
@@ -449,7 +428,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 // record order on disk must match the logical order of mutations.
 func (nd *Node) stageSnapshot(index, term int, data []byte) {
 	if nd.persistQ == nil {
-		nd.durableIndex = nd.hs.log.lastIndex() // as persistLog: no disk to wait for
+		nd.rep.durable = nd.rep.log.lastIndex() // no disk to wait for
 		return
 	}
 	if nd.pendingSnap != nil {
@@ -473,7 +452,7 @@ func (nd *Node) enqueueApply(it applyItem) {
 func (nd *Node) enqueueApplyEntries(old, index int) {
 	ents := make([]Entry, 0, index-old)
 	for i := old + 1; i <= index; i++ {
-		e, _ := nd.hs.log.entryAt(i)
+		e, _ := nd.rep.log.entryAt(i)
 		ents = append(ents, e)
 	}
 	var traced []applyTrace
@@ -604,13 +583,13 @@ func (nd *Node) maybeCompactAsync(applied, snapBase int) int {
 // committed and applied, so the entries it covers can never be
 // truncated out from under it.
 func (nd *Node) onCompactReady(c compactReq) {
-	if c.index <= nd.hs.log.snapIndex {
+	if c.index <= nd.rep.log.snapIndex {
 		return // a restart or InstallSnapshot already moved past it
 	}
 	nd.met.onSnapshot()
-	nd.hs.log.compactTo(c.index)
-	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: c.data}
-	nd.stageSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, c.data)
+	nd.rep.log.compactTo(c.index)
+	nd.rep.log.snapData = c.data
+	nd.stageSnapshot(nd.rep.log.snapIndex, nd.rep.log.snapTerm, c.data)
 }
 
 // applyFatal reports a fatal apply-side error to the main loop. The

@@ -291,8 +291,8 @@ func (c *pipeCluster) readLinearizable(key string) string {
 // at once: with the leader's disk parked at the fsync barrier, (1) the
 // entry still commits and applies cluster-wide off the followers' acks
 // alone — AppendEntries departed before the leader's persist completed,
-// and advanceCommit treats the leader's durable index as just another
-// matchIndex — while (2) the proposal reply, which externalizes the
+// and the commit rule counts the leader at its durable index like any
+// other match — while (2) the proposal reply, which externalizes the
 // accept to the client, stays fenced until the leader's own batch lands.
 func TestProposeReplyFencedBehindLeaderFsync(t *testing.T) {
 	c := newPipeCluster(t, 3, 97)

@@ -199,7 +199,7 @@ func (nd *Node) forwardRead(w readWaiter) {
 // current commit index immediately; everything else joins a
 // confirmation round.
 func (nd *Node) leaderRead(w readWaiter) {
-	if nd.hs.commitIndex < nd.termStart {
+	if nd.rep.commit < nd.termStart {
 		nd.earlyReads = append(nd.earlyReads, w)
 		return
 	}
@@ -210,14 +210,14 @@ func (nd *Node) leaderRead(w readWaiter) {
 		// Lease path: no quorum round, so the network phase is zero and
 		// the read index is valid right now.
 		w.confirmed = nd.cfg.Tracer.Now(w.trace)
-		nd.resolveRead(w, nd.hs.commitIndex, true)
+		nd.resolveRead(w, nd.rep.commit, true)
 		return
 	}
 	if w.lease {
 		nd.met.onLeaseExpired()
 		// A lapsed lease on a live leader means heartbeats stalled long
 		// enough to matter — dump the run-up.
-		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.el.term), int64(nd.hs.commitIndex), "")
+		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.el.term), int64(nd.rep.commit), "")
 	}
 	nd.joinReadRound(w)
 }
@@ -241,14 +241,14 @@ func (nd *Node) leaseValid() bool {
 // leadership after the read's invocation, which is what linearizability
 // needs.
 func (nd *Node) joinReadRound(w readWaiter) {
-	if nd.curRound != nil && nd.curRound.index == nd.hs.commitIndex {
+	if nd.curRound != nil && nd.curRound.index == nd.rep.commit {
 		nd.curRound.waiters = append(nd.curRound.waiters, w)
 		return
 	}
 	r := nd.openReadRound()
 	r.waiters = append(r.waiters, w)
 	nd.curRound = r
-	nd.broadcastReadProbe()
+	nd.applyReplication(nd.rep.probe())
 	nd.confirmReads() // single-node clusters are their own quorum
 }
 
@@ -267,8 +267,8 @@ func (nd *Node) openReadRound() *readRound {
 	} else {
 		r = new(readRound)
 	}
-	nd.readSeq++
-	r.id, r.start, r.index = nd.readSeq, nd.cfg.Clock.Now(), nd.hs.commitIndex
+	nd.rep.readSeq++
+	r.id, r.start, r.index = nd.rep.readSeq, nd.cfg.Clock.Now(), nd.rep.commit
 	nd.reads = append(nd.reads, r)
 	return r
 }
@@ -299,30 +299,6 @@ func (nd *Node) startLeaseRound() {
 	nd.confirmReads() // single-node clusters confirm immediately
 }
 
-// broadcastReadProbe sends every follower an empty AppendEntries
-// carrying the current read-round id. Unlike broadcastHeartbeat it does
-// not touch the replication pipeline's stall-recovery bookkeeping:
-// read rounds can fire far more often than the heartbeat tick, and
-// resetting the acked flags that frequently would make healthy
-// pipelines look stalled.
-func (nd *Node) broadcastReadProbe() {
-	for peer := 0; peer < nd.n; peer++ {
-		if peer != nd.cfg.ID {
-			nd.sendHeartbeat(peer)
-		}
-	}
-}
-
-// onReadAck records a follower's read-round echo and confirms every
-// round a quorum has now acknowledged. Called for every same-term
-// AppendEntriesReply, success or rejection alike.
-func (nd *Node) onReadAck(from, id int) {
-	if id > nd.ls.readAck[from] {
-		nd.ls.readAck[from] = id
-		nd.confirmReads()
-	}
-}
-
 // confirmReads resolves pending rounds, oldest first (acks are
 // monotonic, so confirmation is prefix-closed): each confirmed round
 // renews the lease from its own start time and releases its waiters at
@@ -331,17 +307,9 @@ func (nd *Node) confirmReads() {
 	if nd.el.role != Leader {
 		return
 	}
-	for len(nd.reads) > 0 {
+	confirmed := nd.rep.readConfirmed()
+	for len(nd.reads) > 0 && nd.reads[0].id <= confirmed {
 		r := nd.reads[0]
-		count := 1 // self
-		for peer, ack := range nd.ls.readAck {
-			if peer != nd.cfg.ID && ack >= r.id {
-				count++
-			}
-		}
-		if 2*count <= nd.n {
-			return
-		}
 		if nd.cfg.LeaseDuration > 0 {
 			if until := r.start.Add(nd.cfg.LeaseDuration); until.After(nd.leaseUntil) {
 				nd.leaseUntil = until
@@ -412,7 +380,7 @@ func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 // dispatchEarlyReads re-serves reads that arrived before the
 // term-opening no-op committed; called when the commit index advances.
 func (nd *Node) dispatchEarlyReads() {
-	if len(nd.earlyReads) == 0 || nd.el.role != Leader || nd.hs.commitIndex < nd.termStart {
+	if len(nd.earlyReads) == 0 || nd.el.role != Leader || nd.rep.commit < nd.termStart {
 		return
 	}
 	pending := nd.earlyReads

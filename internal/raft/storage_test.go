@@ -173,8 +173,8 @@ func TestNewNodeRestoresFromStorage(t *testing.T) {
 	if node.el.term != 5 || node.el.votedFor != 2 {
 		t.Fatalf("restored state: term=%d vote=%d", node.el.term, node.el.votedFor)
 	}
-	if node.hs.log.lastIndex() != 3 || node.hs.log.lastTerm() != 5 {
-		t.Fatalf("restored log: %v", &node.hs.log)
+	if node.rep.log.lastIndex() != 3 || node.rep.log.lastTerm() != 5 {
+		t.Fatalf("restored log: %v", &node.rep.log)
 	}
 }
 
