@@ -639,16 +639,16 @@ func TestMessageClaims(t *testing.T) {
 			func(nd *Node) {
 				leader(nd)
 				nd.applyReplication(nd.rep.propose([]any{"c"}))
-				nd.applyReplication(nd.rep.probe())
+				nd.leaderRead(readWaiter{ch: make(chan proposeReply, 1)}, time.Time{})
 			},
 			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false},
 				{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"snapshot sent to a laggard", false,
 			func(nd *Node) {
 				leader(nd)
-				nd.rep.log.compactTo(1)
+				nd.rep.compact(1, nil)
 				nd.rep.peers[1] = progress{next: 1}
-				nd.applyReplication(nd.rep.probe())
+				nd.leaderRead(readWaiter{ch: make(chan proposeReply, 1)}, time.Time{})
 			},
 			[]want{{"raft.InstallSnapshot", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"read forwarded to the leader", false,

@@ -129,35 +129,24 @@ func (l *raftLog) sliceLimit(from, max int) []Entry {
 	return out
 }
 
-// compactTo discards entries up to and including index, which must be
-// covered by the state-machine snapshot (i.e. applied). No-op when index
-// is not beyond the current compaction point or is unknown.
-func (l *raftLog) compactTo(index int) {
-	if index <= l.snapIndex {
-		return
-	}
-	term, ok := l.termAt(index)
-	if !ok {
-		return
-	}
-	keep := l.lastIndex() - index
-	tail := make([]Entry, keep)
-	copy(tail, l.entries[len(l.entries)-keep:])
-	l.entries = tail
-	l.snapIndex, l.snapTerm = index, term
+// snapshotAt is the one snapshot suffix rule, for a compaction and an
+// installed snapshot alike: the log becomes the snapshot at (index, term)
+// followed, when the log holds index in that term, by the entries after
+// it, and by nothing otherwise. Storage applies the same rule to its tail
+// (snapTail), so a restart reloads the log the node held.
+func (l *raftLog) snapshotAt(index, term int, data []byte) {
+	l.entries = snapTail(l.entries, l.snapIndex, l.snapTerm, index, term)
+	l.snapIndex, l.snapTerm, l.snapData = index, term, data
 }
 
-// restoreSnapshot resets the log around a received snapshot: if the local
-// log already contains the snapshot's last entry with the right term, the
-// suffix after it is retained (it may still be live); otherwise the whole
-// log is replaced by the snapshot marker.
-func (l *raftLog) restoreSnapshot(index, term int) {
-	if t, ok := l.termAt(index); ok && t == term && index <= l.lastIndex() {
-		l.entries = l.slice(index + 1)
-	} else {
-		l.entries = nil
+// snapTail is snapshotAt over a bare tail: the entries after the marker
+// (at, atTerm) that a snapshot at (index, term) keeps.
+func snapTail(tail []Entry, at, atTerm, index, term int) []Entry {
+	l := raftLog{entries: tail, snapIndex: at, snapTerm: atTerm}
+	if !l.matches(index, term) {
+		return nil
 	}
-	l.snapIndex, l.snapTerm = index, term
+	return l.slice(index + 1)
 }
 
 // upToDate reports whether a candidate log described by (lastIndex,

@@ -183,22 +183,16 @@ type Node struct {
 	pendingPersist []pendingBatch
 	pendingSnap    *snapStage
 	snapAfterMuts  int
-	bootSnapIndex  int
 
-	// Read fast-path state (see read.go). Leader side: rep.readSeq numbers
-	// confirmation rounds, reads holds the unconfirmed ones, curRound is
-	// this iteration's coalescing target, earlyReads park until the
-	// term-opening no-op commits, and leaseUntil is the held lease's
-	// expiry. Follower side: relay tracks reads forwarded to the leader.
-	reads      []*readRound
-	curRound   *readRound
-	roundFree  []*readRound // retired rounds, waiters' storage kept for reuse
-	earlyReads []readWaiter
-	leaseUntil time.Time
-	termStart  int // index of this leader term's opening no-op
-	relaySeq   int64
-	relay      map[int64]relayWait
-	rstats     readStats
+	// Read waiters (see read.go): reads waits on the core's confirmation
+	// rounds, FIFO and tagged by round; relay tracks reads this follower
+	// forwarded to the leader, by ids counted from the boot's wall clock:
+	// past every id an earlier life used, whose late replies must not
+	// answer this life's reads.
+	reads    []roundWaiter
+	relaySeq int64
+	relay    map[int64]relayWait
+	rstats   readStats
 
 	// Per-request tracing bookkeeping (leader only, sampled proposals
 	// only): traced maps a log index to its in-flight trace, and
@@ -282,15 +276,16 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	nd := &Node{
-		cfg:     cfg,
-		n:       cfg.Endpoint.N(),
-		met:     newNodeMetrics(cfg.Metrics, cfg.ID),
-		relay:   make(map[int64]relayWait),
-		box:     mailbox{wake: make(chan struct{}, 1)},
-		applyQ:  make(chan applyItem, applyQueueDepth),
-		stopped: make(chan struct{}),
-		stopErr: ErrStopped,
-		done:    make(chan struct{}),
+		cfg:      cfg,
+		n:        cfg.Endpoint.N(),
+		met:      newNodeMetrics(cfg.Metrics, cfg.ID),
+		relay:    make(map[int64]relayWait),
+		relaySeq: time.Now().UnixNano(),
+		box:      mailbox{wake: make(chan struct{}, 1)},
+		applyQ:   make(chan applyItem, applyQueueDepth),
+		stopped:  make(chan struct{}),
+		stopErr:  ErrStopped,
+		done:     make(chan struct{}),
 	}
 	nd.el = newElection(&nd.cfg, nd.n, &nd.rep.log)
 	nd.rep = newReplication(&nd.cfg, nd.n, &nd.el)
@@ -301,24 +296,18 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("raft: restore: %w", err)
 		}
 		nd.el.term, nd.el.votedFor = st.Term, st.VotedFor
-		nd.rep.log.entries = append([]Entry(nil), st.Entries...)
-		if st.SnapIndex > 0 {
-			nd.rep.log.snapIndex, nd.rep.log.snapTerm, nd.rep.log.snapData = st.SnapIndex, st.SnapTerm, st.SnapData
-			nd.rep.commit = st.SnapIndex
-			if st.SnapData != nil {
-				snap, ok := cfg.StateMachine.(Snapshotter)
-				if !ok {
-					return nil, errors.New("raft: restore: persisted snapshot but state machine is not a Snapshotter")
-				}
-				if err := snap.RestoreSnapshot(st.SnapIndex, st.SnapData); err != nil {
-					return nil, fmt.Errorf("raft: restore snapshot: %w", err)
-				}
+		nd.rep.restore(st)
+		if st.SnapIndex > 0 && st.SnapData != nil {
+			snap, ok := cfg.StateMachine.(Snapshotter)
+			if !ok {
+				return nil, errors.New("raft: restore: persisted snapshot but state machine is not a Snapshotter")
+			}
+			if err := snap.RestoreSnapshot(st.SnapIndex, st.SnapData); err != nil {
+				return nil, fmt.Errorf("raft: restore snapshot: %w", err)
 			}
 		}
 	}
 	nd.applied = newAppliedNotifier(nd.rep.commit, nd.el.term) // the restored snapshot and term, if any
-	nd.bootSnapIndex = nd.rep.log.snapIndex
-	nd.rep.durable = nd.rep.log.lastIndex() // the restored log IS the disk
 	return nd, nil
 }
 
@@ -417,10 +406,7 @@ func (nd *Node) run(ctx context.Context) {
 		case <-heartbeat.C():
 			if nd.el.role == Leader {
 				nd.met.onHeartbeat()
-				if nd.cfg.LeaseDuration > 0 {
-					nd.startLeaseRound() // keep an idle leader's lease warm
-				}
-				nd.applyReplication(nd.rep.heartbeat())
+				nd.applyReplication(nd.rep.heartbeat(clock.Now()))
 			}
 			heartbeat.Reset(nd.cfg.HeartbeatInterval)
 		}
@@ -456,7 +442,7 @@ func (nd *Node) step(ctx context.Context) (more bool, err error) {
 		nd.fatal = in.err
 	}
 	if in.compact != nil {
-		nd.onCompactReady(*in.compact)
+		nd.applyReplication(nd.rep.compact(in.compact.index, in.compact.data))
 	}
 	if in.campaign != nil {
 		nd.campaign = *in.campaign
@@ -657,7 +643,7 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 	case AppendEntries:
 		nd.applyReplication(nd.rep.onAppend(m.From, p))
 	case InstallSnapshot:
-		nd.onInstallSnapshot(m.From, p)
+		nd.applyReplication(nd.rep.install(m.From, p))
 	case AppendEntriesReply:
 		nd.applyReplication(nd.rep.onAppendReply(m.From, p))
 	case ReadIndexRequest:
@@ -673,13 +659,6 @@ func (nd *Node) handleMessage(m msgnet.Message) {
 // their own messages' claims.
 func (nd *Node) send(to int, payload any) {
 	nd.outbox = append(nd.outbox, outMsg{to: to, payload: payload})
-}
-
-// sendAppendReply stages an AppendEntriesReply: it names this node's
-// term and, on success, says the disk holds the leader's log through
-// MatchIndex (0 on a rejection — no claim about the log).
-func (nd *Node) sendAppendReply(to int, r AppendEntriesReply) {
-	nd.outbox = append(nd.outbox, outMsg{to: to, payload: r, claim: claim{index: r.MatchIndex, state: true}})
 }
 
 // ---- role transitions (main loop only) ----
@@ -746,10 +725,6 @@ func (nd *Node) becomeLeader() {
 		cmds = append(cmds, nd.campaign)
 		nd.campaign = nil
 	}
-	nd.leaseUntil = time.Time{} // a new reign earns its lease from scratch
-	// Reads are gated on this index committing: until then the new leader
-	// cannot know the true commit frontier (§6.4 step 1, §5.4.2).
-	nd.termStart = nd.rep.log.lastIndex() + 1
 	nd.applyReplication(nd.rep.propose(cmds))
 }
 
@@ -791,9 +766,10 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 }
 
 // applyReplication carries out one replication step: the one site where
-// the log, the commit index and the leader's windows reach the disk, the
-// outbox, the apply worker, the reads and the telemetry.
-func (nd *Node) applyReplication(o repOut) {
+// the log, the commit index, the snapshot, the leader's windows and its
+// read rounds reach the disk, the outbox, the apply worker, the read
+// waiters and the telemetry.
+func (nd *Node) applyReplication(o *repOut) {
 	if o.persist {
 		nd.persistLog(o.mut)
 	}
@@ -838,10 +814,21 @@ func (nd *Node) applyReplication(o repOut) {
 			nd.met.onCommitOverlap(nd.rep.durable < c.through)
 		}
 		nd.enqueueApplyEntries(c.after, c.through)
-		nd.dispatchEarlyReads()
 	}
-	if o.reads {
-		nd.confirmReads()
+	if o.snap != nil {
+		nd.persistSnapshot(o.snap, o.restore)
+		if o.restore {
+			nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(o.snap.index), int64(nd.el.leader), "install")
+			nd.enqueueApply(applyItem{term: nd.el.term, restore: o.snap})
+		} else {
+			nd.met.onSnapshot()
+		}
+	}
+	if o.leased {
+		nd.met.onLeaseHold()
+	}
+	if o.confirmed > 0 {
+		nd.confirmReads(o.confirmed)
 	}
 }
 
@@ -855,37 +842,4 @@ func (nd *Node) traceAppend(payload any, m AppendEntries) any {
 		}
 	}
 	return payload
-}
-
-// onInstallSnapshot applies a leader's snapshot: state machine, log, and
-// commit bookkeeping jump to the snapshot point.
-func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
-	if m.Term < nd.el.term {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
-		return
-	}
-	if m.LastIncludedIndex <= nd.rep.commit {
-		// Stale snapshot; we are already past it. A follower's commit index
-		// can run ahead of its own disk, so the claim may still be fenced.
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: nd.rep.commit})
-		return
-	}
-	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
-		nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: false})
-		return
-	}
-	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(m.LastIncludedIndex), int64(from), "install")
-	// The state machine belongs to the apply worker: the restore rides
-	// the queue (ordered after any still-queued apply batches), the
-	// durable record rides the persist queue, and the ack below departs
-	// only once that record is on disk: until then nothing from the
-	// snapshot's index up counts as durable, whatever of the old log the
-	// restore kept or dropped.
-	nd.rep.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
-	nd.rep.log.snapData = m.Data
-	nd.clampDurable(m.LastIncludedIndex - 1)
-	nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
-	nd.rep.commit = m.LastIncludedIndex
-	nd.enqueueApply(applyItem{term: nd.el.term, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
-	nd.sendAppendReply(from, AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: m.LastIncludedIndex})
 }

@@ -173,7 +173,7 @@ func (nd *Node) flush() {
 		nd.tracedUnsynced = nd.tracedUnsynced[:0]
 		nd.outbox = nd.outbox[:0]
 		nd.replies = nd.replies[:0]
-		nd.curRound = nil
+		nd.rep.departed()
 		return
 	}
 	havePersist := nd.stateDirty || len(nd.pendingLog) > 0 || nd.pendingSnap != nil
@@ -209,9 +209,7 @@ func (nd *Node) flush() {
 	}
 	// Sampled ops that rode no persist batch have no fsync phase.
 	nd.tracedUnsynced = nd.tracedUnsynced[:0]
-	// A read round only coalesces joiners within the iteration whose
-	// flush carries its probe; later reads need a fresh round.
-	nd.curRound = nil
+	nd.rep.departed()
 	// A pass that released a caller lets that caller run before the loop
 	// takes more input: the callers resubmit, and the next mailbox.take
 	// finds them together — one confirmation round for the reads, one
@@ -226,7 +224,7 @@ func (nd *Node) flush() {
 // none: a pure fence barrier) to the persist worker and records what it
 // will have made durable. The target is the log tail: whatever a staged
 // truncation or snapshot install took away was clamped out of
-// the durable index when it was staged (persistLog, onInstallSnapshot).
+// the durable index when it was staged (persistLog, persistSnapshot).
 func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	req := persistReq{
 		setState:  nd.stateDirty,
@@ -422,19 +420,23 @@ func (nd *Node) onPersistDone(d persistDone) {
 	nd.applyReplication(o)
 }
 
-// stageSnapshot stages a snapshot record for the persist worker,
+// persistSnapshot stages a snapshot record for the persist worker,
 // remembering how many already-staged log mutations precede it. A
 // second snapshot in one iteration flushes the first as its own batch —
-// record order on disk must match the logical order of mutations.
-func (nd *Node) stageSnapshot(index, term int, data []byte) {
+// record order on disk must match the logical order of mutations. An
+// installed snapshot rewrites the log from its index up, which stops
+// counting as durable now, that earlier batch's target included.
+func (nd *Node) persistSnapshot(s *snapStage, installed bool) {
 	if nd.persistQ == nil {
-		nd.rep.durable = nd.rep.log.lastIndex() // no disk to wait for
-		return
+		return // no disk to wait for: the core counts the tail durable
 	}
 	if nd.pendingSnap != nil {
 		nd.stagePersistBatch(nil, nil)
 	}
-	nd.pendingSnap = &snapStage{index: index, term: term, data: data}
+	if installed {
+		nd.clampDurable(s.index - 1)
+	}
+	nd.pendingSnap = s
 	nd.snapAfterMuts = len(nd.pendingLog)
 }
 
@@ -476,7 +478,7 @@ func (nd *Node) enqueueApplyEntries(old, index int) {
 func (nd *Node) applyWorker() {
 	defer nd.workers.Done()
 	applied := nd.applied.current()
-	snapBase := nd.bootSnapIndex
+	snapBase := applied // a node boots applied through its snapshot
 	var waits []applyWait
 	dead := false // a fatal error was reported; drain without applying
 	for {
@@ -576,20 +578,6 @@ func (nd *Node) maybeCompactAsync(applied, snapBase int) int {
 	}
 	nd.box.ring()
 	return snapBase
-}
-
-// onCompactReady runs on the main loop: discard the log prefix the
-// snapshot covers and stage the durable record. The snapshot's index is
-// committed and applied, so the entries it covers can never be
-// truncated out from under it.
-func (nd *Node) onCompactReady(c compactReq) {
-	if c.index <= nd.rep.log.snapIndex {
-		return // a restart or InstallSnapshot already moved past it
-	}
-	nd.met.onSnapshot()
-	nd.rep.log.compactTo(c.index)
-	nd.rep.log.snapData = c.data
-	nd.stageSnapshot(nd.rep.log.snapIndex, nd.rep.log.snapTerm, c.data)
 }
 
 // applyFatal reports a fatal apply-side error to the main loop. The

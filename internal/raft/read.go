@@ -64,9 +64,9 @@ type readReq struct {
 	trace rtrace.ID // 0 unless this read is sampled
 }
 
-// readWaiter is one read attached to a confirmation round: either a
-// local caller (ch != nil) or a follower-forwarded request to answer
-// with a ReadIndexReply.
+// readWaiter is one read the leader answers: either a local caller
+// (ch != nil) or a follower-forwarded request to answer with a
+// ReadIndexReply.
 type readWaiter struct {
 	ch        chan proposeReply // local waiter; nil for a forwarded read
 	from      int               // forwarding follower (when ch == nil)
@@ -77,16 +77,10 @@ type readWaiter struct {
 	confirmed time.Time         // when the read index became valid (apply-phase start); sampled only
 }
 
-// readRound is one leadership-confirmation round: all reads that
-// coalesced into it share a single heartbeat exchange. The round is
-// confirmed once a quorum (including the leader) has echoed a read id
-// ≥ id, proving leadership held after start — at which point index is a
-// valid linearizable read index and start anchors a lease renewal.
-type readRound struct {
-	id      int
-	start   time.Time
-	index   int
-	waiters []readWaiter
+// roundWaiter is a read waiting on the core's confirmation round.
+type roundWaiter struct {
+	round readRound
+	w     readWaiter
 }
 
 // applyWait parks a resolved read until the local state machine has
@@ -156,7 +150,7 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 // answer immediately from any role, leader reads take the lease or
 // ReadIndex path, and follower reads are forwarded to the leader.
 func (nd *Node) handleReadBatch(reqs []readReq) {
-	var drained time.Time // one clock read however many reads are sampled
+	var now, drained time.Time // one clock read each however many reads
 	for _, r := range reqs {
 		if r.trace != 0 {
 			if drained.IsZero() {
@@ -171,11 +165,14 @@ func (nd *Node) handleReadBatch(reqs []readReq) {
 			continue
 		}
 		w := readWaiter{ch: r.reply, lease: r.mode == ReadLease, t0: r.t0, trace: r.trace}
-		if nd.el.role == Leader {
-			nd.leaderRead(w)
+		if nd.el.role != Leader {
+			nd.forwardRead(w)
 			continue
 		}
-		nd.forwardRead(w)
+		if now.IsZero() {
+			now = nd.cfg.Clock.Now()
+		}
+		nd.leaderRead(w, now)
 	}
 }
 
@@ -193,24 +190,18 @@ func (nd *Node) forwardRead(w readWaiter) {
 	nd.send(nd.el.leader, ReadIndexRequest{Term: nd.el.term, ID: nd.relaySeq, Lease: w.lease})
 }
 
-// leaderRead serves one read on the leader: until the term-opening no-op
-// commits the leader cannot know the true commit frontier (§6.4 step 1),
-// so reads park; with a valid lease a lease-mode read answers from the
-// current commit index immediately; everything else joins a
-// confirmation round.
-func (nd *Node) leaderRead(w readWaiter) {
-	if nd.rep.commit < nd.termStart {
-		nd.earlyReads = append(nd.earlyReads, w)
-		return
-	}
-	if w.lease && nd.leaseValid() {
+// leaderRead serves one read on the leader at now: the core answers it
+// from the lease or names the confirmation round it waits on.
+func (nd *Node) leaderRead(w readWaiter, now time.Time) {
+	round, o := nd.rep.read(now, w.lease)
+	if round.id == 0 {
 		if w.ch != nil {
 			nd.rstats.lease.Add(1)
 		}
 		// Lease path: no quorum round, so the network phase is zero and
 		// the read index is valid right now.
 		w.confirmed = nd.cfg.Tracer.Now(w.trace)
-		nd.resolveRead(w, nd.rep.commit, true)
+		nd.resolveRead(w, round.index, true)
 		return
 	}
 	if w.lease {
@@ -219,129 +210,42 @@ func (nd *Node) leaderRead(w readWaiter) {
 		// enough to matter — dump the run-up.
 		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.el.term), int64(nd.rep.commit), "")
 	}
-	nd.joinReadRound(w)
-}
-
-// leaseValid reports whether this leader currently holds a read lease.
-// The lease is anchored to the start of the last quorum-confirmed round
-// and discounted for clock skew in Config normalization, so it always
-// expires before any other node can possibly win an election — see the
-// safety argument in DESIGN.md §3.3.
-func (nd *Node) leaseValid() bool {
-	return nd.cfg.LeaseDuration > 0 && nd.el.role == Leader &&
-		nd.cfg.Clock.Now().Before(nd.leaseUntil)
-}
-
-// joinReadRound attaches a waiter to this iteration's confirmation
-// round, creating it (and staging its probe broadcast) if none exists
-// yet or the commit index has moved since it was created. All messages
-// staged this iteration leave in one flush, after every handler has
-// run, so a waiter that joins an existing round is still invoked-before
-// the probe physically departs — the confirmation ack therefore proves
-// leadership after the read's invocation, which is what linearizability
-// needs.
-func (nd *Node) joinReadRound(w readWaiter) {
-	if nd.curRound != nil && nd.curRound.index == nd.rep.commit {
-		nd.curRound.waiters = append(nd.curRound.waiters, w)
-		return
-	}
-	r := nd.openReadRound()
-	r.waiters = append(r.waiters, w)
-	nd.curRound = r
-	nd.applyReplication(nd.rep.probe())
-	nd.confirmReads() // single-node clusters are their own quorum
-}
-
-// maxFreeRounds bounds the retired rounds kept for reuse; more than a
-// few are pending only while confirmations are stalled.
-const maxFreeRounds = 8
-
-// openReadRound starts the next confirmation round at the current commit
-// index. Rounds outlive the iteration that opens them, so they (and
-// their waiter storage) are recycled when a round retires rather than
-// allocated per round.
-func (nd *Node) openReadRound() *readRound {
-	var r *readRound
-	if n := len(nd.roundFree); n > 0 {
-		r, nd.roundFree = nd.roundFree[n-1], nd.roundFree[:n-1]
-	} else {
-		r = new(readRound)
-	}
-	nd.rep.readSeq++
-	r.id, r.start, r.index = nd.rep.readSeq, nd.cfg.Clock.Now(), nd.rep.commit
-	nd.reads = append(nd.reads, r)
-	return r
-}
-
-// retireReadRound returns a confirmed or failed round to the free list,
-// dropping its waiters' channels.
-func (nd *Node) retireReadRound(r *readRound) {
-	if nd.curRound == r {
-		nd.curRound = nil
-	}
-	if len(nd.roundFree) < maxFreeRounds {
-		clear(r.waiters)
-		r.waiters = r.waiters[:0]
-		nd.roundFree = append(nd.roundFree, r)
+	nd.reads = append(nd.reads, roundWaiter{round: round, w: w})
+	if o != nil {
+		nd.applyReplication(o)
 	}
 }
 
-// startLeaseRound opens a waiterless confirmation round on the
-// heartbeat tick so an idle leader's lease stays warm. If a round is
-// already pending, its confirmation will renew the lease; opening more
-// would only let a partitioned leader accumulate rounds that can never
-// confirm.
-func (nd *Node) startLeaseRound() {
-	if len(nd.reads) > 0 {
-		return
-	}
-	nd.openReadRound()
-	nd.confirmReads() // single-node clusters confirm immediately
-}
-
-// confirmReads resolves pending rounds, oldest first (acks are
-// monotonic, so confirmation is prefix-closed): each confirmed round
-// renews the lease from its own start time and releases its waiters at
-// its recorded read index.
-func (nd *Node) confirmReads() {
-	if nd.el.role != Leader {
-		return
-	}
-	confirmed := nd.rep.readConfirmed()
-	for len(nd.reads) > 0 && nd.reads[0].id <= confirmed {
-		r := nd.reads[0]
-		if nd.cfg.LeaseDuration > 0 {
-			if until := r.start.Add(nd.cfg.LeaseDuration); until.After(nd.leaseUntil) {
-				nd.leaseUntil = until
-				nd.met.onLeaseHold()
+// confirmReads releases the waiters of every round through the
+// confirmed id, each at its round's read index.
+func (nd *Node) confirmReads(through int) {
+	var confirmedAt time.Time // shared: the rounds confirmed together
+	done, first := 0, 0
+	for done < len(nd.reads) && nd.reads[done].round.id <= through {
+		r, w := &nd.reads[done].round, &nd.reads[done].w
+		if w.trace != 0 {
+			if confirmedAt.IsZero() {
+				confirmedAt = time.Now()
 			}
+			// Network phase: probe broadcast to quorum echo.
+			nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseNetwork, nd.cfg.ID, r.start, confirmedAt)
+			w.confirmed = confirmedAt
 		}
-		if len(r.waiters) > 0 {
-			nd.met.onReadRound(len(r.waiters))
-			nd.cfg.Flight.Record(rtrace.EvReadRound, 0, int64(r.index), int64(len(r.waiters)), "")
+		if w.ch != nil {
+			nd.rstats.index.Add(1)
 		}
-		var confirmedAt time.Time // shared: the whole round confirmed together
-		for _, w := range r.waiters {
-			if w.trace != 0 {
-				if confirmedAt.IsZero() {
-					confirmedAt = time.Now()
-				}
-				// Network phase: probe broadcast to quorum echo.
-				nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseNetwork, nd.cfg.ID, r.start, confirmedAt)
-				w.confirmed = confirmedAt
-			}
-			if w.ch != nil {
-				nd.rstats.index.Add(1)
-			}
-			nd.resolveRead(w, r.index, false)
+		nd.resolveRead(*w, r.index, false)
+		if done++; done == len(nd.reads) || nd.reads[done].round.id != r.id {
+			nd.met.onReadRound(done - first)
+			nd.cfg.Flight.Record(rtrace.EvReadRound, 0, int64(r.index), int64(done-first), "")
+			first = done
 		}
-		// Shift rather than re-slice: the backing array is reused, so a
-		// steady stream of rounds appends without allocating.
-		n := copy(nd.reads, nd.reads[1:])
-		nd.reads[n] = nil
-		nd.reads = nd.reads[:n]
-		nd.retireReadRound(r)
 	}
+	// Shift rather than re-slice: the backing array is reused, so a
+	// steady stream of rounds appends without allocating.
+	n := copy(nd.reads, nd.reads[done:])
+	clear(nd.reads[n:])
+	nd.reads = nd.reads[:n]
 }
 
 // readModeLabel names the path that actually served a read, for the
@@ -377,55 +281,27 @@ func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 	nd.enqueueApply(applyItem{wait: &applyWait{w: w, index: index, lease: lease}})
 }
 
-// dispatchEarlyReads re-serves reads that arrived before the
-// term-opening no-op committed; called when the commit index advances.
-func (nd *Node) dispatchEarlyReads() {
-	if len(nd.earlyReads) == 0 || nd.el.role != Leader || nd.rep.commit < nd.termStart {
-		return
-	}
-	pending := nd.earlyReads
-	nd.earlyReads = nil
-	for _, w := range pending {
-		nd.leaderRead(w)
-	}
-}
-
-// failReads fails every read the node cannot serve any more: pending and
-// parked leader-side rounds (leadership is gone or unproven) and
-// follower-side relays (the answering leader may be gone). Reads already
-// past confirmation and merely waiting on apply stay parked — their
+// failReads fails every read the node cannot serve any more: those
+// waiting on a round (leadership is gone or unproven) and follower-side
+// relays (the answering leader may be gone). Reads already past
+// confirmation and merely waiting on apply stay parked — their
 // linearization point is already fixed, and a later leader's entries
 // will advance the apply index. Called on every term change and step
 // down (applyElection).
 func (nd *Node) failReads() {
 	rep := proposeReply{err: ErrNotLeader{LeaderID: none}}
-	for _, r := range nd.reads {
-		for _, w := range r.waiters {
-			if w.ch != nil {
-				nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: rep})
-			} else {
-				nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Success: false, LeaderID: nd.el.leader})
-			}
-		}
-		nd.retireReadRound(r)
-	}
-	clear(nd.reads)
-	nd.reads = nd.reads[:0]
-	nd.curRound = nil
-	for _, w := range nd.earlyReads {
-		if w.ch != nil {
+	for _, rw := range nd.reads {
+		if w := rw.w; w.ch != nil {
 			nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: rep})
 		} else {
 			nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Success: false, LeaderID: nd.el.leader})
 		}
 	}
-	nd.earlyReads = nil
-	// Not leaseValid(): by the time failReads runs the role has already
-	// changed, and the point is to count leases cut short by deposition.
-	if nd.cfg.LeaseDuration > 0 && nd.cfg.Clock.Now().Before(nd.leaseUntil) {
+	clear(nd.reads)
+	nd.reads = nd.reads[:0]
+	if nd.rep.endReign(nd.cfg.Clock.Now()) {
 		nd.met.onLeaseInvalidated()
 	}
-	nd.leaseUntil = time.Time{}
 	for id, rw := range nd.relay {
 		nd.replies = append(nd.replies, stagedReply{ch: rw.ch, reply: rep})
 		delete(nd.relay, id)
@@ -442,7 +318,7 @@ func (nd *Node) onReadIndexRequest(from int, m ReadIndexRequest) {
 		nd.send(from, ReadIndexReply{Term: nd.el.term, ID: m.ID, Success: false, LeaderID: nd.el.leader})
 		return
 	}
-	nd.leaderRead(readWaiter{from: from, id: m.ID, lease: m.Lease, t0: time.Now()})
+	nd.leaderRead(readWaiter{from: from, id: m.ID, lease: m.Lease, t0: time.Now()}, nd.cfg.Clock.Now())
 }
 
 func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"ooc/internal/checker"
+	"ooc/internal/msgnet"
+	"ooc/internal/netsim"
+	"ooc/internal/sim"
 )
 
 // withLease enables leader leases on every node of a test cluster.
@@ -340,4 +343,128 @@ func TestStaleReadMode(t *testing.T) {
 	}
 	_ = leader
 	c.checkElectionSafety()
+}
+
+// TestReadIndexFloorIsTermStart: a new leader's commit index lags the
+// entries its predecessor committed until its own no-op commits, so a
+// read it takes before then is answered at max(commit, termStart) — the
+// no-op's index, above every entry committed before the read — and only
+// once the state machine has applied that far. The read is not parked:
+// its probe leaves in the pass that took it.
+func TestReadIndexFloorIsTermStart(t *testing.T) {
+	st := NewMemStorage()
+	if err := st.SetState(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.TruncateAndAppend(0, entries(1, 1, 1)); err != nil { // committed by term 1's leader
+		t.Fatal(err)
+	}
+	nw := netsim.New(3, netsim.WithFIFO())
+	nd, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}, Storage: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win(nd)
+	nd.flush()
+	received(nw, 1)
+	received(nw, 2)
+	termStart := nd.rep.log.lastIndex() // the no-op
+	ch := make(chan proposeReply, 1)
+	nd.handleReadBatch([]readReq{{mode: ReadLinearizable, reply: ch}})
+	nd.flush()
+	id := 0
+	for _, m := range received(nw, 1) {
+		if ae, ok := m.(AppendEntries); ok {
+			id = ae.ReadID
+		}
+	}
+	if id == 0 || nd.rep.commit >= termStart {
+		t.Fatalf("commit %d, no-op at %d; the read's probe did not leave in its pass (read id %d)", nd.rep.commit, termStart, id)
+	}
+	// Peer 1 echoes the round holding the old entries only: the round
+	// confirms, and nothing of term 2 commits.
+	nd.handleMessage(msgnet.Message{From: 1, Payload: AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: 3, ReadID: id}})
+	nd.flush()
+	var wait *applyWait
+	for len(nd.applyQ) > 0 {
+		if it := <-nd.applyQ; it.wait != nil {
+			wait = it.wait
+		}
+	}
+	select {
+	case r := <-ch:
+		t.Fatalf("answered at %d with nothing applied, commit %d, no-op at %d", r.index, nd.rep.commit, termStart)
+	default:
+	}
+	if wait == nil || wait.index < termStart {
+		t.Fatalf("read parked on apply at %+v, want an index of at least %d", wait, termStart)
+	}
+	if nd.rep.commit != 0 {
+		t.Fatalf("commit %d in term %d off a term-1 majority", nd.rep.commit, nd.el.term)
+	}
+	if waits := releaseApplyWaits(nd, []applyWait{*wait}, termStart-1); len(waits) != 1 || len(ch) != 0 {
+		t.Fatalf("released with the state machine at %d, below the no-op at %d", termStart-1, termStart)
+	}
+	releaseApplyWaits(nd, []applyWait{*wait}, termStart)
+	if r := <-ch; r.err != nil || r.index != wait.index {
+		t.Fatalf("once applied through the no-op: %+v, want index %d", r, wait.index)
+	}
+}
+
+// TestRestartedFollowerIgnoresEarlierRelayReplies: a follower that
+// restarts numbers its forwarded reads past those of its earlier life,
+// so the leader's late answer to one of those cannot answer a read of
+// the new life with an index read before it began.
+func TestRestartedFollowerIgnoresEarlierRelayReplies(t *testing.T) {
+	st := NewMemStorage()
+	forward := func() (*Node, chan proposeReply, int64) {
+		nw := netsim.New(3, netsim.WithFIFO())
+		nd, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}, Storage: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.handleMessage(msgnet.Message{From: 1, Payload: AppendEntries{Term: 1, LeaderID: 1}})
+		ch := make(chan proposeReply, 1)
+		nd.handleReadBatch([]readReq{{mode: ReadLinearizable, reply: ch}})
+		nd.flush()
+		for _, m := range received(nw, 1) {
+			if req, ok := m.(ReadIndexRequest); ok {
+				return nd, ch, req.ID
+			}
+		}
+		t.Fatal("the read was not forwarded to the leader")
+		return nil, nil, 0
+	}
+	_, _, before := forward()
+	nd, ch, after := forward()
+	nd.handleMessage(msgnet.Message{From: 1, Payload: ReadIndexReply{Term: 1, ID: before, Success: true, LeaderID: 1}})
+	nd.flush()
+	if len(ch) != 0 || len(nd.applyQ) != 0 || before == after {
+		t.Fatalf("the reply to request %d of the earlier life answered request %d", before, after)
+	}
+}
+
+// TestOneNodeGroupAnswersAReadBatch: a one-node group is its own quorum,
+// so each read's round confirms as it opens and the next read of the
+// same pass opens another.
+func TestOneNodeGroupAnswersAReadBatch(t *testing.T) {
+	nd, err := NewNode(Config{ID: 0, Endpoint: netsim.New(1).Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{},
+		LeaseDuration: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win(nd)
+	nd.applied.advance(nd.rep.commit)
+	nd.applyReplication(nd.rep.heartbeat(nd.cfg.Clock.Now())) // a confirmed lease round in this pass
+	reqs := make([]readReq, 3)
+	for i := range reqs {
+		reqs[i] = readReq{mode: ReadLinearizable, reply: make(chan proposeReply, 1)}
+	}
+	nd.handleReadBatch(reqs)
+	nd.flush()
+	for i, r := range reqs {
+		if rep := <-r.reply; rep.err != nil || rep.index != nd.rep.commit {
+			t.Fatalf("read %d: %+v, want index %d", i, rep, nd.rep.commit)
+		}
+	}
 }

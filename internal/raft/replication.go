@@ -1,14 +1,19 @@
 package raft
 
-import "slices"
+import (
+	"slices"
+	"time"
+)
 
-// replication is the log, the commit index and the leader's per-peer
-// progress as one pure state machine: the back of the paper's agreement
-// detector (Alg. 10), where an entry landing in a log is adopt and the
-// commit index covering it is commit. Node drives it: each entry point
-// returns a repOut, which the node carries out in applyReplication. The
-// core reads term and role from the election core and owns no clock,
-// channel, goroutine or telemetry.
+// replication is the log, the commit index, the leader's per-peer
+// progress and its read rounds as one pure state machine: the back of the
+// paper's agreement detector (Alg. 10), where an entry landing in a log is
+// adopt, the commit index covering it is commit, and a linearizable read
+// asks for that commit. The node drives it: each entry point returns a
+// repOut, which the node carries out in applyReplication. The core reads
+// term and role from the election core and owns no clock, channel,
+// goroutine or telemetry; the time a read or a tick happens at is its
+// caller's.
 type replication struct {
 	id, n int
 	el    *election // read only: the term entries are stamped with, and the role
@@ -17,10 +22,32 @@ type replication struct {
 	// the node reports on its disk (the log tail when there is no disk).
 	commit, durable int
 	diskless        bool // no Storage: a write is durable as it is made
-	readSeq         int  // the latest read round; every AppendEntries carries it
+	restores        bool // the state machine is a Snapshotter: installs are taken
 	peers           []progress
 	buf             []outMsg // the messages of the call in progress
+	o               repOut   // its output, handed out by pointer
 	quorum          []int    // quorumIndex's scratch
+
+	// The leader's reads (§6.4). readSeq is the latest round id, which
+	// every AppendEntries carries; rounds are the unconfirmed ones, oldest
+	// first, and fresh says the newest one's probe has not left yet, so a
+	// read at its index may still join it. termStart is the index of this
+	// reign's opening no-op; leaseUntil the held lease's expiry, lease its
+	// length (Config.LeaseDuration, 0 for none).
+	readSeq    int
+	rounds     []readRound
+	fresh      bool
+	termStart  int
+	leaseUntil time.Time
+	lease      time.Duration
+}
+
+// readRound is one leadership-confirmation round: the reads that join it
+// answer at index once a quorum has echoed id, which proves this node led
+// after start — the lease's anchor.
+type readRound struct {
+	id, index int
+	start     time.Time
 }
 
 // progress is the leader's view of one peer, reset on winning. inflight
@@ -41,19 +68,35 @@ type progress struct {
 type span struct{ after, through int }
 
 // repOut is what one replication step asks of the node that drives it.
+// The core reuses it: it is valid until the next call.
 type repOut struct {
-	persist bool        // stage mut: the log changed above mut.PrevIndex
-	mut     LogMutation // Storage.TruncateAndAppend semantics
-	msgs    []outMsg    // to stage, claims set; valid until the next call
+	mut  LogMutation // with persist, to stage: Storage.TruncateAndAppend semantics
+	msgs []outMsg    // to stage, claims set
 	// adopted is the range the log took in (written or overwritten), and
 	// committed the range the commit index moved over.
 	adopted, committed span
-	reads              bool // a read ack rose: confirm the pending rounds
+	// snap is a snapshot record to stage, nil if none; with restore it was
+	// installed from the leader and the state machine must load it.
+	snap *snapStage
+	// confirmed is the newest read round a quorum confirmed (0: none),
+	// every older one with it, and leased says the lease moved out.
+	confirmed int
+	persist   bool // the log changed above mut.PrevIndex
+	restore   bool
+	leased    bool
 }
 
 func newReplication(cfg *Config, n int, el *election) replication {
-	return replication{id: cfg.ID, n: n, el: el, diskless: cfg.Storage == nil,
-		peers: make([]progress, n), quorum: make([]int, n)}
+	_, restores := cfg.StateMachine.(Snapshotter)
+	return replication{id: cfg.ID, n: n, el: el, diskless: cfg.Storage == nil, restores: restores,
+		lease: cfg.LeaseDuration, peers: make([]progress, n), quorum: make([]int, n)}
+}
+
+// restore loads the log a node boots with from its disk: all of it
+// durable, the snapshot committed.
+func (r *replication) restore(st PersistentState) {
+	r.log = raftLog{entries: st.Entries, snapIndex: st.SnapIndex, snapTerm: st.SnapTerm, snapData: st.SnapData}
+	r.commit, r.durable = st.SnapIndex, r.log.lastIndex()
 }
 
 // quorumIndex is the one quorum rule: the largest v that a majority of
@@ -65,12 +108,13 @@ func quorumIndex(vals []int) int {
 
 // out starts an entry point's output: no messages, empty ranges at the
 // log tail and the commit index; done ends it.
-func (r *replication) out() repOut {
+func (r *replication) out() *repOut {
 	r.buf = r.buf[:0]
-	return repOut{adopted: span{r.log.lastIndex(), r.log.lastIndex()}, committed: span{r.commit, r.commit}}
+	r.o = repOut{adopted: span{r.log.lastIndex(), r.log.lastIndex()}, committed: span{r.commit, r.commit}}
+	return &r.o
 }
 
-func (r *replication) done(o repOut) repOut {
+func (r *replication) done(o *repOut) *repOut {
 	o.msgs = r.buf
 	o.committed.through = r.commit
 	if r.diskless {
@@ -80,18 +124,30 @@ func (r *replication) done(o repOut) repOut {
 }
 
 // win resets every peer's progress for a new reign: next after the
-// leader's last entry, nothing matched, acknowledged or echoed.
+// leader's last entry, nothing matched, acknowledged or echoed. The reign
+// opens at the next index, where its no-op goes, with no lease and no
+// round.
 func (r *replication) win() {
 	for i := range r.peers {
 		p := &r.peers[i]
 		*p = progress{next: r.log.lastIndex() + 1, inflight: p.inflight[:0]}
 	}
+	r.termStart = r.log.lastIndex() + 1
+	r.endReign(time.Time{})
+}
+
+// endReign drops the reign's read rounds and lease, and reports whether
+// a lease still held at now was cut short.
+func (r *replication) endReign(now time.Time) (cut bool) {
+	cut = now.Before(r.leaseUntil)
+	r.rounds, r.fresh, r.leaseUntil = r.rounds[:0], false, time.Time{}
+	return cut
 }
 
 // propose is the one leader append, for proposal batches and the
 // term-opening no-op alike: the commands become one mutation in the
 // current term, and every peer's open window takes them.
-func (r *replication) propose(cmds []any) repOut {
+func (r *replication) propose(cmds []any) *repOut {
 	o := r.out()
 	for _, cmd := range cmds {
 		r.log.appendEntry(Entry{Term: r.el.term, Command: cmd})
@@ -112,7 +168,7 @@ func (r *replication) propose(cmds []any) repOut {
 
 // persisted reports a landed persist target: the disk holds the log
 // through index, which the leader counts as its own ack.
-func (r *replication) persisted(index int) repOut {
+func (r *replication) persisted(index int) *repOut {
 	o := r.out()
 	if index > r.durable {
 		r.durable = index
@@ -121,11 +177,17 @@ func (r *replication) persisted(index int) repOut {
 	return r.done(o)
 }
 
-// heartbeat is the leader's tick: per peer, rewind a stalled window, then
-// push what is pending, or a keep-alive that carries the commit index
-// when nothing is.
-func (r *replication) heartbeat() repOut {
+// heartbeat is the leader's tick at now: per peer, rewind a stalled
+// window, then push what is pending, or a keep-alive that carries the
+// commit index when nothing is. With leases on and no round pending it
+// opens one first, which the tick's messages probe for, so an idle
+// leader's lease stays warm; with a round pending its confirmation
+// renews the lease, and more would only pile up on a partitioned leader.
+func (r *replication) heartbeat(now time.Time) *repOut {
 	o := r.out()
+	if r.lease > 0 && len(r.rounds) == 0 {
+		r.open(now, max(r.commit, r.termStart))
+	}
 	for peer := range r.peers {
 		if peer == r.id {
 			continue
@@ -139,31 +201,76 @@ func (r *replication) heartbeat() repOut {
 			r.appendTo(peer, 0)
 		}
 	}
+	o.confirmed, o.leased = r.confirm()
 	return r.done(o)
 }
 
-// probe sends every peer an empty AppendEntries carrying the latest read
-// round. It leaves the windows' stall bookkeeping alone: rounds fire far
-// more often than the heartbeat, and clearing the acked flags that often
-// would make healthy windows look stalled.
-func (r *replication) probe() repOut {
+// read takes one linearizable read on the leader at now. Its index is
+// the one read-index rule, max(commit, termStart): an entry committed
+// before the read lies below termStart (leader completeness) or, committed
+// in this reign, at most at commit; the apply wait holds the answer until
+// the state machine reaches it. With lease set and the lease held the read
+// answers at once, in round 0. Otherwise the returned round answers it
+// once confirmed: the newest pending round when it is at the same index
+// and its probe has not left, since a probe that leaves after the read
+// began proves leadership after it; else a new round, with its probe. The
+// output is nil when the read opened no round.
+func (r *replication) read(now time.Time, lease bool) (readRound, *repOut) {
+	index := max(r.commit, r.termStart)
+	if lease && now.Before(r.leaseUntil) {
+		return readRound{index: index}, nil
+	}
+	if n := len(r.rounds); n > 0 && r.fresh && r.rounds[n-1].index == index {
+		return r.rounds[n-1], nil
+	}
 	o := r.out()
+	round := r.open(now, index)
+	// The probe leaves the windows' stall bookkeeping alone: rounds fire
+	// far more often than the heartbeat, and clearing the acked flags that
+	// often would make healthy windows look stalled.
 	for peer := range r.peers {
 		if peer != r.id {
 			r.appendTo(peer, 0)
 		}
 	}
-	return r.done(o)
+	o.confirmed, o.leased = r.confirm() // a one-node group is its own quorum
+	return round, r.done(o)
 }
 
-// readConfirmed is the highest read-round id a quorum has echoed, this
-// leader counting itself at the latest round.
-func (r *replication) readConfirmed() int {
+// departed reports that the pass's messages have left: the newest round's
+// probe is on the wire, so a later read needs a round of its own.
+func (r *replication) departed() { r.fresh = false }
+
+// open starts the next round at index.
+func (r *replication) open(now time.Time, index int) readRound {
+	r.readSeq++
+	round := readRound{id: r.readSeq, index: index, start: now}
+	r.rounds, r.fresh = append(r.rounds, round), true
+	return round
+}
+
+// confirm retires the rounds a quorum has echoed — the quorum index over
+// readAck, this leader counting itself at the latest round — oldest first
+// (echoes are monotonic, so confirmation is prefix-closed), extends the
+// lease from the newest one's start, and names the newest one.
+func (r *replication) confirm() (through int, leased bool) {
 	for i, p := range r.peers {
 		r.quorum[i] = p.readAck
 	}
 	r.quorum[r.id] = r.readSeq
-	return quorumIndex(r.quorum)
+	quorum, n := quorumIndex(r.quorum), 0
+	for n < len(r.rounds) && r.rounds[n].id <= quorum {
+		n++
+	}
+	if n == 0 {
+		return 0, false
+	}
+	newest := r.rounds[n-1]
+	if until := newest.start.Add(r.lease); r.lease > 0 && until.After(r.leaseUntil) {
+		r.leaseUntil, leased = until, true
+	}
+	r.rounds = r.rounds[:copy(r.rounds, r.rounds[n:])]
+	return newest.id, leased
 }
 
 // advance is the leader commit rule: the quorum index over match, this
@@ -241,7 +348,7 @@ func (r *replication) reply(to int, m AppendEntriesReply) {
 // recognized the sender as this term's leader unless its term is stale.
 // The log adopts the entries past the matched prefix, overwriting a
 // conflicting suffix, and the commit index follows the leader's.
-func (r *replication) onAppend(from int, m AppendEntries) repOut {
+func (r *replication) onAppend(from int, m AppendEntries) *repOut {
 	o := r.out()
 	term := r.el.term
 	if m.Term < term {
@@ -300,7 +407,7 @@ func (r *replication) onAppend(from int, m AppendEntries) repOut {
 // to the follower's hint, never to or below match — a rejection that
 // would is stale, overtaken by the success that raised match — and the
 // window refills from there.
-func (r *replication) onAppendReply(from int, m AppendEntriesReply) repOut {
+func (r *replication) onAppendReply(from int, m AppendEntriesReply) *repOut {
 	o := r.out()
 	if r.el.role != Leader || m.Term != r.el.term {
 		return r.done(o)
@@ -308,7 +415,8 @@ func (r *replication) onAppendReply(from int, m AppendEntriesReply) repOut {
 	p := &r.peers[from]
 	p.acked = true
 	if m.ReadID > p.readAck {
-		p.readAck, o.reads = m.ReadID, true
+		p.readAck = m.ReadID
+		o.confirmed, o.leased = r.confirm()
 	}
 	switch {
 	case m.Success:
@@ -327,5 +435,44 @@ func (r *replication) onAppendReply(from int, m AppendEntriesReply) repOut {
 		p.next = max(min(p.next-1, m.RejectHint+1), p.match+1)
 	}
 	r.push(from)
+	return r.done(o)
+}
+
+// install is the follower's side of InstallSnapshot, run like onAppend.
+// A snapshot the commit index already covers is acknowledged through the
+// commit index; a newer one replaces the log by the suffix rule
+// (snapshotAt), becomes the commit index, and is staged and restored. Its
+// acknowledgement claims the snapshot, so it waits for the record.
+func (r *replication) install(from int, m InstallSnapshot) *repOut {
+	o := r.out()
+	term := r.el.term
+	switch {
+	case m.Term < term:
+		r.reply(from, AppendEntriesReply{Term: term})
+	case m.LastIncludedIndex <= r.commit:
+		r.reply(from, AppendEntriesReply{Term: term, Success: true, MatchIndex: r.commit})
+	case !r.restores:
+		r.reply(from, AppendEntriesReply{Term: term})
+	default:
+		r.log.snapshotAt(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
+		r.commit = m.LastIncludedIndex
+		// The restore, not an apply batch, brings the state machine here.
+		o.committed.after = r.commit
+		o.snap, o.restore = &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}, true
+		r.reply(from, AppendEntriesReply{Term: term, Success: true, MatchIndex: m.LastIncludedIndex})
+	}
+	return r.done(o)
+}
+
+// compact discards the log through index, which data — the state
+// machine's snapshot there — covers; index is applied, hence committed
+// and never rewritten. A restart or an install already past it leaves
+// the log alone.
+func (r *replication) compact(index int, data []byte) *repOut {
+	o := r.out()
+	if t, ok := r.log.termAt(index); ok && index > r.log.snapIndex {
+		r.log.snapshotAt(index, t, data)
+		o.snap = &snapStage{index: index, term: t, data: data}
+	}
 	return r.done(o)
 }

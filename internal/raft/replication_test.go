@@ -3,6 +3,7 @@ package raft
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,7 +17,7 @@ import (
 func peerNext(nd *Node, peer int) int { return nd.rep.peers[peer].next }
 
 // tick runs the leader's heartbeat as the main loop's timer arm does.
-func tick(nd *Node) { nd.applyReplication(nd.rep.heartbeat()) }
+func tick(nd *Node) { nd.applyReplication(nd.rep.heartbeat(time.Time{})) }
 
 // unstarted builds node 0 of three over a FIFO netsim, restored from st.
 func unstarted(t *testing.T, st Storage) *Node {
@@ -165,7 +166,7 @@ func exchange(cs []*repCore, reach map[int]bool, from int, msgs []outMsg) {
 			continue
 		}
 		c := cs[m.to]
-		var o repOut
+		o := &repOut{}
 		switch p := m.payload.(type) {
 		case AppendEntries:
 			c.el.term, c.el.role = p.Term, Follower
@@ -201,7 +202,7 @@ func TestReplicationFigure8(t *testing.T) {
 	// (c) S1 leads term 4 and replicates index 2 to S3: S1, S2 and S3
 	// now hold it, a majority, and nothing of term 4 is anywhere.
 	s1.lead(4)
-	exchange(cs, map[int]bool{0: true, 1: true, 2: true}, 0, s1.rep.heartbeat().msgs)
+	exchange(cs, map[int]bool{0: true, 1: true, 2: true}, 0, s1.rep.heartbeat(time.Time{}).msgs)
 	if t2, _ := cs[2].rep.log.termAt(2); t2 != 2 || s1.rep.peers[1].match != 2 || s1.rep.peers[2].match != 2 {
 		t.Fatalf("setup: S3 holds term %d at 2, S1 has S2 at %d and S3 at %d; want term 2 and both at 2",
 			t2, s1.rep.peers[1].match, s1.rep.peers[2].match)
@@ -227,12 +228,15 @@ func TestReplicationFigure8(t *testing.T) {
 // The properties below run n processors as unstarted Nodes, stepped one
 // at a time on one goroutine under an adversarial schedule: random
 // delivery, drop and duplication, timer firings, campaigns, heartbeats,
-// proposals, persists landing FIFO, and crash-restarts from the last
-// persist that landed. A step calls the cores' entry points the way the
-// main loop does and ends in flush(), so the persist fence under test
-// (persistLog, clampDurable, the claims flush() checks) is the one that
-// ships; the persist worker's place is taken by the schedule, which
-// lands a node's oldest batch with doPersistRun and onPersistDone.
+// proposals, compactions, local and forwarded reads, a leader cut off
+// for a while (so that installs over conflicting logs happen), persists
+// landing FIFO, and crash-restarts from the last persist that landed. A
+// step calls the cores' entry points the way the main loop does and ends
+// in flush(), so the persist fence under test (persistLog,
+// persistSnapshot, clampDurable, the claims flush() checks) is the one
+// that ships; the workers' places are taken by the schedule, which lands
+// a node's oldest batch with doPersistRun and onPersistDone, and by
+// settle, which applies what a step committed to the node's KVStore.
 type repSim struct {
 	n       int
 	rng     *sim.RNG
@@ -243,20 +247,29 @@ type repSim struct {
 	seq     int
 	// committed is every entry any node handed its apply queue, with the
 	// lowest term it was handed over in — the term that committed it;
-	// leaderLog is each term's leader's log as it last stood.
+	// leaderLog is each term's leader's log as it last stood. maxCommit is
+	// the highest commit index any node has held, and floor maps a read's
+	// reply channel to maxCommit at the read's invocation.
 	committed map[int]Entry
 	commitAt  map[int]int
-	leaderLog map[int][]Entry
+	leaderLog map[int]raftLog
+	maxCommit int
+	floor     map[chan proposeReply]int
+	// cut is the node whose messages are lost until step heal, -1 if none.
+	cut, heal int
 	fail      string
 }
 
 type repNode struct {
 	nd      *Node
 	disk    *MemStorage
-	onDisk  PersistentState // what the disk held after the last landing
-	queue   []persistReq    // staged and not landed, FIFO
-	accepts []repAccept     // proposals waiting for their accept reply
-	led     int             // the last term this node was checked as leader in
+	kv      *KVStore
+	applied int
+	onDisk  PersistentState     // what the disk held after the last landing
+	queue   []persistReq        // staged and not landed, FIFO
+	accepts []repAccept         // proposals waiting for their accept reply
+	reads   []chan proposeReply // reads waiting for a staged reply
+	led     int                 // the last term this node was checked as leader in
 }
 
 type repAccept struct {
@@ -283,7 +296,7 @@ func (e repEndpoint) TryRecv() (msgnet.Message, bool, error)       { return msgn
 
 func newRepSim(n int, seed uint64) *repSim {
 	s := &repSim{n: n, rng: sim.NewRNG(seed), clock: sim.NewFakeClock(), committed: map[int]Entry{},
-		commitAt: map[int]int{}, leaderLog: map[int][]Entry{}}
+		commitAt: map[int]int{}, leaderLog: map[int]raftLog{}, floor: map[chan proposeReply]int{}, cut: -1}
 	s.preVote = s.rng.Bool()
 	for id := 0; id < n; id++ {
 		s.nodes = append(s.nodes, &repNode{disk: NewMemStorage()})
@@ -301,20 +314,32 @@ func (s *repSim) failf(format string, args ...any) {
 // boot (re)starts node id from its disk, as NewNode and run do.
 func (s *repSim) boot(id int) {
 	rn := s.nodes[id]
+	rn.kv = &KVStore{}
 	nd, err := NewNode(Config{ID: id, Endpoint: repEndpoint{s, id}, Clock: s.clock, RNG: sim.NewRNG(s.rng.Uint64()),
-		ElectionTimeout: 100 * time.Millisecond, PreVote: s.preVote, Storage: rn.disk})
+		ElectionTimeout: 100 * time.Millisecond, PreVote: s.preVote, StateMachine: rn.kv, Storage: rn.disk})
 	if err != nil {
 		panic(err)
 	}
 	nd.el.push(s.clock.Now())
-	rn.nd, rn.queue, rn.accepts = nd, nil, nil
+	rn.nd, rn.queue, rn.accepts, rn.reads, rn.applied = nd, nil, nil, nil, nd.applied.current()
 	rn.onDisk, _ = rn.disk.Load()
 }
 
-// diskHas reports whether node id's disk holds e at index.
+// diskHas reports whether node id's disk holds e at index, a snapshot
+// covering index counting as holding it: only committed entries are
+// compacted.
 func (s *repSim) diskHas(id, index int, e Entry) bool {
-	ents := s.nodes[id].onDisk.Entries
-	return index >= 1 && index <= len(ents) && ents[index-1] == e
+	d := s.nodes[id].onDisk
+	i := index - d.SnapIndex - 1
+	return index >= 1 && (i < 0 || i < len(d.Entries) && d.Entries[i] == e)
+}
+
+// answered checks a read's answer against the highest index committed
+// anywhere when the read began.
+func (s *repSim) answered(ch chan proposeReply, index int, how string) {
+	if floor := s.floor[ch]; index < floor {
+		s.failf("a read invoked with %d committed was answered at %d by %s", floor, index, how)
+	}
 }
 
 // send checks what a message claims against the sender's disk as it
@@ -336,11 +361,15 @@ func (s *repSim) send(m elMsg) {
 			s.failf("node %d replied in term %d with term %d on disk", m.from, p.Term, disk.Term)
 		}
 		lead := s.leaderLog[p.Term]
-		for i := 1; p.Success && i <= p.MatchIndex; i++ {
-			if i > len(lead) || !s.diskHas(m.from, i, lead[i-1]) {
+		for i := lead.snapIndex + 1; p.Success && i <= p.MatchIndex; i++ {
+			if e, ok := lead.entryAt(i); !ok || !s.diskHas(m.from, i, e) {
 				s.failf("node %d acknowledged term %d's log through %d, its disk differs at %d: %v", m.from, p.Term, p.MatchIndex, i, disk.Entries)
 				break
 			}
+		}
+	case ReadIndexReply:
+		if rw, ok := s.nodes[m.to].nd.relay[p.ID]; ok && p.Success {
+			s.answered(rw.ch, p.Index, "the leader's ReadIndexReply")
 		}
 	}
 	s.net = append(s.net, m)
@@ -357,12 +386,37 @@ func (s *repSim) settle(id int) {
 	for len(nd.persistQ) > 0 {
 		rn.queue = append(rn.queue, <-nd.persistQ)
 	}
-	for len(nd.applyQ) > 0 {
-		it := <-nd.applyQ
-		for i, e := range it.entries {
-			s.commit(it.first+i, e, it.term)
+	for len(nd.applyQ) > 0 { // the apply worker's part
+		switch it := <-nd.applyQ; {
+		case it.wait != nil:
+			s.answered(it.wait.w.ch, it.wait.index, "the apply wait")
+		case it.restore != nil:
+			if err := rn.kv.RestoreSnapshot(it.restore.index, it.restore.data); err != nil {
+				s.failf("node %d restoring %d: %v", id, it.restore.index, err)
+			}
+			rn.applied = it.restore.index
+		default:
+			for i, e := range it.entries {
+				s.commit(it.first+i, e, it.term)
+				rn.kv.Apply(it.first+i, e.Command)
+			}
+			rn.applied = max(rn.applied, it.first+len(it.entries)-1)
 		}
 	}
+	nd.applied.advance(rn.applied)
+	s.maxCommit = max(s.maxCommit, nd.rep.commit)
+	waiting := rn.reads[:0]
+	for _, ch := range rn.reads {
+		select {
+		case r := <-ch:
+			if r.err == nil {
+				s.answered(ch, r.index, "a staged reply")
+			}
+		default:
+			waiting = append(waiting, ch)
+		}
+	}
+	rn.reads = waiting
 	kept := rn.accepts[:0]
 	for _, a := range rn.accepts {
 		select {
@@ -376,16 +430,22 @@ func (s *repSim) settle(id int) {
 	}
 	rn.accepts = kept
 	log := &nd.rep.log
+	if len(rn.queue) == 0 { // the disk holds what memory does
+		if d := rn.onDisk; d.SnapIndex != log.snapIndex || d.SnapTerm != log.snapTerm || !slices.Equal(d.Entries, log.entries) {
+			s.failf("node %d with nothing in flight holds %v in memory and snapshot %d/%d and %d entries on disk",
+				id, log, d.SnapIndex, d.SnapTerm, len(d.Entries))
+		}
+	}
 	if term := nd.el.term; nd.el.role == Leader {
 		if rn.led != term { // leader completeness, checked as the reign starts
 			rn.led = term
 			for idx, e := range s.committed {
-				if got, _ := log.entryAt(idx); s.commitAt[idx] < term && got != e {
+				if got, ok := log.entryAt(idx); s.commitAt[idx] < term && idx > log.snapIndex && (!ok || got != e) {
 					s.failf("node %d leads term %d without %v, committed at %d in term %d", id, term, e, idx, s.commitAt[idx])
 				}
 			}
 		}
-		s.leaderLog[term] = append(s.leaderLog[term][:0], log.entries...)
+		s.leaderLog[term] = raftLog{entries: slices.Clone(log.entries), snapIndex: log.snapIndex, snapTerm: log.snapTerm}
 	}
 	for j, other := range s.nodes { // log matching
 		if j == id {
@@ -398,8 +458,8 @@ func (s *repSim) settle(id int) {
 				break
 			}
 		}
-		for i := 1; i <= k; i++ {
-			if a, _ := log.entryAt(i); a != ol.entries[i-1] {
+		for i := max(log.snapIndex, ol.snapIndex) + 1; i <= k; i++ {
+			if a, _ := log.entryAt(i); a != ol.entries[i-ol.snapIndex-1] {
 				s.failf("log matching: nodes %d and %d agree on the term at %d and differ at %d", id, j, k, i)
 				break
 			}
@@ -429,10 +489,13 @@ func (s *repSim) commit(index int, e Entry, term int) {
 
 func (s *repSim) run(steps int) {
 	for i := 0; i < steps && s.fail == ""; i++ {
+		if i == s.heal {
+			s.cut = -1
+		}
 		id := s.rng.Intn(s.n)
 		rn := s.nodes[id]
 		nd := rn.nd
-		switch k := s.rng.Intn(64); {
+		switch k := s.rng.Intn(72); {
 		case k < 40 && len(s.net) > 0: // deliver; 38: drop; 39: deliver and keep a copy
 			j := s.rng.Intn(len(s.net))
 			m := s.net[j]
@@ -440,7 +503,7 @@ func (s *repSim) run(steps int) {
 				s.net[j] = s.net[len(s.net)-1]
 				s.net = s.net[:len(s.net)-1]
 			}
-			if k != 38 {
+			if k != 38 && m.to != s.cut && m.from != s.cut {
 				s.nodes[m.to].nd.handleMessage(msgnet.Message{From: m.from, Payload: m.payload})
 				s.settle(m.to)
 			}
@@ -468,7 +531,7 @@ func (s *repSim) run(steps int) {
 			nd.applyElection(nd.el.campaign(s.clock.Now()))
 			s.settle(id)
 		case k >= 54 && k < 58 && nd.el.role == Leader:
-			nd.applyReplication(nd.rep.heartbeat())
+			nd.applyReplication(nd.rep.heartbeat(s.clock.Now()))
 			s.settle(id)
 		case k >= 58 && k < 63 && nd.el.role == Leader:
 			var reqs []proposeReq
@@ -482,21 +545,54 @@ func (s *repSim) run(steps int) {
 			s.settle(id)
 		case k == 63: // crash and restart from the disk
 			s.boot(id)
+		case k >= 64 && k < 66 && rn.applied > nd.rep.log.snapIndex:
+			// The apply worker's compaction offer, at any applied index: the
+			// proposals are ints, which a KVStore ignores, so its data is
+			// the same at each.
+			data, err := rn.kv.SnapshotData()
+			if err != nil {
+				panic(err)
+			}
+			snap := nd.rep.log.snapIndex
+			nd.applyReplication(nd.rep.compact(snap+1+s.rng.Intn(rn.applied-snap), data))
+			s.settle(id)
+		case k == 66 && s.cut < 0:
+			// A leader is cut off for a while: it goes on taking proposals
+			// the rest overwrite, and learns of them by InstallSnapshot.
+			for j, other := range s.nodes {
+				if other.nd.el.role == Leader {
+					id = j
+				}
+			}
+			s.cut, s.heal = id, i+200
+		case k >= 67: // linearizable reads, local on a leader and forwarded by a follower
+			var reqs []readReq
+			for c := s.rng.Intn(3); c >= 0; c-- {
+				ch := make(chan proposeReply, 1)
+				s.floor[ch] = s.maxCommit
+				rn.reads = append(rn.reads, ch)
+				reqs = append(reqs, readReq{mode: ReadLinearizable, reply: ch})
+			}
+			nd.handleReadBatch(reqs)
+			s.settle(id)
 		}
 	}
 }
 
 // TestReplicationProperties checks, for n = 3, 4 and 5: log matching;
 // leader completeness; state-machine safety, and that a committed entry
-// is on a majority of disks; and that no AppendEntriesReply and no
-// proposal acceptance leaves before the persist that covers its claim.
+// is on a majority of disks; that no AppendEntriesReply and no proposal
+// acceptance leaves before the persist that covers its claim; that a
+// node with no persist in flight holds on disk the snapshot marker and
+// the entries it holds in memory; and that every read is answered at an
+// index no lower than any node's commit index when it began.
 func TestReplicationProperties(t *testing.T) {
 	for n := 3; n <= 5; n++ {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			var fail string
 			check := func(seed uint64) bool {
 				s := newRepSim(n, seed)
-				s.run(400)
+				s.run(800)
 				if s.fail != "" {
 					fail = fmt.Sprintf("seed %d (pre-vote %v): %s", seed, s.preVote, s.fail)
 				}

@@ -9,13 +9,21 @@ import (
 	"time"
 
 	"ooc/internal/codec/bin"
+	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
 )
 
+// compactLog compacts l through index as the replication core does.
+func compactLog(l *raftLog, index int) {
+	r := replication{log: *l}
+	r.compact(index, nil)
+	*l = r.log
+}
+
 func TestLogCompactTo(t *testing.T) {
 	l := logOf(1, 1, 2, 2, 3)
-	l.compactTo(3)
+	compactLog(l, 3)
 	if l.snapIndex != 3 || l.snapTerm != 2 {
 		t.Fatalf("snap = %d/%d", l.snapIndex, l.snapTerm)
 	}
@@ -37,19 +45,19 @@ func TestLogCompactTo(t *testing.T) {
 		t.Fatalf("entryAt(5) = %v %v", e, ok)
 	}
 	// Compaction is monotonic and ignores stale/unknown indexes.
-	l.compactTo(2)
+	compactLog(l, 2)
 	if l.snapIndex != 3 {
-		t.Fatal("compactTo went backwards")
+		t.Fatal("compaction went backwards")
 	}
-	l.compactTo(99)
+	compactLog(l, 99)
 	if l.snapIndex != 3 {
-		t.Fatal("compactTo beyond log succeeded")
+		t.Fatal("compaction beyond the log succeeded")
 	}
 }
 
 func TestLogSliceAfterCompaction(t *testing.T) {
 	l := logOf(1, 2, 3, 4)
-	l.compactTo(2)
+	compactLog(l, 2)
 	if got := l.slice(1); len(got) != 2 || got[0].Term != 3 {
 		t.Fatalf("slice into compacted region = %v", got)
 	}
@@ -60,7 +68,7 @@ func TestLogSliceAfterCompaction(t *testing.T) {
 
 func TestLogAppendAfterWithCompactedPrefix(t *testing.T) {
 	l := logOf(1, 1, 2)
-	l.compactTo(2)
+	compactLog(l, 2)
 	// Re-delivery spanning the compacted region must skip what is gone
 	// and append the genuinely new suffix.
 	lastNew, _ := l.appendAfter(1, entries(1, 2, 2))
@@ -75,19 +83,19 @@ func TestLogAppendAfterWithCompactedPrefix(t *testing.T) {
 func TestLogRestoreSnapshot(t *testing.T) {
 	// Fresh log: snapshot replaces everything.
 	l := &raftLog{}
-	l.restoreSnapshot(5, 2)
+	l.snapshotAt(5, 2, nil)
 	if l.lastIndex() != 5 || l.lastTerm() != 2 || len(l.entries) != 0 {
 		t.Fatalf("log = %v", l)
 	}
 	// Log already containing the snapshot point keeps its live suffix.
 	l2 := logOf(1, 1, 2, 3)
-	l2.restoreSnapshot(3, 2)
+	l2.snapshotAt(3, 2, nil)
 	if l2.lastIndex() != 4 || l2.lastTerm() != 3 {
 		t.Fatalf("suffix lost: %v", l2)
 	}
 	// Conflicting log is discarded wholesale.
 	l3 := logOf(1, 1, 1, 1)
-	l3.restoreSnapshot(3, 2)
+	l3.snapshotAt(3, 2, nil)
 	if l3.lastIndex() != 3 || len(l3.entries) != 0 {
 		t.Fatalf("conflict not discarded: %v", l3)
 	}
@@ -427,5 +435,67 @@ func TestFileStorageSnapshotRecord(t *testing.T) {
 	// Tail: global indexes 4 (term 2) and 5 (term 3).
 	if len(st.Entries) != 2 || st.Entries[0].Term != 2 || st.Entries[1].Term != 3 {
 		t.Fatalf("tail: %+v", st.Entries)
+	}
+}
+
+// installOverConflict saves, over the log [1 1 1 1], a snapshot at 3 in
+// term 2 — what a follower installs from a leader whose log differs at 3
+// — and checks that Load returns the snapshot alone: the suffix after a
+// snapshot point the log holds in another term goes, as it does in memory.
+func installOverConflict(t *testing.T, s Storage) {
+	t.Helper()
+	if err := s.TruncateAndAppend(0, entries(1, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot(3, 2, []byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapIndex != 3 || st.SnapTerm != 2 || len(st.Entries) != 0 {
+		t.Fatalf("loaded snapshot %d/%d and tail %v, want 3/2 and nothing", st.SnapIndex, st.SnapTerm, st.Entries)
+	}
+}
+
+func TestMemStorageInstallOverConflictingLog(t *testing.T) {
+	installOverConflict(t, NewMemStorage())
+}
+
+func TestFileStorageInstallOverConflictingLog(t *testing.T) {
+	s, err := OpenFileStorage(filepath.Join(t.TempDir(), "raft.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	installOverConflict(t, s)
+}
+
+// A follower that installs a snapshot over a conflicting log comes back
+// from its disk with the log it held, so a restart cannot turn a vote the
+// election restriction (§5.4.1) refuses into one it grants.
+func TestInstallOverConflictingLogSurvivesRestart(t *testing.T) {
+	var kv KVStore
+	kv.Apply(3, KVCommand{Op: "set", Key: "k", Value: "v"})
+	data, err := kv.SnapshotData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewMemStorage()
+	if err := st.TruncateAndAppend(0, entries(1, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	nd := unstarted(t, st)
+	nd.handleMessage(msgnet.Message{From: 1, Payload: InstallSnapshot{Term: 2, LeaderID: 1,
+		LastIncludedIndex: 3, LastIncludedTerm: 2, Data: data}})
+	nd.flush()
+	nd.onPersistDone(nd.doPersistRun([]persistReq{<-nd.persistQ}))
+	back := unstarted(t, st)
+	if got, want := back.rep.log.String(), nd.rep.log.String(); got != want || len(back.rep.log.entries) != 0 {
+		t.Fatalf("restarted with %s and tail %v, held %s", got, back.rep.log.entries, want)
+	}
+	if back.rep.log.upToDate(4, 1) {
+		t.Fatal("after the restart a candidate with log 4/1 is up to date; before it, it was not")
 	}
 }

@@ -122,7 +122,7 @@ func (s *MemStorage) AppendBatch(muts []LogMutation) error {
 func (s *MemStorage) SaveSnapshot(index, term int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = dropThrough(s.entries, s.snapIndex, index)
+	s.entries = snapTail(s.entries, s.snapIndex, s.snapTerm, index, term)
 	s.snapIndex, s.snapTerm = index, term
 	s.snapData = append([]byte(nil), data...)
 	return nil
@@ -159,18 +159,6 @@ func spliceTail(tail []Entry, offset, prevIndex int, entries []Entry) ([]Entry, 
 		tail = append(tail, e)
 	}
 	return tail, nil
-}
-
-// dropThrough discards tail entries with global index <= through.
-func dropThrough(tail []Entry, offset, through int) []Entry {
-	keep := through - offset
-	if keep <= 0 {
-		return tail
-	}
-	if keep >= len(tail) {
-		return nil
-	}
-	return append([]Entry(nil), tail[keep:]...)
 }
 
 // Load implements Storage.
@@ -707,7 +695,7 @@ func (s *FileStorage) Load() (PersistentState, error) {
 				return st, fmt.Errorf("%w %d: %v", errCorrupt, recNo, serr)
 			}
 		case recordSnapshot:
-			st.Entries = dropThrough(st.Entries, st.SnapIndex, r.SnapIndex)
+			st.Entries = snapTail(st.Entries, st.SnapIndex, st.SnapTerm, r.SnapIndex, r.SnapTerm)
 			st.SnapIndex, st.SnapTerm = r.SnapIndex, r.SnapTerm
 			st.SnapData = r.SnapData
 		default:

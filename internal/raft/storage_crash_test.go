@@ -114,10 +114,20 @@ func (h *crashHistory) step() {
 		_ = h.mem.SetState(h.term, vote)
 		h.recorded()
 	case k < 3 && h.last > h.snap:
+		// A compaction names the term of the entry it covers and keeps the
+		// tail after it; an install may name another, and the tail goes.
 		index := h.snap + 1 + h.rng.Intn(h.last-h.snap)
+		st, _ := h.mem.Load()
+		term := st.Entries[index-st.SnapIndex-1].Term
+		if h.rng.Intn(2) == 0 {
+			term = h.term
+		}
 		data := []byte(letters(h.rng, h.rng.Intn(2000)))
-		err = h.s.SaveSnapshot(index, h.term, data)
-		_ = h.mem.SaveSnapshot(index, h.term, data)
+		err = h.s.SaveSnapshot(index, term, data)
+		_ = h.mem.SaveSnapshot(index, term, data)
+		if term != st.Entries[index-st.SnapIndex-1].Term {
+			h.last = index
+		}
 		h.snap = index
 		h.recorded()
 	default:
