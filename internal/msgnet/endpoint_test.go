@@ -42,6 +42,18 @@ func endpointCases(t *testing.T) []endpointCase {
 	sender := msgnet.NewMux(ctx, muxNW.Node(0)).Channel("c")
 	sub := msgnet.NewMux(ctx, muxNW.Node(1)).Channel("c")
 
+	muxTrs, err := transport.NewLocalCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, tr := range muxTrs {
+			_ = tr.Close()
+		}
+	})
+	trSender := msgnet.NewMux(ctx, muxTrs[0]).Channel("c")
+	trSub := msgnet.NewMux(ctx, muxTrs[1]).Channel("c")
+
 	return []endpointCase{
 		{"netsim", simNW.Node(1), func(p any) error { return simNW.Node(0).Send(1, p) },
 			func() { simNW.Crash(1) }, msgnet.ErrCrashed},
@@ -49,11 +61,13 @@ func endpointCases(t *testing.T) []endpointCase {
 			func() { _ = trs[1].Close() }, msgnet.ErrClosed},
 		{"mux", sub, func(p any) error { return sender.Send(1, p) },
 			func() { muxNW.Crash(1) }, msgnet.ErrCrashed},
+		{"mux over transport", trSub, func(p any) error { return trSender.Send(1, p) },
+			func() { _ = muxTrs[1].Close() }, msgnet.ErrClosed},
 	}
 }
 
 // awaitToken waits for one Ready token; delivery is asynchronous on the
-// transport and behind the dispatcher on the mux.
+// transport.
 func awaitToken(t *testing.T, ep msgnet.Endpoint) {
 	t.Helper()
 	select {
@@ -63,7 +77,7 @@ func awaitToken(t *testing.T, ep msgnet.Endpoint) {
 	}
 }
 
-// TestEndpointReadyTryRecvContract: on all three implementations the
+// TestEndpointReadyTryRecvContract: on every implementation the
 // blocking Recv, Ready and TryRecv describe the same queue — nothing
 // pending is (false, nil), a delivery yields a token and then the
 // messages in order, tokens collapse, a cancelled Recv takes nothing,

@@ -11,7 +11,7 @@ import (
 )
 
 // Message is one point-to-point message. Payload is protocol-defined; on
-// the wire transport it must be a registered, gob-encodable type.
+// the wire transport it must be one of the binary codec's types.
 type Message struct {
 	From    int
 	To      int
@@ -53,6 +53,10 @@ type Endpoint interface {
 	// error means the endpoint is crashed or closed, and is what every
 	// later call returns too.
 	TryRecv() (Message, bool, error)
+	// Inbox is the receive side Ready and TryRecv read the own lane of,
+	// and the one a Mux routes its channels out of. A mux sub-endpoint
+	// has none (nil): muxes do not nest.
+	Inbox() *Inbox
 }
 
 // Recv is the blocking receive every Endpoint implements Recv with: one
@@ -77,7 +81,7 @@ func Recv(ctx context.Context, e Endpoint) (Message, error) {
 	}
 }
 
-// Queue is the unbounded FIFO behind an endpoint's inbox (and raft's
+// Queue is the unbounded FIFO behind an inbox's lanes (and raft's
 // event streams). It is consumed from a head index: a pop zeroes the
 // vacated slot, so a taken payload is not kept reachable, and a pop that
 // drains the queue rewinds it onto the same backing array, so steady
@@ -89,6 +93,9 @@ type Queue[T any] struct {
 
 // Push appends v.
 func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
+
+// Len reports how many elements are queued.
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Pop removes and returns the oldest element.
 func (q *Queue[T]) Pop() (v T, ok bool) {

@@ -3,17 +3,16 @@ package msgnet
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ooc/internal/metrics"
 )
 
 // Mux multiplexes several independent protocol instances over one
-// Endpoint: each instance gets its own channel-tagged sub-endpoint, and a
-// dispatcher goroutine routes inbound messages by tag. This is how, for
-// example, several consensus instances share one TCP transport, or a
-// composite object runs two message-passing sub-objects over one
-// simulated node.
+// Endpoint: each instance gets its own channel-tagged sub-endpoint, and
+// the parent's Inbox routes inbound messages by tag in the goroutine that
+// delivers them. This is how, for example, several consensus instances
+// share one TCP transport, or a composite object runs two
+// message-passing sub-objects over one simulated node.
 //
 // Channels are matched by name across processors. Traffic arriving for a
 // channel that has not been created yet is buffered and handed over on
@@ -24,15 +23,9 @@ import (
 // shard group that failed to boot — cannot grow an unbounded queue.
 type Mux struct {
 	parent  Endpoint
+	in      *Inbox
 	dropped *metrics.Counter
 	onDrop  func(channel string, from int)
-
-	mu      sync.Mutex
-	subs    map[string]*subEndpoint
-	backlog map[string][]Message
-	closed  bool
-	err     error
-	once    sync.Once
 }
 
 // MuxOption configures a Mux.
@@ -55,11 +48,11 @@ func WithMuxMetrics(reg *metrics.Registry) MuxOption {
 	}
 }
 
-// WithMuxDropHook installs a callback fired (off the mux lock, on the
-// dispatcher goroutine) each time the backlog cap drops a message, with
+// WithMuxDropHook installs a callback fired (off the inbox lock, on the
+// delivering goroutine) each time the backlog cap drops a message, with
 // the channel it was tagged for and the sender. The counter says drops
 // happened; the hook says which channel and who — it is how the flight
-// recorder makes drops attributable post-hoc (ISSUE 8).
+// recorder makes drops attributable after the fact.
 func WithMuxDropHook(fn func(channel string, from int)) MuxOption {
 	return func(m *Mux) { m.onDrop = fn }
 }
@@ -77,125 +70,35 @@ type Tagged struct {
 // channel without knowing the wrapper type.
 func ChannelOf(payload any) (string, bool) {
 	t, ok := payload.(Tagged)
-	if !ok {
-		return "", false
-	}
-	return t.Channel, true
+	return t.Channel, ok
 }
 
-// NewMux wraps parent and starts the dispatcher, which runs until ctx is
-// cancelled or the parent endpoint dies — give the Mux the same lifetime
-// as the node it serves. Once the dispatcher stops, every sub-endpoint's
-// Recv fails with the terminating error.
+// NewMux attaches a mux to parent's inbox; it starts no goroutine. When
+// ctx is done, or the parent endpoint dies, every sub-endpoint's Recv
+// fails with the terminating error — give the Mux the same lifetime as
+// the node it serves. An endpoint takes one mux in its lifetime.
 func NewMux(ctx context.Context, parent Endpoint, opts ...MuxOption) *Mux {
-	m := &Mux{
-		parent:  parent,
-		subs:    make(map[string]*subEndpoint),
-		backlog: make(map[string][]Message),
-	}
+	m := &Mux{parent: parent, in: parent.Inbox()}
 	for _, opt := range opts {
 		opt(m)
 	}
-	go m.dispatch(ctx)
+	m.in.attach(m)
+	context.AfterFunc(ctx, func() { m.in.detach(ctx.Err()) })
 	return m
 }
 
 // Channel returns the sub-endpoint for the named channel, creating it on
 // first use. Calling Channel twice with one name returns the same
 // endpoint.
-func (m *Mux) Channel(name string) Endpoint {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.subs[name]; ok {
-		return s
-	}
-	s := &subEndpoint{
-		mux:     m,
-		channel: name,
-		notify:  make(chan struct{}, 1),
-	}
-	for _, msg := range m.backlog[name] {
-		s.pending.Push(msg)
-	}
-	delete(m.backlog, name)
-	m.subs[name] = s
-	return s
-}
-
-func (m *Mux) dispatch(ctx context.Context) {
-	for {
-		msg, err := m.parent.Recv(ctx)
-		if err != nil {
-			m.fail(err)
-			return
-		}
-		tag, ok := msg.Payload.(Tagged)
-		if !ok {
-			continue // foreign traffic on the parent endpoint
-		}
-		routed := Message{From: msg.From, To: msg.To, Payload: tag.Payload}
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			continue
-		}
-		s, ok := m.subs[tag.Channel]
-		dropped := false
-		if ok {
-			s.pending.Push(routed)
-		} else if len(m.backlog[tag.Channel]) < DefaultBacklogLimit {
-			m.backlog[tag.Channel] = append(m.backlog[tag.Channel], routed)
-		} else {
-			// Over the cap: drop the newest. The protocols above the mux
-			// already tolerate message loss (Raft retransmits, the OOC
-			// protocols re-broadcast per round), so dropping beats letting
-			// a dead channel's queue grow without bound.
-			m.dropped.Inc(m.parent.ID())
-			dropped = true
-		}
-		m.mu.Unlock()
-		if ok {
-			s.wake()
-		}
-		if dropped && m.onDrop != nil {
-			m.onDrop(tag.Channel, msg.From)
-		}
-	}
-}
-
-// fail marks every sub-endpoint dead with err.
-func (m *Mux) fail(err error) {
-	m.once.Do(func() {
-		m.mu.Lock()
-		m.closed = true
-		m.err = err
-		subs := make([]*subEndpoint, 0, len(m.subs))
-		for _, s := range m.subs {
-			subs = append(subs, s)
-		}
-		m.mu.Unlock()
-		for _, s := range subs {
-			s.wake()
-		}
-	})
-}
+func (m *Mux) Channel(name string) Endpoint { return m.in.channel(name) }
 
 type subEndpoint struct {
 	mux     *Mux
 	channel string
-
-	pending Queue[Message] // guarded by mux.mu
-	notify  chan struct{}
+	lane    // guarded by mux.in.mu
 }
 
 var _ Endpoint = (*subEndpoint)(nil)
-
-func (s *subEndpoint) wake() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
 
 // ID implements Endpoint.
 func (s *subEndpoint) ID() int { return s.mux.parent.ID() }
@@ -225,20 +128,18 @@ func (s *subEndpoint) Recv(ctx context.Context) (Message, error) { return Recv(c
 // Ready implements Endpoint.
 func (s *subEndpoint) Ready() <-chan struct{} { return s.notify }
 
-// TryRecv implements Endpoint. Messages routed before the dispatcher
-// stopped are still handed out; after them comes the terminating error.
+// Inbox implements Endpoint: a sub-endpoint has none.
+func (s *subEndpoint) Inbox() *Inbox { return nil }
+
+// TryRecv implements Endpoint. It hands out the payload inside the
+// Tagged wrapper the lane keeps.
 func (s *subEndpoint) TryRecv() (Message, bool, error) {
-	s.mux.mu.Lock()
-	defer s.mux.mu.Unlock()
-	if msg, ok := s.pending.Pop(); ok {
-		return msg, true, nil
+	m, ok, err := s.mux.in.take(&s.lane)
+	if err != nil {
+		return Message{}, false, fmt.Errorf("mux channel %q: %w", s.channel, err)
 	}
-	if !s.mux.closed {
-		return Message{}, false, nil
+	if ok {
+		m.Payload = m.Payload.(Tagged).Payload
 	}
-	err := s.mux.err
-	if err == nil {
-		err = ErrClosed
-	}
-	return Message{}, false, fmt.Errorf("mux channel %q: %w", s.channel, err)
+	return m, ok, nil
 }

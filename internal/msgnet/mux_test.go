@@ -3,6 +3,8 @@ package msgnet_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +14,10 @@ import (
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
+	"ooc/internal/raft"
 	"ooc/internal/sim"
 	"ooc/internal/trace"
+	"ooc/internal/transport"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -195,8 +199,8 @@ func TestMuxBacklogBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the receiver's dispatcher has routed everything: the
-	// cap buffered, the rest dropped.
+	// Wait until the receiver has routed everything: the cap buffered,
+	// the rest dropped.
 	dropped := reg.Counter("mux_backlog_dropped_total")
 	deadline := time.Now().Add(5 * time.Second)
 	for dropped.Value() < over {
@@ -232,30 +236,134 @@ func TestMuxBacklogBounded(t *testing.T) {
 	}
 }
 
+// TestMuxChannelOf: the network records mux traffic with its wrapper on
+// both ends — the send and the delivery to the channel's consumer — so
+// inspectors group it by channel through ChannelOf.
 func TestMuxChannelOf(t *testing.T) {
 	nw := netsim.New(2, netsim.WithFIFO())
 	ctx := ctxT(t)
 	rec := trace.NewRecorder()
 	nwT := netsim.New(2, netsim.WithFIFO(), netsim.WithRecorder(rec))
 	m := msgnet.NewMux(ctx, nwT.Node(0))
+	sub := msgnet.NewMux(ctx, nwT.Node(1)).Channel("shard/3")
 	if err := m.Channel("shard/3").Send(1, "x"); err != nil {
 		t.Fatal(err)
 	}
+	if msg, err := sub.Recv(ctx); err != nil || msg.Payload != "x" {
+		t.Fatalf("recv: %v %v", msg, err)
+	}
 	tr := rec.Snapshot()
-	found := false
+	found := map[trace.Kind]bool{}
 	for _, ev := range tr.Events {
 		if ch, ok := msgnet.ChannelOf(ev.Value); ok {
 			if ch != "shard/3" {
 				t.Fatalf("channel = %q", ch)
 			}
-			found = true
+			found[ev.Kind] = true
 		}
 	}
-	if !found {
-		t.Fatal("no recorded event carried the mux channel tag")
+	if !found[trace.KindSend] || !found[trace.KindDeliver] {
+		t.Fatalf("tagged events by kind: %v; want a send and a deliver", found)
 	}
 	if _, ok := msgnet.ChannelOf("bare"); ok {
 		t.Fatal("untagged payload reported a channel")
 	}
 	_ = nw
+}
+
+// TestMuxLaneOrderIsPerLaneSeeded: on netsim each channel's lane pops
+// in its own seeded adversarial order, a function of the seed and the
+// lane's arrivals only, so draining the sibling lane first or last does
+// not change it.
+func TestMuxLaneOrderIsPerLaneSeeded(t *testing.T) {
+	const k = 30
+	order := func(aFirst bool) []any {
+		nw := netsim.New(2, netsim.WithSeed(9))
+		ctx := ctxT(t)
+		m0, m1 := msgnet.NewMux(ctx, nw.Node(0)), msgnet.NewMux(ctx, nw.Node(1))
+		for i := 0; i < k; i++ {
+			if err := m0.Channel("a").Send(1, i); err != nil {
+				t.Fatal(err)
+			}
+			if err := m0.Channel("b").Send(1, 100+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain := func(name string) []any {
+			var got []any
+			for {
+				m, ok, err := m1.Channel(name).TryRecv()
+				if err != nil || !ok {
+					return got
+				}
+				got = append(got, m.Payload)
+			}
+		}
+		if aFirst {
+			a := drain("a")
+			drain("b")
+			return a
+		}
+		drain("b")
+		return drain("a")
+	}
+	first, last := order(true), order(false)
+	if len(first) != k || !slices.Equal(first, last) {
+		t.Fatalf("lane a's order depends on lane b's draining:\n%v\n%v", first, last)
+	}
+	fifo := true
+	for i, v := range first {
+		fifo = fifo && v == i
+	}
+	if fifo {
+		t.Fatal("lane a delivered in arrival order; the adversary never reordered it")
+	}
+}
+
+// TestMuxRoutesWithoutAHop: a mux over netsim or the transport starts no
+// goroutine, and a delivery wakes only the lane it is for — neither a
+// sibling channel nor the parent's own Ready sees a token.
+func TestMuxRoutesWithoutAHop(t *testing.T) {
+	trs, err := transport.NewLocalCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			_ = tr.Close()
+		}
+	})
+	nw := netsim.New(2, netsim.WithFIFO())
+	for _, tc := range []struct {
+		name string
+		a, b msgnet.Endpoint
+	}{
+		{"netsim", nw.Node(0), nw.Node(1)},
+		{"transport", trs[0], trs[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := ctxT(t)
+			before := runtime.NumGoroutine()
+			a := msgnet.NewMux(ctx, tc.a).Channel("a")
+			mb := msgnet.NewMux(ctx, tc.b)
+			a1, b1 := mb.Channel("a"), mb.Channel("b")
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("NewMux and Channel started %d goroutines", after-before)
+			}
+			if err := a.Send(1, raft.RequestVote{Term: 1}); err != nil {
+				t.Fatal(err)
+			}
+			awaitToken(t, a1)
+			if m, ok, err := a1.TryRecv(); !ok || err != nil || m.Payload != (raft.RequestVote{Term: 1}) {
+				t.Fatalf("channel a: %v %v %v", m, ok, err)
+			}
+			select {
+			case <-b1.Ready():
+				t.Fatal("a delivery to channel a woke channel b")
+			case <-tc.b.Ready():
+				t.Fatal("a delivery to channel a woke the parent's own Ready")
+			default:
+			}
+		})
+	}
 }

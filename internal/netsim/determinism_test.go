@@ -24,12 +24,7 @@ func fingerprint(tr trace.Trace) []string {
 }
 
 // queued reports how many messages are pending for id (test-only peek).
-func queued(nw *Network, id int) int {
-	b := &nw.boxes[id]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue) - b.head
-}
+func queued(nw *Network, id int) int { return nw.boxes[id].Len() }
 
 // drain pops every pending message for id through the endpoint path.
 func drain(t *testing.T, nw *Network, id int) []any {

@@ -13,18 +13,19 @@
 // # Sharding and determinism
 //
 // The hot path is sharded so concurrent processors do not serialize on a
-// single network lock. Each receiver owns a mailbox shard (its own mutex,
-// queue, and notify channel), and randomness is split off the root seed
-// into private per-processor streams via sim.RNG.Split: stream
+// single network lock. Each receiver owns an inbox (msgnet.Inbox: its own
+// mutex, and one queue and notify channel per lane), and randomness is
+// split off the root seed into private streams via sim.RNG.Split: stream
 // ("send", i) drives processor i's broadcast permutations and drop/dup
-// coin flips, and stream ("recv", i) drives the adversarial pop order of
-// i's mailbox. Because every draw a processor observes comes from its own
-// streams, the delivery schedule seen by a fixed sequence of operations
-// is a pure function of the root seed — replayable bit for bit — while
-// operations of different processors proceed in parallel without
-// contending. Cross-cutting control state (partitions, crash flags,
-// close) sits behind a read-mostly sync.RWMutex that sends and receives
-// take only for reading; send quotas decrement via atomics.
+// coin flips, stream ("recv", i) the adversarial pop order of i's own
+// lane, and each of i's mux channels has a stream of its own. Because
+// every draw a lane observes comes from its own stream, the delivery
+// schedule seen by a fixed sequence of operations is a pure function of
+// the root seed — replayable bit for bit — while operations of different
+// processors proceed in parallel without contending. Cross-cutting
+// control state (partitions, crash flags, close) sits behind a
+// read-mostly sync.RWMutex that sends take only for reading; send quotas
+// decrement via atomics.
 package netsim
 
 import (
@@ -127,62 +128,6 @@ func WithFIFO() Option {
 	return func(n *Network) { n.fifo = true }
 }
 
-// mailbox is one receiver's shard: a queue guarded by its own lock plus a
-// one-slot notify channel. The queue is consumed from head forward so a
-// FIFO pop is O(1), and the adversarial pop swaps the chosen element to
-// the head first — also O(1), since the reordering adversary has already
-// randomized which index leaves, so no residual order needs preserving.
-type mailbox struct {
-	mu     sync.Mutex
-	head   int
-	queue  []msgnet.Message
-	notify chan struct{}
-}
-
-// put appends a message to the shard.
-func (b *mailbox) put(m msgnet.Message) {
-	b.mu.Lock()
-	b.queue = append(b.queue, m)
-	b.mu.Unlock()
-}
-
-// pop removes and returns one pending message; idx picks among the live
-// region using rng when the adversary may reorder (rng nil means FIFO).
-func (b *mailbox) pop(rng *sim.RNG) (msgnet.Message, bool) {
-	b.mu.Lock()
-	live := len(b.queue) - b.head
-	if live == 0 {
-		b.mu.Unlock()
-		return msgnet.Message{}, false
-	}
-	idx := b.head
-	if rng != nil && live > 1 {
-		idx = b.head + rng.Intn(live)
-	}
-	m := b.queue[idx]
-	// Swap-remove against the head, then advance it; zero the vacated
-	// slot so retained payloads do not pin memory.
-	b.queue[idx] = b.queue[b.head]
-	b.queue[b.head] = msgnet.Message{}
-	b.head++
-	if b.head == len(b.queue) {
-		// Drained: rewind onto the same backing array so steady-state
-		// traffic stops growing the queue.
-		b.head = 0
-		b.queue = b.queue[:0]
-	}
-	b.mu.Unlock()
-	return m, true
-}
-
-// clear empties the shard (crash-recovery: in-flight traffic is lost).
-func (b *mailbox) clear() {
-	b.mu.Lock()
-	b.head = 0
-	b.queue = b.queue[:0]
-	b.mu.Unlock()
-}
-
 // Network is the simulated network fabric. Create one with New, then hand
 // each processor its Endpoint via Node.
 type Network struct {
@@ -198,9 +143,8 @@ type Network struct {
 
 	// Per-processor shards and streams; the slices are immutable after
 	// New, so the hot path indexes them without any lock.
-	boxes     []mailbox
+	boxes     []*msgnet.Inbox
 	sendRNG   []*sim.RNG // streams Split("send", i): broadcast order, drop/dup coins
-	recvRNG   []*sim.RNG // streams Split("recv", i): mailbox pop order
 	sendQuota []atomic.Int64
 
 	// Control plane: read-mostly cross-cutting state. Sends and receives
@@ -222,7 +166,7 @@ func New(n int, opts ...Option) *Network {
 		rng:       sim.NewRNG(1),
 		crashed:   make([]bool, n),
 		sendQuota: make([]atomic.Int64, n),
-		boxes:     make([]mailbox, n),
+		boxes:     make([]*msgnet.Inbox, n),
 		blocked:   make([][]bool, n),
 	}
 	for _, opt := range opts {
@@ -230,15 +174,28 @@ func New(n int, opts ...Option) *Network {
 	}
 	nw.met = newNetMetrics(nw.metReg, n)
 	nw.sendRNG = make([]*sim.RNG, n)
-	nw.recvRNG = make([]*sim.RNG, n)
 	for i := 0; i < n; i++ {
-		nw.boxes[i].notify = make(chan struct{}, 1)
+		var recv *sim.RNG // stream Split("recv", i): pop order
+		if !nw.fifo {
+			recv = nw.rng.Split("recv", uint64(i))
+		}
+		nw.boxes[i] = msgnet.NewInbox(recv, nw.took)
 		nw.sendQuota[i].Store(-1)
 		nw.blocked[i] = make([]bool, n)
 		nw.sendRNG[i] = nw.rng.Split("send", uint64(i))
-		nw.recvRNG[i] = nw.rng.Split("recv", uint64(i))
 	}
 	return nw
+}
+
+// took accounts a message its receiver's consumer took, on any lane.
+func (nw *Network) took(m msgnet.Message) {
+	if met := nw.met; met != nil {
+		met.delivers.Inc(m.To)
+		met.depth[m.To].Add(-1)
+	}
+	if nw.rec != nil {
+		nw.rec.Deliver(m.To, m.From, 0, m.Payload)
+	}
 }
 
 // N reports the number of processors.
@@ -257,9 +214,9 @@ func (nw *Network) Node(id int) msgnet.Endpoint {
 func (nw *Network) Crash(id int) {
 	nw.mu.Lock()
 	nw.crashed[id] = true
+	nw.boxes[id].Fail(msgnet.ErrCrashed)
 	nw.mu.Unlock()
 	nw.rec.Crash(id)
-	nw.wake(id)
 }
 
 // CrashAfterSends lets processor id successfully send k more individual
@@ -270,7 +227,7 @@ func (nw *Network) CrashAfterSends(id, k int) {
 	nw.sendQuota[id].Store(int64(k))
 }
 
-// Restart revives a crashed processor: its mailbox starts empty (whatever
+// Restart revives a crashed processor: its inbox starts empty (whatever
 // was in flight while it was down is lost), its send quota is unlimited,
 // and Recv works again. A restarted processor is expected to restore its
 // own durable state (e.g. raft.Storage) before rejoining the protocol.
@@ -278,7 +235,10 @@ func (nw *Network) Restart(id int) {
 	nw.mu.Lock()
 	nw.crashed[id] = false
 	nw.sendQuota[id].Store(-1)
-	nw.boxes[id].clear()
+	nw.boxes[id].Reset()
+	if nw.closed {
+		nw.boxes[id].Fail(msgnet.ErrClosed)
+	}
 	nw.mu.Unlock()
 	if nw.met != nil {
 		nw.met.depth[id].Set(0)
@@ -329,28 +289,11 @@ func (nw *Network) Heal() {
 // Close shuts the network down; all blocked Recvs return msgnet.ErrClosed.
 func (nw *Network) Close() {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	nw.closed = true
-	nw.mu.Unlock()
-	for id := range nw.boxes {
-		nw.wake(id)
+	for _, b := range nw.boxes {
+		b.Fail(msgnet.ErrClosed)
 	}
-}
-
-func (nw *Network) wake(id int) {
-	select {
-	case nw.boxes[id].notify <- struct{}{}:
-	default:
-	}
-}
-
-// quotaCrash flips a sender whose quota just ran out into the crashed
-// state (the rare path of send).
-func (nw *Network) quotaCrash(from int) {
-	nw.mu.Lock()
-	nw.crashed[from] = true
-	nw.mu.Unlock()
-	nw.rec.Crash(from)
-	nw.wake(from)
 }
 
 // send routes one message, applying crash quota, partition, tampering,
@@ -376,7 +319,7 @@ func (nw *Network) send(from, to int, payload any, size int) error {
 		}
 		if q == 0 {
 			nw.mu.RUnlock()
-			nw.quotaCrash(from)
+			nw.Crash(from)
 			return msgnet.ErrCrashed
 		}
 		if nw.sendQuota[from].CompareAndSwap(q, q-1) {
@@ -393,7 +336,7 @@ func (nw *Network) send(from, to int, payload any, size int) error {
 			dropped = true
 		}
 		if !dropped {
-			nw.boxes[to].put(msgnet.Message{From: from, To: to, Payload: payload})
+			dropped = !nw.boxes[to].Push(msgnet.Message{From: from, To: to, Payload: payload})
 		}
 		nw.mu.RUnlock()
 		if m := nw.met; m != nil {
@@ -410,9 +353,6 @@ func (nw *Network) send(from, to int, payload any, size int) error {
 			if dropped {
 				nw.rec.Drop(to, from, 0, payload)
 			}
-		}
-		if !dropped {
-			nw.wake(to)
 		}
 		return nil
 	}
@@ -438,8 +378,11 @@ func (nw *Network) send(from, to int, payload any, size int) error {
 				copies = 2
 			}
 			for c := 0; c < copies; c++ {
-				nw.boxes[m.To].put(m)
-				delivered = append(delivered, m.To)
+				if nw.boxes[m.To].Push(m) {
+					delivered = append(delivered, m.To)
+				} else {
+					drops = append(drops, m)
+				}
 			}
 		}
 	}
@@ -459,31 +402,7 @@ func (nw *Network) send(from, to int, payload any, size int) error {
 			nw.rec.Drop(d.To, d.From, 0, d.Payload)
 		}
 	}
-	for _, to := range delivered {
-		nw.wake(to)
-	}
 	return nil
-}
-
-// recvOne pops one pending message for id, honoring the reordering
-// policy. It returns ok=false when nothing is pending.
-func (nw *Network) recvOne(id int) (msgnet.Message, bool, error) {
-	nw.mu.RLock()
-	if nw.crashed[id] {
-		nw.mu.RUnlock()
-		return msgnet.Message{}, false, msgnet.ErrCrashed
-	}
-	if nw.closed {
-		nw.mu.RUnlock()
-		return msgnet.Message{}, false, msgnet.ErrClosed
-	}
-	nw.mu.RUnlock()
-	var rng *sim.RNG
-	if !nw.fifo {
-		rng = nw.recvRNG[id]
-	}
-	m, ok := nw.boxes[id].pop(rng)
-	return m, ok, nil
 }
 
 // approxSize is a rough wire-size proxy used only for accounting (the TCP
@@ -561,22 +480,11 @@ func (e *endpoint) Recv(ctx context.Context) (msgnet.Message, error) {
 	return msgnet.Recv(ctx, e)
 }
 
-// Ready is the receiver's mailbox notify channel. A crash-recovered
-// successor on the same id shares it with its predecessor, which is why
-// consumers check their context before every take (msgnet.Recv does).
-func (e *endpoint) Ready() <-chan struct{} { return e.nw.boxes[e.id].notify }
+// Ready is the own lane's notify channel. A crash-recovered successor on
+// the same id shares it with its predecessor, which is why consumers
+// check their context before every take (msgnet.Recv does).
+func (e *endpoint) Ready() <-chan struct{} { return e.nw.boxes[e.id].Ready() }
 
-func (e *endpoint) TryRecv() (msgnet.Message, bool, error) {
-	m, ok, err := e.nw.recvOne(e.id)
-	if !ok {
-		return msgnet.Message{}, false, err
-	}
-	if met := e.nw.met; met != nil {
-		met.delivers.Inc(e.id)
-		met.depth[e.id].Add(-1)
-	}
-	if e.nw.rec != nil {
-		e.nw.rec.Deliver(e.id, m.From, 0, m.Payload)
-	}
-	return m, true, nil
-}
+func (e *endpoint) TryRecv() (msgnet.Message, bool, error) { return e.nw.boxes[e.id].TryRecv() }
+
+func (e *endpoint) Inbox() *msgnet.Inbox { return e.nw.boxes[e.id] }

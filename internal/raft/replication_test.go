@@ -293,6 +293,7 @@ func (e repEndpoint) Broadcast(any) error                          { panic("unus
 func (e repEndpoint) Recv(context.Context) (msgnet.Message, error) { panic("unused") }
 func (e repEndpoint) Ready() <-chan struct{}                       { return nil }
 func (e repEndpoint) TryRecv() (msgnet.Message, bool, error)       { return msgnet.Message{}, false, nil }
+func (e repEndpoint) Inbox() *msgnet.Inbox                         { return nil }
 
 func newRepSim(n int, seed uint64) *repSim {
 	s := &repSim{n: n, rng: sim.NewRNG(seed), clock: sim.NewFakeClock(), committed: map[int]Entry{},

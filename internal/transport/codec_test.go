@@ -2,7 +2,9 @@ package transport
 
 import (
 	"encoding/binary"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ooc/internal/codec"
@@ -49,16 +51,50 @@ func TestCodecCarriesMuxWrapper(t *testing.T) {
 }
 
 // TestCodecForeignPayloadIsDropped: a payload outside the codec's set
-// has no encoding, so Send drops it like any remote loss, and the next
-// message still crosses the wire.
+// has no encoding, so Send refuses it with an error naming its type, and
+// the next message still crosses the wire.
 func TestCodecForeignPayloadIsDropped(t *testing.T) {
 	trs := localCluster(t, 2)
-	if err := trs[0].Send(1, "plain string"); err != nil {
-		t.Fatal(err)
+	if err := trs[0].Send(1, "plain string"); err == nil || !strings.Contains(err.Error(), "string") {
+		t.Fatalf("Send of a foreign payload: %v, want an error naming its type", err)
 	}
 	msg := raft.RequestVote{Term: 4}
 	if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
 		t.Fatalf("got %#v, want %#v", got, msg)
+	}
+}
+
+// TestEncodeErrorKeepsConnection: an unencodable payload is the caller's
+// bug, not a broken link, so the sender keeps its connection and the
+// next message arrives over the same accepted stream, with no redial.
+func TestEncodeErrorKeepsConnection(t *testing.T) {
+	trs := localCluster(t, 2)
+	msg := raft.RequestVote{Term: 4}
+	exchange(t, trs, msg)
+	trs[0].mu.Lock()
+	oc := trs[0].conns[1]
+	trs[0].mu.Unlock()
+	trs[1].mu.Lock()
+	accepted := maps.Clone(trs[1].inbound)
+	trs[1].mu.Unlock()
+	if oc == nil || len(accepted) != 1 {
+		t.Fatalf("after one exchange: outbound %v, %d accepted connections", oc, len(accepted))
+	}
+
+	type foreign struct{ X int }
+	if err := trs[0].Send(1, foreign{1}); err == nil || !strings.Contains(err.Error(), "foreign") {
+		t.Fatalf("Send of a foreign payload: %v, want an error naming its type", err)
+	}
+	if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
+		t.Fatalf("got %#v, want %#v", got, msg)
+	}
+	trs[0].mu.Lock()
+	same := trs[0].conns[1] == oc
+	trs[0].mu.Unlock()
+	trs[1].mu.Lock()
+	defer trs[1].mu.Unlock()
+	if !same || !maps.Equal(trs[1].inbound, accepted) {
+		t.Fatalf("encode error redialed: same outbound %v, accepted %d connections", same, len(trs[1].inbound))
 	}
 }
 

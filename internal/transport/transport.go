@@ -12,11 +12,12 @@
 // quorum waits tolerate exactly this.
 //
 // There is one wire encoding, the hand-rolled binary codec, which encodes
-// its closed message set with zero steady-state allocations; a payload
-// outside that set is dropped like any remote loss. A dialer opens each
-// connection with the one-byte 'B' preamble and its node id; a
-// connection that opens with anything else is dropped. Frames are V1, or
-// V2 when they carry a trace ID, and the decoder takes both.
+// its closed message set with zero steady-state allocations; Send refuses
+// a payload outside that set with an error naming its type, and keeps the
+// connection. A dialer opens each connection with the one-byte 'B'
+// preamble and its node id; a connection that opens with anything else is
+// dropped. Frames are V1, or V2 when they carry a trace ID, and the
+// decoder takes both.
 package transport
 
 import (
@@ -70,12 +71,12 @@ type Transport struct {
 	encBytes *metrics.Counter
 	decBytes *metrics.Counter
 
+	in *msgnet.Inbox // its own lock: delivery never waits on the conn table
+
 	mu      sync.Mutex
 	conns   map[int]*outConn
 	inbound map[net.Conn]struct{}
-	pending msgnet.Queue[msgnet.Message]
 	closed  bool
-	notify  chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -115,9 +116,9 @@ func listenOn(id int, addrs []string, ln net.Listener, opts ...Option) *Transpor
 		id:      id,
 		addrs:   append([]string(nil), addrs...),
 		ln:      ln,
+		in:      msgnet.NewInbox(nil, nil),
 		conns:   make(map[int]*outConn),
 		inbound: make(map[net.Conn]struct{}),
-		notify:  make(chan struct{}, 1),
 	}
 	for _, opt := range opts {
 		opt(tr)
@@ -178,21 +179,24 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 		return msgnet.ErrClosed
 	}
 	if to == tr.id {
-		tr.pending.Push(msgnet.Message{From: tr.id, To: to, Payload: payload})
 		tr.mu.Unlock()
-		tr.wake()
+		tr.in.Push(msgnet.Message{From: tr.id, To: to, Payload: payload})
 		return nil
 	}
 	var wire int
 	oc, err := tr.connLocked(to)
 	if err == nil {
-		wire, err = tr.encodeLocked(oc, payload)
-		if err == nil && flush {
+		if wire, err = tr.encodeLocked(oc, payload); err != nil {
+			// The caller's bug, not the link's: keep the intact stream.
+			tr.mu.Unlock()
+			return fmt.Errorf("transport: send to node %d: %w", to, err)
+		}
+		if flush {
 			err = oc.write()
 		}
 		if err != nil {
-			// Broken pipe or unencodable payload: drop the connection;
-			// the next send redials with a fresh stream.
+			// Broken pipe: drop the connection; the next send redials
+			// with a fresh stream.
 			_ = oc.conn.Close()
 			delete(tr.conns, to)
 		}
@@ -276,23 +280,14 @@ func (tr *Transport) Recv(ctx context.Context) (msgnet.Message, error) {
 }
 
 // Ready implements msgnet.Endpoint.
-func (tr *Transport) Ready() <-chan struct{} { return tr.notify }
+func (tr *Transport) Ready() <-chan struct{} { return tr.in.Ready() }
 
-// TryRecv implements msgnet.Endpoint. Messages decoded before Close are
-// still handed out; after them comes msgnet.ErrClosed.
-func (tr *Transport) TryRecv() (msgnet.Message, bool, error) {
-	tr.mu.Lock()
-	m, ok := tr.pending.Pop()
-	closed := tr.closed
-	tr.mu.Unlock()
-	switch {
-	case ok:
-		return m, true, nil
-	case closed:
-		return msgnet.Message{}, false, msgnet.ErrClosed
-	}
-	return msgnet.Message{}, false, nil
-}
+// TryRecv implements msgnet.Endpoint. After Close it returns
+// msgnet.ErrClosed, whatever was still queued.
+func (tr *Transport) TryRecv() (msgnet.Message, bool, error) { return tr.in.TryRecv() }
+
+// Inbox implements msgnet.Endpoint.
+func (tr *Transport) Inbox() *msgnet.Inbox { return tr.in }
 
 // Close shuts the transport down: the listener stops, connections close,
 // and blocked Recvs return msgnet.ErrClosed.
@@ -311,28 +306,10 @@ func (tr *Transport) Close() error {
 		_ = conn.Close()
 	}
 	tr.mu.Unlock()
+	tr.in.Fail(msgnet.ErrClosed)
 	err := tr.ln.Close()
-	tr.wake()
 	tr.wg.Wait()
 	return err
-}
-
-func (tr *Transport) wake() {
-	select {
-	case tr.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (tr *Transport) deliver(m msgnet.Message) {
-	tr.mu.Lock()
-	if tr.closed {
-		tr.mu.Unlock()
-		return
-	}
-	tr.pending.Push(m)
-	tr.mu.Unlock()
-	tr.wake()
 }
 
 // connLocked returns the outbound connection to peer, dialing if needed.
@@ -424,6 +401,6 @@ func (tr *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		tr.decBytes.Add(tr.id, int64(n))
-		tr.deliver(msgnet.Message{From: from, To: tr.id, Payload: payload})
+		tr.in.Push(msgnet.Message{From: from, To: tr.id, Payload: payload})
 	}
 }
