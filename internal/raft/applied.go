@@ -22,16 +22,34 @@ import (
 // truncated after it has adopted a higher term. A waiter that knows the
 // term its entry was accepted in therefore needs no timer — either the
 // index is applied or the term moves, and both wake it.
+//
+// A proposal's accept reply arrives here too, as the resolution of its
+// ticket, so a write parks once: on this broadcast, from its proposal to
+// its apply. And the notifier owns stop, so no waiter selects on more
+// than its wake and its own context.
 type appliedNotifier struct {
 	mu     sync.Mutex
 	idx    int
 	term   int
-	ch     chan struct{} // closed and rotated when idx or term moves with a waiter parked
+	err    error         // non-nil once the node stopped: what every waiter gets
+	ch     chan struct{} // closed and rotated when a waiter parked on it can return
 	parked int           // waiters blocked on ch; at zero (a follower, always) nothing rotates
 	// cur mirrors idx for lock-free reads: the apply worker is the
 	// advancing side and the main loop polls the value on every read it
 	// serves, so the read must not contend with waiter wakeups.
 	cur atomic.Int64
+}
+
+// ticket is one proposal's claim on its accept reply. The main loop
+// resolves it under the notifier's lock (resolve); its caller waits for
+// it there (wait). Every field but accept is guarded by the lock.
+type ticket struct {
+	rep      proposeReply
+	resolved bool
+	// accept: the caller returns with the accept reply (Propose, Submit).
+	// Otherwise it goes on waiting, in the same park, until the entry is
+	// applied or the accepting term moves (SubmitWait).
+	accept bool
 }
 
 func newAppliedNotifier(idx, term int) *appliedNotifier {
@@ -73,6 +91,40 @@ func (a *appliedNotifier) setTerm(term int) {
 	a.mu.Unlock()
 }
 
+// stop makes every wait, parked or to come, return err.
+func (a *appliedNotifier) stop(err error) {
+	a.mu.Lock()
+	a.err = err
+	a.wake()
+	a.mu.Unlock()
+}
+
+// resolve hands out the tickets among rs, all under one lock, and wakes
+// the waiters once if any of them can now return — which a successful
+// SubmitWait accept can only when its entry is already applied (a fenced
+// accept that landed after the apply) or its term already moved. Called
+// only from the main loop.
+func (a *appliedNotifier) resolve(rs []stagedReply) {
+	a.mu.Lock()
+	wake := false
+	for _, r := range rs {
+		if r.t != nil {
+			r.t.rep, r.t.resolved = r.reply, true
+			wake = wake || a.finished(r.t)
+		}
+	}
+	if wake {
+		a.wake()
+	}
+	a.mu.Unlock()
+}
+
+// finished reports whether t's waiter can return; the caller holds mu.
+func (a *appliedNotifier) finished(t *ticket) bool {
+	return t.resolved && (t.accept || t.rep.err != nil || a.idx >= t.rep.index ||
+		t.rep.term != anyTerm && a.term != t.rep.term)
+}
+
 // current reads the published applied index without the lock.
 func (a *appliedNotifier) current() int {
 	return int(a.cur.Load())
@@ -81,29 +133,30 @@ func (a *appliedNotifier) current() int {
 // anyTerm makes wait ignore term changes.
 const anyTerm = -1
 
-// wait blocks until the published applied index reaches index, the
-// published term differs from term (unless term is anyTerm), ctx ends,
-// or stop closes. It returns the last applied index it observed; below
-// index with a nil error, the term moved. Both conditions are levels: a
-// term change that lands before wait is called is seen on entry.
-func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index, term int) (int, error) {
+// wait blocks until t's waiter can return (finished), ctx ends, or the
+// node stops, and returns t's reply and the last applied index it
+// observed. A resolved success below that index means the term moved.
+// Every condition is a level: a term change or an apply that lands before
+// wait is called is seen on entry.
+func (a *appliedNotifier) wait(ctx context.Context, t *ticket) (proposeReply, int, error) {
 	for {
 		a.mu.Lock()
-		idx, cur, ch := a.idx, a.term, a.ch
-		done := idx >= index || (term != anyTerm && cur != term)
-		if !done {
+		idx, rep, err, ch := a.idx, t.rep, a.err, a.ch
+		done := a.finished(t)
+		if !done && err == nil {
 			a.parked++ // in the section that read ch: the next change sees it
 		}
 		a.mu.Unlock()
 		if done {
-			return idx, nil
+			return rep, idx, nil
+		}
+		if err != nil {
+			return proposeReply{}, idx, err
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return idx, ctx.Err()
-		case <-stop:
-			return idx, ErrStopped
+			return proposeReply{}, idx, ctx.Err()
 		}
 	}
 }
@@ -120,9 +173,7 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index,
 // the accepting term as well and, once it has moved, combine this with
 // a Status check for the truncation races.
 func (nd *Node) AwaitApplied(ctx context.Context, index int) (int, error) {
-	idx, err := nd.applied.wait(ctx, nd.stopped, index, anyTerm)
-	if err == ErrStopped {
-		err = nd.stopErr
-	}
+	t := ticket{rep: proposeReply{index: index, term: anyTerm}, resolved: true}
+	_, idx, err := nd.applied.wait(ctx, &t)
 	return idx, err
 }

@@ -106,29 +106,33 @@ func (c *Client) nextBackoff(attempt int) time.Duration {
 // around SubmitWait errors (exactly-once needs client session state,
 // which is out of scope here as in the Raft paper's core protocol).
 func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err error) {
-	rep, node, err := c.submit(ctx, cmd)
+	rep, _, node, err := c.submit(ctx, cmd, true)
 	return rep.index, node, err
 }
 
-// submit is Submit with the leader's whole accept reply: the index and
-// the term it was accepted in, which waitApplied watches.
-func (c *Client) submit(ctx context.Context, cmd any) (proposeReply, int, error) {
+// submit proposes cmd through Node.propose, following redirects and
+// probing past stopped nodes, and returns the accepting node's reply,
+// the last applied index it saw there, and the node. With accept unset
+// the call parks once, from the proposal to the apply: it returns when
+// the entry is applied or its accepting term moved, and a node that stops
+// first is probed past like any other.
+func (c *Client) submit(ctx context.Context, cmd any, accept bool) (proposeReply, int, int, error) {
 	probe := 0
 	target := int(c.leader.Load()) // last known leader; -1 probes
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return proposeReply{}, 0, fmt.Errorf("raft: client: %w", err)
+			return proposeReply{}, 0, 0, fmt.Errorf("raft: client: %w", err)
 		}
 		id := target
 		if id < 0 || id >= len(c.nodes) {
 			id = probe % len(c.nodes)
 			probe++
 		}
-		rep := c.nodes[id].propose(ctx, cmd)
+		rep, applied := c.nodes[id].propose(ctx, cmd, accept)
 		perr := rep.err
 		if perr == nil {
 			c.leader.Store(int32(id))
-			return rep, id, nil
+			return rep, applied, id, nil
 		}
 		var nl ErrNotLeader
 		redirected := false
@@ -142,7 +146,7 @@ func (c *Client) submit(ctx context.Context, cmd any) (proposeReply, int, error)
 		case errors.Is(perr, ErrStopped):
 			target = -1 // that node is gone; probe the others
 		default:
-			return proposeReply{}, 0, fmt.Errorf("raft: client submit: %w", perr)
+			return proposeReply{}, 0, 0, fmt.Errorf("raft: client submit: %w", perr)
 		}
 		if redirected && attempt < len(c.nodes) {
 			// A concrete redirect: chase it immediately. Backing off
@@ -168,15 +172,18 @@ func (c *Client) SubmitWait(ctx context.Context, cmd any) (index int, err error)
 		defer func() { c.tracer.End(id, err != nil) }()
 	}
 	for {
-		rep, id, err := c.submit(ctx, cmd)
+		rep, applied, id, err := c.submit(ctx, cmd, false)
 		if err != nil {
 			return 0, err
 		}
-		applied, err := c.waitApplied(ctx, id, rep.index, rep.term)
+		if applied >= rep.index {
+			return rep.index, nil
+		}
+		kept, err := c.waitApplied(ctx, id, rep.index)
 		if err != nil {
 			return 0, err
 		}
-		if applied {
+		if kept {
 			return rep.index, nil
 		}
 		// The entry was lost to a leadership change; resubmit.
@@ -301,38 +308,29 @@ func (c *Client) get(id int, key string) (string, bool, error) {
 	return v, found, nil
 }
 
-// waitApplied blocks until node id's lastApplied covers index (true), or
-// the node's log no longer contains our proposal at that position
-// because a new leader truncated it (false → caller resubmits). term is
-// the term node id accepted the proposal in.
+// waitApplied decides a write whose accepting term moved before node id
+// applied it: true once node id's lastApplied covers index, false when
+// the node's log no longer reaches index because a new leader truncated
+// it, or the node stopped (→ the caller resubmits).
 //
-// The happy path is one wait on the node's applied notifier, on the
-// caller's own context: no timer, and no Status call (a round-trip
-// through the main loop, which would stall behind the next batch's
-// group-commit fsync). It wakes at the apply edge, and the only thing
-// that can keep the apply from reaching index — a truncation — requires
-// the node to adopt a higher term first, which wakes it too
-// (applied.go, DESIGN §3.7). Only then does the wait fall back to
-// bounded polling, where Status decides the truncation and stopped-node
-// races the notifier cannot see. Reaching index carries the caveat
+// The happy path never comes here: Node.propose parks the write once,
+// on the applied notifier, on the caller's own context, from the
+// proposal to the apply — no timer, no accept wake, and no Status call
+// (a round-trip through the main loop, which would stall behind the next
+// batch's group-commit fsync). The only thing that can keep the apply
+// from reaching index — a truncation — requires the node to adopt a
+// higher term first, which wakes that wait too (applied.go, DESIGN
+// §3.7). Only then does the write fall back to this bounded polling,
+// where Status decides the races the notifier cannot see: a truncation,
+// or a node that went down. Reaching index carries the caveat
 // Status.LastApplied always did: it does not prove OUR entry survived
 // at that index (see AwaitApplied).
-func (c *Client) waitApplied(ctx context.Context, id, index, term int) (bool, error) {
+func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
 	nd := c.nodes[id]
-	applied, err := nd.applied.wait(ctx, nd.stopped, index, term)
 	for {
-		if err == nil && applied >= index {
-			return true, nil
-		}
-		if errors.Is(err, ErrStopped) {
-			return false, nil
-		}
 		if cerr := ctx.Err(); cerr != nil {
 			return false, fmt.Errorf("raft: client: %w", cerr)
 		}
-		// The term moved, or a poll timed out, without the apply
-		// reaching index. Consult Status for what the notifier can't
-		// tell us.
 		st := nd.Status()
 		switch {
 		case st.LastApplied >= index:
@@ -346,8 +344,9 @@ func (c *Client) waitApplied(ctx context.Context, id, index, term int) (bool, er
 		}
 		// Still in the log, unapplied. The timeout bounds how long a
 		// truncation (which applies nothing at our index) can stall us.
+		// Whatever ended the wait, the next Status call decides.
 		wctx, cancel := context.WithTimeout(ctx, 10*c.backoff)
-		applied, err = nd.AwaitApplied(wctx, index)
+		_, _ = nd.AwaitApplied(wctx, index)
 		cancel()
 	}
 }

@@ -312,11 +312,16 @@ func TestAppliedNotifierWakesOnTermChange(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	a := newAppliedNotifier(0, 3)
+	// waitAt waits as a SubmitWait whose entry was accepted at index in term.
+	waitAt := func(index, term int) (int, error) {
+		_, idx, err := a.wait(ctx, &ticket{rep: proposeReply{index: index, term: term}, resolved: true})
+		return idx, err
+	}
 
 	// A level, not an edge: a term that moved between the accept reply
 	// and the wait is seen on entry.
 	a.setTerm(4)
-	if idx, err := a.wait(ctx, nil, 10, 3); idx != 0 || err != nil {
+	if idx, err := waitAt(10, 3); idx != 0 || err != nil {
 		t.Fatalf("stale-term wait = %d %v, want an immediate (0, nil)", idx, err)
 	}
 
@@ -327,7 +332,7 @@ func TestAppliedNotifierWakesOnTermChange(t *testing.T) {
 	waitIn := func(index, term int) chan result {
 		ch := make(chan result, 1)
 		go func() {
-			idx, err := a.wait(ctx, nil, index, term)
+			idx, err := waitAt(index, term)
 			ch <- result{idx, err}
 		}()
 		return ch
@@ -518,7 +523,7 @@ func TestSubmitWaitKeepsEntryThatSurvivesTermChange(t *testing.T) {
 
 // ---- allocation guard ----
 
-const submitWaitAllocs = 6
+const submitWaitAllocs = 5
 
 // TestSubmitWaitAllocs pins what one write costs the whole process on a
 // 1-node netsim group (main loop, apply worker and client together):

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,10 +163,10 @@ func TestOneFlushPerWake(t *testing.T) {
 	// A barrier-only batch in flight, whose completion is in the box.
 	nd.stagePersistBatch(nil, nil)
 	done := nd.doPersistRun([]persistReq{<-nd.persistQ})
-	reply := make(chan proposeReply, 1)
+	tk := &ticket{accept: true}
 	nd.box.mu.Lock()
 	nd.box.persisted = append(nd.box.persisted, done)
-	nd.box.proposals = append(nd.box.proposals, proposeReq{cmd: "x", reply: reply})
+	nd.box.proposals = append(nd.box.proposals, proposeReq{cmd: "x", t: tk})
 	nd.box.ring()
 	for _, peer := range []int{1, 2} {
 		if err := nw.Node(peer).Send(0, AppendEntriesReply{Term: 1, Success: true, MatchIndex: 1}); err != nil {
@@ -188,10 +189,8 @@ func TestOneFlushPerWake(t *testing.T) {
 	if len(req.muts) != 1 || len(req.muts[0].Entries) != 1 || len(req.replies) != 1 {
 		t.Fatalf("the hand-off carries %d mutations and %d fenced replies, want the proposal's entry and its reply", len(req.muts), len(req.replies))
 	}
-	select {
-	case rep := <-reply:
-		t.Fatalf("accept reply %+v left before its barrier", rep)
-	default:
+	if tk.resolved {
+		t.Fatalf("accept reply %+v left before its barrier", tk.rep)
 	}
 	for _, peer := range []int{1, 2} {
 		got := received(nw, peer)
@@ -211,11 +210,11 @@ func TestOneFlushPerWake(t *testing.T) {
 func TestCapsSurviveTheMailbox(t *testing.T) {
 	const proposers, limit = 200, maxProposalBatch
 	nd := soloLeader(t, netsim.New(1))
-	replies := make([]chan proposeReply, proposers)
+	tickets := make([]*ticket, proposers)
 	nd.box.mu.Lock()
-	for i := range replies {
-		replies[i] = make(chan proposeReply, 1)
-		nd.box.proposals = append(nd.box.proposals, proposeReq{cmd: i, reply: replies[i]})
+	for i := range tickets {
+		tickets[i] = &ticket{accept: true}
+		nd.box.proposals = append(nd.box.proposals, proposeReq{cmd: i, t: tickets[i]})
 	}
 	status := make(chan Status, 1)
 	nd.box.status = append(nd.box.status, status)
@@ -243,16 +242,18 @@ func TestCapsSurviveTheMailbox(t *testing.T) {
 			}
 		}
 	}
-	for i, ch := range replies {
-		if rep := <-ch; rep.err != nil || rep.index != base+1+i {
-			t.Fatalf("proposer %d: %+v, want index %d (FIFO across passes)", i, rep, base+1+i)
+	for i, tk := range tickets {
+		if rep := tk.rep; !tk.resolved || rep.err != nil || rep.index != base+1+i {
+			t.Fatalf("proposer %d: %+v (resolved %v), want index %d (FIFO across passes)", i, rep, tk.resolved, base+1+i)
 		}
 	}
 }
 
 // (4) Proposals, reads and Status requests sit in the box of a node that
-// stops before it ever takes them: every caller comes back with
-// ErrStopped (or its own context's error), and no goroutine is left.
+// stops before it ever takes them, and so do a write parked on its
+// accepted entry and a Propose behind a fatal error: every caller comes
+// back with ErrStopped (or its own context's error), and no goroutine is
+// left.
 func TestStopWhileQueued(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	nd, err := NewNode(Config{ID: 0, Endpoint: netsim.New(3).Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}})
@@ -306,6 +307,58 @@ func TestStopWhileQueued(t *testing.T) {
 	}
 	if n := len(nd.box.proposals); n > 2*each {
 		t.Fatalf("a stopped node accepted a request into its box (%d queued)", n)
+	}
+
+	// A SubmitWait parked on an accepted, unapplied entry (the node-side
+	// call it makes) and a Propose still in the box, on a hand-driven
+	// leader of three whose followers never answer. The loop's exit
+	// (shutdown, which run defers) releases both with ErrStopped, wrapping
+	// the fatal cause when one stopped the node.
+	queuedOne := func(nd *Node) {
+		for deadline := time.Now().Add(10 * time.Second); nd.box.queued() != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d callers in the box, want 1", nd.box.queued())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, cause := range []error{nil, errors.New("raft test: apply failed")} {
+		nd := soloLeader(t, netsim.New(3))
+		parked := make(chan error, 2)
+		go func() { rep, _ := nd.propose(context.Background(), "w", false); parked <- rep.err }()
+		queuedOne(nd)
+		if _, err := nd.step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		tk := nd.in.proposals[0].t
+		nd.applied.mu.Lock()
+		accepted := tk.resolved && tk.rep.err == nil && tk.rep.index > nd.applied.idx
+		nd.applied.mu.Unlock()
+		if !accepted {
+			t.Fatalf("the write's ticket is %+v with %d applied, want accepted and unapplied", *tk, nd.applied.current())
+		}
+		if cause != nil {
+			nd.applyFatal(cause)
+			if _, err := nd.step(context.Background()); err != nil || nd.fatal == nil {
+				t.Fatalf("the pass after the worker's report: %v, fatal %v", err, nd.fatal)
+			}
+		}
+		go func() { _, err := nd.Propose(context.Background(), "p"); parked <- err }()
+		queuedOne(nd)
+		nd.shutdown()
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-parked:
+				if !errors.Is(err, ErrStopped) || cause != nil && !strings.Contains(err.Error(), cause.Error()) {
+					t.Fatalf("stopped with cause %v, a parked caller returned %v", cause, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("stopped with cause %v, a parked caller never returned", cause)
+			}
+		}
+		if n := nd.box.queued(); n != 1 {
+			t.Fatalf("%d callers in the box after the stop, want the Propose", n)
+		}
 	}
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
@@ -465,35 +518,65 @@ func TestAppliedNotifierIdleAllocs(t *testing.T) {
 }
 
 // Waiters arrive between advance calls, from several goroutines, each
-// waiting for the very next index: a wake-up skipped because the notifier
-// thought nobody was parked would strand one until the deadline.
+// parked on a SubmitWait ticket that the driver resolves either at the
+// index it just applied — the accept that landed after the apply, which
+// only the resolution can wake — or at the next one, which the next
+// advance must wake. A wake-up skipped because the notifier thought
+// nobody was parked, or because the resolution thought nobody could
+// return, strands a waiter until the deadline.
 func TestAppliedNotifierNeverStrandsAWaiter(t *testing.T) {
 	const waiters, steps = 4, 5000
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	a := newAppliedNotifier(0, 1)
+	queued := make(chan *ticket, waiters)
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for next := 1; next <= steps; {
-				idx, err := a.wait(ctx, nil, next, anyTerm)
-				if err != nil || idx < next {
-					t.Errorf("wait(%d) = %d, %v", next, idx, err)
+			for {
+				tk := &ticket{}
+				queued <- tk
+				rep, idx, err := a.wait(ctx, tk)
+				if err != nil || idx < rep.index {
+					t.Errorf("wait = %+v at %d, %v", rep, idx, err)
 					return
 				}
-				next = idx + 1
+				if rep.index >= steps {
+					return
+				}
 			}
 		}()
 	}
-	for i := 1; i <= steps; i++ {
+	resolve := func(tk *ticket, index int) {
+		a.resolve([]stagedReply{{t: tk, reply: proposeReply{index: index, term: 1}}})
+	}
+	for i, k := 1, 0; i <= steps; i++ {
 		a.advance(i)
+		for drained := false; !drained; {
+			select {
+			case tk := <-queued:
+				k++
+				resolve(tk, min(i+k%2, steps)) // applied already, or the next advance's
+			default:
+				drained = true
+			}
+		}
 		if i%3 == 0 {
 			runtime.Gosched() // let waiters park between advances, and not
 		}
 	}
-	wg.Wait()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	for {
+		select {
+		case tk := <-queued:
+			resolve(tk, steps) // applied already: only the resolution wakes it
+		case <-finished:
+			return
+		}
+	}
 }
 
 // The loop's own accounting against the network's: on a stopped 3-node

@@ -237,8 +237,11 @@ type outMsg struct {
 	claim   claim
 }
 
+// stagedReply is an answer the pass owes a caller: a read's, sent on ch,
+// or a proposal's, which resolves its ticket t.
 type stagedReply struct {
 	ch    chan proposeReply
+	t     *ticket
 	reply proposeReply
 	// fenced marks a reply that externalizes durable state (a proposal
 	// acceptance: "your entry is in the leader's log") and must wait for
@@ -249,7 +252,7 @@ type stagedReply struct {
 
 type proposeReq struct {
 	cmd   any
-	reply chan proposeReply
+	t     *ticket
 	trace rtrace.ID // 0 unless this proposal is sampled
 	enq   time.Time // queue-phase start; zero unless sampled
 }
@@ -466,6 +469,7 @@ func (nd *Node) shutdown() {
 		if nd.fatal != nil {
 			nd.stopErr = fmt.Errorf("%w: %v", ErrStopped, nd.fatal)
 		}
+		nd.applied.stop(nd.stopErr)
 		close(nd.stopped)
 	})
 	nd.subMu.Lock()
@@ -489,20 +493,23 @@ func (nd *Node) Campaign(value any) {
 // the entry is in the leader's log, not yet that it is committed — watch
 // EventCommitted or the state machine for that.
 func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
-	rep := nd.propose(ctx, cmd)
+	rep, _ := nd.propose(ctx, cmd, true)
 	return rep.index, rep.err
 }
 
-// propose is Propose with the whole accept reply, whose term the
-// client's apply wait needs.
-func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
+// propose queues cmd and parks its caller once, on the applied
+// broadcast: until the accept reply when accept is set (Propose,
+// Submit), and otherwise until a refusal, or until the accepted entry is
+// applied or its term moves (SubmitWait). It returns the reply, whose
+// term the client's fallback needs, and the last applied index seen.
+func (nd *Node) propose(ctx context.Context, cmd any, accept bool) (proposeReply, int) {
 	if _, err := commandTag(cmd); err != nil {
-		return proposeReply{err: err}
+		return proposeReply{err: err}, 0
 	}
 	if err := nd.admit(ctx); err != nil {
-		return proposeReply{err: err}
+		return proposeReply{err: err}, 0
 	}
-	req := proposeReq{cmd: cmd, reply: make(chan proposeReply, 1)}
+	req := proposeReq{cmd: cmd, t: &ticket{accept: accept}}
 	if id := rtrace.FromContext(ctx); id != 0 {
 		req.trace = id
 		req.enq = nd.cfg.Tracer.Now(id)
@@ -510,7 +517,11 @@ func (nd *Node) propose(ctx context.Context, cmd any) proposeReply {
 	nd.box.mu.Lock()
 	nd.box.proposals = append(nd.box.proposals, req)
 	nd.box.ring()
-	return nd.await(ctx, req.reply)
+	rep, applied, err := nd.applied.wait(ctx, req.t)
+	if err != nil {
+		rep.err = err
+	}
+	return rep, applied
 }
 
 // admit turns away a caller that has already given up (its request must
@@ -521,18 +532,6 @@ func (nd *Node) admit(ctx context.Context) error {
 		return nd.stopErr
 	default:
 		return ctx.Err()
-	}
-}
-
-// await parks a caller whose request is in the box.
-func (nd *Node) await(ctx context.Context, reply chan proposeReply) proposeReply {
-	select {
-	case rep := <-reply:
-		return rep
-	case <-ctx.Done():
-		return proposeReply{err: ctx.Err()}
-	case <-nd.stopped:
-		return proposeReply{err: nd.stopErr}
 	}
 }
 
@@ -736,7 +735,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	if nd.el.role != Leader {
 		rep := proposeReply{err: ErrNotLeader{LeaderID: nd.el.leader}}
 		for _, r := range reqs {
-			nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: rep})
+			nd.replies = append(nd.replies, stagedReply{t: r.t, reply: rep})
 		}
 		return
 	}
@@ -748,7 +747,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	first := nd.rep.log.lastIndex() + 1
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
-		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.el.term}, fenced: true})
+		nd.replies = append(nd.replies, stagedReply{t: r.t, reply: proposeReply{index: first + i, term: nd.el.term}, fenced: true})
 		if r.trace != 0 {
 			if drained.IsZero() {
 				drained = time.Now()

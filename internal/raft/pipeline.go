@@ -10,22 +10,26 @@ package raft
 //     follower RTT+fsync), not their sum. A node without a Storage runs
 //     the same flush with no worker: it never stages anything, so
 //     nothing is fenced and its durable index is its log tail.
-//   - The apply worker owns StateMachine.Apply, the applied notifier,
-//     and the applied≥readIndex waits, so the main loop can persist and
-//     replicate batch N+1 while batch N applies.
+//   - The apply worker owns StateMachine.Apply, the applied index, and
+//     the applied≥readIndex waits, so the main loop can persist and
+//     replicate batch N+1 while batch N applies. A write's caller parks
+//     once, on the applied notifier's broadcast (applied.go): the loop
+//     resolves the proposal's ticket there instead of sending an accept
+//     reply, and a resolution wakes the caller only when it can return.
 //
 // What a pass woke runs before the disk does: flush() readies the persist
 // worker last, so the scheduler runs it first, and FileStorage.SyncDevice
 // — or the coalesced round's write-back stage standing in for it — yields
 // before the barrier parks its P (DESIGN.md §3.7, "What runs before a
 // barrier"). And it runs before the loop's next pass does: a
-// flush() that sent a reply on a caller's channel ends by yielding, so the
-// callers it released run and resubmit while the loop waits its turn, and
-// the next mailbox.take finds them together — reads share a confirmation
-// round, proposals an AppendEntries, and nothing waits on a timer (§3.7,
-// "What runs after a pass", which also measures the cost: with no P free
-// the loop can wait in the global queue behind the worker's barrier).
-// Replies onPersistDone releases do not count: counting them too was
+// flush() that sent a read its reply or resolved a proposal's ticket ends
+// by yielding, so the callers it released — or the apply worker that
+// will — run and resubmit while the loop waits its turn, and the next
+// mailbox.take finds them together — reads share a confirmation round,
+// proposals an AppendEntries, and nothing waits on a timer (§3.7, "What
+// runs after a pass", which also measures the cost: with no P free the
+// loop can wait in the global queue behind the worker's barrier).
+// Tickets onPersistDone resolves do not count: counting them too was
 // measured and bought nothing (ROADMAP house rules).
 //
 // Safety is preserved by fencing externalization, not transmission
@@ -50,10 +54,10 @@ package raft
 //   - Proposal-accept replies ("your entry is in the leader's log") wait
 //     for the whole persist queue to drain.
 //
-// All Endpoint sends and reply-channel sends stay on the main loop: the
-// persist worker returns its release bundle through the mailbox and
-// the main loop externalizes it, so netsim's per-sender RNG streams and
-// the transport never see concurrent senders.
+// All Endpoint sends, reply-channel sends and ticket resolutions stay on
+// the main loop: the persist worker returns its release bundle through
+// the mailbox and the main loop externalizes it, so netsim's per-sender
+// RNG streams and the transport never see concurrent senders.
 
 import (
 	"fmt"
@@ -158,9 +162,9 @@ func (nd *Node) hardStateBusy() bool {
 
 // flush ends a main-loop iteration: every staged message whose claim the
 // disk already backs leaves immediately; durable mutations, the messages
-// still waiting on them and the accept replies become one persist
-// request — the Raft rule that persistence precedes externalization,
-// enforced per claim. With nothing durable staged or in flight every
+// still waiting on them and the accept replies (tickets) become one
+// persist request — the Raft rule that persistence precedes
+// externalization, enforced per claim. With nothing durable staged or in flight every
 // claim is already met and everything leaves at once. After a
 // persistence failure everything staged is dropped (nothing may be
 // externalized over unpersisted state) and the loop stops the node.
@@ -194,15 +198,15 @@ func (nd *Node) flush() {
 	}
 	nd.outbox = nd.outbox[:0]
 	fence := havePersist || len(nd.pendingPersist) > 0
-	released := 0
+	released := nd.replies[:0]
 	for _, r := range nd.replies {
 		if fence && r.fenced {
 			fencedReplies = append(fencedReplies, r)
 			continue
 		}
-		r.ch <- r.reply
-		released++
+		released = append(released, r)
 	}
+	nd.release(released)
 	nd.replies = nd.replies[:0]
 	if havePersist || len(fencedMsgs) > 0 || len(fencedReplies) > 0 {
 		nd.stagePersistBatch(fencedMsgs, fencedReplies)
@@ -213,10 +217,28 @@ func (nd *Node) flush() {
 	// A pass that released a caller lets that caller run before the loop
 	// takes more input: the callers resubmit, and the next mailbox.take
 	// finds them together — one confirmation round for the reads, one
-	// AppendEntries for the proposals. After the persist hand-off, so the
-	// worker keeps runnext and still runs first.
-	if released > 0 {
+	// AppendEntries for the proposals. A resolved ticket counts whether
+	// or not it woke its caller: the pass that accepts a cohort's writes
+	// steps aside for the apply that releases them. After the persist
+	// hand-off, so the worker keeps runnext and still runs first.
+	if len(released) > 0 {
 		runtime.Gosched()
+	}
+}
+
+// release hands out replies the pass no longer holds back: a read's on
+// its channel, a proposal's by resolving its ticket.
+func (nd *Node) release(rs []stagedReply) {
+	tickets := 0
+	for _, r := range rs {
+		if r.ch == nil {
+			tickets++
+			continue
+		}
+		r.ch <- r.reply
+	}
+	if tickets > 0 {
+		nd.applied.resolve(rs)
 	}
 }
 
@@ -410,9 +432,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 	for _, m := range d.msgs {
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
-	for _, r := range d.replies {
-		r.ch <- r.reply
-	}
+	nd.release(d.replies)
 	o := nd.rep.persisted(target)
 	if nd.el.role == Leader {
 		nd.met.onSelfAckLag(o.committed.after - nd.rep.durable)

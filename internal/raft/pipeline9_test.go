@@ -369,6 +369,59 @@ func TestProposeReplyFencedBehindLeaderFsync(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitReturnsWhenAcceptLandsAfterApply: the apply lands before
+// the accept. The leader's own disk is held shut, so its followers' acks
+// commit the write and the leader applies it while the accept is still
+// fenced behind the leader's persist. The writer, parked once on the
+// applied broadcast, slept through that apply (its ticket was not yet
+// resolved), and nothing else will advance the applied index: only the
+// resolution itself, when the persist lands, can wake it.
+func TestSubmitWaitReturnsWhenAcceptLandsAfterApply(t *testing.T) {
+	c := newPipeCluster(t, 3, 59)
+	c.propose(KVCommand{Op: "set", Key: "x", Value: "1"})
+	c.waitValue("x", "1", 0, 1, 2)
+	leader := c.waitLeader(nil)
+	client, err := NewClient([]*Node{c.nodes[leader]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.gates[leader].block()
+	type result struct {
+		idx int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		idx, err := client.SubmitWait(context.Background(), KVCommand{Op: "set", Key: "x", Value: "2"})
+		done <- result{idx, err}
+	}()
+
+	c.waitValue("x", "2", leader) // applied on the leader, through the followers' disks
+	applied := c.kvs[leader].AppliedIndex()
+	select {
+	case r := <-done:
+		t.Fatalf("SubmitWait returned %+v before the leader's disk held the entry", r)
+	default:
+	}
+	ps, err := c.stores[leader].Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if durable := ps.SnapIndex + len(ps.Entries); durable >= applied {
+		t.Fatalf("leader disk holds index %d with %d applied despite the gate", durable, applied)
+	}
+
+	c.gates[leader].release()
+	select {
+	case r := <-done:
+		if r.err != nil || r.idx < 1 || r.idx > applied {
+			t.Fatalf("SubmitWait = %+v, want an index within (0, %d]", r, applied)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SubmitWait still parked 10 s after its accept landed behind its apply")
+	}
+}
+
 // TestLeaderCrashAfterQuorumCommitOfUnsyncedEntry is the classic
 // parallel-persist regression: followers quorum-commit an entry the
 // leader never locally fsynced, the leader crashes (its disk power-cut

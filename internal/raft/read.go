@@ -140,8 +140,14 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 	nd.box.mu.Lock()
 	nd.box.reads = append(nd.box.reads, req)
 	nd.box.ring()
-	rep := nd.await(ctx, req.reply)
-	return rep.index, rep.err
+	select {
+	case rep := <-req.reply:
+		return rep.index, rep.err
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	case <-nd.stopped:
+		return 0, nd.stopErr
+	}
 }
 
 // ---- main-loop read handling ----

@@ -70,7 +70,7 @@ func TestReplicationSnapshotTakesOneSlot(t *testing.T) {
 	win(nd)
 	nd.handleMessage(msgnet.Message{From: 1, Payload: AppendEntriesReply{Term: nd.el.term, RejectHint: 0}})
 	for i := 0; i < 3; i++ {
-		nd.handleProposeBatch([]proposeReq{{cmd: KVCommand{Op: "set", Key: "k", Value: "w"}, reply: make(chan proposeReply, 1)}})
+		nd.handleProposeBatch([]proposeReq{{cmd: KVCommand{Op: "set", Key: "k", Value: "w"}, t: &ticket{accept: true}}})
 	}
 	tick(nd)
 	copies := 0
@@ -91,7 +91,7 @@ func TestReplicationStaleRejectionKeepsNext(t *testing.T) {
 	nd := unstarted(t, nil)
 	win(nd)
 	for i := 2; i <= 10; i++ {
-		nd.handleProposeBatch([]proposeReq{{cmd: i, reply: make(chan proposeReply, 1)}})
+		nd.handleProposeBatch([]proposeReq{{cmd: i, t: &ticket{accept: true}}})
 	}
 	term := nd.el.term
 	nd.handleMessage(msgnet.Message{From: 1, Payload: AppendEntriesReply{Term: term, Success: true, MatchIndex: 10}})
@@ -273,7 +273,7 @@ type repNode struct {
 }
 
 type repAccept struct {
-	ch  chan proposeReply
+	t   *ticket
 	cmd any
 }
 
@@ -420,13 +420,10 @@ func (s *repSim) settle(id int) {
 	rn.reads = waiting
 	kept := rn.accepts[:0]
 	for _, a := range rn.accepts {
-		select {
-		case r := <-a.ch:
-			if r.err == nil && !s.diskHas(id, r.index, Entry{Term: r.term, Command: a.cmd}) {
-				s.failf("node %d accepted %v at %d in term %d before its disk held it", id, a.cmd, r.index, r.term)
-			}
-		default:
+		if r := a.t.rep; !a.t.resolved {
 			kept = append(kept, a)
+		} else if r.err == nil && !s.diskHas(id, r.index, Entry{Term: r.term, Command: a.cmd}) {
+			s.failf("node %d accepted %v at %d in term %d before its disk held it", id, a.cmd, r.index, r.term)
 		}
 	}
 	rn.accepts = kept
@@ -538,9 +535,9 @@ func (s *repSim) run(steps int) {
 			var reqs []proposeReq
 			for c := s.rng.Intn(3); c >= 0; c-- {
 				s.seq++
-				a := repAccept{ch: make(chan proposeReply, 1), cmd: s.seq}
+				a := repAccept{t: &ticket{accept: true}, cmd: s.seq}
 				rn.accepts = append(rn.accepts, a)
-				reqs = append(reqs, proposeReq{cmd: a.cmd, reply: a.ch})
+				reqs = append(reqs, proposeReq{cmd: a.cmd, t: a.t})
 			}
 			nd.handleProposeBatch(reqs)
 			s.settle(id)
