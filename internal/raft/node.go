@@ -186,9 +186,9 @@ type Node struct {
 
 	// Read waiters (see read.go): reads waits on the core's confirmation
 	// rounds, FIFO and tagged by round; relay tracks reads this follower
-	// forwarded to the leader, by ids counted from the boot's wall clock:
-	// past every id an earlier life used, whose late replies must not
-	// answer this life's reads.
+	// forwarded to the leader, by ids counted from the boot's clock
+	// reading (NewNode): past every id an earlier life used, whose late
+	// replies must not answer this life's reads.
 	reads    []roundWaiter
 	relaySeq int64
 	relay    map[int64]relayWait
@@ -278,12 +278,17 @@ func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	// relaySeq starts past the last life's ids if the clock moved on since
+	// that boot by more ns than the life forwarded reads. A real clock
+	// does (no life forwards a read a ns); a fake one must be advanced
+	// across a restart, as stepSim's crash-restart does by 1 ms. Not
+	// cfg.RNG: raftkv seeds it with a fixed value, so lives would share ids.
 	nd := &Node{
 		cfg:      cfg,
 		n:        cfg.Endpoint.N(),
 		met:      newNodeMetrics(cfg.Metrics, cfg.ID),
 		relay:    make(map[int64]relayWait),
-		relaySeq: time.Now().UnixNano(),
+		relaySeq: cfg.Clock.Now().UnixNano(),
 		box:      mailbox{wake: make(chan struct{}, 1)},
 		applyQ:   make(chan applyItem, applyQueueDepth),
 		stopped:  make(chan struct{}),

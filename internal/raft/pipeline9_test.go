@@ -119,9 +119,11 @@ func (g *gatedStorage) SaveSnapshot(index, term int, data []byte) error {
 
 func (g *gatedStorage) Load() (PersistentState, error) { return g.inner.Load() }
 
-// pipeCluster is restartableCluster's sibling with per-node MemStorage
-// behind a gatedStorage wrapper, so a test can park or power-cut one
-// node's durability barrier while the rest of the cluster runs.
+// pipeCluster runs nodes with per-node contexts and MemStorage behind a
+// gatedStorage wrapper, so a test can crash and restart a node, or park
+// or power-cut its durability barrier while the rest of the cluster
+// runs. Until a test calls block or powerCut, every write passes
+// straight through the wrapper.
 type pipeCluster struct {
 	t       *testing.T
 	nw      *netsim.Network
@@ -238,6 +240,25 @@ func (c *pipeCluster) propose(cmd any) int {
 	}
 	c.t.Fatal("could not propose")
 	return 0
+}
+
+// waitApplied blocks until every node in ids has applied through index.
+func (c *pipeCluster) waitApplied(index int, ids ...int) {
+	c.t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		done := true
+		for _, id := range ids {
+			if c.kvs[id].AppliedIndex() < index {
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	c.t.Fatalf("index %d not applied", index)
 }
 
 // waitValue blocks until every node in ids has applied a state where

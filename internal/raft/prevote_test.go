@@ -6,86 +6,27 @@ import (
 	"time"
 
 	"ooc/internal/netsim"
-	"ooc/internal/sim"
 )
 
-// preVoteCluster builds a cluster with the PreVote extension enabled.
-func preVoteCluster(t *testing.T, n int, seed uint64) (*netsim.Network, []*Node, []*KVStore, context.CancelFunc) {
-	t.Helper()
-	nw := netsim.New(n, netsim.WithSeed(seed))
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rng := sim.NewRNG(seed)
-	nodes := make([]*Node, n)
-	kvs := make([]*KVStore, n)
-	for id := 0; id < n; id++ {
-		kvs[id] = &KVStore{}
-		node, err := NewNode(Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   testElection,
-			HeartbeatInterval: testHeartbeat,
-			StateMachine:      kvs[id],
-			PreVote:           true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		node.Start(ctx)
-	}
-	return nw, nodes, kvs, cancel
-}
-
-func waitForLeader(t *testing.T, nodes []*Node, nw *netsim.Network) int {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		for id, node := range nodes {
-			if nw.Crashed(id) {
-				continue
-			}
-			if node.Status().State == Leader {
-				return id
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("no leader with PreVote enabled")
-	return -1
-}
+// preVote is newCluster's option for the PreVote extension.
+func preVote(cfg *Config) { cfg.PreVote = true }
 
 func TestPreVoteClusterElectsAndReplicates(t *testing.T) {
-	nw, nodes, kvs, _ := preVoteCluster(t, 3, 51)
-	leader := waitForLeader(t, nodes, nw)
-	idx, err := nodes[leader].Propose(context.Background(), KVCommand{Op: "set", Key: "pv", Value: "on"})
+	c := newCluster(t, 3, 51, preVote)
+	leader := c.waitLeader()
+	idx, err := c.nodes[leader].Propose(context.Background(), KVCommand{Op: "set", Key: "pv", Value: "on"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		done := true
-		for _, kv := range kvs {
-			if kv.AppliedIndex() < idx {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replication incomplete")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	c.waitApplied(idx, 0, 1, 2)
 }
 
 func TestPreVotePreventsTermInflation(t *testing.T) {
 	// A processor isolated from the majority must not grow its term:
 	// its pre-vote probes reach nobody, so it never campaigns for real.
-	nw, nodes, _, _ := preVoteCluster(t, 5, 53)
-	leader := waitForLeader(t, nodes, nw)
+	c := newCluster(t, 5, 53, preVote)
+	nw, nodes := c.nw, c.nodes
+	leader := c.waitLeader()
 	baseTerm := nodes[leader].Status().Term
 
 	victim := (leader + 1) % 5
@@ -119,30 +60,14 @@ func TestPreVotePreventsTermInflation(t *testing.T) {
 }
 
 func TestPreVoteDeniedWhileLeaderAlive(t *testing.T) {
-	// Followers with a live leader veto pre-vote probes. The prober is a
-	// bare endpoint (node 3 runs no protocol), so it owns its inbox.
+	// Followers with a live leader veto pre-vote probes. The nodes sit on
+	// a network of four whose node 3, the prober, is a bare endpoint: it
+	// runs no protocol, so it owns its inbox.
 	const prober = 3
 	nw := netsim.New(4, netsim.WithSeed(57))
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rng := sim.NewRNG(57)
-	nodes := make([]*Node, 3)
-	for id := 0; id < 3; id++ {
-		node, err := NewNode(Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   testElection,
-			HeartbeatInterval: testHeartbeat,
-			PreVote:           true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		node.Start(ctx)
-	}
-	leader := waitForLeader(t, nodes, nw)
+	c := newCluster(t, 3, 57, func(cfg *Config) { cfg.PreVote, cfg.Endpoint = true, nw.Node(cfg.ID) })
+	ctx, nodes := c.ctx, c.nodes
+	leader := c.waitLeader()
 	follower := (leader + 1) % 3
 
 	// Wait until the follower has heard from the leader, then probe it.
@@ -168,8 +93,7 @@ func TestPreVoteDeniedWhileLeaderAlive(t *testing.T) {
 }
 
 func TestPreVoteSingleNode(t *testing.T) {
-	nw, nodes, _, _ := preVoteCluster(t, 1, 59)
-	waitForLeader(t, nodes, nw)
+	newCluster(t, 1, 59, preVote).waitLeader()
 }
 
 func TestPreVoteDeniedByTheLeader(t *testing.T) {
@@ -178,20 +102,9 @@ func TestPreVoteDeniedByTheLeader(t *testing.T) {
 	// plus the prober's own vote would be a quorum of three.)
 	const prober = 3
 	nw := netsim.New(4, netsim.WithSeed(61))
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rng := sim.NewRNG(61)
-	nodes := make([]*Node, 3)
-	for id := range nodes {
-		node, err := NewNode(Config{ID: id, Endpoint: nw.Node(id), RNG: rng.Fork(uint64(id)),
-			ElectionTimeout: testElection, HeartbeatInterval: testHeartbeat, PreVote: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		node.Start(ctx)
-	}
-	leader := waitForLeader(t, nodes, nw)
+	c := newCluster(t, 3, 61, func(cfg *Config) { cfg.PreVote, cfg.Endpoint = true, nw.Node(cfg.ID) })
+	ctx, nodes := c.ctx, c.nodes
+	leader := c.waitLeader()
 	time.Sleep(3 * testElection)
 	st := nodes[leader].Status()
 	if st.State != Leader {

@@ -3,7 +3,6 @@ package raft
 import (
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -230,140 +229,8 @@ func recvReply(t *testing.T, ep msgnet.Endpoint) RequestVoteReply {
 	}
 }
 
-// restartableCluster runs nodes with per-node contexts and MemStorage so
-// individual processors can be crashed and brought back.
-type restartableCluster struct {
-	t       *testing.T
-	nw      *netsim.Network
-	rng     *sim.RNG
-	stores  []*MemStorage
-	kvs     []*KVStore
-	nodes   []*Node
-	cancels []context.CancelFunc
-}
-
-func newRestartableCluster(t *testing.T, n int, seed uint64) *restartableCluster {
-	t.Helper()
-	c := &restartableCluster{
-		t:       t,
-		nw:      netsim.New(n, netsim.WithSeed(seed)),
-		rng:     sim.NewRNG(seed),
-		stores:  make([]*MemStorage, n),
-		kvs:     make([]*KVStore, n),
-		nodes:   make([]*Node, n),
-		cancels: make([]context.CancelFunc, n),
-	}
-	for id := 0; id < n; id++ {
-		c.stores[id] = NewMemStorage()
-		c.kvs[id] = &KVStore{}
-		c.boot(id)
-	}
-	t.Cleanup(func() {
-		for _, cancel := range c.cancels {
-			if cancel != nil {
-				cancel()
-			}
-		}
-	})
-	return c
-}
-
-func (c *restartableCluster) boot(id int) {
-	c.t.Helper()
-	node, err := NewNode(Config{
-		ID:                id,
-		Endpoint:          c.nw.Node(id),
-		RNG:               c.rng.Fork(uint64(id) + 1000*uint64(len(c.nodes))),
-		ElectionTimeout:   testElection,
-		HeartbeatInterval: testHeartbeat,
-		StateMachine:      c.kvs[id],
-		Storage:           c.stores[id],
-	})
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.nodes[id] = node
-	c.cancels[id] = cancel
-	node.Start(ctx)
-}
-
-func (c *restartableCluster) crash(id int) {
-	c.t.Helper()
-	c.nw.Crash(id)
-	c.cancels[id]()
-	select {
-	case <-c.nodes[id].Done():
-	case <-time.After(10 * time.Second):
-		c.t.Fatalf("node %d did not stop", id)
-	}
-}
-
-func (c *restartableCluster) restart(id int) {
-	c.t.Helper()
-	c.nw.Restart(id)
-	// State machines are volatile in this model: a restarted processor
-	// reapplies its persisted log from scratch.
-	c.kvs[id] = &KVStore{}
-	c.boot(id)
-}
-
-func (c *restartableCluster) waitLeader(exclude map[int]bool) int {
-	c.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		for id, node := range c.nodes {
-			if exclude[id] || c.nw.Crashed(id) {
-				continue
-			}
-			if node.Status().State == Leader {
-				return id
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.t.Fatal("no leader")
-	return -1
-}
-
-func (c *restartableCluster) propose(cmd any) int {
-	c.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		leader := c.waitLeader(nil)
-		idx, err := c.nodes[leader].Propose(context.Background(), cmd)
-		if err == nil {
-			return idx
-		}
-		var nl ErrNotLeader
-		if !errors.As(err, &nl) && !errors.Is(err, ErrStopped) {
-			c.t.Fatal(err)
-		}
-	}
-	c.t.Fatal("could not propose")
-	return 0
-}
-
-func (c *restartableCluster) waitApplied(index int, ids ...int) {
-	c.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, id := range ids {
-			if c.kvs[id].AppliedIndex() < index {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.t.Fatalf("index %d not applied", index)
-}
-
 func TestFollowerCrashRecovery(t *testing.T) {
-	c := newRestartableCluster(t, 3, 31)
+	c := newPipeCluster(t, 3, 31)
 	idx := c.propose(KVCommand{Op: "set", Key: "pre", Value: "1"})
 	c.waitApplied(idx, 0, 1, 2)
 
@@ -395,7 +262,7 @@ func TestFollowerCrashRecovery(t *testing.T) {
 }
 
 func TestLeaderCrashRecoveryRejoinsAsFollower(t *testing.T) {
-	c := newRestartableCluster(t, 3, 37)
+	c := newPipeCluster(t, 3, 37)
 	idx := c.propose(KVCommand{Op: "set", Key: "epoch", Value: "1"})
 	c.waitApplied(idx, 0, 1, 2)
 
@@ -437,7 +304,7 @@ func TestLeaderCrashRecoveryRejoinsAsFollower(t *testing.T) {
 }
 
 func TestRepeatedCrashRecoveryCycles(t *testing.T) {
-	c := newRestartableCluster(t, 3, 41)
+	c := newPipeCluster(t, 3, 41)
 	var idx int
 	for cycle := 0; cycle < 3; cycle++ {
 		idx = c.propose(KVCommand{Op: "set", Key: "cycle", Value: string(rune('a' + cycle))})
