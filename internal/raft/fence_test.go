@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -512,11 +514,6 @@ func TestRetransmitOfDurableEntriesNotFenced(t *testing.T) {
 	if r := exchange(AppendEntries{PrevLogIndex: 3, PrevLogTerm: 1, ReadID: 9}); !r.Success || r.MatchIndex != 2 || r.ReadID != 9 {
 		t.Fatalf("heartbeat over the unsynced tail: %v, want an echo of read 9 acknowledging through 2", r)
 	}
-	fenced := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "persist"))
-	free := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "none"))
-	if fenced.Value() != 2 || free.Value() != 2 {
-		t.Fatalf("append replies counted: %d behind a persist, %d free; want 2 and 2", fenced.Value(), free.Value())
-	}
 
 	gate.release()
 	got, err := leader.Recv(ctx)
@@ -526,12 +523,20 @@ func TestRetransmitOfDurableEntriesNotFenced(t *testing.T) {
 	if r := got.Payload.(AppendEntriesReply); !r.Success || r.MatchIndex != 3 {
 		t.Fatalf("after the gate opened: %v, want the ack through 3", r)
 	}
+	// A fenced reply is counted as its persist run releases it.
+	fenced := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "persist"))
+	free := reg.Counter(metrics.Label("raft_append_replies_total", "node", "0", "fence", "none"))
+	if fenced.Value() != 2 || free.Value() != 2 {
+		t.Fatalf("append replies counted: %d behind a persist, %d free; want 2 and 2", fenced.Value(), free.Value())
+	}
 }
 
 // Safety clause (e): what every site that stages a message claims, and
 // whether flush() lets it go with the node in that state. Handlers run
 // on an unstarted node; flush() then either puts the message on the wire
-// or into the persist request nobody is consuming.
+// or into the persist request nobody is consuming. A row lists what is
+// left of the pass's messages after the fold; no row stages, for one
+// peer, a fenced message and an unfenced one that would fold.
 func TestMessageClaims(t *testing.T) {
 	one := []Entry{{Term: 1, Command: "a"}, {Term: 1, Command: "b"}}
 	// follower returns a node in term 1 following node 1, log = one, the
@@ -641,8 +646,8 @@ func TestMessageClaims(t *testing.T) {
 				nd.applyReplication(nd.rep.propose([]any{"c"}))
 				nd.leaderRead(readWaiter{ch: make(chan proposeReply, 1)}, time.Time{})
 			},
-			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false},
-				{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
+			// Each peer's probe folds into its entries.
+			[]want{{"raft.AppendEntries", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"snapshot sent to a laggard", false,
 			func(nd *Node) {
 				leader(nd)
@@ -670,19 +675,20 @@ func TestMessageClaims(t *testing.T) {
 				t.Fatal(err)
 			}
 			row.stage(nd)
-			if len(nd.outbox) != len(row.want) {
-				t.Fatalf("staged %d messages, want %d: %v", len(nd.outbox), len(row.want), nd.outbox)
+			said := nd.fold(slices.Clone(nd.outbox))
+			if len(said) != len(row.want) {
+				t.Fatalf("staged %d messages, %d after the fold, want %d: %v", len(nd.outbox), len(said), len(row.want), nd.outbox)
 			}
 			for i, w := range row.want {
-				got := fmt.Sprintf("%T", nd.outbox[i].payload)
-				if rv, ok := nd.outbox[i].payload.(RequestVote); ok && rv.Pre {
+				got := fmt.Sprintf("%T", said[i].payload)
+				if rv, ok := said[i].payload.(RequestVote); ok && rv.Pre {
 					got += "(pre)"
 				}
-				if rv, ok := nd.outbox[i].payload.(RequestVoteReply); ok && rv.Pre {
+				if rv, ok := said[i].payload.(RequestVoteReply); ok && rv.Pre {
 					got += "(pre)"
 				}
-				if got != w.payload || nd.outbox[i].claim != w.claim {
-					t.Fatalf("message %d: %s claiming %+v, want %s claiming %+v", i, got, nd.outbox[i].claim, w.payload, w.claim)
+				if got != w.payload || said[i].claim != w.claim {
+					t.Fatalf("message %d: %s claiming %+v, want %s claiming %+v", i, got, said[i].claim, w.payload, w.claim)
 				}
 			}
 			nd.flush()
@@ -711,5 +717,271 @@ func TestMessageClaims(t *testing.T) {
 				t.Fatalf("flush sent %d and held %d behind the persist, want %d and %d", sent, len(held), len(row.want)-wantHeld, wantHeld)
 			}
 		})
+	}
+}
+
+// leaderSim is a 3-node stepSim without leases, whose node 0 has won an
+// election and brought both followers up to date.
+func leaderSim(seed uint64) *stepSim {
+	s := newStepSim(3, seed)
+	s.cfg.LeaseDuration = 0 // every read takes a round
+	for id := range s.nodes {
+		s.boot(id)
+	}
+	s.do(action{kind: actCampaign, who: 0})
+	s.quiet()
+	return s
+}
+
+// deliverAll delivers every message on s's wire from → to, in order.
+func deliverAll(s *stepSim, from, to int) {
+	for {
+		i := slices.IndexFunc(s.wire, func(m simMsg) bool { return m.from == from && m.to == to })
+		if i < 0 {
+			return
+		}
+		s.do(action{kind: actDeliver, who: i})
+	}
+}
+
+// onWire returns the payloads on s's wire from → to.
+func onWire(s *stepSim, from, to int) (out []any) {
+	for _, m := range s.wire {
+		if m.from == from && m.to == to {
+			out = append(out, m.payload)
+		}
+	}
+	return out
+}
+
+// A follower's replies to three pipelined appends, released by one
+// persist run, leave as one AppendEntriesReply: it carries the last
+// MatchIndex and the highest ReadID, and the leader ends where the three
+// replies, released one run each, leave it.
+func TestPipelinedRepliesFoldIntoOne(t *testing.T) {
+	run := func(oneRun bool) (*stepSim, []any) {
+		s := leaderSim(5)
+		for range 3 { // a proposal and a read a pass: each append carries a new round id
+			props, reads := s.proposals(0, 1), s.reads(0, 1)
+			s.step(0, func(nd *Node) { nd.handleProposeBatch(props); nd.handleReadBatch(reads) })
+		}
+		deliverAll(s, 0, 1)
+		if q := len(s.nodes[1].queue); q != 3 {
+			t.Fatalf("follower staged %d persists, want 3", q)
+		}
+		for len(s.nodes[1].queue) > 0 {
+			k := 1
+			if oneRun {
+				k = 3
+			}
+			s.do(action{kind: actPersist, who: 1, arg: k})
+		}
+		replies := onWire(s, 1, 0)
+		deliverAll(s, 1, 0)
+		if s.fail != "" {
+			t.Fatal(s.fail)
+		}
+		return s, replies
+	}
+	s, folded := run(true)
+	nd := s.nodes[0].nd
+	if len(folded) != 1 {
+		t.Fatalf("one run released %d append replies, want 1: %v", len(folded), folded)
+	}
+	if r := folded[0].(AppendEntriesReply); !r.Success || r.MatchIndex != nd.rep.log.lastIndex() || r.ReadID != nd.rep.readSeq {
+		t.Fatalf("the folded reply is %v, want a success through %d echoing read %d", r, nd.rep.log.lastIndex(), nd.rep.readSeq)
+	}
+	apart, three := run(false)
+	if len(three) != 3 {
+		t.Fatalf("three runs released %d append replies, want 3: %v", len(three), three)
+	}
+	got, want := nd.rep.peers[1], apart.nodes[0].nd.rep.peers[1]
+	if got.match != want.match || got.next != want.next || got.readAck != want.readAck || !slices.Equal(got.inflight, want.inflight) {
+		t.Fatalf("the leader holds %+v for the follower after the folded reply, %+v after three", got, want)
+	}
+}
+
+// A leader pass that takes a proposal and a linearizable read sends each
+// follower one AppendEntries, carrying the entry and the read's new
+// round id, and the read confirms on the followers' echoes of it.
+func TestProposalAndReadShareOneAppend(t *testing.T) {
+	s := leaderSim(5)
+	nd := s.nodes[0].nd
+	props, reads := s.proposals(0, 1), s.reads(0, 1)
+	s.step(0, func(nd *Node) { nd.handleProposeBatch(props); nd.handleReadBatch(reads) })
+	if len(nd.reads) != 1 {
+		t.Fatalf("%d reads wait on a round, want 1", len(nd.reads))
+	}
+	round := nd.reads[0].round.id
+	for _, f := range []int{1, 2} {
+		msgs := onWire(s, 0, f)
+		if len(msgs) != 1 {
+			t.Fatalf("follower %d was sent %d messages, want 1: %v", f, len(msgs), msgs)
+		}
+		if m, ok := msgs[0].(AppendEntries); !ok || len(m.Entries) != 1 || m.ReadID != round {
+			t.Fatalf("follower %d was sent %v, want the entry and read round %d", f, msgs[0], round)
+		}
+	}
+	s.quiet()
+	if s.fail != "" {
+		t.Fatal(s.fail)
+	}
+	if len(nd.reads) != 0 || len(nd.rep.rounds) != 0 {
+		t.Fatalf("the read's round %d was never confirmed: %d reads wait, rounds %v", round, len(nd.reads), nd.rep.rounds)
+	}
+	if ack := nd.rep.peers[1].readAck; ack < round {
+		t.Fatalf("follower 1 echoed read %d, want %d", ack, round)
+	}
+}
+
+// followerPass runs one pass of an unstarted node following node 1 in
+// term 1, with n entries of term 1 all on disk: it takes msgs from node 1
+// and flushes, then lands what the pass staged as one run. sent and
+// released are the AppendEntriesReplies that reached node 1 at the flush
+// and at the landing.
+func followerPass(t *testing.T, n int, msgs ...any) (sent, released []AppendEntriesReply) {
+	nw := netsim.New(2, netsim.WithFIFO())
+	disk := NewMemStorage()
+	var log []Entry
+	for i := range n {
+		log = append(log, Entry{Term: 1, Command: i})
+	}
+	if err := errors.Join(disk.SetState(1, 1), disk.AppendBatch([]LogMutation{{Entries: log}})); err != nil {
+		t.Fatal(err)
+	}
+	nd, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}, Storage: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.el.leader = 1
+	for _, m := range msgs {
+		nd.handleMessage(msgnet.Message{From: 1, Payload: m})
+	}
+	replies := func() (out []AppendEntriesReply) {
+		for _, p := range received(nw, 1) {
+			out = append(out, p.(AppendEntriesReply))
+		}
+		return out
+	}
+	nd.flush()
+	sent = replies()
+	var run []persistReq
+	for len(nd.persistQ) > 0 {
+		run = append(run, <-nd.persistQ)
+	}
+	if len(run) > 0 {
+		nd.onPersistDone(nd.doPersistRun(run))
+	}
+	return sent, replies()
+}
+
+// What the fold must leave alone, on a hand-driven follower.
+func TestFoldGuards(t *testing.T) {
+	entry := []Entry{{Term: 1, Command: "c"}}
+	t.Run("a rejection between two successes is still sent", func(t *testing.T) {
+		// Reordered on the way: read 8 overtook read 7.
+		sent, _ := followerPass(t, 4,
+			AppendEntries{Term: 1, LeaderID: 1, Entries: []Entry{{Term: 1, Command: 0}, {Term: 1, Command: 1}}, ReadID: 8},
+			AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 9, PrevLogTerm: 1, ReadID: 8},
+			AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 4, PrevLogTerm: 1, ReadID: 7})
+		want := []AppendEntriesReply{{Term: 1, RejectHint: 4, ReadID: 8}, {Term: 1, Success: true, MatchIndex: 4, ReadID: 8}}
+		if !slices.Equal(sent, want) {
+			t.Fatalf("sent %v, want %v", sent, want)
+		}
+	})
+	t.Run("a reply of an older term is still sent", func(t *testing.T) {
+		sent, released := followerPass(t, 4,
+			AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 4, PrevLogTerm: 1, ReadID: 3},
+			AppendEntries{Term: 2, LeaderID: 1, PrevLogIndex: 4, PrevLogTerm: 1, ReadID: 1})
+		want := []AppendEntriesReply{{Term: 1, Success: true, MatchIndex: 4, ReadID: 3}, {Term: 2, Success: true, MatchIndex: 4, ReadID: 1}}
+		if len(sent) != 0 || !slices.Equal(released, want) {
+			t.Fatalf("sent %v at once and %v with the new term on disk, want nothing and %v", sent, released, want)
+		}
+	})
+	t.Run("an unfenced reply never absorbs a fenced one", func(t *testing.T) {
+		// As in TestRetransmitOfDurableEntriesNotFenced, in one pass.
+		sent, released := followerPass(t, 2,
+			AppendEntries{Term: 1, LeaderID: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: entry},
+			AppendEntries{Term: 1, LeaderID: 1, Entries: []Entry{{Term: 1, Command: 0}, {Term: 1, Command: 1}}})
+		if want := []AppendEntriesReply{{Term: 1, Success: true, MatchIndex: 2}}; !slices.Equal(sent, want) {
+			t.Fatalf("sent %v at once, want %v", sent, want)
+		}
+		if want := []AppendEntriesReply{{Term: 1, Success: true, MatchIndex: 3}}; !slices.Equal(released, want) {
+			t.Fatalf("released %v with entry 3 on disk, want %v", released, want)
+		}
+	})
+}
+
+// TestFoldRules: fold on hand-made release sets, a rule or a guard a row.
+func TestFoldRules(t *testing.T) {
+	ok := func(to, term, match, read int) outMsg {
+		return outMsg{to: to, payload: AppendEntriesReply{Term: term, Success: true, MatchIndex: match, ReadID: read},
+			claim: claim{index: match, state: true}}
+	}
+	no := outMsg{to: 1, payload: AppendEntriesReply{Term: 2, RejectHint: 3, ReadID: 9}, claim: claim{state: true}}
+	ae := func(term, commit, read int, entries ...Entry) outMsg {
+		return outMsg{to: 1, payload: AppendEntries{Term: term, LeaderCommit: commit, ReadID: read, Entries: entries}}
+	}
+	x, y := Entry{Term: 2, Command: "x"}, Entry{Term: 2, Command: "y"}
+	traced := func(m outMsg) outMsg { m.payload = msgnet.WithTraceID(7, m.payload); return m }
+	rows := []struct {
+		name      string
+		set, want []outMsg
+	}{
+		{"a later success takes the higher match, read id and claim",
+			[]outMsg{ok(1, 2, 5, 9), ok(1, 2, 4, 7)}, []outMsg{{to: 1, payload: AppendEntriesReply{Term: 2, Success: true, MatchIndex: 5, ReadID: 9}, claim: claim{index: 5, state: true}}}},
+		{"a rejection stays, the successes around it fold",
+			[]outMsg{ok(1, 2, 5, 3), no, ok(1, 2, 6, 3)}, []outMsg{no, ok(1, 2, 6, 3)}},
+		{"replies of two terms both leave", []outMsg{ok(1, 1, 5, 3), ok(1, 2, 5, 3)}, []outMsg{ok(1, 1, 5, 3), ok(1, 2, 5, 3)}},
+		{"replies to two peers both leave", []outMsg{ok(1, 2, 5, 3), ok(2, 2, 5, 3)}, []outMsg{ok(1, 2, 5, 3), ok(2, 2, 5, 3)}},
+		{"a probe before the entries folds into them", []outMsg{ae(2, 3, 4), ae(2, 2, 3, x)}, []outMsg{ae(2, 3, 4, x)}},
+		{"a probe after the entries folds into them", []outMsg{ae(2, 2, 3, x), ae(2, 3, 4)}, []outMsg{ae(2, 3, 4, x)}},
+		{"a probe folds into the last entries", []outMsg{ae(2, 2, 3, x), ae(2, 2, 3, y), ae(2, 3, 4)}, []outMsg{ae(2, 2, 3, x), ae(2, 3, 4, y)}},
+		{"a probe of another term stays", []outMsg{ae(1, 2, 3, x), ae(2, 3, 4)}, []outMsg{ae(1, 2, 3, x), ae(2, 3, 4)}},
+		{"a sampled append keeps its trace id", []outMsg{traced(ae(2, 2, 3, x)), ae(2, 3, 4)}, []outMsg{traced(ae(2, 3, 4, x))}},
+	}
+	nd := &Node{folds: make([]foldSlot, 3)}
+	for _, row := range rows {
+		if got := nd.fold(slices.Clone(row.set)); !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s: folded to %v, want %v", row.name, got, row.want)
+		}
+	}
+}
+
+// A batch that rewrites entries an earlier batch still in flight wrote
+// lands in a run of its own: the earlier batch's reply leaves while the
+// disk holds what it acknowledges, not after the rewrite replaced it.
+func TestRewriteLandsInARunOfItsOwn(t *testing.T) {
+	nw := netsim.New(3, netsim.WithFIFO())
+	disk := NewMemStorage()
+	nd, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}, Storage: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(from int, m AppendEntries) {
+		nd.handleMessage(msgnet.Message{From: from, Payload: m})
+		nd.flush()
+	}
+	pass(1, AppendEntries{Term: 1, LeaderID: 1, Entries: []Entry{{Term: 1, Command: "a"}}})
+	pass(2, AppendEntries{Term: 2, LeaderID: 2, Entries: []Entry{{Term: 2, Command: "b"}}})
+	var queued []persistReq
+	for len(nd.persistQ) > 0 {
+		queued = append(queued, <-nd.persistQ)
+	}
+	if len(queued) != 2 {
+		t.Fatalf("staged %d batches, want 2", len(queued))
+	}
+	if queued[0].rewrites || !queued[1].rewrites || nextRun(queued) != 1 {
+		t.Fatalf("rewrites %v and %v, first run %d; want the second alone to rewrite, and a run of 1",
+			queued[0].rewrites, queued[1].rewrites, nextRun(queued))
+	}
+	nd.onPersistDone(nd.doPersistRun(queued[:1]))
+	on, _ := disk.Load()
+	got := received(nw, 1)
+	if want := (AppendEntriesReply{Term: 1, Success: true, MatchIndex: 1}); len(got) != 1 || got[0] != want {
+		t.Fatalf("node 1 got %v, want %v", got, want)
+	}
+	if len(on.Entries) != 1 || on.Entries[0].Term != 1 {
+		t.Fatalf("the disk holds %v as the reply leaves, want term 1's entry", on.Entries)
 	}
 }

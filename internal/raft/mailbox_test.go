@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"ooc/internal/metrics"
+	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
 	"ooc/internal/rtrace"
 	"ooc/internal/sim"
@@ -581,12 +582,21 @@ func TestAppliedNotifierNeverStrandsAWaiter(t *testing.T) {
 
 // The loop's own accounting against the network's: on a stopped 3-node
 // group, messages taken in by the three loops equal messages the network
-// handed out; every proposal made was counted; wakes never exceed inputs
-// plus timer ticks by construction, so inputs per wake is readable.
+// handed out, and append replies counted as they left — free or released
+// by a persist run — equal those the network carried; every proposal
+// made was counted; wakes never exceed inputs plus timer ticks by
+// construction, so inputs per wake is readable.
 func TestLoopInputMetricsMatchNetwork(t *testing.T) {
 	reg := metrics.NewRegistry()
 	const n, writes = 3, 40
-	nw := netsim.New(n, netsim.WithSeed(29), netsim.WithMetrics(reg))
+	var carried atomic.Int64 // AppendEntriesReply messages on the network
+	count := func(m msgnet.Message) []msgnet.Message {
+		if _, ok := m.Payload.(AppendEntriesReply); ok {
+			carried.Add(1)
+		}
+		return []msgnet.Message{m}
+	}
+	nw := netsim.New(n, netsim.WithSeed(29), netsim.WithMetrics(reg), netsim.WithTamper(count))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	nodes := make([]*Node, n)
@@ -594,7 +604,8 @@ func TestLoopInputMetricsMatchNetwork(t *testing.T) {
 	for id := range nodes {
 		var err error
 		nodes[id], err = NewNode(Config{ID: id, Endpoint: nw.Node(id), RNG: rng.Fork(uint64(id)),
-			ElectionTimeout: testElection, HeartbeatInterval: testHeartbeat, StateMachine: &KVStore{}, Metrics: reg})
+			ElectionTimeout: testElection, HeartbeatInterval: testHeartbeat, StateMachine: &KVStore{}, Metrics: reg,
+			Storage: NewMemStorage()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -635,6 +646,10 @@ func TestLoopInputMetricsMatchNetwork(t *testing.T) {
 	}
 	if wakes := sum("raft_loop_wakes_total"); wakes == 0 {
 		t.Fatal("no wakes counted")
+	}
+	fenced, free := sum("raft_append_replies_total", "fence", "persist"), sum("raft_append_replies_total", "fence", "none")
+	if fenced+free != carried.Load() || fenced == 0 || free == 0 {
+		t.Fatalf("append replies counted: %d released by a persist run and %d free, the network carried %d", fenced, free, carried.Load())
 	}
 }
 

@@ -316,9 +316,9 @@ func (m *nodeMetrics) onCommitOverlap(commitFirst bool) {
 	}
 }
 
-// onSend counts a staged message as flush() classifies it; only
-// AppendEntriesReply has a counter (a label, not a fencing rule — the
-// rule is the message's claim).
+// onSend counts a message as it leaves (transmit, after the fold):
+// fenced says a persist run released it. Only AppendEntriesReply has a
+// counter (a label, not a fencing rule — the rule is the message's claim).
 func (m *nodeMetrics) onSend(payload any, fenced bool) {
 	if !m.enabled {
 		return

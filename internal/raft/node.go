@@ -166,9 +166,11 @@ type Node struct {
 	// together with the sends whose claim that batch covers and the
 	// proposal replies that externalize it; everything else leaves at once.
 	stateDirty bool
+	rewrote    bool // the staged log rewrites an in-flight batch's (clampDurable)
 	pendingLog []LogMutation
 	outbox     []outMsg
 	replies    []stagedReply
+	folds      []foldSlot // fold's per-peer scratch (pipeline.go)
 
 	// Write pipeline (see pipeline.go). The apply worker always runs; the
 	// persist worker and its queue exist only with a Storage — without
@@ -289,6 +291,7 @@ func NewNode(cfg Config) (*Node, error) {
 		met:      newNodeMetrics(cfg.Metrics, cfg.ID),
 		relay:    make(map[int64]relayWait),
 		relaySeq: cfg.Clock.Now().UnixNano(),
+		folds:    make([]foldSlot, cfg.Endpoint.N()),
 		box:      mailbox{wake: make(chan struct{}, 1)},
 		applyQ:   make(chan applyItem, applyQueueDepth),
 		stopped:  make(chan struct{}),

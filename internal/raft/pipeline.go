@@ -57,13 +57,17 @@ package raft
 // All Endpoint sends, reply-channel sends and ticket resolutions stay on
 // the main loop: the persist worker returns its release bundle through
 // the mailbox and the main loop externalizes it, so netsim's per-sender
-// RNG streams and the transport never see concurrent senders.
+// RNG streams and the transport never see concurrent senders. Every
+// Endpoint send goes through transmit, which first folds what the set it
+// sends says more than once to one peer into one message (fold).
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
+	"ooc/internal/msgnet"
 	"ooc/internal/rtrace"
 )
 
@@ -91,6 +95,10 @@ type persistReq struct {
 	// Release bundle: externalized by the main loop on completion.
 	msgs    []outMsg
 	replies []stagedReply
+	// rewrites marks a batch that rewrites log indexes an earlier batch
+	// still in flight wrote (clampDurable lowered that batch's target):
+	// it starts a run of its own (nextRun).
+	rewrites bool
 }
 
 // snapStage is a staged snapshot record (compaction or InstallSnapshot).
@@ -170,7 +178,7 @@ func (nd *Node) hardStateBusy() bool {
 // externalized over unpersisted state) and the loop stops the node.
 func (nd *Node) flush() {
 	if nd.fatal != nil {
-		nd.stateDirty = false
+		nd.stateDirty, nd.rewrote = false, false
 		nd.pendingLog = nil
 		nd.pendingSnap = nil
 		nd.snapAfterMuts = 0
@@ -184,18 +192,15 @@ func (nd *Node) flush() {
 	stateBusy := nd.hardStateBusy()
 	var fencedMsgs []outMsg
 	var fencedReplies []stagedReply
+	free := nd.outbox[:0]
 	for _, m := range nd.outbox {
-		fenced := m.claim.index > nd.rep.durable || (m.claim.state && stateBusy)
-		nd.met.onSend(m.payload, fenced)
-		if fenced {
+		if m.claim.index > nd.rep.durable || (m.claim.state && stateBusy) {
 			fencedMsgs = append(fencedMsgs, m)
-			continue
+		} else {
+			free = append(free, m)
 		}
-		// Send failures mean we crashed or the network is gone; the
-		// loop's next TryRecv will notice and stop, so they are safe to
-		// drop here.
-		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
+	nd.transmit(free, false)
 	nd.outbox = nd.outbox[:0]
 	fence := havePersist || len(nd.pendingPersist) > 0
 	released := nd.replies[:0]
@@ -224,6 +229,99 @@ func (nd *Node) flush() {
 	if len(released) > 0 {
 		runtime.Gosched()
 	}
+}
+
+// transmit is the one way a staged message reaches the Endpoint: a
+// release set — what one flush lets go at once, or what one persist run
+// releases (fenced) — is folded, and what is left is counted and sent.
+// Send failures mean we crashed or the network is gone; the loop's next
+// TryRecv will notice and stop, so they are safe to drop here.
+func (nd *Node) transmit(set []outMsg, fenced bool) {
+	for _, m := range nd.fold(set) {
+		nd.met.onSend(m.payload, fenced)
+		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
+	}
+}
+
+// foldSlot is one peer's entry in fold's scratch: the position, plus
+// one, of the set's latest success AppendEntriesReply to the peer and of
+// its latest entry-carrying AppendEntries; 0 for none.
+type foldSlot struct{ reply, app int }
+
+// fold merges, in place, what one release set says more than once to the
+// same peer, and returns what is left of the set, in order. Both rules
+// rest on the leader taking maxima (replication's onAppendReply):
+//
+//   - A success AppendEntriesReply gives way to a later success to the
+//     same peer in the same term, which takes the higher MatchIndex,
+//     ReadID and claimed index: the set leaves as one, so the disk backs
+//     the higher claim whichever message made it. Rejections and replies
+//     of other terms stay as they are.
+//   - An AppendEntries without entries (keep-alive or read probe) gives
+//     way to the set's last entry-carrying AppendEntries to the same
+//     peer in the same term, which takes the higher ReadID and
+//     LeaderCommit: it leaves in this set, after every read that joined
+//     the probe's round began, and the follower clamps the commit index
+//     to the last entry it carries.
+//
+// Two sets never mix, so an unfenced reply never takes a fenced one's
+// claim. A sampled append is unwrapped and keeps its trace ID.
+func (nd *Node) fold(set []outMsg) []outMsg {
+	if len(set) < 2 {
+		return set
+	}
+	slots, folded := nd.folds, false
+	clear(slots)
+	for i := len(set) - 1; i >= 0; i-- {
+		m, s := &set[i], &slots[set[i].to]
+		_, payload := msgnet.TraceOf(m.payload)
+		switch p := payload.(type) {
+		case AppendEntriesReply:
+			if !p.Success {
+				break
+			}
+			if s.reply > 0 {
+				into := &set[s.reply-1]
+				if r := into.payload.(AppendEntriesReply); r.Term == p.Term {
+					// Boxed again only when it changes: boxing allocates.
+					if p.MatchIndex > r.MatchIndex || p.ReadID > r.ReadID {
+						r.MatchIndex, r.ReadID = max(r.MatchIndex, p.MatchIndex), max(r.ReadID, p.ReadID)
+						into.payload = r
+					}
+					into.claim.index = max(into.claim.index, m.claim.index)
+					m.payload, folded = nil, true
+					break
+				}
+			}
+			s.reply = i + 1
+		case AppendEntries:
+			if len(p.Entries) > 0 && s.app == 0 {
+				s.app = i + 1
+			}
+		}
+	}
+	for i := range set {
+		m, s := &set[i], slots[set[i].to]
+		p, ok := m.payload.(AppendEntries)
+		if !ok || len(p.Entries) > 0 || s.app == 0 {
+			continue
+		}
+		into := &set[s.app-1]
+		id, payload := msgnet.TraceOf(into.payload)
+		a := payload.(AppendEntries)
+		if a.Term != p.Term {
+			continue
+		}
+		if p.ReadID > a.ReadID || p.LeaderCommit > a.LeaderCommit {
+			a.ReadID, a.LeaderCommit = max(a.ReadID, p.ReadID), max(a.LeaderCommit, p.LeaderCommit)
+			into.payload = msgnet.WithTraceID(id, a)
+		}
+		m.payload, folded = nil, true
+	}
+	if !folded {
+		return set
+	}
+	return slices.DeleteFunc(set, func(m outMsg) bool { return m.payload == nil })
 }
 
 // release hands out replies the pass no longer holds back: a read's on
@@ -257,8 +355,9 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 		snapAfter: nd.snapAfterMuts,
 		msgs:      msgs,
 		replies:   replies,
+		rewrites:  nd.rewrote,
 	}
-	nd.stateDirty = false
+	nd.stateDirty, nd.rewrote = false, false
 	nd.pendingLog = nil // the worker owns the slice now
 	nd.pendingSnap = nil
 	nd.snapAfterMuts = 0
@@ -282,12 +381,14 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 // to at most idx: entries above it are being rewritten, so neither a
 // claim made from now on nor the completion of an older batch may count
 // them durable. The disk will hold the *new* entries at those indexes
-// only once the batch staged after this call lands.
+// only once the batch staged after this call lands, and that batch
+// rewrites when an in-flight one wrote them.
 func (nd *Node) clampDurable(idx int) {
 	nd.rep.durable = min(nd.rep.durable, idx)
 	for i := range nd.pendingPersist {
 		if nd.pendingPersist[i].target > idx {
 			nd.pendingPersist[i].target = idx
+			nd.rewrote = true
 		}
 	}
 }
@@ -298,7 +399,8 @@ func (nd *Node) clampDurable(idx int) {
 // where group commit survives pipelining: the main loop no longer blocks
 // in fsync, so it stages many small batches, and the worker re-coalesces
 // every batch that piled up behind the disk into (usually) a single
-// AppendBatch call, one durability barrier for all of them.
+// AppendBatch call, one durability barrier for all of them — more than
+// one only when a batch rewrites what an earlier one wrote (nextRun).
 //
 // flush() readies this goroutine last, so it runs ahead of the apply
 // worker and the clients the same pass woke. It does not yield to them
@@ -325,14 +427,34 @@ func (nd *Node) persistWorker() {
 					break drained
 				}
 			}
-			done := nd.doPersistRun(reqs)
-			nd.box.mu.Lock()
-			nd.box.persisted = append(nd.box.persisted, done)
-			nd.box.ring()
+			for len(reqs) > 0 {
+				n := nextRun(reqs)
+				done := nd.doPersistRun(reqs[:n])
+				if reqs = reqs[n:]; done.err != nil {
+					done.n, reqs = done.n+len(reqs), nil // nothing lands after a failure
+				}
+				nd.box.mu.Lock()
+				nd.box.persisted = append(nd.box.persisted, done)
+				nd.box.ring()
+			}
 		case <-nd.stopped:
 			return
 		}
 	}
+}
+
+// nextRun is how many of reqs, oldest first, land as one run: all of
+// them up to the next that rewrites, which starts a run of its own. The
+// bundles of the batches before it are then released while the disk
+// holds what they claim, instead of after it has been rewritten — or
+// without ever having held it, when one AppendBatch merges the write and
+// its rewrite.
+func nextRun(reqs []persistReq) int {
+	n := 1
+	for n < len(reqs) && !reqs[n].rewrites {
+		n++
+	}
+	return n
 }
 
 // doPersistRun executes a run of batches, merging consecutive log
@@ -429,9 +551,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 		nd.fatal = d.err
 		return
 	}
-	for _, m := range d.msgs {
-		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
-	}
+	nd.transmit(d.msgs, true)
 	nd.release(d.replies)
 	o := nd.rep.persisted(target)
 	if nd.el.role == Leader {

@@ -20,8 +20,9 @@ import (
 // flush(), so the persist fence under test (persistLog, persistSnapshot,
 // clampDurable, the claims flush() checks) is the one that ships; the
 // workers' places are taken by the schedule, which lands a node's oldest
-// persist with doPersistRun and onPersistDone, and by settle, which
-// applies what a step committed to the node's KVStore.
+// persists with doPersistRun and onPersistDone in the runs the persist
+// worker's greedy drain makes (nextRun), so a run's release set folds,
+// and by settle, which applies what a step committed to the node's KVStore.
 //
 // enabled says what the state enables, pick draws one such action from
 // a mix, and do carries it out and records it in the trace, so a seed
@@ -77,7 +78,7 @@ const (
 	actDeliver actKind = iota
 	actDrop
 	actDup     // deliver and keep a copy on the wire
-	actPersist // land the oldest persist
+	actPersist // land the arg oldest persists, in the worker's runs
 	actTimer   // fire the timer, moving the clock to its deadline
 	actCampaign
 	actHeartbeat
@@ -221,6 +222,8 @@ func (s *stepSim) pick(m *mix) action {
 			continue
 		}
 		switch a.kind {
+		case actPersist:
+			a.arg = 1 + s.rng.Intn(len(s.nodes[a.who].queue))
 		case actPropose, actRead:
 			a.arg = 1 + s.rng.Intn(3)
 		case actCompact:
@@ -250,7 +253,7 @@ func (s *stepSim) quiet() {
 		id := slices.IndexFunc(s.nodes, func(sn *simNode) bool { return len(sn.queue) > 0 })
 		switch {
 		case id >= 0:
-			s.do(action{kind: actPersist, who: id})
+			s.do(action{kind: actPersist, who: id, arg: len(s.nodes[id].queue)})
 		case len(s.wire) > 0:
 			s.do(action{kind: actDeliver})
 		default:
@@ -276,14 +279,18 @@ func (s *stepSim) do(a action) {
 			s.step(m.to, func(nd *Node) { nd.handleMessage(msgnet.Message{From: m.from, Payload: m.payload}) })
 		}
 	case actPersist:
+		// The worker lands what it drained in runs (nextRun); each
+		// completion is taken by a pass of its own.
 		sn := s.nodes[id]
-		req := sn.queue[0]
-		sn.queue = sn.queue[1:]
-		s.step(id, func(nd *Node) {
-			done := nd.doPersistRun([]persistReq{req})
-			sn.onDisk, _ = sn.disk.Load()
-			nd.onPersistDone(done)
-		})
+		for drained := a.arg; drained > 0 && s.fail == ""; {
+			run := sn.queue[:nextRun(sn.queue[:drained])]
+			sn.queue, drained = sn.queue[len(run):], drained-len(run)
+			s.step(id, func(nd *Node) {
+				done := nd.doPersistRun(run)
+				sn.onDisk, _ = sn.disk.Load()
+				nd.onPersistDone(done)
+			})
+		}
 	case actTimer:
 		s.clock.AdvanceTo(s.nodes[id].nd.el.deadline)
 		s.step(id, func(nd *Node) { nd.applyElection(nd.el.tick(s.clock.Now())) })
@@ -298,23 +305,10 @@ func (s *stepSim) do(a action) {
 	case actHeartbeat:
 		s.step(id, func(nd *Node) { nd.applyReplication(nd.rep.heartbeat(now)) })
 	case actPropose:
-		sn := s.nodes[id]
-		reqs := make([]proposeReq, a.arg)
-		for i := range reqs {
-			s.seq++
-			reqs[i] = proposeReq{cmd: s.seq, t: &ticket{accept: true}}
-		}
-		sn.accepts = append(sn.accepts, reqs...)
+		reqs := s.proposals(id, a.arg)
 		s.step(id, func(nd *Node) { nd.handleProposeBatch(reqs) })
 	case actRead:
-		sn := s.nodes[id]
-		reqs := make([]readReq, a.arg)
-		for i := range reqs {
-			ch := make(chan proposeReply, 1)
-			s.floor[ch] = s.maxCommit
-			sn.reads = append(sn.reads, ch)
-			reqs[i] = readReq{mode: ReadLinearizable, reply: ch}
-		}
+		reqs := s.reads(id, a.arg)
 		s.step(id, func(nd *Node) { nd.handleReadBatch(reqs) })
 	case actCompact:
 		// The apply worker's compaction offer, at any applied index: the
@@ -335,6 +329,31 @@ func (s *stepSim) do(a action) {
 	case actHeal:
 		clear(s.cut)
 	}
+}
+
+// proposals makes k proposals of the next commands for node id, whose
+// accept replies settle checks.
+func (s *stepSim) proposals(id, k int) []proposeReq {
+	reqs := make([]proposeReq, k)
+	for i := range reqs {
+		s.seq++
+		reqs[i] = proposeReq{cmd: s.seq, t: &ticket{accept: true}}
+	}
+	s.nodes[id].accepts = append(s.nodes[id].accepts, reqs...)
+	return reqs
+}
+
+// reads makes k linearizable reads for node id, whose answers are
+// checked against the highest commit index anywhere now.
+func (s *stepSim) reads(id, k int) []readReq {
+	reqs := make([]readReq, k)
+	for i := range reqs {
+		ch := make(chan proposeReply, 1)
+		s.floor[ch] = s.maxCommit
+		s.nodes[id].reads = append(s.nodes[id].reads, ch)
+		reqs[i] = readReq{mode: ReadLinearizable, reply: ch}
+	}
+	return reqs
 }
 
 // step runs f on node id as one pass of its main loop and settles it,
