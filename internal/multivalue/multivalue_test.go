@@ -36,6 +36,7 @@ func runCluster[V comparable](
 			if err == nil {
 				outs[id] = checker.RunOutcome[V]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
 			} else {
+				t.Logf("node %d: %v", id, err)
 				outs[id] = checker.RunOutcome[V]{Node: id}
 			}
 		}(id)

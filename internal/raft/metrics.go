@@ -7,9 +7,10 @@ import (
 	"ooc/internal/metrics"
 )
 
-// nodeMetrics is the node's telemetry bundle. All observations happen on
-// the main loop goroutine, so the pending-commit map needs no lock; only
-// the instruments themselves are shared (and they are atomic). A nil
+// nodeMetrics is the node's telemetry bundle. Only the main loop touches
+// the pending-commit map, so it needs no lock; the instruments are atomic
+// and are also observed off the loop — applies on the apply worker, read
+// answers on the reading caller's goroutine (onReadServed). A nil
 // registry yields a disabled bundle whose methods no-op, mirroring the
 // nil-Recorder convention.
 type nodeMetrics struct {
@@ -229,10 +230,10 @@ func (m *nodeMetrics) onSnapshot() {
 	}
 }
 
-// onReadServed records one read answered to a local caller, labeled by
-// the path that served it, with its request→reply latency measured from
-// the request's arrival stamp (metrics.ObserveSince — the disabled path
-// now skips the clock read entirely).
+// onReadServed records one read as it returns to its caller
+// (ReadIndexMode), labeled by the path that served it, with its latency
+// measured from the call (metrics.ObserveSince — the disabled path skips
+// the clock read entirely).
 func (m *nodeMetrics) onReadServed(mode string, t0 time.Time) {
 	if !m.enabled {
 		return

@@ -114,8 +114,8 @@ const (
 	// a single leadership-confirmation round.
 	maxReadBatch = 256
 	// applyQueueDepth bounds the apply queue (an item is one committed
-	// batch, snapshot restore or parked read). A full queue blocks the
-	// main loop: backpressure, not loss.
+	// batch or snapshot restore). A full queue blocks the main loop:
+	// backpressure, not loss.
 	applyQueueDepth = 256
 )
 
@@ -193,7 +193,7 @@ type Node struct {
 	// replies must not answer this life's reads.
 	reads    []roundWaiter
 	relaySeq int64
-	relay    map[int64]relayWait
+	relay    map[int64]chan proposeReply
 	rstats   readStats
 
 	// Per-request tracing bookkeeping (leader only, sampled proposals
@@ -271,6 +271,7 @@ type proposeReply struct {
 	index int
 	term  int // the accepting leader's term; set on proposal acceptance only
 	err   error
+	lease bool // a read's index came from a held lease; set on read answers only
 }
 
 // NewNode validates cfg and builds a node; call Start to run it. When
@@ -289,7 +290,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		n:        cfg.Endpoint.N(),
 		met:      newNodeMetrics(cfg.Metrics, cfg.ID),
-		relay:    make(map[int64]relayWait),
+		relay:    make(map[int64]chan proposeReply),
 		relaySeq: cfg.Clock.Now().UnixNano(),
 		folds:    make([]foldSlot, cfg.Endpoint.N()),
 		box:      mailbox{wake: make(chan struct{}, 1)},

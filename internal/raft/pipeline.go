@@ -10,12 +10,14 @@ package raft
 //     follower RTT+fsync), not their sum. A node without a Storage runs
 //     the same flush with no worker: it never stages anything, so
 //     nothing is fenced and its durable index is its log tail.
-//   - The apply worker owns StateMachine.Apply, the applied index, and
-//     the applied≥readIndex waits, so the main loop can persist and
-//     replicate batch N+1 while batch N applies. A write's caller parks
-//     once, on the applied notifier's broadcast (applied.go): the loop
-//     resolves the proposal's ticket there instead of sending an accept
-//     reply, and a resolution wakes the caller only when it can return.
+//   - The apply worker owns StateMachine.Apply and the applied index,
+//     so the main loop can persist and replicate batch N+1 while batch N
+//     applies. A write's caller parks once, on the applied notifier's
+//     broadcast (applied.go): the loop resolves the proposal's ticket
+//     there instead of sending an accept reply, and a resolution wakes
+//     the caller only when it can return. A read's caller gets its index
+//     from the loop at confirmation and, if the state machine is still
+//     behind it, parks on the same broadcast (ReadIndexMode).
 //
 // What a pass woke runs before the disk does: flush() readies the persist
 // worker last, so the scheduler runs it first, and FileStorage.SyncDevice
@@ -127,14 +129,12 @@ type persistDone struct {
 }
 
 // applyItem is one unit of apply-worker input: a batch of committed
-// entries, a snapshot restore, or a read waiter parked until the state
-// machine catches up to its read index.
+// entries or a snapshot restore.
 type applyItem struct {
 	first   int // index of entries[0], or the restore point
 	entries []Entry
 	term    int
 	restore *snapStage
-	wait    *applyWait
 	// traced carries the apply-phase stamps for sampled entries in this
 	// batch: the worker closes committed→applied.
 	traced []applyTrace
@@ -612,15 +612,14 @@ func (nd *Node) enqueueApplyEntries(old, index int) {
 }
 
 // applyWorker owns the state machine: applies committed batches in
-// order, publishes the applied index, releases parked read waiters, and
-// drives snapshot compaction (it is the only goroutine that may call
-// SnapshotData concurrently with applies).
+// order, publishes the applied index, and drives snapshot compaction (it
+// is the only goroutine that may call SnapshotData concurrently with
+// applies).
 func (nd *Node) applyWorker() {
 	defer nd.workers.Done()
 	applied := nd.applied.current()
 	snapBase := applied // a node boots applied through its snapshot
-	var waits []applyWait
-	dead := false // a fatal error was reported; drain without applying
+	dead := false       // a fatal error was reported; drain without applying
 	for {
 		select {
 		case it := <-nd.applyQ:
@@ -628,8 +627,6 @@ func (nd *Node) applyWorker() {
 				continue
 			}
 			switch {
-			case it.wait != nil:
-				waits = append(waits, *it.wait)
 			case it.restore != nil:
 				sm, ok := nd.cfg.StateMachine.(Snapshotter)
 				if !ok {
@@ -663,34 +660,11 @@ func (nd *Node) applyWorker() {
 				}
 			}
 			nd.applied.advance(applied)
-			waits = releaseApplyWaits(nd, waits, applied)
 			snapBase = nd.maybeCompactAsync(applied, snapBase)
 		case <-nd.stopped:
 			return
 		}
 	}
-}
-
-// releaseApplyWaits answers every parked read whose index the state
-// machine has now covered. Reply channels are buffered and single-use,
-// so the sends never block the worker.
-func releaseApplyWaits(nd *Node, waits []applyWait, applied int) []applyWait {
-	if len(waits) == 0 {
-		return waits
-	}
-	kept := waits[:0]
-	for _, aw := range waits {
-		if applied >= aw.index {
-			nd.met.onReadServed(readModeLabel(aw.lease), aw.w.t0)
-			if aw.w.trace != 0 {
-				nd.cfg.Tracer.ObservePhase(aw.w.trace, rtrace.PhaseApply, nd.cfg.ID, aw.w.confirmed, time.Now())
-			}
-			aw.w.ch <- proposeReply{index: aw.index}
-		} else {
-			kept = append(kept, aw)
-		}
-	}
-	return kept
 }
 
 // maybeCompactAsync is the apply-side compaction trigger: once the

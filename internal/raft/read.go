@@ -68,36 +68,17 @@ type readReq struct {
 // (ch != nil) or a follower-forwarded request to answer with a
 // ReadIndexReply.
 type readWaiter struct {
-	ch        chan proposeReply // local waiter; nil for a forwarded read
-	from      int               // forwarding follower (when ch == nil)
-	id        int64             // forwarded request correlation id
-	lease     bool              // client asked for ReadLease semantics
-	t0        time.Time         // local request arrival, for the latency histogram
-	trace     rtrace.ID         // 0 unless sampled
-	confirmed time.Time         // when the read index became valid (apply-phase start); sampled only
+	ch    chan proposeReply // local waiter; nil for a forwarded read
+	from  int               // forwarding follower (when ch == nil)
+	id    int64             // forwarded request correlation id
+	lease bool              // client asked for ReadLease semantics
+	trace rtrace.ID         // 0 unless sampled
 }
 
 // roundWaiter is a read waiting on the core's confirmation round.
 type roundWaiter struct {
 	round readRound
 	w     readWaiter
-}
-
-// applyWait parks a resolved read until the local state machine has
-// applied through index — the follower-read tail, and the generic
-// applied ≥ readIndex guard of §6.4.
-type applyWait struct {
-	w     readWaiter
-	index int
-	lease bool // the read index came from a held lease, not a quorum round
-}
-
-// relayWait is a follower-local read forwarded to the leader, keyed by
-// the ReadIndexRequest id until the ReadIndexReply arrives.
-type relayWait struct {
-	ch    chan proposeReply
-	t0    time.Time
-	lease bool
 }
 
 // readStats are always-on counters (independent of the metrics
@@ -131,30 +112,57 @@ func (nd *Node) ReadIndex(ctx context.Context) (int, error) {
 // ReadIndexMode is ReadIndex with an explicit consistency mode:
 // ReadLinearizable always runs a confirmation round, ReadLease uses the
 // leader's lease when valid (falling back to a round), and ReadStale
-// returns the local applied index immediately.
+// returns the local applied index immediately, without entering the
+// main loop.
+//
+// The loop answers a read once its index is confirmed (§6.4's first
+// half); the caller then waits for its own state machine to apply that
+// far (the second half) on the applied notifier, as AwaitApplied does.
+// That wait ignores term changes: the read's linearization point is
+// already fixed, and a later leader's entries advance the apply index.
 func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, error) {
 	if err := nd.admit(ctx); err != nil {
 		return 0, err
 	}
-	req := readReq{mode: mode, reply: make(chan proposeReply, 1), t0: time.Now(), trace: rtrace.FromContext(ctx)}
+	t0 := time.Now()
+	if mode == ReadStale {
+		nd.rstats.stale.Add(1)
+		nd.met.onReadServed("stale", t0)
+		return nd.applied.current(), nil
+	}
+	req := readReq{mode: mode, reply: make(chan proposeReply, 1), t0: t0, trace: rtrace.FromContext(ctx)}
 	nd.box.mu.Lock()
 	nd.box.reads = append(nd.box.reads, req)
 	nd.box.ring()
+	var rep proposeReply
 	select {
-	case rep := <-req.reply:
-		return rep.index, rep.err
+	case rep = <-req.reply:
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	case <-nd.stopped:
 		return 0, nd.stopErr
 	}
+	if rep.err != nil {
+		return 0, rep.err
+	}
+	confirmed := nd.cfg.Tracer.Now(req.trace) // the apply phase's start; sampled only
+	if nd.applied.current() < rep.index {
+		if _, err := nd.AwaitApplied(ctx, rep.index); err != nil {
+			return 0, err
+		}
+	}
+	nd.met.onReadServed(readModeLabel(rep.lease), t0)
+	if req.trace != 0 {
+		nd.cfg.Tracer.ObservePhase(req.trace, rtrace.PhaseApply, nd.cfg.ID, confirmed, time.Now())
+	}
+	return rep.index, nil
 }
 
 // ---- main-loop read handling ----
 
-// handleReadBatch dispatches the pass's batch of local reads: stale reads
-// answer immediately from any role, leader reads take the lease or
-// ReadIndex path, and follower reads are forwarded to the leader.
+// handleReadBatch dispatches the pass's batch of local reads: leader
+// reads take the lease or ReadIndex path, and follower reads are
+// forwarded to the leader.
 func (nd *Node) handleReadBatch(reqs []readReq) {
 	var now, drained time.Time // one clock read each however many reads
 	for _, r := range reqs {
@@ -164,13 +172,7 @@ func (nd *Node) handleReadBatch(reqs []readReq) {
 			}
 			nd.cfg.Tracer.ObservePhase(r.trace, rtrace.PhaseQueue, nd.cfg.ID, r.t0, drained)
 		}
-		if r.mode == ReadStale {
-			nd.rstats.stale.Add(1)
-			nd.met.onReadServed("stale", r.t0)
-			nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: nd.applied.current()}})
-			continue
-		}
-		w := readWaiter{ch: r.reply, lease: r.mode == ReadLease, t0: r.t0, trace: r.trace}
+		w := readWaiter{ch: r.reply, lease: r.mode == ReadLease, trace: r.trace}
 		if nd.el.role != Leader {
 			nd.forwardRead(w)
 			continue
@@ -190,7 +192,7 @@ func (nd *Node) forwardRead(w readWaiter) {
 		return
 	}
 	nd.relaySeq++
-	nd.relay[nd.relaySeq] = relayWait{ch: w.ch, t0: w.t0, lease: w.lease}
+	nd.relay[nd.relaySeq] = w.ch
 	nd.rstats.forwarded.Add(1)
 	nd.met.onReadForwarded()
 	nd.send(nd.el.leader, ReadIndexRequest{Term: nd.el.term, ID: nd.relaySeq, Lease: w.lease})
@@ -206,7 +208,6 @@ func (nd *Node) leaderRead(w readWaiter, now time.Time) {
 		}
 		// Lease path: no quorum round, so the network phase is zero and
 		// the read index is valid right now.
-		w.confirmed = nd.cfg.Tracer.Now(w.trace)
 		nd.resolveRead(w, round.index, true)
 		return
 	}
@@ -235,7 +236,6 @@ func (nd *Node) confirmReads(through int) {
 			}
 			// Network phase: probe broadcast to quorum echo.
 			nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseNetwork, nd.cfg.ID, r.start, confirmedAt)
-			w.confirmed = confirmedAt
 		}
 		if w.ch != nil {
 			nd.rstats.index.Add(1)
@@ -263,37 +263,25 @@ func readModeLabel(lease bool) string {
 	return "readindex"
 }
 
-// resolveRead delivers a confirmed read index: forwarded reads answer
-// their follower (which runs its own applied-wait and counts the read
-// there, attributed by the Lease flag), local reads answer once the
-// local state machine has applied through index. lease records whether
-// the index came from a held lease or a quorum round.
+// resolveRead delivers a confirmed read index: a forwarded read answers
+// its follower (which counts the read there, attributed by the Lease
+// flag), a local read its caller, who waits for the local state machine
+// to apply through index (ReadIndexMode). lease records whether the
+// index came from a held lease or a quorum round.
 func (nd *Node) resolveRead(w readWaiter, index int, lease bool) {
 	if w.ch == nil {
 		nd.send(w.from, ReadIndexReply{Term: nd.el.term, ID: w.id, Index: index, Success: true, Lease: lease, LeaderID: nd.cfg.ID})
 		return
 	}
-	if nd.applied.current() >= index {
-		nd.met.onReadServed(readModeLabel(lease), w.t0)
-		if w.trace != 0 {
-			nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseApply, nd.cfg.ID, w.confirmed, time.Now())
-		}
-		nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: proposeReply{index: index}})
-		return
-	}
-	// The apply worker owns the applied≥readIndex gate: the waiter rides
-	// the queue and is released the moment the state machine covers its
-	// index (releaseApplyWaits).
-	nd.enqueueApply(applyItem{wait: &applyWait{w: w, index: index, lease: lease}})
+	nd.replies = append(nd.replies, stagedReply{ch: w.ch, reply: proposeReply{index: index, lease: lease}})
 }
 
 // failReads fails every read the node cannot serve any more: those
 // waiting on a round (leadership is gone or unproven) and follower-side
-// relays (the answering leader may be gone). Reads already past
-// confirmation and merely waiting on apply stay parked — their
-// linearization point is already fixed, and a later leader's entries
-// will advance the apply index. Called on every term change and step
-// down (applyElection).
+// relays (the answering leader may be gone). A read already answered
+// with its index is out of the loop's hands: its caller waits on the
+// apply, which a later leader's entries advance. Called on every term
+// change and step down (applyElection).
 func (nd *Node) failReads() {
 	rep := proposeReply{err: ErrNotLeader{LeaderID: none}}
 	for _, rw := range nd.reads {
@@ -308,8 +296,8 @@ func (nd *Node) failReads() {
 	if nd.rep.endReign(nd.cfg.Clock.Now()) {
 		nd.met.onLeaseInvalidated()
 	}
-	for id, rw := range nd.relay {
-		nd.replies = append(nd.replies, stagedReply{ch: rw.ch, reply: rep})
+	for id, ch := range nd.relay {
+		nd.replies = append(nd.replies, stagedReply{ch: ch, reply: rep})
 		delete(nd.relay, id)
 	}
 }
@@ -324,11 +312,11 @@ func (nd *Node) onReadIndexRequest(from int, m ReadIndexRequest) {
 		nd.send(from, ReadIndexReply{Term: nd.el.term, ID: m.ID, Success: false, LeaderID: nd.el.leader})
 		return
 	}
-	nd.leaderRead(readWaiter{from: from, id: m.ID, lease: m.Lease, t0: time.Now()}, nd.cfg.Clock.Now())
+	nd.leaderRead(readWaiter{from: from, id: m.ID, lease: m.Lease}, nd.cfg.Clock.Now())
 }
 
 func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
-	rw, ok := nd.relay[m.ID]
+	ch, ok := nd.relay[m.ID]
 	if !ok {
 		return // superseded by a term change (failReads), or a duplicate
 	}
@@ -342,7 +330,7 @@ func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
 		if hint == none {
 			hint = nd.el.leader
 		}
-		nd.replies = append(nd.replies, stagedReply{ch: rw.ch, reply: proposeReply{err: ErrNotLeader{LeaderID: hint}}})
+		nd.replies = append(nd.replies, stagedReply{ch: ch, reply: proposeReply{err: ErrNotLeader{LeaderID: hint}}})
 		return
 	}
 	if m.Lease {
@@ -350,5 +338,5 @@ func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
 	} else {
 		nd.rstats.index.Add(1)
 	}
-	nd.resolveRead(readWaiter{ch: rw.ch, lease: rw.lease, t0: rw.t0}, m.Index, m.Lease)
+	nd.resolveRead(readWaiter{ch: ch}, m.Index, m.Lease)
 }

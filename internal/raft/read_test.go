@@ -348,9 +348,9 @@ func TestStaleReadMode(t *testing.T) {
 // TestReadIndexFloorIsTermStart: a new leader's commit index lags the
 // entries its predecessor committed until its own no-op commits, so a
 // read it takes before then is answered at max(commit, termStart) — the
-// no-op's index, above every entry committed before the read — and only
-// once the state machine has applied that far. The read is not parked:
-// its probe leaves in the pass that took it.
+// no-op's index, above every entry committed before the read — and its
+// caller waits until the state machine has applied that far. The read
+// is not parked: its probe leaves in the pass that took it.
 func TestReadIndexFloorIsTermStart(t *testing.T) {
 	st := NewMemStorage()
 	if err := st.SetState(1, 1); err != nil {
@@ -385,29 +385,28 @@ func TestReadIndexFloorIsTermStart(t *testing.T) {
 	// confirms, and nothing of term 2 commits.
 	nd.handleMessage(msgnet.Message{From: 1, Payload: AppendEntriesReply{Term: nd.el.term, Success: true, MatchIndex: 3, ReadID: id}})
 	nd.flush()
-	var wait *applyWait
-	for len(nd.applyQ) > 0 {
-		if it := <-nd.applyQ; it.wait != nil {
-			wait = it.wait
-		}
-	}
+	var r proposeReply
 	select {
-	case r := <-ch:
-		t.Fatalf("answered at %d with nothing applied, commit %d, no-op at %d", r.index, nd.rep.commit, termStart)
+	case r = <-ch:
 	default:
+		t.Fatal("the confirmed read was not answered in the pass that confirmed it")
 	}
-	if wait == nil || wait.index < termStart {
-		t.Fatalf("read parked on apply at %+v, want an index of at least %d", wait, termStart)
+	if r.err != nil || r.index < termStart {
+		t.Fatalf("read answered %+v, want an index of at least %d", r, termStart)
 	}
 	if nd.rep.commit != 0 {
 		t.Fatalf("commit %d in term %d off a term-1 majority", nd.rep.commit, nd.el.term)
 	}
-	if waits := releaseApplyWaits(nd, []applyWait{*wait}, termStart-1); len(waits) != 1 || len(ch) != 0 {
+	// The caller's half (ReadIndexMode): it waits on the applied index.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	nd.applied.advance(termStart - 1)
+	if _, err := nd.AwaitApplied(done, r.index); err == nil {
 		t.Fatalf("released with the state machine at %d, below the no-op at %d", termStart-1, termStart)
 	}
-	releaseApplyWaits(nd, []applyWait{*wait}, termStart)
-	if r := <-ch; r.err != nil || r.index != wait.index {
-		t.Fatalf("once applied through the no-op: %+v, want index %d", r, wait.index)
+	nd.applied.advance(termStart)
+	if idx, err := nd.AwaitApplied(done, r.index); err != nil || idx < r.index {
+		t.Fatalf("once applied through the no-op: applied %d, %v, want index %d", idx, err, r.index)
 	}
 }
 
@@ -439,14 +438,15 @@ func TestRestartedFollowerIgnoresEarlierRelayReplies(t *testing.T) {
 	nd, ch, after := forward()
 	nd.handleMessage(msgnet.Message{From: 1, Payload: ReadIndexReply{Term: 1, ID: before, Success: true, LeaderID: 1}})
 	nd.flush()
-	if len(ch) != 0 || len(nd.applyQ) != 0 || before == after {
+	if len(ch) != 0 || before == after {
 		t.Fatalf("the reply to request %d of the earlier life answered request %d", before, after)
 	}
 }
 
 // TestOneNodeGroupAnswersAReadBatch: a one-node group is its own quorum,
 // so each read's round confirms as it opens and the next read of the
-// same pass opens another.
+// same pass opens another. The loop answers each at confirmation, with
+// nothing applied: the wait for the apply is the caller's.
 func TestOneNodeGroupAnswersAReadBatch(t *testing.T) {
 	nd, err := NewNode(Config{ID: 0, Endpoint: netsim.New(1).Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{},
 		LeaseDuration: time.Second})
@@ -454,7 +454,6 @@ func TestOneNodeGroupAnswersAReadBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	win(nd)
-	nd.applied.advance(nd.rep.commit)
 	nd.applyReplication(nd.rep.heartbeat(nd.cfg.Clock.Now())) // a confirmed lease round in this pass
 	reqs := make([]readReq, 3)
 	for i := range reqs {

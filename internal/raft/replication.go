@@ -208,7 +208,7 @@ func (r *replication) heartbeat(now time.Time) *repOut {
 // read takes one linearizable read on the leader at now. Its index is
 // the one read-index rule, max(commit, termStart): an entry committed
 // before the read lies below termStart (leader completeness) or, committed
-// in this reign, at most at commit; the apply wait holds the answer until
+// in this reign, at most at commit; its caller waits (ReadIndexMode) until
 // the state machine reaches it. With lease set and the lease held the read
 // answers at once, in round 0. Otherwise the returned round answers it
 // once confirmed: the newest pending round when it is at the same index

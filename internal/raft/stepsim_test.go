@@ -415,8 +415,8 @@ func (s *stepSim) send(m simMsg) {
 			}
 		}
 	case ReadIndexReply:
-		if rw, ok := s.nodes[m.to].nd.relay[p.ID]; ok && p.Success {
-			s.answered(rw.ch, p.Index, "the leader's ReadIndexReply")
+		if ch, ok := s.nodes[m.to].nd.relay[p.ID]; ok && p.Success {
+			s.answered(ch, p.Index, "the leader's ReadIndexReply")
 		}
 	}
 	s.wire = append(s.wire, m)
@@ -435,8 +435,6 @@ func (s *stepSim) settle(id int) {
 	}
 	for len(nd.applyQ) > 0 { // the apply worker's part
 		switch it := <-nd.applyQ; {
-		case it.wait != nil:
-			s.answered(it.wait.w.ch, it.wait.index, "the apply wait")
 		case it.restore != nil:
 			if err := sn.kv.RestoreSnapshot(it.restore.index, it.restore.data); err != nil {
 				s.failf("node %d restoring %d: %v", id, it.restore.index, err)
