@@ -15,12 +15,13 @@ import (
 )
 
 // RunE11 measures the framework extension of internal/multivalue:
-// consensus over arbitrary value domains by swapping the reconciliator
-// for a seen-set sampler, under the unchanged Algorithm 1 template.
+// consensus over arbitrary value domains from Ben-Or's own VAC, run over
+// the whole domain, with only the reconciliator swapped for a seen-set
+// sampler, under the unchanged Algorithm 1 template.
 func RunE11(s Suite) (Table, error) {
 	tbl := Table{
 		ID:      "E11",
-		Title:   "Multivalued consensus (VAC + seen-set reconciliator under Algorithm 1)",
+		Title:   "Multivalued consensus (Ben-Or VAC + seen-set reconciliator under Algorithm 1)",
 		Columns: []string{"n", "t", "domain", "trials", "decided", "mean_rounds", "max_rounds", "violations"},
 	}
 	type cfg struct{ n, domain int }

@@ -389,13 +389,60 @@ func TestDecomposedCrashedNodeReturnsError(t *testing.T) {
 }
 
 func TestMessageStrings(t *testing.T) {
-	if got := (Report{Round: 2, Value: 1}).String(); got != "<1,1>@2" {
+	if got := (Report[int]{Round: 2, Value: 1}).String(); got != "<1,1>@2" {
 		t.Errorf("Report.String() = %q", got)
 	}
-	if got := (Ratify{Round: 3, Value: 0, HasValue: true}).String(); got != "<2,0,ratify>@3" {
+	if got := (Ratify[int]{Round: 3, Value: 0, HasValue: true}).String(); got != "<2,0,ratify>@3" {
 		t.Errorf("Ratify.String() = %q", got)
 	}
-	if got := (Ratify{Round: 3}).String(); got != "<2,?>@3" {
+	if got := (Ratify[int]{Round: 3}).String(); got != "<2,?>@3" {
 		t.Errorf("question Ratify.String() = %q", got)
+	}
+	if got := (Report[string]{Round: 2, Value: "a"}).String(); got != "<1,a>@2" {
+		t.Errorf("Report[string].String() = %q", got)
+	}
+	if got := (Ratify[string]{Round: 3, Value: "a", HasValue: true}).String(); got != "<2,a,ratify>@3" {
+		t.Errorf("Ratify[string].String() = %q", got)
+	}
+}
+
+// TestVACIgnoresOutOfDomainValues: a value from the wire outside {0, 1}
+// fills its sender's quorum slot but is never counted, so the binary VAC
+// neither blocks for a quorum nor ratifies, adopts or commits it. Each
+// of the two counting loops' filters is caught on its own.
+func TestVACIgnoresOutOfDomainValues(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		nw := netsim.New(3, netsim.WithSeed(seed))
+		for _, peer := range []int{1, 2} {
+			if err := nw.Node(peer).Send(0, Report[int]{Round: 1, Value: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Node(peer).Send(0, Ratify[int]{Round: 1, Value: 7, HasValue: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vac, err := NewVAC(nw.Node(0), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		conf, v, err := vac.Propose(ctx, 0, 1)
+		cancel()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if conf == core.Commit || v != 0 {
+			t.Fatalf("seed %d: returned (%v, %d), want vacillate or adopt with 0", seed, conf, v)
+		}
+		// Node 0's own phase-2 broadcast asked "?".
+		for {
+			m, ok, err := nw.Node(1).TryRecv()
+			if err != nil || !ok {
+				break
+			}
+			if r, isRatify := m.Payload.(Ratify[int]); isRatify && r.HasValue {
+				t.Fatalf("seed %d: node 0 ratified %d", seed, r.Value)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package benor
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"ooc/internal/msgnet"
 )
@@ -12,65 +13,60 @@ import (
 // for rounds it has not reached yet (buffered) or has already left
 // (discarded), and crash-tolerant counting must be per-sender so network
 // duplication cannot inflate thresholds.
-type collector struct {
+//
+// It also records every value it absorbs, in first-seen order, so that a
+// reconciliator can sample what this processor has seen.
+type collector[V comparable] struct {
 	node     msgnet.Endpoint
-	reports  map[int]map[int]Report // round -> sender -> message
-	ratifies map[int]map[int]Ratify
+	reports  map[int]map[int]Report[V] // round -> sender -> message
+	ratifies map[int]map[int]Ratify[V]
 	floor    int // rounds below this are dead and pruned
+	seen     []V
+	seenSet  map[V]bool
 }
 
-func newCollector(node msgnet.Endpoint) *collector {
-	return &collector{
+func newCollector[V comparable](node msgnet.Endpoint) *collector[V] {
+	return &collector[V]{
 		node:     node,
-		reports:  make(map[int]map[int]Report),
-		ratifies: make(map[int]map[int]Ratify),
+		reports:  make(map[int]map[int]Report[V]),
+		ratifies: make(map[int]map[int]Ratify[V]),
+		seenSet:  make(map[V]bool),
 	}
 }
 
 // advance discards all state for rounds below round.
-func (c *collector) advance(round int) {
+func (c *collector[V]) advance(round int) {
 	if round <= c.floor {
 		return
 	}
 	c.floor = round
-	for r := range c.reports {
-		if r < round {
-			delete(c.reports, r)
-		}
-	}
-	for r := range c.ratifies {
-		if r < round {
-			delete(c.ratifies, r)
-		}
+	maps.DeleteFunc(c.reports, func(r int, _ map[int]Report[V]) bool { return r < round })
+	maps.DeleteFunc(c.ratifies, func(r int, _ map[int]Ratify[V]) bool { return r < round })
+}
+
+// see records v the first time it shows up.
+func (c *collector[V]) see(v V) {
+	if !c.seenSet[v] {
+		c.seenSet[v] = true
+		c.seen = append(c.seen, v)
 	}
 }
 
-// absorb files one inbound message into its bucket.
-func (c *collector) absorb(m msgnet.Message) error {
+// absorb files one inbound message into its bucket. Values from rounds
+// below the floor are still seen.
+func (c *collector[V]) absorb(m msgnet.Message) error {
 	switch p := m.Payload.(type) {
-	case Report:
-		if p.Round < c.floor {
-			return nil
+	case Report[V]:
+		c.see(p.Value)
+		if p.Round >= c.floor {
+			file(c.reports, p.Round, m.From, p)
 		}
-		bucket, ok := c.reports[p.Round]
-		if !ok {
-			bucket = make(map[int]Report)
-			c.reports[p.Round] = bucket
+	case Ratify[V]:
+		if p.HasValue {
+			c.see(p.Value)
 		}
-		if _, dup := bucket[m.From]; !dup {
-			bucket[m.From] = p
-		}
-	case Ratify:
-		if p.Round < c.floor {
-			return nil
-		}
-		bucket, ok := c.ratifies[p.Round]
-		if !ok {
-			bucket = make(map[int]Ratify)
-			c.ratifies[p.Round] = bucket
-		}
-		if _, dup := bucket[m.From]; !dup {
-			bucket[m.From] = p
+		if p.Round >= c.floor {
+			file(c.ratifies, p.Round, m.From, p)
 		}
 	default:
 		return fmt.Errorf("benor: unexpected message type %T from %d", m.Payload, m.From)
@@ -78,32 +74,39 @@ func (c *collector) absorb(m msgnet.Message) error {
 	return nil
 }
 
+// file keeps the first message from each sender in round's bucket.
+func file[M any](buckets map[int]map[int]M, round, from int, m M) {
+	bucket, ok := buckets[round]
+	if !ok {
+		bucket = make(map[int]M)
+		buckets[round] = bucket
+	}
+	if _, dup := bucket[from]; !dup {
+		bucket[from] = m
+	}
+}
+
 // waitReports blocks until at least k distinct senders' phase-1 messages
 // for round are buffered, then returns them.
-func (c *collector) waitReports(ctx context.Context, round, k int) (map[int]Report, error) {
-	for len(c.reports[round]) < k {
-		m, err := c.node.Recv(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("benor: waiting for %d reports in round %d: %w", k, round, err)
-		}
-		if err := c.absorb(m); err != nil {
-			return nil, err
-		}
-	}
-	return c.reports[round], nil
+func (c *collector[V]) waitReports(ctx context.Context, round, k int) (map[int]Report[V], error) {
+	return wait(ctx, c, c.reports, round, k, "reports")
 }
 
 // waitRatifies blocks until at least k distinct senders' phase-2 messages
 // for round are buffered, then returns them.
-func (c *collector) waitRatifies(ctx context.Context, round, k int) (map[int]Ratify, error) {
-	for len(c.ratifies[round]) < k {
+func (c *collector[V]) waitRatifies(ctx context.Context, round, k int) (map[int]Ratify[V], error) {
+	return wait(ctx, c, c.ratifies, round, k, "ratifies")
+}
+
+func wait[V comparable, M any](ctx context.Context, c *collector[V], buckets map[int]map[int]M, round, k int, kind string) (map[int]M, error) {
+	for len(buckets[round]) < k {
 		m, err := c.node.Recv(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("benor: waiting for %d ratifies in round %d: %w", k, round, err)
+			return nil, fmt.Errorf("benor: waiting for %d %s in round %d: %w", k, kind, round, err)
 		}
 		if err := c.absorb(m); err != nil {
 			return nil, err
 		}
 	}
-	return c.ratifies[round], nil
+	return buckets[round], nil
 }

@@ -33,7 +33,7 @@ func RunMonolithic(
 	if v != 0 && v != 1 {
 		return core.Decision[int]{}, fmt.Errorf("benor: non-binary input %d", v)
 	}
-	col := newCollector(node)
+	col := newCollector[int](node)
 	quorum := n - t
 
 	for round := 1; ; round++ {
@@ -46,7 +46,7 @@ func RunMonolithic(
 		rec.RoundStart(node.ID(), round)
 		col.advance(round)
 
-		if err := node.Broadcast(Report{Round: round, Value: v}); err != nil {
+		if err := node.Broadcast(Report[int]{Round: round, Value: v}); err != nil {
 			return core.Decision[int]{}, fmt.Errorf("benor: round %d phase 1: %w", round, err)
 		}
 		reports, err := col.waitReports(ctx, round, quorum)
@@ -60,7 +60,7 @@ func RunMonolithic(
 			}
 		}
 
-		out := Ratify{Round: round}
+		out := Ratify[int]{Round: round}
 		for w := 0; w <= 1; w++ {
 			if 2*counts[w] > n {
 				out.Value, out.HasValue = w, true
@@ -93,10 +93,10 @@ func RunMonolithic(
 				u = 0
 			}
 			// Same one-round echo as the decomposed VAC (see VAC docs).
-			if err := node.Broadcast(Report{Round: round + 1, Value: u}); err != nil {
+			if err := node.Broadcast(Report[int]{Round: round + 1, Value: u}); err != nil {
 				return core.Decision[int]{}, fmt.Errorf("benor: round %d commit echo: %w", round, err)
 			}
-			if err := node.Broadcast(Ratify{Round: round + 1, Value: u, HasValue: true}); err != nil {
+			if err := node.Broadcast(Ratify[int]{Round: round + 1, Value: u, HasValue: true}); err != nil {
 				return core.Decision[int]{}, fmt.Errorf("benor: round %d commit echo: %w", round, err)
 			}
 			rec.Decide(node.ID(), round, u)

@@ -16,7 +16,7 @@ import (
 func TestCollectorDedupProperty(t *testing.T) {
 	f := func(raw []uint8, floorRaw uint8) bool {
 		nw := netsim.New(1)
-		c := newCollector(nw.Node(0))
+		c := newCollector[int](nw.Node(0))
 		floor := int(floorRaw) % 4
 		c.advance(floor)
 
@@ -26,7 +26,7 @@ func TestCollectorDedupProperty(t *testing.T) {
 			sender := int(raw[i]) % 5
 			round := int(raw[i+1]) % 6
 			value := int(raw[i+2]) % 2
-			if err := c.absorb(msgnet.Message{From: sender, Payload: Report{Round: round, Value: value}}); err != nil {
+			if err := c.absorb(msgnet.Message{From: sender, Payload: Report[int]{Round: round, Value: value}}); err != nil {
 				return false
 			}
 			if round >= floor {
@@ -51,7 +51,7 @@ func TestCollectorDedupProperty(t *testing.T) {
 // error, never a silent misclassification.
 func TestCollectorRejectsForeignPayloads(t *testing.T) {
 	nw := netsim.New(1)
-	c := newCollector(nw.Node(0))
+	c := newCollector[int](nw.Node(0))
 	if err := c.absorb(msgnet.Message{From: 0, Payload: "not-a-benor-message"}); err == nil {
 		t.Fatal("foreign payload absorbed")
 	}

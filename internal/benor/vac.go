@@ -3,6 +3,7 @@ package benor
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ooc/internal/core"
 	"ooc/internal/metrics"
@@ -24,9 +25,14 @@ import (
 //	  elif received a  <2, u, ratify>:         return (adopt, u)
 //	  else:                                    return (vacillate, v)
 //
+// The round is the same over any value domain: two strict majorities
+// intersect, so every ratify of a round carries the same value however
+// many values there are. A value from the wire outside the domain fills
+// its sender's quorum slot but is never counted.
+//
 // The object is stateful per processor: it owns the endpoint's inbound
 // stream and buffers messages across rounds. It is not safe for
-// concurrent Propose calls (the template is strictly sequential).
+// concurrent calls (the template is strictly sequential).
 //
 // On commit the object broadcasts its round-(m+1) messages before
 // returning, so that processors that halt after deciding (as the paper's
@@ -35,10 +41,11 @@ import (
 // after a round-m commit every live processor enters round m+1 with the
 // committed value, so one echo round is exactly enough for them all to
 // commit at m+1.
-type VAC struct {
+type VAC[V comparable] struct {
 	node msgnet.Endpoint
 	t    int
-	col  *collector
+	in   func(V) bool // the value domain
+	col  *collector[V]
 
 	// Protocol-level counters; nil without Instrument, and nil counters
 	// no-op, so Propose carries no metric branches.
@@ -47,24 +54,33 @@ type VAC struct {
 	questions *metrics.Counter // phase-2 broadcasts that asked "?"
 }
 
-var _ core.VacillateAdoptCommit[int] = (*VAC)(nil)
+var _ core.VacillateAdoptCommit[int] = (*VAC[int])(nil)
 
-// NewVAC returns the Ben-Or VAC for this processor. t is the crash-fault
-// tolerance and must satisfy 2t < n.
-func NewVAC(node msgnet.Endpoint, t int) (*VAC, error) {
+// NewVAC returns the binary Ben-Or VAC for this processor, over the
+// values {0, 1}. t is the crash-fault tolerance and must satisfy 2t < n.
+func NewVAC(node msgnet.Endpoint, t int) (*VAC[int], error) {
+	return newVAC(node, t, func(v int) bool { return v == 0 || v == 1 })
+}
+
+// NewMultiVAC returns the same VAC over every value of V.
+func NewMultiVAC[V comparable](node msgnet.Endpoint, t int) (*VAC[V], error) {
+	return newVAC(node, t, func(V) bool { return true })
+}
+
+func newVAC[V comparable](node msgnet.Endpoint, t int, in func(V) bool) (*VAC[V], error) {
 	if n := node.N(); 2*t >= n {
 		return nil, fmt.Errorf("benor: t=%d violates 2t < n with n=%d", t, n)
 	}
 	if t < 0 {
 		return nil, fmt.Errorf("benor: negative fault bound t=%d", t)
 	}
-	return &VAC{node: node, t: t, col: newCollector(node)}, nil
+	return &VAC[V]{node: node, t: t, in: in, col: newCollector[V](node)}, nil
 }
 
 // Instrument attaches protocol-level counters: rounds run, and how often
 // phase 2 ratified a majority value versus asking "?". The ratio is the
 // protocol's own view of how close it is to convergence.
-func (va *VAC) Instrument(reg *metrics.Registry) {
+func (va *VAC[V]) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
@@ -73,36 +89,39 @@ func (va *VAC) Instrument(reg *metrics.Registry) {
 	va.questions = reg.Counter("benor_vac_ratify_question_total")
 }
 
-// Propose implements core.VacillateAdoptCommit for binary values.
-func (va *VAC) Propose(ctx context.Context, v int, round int) (core.Confidence, int, error) {
-	if v != 0 && v != 1 {
-		return 0, 0, fmt.Errorf("benor: non-binary input %d", v)
+// Seen returns every value this processor has proposed or received, in
+// first-seen order.
+func (va *VAC[V]) Seen() []V { return slices.Clone(va.col.seen) }
+
+// Propose implements core.VacillateAdoptCommit.
+func (va *VAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence, V, error) {
+	if !va.in(v) {
+		return 0, v, fmt.Errorf("benor: input %v outside the value domain", v)
 	}
 	n := va.node.N()
 	quorum := n - va.t
+	va.col.see(v)
 	va.col.advance(round)
 	va.rounds.Inc(va.node.ID())
 
 	// Phase 1: report the current preference.
-	if err := va.node.Broadcast(Report{Round: round, Value: v}); err != nil {
-		return 0, 0, fmt.Errorf("benor: round %d phase 1: %w", round, err)
+	if err := va.node.Broadcast(Report[V]{Round: round, Value: v}); err != nil {
+		return 0, v, fmt.Errorf("benor: round %d phase 1: %w", round, err)
 	}
 	reports, err := va.col.waitReports(ctx, round, quorum)
 	if err != nil {
-		return 0, 0, err
-	}
-	counts := [2]int{}
-	for _, r := range reports {
-		if r.Value == 0 || r.Value == 1 {
-			counts[r.Value]++
-		}
+		return 0, v, err
 	}
 
 	// Phase 2: ratify a strict majority value, or ask "?".
-	out := Ratify{Round: round}
-	for w := 0; w <= 1; w++ {
-		if 2*counts[w] > n {
-			out.Value, out.HasValue = w, true
+	out := Ratify[V]{Round: round}
+	counts := make(map[V]int, 2)
+	for _, r := range reports {
+		if va.in(r.Value) {
+			counts[r.Value]++
+			if 2*counts[r.Value] > n {
+				out.Value, out.HasValue = r.Value, true
+			}
 		}
 	}
 	if out.HasValue {
@@ -111,43 +130,39 @@ func (va *VAC) Propose(ctx context.Context, v int, round int) (core.Confidence, 
 		va.questions.Inc(va.node.ID())
 	}
 	if err := va.node.Broadcast(out); err != nil {
-		return 0, 0, fmt.Errorf("benor: round %d phase 2: %w", round, err)
+		return 0, v, fmt.Errorf("benor: round %d phase 2: %w", round, err)
 	}
 	ratifies, err := va.col.waitRatifies(ctx, round, quorum)
 	if err != nil {
-		return 0, 0, err
+		return 0, v, err
 	}
 
-	ratifyCount := [2]int{}
-	sawRatify := false
-	u := 0
+	clear(counts)
+	var (
+		sawRatify bool
+		u         V
+	)
 	for _, r := range ratifies {
-		if r.HasValue && (r.Value == 0 || r.Value == 1) {
-			ratifyCount[r.Value]++
-			sawRatify = true
-			u = r.Value
+		if r.HasValue && va.in(r.Value) {
+			counts[r.Value]++
+			sawRatify, u = true, r.Value
 		}
 	}
-
-	switch {
-	case ratifyCount[0] > va.t || ratifyCount[1] > va.t:
-		if ratifyCount[1] > va.t {
-			u = 1
-		} else {
-			u = 0
+	for w, c := range counts {
+		if c > va.t {
+			// Echo the next round before the template halts us (see type
+			// comment).
+			if err := va.node.Broadcast(Report[V]{Round: round + 1, Value: w}); err != nil {
+				return 0, v, fmt.Errorf("benor: round %d commit echo: %w", round, err)
+			}
+			if err := va.node.Broadcast(Ratify[V]{Round: round + 1, Value: w, HasValue: true}); err != nil {
+				return 0, v, fmt.Errorf("benor: round %d commit echo: %w", round, err)
+			}
+			return core.Commit, w, nil
 		}
-		// Echo the next round before the template halts us (see type
-		// comment).
-		if err := va.node.Broadcast(Report{Round: round + 1, Value: u}); err != nil {
-			return 0, 0, fmt.Errorf("benor: round %d commit echo: %w", round, err)
-		}
-		if err := va.node.Broadcast(Ratify{Round: round + 1, Value: u, HasValue: true}); err != nil {
-			return 0, 0, fmt.Errorf("benor: round %d commit echo: %w", round, err)
-		}
-		return core.Commit, u, nil
-	case sawRatify:
+	}
+	if sawRatify {
 		return core.Adopt, u, nil
-	default:
-		return core.Vacillate, v, nil
 	}
+	return core.Vacillate, v, nil
 }

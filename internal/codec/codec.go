@@ -155,11 +155,11 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendInt(dst, m.LastIncludedIndex)
 		dst = bin.AppendInt(dst, m.LastIncludedTerm)
 		return bin.AppendBytes(dst, m.Data), nil
-	case benor.Report:
+	case benor.Report[int]:
 		dst = append(dst, tBenOrReport)
 		dst = bin.AppendInt(dst, m.Round)
 		return bin.AppendInt(dst, m.Value), nil
-	case benor.Ratify:
+	case benor.Ratify[int]:
 		dst = append(dst, tBenOrRatify)
 		dst = bin.AppendInt(dst, m.Round)
 		dst = bin.AppendInt(dst, m.Value)
@@ -255,10 +255,10 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 		m := raft.InstallSnapshot{Term: r.Int(), LeaderID: r.Int(), LastIncludedIndex: r.Int(), LastIncludedTerm: r.Int(), Data: r.Bytes()}
 		return m, r.Err()
 	case tBenOrReport:
-		m := benor.Report{Round: r.Int(), Value: r.Int()}
+		m := benor.Report[int]{Round: r.Int(), Value: r.Int()}
 		return m, r.Err()
 	case tBenOrRatify:
-		m := benor.Ratify{Round: r.Int(), Value: r.Int(), HasValue: r.Bool()}
+		m := benor.Ratify[int]{Round: r.Int(), Value: r.Int(), HasValue: r.Bool()}
 		return m, r.Err()
 	case tTagged:
 		ch := r.String()

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,10 +56,10 @@ func wireMessages() []any {
 		msgnet.Tagged{Channel: "shard/0", Payload: raft.AppendEntries{
 			Term: 1, Entries: []raft.Entry{{Term: 1, Command: raft.KVCommand{Op: "get", Key: "x"}}},
 		}},
-		benor.Report{Round: 9, Value: 1},
-		benor.Ratify{Round: 9, Value: 0, HasValue: true},
-		benor.Ratify{Round: 10}, // the question mark <2, ?>
-		msgnet.Tagged{Channel: "benor/1", Payload: benor.Report{Round: 2, Value: 0}},
+		benor.Report[int]{Round: 9, Value: 1},
+		benor.Ratify[int]{Round: 9, Value: 0, HasValue: true},
+		benor.Ratify[int]{Round: 10}, // the question mark <2, ?>
+		msgnet.Tagged{Channel: "benor/1", Payload: benor.Report[int]{Round: 2, Value: 0}},
 	}
 }
 
@@ -75,6 +76,28 @@ func TestFrameRoundTripAllWireTypes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("case %d: round trip = %#v, want %#v", i, got, msg)
+		}
+	}
+}
+
+// TestBenOrGoldenFrames pins the exact bytes of the Ben-Or frames; a
+// round trip alone cannot see a frame change.
+func TestBenOrGoldenFrames(t *testing.T) {
+	for _, c := range []struct {
+		msg  any
+		want string
+	}{
+		{benor.Report[int]{Round: 9, Value: 1}, "010b1202"},
+		{benor.Ratify[int]{Round: 9, Value: 0, HasValue: true}, "010c120001"},
+		{benor.Ratify[int]{Round: 10}, "010c140000"},
+		{msgnet.Tagged{Channel: "benor/1", Payload: benor.Report[int]{Round: 2, Value: 0}}, "01140762656e6f722f310b0400"},
+	} {
+		frame, err := Append(nil, c.msg)
+		if err != nil {
+			t.Fatalf("%#v: %v", c.msg, err)
+		}
+		if got := hex.EncodeToString(frame); got != c.want {
+			t.Errorf("%#v: frame %s, want %s", c.msg, got, c.want)
 		}
 	}
 }

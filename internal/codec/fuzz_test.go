@@ -50,9 +50,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		case 9:
 			msg = msgnet.Tagged{Channel: op, Payload: raft.AppendEntries{Term: a, Entries: es}}
 		case 10:
-			msg = benor.Report{Round: a, Value: b}
+			msg = benor.Report[int]{Round: a, Value: b}
 		case 11:
-			msg = benor.Ratify{Round: a, Value: b, HasValue: c&1 == 0}
+			msg = benor.Ratify[int]{Round: a, Value: b, HasValue: c&1 == 0}
 		}
 		frame, err := Append(nil, msg)
 		if err != nil {

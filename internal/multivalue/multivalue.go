@@ -1,11 +1,11 @@
 // Package multivalue extends the paper's framework beyond binary
-// consensus: a vacillate-adopt-commit object and reconciliator for
-// arbitrary (comparable) values in the asynchronous crash model,
-// t < n/2. It is Ben-Or's round structure with two changes:
-//
-//   - phase-1 majorities are counted per value over the whole domain, and
-//   - the reconciliator draws uniformly from the set of values this
-//     processor has *seen* in reports, instead of flipping a coin.
+// consensus to arbitrary (comparable) values in the asynchronous crash
+// model, t < n/2. The vacillate-adopt-commit object is Ben-Or's own,
+// benor.NewMultiVAC: phase-1 majorities are counted per value over the
+// whole domain, and agreement is inherited from the binary argument
+// unchanged, since two strict majorities intersect whatever the domain
+// size. Only the reconciliator differs: it draws uniformly from the set
+// of values this processor has *seen*, instead of flipping a coin.
 //
 // Drawing from the seen set preserves validity for free (every value in
 // the system is some processor's input — the property the paper's
@@ -14,11 +14,6 @@
 // set, after which every round has probability at least |V|^(-n) of
 // unanimity, and VAC convergence then commits.
 //
-// Agreement is inherited from the binary argument unchanged: two ratify
-// messages in one round both carry strict-majority values, and two
-// strict majorities intersect, so they carry the same value regardless
-// of the domain size.
-//
 // The package demonstrates what the paper's Section 6 gestures at: new
 // consensus algorithms assembled by swapping one object implementation
 // under the same template.
@@ -26,244 +21,24 @@ package multivalue
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
 
+	"ooc/internal/benor"
 	"ooc/internal/core"
 	"ooc/internal/msgnet"
 	"ooc/internal/sim"
 )
 
-// Report is the phase-1 message <1, v>.
-type Report[V comparable] struct {
-	Round int
-	Value V
-}
-
-// Ratify is the phase-2 message: <2, v, ratify> or <2, ?>.
-type Ratify[V comparable] struct {
-	Round    int
-	Value    V
-	HasValue bool
-}
-
-// seenSet accumulates every value observed in reports, shared between
-// the VAC (writer) and the reconciliator (reader) of one processor.
-type seenSet[V comparable] struct {
-	mu     sync.Mutex
-	order  []V // insertion order, for deterministic sampling
-	member map[V]bool
-}
-
-func newSeenSet[V comparable]() *seenSet[V] {
-	return &seenSet[V]{member: make(map[V]bool)}
-}
-
-func (s *seenSet[V]) add(v V) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.member[v] {
-		s.member[v] = true
-		s.order = append(s.order, v)
-	}
-}
-
-func (s *seenSet[V]) values() []V {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]V(nil), s.order...)
-}
-
-// VAC is the multivalued vacillate-adopt-commit object. It is stateful
-// per processor and not safe for concurrent Propose calls.
-type VAC[V comparable] struct {
-	node msgnet.Endpoint
-	t    int
-	seen *seenSet[V]
-
-	reports  map[int]map[int]Report[V]
-	ratifies map[int]map[int]Ratify[V]
-	floor    int
-}
-
-var _ core.VacillateAdoptCommit[string] = (*VAC[string])(nil)
-
-// NewVAC builds the multivalued VAC for this processor; t is the crash
-// bound, 2t < n.
-func NewVAC[V comparable](node msgnet.Endpoint, t int) (*VAC[V], error) {
-	if n := node.N(); 2*t >= n {
-		return nil, fmt.Errorf("multivalue: t=%d violates 2t < n with n=%d", t, n)
-	}
-	if t < 0 {
-		return nil, fmt.Errorf("multivalue: negative fault bound t=%d", t)
-	}
-	return &VAC[V]{
-		node:     node,
-		t:        t,
-		seen:     newSeenSet[V](),
-		reports:  make(map[int]map[int]Report[V]),
-		ratifies: make(map[int]map[int]Ratify[V]),
-	}, nil
-}
-
-func (va *VAC[V]) advance(round int) {
-	if round <= va.floor {
-		return
-	}
-	va.floor = round
-	for r := range va.reports {
-		if r < round {
-			delete(va.reports, r)
-		}
-	}
-	for r := range va.ratifies {
-		if r < round {
-			delete(va.ratifies, r)
-		}
-	}
-}
-
-func (va *VAC[V]) absorb(m msgnet.Message) error {
-	switch p := m.Payload.(type) {
-	case Report[V]:
-		va.seen.add(p.Value)
-		if p.Round < va.floor {
-			return nil
-		}
-		bucket, ok := va.reports[p.Round]
-		if !ok {
-			bucket = make(map[int]Report[V])
-			va.reports[p.Round] = bucket
-		}
-		if _, dup := bucket[m.From]; !dup {
-			bucket[m.From] = p
-		}
-	case Ratify[V]:
-		if p.HasValue {
-			va.seen.add(p.Value)
-		}
-		if p.Round < va.floor {
-			return nil
-		}
-		bucket, ok := va.ratifies[p.Round]
-		if !ok {
-			bucket = make(map[int]Ratify[V])
-			va.ratifies[p.Round] = bucket
-		}
-		if _, dup := bucket[m.From]; !dup {
-			bucket[m.From] = p
-		}
-	default:
-		return fmt.Errorf("multivalue: unexpected message type %T from %d", m.Payload, m.From)
-	}
-	return nil
-}
-
-func (va *VAC[V]) waitReports(ctx context.Context, round, k int) (map[int]Report[V], error) {
-	for len(va.reports[round]) < k {
-		m, err := va.node.Recv(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("multivalue: waiting for %d reports in round %d: %w", k, round, err)
-		}
-		if err := va.absorb(m); err != nil {
-			return nil, err
-		}
-	}
-	return va.reports[round], nil
-}
-
-func (va *VAC[V]) waitRatifies(ctx context.Context, round, k int) (map[int]Ratify[V], error) {
-	for len(va.ratifies[round]) < k {
-		m, err := va.node.Recv(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("multivalue: waiting for %d ratifies in round %d: %w", k, round, err)
-		}
-		if err := va.absorb(m); err != nil {
-			return nil, err
-		}
-	}
-	return va.ratifies[round], nil
-}
-
-// Propose implements core.VacillateAdoptCommit for arbitrary values.
-func (va *VAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence, V, error) {
-	n := va.node.N()
-	quorum := n - va.t
-	va.seen.add(v)
-	va.advance(round)
-
-	if err := va.node.Broadcast(Report[V]{Round: round, Value: v}); err != nil {
-		return 0, v, fmt.Errorf("multivalue: round %d phase 1: %w", round, err)
-	}
-	reports, err := va.waitReports(ctx, round, quorum)
-	if err != nil {
-		return 0, v, err
-	}
-	counts := make(map[V]int, len(reports))
-	for _, r := range reports {
-		counts[r.Value]++
-	}
-	out := Ratify[V]{Round: round}
-	for w, c := range counts {
-		if 2*c > n {
-			out.Value, out.HasValue = w, true
-		}
-	}
-
-	if err := va.node.Broadcast(out); err != nil {
-		return 0, v, fmt.Errorf("multivalue: round %d phase 2: %w", round, err)
-	}
-	ratifies, err := va.waitRatifies(ctx, round, quorum)
-	if err != nil {
-		return 0, v, err
-	}
-	ratifyCount := make(map[V]int)
-	var (
-		sawRatify bool
-		u         V
-	)
-	for _, r := range ratifies {
-		if r.HasValue {
-			ratifyCount[r.Value]++
-			sawRatify = true
-			u = r.Value
-		}
-	}
-	for w, c := range ratifyCount {
-		if c > va.t {
-			// Commit: echo the next round before the template halts us,
-			// exactly as the binary VAC does (see benor.VAC).
-			if err := va.node.Broadcast(Report[V]{Round: round + 1, Value: w}); err != nil {
-				return 0, v, fmt.Errorf("multivalue: round %d commit echo: %w", round, err)
-			}
-			if err := va.node.Broadcast(Ratify[V]{Round: round + 1, Value: w, HasValue: true}); err != nil {
-				return 0, v, fmt.Errorf("multivalue: round %d commit echo: %w", round, err)
-			}
-			return core.Commit, w, nil
-		}
-	}
-	if sawRatify {
-		return core.Adopt, u, nil
-	}
-	return core.Vacillate, v, nil
-}
-
-// Seen exposes the values observed so far (insertion-ordered); the
-// reconciliator samples from it.
-func (va *VAC[V]) Seen() []V { return va.seen.values() }
-
 // Reconciliator draws uniformly from the values its VAC has seen. Pair
 // it with the VAC it was built from.
 type Reconciliator[V comparable] struct {
-	vac *VAC[V]
+	vac *benor.VAC[V]
 	rng *sim.RNG
 }
 
 var _ core.Reconciliator[string] = (*Reconciliator[string])(nil)
 
 // NewReconciliator builds the seen-set sampler for vac.
-func NewReconciliator[V comparable](vac *VAC[V], rng *sim.RNG) *Reconciliator[V] {
+func NewReconciliator[V comparable](vac *benor.VAC[V], rng *sim.RNG) *Reconciliator[V] {
 	return &Reconciliator[V]{vac: vac, rng: rng}
 }
 
@@ -276,8 +51,8 @@ func (r *Reconciliator[V]) Reconcile(_ context.Context, _ core.Confidence, v V, 
 	return seen[r.rng.Intn(len(seen))], nil
 }
 
-// RunDecomposed wires the multivalued VAC and reconciliator under the
-// generic Algorithm 1 template.
+// RunDecomposed wires Ben-Or's VAC over V and the seen-set reconciliator
+// under the generic Algorithm 1 template.
 func RunDecomposed[V comparable](
 	ctx context.Context,
 	node msgnet.Endpoint,
@@ -286,17 +61,9 @@ func RunDecomposed[V comparable](
 	v V,
 	opts ...core.Option,
 ) (core.Decision[V], error) {
-	vac, err := NewVAC[V](node, t)
+	vac, err := benor.NewMultiVAC[V](node, t)
 	if err != nil {
 		return core.Decision[V]{}, err
 	}
 	return core.RunVAC[V](ctx, vac, NewReconciliator[V](vac, rng), v, opts...)
-}
-
-// SortedStrings is a test/debug helper: the seen set of a string-valued
-// VAC in sorted order.
-func SortedStrings(vac *VAC[string]) []string {
-	out := vac.Seen()
-	sort.Strings(out)
-	return out
 }

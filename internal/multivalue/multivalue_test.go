@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/netsim"
@@ -142,7 +143,7 @@ func TestVACSingleRoundProperties(t *testing.T) {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				vac, err := NewVAC[string](nw.Node(id), tFaults)
+				vac, err := benor.NewMultiVAC[string](nw.Node(id), tFaults)
 				if err != nil {
 					errs[id] = err
 					return
@@ -165,20 +166,45 @@ func TestVACSingleRoundProperties(t *testing.T) {
 	}
 }
 
+// TestSeenSetAccumulatesAndDedupes: the VAC's seen record holds every
+// value it proposed or absorbed, once each, in first-seen order,
+// including values from rounds below its floor and from valued ratifies.
 func TestSeenSetAccumulatesAndDedupes(t *testing.T) {
-	s := newSeenSet[string]()
-	s.add("x")
-	s.add("y")
-	s.add("x")
-	vals := s.values()
-	if len(vals) != 2 || vals[0] != "x" || vals[1] != "y" {
-		t.Fatalf("seen = %v", vals)
+	nw := netsim.New(2, netsim.WithFIFO())
+	vac, err := benor.NewMultiVAC[string](nw.Node(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen := vac.Seen(); len(seen) != 0 {
+		t.Fatalf("seen before any round = %v", seen)
+	}
+	peer := nw.Node(1)
+	for _, msg := range []any{
+		benor.Report[string]{Round: 0, Value: "z"}, // below the floor
+		benor.Report[string]{Round: 1, Value: "y"},
+		benor.Report[string]{Round: 1, Value: "z"}, // a duplicate sender
+		benor.Ratify[string]{Round: 1, Value: "w", HasValue: true},
+	} {
+		if err := peer.Send(0, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, _, err := vac.Propose(ctx, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(vac.Seen()), "[x z y w]"; got != want {
+		t.Fatalf("seen = %s, want %s", got, want)
 	}
 }
 
+// TestReconciliatorSamplesOnlySeenValues: before any round the sampler
+// falls back to the processor's own value; after one it draws only
+// values its VAC has seen.
 func TestReconciliatorSamplesOnlySeenValues(t *testing.T) {
 	nw := netsim.New(2)
-	vac, err := NewVAC[string](nw.Node(0), 0)
+	vac, err := benor.NewMultiVAC[string](nw.Node(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +215,19 @@ func TestReconciliatorSamplesOnlySeenValues(t *testing.T) {
 	if err != nil || v != "mine" {
 		t.Fatalf("empty-set reconcile = %q %v", v, err)
 	}
-	vac.seen.add("a")
-	vac.seen.add("b")
+	// One round in which the peer reports "b" and asks "?".
+	peer := nw.Node(1)
+	if err := peer.Send(0, benor.Report[string]{Round: 1, Value: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Send(0, benor.Ratify[string]{Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, _, err := vac.Propose(ctx, "a", 1); err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		v, err := rec.Reconcile(context.Background(), core.Vacillate, "mine", 1)
@@ -206,25 +243,11 @@ func TestReconciliatorSamplesOnlySeenValues(t *testing.T) {
 
 func TestNewVACRejectsBadBounds(t *testing.T) {
 	nw := netsim.New(4)
-	if _, err := NewVAC[string](nw.Node(0), 2); err == nil {
+	if _, err := benor.NewMultiVAC[string](nw.Node(0), 2); err == nil {
 		t.Fatal("2t >= n accepted")
 	}
-	if _, err := NewVAC[string](nw.Node(0), -1); err == nil {
+	if _, err := benor.NewMultiVAC[string](nw.Node(0), -1); err == nil {
 		t.Fatal("negative t accepted")
-	}
-}
-
-func TestSortedStrings(t *testing.T) {
-	nw := netsim.New(1)
-	vac, err := NewVAC[string](nw.Node(0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vac.seen.add("z")
-	vac.seen.add("a")
-	got := SortedStrings(vac)
-	if len(got) != 2 || got[0] != "a" || got[1] != "z" {
-		t.Fatalf("SortedStrings = %v", got)
 	}
 }
 
