@@ -1,7 +1,7 @@
 // Leader election — the first application the paper's introduction
 // motivates — built on the framework's multivalued consensus extension:
 // every node proposes its own name, Ben-Or's vacillate-adopt-commit over
-// the whole domain + the seen-set reconciliator run under Algorithm 1,
+// the whole domain + the round-report reconciliator run under Algorithm 1,
 // and the decided name is the leader. Crash faults included.
 //
 //	go run ./examples/leaderelection

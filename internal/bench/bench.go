@@ -163,7 +163,7 @@ func Experiments() []Experiment {
 		{ID: "E8", Name: "Ben-Or's three outcome classes (Section 5 separation evidence)", Run: RunE8},
 		{ID: "E9", Name: "Rounds-to-consensus distribution vs n (reconciliator termination)", Run: RunE9},
 		{ID: "E10", Name: "Message complexity per round, all three protocols", Run: RunE10, WallClock: true},
-		{ID: "E11", Name: "Multivalued consensus extension (Ben-Or VAC, seen-set reconciliator)", Run: RunE11},
+		{ID: "E11", Name: "Multivalued consensus extension (Ben-Or VAC, round-report reconciliator)", Run: RunE11},
 		{ID: "E12", Name: "Shared-memory consensus (Aspnes framework, Algorithm 2)", Run: RunE12},
 		{ID: "E13", Name: "PreVote ablation: term inflation and post-heal disruption", Run: RunE13, WallClock: true},
 		{ID: "E14", Name: "Raft closed-loop throughput: coalescing, group commit, pipelining", Run: RunE14, WallClock: true},

@@ -252,7 +252,7 @@ func RunE2(s Suite) (Table, error) {
 	}
 	addMeteredRows(&tbl, s, rows)
 	tbl.Notes = append(tbl.Notes,
-		"both variants exchange the identical message pattern; the object boundary costs no extra messages")
+		"both variants run the same rounds and messages in distribution, not per seed: netsim delivers in goroutine-interleaving order, so a seed does not fix a run; the object boundary costs no extra messages")
 	return tbl, nil
 }
 

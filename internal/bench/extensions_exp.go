@@ -16,12 +16,12 @@ import (
 
 // RunE11 measures the framework extension of internal/multivalue:
 // consensus over arbitrary value domains from Ben-Or's own VAC, run over
-// the whole domain, with only the reconciliator swapped for a seen-set
-// sampler, under the unchanged Algorithm 1 template.
+// the whole domain, with only the reconciliator swapped for one that
+// samples the round's reports, under the unchanged Algorithm 1 template.
 func RunE11(s Suite) (Table, error) {
 	tbl := Table{
 		ID:      "E11",
-		Title:   "Multivalued consensus (Ben-Or VAC + seen-set reconciliator under Algorithm 1)",
+		Title:   "Multivalued consensus (Ben-Or VAC + round-report reconciliator under Algorithm 1)",
 		Columns: []string{"n", "t", "domain", "trials", "decided", "mean_rounds", "max_rounds", "violations"},
 	}
 	type cfg struct{ n, domain int }
@@ -90,7 +90,7 @@ func RunE11(s Suite) (Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"domain is the number of distinct candidate values; expected rounds grow with both n and domain",
-		"the seen-set reconciliator preserves validity by construction (only observed inputs are sampled)")
+		"the round-report reconciliator preserves validity by construction (only reported preferences are sampled)")
 	return tbl, nil
 }
 

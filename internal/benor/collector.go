@@ -13,16 +13,11 @@ import (
 // for rounds it has not reached yet (buffered) or has already left
 // (discarded), and crash-tolerant counting must be per-sender so network
 // duplication cannot inflate thresholds.
-//
-// It also records every value it absorbs, in first-seen order, so that a
-// reconciliator can sample what this processor has seen.
 type collector[V comparable] struct {
 	node     msgnet.Endpoint
 	reports  map[int]map[int]Report[V] // round -> sender -> message
 	ratifies map[int]map[int]Ratify[V]
 	floor    int // rounds below this are dead and pruned
-	seen     []V
-	seenSet  map[V]bool
 }
 
 func newCollector[V comparable](node msgnet.Endpoint) *collector[V] {
@@ -30,7 +25,6 @@ func newCollector[V comparable](node msgnet.Endpoint) *collector[V] {
 		node:     node,
 		reports:  make(map[int]map[int]Report[V]),
 		ratifies: make(map[int]map[int]Ratify[V]),
-		seenSet:  make(map[V]bool),
 	}
 }
 
@@ -44,27 +38,14 @@ func (c *collector[V]) advance(round int) {
 	maps.DeleteFunc(c.ratifies, func(r int, _ map[int]Ratify[V]) bool { return r < round })
 }
 
-// see records v the first time it shows up.
-func (c *collector[V]) see(v V) {
-	if !c.seenSet[v] {
-		c.seenSet[v] = true
-		c.seen = append(c.seen, v)
-	}
-}
-
-// absorb files one inbound message into its bucket. Values from rounds
-// below the floor are still seen.
+// absorb files one inbound message into its bucket.
 func (c *collector[V]) absorb(m msgnet.Message) error {
 	switch p := m.Payload.(type) {
 	case Report[V]:
-		c.see(p.Value)
 		if p.Round >= c.floor {
 			file(c.reports, p.Round, m.From, p)
 		}
 	case Ratify[V]:
-		if p.HasValue {
-			c.see(p.Value)
-		}
 		if p.Round >= c.floor {
 			file(c.ratifies, p.Round, m.From, p)
 		}

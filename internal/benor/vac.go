@@ -46,6 +46,9 @@ type VAC[V comparable] struct {
 	t    int
 	in   func(V) bool // the value domain
 	col  *collector[V]
+	// counted is the values of the reports the last round counted,
+	// ordered by sender.
+	counted []V
 
 	// Protocol-level counters; nil without Instrument, and nil counters
 	// no-op, so Propose carries no metric branches.
@@ -89,9 +92,10 @@ func (va *VAC[V]) Instrument(reg *metrics.Registry) {
 	va.questions = reg.Counter("benor_vac_ratify_question_total")
 }
 
-// Seen returns every value this processor has proposed or received, in
-// first-seen order.
-func (va *VAC[V]) Seen() []V { return slices.Clone(va.col.seen) }
+// Reports returns the values of the phase-1 reports the last round
+// counted, ordered by sender, each once per sender: a value appears as
+// often as it was reported. It is empty before the first round.
+func (va *VAC[V]) Reports() []V { return slices.Clone(va.counted) }
 
 // Propose implements core.VacillateAdoptCommit.
 func (va *VAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence, V, error) {
@@ -100,7 +104,6 @@ func (va *VAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence,
 	}
 	n := va.node.N()
 	quorum := n - va.t
-	va.col.see(v)
 	va.col.advance(round)
 	va.rounds.Inc(va.node.ID())
 
@@ -116,8 +119,10 @@ func (va *VAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence,
 	// Phase 2: ratify a strict majority value, or ask "?".
 	out := Ratify[V]{Round: round}
 	counts := make(map[V]int, 2)
-	for _, r := range reports {
-		if va.in(r.Value) {
+	va.counted = va.counted[:0]
+	for from := range n {
+		if r, ok := reports[from]; ok && va.in(r.Value) {
+			va.counted = append(va.counted, r.Value)
 			counts[r.Value]++
 			if 2*counts[r.Value] > n {
 				out.Value, out.HasValue = r.Value, true

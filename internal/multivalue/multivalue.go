@@ -4,15 +4,13 @@
 // benor.NewMultiVAC: phase-1 majorities are counted per value over the
 // whole domain, and agreement is inherited from the binary argument
 // unchanged, since two strict majorities intersect whatever the domain
-// size. Only the reconciliator differs: it draws uniformly from the set
-// of values this processor has *seen*, instead of flipping a coin.
-//
-// Drawing from the seen set preserves validity for free (every value in
-// the system is some processor's input — the property the paper's
-// reconciliator definition footnotes) and keeps weak agreement: reports
-// are broadcast, so the live processors' seen sets converge to the same
-// set, after which every round has probability at least |V|^(-n) of
-// unanimity, and VAC convergence then commits.
+// size. Only the reconciliator differs: instead of flipping a coin it
+// draws one of the round's counted reports, a value in proportion to its
+// reporters (voter-model dynamics). That keeps validity for free (every
+// report carries a preference that began as some input — the property
+// the paper's reconciliator definition footnotes) and weak agreement:
+// all vacillators drawing one value has positive probability whatever
+// the domain size, and a unanimous round commits by VAC convergence.
 //
 // The package demonstrates what the paper's Section 6 gestures at: new
 // consensus algorithms assembled by swapping one object implementation
@@ -28,8 +26,8 @@ import (
 	"ooc/internal/sim"
 )
 
-// Reconciliator draws uniformly from the values its VAC has seen. Pair
-// it with the VAC it was built from.
+// Reconciliator draws uniformly from the reports its VAC counted in the
+// round (its own value before any round). Pair it with that VAC.
 type Reconciliator[V comparable] struct {
 	vac *benor.VAC[V]
 	rng *sim.RNG
@@ -37,21 +35,21 @@ type Reconciliator[V comparable] struct {
 
 var _ core.Reconciliator[string] = (*Reconciliator[string])(nil)
 
-// NewReconciliator builds the seen-set sampler for vac.
+// NewReconciliator builds the round-report sampler for vac.
 func NewReconciliator[V comparable](vac *benor.VAC[V], rng *sim.RNG) *Reconciliator[V] {
 	return &Reconciliator[V]{vac: vac, rng: rng}
 }
 
 // Reconcile implements core.Reconciliator.
 func (r *Reconciliator[V]) Reconcile(_ context.Context, _ core.Confidence, v V, _ int) (V, error) {
-	seen := r.vac.Seen()
-	if len(seen) == 0 {
+	reports := r.vac.Reports()
+	if len(reports) == 0 {
 		return v, nil
 	}
-	return seen[r.rng.Intn(len(seen))], nil
+	return reports[r.rng.Intn(len(reports))], nil
 }
 
-// RunDecomposed wires Ben-Or's VAC over V and the seen-set reconciliator
+// RunDecomposed wires Ben-Or's VAC over V and the round-report reconciliator
 // under the generic Algorithm 1 template.
 func RunDecomposed[V comparable](
 	ctx context.Context,

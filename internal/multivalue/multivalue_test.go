@@ -2,6 +2,7 @@ package multivalue
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -166,78 +167,94 @@ func TestVACSingleRoundProperties(t *testing.T) {
 	}
 }
 
-// TestSeenSetAccumulatesAndDedupes: the VAC's seen record holds every
-// value it proposed or absorbed, once each, in first-seen order,
-// including values from rounds below its floor and from valued ratifies.
-func TestSeenSetAccumulatesAndDedupes(t *testing.T) {
-	nw := netsim.New(2, netsim.WithFIFO())
+// vacillateRound runs round on vac, node 0 of nw proposing mine, after
+// peers 1, 2, … have each sent their report from reports and a "?"
+// ratify; the values must leave no majority, so the round vacillates.
+func vacillateRound(t *testing.T, nw *netsim.Network, vac *benor.VAC[string], round int, mine string, reports ...string) {
+	t.Helper()
+	for i, v := range reports {
+		peer := nw.Node(1 + i)
+		if err := errors.Join(peer.Send(0, benor.Report[string]{Round: round, Value: v}),
+			peer.Send(0, benor.Ratify[string]{Round: round})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if conf, _, err := vac.Propose(ctx, mine, round); err != nil || conf != core.Vacillate {
+		t.Fatalf("round %d: %v %v, want a vacillation", round, conf, err)
+	}
+}
+
+// TestVACReportsWhatTheRoundCounted: the VAC's Reports are the values of
+// the phase-1 reports its last round counted, once per sender and ordered
+// by sender — not in arrival order, and not a report from below the
+// round's floor.
+func TestVACReportsWhatTheRoundCounted(t *testing.T) {
+	nw := netsim.New(3, netsim.WithFIFO())
 	vac, err := benor.NewMultiVAC[string](nw.Node(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen := vac.Seen(); len(seen) != 0 {
-		t.Fatalf("seen before any round = %v", seen)
+	if got := vac.Reports(); len(got) != 0 {
+		t.Fatalf("reports before any round = %v", got)
 	}
 	peer := nw.Node(1)
 	for _, msg := range []any{
 		benor.Report[string]{Round: 0, Value: "z"}, // below the floor
 		benor.Report[string]{Round: 1, Value: "y"},
 		benor.Report[string]{Round: 1, Value: "z"}, // a duplicate sender
-		benor.Ratify[string]{Round: 1, Value: "w", HasValue: true},
 	} {
 		if err := peer.Send(0, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, _, err := vac.Propose(ctx, "x", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(vac.Seen()), "[x z y w]"; got != want {
-		t.Fatalf("seen = %s, want %s", got, want)
+	vacillateRound(t, nw, vac, 1, "x", "y", "w") // peer 1's second "y" is dropped as a duplicate
+	if got, want := fmt.Sprint(vac.Reports()), "[x y w]"; got != want {
+		t.Fatalf("reports = %s, want %s", got, want)
 	}
 }
 
-// TestReconciliatorSamplesOnlySeenValues: before any round the sampler
-// falls back to the processor's own value; after one it draws only
-// values its VAC has seen.
-func TestReconciliatorSamplesOnlySeenValues(t *testing.T) {
-	nw := netsim.New(2)
+// TestReconciliatorSamplesTheRoundsReports: before any round the sampler
+// keeps the processor's own value; after one it draws only the values the
+// round's reports carried, each in proportion to its count, and a later
+// round's reports replace the earlier ones.
+func TestReconciliatorSamplesTheRoundsReports(t *testing.T) {
+	nw := netsim.New(5)
 	vac, err := benor.NewMultiVAC[string](nw.Node(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(5)
-	rec := NewReconciliator[string](vac, rng)
-	// Nothing seen: falls back to own value.
-	v, err := rec.Reconcile(context.Background(), core.Vacillate, "mine", 1)
-	if err != nil || v != "mine" {
-		t.Fatalf("empty-set reconcile = %q %v", v, err)
-	}
-	// One round in which the peer reports "b" and asks "?".
-	peer := nw.Node(1)
-	if err := peer.Send(0, benor.Report[string]{Round: 1, Value: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := peer.Send(0, benor.Ratify[string]{Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, _, err := vac.Propose(ctx, "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		v, err := rec.Reconcile(context.Background(), core.Vacillate, "mine", 1)
-		if err != nil {
-			t.Fatal(err)
+	rec := NewReconciliator[string](vac, sim.NewRNG(5))
+	draw := func(k int) map[string]int {
+		got := map[string]int{}
+		for range k {
+			v, err := rec.Reconcile(context.Background(), core.Vacillate, "mine", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[v]++
 		}
-		got[v] = true
+		return got
 	}
-	if !got["a"] || !got["b"] || len(got) != 2 {
-		t.Fatalf("sampled %v, want exactly {a,b}", got)
+	if got := draw(10); got["mine"] != 10 {
+		t.Fatalf("drew %v before any round, want only the own value", got)
+	}
+	vacillateRound(t, nw, vac, 1, "a", "b", "b", "c", "a")
+	const k = 5000
+	got := draw(k)
+	want := map[string]int{"a": 2 * k / 5, "b": 2 * k / 5, "c": k / 5}
+	if len(got) != len(want) {
+		t.Fatalf("drew %v, want only a, b and c", got)
+	}
+	for v, w := range want {
+		if d := got[v] - w; d < -w/10 || d > w/10 {
+			t.Fatalf("drew %v, want about %v: in proportion to the reports", got, want)
+		}
+	}
+	vacillateRound(t, nw, vac, 2, "a", "d", "d", "e", "e")
+	if got := draw(1000); len(got) != 3 || got["a"]+got["d"]+got["e"] != 1000 {
+		t.Fatalf("drew %v after round 2, want only its reports a, d and e", got)
 	}
 }
 

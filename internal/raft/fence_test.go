@@ -652,8 +652,8 @@ func TestMessageClaims(t *testing.T) {
 			func(nd *Node) {
 				leader(nd)
 				nd.rep.compact(1, nil)
-				nd.rep.peers[1] = progress{next: 1}
-				nd.leaderRead(readWaiter{ch: make(chan proposeReply, 1)}, time.Time{})
+				nd.rep.peers[1], nd.rep.peers[2] = progress{next: 1}, progress{next: 2, match: 1}
+				tick(nd) // a read round's probe passes the laggard by (TestReadRoundPassesALaggardBy)
 			},
 			[]want{{"raft.InstallSnapshot", claim{}, false}, {"raft.AppendEntries", claim{}, false}}},
 		{"read forwarded to the leader", false,
@@ -802,8 +802,9 @@ func TestPipelinedRepliesFoldIntoOne(t *testing.T) {
 }
 
 // A leader pass that takes a proposal and a linearizable read sends each
-// follower one AppendEntries, carrying the entry and the read's new
-// round id, and the read confirms on the followers' echoes of it.
+// follower one AppendEntries carrying the entry; the one the round
+// probes (follower 1: the followers tie, and the lower id goes first)
+// carries the read's new round id too, and the read confirms on its echo.
 func TestProposalAndReadShareOneAppend(t *testing.T) {
 	s := leaderSim(5)
 	nd := s.nodes[0].nd
@@ -818,8 +819,8 @@ func TestProposalAndReadShareOneAppend(t *testing.T) {
 		if len(msgs) != 1 {
 			t.Fatalf("follower %d was sent %d messages, want 1: %v", f, len(msgs), msgs)
 		}
-		if m, ok := msgs[0].(AppendEntries); !ok || len(m.Entries) != 1 || m.ReadID != round {
-			t.Fatalf("follower %d was sent %v, want the entry and read round %d", f, msgs[0], round)
+		if m, ok := msgs[0].(AppendEntries); !ok || len(m.Entries) != 1 || (m.ReadID == round) != (f == 1) {
+			t.Fatalf("follower %d was sent %v, want the entry, and read round %d only to follower 1", f, msgs[0], round)
 		}
 	}
 	s.quiet()

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"cmp"
 	"slices"
 	"time"
 )
@@ -27,6 +28,7 @@ type replication struct {
 	buf             []outMsg // the messages of the call in progress
 	o               repOut   // its output, handed out by pointer
 	quorum          []int    // quorumIndex's scratch
+	order           []int    // probe's scratch
 
 	// The leader's reads (§6.4). readSeq is the latest round id, which
 	// every AppendEntries carries; rounds are the unconfirmed ones, oldest
@@ -89,7 +91,7 @@ type repOut struct {
 func newReplication(cfg *Config, n int, el *election) replication {
 	_, restores := cfg.StateMachine.(Snapshotter)
 	return replication{id: cfg.ID, n: n, el: el, diskless: cfg.Storage == nil, restores: restores,
-		lease: cfg.LeaseDuration, peers: make([]progress, n), quorum: make([]int, n)}
+		lease: cfg.LeaseDuration, peers: make([]progress, n), quorum: make([]int, n), order: make([]int, 0, n)}
 }
 
 // restore loads the log a node boots with from its disk: all of it
@@ -225,16 +227,43 @@ func (r *replication) read(now time.Time, lease bool) (readRound, *repOut) {
 	}
 	o := r.out()
 	round := r.open(now, index)
-	// The probe leaves the windows' stall bookkeeping alone: rounds fire
-	// far more often than the heartbeat, and clearing the acked flags that
-	// often would make healthy windows look stalled.
-	for peer := range r.peers {
-		if peer != r.id {
-			r.appendTo(peer, 0)
-		}
-	}
+	r.probe()
 	o.confirmed, o.leased = r.confirm() // a one-node group is its own quorum
 	return round, r.done(o)
+}
+
+// probe sends a new round's entry-less AppendEntries to the ⌊n/2⌋
+// followers that make a quorum with this leader (thrifty, as in EPaxos):
+// the latest echoers first (readAck), then by match, then by id, so a
+// schedule replays; a peer whose probe would be a snapshot, which carries
+// no round, goes last. The rest hear the round on the next heartbeat or
+// append, so a silent probed peer delays a confirmation one heartbeat at
+// most. The probe leaves the windows' stall bookkeeping alone: rounds
+// fire far more often than the heartbeat, and clearing the acked flags
+// that often would make healthy windows look stalled.
+func (r *replication) probe() {
+	order := r.order[:0]
+	for peer := range r.peers {
+		if peer != r.id {
+			order = append(order, peer)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		pa, pb := &r.peers[a], &r.peers[b]
+		return cmp.Or(cmp.Compare(r.lags(pa), r.lags(pb)), cmp.Compare(pb.readAck, pa.readAck),
+			cmp.Compare(pb.match, pa.match), cmp.Compare(a, b))
+	})
+	for _, peer := range order[:r.n/2] {
+		r.appendTo(peer, 0)
+	}
+}
+
+// lags is 1 when p's next entry was compacted away (it is due the snapshot), else 0.
+func (r *replication) lags(p *progress) int {
+	if p.next <= r.log.snapIndex {
+		return 1
+	}
+	return 0
 }
 
 // departed reports that the pass's messages have left: the newest round's
