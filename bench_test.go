@@ -578,31 +578,44 @@ func BenchmarkE16MultiShard(b *testing.B) {
 	}
 }
 
+// BenchmarkE15ReadFastPath runs E15's two linearizable rows, each on its
+// own served path: ReadIndex rounds with no lease, and 15 ms leases.
 func BenchmarkE15ReadFastPath(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunMultiShard(bench.MultiShardConfig{
-			Nodes:           3,
-			Shards:          1,
-			ClientsPerShard: 8,
-			Duration:        200 * time.Millisecond,
-			Seed:            uint64(i) + 1,
-			FileStorage:     true,
-			ReadRatio:       0.9,
-			ReadMode:        raft.ReadLease,
-			LeaseDuration:   15 * time.Millisecond,
-			Keys:            256,
+	for _, mode := range []raft.ReadConsistency{raft.ReadLinearizable, raft.ReadLease} {
+		b.Run("mode="+mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := bench.MultiShardConfig{
+					Nodes:           3,
+					Shards:          1,
+					ClientsPerShard: 8,
+					Duration:        200 * time.Millisecond,
+					Seed:            uint64(i) + 1,
+					FileStorage:     true,
+					ReadRatio:       0.9,
+					ReadMode:        mode,
+					Keys:            256,
+				}
+				if mode == raft.ReadLease {
+					cfg.LeaseDuration = 15 * time.Millisecond
+				}
+				res, err := bench.RunMultiShard(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Ops == 0 {
+					b.Fatal("no ops completed")
+				}
+				switch {
+				case mode == raft.ReadLinearizable && (res.IndexReads == 0 || res.LeaseReads > 0):
+					b.Fatalf("linearizable row served %d reads by ReadIndex and %d by lease, want > 0 and 0",
+						res.IndexReads, res.LeaseReads)
+				case mode == raft.ReadLease && res.LeaseReads == 0:
+					b.Fatalf("lease row served no read by lease (%d by ReadIndex)", res.IndexReads)
+				}
+				b.ReportMetric(res.OpsPerSec, "ops/sec")
+				b.ReportMetric(res.ReadP50.Seconds()*1e3, "read-p50-ms")
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Ops == 0 {
-			b.Fatal("no ops completed")
-		}
-		if res.Reads > 0 && res.LeaseReads+res.IndexReads == 0 {
-			b.Fatal("reads completed but none were served by the fast path")
-		}
-		b.ReportMetric(res.OpsPerSec, "ops/sec")
-		b.ReportMetric(res.ReadP50.Seconds()*1e3, "read-p50-ms")
 	}
 }

@@ -16,7 +16,7 @@
 // but measure "events elapsed" rather than time.
 //
 // It also reads the per-request span dumps raftkv -trace-out writes
-// (rtrace format, DESIGN §3.6) and renders where each sampled
+// (rtrace format, DESIGN §3.6.2) and renders where each sampled
 // request's latency went — leader queue, fsync, replication, apply:
 //
 //	ooctrace -spans spans.json                   # one line per request

@@ -6,8 +6,9 @@
 // Byzantine protocol, and Raft — over both an in-memory simulated network
 // and a real TCP transport.
 //
-// See README.md for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduced results. The root package holds the
+// See README.md to install and run it, DESIGN.md for what the system is
+// layer by layer (§2 is the inventory), and EXPERIMENTS.md for the
+// reproduced results. The root package holds the
 // benchmark harness entry points (bench_test.go); the implementation
 // lives under internal/.
 package ooc

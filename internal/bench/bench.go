@@ -130,9 +130,6 @@ func (s Suite) cellRegistry() *metrics.Registry {
 	return metrics.NewRegistry()
 }
 
-// DefaultSuite is the configuration cmd/oocbench uses.
-func DefaultSuite() Suite { return Suite{Trials: 20} }
-
 // QuickSuite is a trimmed configuration for tests.
 func QuickSuite() Suite { return Suite{Trials: 4, Quick: true} }
 

@@ -2,7 +2,7 @@
 // message traffic: the Raft messages, Ben-Or's two messages and the
 // msgnet mux wrapper encode as a compact length-free frame of varints —
 // no type metadata, no reflection — with an explicit version byte so the
-// layout can evolve (DESIGN.md §3.5). Encoding is append-style into a
+// layout can evolve (DESIGN.md §3.5.4). Encoding is append-style into a
 // caller-owned buffer and performs zero heap allocations in steady
 // state; decoding amortizes through a reusable Decoder. The set is
 // closed: Append refuses any other payload type.
@@ -40,7 +40,7 @@ const Version = 1
 // Untraced messages keep emitting Version-1 frames byte-identical to
 // the release before the trace field, so a sender speaks version 2 only
 // on the (sampled) messages that need it, and the decoder takes both
-// (DESIGN §3.6).
+// (DESIGN §3.5.2).
 const VersionTraced = 2
 
 // Type tags. Wire format — never renumber; new message types append.

@@ -3,8 +3,8 @@
 // histograms behind a Registry that serializes to Prometheus text and
 // JSON (see expose.go).
 //
-// The hot-path design follows the sharded trace.Recorder introduced for
-// the simulation hot path (DESIGN.md §3.1): a Counter or Histogram is an
+// The hot-path design follows the sharded trace.Recorder (DESIGN.md
+// §3.6.3): a Counter or Histogram is an
 // array of cache-line-padded atomic cells, and callers on the sharded
 // simulation hot path pass their processor id as the shard hint, so
 // concurrent processors never contend on one cache line. Reads fold the
@@ -242,14 +242,6 @@ func (hs HistogramSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return hs.Bounds[len(hs.Bounds)-1]
-}
-
-// Mean reports the average observed duration.
-func (hs HistogramSnapshot) Mean() time.Duration {
-	if hs.Count == 0 {
-		return 0
-	}
-	return hs.Sum / time.Duration(hs.Count)
 }
 
 // snapshot folds the shards.

@@ -114,7 +114,7 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 // Traced wraps a payload with the per-request trace ID that produced it
 // (internal/rtrace). The wrapper exists so the ID can cross process
 // boundaries: the binary codec hoists it into the frame header (frame
-// version 2, DESIGN §3.6) instead of encoding the wrapper itself.
+// version 2, DESIGN §3.5.2) instead of encoding the wrapper itself.
 // In-process consumers (the raft node loop, the mux) unwrap it with
 // TraceOf. ID 0 never wraps.
 type Traced struct {

@@ -44,14 +44,9 @@ import (
 // Option configures a Network.
 type Option func(*Network)
 
-// WithRNG supplies the root RNG from which the per-processor delivery and
-// fault streams are split. The default is a fixed-seed RNG, so
-// unconfigured networks are still deterministic.
-func WithRNG(rng *sim.RNG) Option {
-	return func(n *Network) { n.rng = rng }
-}
-
-// WithSeed is shorthand for WithRNG(sim.NewRNG(seed)).
+// WithSeed seeds the root RNG from which the per-processor delivery and
+// fault streams are split. The default is a fixed seed, so unconfigured
+// networks are still deterministic.
 func WithSeed(seed uint64) Option {
 	return func(n *Network) { n.rng = sim.NewRNG(seed) }
 }

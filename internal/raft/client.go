@@ -57,7 +57,9 @@ func WithClientTracer(t *rtrace.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }
 }
 
-// NewClient builds a client over the contactable nodes.
+// NewClient builds a client over the contactable nodes. nodes[i] must be
+// the node with ID i, as shard.Group.Nodes is: a redirect names the
+// leader by ID, and the client indexes nodes with it.
 func NewClient(nodes []*Node, opts ...ClientOption) (*Client, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("raft: client needs at least one node")
@@ -319,8 +321,8 @@ func (c *Client) get(id int, key string) (string, bool, error) {
 // (a round-trip through the main loop, which would stall behind the next
 // batch's group-commit fsync). The only thing that can keep the apply
 // from reaching index — a truncation — requires the node to adopt a
-// higher term first, which wakes that wait too (applied.go, DESIGN
-// §3.7). Only then does the write fall back to this bounded polling,
+// higher term first, which wakes that wait too (applied.go; DESIGN §3.1.5).
+// Only then does the write fall back to this bounded polling,
 // where Status decides the races the notifier cannot see: a truncation,
 // or a node that went down. Reaching index carries the caveat
 // Status.LastApplied always did: it does not prove OUR entry survived

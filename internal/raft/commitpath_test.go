@@ -13,7 +13,7 @@ import (
 	"ooc/internal/sim"
 )
 
-// The commit path's three hand-offs (DESIGN §3.9): the endpoint drained
+// The commit path's three hand-offs (DESIGN §3.1.2, §3.1.5): the endpoint drained
 // by the main loop itself, the term-aware apply wait, and events
 // filtered at the source.
 

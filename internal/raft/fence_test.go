@@ -1,6 +1,6 @@
 package raft
 
-// Tests for claim-based fencing (DESIGN §3.3, §3.7): a staged message
+// Tests for claim-based fencing (DESIGN §3.1.3, §3.1.4): a staged message
 // waits for exactly what it claims about this node's disk. The cluster
 // tests run ManualCampaign nodes over netsim with a tap on every message,
 // one node's disk held at the barrier by gatedStorage, and every history

@@ -12,7 +12,7 @@ import (
 // TestReleasedCallersShareTheNextPass pins the order, not the speed: a
 // pass of the loop that released callers lets them run before it takes
 // more input, so closed-loop callers come back as one cohort. It reads the
-// series a live node exports (DESIGN.md §8, "is the loop batching?").
+// series a live node exports (DESIGN.md §3.6.1, "Is the loop batching?").
 // Without the yield at the end of flush() the loop keeps its P, takes the
 // first caller's next request alone, and at one P every round carries
 // exactly one read.
@@ -91,8 +91,9 @@ func TestReleasedCallersShareTheNextPass(t *testing.T) {
 			// SubmitWait: the accept wakes nobody (the caller parks on to
 			// the apply), but the pass that resolved it still steps aside,
 			// so the apply worker releases the cohort before the loop's
-			// next pass.
-			client, err := NewClient([]*Node{node})
+			// next pass. The client spans the cluster, so a leadership move
+			// ends in the check above rather than in retries at a follower.
+			client, err := NewClient(c.nodes)
 			if err != nil {
 				t.Fatal(err)
 			}

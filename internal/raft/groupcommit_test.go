@@ -1,6 +1,6 @@
 package raft
 
-// Crash-safety tests for shared-disk group commit (DESIGN §3.8): several
+// Crash-safety tests for shared-disk group commit (DESIGN §3.2.4): several
 // co-located Raft groups share one SyncCoalescer, the machine loses
 // power in the middle of a shared barrier with dirty batches from
 // multiple groups in flight, and every group must recover independently

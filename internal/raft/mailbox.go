@@ -3,7 +3,7 @@ package raft
 import "sync"
 
 // inputs is what reaches the main loop from everywhere but the network and
-// the two timers, FIFO within a kind (DESIGN §3.9).
+// the two timers, FIFO within a kind (DESIGN §3.1.2).
 type inputs struct {
 	persisted []persistDone // completed persist runs, in persistQ order
 	status    []chan Status

@@ -22,15 +22,15 @@ package raft
 // What a pass woke runs before the disk does: flush() readies the persist
 // worker last, so the scheduler runs it first, and FileStorage.SyncDevice
 // — or the coalesced round's write-back stage standing in for it — yields
-// before the barrier parks its P (DESIGN.md §3.7, "What runs before a
-// barrier"). And it runs before the loop's next pass does: a
+// before the barrier parks its P (DESIGN.md §3.1.6, rule 1). And it runs
+// before the loop's next pass does: a
 // flush() that sent a read its reply or resolved a proposal's ticket ends
 // by yielding, so the callers it released — or the apply worker that
 // will — run and resubmit while the loop waits its turn, and the next
 // mailbox.take finds them together — reads share a confirmation round,
-// proposals an AppendEntries, and nothing waits on a timer (§3.7, "What
-// runs after a pass", which also measures the cost: with no P free the
-// loop can wait in the global queue behind the worker's barrier).
+// proposals an AppendEntries, and nothing waits on a timer (DESIGN.md
+// §3.1.6, rule 2, which also states the cost: with no P free the loop can
+// wait in the global queue behind the worker's barrier).
 // Tickets onPersistDone resolves do not count: counting them too was
 // measured and bought nothing (ROADMAP house rules).
 //
@@ -411,7 +411,7 @@ func (nd *Node) clampDurable(idx int) {
 // write-back stage — often another group's worker — so the yield lives
 // at those two, once per blocking stage, and a second one before the drain
 // below bought write-tcp nothing and cost readmix-tcp's p50 11–20 %
-// (DESIGN.md §3.7, "What runs before a barrier").
+// (DESIGN.md §3.1.6, rule 1).
 func (nd *Node) persistWorker() {
 	defer nd.workers.Done()
 	for {

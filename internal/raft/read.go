@@ -24,7 +24,7 @@ const (
 	// one is held (no quorum round at all), falling back to a ReadIndex
 	// round when the lease has lapsed. Requires Config.LeaseDuration > 0
 	// on every node; linearizable under the bounded-clock-drift assumption
-	// documented in DESIGN.md §3.3.
+	// documented in DESIGN.md §3.1.4.
 	ReadLease
 	// ReadStale reads the local state machine with no coordination and no
 	// consistency guarantee beyond "some applied prefix of the log".

@@ -202,7 +202,7 @@ const frameHeaderSize = 8
 // recordVersion is the version byte leading every record payload, so the
 // on-disk layout can evolve: a decoder accepts versions it knows and
 // rejects the rest, and additive changes append fields under a bumped
-// version rather than silently shifting offsets (DESIGN.md §3.5).
+// version rather than silently shifting offsets (DESIGN.md §3.5.4).
 const recordVersion = 1
 
 // runAheadMin and runAheadMax bound the zero-filled region FileStorage
@@ -219,7 +219,7 @@ const (
 
 // sectorSize is the unit a crash is assumed to tear writes at: a
 // file-aligned 512-byte sector holds either all of what a write put there
-// or all of what it held before (DESIGN.md §3.5).
+// or all of what it held before (DESIGN.md §3.2.2).
 const sectorSize = 512
 
 // zeroFill is the source of every run-ahead extension.
@@ -242,7 +242,7 @@ var zeroFill [runAheadMax]byte
 // and the SyncCoalescer round that covers it waits for each such file's
 // and flushes the device once for all of them (inPlace below). Only the
 // flush that uses the run-ahead up extends it, under the same single
-// barrier. Load's recovery rules (DESIGN.md §3.5) are what make
+// barrier. Load's recovery rules (DESIGN.md §3.2.2) are what make
 // overwriting safe; Close truncates the run-ahead away, so a cleanly
 // closed file is exactly the sum of its frames.
 //
@@ -350,8 +350,7 @@ func (s *FileStorage) SetSyncer(sc *SyncCoalescer) {
 // — as the persist worker is by flush(), and a promoted round leader by
 // handoff() — runs ahead of everything else its waker readied, so without
 // the yield the apply worker and the clients that same pass woke sit out
-// the barrier in the parked P's queue (DESIGN.md §3.7, "What runs before
-// a barrier"). A caller must therefore not hold a lock across SyncDevice
+// the barrier in the parked P's queue (DESIGN.md §3.1.6, rule 1). A caller must therefore not hold a lock across SyncDevice
 // that a runnable goroutine needs.
 func (s *FileStorage) SyncDevice() error {
 	runtime.Gosched()

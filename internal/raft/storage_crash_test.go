@@ -13,7 +13,7 @@ import (
 	"ooc/internal/sim"
 )
 
-// The tests in this file hold Load to the crash model of DESIGN.md §3.5:
+// The tests in this file hold Load to the crash model of DESIGN.md §3.2.2:
 // FileStorage overwrites a zero-filled run-ahead in place, so what a
 // crash leaves is not "a shorter file" but, sector by sector, a mix of
 // the interrupted flush's bytes and what the previous barrier left.
@@ -270,7 +270,7 @@ func TestLoadCrashImageSectorSubsets(t *testing.T) {
 // it replaced: an interior sector that reads back all zero looks exactly
 // like a sector an interrupted flush never reached, so Load returns the
 // prefix before it rather than errCorrupt. The trade is deliberate
-// (DESIGN.md §3.5) — this test is here so it stays a decision.
+// (DESIGN.md §3.2.2) — this test is here so it stays a decision.
 func TestFileStorageZeroedInteriorSectorReadsAsTornTail(t *testing.T) {
 	rng := sim.NewRNG(7)
 	path := filepath.Join(t.TempDir(), "raft.log")

@@ -115,7 +115,7 @@ type SyncerConfig struct {
 // metadata and the filesystem overwrites in place (overwritesInPlace):
 // only the device's cache stands between written pages and the medium,
 // and a crash before the flush leaves what one inside fdatasync always
-// could (DESIGN.md §3.5). Any other member — a flush that changed its
+// could (DESIGN.md §3.2.3). Any other member — a flush that changed its
 // file's size, a filesystem off the list, a foreign SyncTarget — takes
 // its own SyncDevice.
 //

@@ -8,7 +8,7 @@ import (
 
 // This file is the binary codec for log entries and the commands inside
 // them — the innermost layer of the hand-rolled wire/disk format
-// (DESIGN.md §3.5). It lives in package raft because both consumers of
+// (DESIGN.md §3.5.3). It lives in package raft because both consumers of
 // entry encoding sit on opposite sides of an import boundary: the
 // FileStorage record codec (this package) and the message codec
 // (internal/codec, which imports this package). Entries encode as
@@ -22,7 +22,7 @@ import (
 
 // Command tags. New kinds append to the list; existing values are wire
 // format and must never be renumbered (see the version rules in
-// DESIGN.md §3.5). 15, the retired gob fallback, is never to be reused.
+// DESIGN.md §3.5.4). 15, the retired gob fallback, is never to be reused.
 const (
 	cmdNil    = 0
 	cmdNoop   = 1

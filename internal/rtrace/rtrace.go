@@ -12,7 +12,7 @@
 //     check — no clock reads, no context allocation, no map traffic.
 //   - A sampled request's trace ID rides in the context
 //     (WithTrace/FromContext) inside one process and in the codec frame
-//     header (frame version 2, DESIGN §3.6) across the wire.
+//     header (frame version 2, DESIGN §3.5.2) across the wire.
 //   - Phase attribution is interval-based: the single-goroutine raft
 //     loop calls ObservePhase with explicit start/end stamps it already
 //     holds, so the tracer never injects synchronization into the loop;

@@ -190,9 +190,6 @@ func (c *Cluster) Descriptor() Descriptor { return c.desc }
 // NumShards returns the group count.
 func (c *Cluster) NumShards() int { return len(c.groups) }
 
-// NumNodes returns the processor count.
-func (c *Cluster) NumNodes() int { return c.n }
-
 // ShardOf routes a key to its owning shard.
 func (c *Cluster) ShardOf(key string) int { return c.desc.ShardOf(key) }
 
