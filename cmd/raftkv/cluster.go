@@ -19,7 +19,7 @@ import (
 // experiments E14–E16): the keyspace hash-split across shards groups of
 // one shard.Cluster multiplexed over one simulated network, clients
 // closed-loop clients per shard. Every group's raft_* metrics land in
-// reg, summed over groups.
+// reg, one series per node and shard.
 func runMultiShardBench(n, shards, clients int, duration time.Duration, disk bool, seed uint64,
 	readRatio float64, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
 	mix := "write-only"
@@ -43,7 +43,6 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		Seed:            seed,
 		FileStorage:     disk,
 		Metrics:         reg,
-		ShardMetrics:    func(int) *metrics.Registry { return reg },
 		Tracer:          tracer,
 		Flights:         flights,
 		ReadRatio:       readRatio,
@@ -123,7 +122,6 @@ func runClusterDemo(out io.Writer, n, shards int, readMode raft.ReadConsistency,
 		LeaseDuration:     lease,
 		ReadMode:          readMode,
 		Metrics:           reg,
-		ShardMetrics:      func(int) *metrics.Registry { return reg },
 		Tracer:            tracer,
 		Flights:           flights,
 	})

@@ -45,12 +45,10 @@ type MultiShardConfig struct {
 	// and an in-window election is a multi-heartbeat throughput hole that
 	// reads as a scaling loss.
 	ElectionTimeout time.Duration
-	// Metrics, if non-nil, receives the cluster-level telemetry (leader
-	// placement, per-shard routed ops, mux drops).
+	// Metrics, if non-nil, receives the cluster's telemetry
+	// (shard.Config.Metrics): placement, routed ops, mux drops, the
+	// syncers, and each group's raft_* series under a shard label.
 	Metrics *metrics.Registry
-	// ShardMetrics, if non-nil, supplies a registry per shard for group
-	// internals, passed through to shard.Config.
-	ShardMetrics func(shard int) *metrics.Registry
 	// Workload shape: ReadRatio > 0 mixes reads (served per shard via
 	// ReadMode) into the loop; Keys sizes the shared, uniformly drawn
 	// keyspace (default 1024).
@@ -93,7 +91,8 @@ type MultiShardResult struct {
 	Writes  int
 	ReadP50 time.Duration
 	ReadP99 time.Duration
-	// Per-path serving counts summed over every replica (raft.ReadStats).
+	// Per-path serving counts summed over every replica (raft.ReadStats),
+	// over the measured window.
 	LeaseReads, IndexReads, StaleReads, ForwardedReads int64
 	// Device-barrier accounting from the per-node sync coalescers (file
 	// storage only). Barriers is the number of device flushes actually
@@ -192,7 +191,6 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Flights:           cfg.Flights,
 		Storage:           storage,
 		Metrics:           cfg.Metrics,
-		ShardMetrics:      cfg.ShardMetrics,
 		DeviceLatency:     cfg.DeviceLatency,
 		Recorder:          cfg.Recorder,
 	})
@@ -267,6 +265,9 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	for _, fs := range files {
 		startSyncs += fs.Syncs()
 	}
+	// A cell registry outlives the trial, and ReadStats reads its series,
+	// so the window's reads are a difference like the syncers' rounds.
+	startReads := clusterReads(cluster)
 	var startBarriers, startRequests int64
 	for n := 0; n < cfg.Nodes; n++ {
 		if sc := cluster.Syncer(n); sc != nil {
@@ -355,15 +356,9 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	if res.Ops > 0 {
 		res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Ops)
 	}
-	for s := 0; s < cfg.Shards; s++ {
-		for _, nd := range cluster.Group(s).Nodes {
-			lease, index, stale, fwd := nd.ReadStats()
-			res.LeaseReads += lease
-			res.IndexReads += index
-			res.StaleReads += stale
-			res.ForwardedReads += fwd
-		}
-	}
+	served := clusterReads(cluster)
+	res.LeaseReads, res.IndexReads = served[0]-startReads[0], served[1]-startReads[1]
+	res.StaleReads, res.ForwardedReads = served[2]-startReads[2], served[3]-startReads[3]
 	// Stop the cluster before reading the sync counters so in-flight
 	// persist runs are counted, not raced (the deferred cleanup re-runs
 	// both calls harmlessly).
@@ -390,6 +385,20 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		res.MeanWidth = float64(requests) / float64(res.Barriers)
 	}
 	return res, nil
+}
+
+// clusterReads sums raft.ReadStats over every replica of the cluster:
+// lease, index, stale and forwarded reads.
+func clusterReads(cluster *shard.Cluster) (sum [4]int64) {
+	for s := 0; s < cluster.NumShards(); s++ {
+		for _, nd := range cluster.Group(s).Nodes {
+			lease, index, stale, fwd := nd.ReadStats()
+			for i, n := range [4]int64{lease, index, stale, fwd} {
+				sum[i] += n
+			}
+		}
+	}
+	return sum
 }
 
 // p50p99 sorts ds in place and returns its median and 99th percentile
@@ -446,14 +455,6 @@ func RunE16(s Suite) (Table, error) {
 	base := 0.0
 	for _, shards := range shardCounts {
 		reg := s.cellRegistry()
-		shardRegs := make([]*metrics.Registry, shards)
-		var shardMetrics func(int) *metrics.Registry
-		if s.CollectMetrics {
-			for i := range shardRegs {
-				shardRegs[i] = metrics.NewRegistry()
-			}
-			shardMetrics = func(i int) *metrics.Registry { return shardRegs[i] }
-		}
 		var opsPerSec, p50, p99, fsyncsPerOp, barriersPerOp, meanWidth, imbalance stats
 		ops, spreadMin, rebalances := 0, 0, 0
 		for trial := 0; trial < trials; trial++ {
@@ -470,7 +471,6 @@ func RunE16(s Suite) (Table, error) {
 				// of a window that measures steady-state replication.
 				ElectionTimeout: 150 * time.Millisecond,
 				Metrics:         reg,
-				ShardMetrics:    shardMetrics,
 			})
 			if err != nil {
 				return tbl, fmt.Errorf("E16 shards=%d: %w", shards, err)
@@ -500,9 +500,6 @@ func RunE16(s Suite) (Table, error) {
 			p50.mean(), p99.mean(), fsyncsPerOp.mean(), barriersPerOp.mean(), meanWidth.mean(), spreadMin, rebalances, imbalance.mean())
 		if s.CollectMetrics {
 			tbl.attachMetrics(fmt.Sprintf("shards=%d", shards), reg.Snapshot())
-			for i, sreg := range shardRegs {
-				tbl.attachMetrics(fmt.Sprintf("shards=%d shard=%d", shards, i), sreg.Snapshot())
-			}
 		}
 	}
 	tbl.Notes = append(tbl.Notes,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ooc/internal/metrics"
 	"ooc/internal/raft"
 )
 
@@ -46,7 +45,6 @@ func RunE14(s Suite) (Table, error) {
 					Seed:            s.BaseSeed + uint64(clients*10+trial),
 					FileStorage:     storage == "file",
 					Metrics:         reg,
-					ShardMetrics:    oneRegistry(reg),
 				})
 				if err != nil {
 					return tbl, fmt.Errorf("E14 %s/%d: %w", storage, clients, err)
@@ -71,12 +69,6 @@ func RunE14(s Suite) (Table, error) {
 		"fsyncs_per_op < 1 on file rows is group commit working: one durability barrier covers many coalesced proposals",
 		"allocs_per_op is process-wide Mallocs delta / ops, an approximation shared across nodes and clients")
 	return tbl, nil
-}
-
-// oneRegistry hands every shard the cell's registry, so a one-group
-// run's raft_* metrics land beside the cluster-level ones.
-func oneRegistry(reg *metrics.Registry) func(int) *metrics.Registry {
-	return func(int) *metrics.Registry { return reg }
 }
 
 // e15Modes are the read paths E15 compares.
@@ -120,7 +112,6 @@ func RunE15(s Suite) (Table, error) {
 				Seed:            s.BaseSeed + uint64(int(mode)*10+trial),
 				FileStorage:     true,
 				Metrics:         reg,
-				ShardMetrics:    oneRegistry(reg),
 				ReadRatio:       0.9,
 				ReadMode:        mode,
 				Keys:            256,

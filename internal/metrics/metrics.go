@@ -184,9 +184,12 @@ func (h *Histogram) Observe(hint int, d time.Duration) {
 // ObserveSince records the elapsed time since start — the idiom behind
 // every latency histogram in the tree (`h.Observe(hint, time.Since(t0))`)
 // folded into one call so call sites cannot mix up which clock stamp
-// pairs with which histogram. A nil histogram still skips the record but
-// pays the clock read, like Observe.
+// pairs with which histogram. A nil histogram discards without reading
+// the clock.
 func (h *Histogram) ObserveSince(hint int, start time.Time) {
+	if h == nil {
+		return
+	}
 	h.Observe(hint, time.Since(start))
 }
 
@@ -266,7 +269,16 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // path, done once at wiring time; the returned pointers are then written
 // lock-free. A nil *Registry returns nil instruments, which discard, so
 // an entire instrumented stack can run sink-free by passing nil.
+//
+// A view from With shares its parent's namespace and adds its labels to
+// every name registered through it.
 type Registry struct {
+	*namespace
+	labels string // `k="v",…` a view adds to every name; "" on a root
+}
+
+// namespace is the metric store a registry and its views share.
+type namespace struct {
 	mu     sync.RWMutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
@@ -275,10 +287,34 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
+	return &Registry{namespace: &namespace{
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
+	}}
+}
+
+// With returns a view of r that adds the label k="v" to every name it
+// registers, after the labels the name already carries:
+// r.With("shard", "1").Counter(`x{node="0"}`) is r's
+// `x{node="0",shard="1"}`. The view shares r's namespace, so r's
+// Snapshot lists what the view registers. A nil registry's view is nil.
+func (r *Registry) With(k, v string) *Registry {
+	if r == nil {
+		return nil
+	}
+	return &Registry{namespace: r.namespace, labels: strings.TrimPrefix(r.labels+`,`+k+`="`+v+`"`, ",")}
+}
+
+// name bakes the view's labels into name.
+func (r *Registry) name(name string) string {
+	switch {
+	case r.labels == "":
+		return name
+	case strings.HasSuffix(name, "}"):
+		return name[:len(name)-1] + "," + r.labels + "}"
+	default:
+		return name + "{" + r.labels + "}"
 	}
 }
 
@@ -287,6 +323,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	name = r.name(name)
 	r.mu.RLock()
 	c := r.counts[name]
 	r.mu.RUnlock()
@@ -307,6 +344,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	name = r.name(name)
 	r.mu.RLock()
 	g := r.gauges[name]
 	r.mu.RUnlock()
@@ -330,6 +368,7 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	if r == nil {
 		return nil
 	}
+	name = r.name(name)
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -352,8 +391,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot folds every metric. The maps are fresh copies; mutating them
-// does not affect the registry. A nil registry yields an empty snapshot.
+// Snapshot folds every metric in the namespace, a view's parent's
+// included. The maps are fresh copies; mutating them does not affect
+// the registry. A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   map[string]int64{},

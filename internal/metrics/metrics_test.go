@@ -230,3 +230,59 @@ func TestServeMountsExtraRoutes(t *testing.T) {
 		t.Fatalf("metrics route broken: %q", got)
 	}
 }
+
+func TestWithLabelsEveryName(t *testing.T) {
+	var nilReg *Registry
+	if v := nilReg.With("shard", "0"); v != nil || v.Counter("c") != nil {
+		t.Fatal("a nil registry's view must be nil and hand out nil instruments")
+	}
+	r := NewRegistry()
+	v := r.With("shard", "1")
+	v.Counter("plain_total").Inc(0)
+	v.Gauge(Label("depth", "node", "2")).Set(5)
+	v.Histogram(Label("lat_seconds", "node", "2", "mode", "x"), nil).Observe(0, time.Millisecond)
+	vv := v.With("zone", "b")
+	vv.Counter(Label("x_total", "node", "0")).Add(0, 3)
+	if vv.Counter(Label("x_total", "node", "0")) != r.Counter(`x_total{node="0",shard="1",zone="b"}`) {
+		t.Fatal("a view of a view must register the parent's series with both labels")
+	}
+	for _, snap := range []Snapshot{r.Snapshot(), v.Snapshot(), vv.Snapshot()} {
+		if snap.Counters[`plain_total{shard="1"}`] != 1 || snap.Counters[`x_total{node="0",shard="1",zone="b"}`] != 3 ||
+			snap.Gauges[`depth{node="2",shard="1"}`] != 5 || snap.Histograms[`lat_seconds{node="2",mode="x",shard="1"}`].Count != 1 {
+			t.Fatalf("every snapshot of the namespace must list the views' series, got %+v", snap)
+		}
+		if len(snap.Counters) != 2 || len(snap.Gauges) != 1 || len(snap.Histograms) != 1 {
+			t.Fatalf("the views registered series beyond their own: %+v", snap)
+		}
+	}
+	if v.Counter("plain_total") == r.Counter("plain_total") {
+		t.Fatal("a view must not share the unlabeled series")
+	}
+}
+
+func TestWithConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	views := []*Registry{r.With("shard", "0"), r.With("shard", "1")}
+	const goroutines, per = 4, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v := views[g%len(views)]
+			for i := 0; i < per; i++ {
+				v.Counter(Label("c_total", "node", "0")).Inc(g)
+				v.Gauge("g").Set(int64(i))
+				v.Histogram("h", nil).Observe(g, time.Microsecond)
+				_ = r.Snapshot()
+			}
+		}(g)
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	for _, s := range []string{"0", "1"} {
+		if got := snap.Counters[`c_total{node="0",shard="`+s+`"}`]; got != goroutines/2*per {
+			t.Fatalf("shard %s counted %d, want %d", s, got, goroutines/2*per)
+		}
+	}
+}

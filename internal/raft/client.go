@@ -25,7 +25,7 @@ type Client struct {
 	rng      *sim.RNG      // jitter source; deterministic under a fixed seed
 	readMode ReadConsistency
 	tracer   *rtrace.Tracer // nil = tracing disabled
-	leader   atomic.Int32   // last node that served a read, or redirect hint; -1 unknown
+	leader   atomic.Int32   // ID of the last node that served a call, or redirect hint; -1 unknown
 	rr       atomic.Int64   // round-robin cursor for stale reads
 }
 
@@ -57,9 +57,9 @@ func WithClientTracer(t *rtrace.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }
 }
 
-// NewClient builds a client over the contactable nodes. nodes[i] must be
-// the node with ID i, as shard.Group.Nodes is: a redirect names the
-// leader by ID, and the client indexes nodes with it.
+// NewClient builds a client over the contactable nodes, in any order: a
+// subset of the cluster or all of it. A redirect to a node the client
+// does not hold falls back to probing the ones it does.
 func NewClient(nodes []*Node, opts ...ClientOption) (*Client, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("raft: client needs at least one node")
@@ -100,7 +100,7 @@ func (c *Client) nextBackoff(attempt int) time.Duration {
 
 // Submit proposes cmd, retrying across leader changes until some node
 // accepts it into its log as leader. It returns the log index the leader
-// assigned and the id of the node that accepted.
+// assigned and the ID (Config.ID) of the node that accepted.
 //
 // Note the standard caveat: acceptance is not commitment. A leader that
 // crashes right after accepting may lose the entry; use SubmitWait for
@@ -108,8 +108,22 @@ func (c *Client) nextBackoff(attempt int) time.Duration {
 // around SubmitWait errors (exactly-once needs client session state,
 // which is out of scope here as in the Raft paper's core protocol).
 func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err error) {
-	rep, _, node, err := c.submit(ctx, cmd, true)
-	return rep.index, node, err
+	rep, _, nd, err := c.submit(ctx, cmd, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	return rep.index, nd.cfg.ID, nil
+}
+
+// slot returns the position in c.nodes of the node with ID id, -1 when
+// the client does not hold it.
+func (c *Client) slot(id int) int {
+	for i, nd := range c.nodes {
+		if nd.cfg.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // submit proposes cmd through Node.propose, following redirects and
@@ -118,39 +132,38 @@ func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err 
 // the call parks once, from the proposal to the apply: it returns when
 // the entry is applied or its accepting term moved, and a node that stops
 // first is probed past like any other.
-func (c *Client) submit(ctx context.Context, cmd any, accept bool) (proposeReply, int, int, error) {
+func (c *Client) submit(ctx context.Context, cmd any, accept bool) (proposeReply, int, *Node, error) {
 	probe := 0
-	target := int(c.leader.Load()) // last known leader; -1 probes
+	target := c.slot(int(c.leader.Load())) // last known leader; -1 probes
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return proposeReply{}, 0, 0, fmt.Errorf("raft: client: %w", err)
+			return proposeReply{}, 0, nil, fmt.Errorf("raft: client: %w", err)
 		}
-		id := target
-		if id < 0 || id >= len(c.nodes) {
-			id = probe % len(c.nodes)
+		i := target
+		if i < 0 {
+			i = probe % len(c.nodes)
 			probe++
 		}
-		rep, applied := c.nodes[id].propose(ctx, cmd, accept)
+		nd := c.nodes[i]
+		rep, applied := nd.propose(ctx, cmd, accept)
 		perr := rep.err
 		if perr == nil {
-			c.leader.Store(int32(id))
-			return rep, applied, id, nil
+			c.leader.Store(int32(nd.cfg.ID))
+			return rep, applied, nd, nil
 		}
 		var nl ErrNotLeader
-		redirected := false
+		target = -1 // probe, unless a redirect names another node held here
 		switch {
 		case errors.As(perr, &nl):
-			target = nl.LeaderID // may be -1: falls back to probing
-			if target == id {
-				target = -1 // stale self-reference; probe elsewhere
+			if nl.LeaderID != nd.cfg.ID { // a self-reference is stale
+				target = c.slot(nl.LeaderID)
 			}
-			redirected = target >= 0 && target < len(c.nodes)
 		case errors.Is(perr, ErrStopped):
-			target = -1 // that node is gone; probe the others
+			// That node is gone; probe the others.
 		default:
-			return proposeReply{}, 0, 0, fmt.Errorf("raft: client submit: %w", perr)
+			return proposeReply{}, 0, nil, fmt.Errorf("raft: client submit: %w", perr)
 		}
-		if redirected && attempt < len(c.nodes) {
+		if target >= 0 && attempt < len(c.nodes) {
 			// A concrete redirect: chase it immediately. Backing off
 			// here added a full jittered sleep to every write issued
 			// while the hint was cold — per-request tracing showed the
@@ -174,14 +187,14 @@ func (c *Client) SubmitWait(ctx context.Context, cmd any) (index int, err error)
 		defer func() { c.tracer.End(id, err != nil) }()
 	}
 	for {
-		rep, applied, id, err := c.submit(ctx, cmd, false)
+		rep, applied, nd, err := c.submit(ctx, cmd, false)
 		if err != nil {
 			return 0, err
 		}
 		if applied >= rep.index {
 			return rep.index, nil
 		}
-		kept, err := c.waitApplied(ctx, id, rep.index)
+		kept, err := c.waitApplied(ctx, nd, rep.index)
 		if err != nil {
 			return 0, err
 		}
@@ -243,17 +256,17 @@ func (c *Client) ReadWith(ctx context.Context, key string, mode ReadConsistency)
 		if err := ctx.Err(); err != nil {
 			return "", false, fmt.Errorf("raft: client: %w", err)
 		}
-		id := c.readTarget(&probe)
-		_, rerr := c.nodes[id].ReadIndexMode(ctx, mode)
+		nd := c.readTarget(&probe)
+		_, rerr := nd.ReadIndexMode(ctx, mode)
 		if rerr == nil {
-			c.leader.Store(int32(id))
-			return c.get(id, key)
+			c.leader.Store(int32(nd.cfg.ID))
+			return get(nd, key)
 		}
 		var nl ErrNotLeader
 		switch {
 		case errors.As(rerr, &nl):
-			if nl.LeaderID != id {
-				c.leader.Store(int32(nl.LeaderID)) // may be -1: falls back to probing
+			if nl.LeaderID != nd.cfg.ID {
+				c.leader.Store(int32(nl.LeaderID)) // may be -1 or not held: falls back to probing
 			} else {
 				c.leader.Store(-1)
 			}
@@ -267,51 +280,51 @@ func (c *Client) ReadWith(ctx context.Context, key string, mode ReadConsistency)
 }
 
 // readTarget picks the node to send a coordinated read to: the sticky
-// leader hint when one is known, else a scan for a node that believes it
-// is leader, else round-robin probing.
-func (c *Client) readTarget(probe *int) int {
-	if id := int(c.leader.Load()); id >= 0 && id < len(c.nodes) {
-		return id
+// leader hint when the client holds that node, else a scan for a node
+// that believes it is leader, else round-robin probing.
+func (c *Client) readTarget(probe *int) *Node {
+	if i := c.slot(int(c.leader.Load())); i >= 0 {
+		return c.nodes[i]
 	}
-	for i, nd := range c.nodes {
+	for _, nd := range c.nodes {
 		if nd.Status().State == Leader {
-			c.leader.Store(int32(i))
-			return i
+			c.leader.Store(int32(nd.cfg.ID))
+			return nd
 		}
 	}
-	id := *probe % len(c.nodes)
+	nd := c.nodes[*probe%len(c.nodes)]
 	*probe++
-	return id
+	return nd
 }
 
 // readStale serves an uncoordinated read from the next node in rotation,
 // skipping stopped nodes.
 func (c *Client) readStale(ctx context.Context, key string) (string, bool, error) {
 	for tries := 0; tries < len(c.nodes); tries++ {
-		id := int(c.rr.Add(1)-1) % len(c.nodes)
-		if _, err := c.nodes[id].ReadIndexMode(ctx, ReadStale); err != nil {
+		nd := c.nodes[int(c.rr.Add(1)-1)%len(c.nodes)]
+		if _, err := nd.ReadIndexMode(ctx, ReadStale); err != nil {
 			if errors.Is(err, ErrStopped) {
 				continue
 			}
 			return "", false, fmt.Errorf("raft: client read: %w", err)
 		}
-		return c.get(id, key)
+		return get(nd, key)
 	}
 	return "", false, errors.New("raft: client read: no live nodes")
 }
 
-// get reads key from node id's state machine.
-func (c *Client) get(id int, key string) (string, bool, error) {
-	g, ok := c.nodes[id].StateMachine().(KVGetter)
+// get reads key from nd's state machine.
+func get(nd *Node, key string) (string, bool, error) {
+	g, ok := nd.StateMachine().(KVGetter)
 	if !ok {
-		return "", false, fmt.Errorf("raft: client read: node %d state machine is not a KVGetter", id)
+		return "", false, fmt.Errorf("raft: client read: node %d state machine is not a KVGetter", nd.cfg.ID)
 	}
 	v, found := g.Get(key)
 	return v, found, nil
 }
 
-// waitApplied decides a write whose accepting term moved before node id
-// applied it: true once node id's lastApplied covers index, false when
+// waitApplied decides a write whose accepting term moved before nd
+// applied it: true once nd's lastApplied covers index, false when
 // the node's log no longer reaches index because a new leader truncated
 // it, or the node stopped (→ the caller resubmits).
 //
@@ -327,8 +340,7 @@ func (c *Client) get(id int, key string) (string, bool, error) {
 // or a node that went down. Reaching index carries the caveat
 // Status.LastApplied always did: it does not prove OUR entry survived
 // at that index (see AwaitApplied).
-func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
-	nd := c.nodes[id]
+func (c *Client) waitApplied(ctx context.Context, nd *Node, index int) (bool, error) {
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return false, fmt.Errorf("raft: client: %w", cerr)

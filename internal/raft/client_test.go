@@ -2,9 +2,11 @@ package raft
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
+	"ooc/internal/metrics"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
 )
@@ -259,5 +261,59 @@ func TestClientBackoffGrowsCappedAndJittered(t *testing.T) {
 		if da, db := a.nextBackoff(attempt), b.nextBackoff(attempt); da != db {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", attempt, da, db)
 		}
+	}
+}
+
+// TestClientRoutesByNodeID: a client holding the nodes in reverse order
+// follows a redirect to the node it names and returns that node's ID
+// from Submit; past its first probe it reaches no node but the leader.
+func TestClientRoutesByNodeID(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := newCluster(t, 3, 79, func(cfg *Config) {
+		cfg.ElectionTimeout = time.Second // node 0's campaign decides the leader
+		cfg.Metrics = reg
+	})
+	c.nodes[0].Campaign(nil)
+	deadline := time.Now().Add(15 * time.Second)
+	for !(c.nodes[1].Status().LeaderID == 0 && c.nodes[2].Status().LeaderID == 0) {
+		if time.Now().After(deadline) {
+			t.Fatal("the followers never learned node 0 leads")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	client, err := NewClient([]*Node{c.nodes[2], c.nodes[1], c.nodes[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := func(id int) int64 {
+		snap := reg.Snapshot()
+		node := strconv.Itoa(id)
+		return snap.Counters[metrics.Label("raft_loop_inputs_total", "node", node, "kind", "proposal")] +
+			snap.Counters[metrics.Label("raft_loop_inputs_total", "node", node, "kind", "read")]
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// Cold: the probe lands on node 2, whose redirect names node 0.
+	_, node, err := client.Submit(ctx, KVCommand{Op: "set", Key: "cold", Value: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if node != 0 {
+		t.Fatalf("Submit names node %d as the one that accepted; node 0 leads", node)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := client.SubmitWait(ctx, KVCommand{Op: "set", Key: "warm", Value: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := client.Read(ctx, "warm"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A pass counts its inputs after it answers them: wait for the last.
+	for calls(0) < 21 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if leader, one, two := calls(0), calls(1), calls(2); leader != 21 || one != 0 || two > 1 {
+		t.Fatalf("nodes 0/1/2 took %d/%d/%d calls; want 21 on the leader and the one probe on node 2", leader, one, two)
 	}
 }

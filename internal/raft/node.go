@@ -194,7 +194,6 @@ type Node struct {
 	reads    []roundWaiter
 	relaySeq int64
 	relay    map[int64]chan proposeReply
-	rstats   readStats
 
 	// Per-request tracing bookkeeping (leader only, sampled proposals
 	// only): traced maps a log index to its in-flight trace, and
@@ -417,7 +416,7 @@ func (nd *Node) run(ctx context.Context) {
 
 		case <-heartbeat.C():
 			if nd.el.role == Leader {
-				nd.met.onHeartbeat()
+				nd.met.heartbeats.Inc(nd.cfg.ID)
 				nd.applyReplication(nd.rep.heartbeat(clock.Now()))
 			}
 			heartbeat.Reset(nd.cfg.HeartbeatInterval)
@@ -680,7 +679,8 @@ func (nd *Node) applyElection(o elOut) {
 		nd.emit(Event{Kind: EventTimeout, Node: nd.cfg.ID, Term: e.term})
 	}
 	if o.newTerm {
-		nd.met.onTermChange(e.term)
+		nd.met.termChanges.Inc(nd.cfg.ID)
+		nd.met.term.Set(int64(e.term))
 		nd.applied.setTerm(e.term)
 	}
 	if o.newTerm || o.enter == Follower {
@@ -706,7 +706,7 @@ func (nd *Node) applyElection(o elOut) {
 		nd.emit(Event{Kind: EventBecameFollower, Node: nd.cfg.ID, Term: e.term})
 	case Candidate, Leader:
 		if o.newTerm {
-			nd.met.onElection()
+			nd.met.elections.Inc(nd.cfg.ID)
 			// An election is an anomaly from the workload's point of view:
 			// dump the flight ring so the run-up (lost heartbeats, drops,
 			// backlog) is preserved before new-term traffic overwrites it.
@@ -720,7 +720,7 @@ func (nd *Node) applyElection(o elOut) {
 }
 
 func (nd *Node) becomeLeader() {
-	nd.met.onElectionWon()
+	nd.met.electionsWon.Inc(nd.cfg.ID)
 	nd.cfg.Flight.Record(rtrace.EvBecameLeader, 0, int64(nd.el.term), int64(nd.rep.log.lastIndex()), "")
 	nd.rep.win()
 	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.el.term})
@@ -748,7 +748,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 		}
 		return
 	}
-	nd.met.onProposeBatch(len(reqs))
+	nd.met.proposeBatch.Observe(nd.cfg.ID, time.Duration(len(reqs)))
 	cmds := make([]any, len(reqs))
 	for i, r := range reqs {
 		cmds[i] = r.cmd
@@ -803,7 +803,8 @@ func (nd *Node) applyReplication(o *repOut) {
 					depth--
 				}
 			}
-			nd.met.onAppendSend(len(p.Entries), depth)
+			nd.met.appendEntries.Observe(nd.cfg.ID, time.Duration(len(p.Entries)))
+			nd.met.inflightDepth.Observe(nd.cfg.ID, time.Duration(depth))
 			m.payload = nd.traceAppend(m.payload, p)
 		case InstallSnapshot:
 			nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(p.LastIncludedIndex), int64(m.to), "send")
@@ -819,7 +820,11 @@ func (nd *Node) applyReplication(o *repOut) {
 		}
 		if leader {
 			// Overlap attribution: did the quorum outrun the local disk?
-			nd.met.onCommitOverlap(nd.rep.durable < c.through)
+			if nd.rep.durable < c.through {
+				nd.met.commitOverlap.Inc(nd.cfg.ID)
+			} else {
+				nd.met.commitInOrder.Inc(nd.cfg.ID)
+			}
 		}
 		nd.enqueueApplyEntries(c.after, c.through)
 	}
@@ -829,11 +834,11 @@ func (nd *Node) applyReplication(o *repOut) {
 			nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(o.snap.index), int64(nd.el.leader), "install")
 			nd.enqueueApply(applyItem{term: nd.el.term, restore: o.snap})
 		} else {
-			nd.met.onSnapshot()
+			nd.met.snapshots.Inc(nd.cfg.ID)
 		}
 	}
 	if o.leased {
-		nd.met.onLeaseHold()
+		nd.met.leaseHolds.Inc(nd.cfg.ID)
 	}
 	if o.confirmed > 0 {
 		nd.confirmReads(o.confirmed)

@@ -238,7 +238,11 @@ func (nd *Node) flush() {
 // TryRecv will notice and stop, so they are safe to drop here.
 func (nd *Node) transmit(set []outMsg, fenced bool) {
 	for _, m := range nd.fold(set) {
-		nd.met.onSend(m.payload, fenced)
+		if _, ok := m.payload.(AppendEntriesReply); ok && fenced {
+			nd.met.repliesFenced.Inc(nd.cfg.ID)
+		} else if ok {
+			nd.met.repliesFree.Inc(nd.cfg.ID)
+		}
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
 }
@@ -374,7 +378,7 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	// A full queue is persistence backpressure. The worker never waits on
 	// the loop (completions go into the mailbox), so this cannot deadlock.
 	nd.persistQ <- req
-	nd.met.onPersistDepth(len(nd.persistQ))
+	nd.met.persistDepth.Set(int64(len(nd.persistQ)))
 }
 
 // clampDurable lowers the durable index and every in-flight batch's target
@@ -476,7 +480,8 @@ func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
 		if len(traced) > 0 {
 			t0 = time.Now()
 		}
-		nd.met.onStorageFlush(len(muts)) // atomic instruments; worker-safe
+		nd.met.storageFlush.Inc(nd.cfg.ID) // atomic instruments; worker-safe
+		nd.met.storageRecs.Add(nd.cfg.ID, int64(len(muts)))
 		if err := st.AppendBatch(muts); err != nil {
 			return err
 		}
@@ -546,7 +551,7 @@ func (nd *Node) onPersistDone(d persistDone) {
 	// highest.
 	target := nd.pendingPersist[n-1].target
 	nd.pendingPersist = nd.pendingPersist[n:]
-	nd.met.onPersistDepth(len(nd.persistQ))
+	nd.met.persistDepth.Set(int64(len(nd.persistQ)))
 	if d.err != nil {
 		nd.fatal = d.err
 		return
@@ -555,7 +560,9 @@ func (nd *Node) onPersistDone(d persistDone) {
 	nd.release(d.replies)
 	o := nd.rep.persisted(target)
 	if nd.el.role == Leader {
-		nd.met.onSelfAckLag(o.committed.after - nd.rep.durable)
+		// Committed entries the leader had not yet persisted itself; a
+		// disk ahead of the quorum reads 0.
+		nd.met.selfAckLag.Observe(nd.cfg.ID, time.Duration(max(o.committed.after-nd.rep.durable, 0)))
 	}
 	nd.applyReplication(o)
 }
@@ -584,7 +591,7 @@ func (nd *Node) persistSnapshot(s *snapStage, installed bool) {
 // the main loop (bounded-queue backpressure, never dropped work).
 func (nd *Node) enqueueApply(it applyItem) {
 	nd.applyQ <- it
-	nd.met.onApplyDepth(len(nd.applyQ))
+	nd.met.applyDepth.Set(int64(len(nd.applyQ)))
 }
 
 // enqueueApplyEntries ships the newly committed range (old, index] to
@@ -646,7 +653,7 @@ func (nd *Node) applyWorker() {
 					if nd.cfg.StateMachine != nil {
 						nd.cfg.StateMachine.Apply(idx, e.Command)
 					}
-					nd.met.onApply()
+					nd.met.applied.Inc(nd.cfg.ID)
 					nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: it.term, Index: idx, Command: e.Command})
 				}
 				if n := it.first + len(it.entries) - 1; n > applied {

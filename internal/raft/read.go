@@ -3,7 +3,6 @@ package raft
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ooc/internal/rtrace"
@@ -81,22 +80,14 @@ type roundWaiter struct {
 	w     readWaiter
 }
 
-// readStats are always-on counters (independent of the metrics
-// registry) so harnesses can attribute reads to the path that served
-// them without wiring telemetry.
-type readStats struct {
-	lease     atomic.Int64 // served from a held lease, no quorum round
-	index     atomic.Int64 // served by a confirmed ReadIndex round
-	stale     atomic.Int64 // served locally with no coordination
-	forwarded atomic.Int64 // forwarded to the leader by this follower
-}
-
-// ReadStats reports how many reads this node has served per path:
-// lease fast path, confirmed ReadIndex rounds, stale local reads, and
-// reads forwarded to the leader while this node was a follower.
+// ReadStats reports how many reads this node has served per path (lease,
+// a confirmed ReadIndex round, stale), each counted as ReadIndexMode
+// returns it to its caller, and how many it forwarded to the leader as a
+// follower: the raft_reads_served_total{mode} and
+// raft_reads_forwarded_total series, the node's own without a registry.
 func (nd *Node) ReadStats() (lease, index, stale, forwarded int64) {
-	return nd.rstats.lease.Load(), nd.rstats.index.Load(),
-		nd.rstats.stale.Load(), nd.rstats.forwarded.Load()
+	r := &nd.met.reads
+	return r[servedLease].Value(), r[servedIndex].Value(), r[servedStale].Value(), nd.met.readsForwarded.Value()
 }
 
 // ReadIndex returns a linearizable read index: once it returns, this
@@ -126,8 +117,8 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 	}
 	t0 := time.Now()
 	if mode == ReadStale {
-		nd.rstats.stale.Add(1)
-		nd.met.onReadServed("stale", t0)
+		nd.met.reads[servedStale].Inc(nd.cfg.ID)
+		nd.met.readLatency.ObserveSince(nd.cfg.ID, t0)
 		return nd.applied.current(), nil
 	}
 	req := readReq{mode: mode, reply: make(chan proposeReply, 1), t0: t0, trace: rtrace.FromContext(ctx)}
@@ -151,7 +142,12 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 			return 0, err
 		}
 	}
-	nd.met.onReadServed(readModeLabel(rep.lease), t0)
+	path := servedIndex
+	if rep.lease {
+		path = servedLease
+	}
+	nd.met.reads[path].Inc(nd.cfg.ID)
+	nd.met.readLatency.ObserveSince(nd.cfg.ID, t0)
 	if req.trace != 0 {
 		nd.cfg.Tracer.ObservePhase(req.trace, rtrace.PhaseApply, nd.cfg.ID, confirmed, time.Now())
 	}
@@ -193,8 +189,7 @@ func (nd *Node) forwardRead(w readWaiter) {
 	}
 	nd.relaySeq++
 	nd.relay[nd.relaySeq] = w.ch
-	nd.rstats.forwarded.Add(1)
-	nd.met.onReadForwarded()
+	nd.met.readsForwarded.Inc(nd.cfg.ID)
 	nd.send(nd.el.leader, ReadIndexRequest{Term: nd.el.term, ID: nd.relaySeq, Lease: w.lease})
 }
 
@@ -203,16 +198,13 @@ func (nd *Node) forwardRead(w readWaiter) {
 func (nd *Node) leaderRead(w readWaiter, now time.Time) {
 	round, o := nd.rep.read(now, w.lease)
 	if round.id == 0 {
-		if w.ch != nil {
-			nd.rstats.lease.Add(1)
-		}
 		// Lease path: no quorum round, so the network phase is zero and
 		// the read index is valid right now.
 		nd.resolveRead(w, round.index, true)
 		return
 	}
 	if w.lease {
-		nd.met.onLeaseExpired()
+		nd.met.leaseExpiries.Inc(nd.cfg.ID)
 		// A lapsed lease on a live leader means heartbeats stalled long
 		// enough to matter — dump the run-up.
 		nd.cfg.Flight.Trigger(rtrace.EvLeaseExpired, w.trace, int64(nd.el.term), int64(nd.rep.commit), "")
@@ -237,12 +229,10 @@ func (nd *Node) confirmReads(through int) {
 			// Network phase: probe broadcast to quorum echo.
 			nd.cfg.Tracer.ObservePhase(w.trace, rtrace.PhaseNetwork, nd.cfg.ID, r.start, confirmedAt)
 		}
-		if w.ch != nil {
-			nd.rstats.index.Add(1)
-		}
 		nd.resolveRead(*w, r.index, false)
 		if done++; done == len(nd.reads) || nd.reads[done].round.id != r.id {
-			nd.met.onReadRound(done - first)
+			nd.met.readRounds.Inc(nd.cfg.ID)
+			nd.met.readBatch.Observe(nd.cfg.ID, time.Duration(done-first))
 			nd.cfg.Flight.Record(rtrace.EvReadRound, 0, int64(r.index), int64(done-first), "")
 			first = done
 		}
@@ -254,17 +244,8 @@ func (nd *Node) confirmReads(through int) {
 	nd.reads = nd.reads[:n]
 }
 
-// readModeLabel names the path that actually served a read, for the
-// per-mode counters.
-func readModeLabel(lease bool) string {
-	if lease {
-		return "lease"
-	}
-	return "readindex"
-}
-
 // resolveRead delivers a confirmed read index: a forwarded read answers
-// its follower (which counts the read there, attributed by the Lease
+// its follower (whose caller counts the read, attributed by the Lease
 // flag), a local read its caller, who waits for the local state machine
 // to apply through index (ReadIndexMode). lease records whether the
 // index came from a held lease or a quorum round.
@@ -294,7 +275,7 @@ func (nd *Node) failReads() {
 	clear(nd.reads)
 	nd.reads = nd.reads[:0]
 	if nd.rep.endReign(nd.cfg.Clock.Now()) {
-		nd.met.onLeaseInvalidated()
+		nd.met.leaseInvalid.Inc(nd.cfg.ID)
 	}
 	for id, ch := range nd.relay {
 		nd.replies = append(nd.replies, stagedReply{ch: ch, reply: rep})
@@ -332,11 +313,6 @@ func (nd *Node) onReadIndexReply(from int, m ReadIndexReply) {
 		}
 		nd.replies = append(nd.replies, stagedReply{ch: ch, reply: proposeReply{err: ErrNotLeader{LeaderID: hint}}})
 		return
-	}
-	if m.Lease {
-		nd.rstats.lease.Add(1)
-	} else {
-		nd.rstats.index.Add(1)
 	}
 	nd.resolveRead(readWaiter{ch: ch}, m.Index, m.Lease)
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ooc/internal/metrics"
@@ -136,15 +135,13 @@ type SyncCoalescer struct {
 
 	pool sync.Pool // *syncReq, contended path only
 
-	requests  atomic.Int64
-	barriers  atomic.Int64
-	coalesced atomic.Int64
-
+	// requests, barriers and coalesced are never nil: the registry's
+	// series when one is attached, the syncer's own counters otherwise.
+	requests    *metrics.Counter
+	barriers    *metrics.Counter
+	coalesced   *metrics.Counter
 	metricsOn   bool
 	node        int
-	reqsC       *metrics.Counter
-	barriersC   *metrics.Counter
-	coalescedC  *metrics.Counter
 	writebacksC *metrics.Counter
 	flushesC    *metrics.Counter
 	widthH      *metrics.Histogram
@@ -161,12 +158,15 @@ var barrierBuckets = []time.Duration{8e3, 16e3, 32e3, 64e3, 128e3, 256e3, 512e3,
 // group on the node; Sync is safe for concurrent use.
 func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 	c := &SyncCoalescer{disk: cfg.Disk, node: cfg.Node}
-	if reg := cfg.Metrics; reg != nil {
+	reg := cfg.Metrics
+	if reg == nil {
+		c.requests, c.barriers, c.coalesced = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
+	} else {
 		node := strconv.Itoa(cfg.Node)
 		c.metricsOn = true
-		c.reqsC = reg.Counter(metrics.Label("raft_sync_requests_total", "node", node))
-		c.barriersC = reg.Counter(metrics.Label("raft_sync_barriers_total", "node", node))
-		c.coalescedC = reg.Counter(metrics.Label("raft_sync_coalesced_total", "node", node))
+		c.requests = reg.Counter(metrics.Label("raft_sync_requests_total", "node", node))
+		c.barriers = reg.Counter(metrics.Label("raft_sync_barriers_total", "node", node))
+		c.coalesced = reg.Counter(metrics.Label("raft_sync_coalesced_total", "node", node))
 		c.writebacksC = reg.Counter(metrics.Label("raft_sync_writebacks_total", "node", node))
 		c.flushesC = reg.Counter(metrics.Label("raft_sync_flushes_total", "node", node))
 		c.widthH = reg.Histogram(metrics.Label("raft_sync_barrier_width", "node", node), countBuckets)
@@ -178,15 +178,15 @@ func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 }
 
 // Requests reports how many Sync calls the syncer has served.
-func (c *SyncCoalescer) Requests() int64 { return c.requests.Load() }
+func (c *SyncCoalescer) Requests() int64 { return c.requests.Value() }
 
 // Barriers reports how many device barriers were paid: the rounds, the
 // node-wide device-flush count E16 divides by ops.
-func (c *SyncCoalescer) Barriers() int64 { return c.barriers.Load() }
+func (c *SyncCoalescer) Barriers() int64 { return c.barriers.Value() }
 
 // Coalesced reports how many requests rode another request's barrier
 // (Requests − Barriers).
-func (c *SyncCoalescer) Coalesced() int64 { return c.coalesced.Load() }
+func (c *SyncCoalescer) Coalesced() int64 { return c.coalesced.Value() }
 
 // Sync makes t durable and returns the width of the barrier that covered
 // it — how many groups' requests shared the device flush (1 when it flew
@@ -197,10 +197,7 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) { return c.sync(t, nil) 
 
 // sync is Sync with the target's FileStorage beside it, nil if foreign.
 func (c *SyncCoalescer) sync(t SyncTarget, file *FileStorage) (int, error) {
-	c.requests.Add(1)
-	if c.metricsOn {
-		c.reqsC.Inc(c.node)
-	}
+	c.requests.Inc(c.node)
 	c.mu.Lock()
 	if !c.busy {
 		c.busy = true
@@ -215,7 +212,7 @@ func (c *SyncCoalescer) sync(t SyncTarget, file *FileStorage) (int, error) {
 	c.mu.Unlock()
 	t0 := c.now()
 	<-r.done
-	c.since(c.parkedH, t0)
+	c.parkedH.ObserveSince(c.node, t0)
 	if r.lead != nil {
 		c.leadBatch(r.lead)
 	}
@@ -265,7 +262,7 @@ func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 	r := round{batch: batch}
 	t0 := c.now()
 	r.stage(batch)
-	c.since(c.waitH, t0)
+	c.waitH.ObserveSince(c.node, t0)
 	c.mu.Lock()
 	r.extra = c.pending
 	c.pending = nil
@@ -273,7 +270,7 @@ func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 	if len(r.extra) > 0 {
 		t0 = c.now()
 		r.stage(r.extra)
-		c.since(c.waitH, t0)
+		c.waitH.ObserveSince(c.node, t0)
 	}
 	t0, staged := c.now(), r.flushes
 	for i := 0; i < r.width(); i++ {
@@ -283,7 +280,7 @@ func (c *SyncCoalescer) leadBatch(batch []*syncReq) {
 		}
 	}
 	if r.flushes > staged {
-		c.since(c.flushH, t0)
+		c.flushH.ObserveSince(c.node, t0)
 	}
 	c.disk.Barrier()
 	width := r.width()
@@ -329,19 +326,13 @@ func (r *round) stage(members []*syncReq) {
 	}
 }
 
-// now and since time a step into h with metrics on, and read no clock
-// with them off.
+// now stamps the start of a step to time with metrics on, and reads no
+// clock with them off.
 func (c *SyncCoalescer) now() (t time.Time) {
 	if c.metricsOn {
 		t = time.Now()
 	}
 	return t
-}
-
-func (c *SyncCoalescer) since(h *metrics.Histogram, t0 time.Time) {
-	if c.metricsOn {
-		h.ObserveSince(c.node, t0)
-	}
 }
 
 // handoff ends the round: if requests parked after the last steal, the
@@ -363,19 +354,11 @@ func (c *SyncCoalescer) handoff() {
 }
 
 func (c *SyncCoalescer) observeBarrier(width, writebacks, flushes int) {
-	c.barriers.Add(1)
-	if width > 1 {
-		c.coalesced.Add(int64(width - 1))
-	}
-	if c.metricsOn {
-		c.barriersC.Inc(c.node)
-		c.writebacksC.Add(c.node, int64(writebacks))
-		c.flushesC.Add(c.node, int64(flushes))
-		if width > 1 {
-			c.coalescedC.Add(c.node, int64(width-1))
-		}
-		c.widthH.Observe(c.node, time.Duration(width))
-	}
+	c.barriers.Inc(c.node)
+	c.coalesced.Add(c.node, int64(width-1))
+	c.writebacksC.Add(c.node, int64(writebacks))
+	c.flushesC.Add(c.node, int64(flushes))
+	c.widthH.Observe(c.node, time.Duration(width))
 }
 
 // barrierWidth reports how many groups shared the barrier covering st's

@@ -59,17 +59,12 @@ type Config struct {
 	// nil means a fresh raft.KVStore. The front end requires whatever it
 	// returns to implement raft.KVGetter for reads.
 	StateMachine func(node, shard int) raft.StateMachine
-	// Metrics, if non-nil, receives the cluster-level telemetry: leader
-	// placement gauges and move counters per shard (the label
-	// dimension), rebalance nudges, routed ops per shard, and mux
-	// backlog drops.
+	// Metrics, if non-nil, receives all of the cluster's telemetry: leader
+	// placement gauges and move counters per shard, rebalance nudges,
+	// routed ops per shard, mux backlog drops, each node's syncer, and
+	// every group's raft_* series, which carry a shard label
+	// (Metrics.With("shard", s)) beside their node label.
 	Metrics *metrics.Registry
-	// ShardMetrics, if non-nil, supplies a private registry per shard;
-	// the shard's raft nodes are instrumented against it, so benchmark
-	// tables can snapshot each group's internals separately (the raft_*
-	// metric names carry no shard label — separate registries keep the
-	// attribution clean).
-	ShardMetrics func(shard int) *metrics.Registry
 	// Tracer, if non-nil, samples per-request spans across the whole
 	// stack: every group's client opens spans (raft.WithClientTracer)
 	// and every raft node attributes queue/fsync/network/apply phases
@@ -248,10 +243,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 			Nodes: make([]*raft.Node, c.n),
 			sms:   make([]raft.StateMachine, c.n),
 		}
-		var reg *metrics.Registry
-		if c.cfg.ShardMetrics != nil {
-			reg = c.cfg.ShardMetrics(s)
-		}
+		reg := c.cfg.Metrics.With("shard", strconv.Itoa(s))
 		for id := 0; id < c.n; id++ {
 			sm := raft.StateMachine(nil)
 			if c.cfg.StateMachine != nil {

@@ -493,3 +493,77 @@ func snapshotsAgree(stores []*raft.KVStore) bool {
 	}
 	return true
 }
+
+// TestShardLabelSeparatesGroups: on one registry, each group's raft_*
+// series carry its shard label, so two groups' commit indexes on a node
+// are two gauges, each equal to its own group's.
+func TestShardLabelSeparatesGroups(t *testing.T) {
+	const nodes, shards = 3, 2
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	nw := netsim.New(nodes, netsim.WithSeed(41), netsim.WithFIFO())
+	defer nw.Close()
+	c, err := shard.NewCluster(shard.Config{
+		Endpoints:         endpoints(nw, nodes),
+		Shards:            shards,
+		RNG:               sim.NewRNG(41),
+		ElectionTimeout:   testElection,
+		HeartbeatInterval: testHeartbeat,
+		Metrics:           reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cancel()
+		c.Wait()
+	}()
+	if err := c.WaitForLeaders(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Shard s takes 3 + 4s writes, so the groups' commit indexes differ.
+	for i, puts := 0, [shards]int{}; puts[0] < 3 || puts[1] < 7; i++ {
+		key := fmt.Sprintf("k%d", i)
+		s := c.ShardOf(key)
+		if puts[s] == 3+4*s {
+			continue
+		}
+		if _, _, err := c.Put(ctx, key, "v"); err != nil {
+			t.Fatal(err)
+		}
+		puts[s]++
+	}
+	gauge := func(node, s int) int64 {
+		return reg.Gauge(metrics.Label("raft_commit_index", "node", fmt.Sprint(node), "shard", fmt.Sprint(s))).Value()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		agree, leaderIndex := true, [shards]int{}
+		for s := 0; s < shards; s++ {
+			for node, nd := range c.Group(s).Nodes {
+				st := nd.Status()
+				if gauge(node, s) != int64(st.CommitIndex) {
+					agree = false
+				}
+				if st.State == raft.Leader {
+					leaderIndex[s] = st.CommitIndex
+				}
+			}
+		}
+		if agree && leaderIndex[0] != leaderIndex[1] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("commit-index gauges never matched their groups: leaders at %v, gauges %d/%d/%d and %d/%d/%d",
+				leaderIndex, gauge(0, 0), gauge(1, 0), gauge(2, 0), gauge(0, 1), gauge(1, 1), gauge(2, 1))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, ok := reg.Snapshot().Gauges[metrics.Label("raft_commit_index", "node", "0")]; ok {
+		t.Fatal("a group registered an unlabeled raft_commit_index")
+	}
+}
