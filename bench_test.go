@@ -25,6 +25,7 @@ import (
 	"ooc/internal/raft"
 	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
+	"ooc/internal/trace"
 	"ooc/internal/workload"
 )
 
@@ -270,8 +271,8 @@ func BenchmarkE7VACFromAC(b *testing.B) {
 	const n = 8
 	rng := sim.NewRNG(3)
 	for i := 0; i < b.N; i++ {
-		store1 := adapters.NewSharedACStore(n)
-		store2 := adapters.NewSharedACStore(n)
+		store1 := sharedmem.NewACStore(n)
+		store2 := sharedmem.NewACStore(n)
 		var wg sync.WaitGroup
 		for id := 0; id < n; id++ {
 			wg.Add(1)
@@ -287,8 +288,9 @@ func BenchmarkE7VACFromAC(b *testing.B) {
 	}
 }
 
-// BenchmarkE8OutcomeClasses: experiment E8 — one instrumented Ben-Or run
-// per iteration, counting the three outcome classes.
+// BenchmarkE8OutcomeClasses: experiment E8 — one traced Ben-Or run per
+// iteration, counting the three outcome classes from the template's
+// record of the VAC's returns.
 func BenchmarkE8OutcomeClasses(b *testing.B) {
 	b.ReportAllocs()
 	const n, tFaults = 5, 2
@@ -297,28 +299,22 @@ func BenchmarkE8OutcomeClasses(b *testing.B) {
 		rng := sim.NewRNG(seed)
 		inputs := workload.BinaryInputs(workload.SplitHalf, n, rng)
 		nw := netsim.New(n, netsim.WithSeed(seed))
+		rec := trace.NewRecorder()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		log := &adapters.OutcomeLog{}
 		var wg sync.WaitGroup
 		for id := 0; id < n; id++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				vac, err := benor.NewVAC(nw.Node(id), tFaults)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				iv := adapters.NewInstrumentedVAC[int](vac, log, id)
-				if _, err := core.RunVAC[int](ctx, iv, benor.NewReconciliator(rng.Fork(uint64(id))), inputs[id],
-					core.WithMaxRounds(5000)); err != nil {
+				if _, err := benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
+					core.WithMaxRounds(5000), core.WithRecorder(rec, id)); err != nil {
 					b.Error(err)
 				}
 			}(id)
 		}
 		wg.Wait()
 		cancel()
-		if len(log.All()) == 0 {
+		if len(bench.OutcomeClasses(rec.Snapshot(), "vac")) == 0 {
 			b.Fatal("no outcomes recorded")
 		}
 	}

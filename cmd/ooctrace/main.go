@@ -126,64 +126,26 @@ func channelOf(v any) (string, bool) {
 	return tok, true
 }
 
-// parseFsyncNote parses a storage durability annotation — "fsync
-// <channel> entries=E width=W", emitted per flush when the shard layer
-// runs with a Recorder (shard.Config.Recorder) — into its parts.
-func parseFsyncNote(v any) (ch string, entries, width int, ok bool) {
-	s, isStr := v.(string)
-	if !isStr || !strings.HasPrefix(s, "fsync ") {
-		return "", 0, 0, false
-	}
-	if _, err := fmt.Sscanf(s, "fsync %s entries=%d width=%d", &ch, &entries, &width); err != nil {
-		return "", 0, 0, false
-	}
-	return ch, entries, width, true
-}
-
 // printChannels renders the per-mux-channel traffic table — for a
 // multi-shard trace, one row per consensus group. Traces with no
-// channel-tagged traffic (single-group runs) print nothing. Traces
-// carrying fsync notes also get the per-shard durability columns:
-// fsyncs (flushes across the shard's replicas), fs/op (flushes per
-// committed entry, approximating ops by the busiest replica's appended
-// entries — the leader appends every committed entry exactly once), and
-// width (mean groups per covering device barrier; > 1.00 means the
-// shard's flushes rode barriers shared with other groups).
+// channel-tagged traffic (single-group runs) print nothing.
 func printChannels(w io.Writer, tr trace.Trace) {
 	type tally struct {
 		sends, delivers, drops int
 		bytes                  int
 		nodes                  map[int]bool
-		fsyncs                 int
-		widthSum               int
-		entries                map[int]int // appended entries per node
 	}
 	byChannel := map[string]*tally{}
-	get := func(ch string) *tally {
-		t := byChannel[ch]
-		if t == nil {
-			t = &tally{nodes: map[int]bool{}, entries: map[int]int{}}
-			byChannel[ch] = t
-		}
-		return t
-	}
-	hasFsync := false
 	for _, ev := range tr.Events {
-		if ev.Kind == trace.KindNote {
-			if ch, entries, width, ok := parseFsyncNote(ev.Value); ok {
-				t := get(ch)
-				t.fsyncs++
-				t.widthSum += width
-				t.entries[ev.Node] += entries
-				hasFsync = true
-			}
-			continue
-		}
 		ch, ok := channelOf(ev.Value)
 		if !ok {
 			continue
 		}
-		t := get(ch)
+		t := byChannel[ch]
+		if t == nil {
+			t = &tally{nodes: map[int]bool{}}
+			byChannel[ch] = t
+		}
 		t.nodes[ev.Node] = true
 		switch ev.Kind {
 		case trace.KindSend:
@@ -204,36 +166,11 @@ func printChannels(w io.Writer, tr trace.Trace) {
 	}
 	sort.Strings(names)
 	fmt.Fprintln(w, "mux channels (one consensus group per channel in a multi-shard trace)")
-	if !hasFsync {
-		fmt.Fprintf(w, "  %-12s  %-6s  %-8s  %-6s  %-10s  %s\n", "channel", "sends", "delivers", "drops", "bytes", "nodes")
-		for _, ch := range names {
-			t := byChannel[ch]
-			fmt.Fprintf(w, "  %-12s  %-6d  %-8d  %-6d  %-10d  %d\n", ch, t.sends, t.delivers, t.drops, t.bytes, len(t.nodes))
-		}
-		fmt.Fprintln(w)
-		return
-	}
-	fmt.Fprintf(w, "  %-12s  %-6s  %-8s  %-6s  %-10s  %-5s  %-7s  %-6s  %s\n",
-		"channel", "sends", "delivers", "drops", "bytes", "nodes", "fsyncs", "fs/op", "width")
+	fmt.Fprintf(w, "  %-12s  %-6s  %-8s  %-6s  %-10s  %s\n", "channel", "sends", "delivers", "drops", "bytes", "nodes")
 	for _, ch := range names {
 		t := byChannel[ch]
-		ops := 0
-		for _, n := range t.entries {
-			if n > ops {
-				ops = n
-			}
-		}
-		fsPerOp, meanWidth := "-", "-"
-		if ops > 0 {
-			fsPerOp = fmt.Sprintf("%.2f", float64(t.fsyncs)/float64(ops))
-		}
-		if t.fsyncs > 0 {
-			meanWidth = fmt.Sprintf("%.2f", float64(t.widthSum)/float64(t.fsyncs))
-		}
-		fmt.Fprintf(w, "  %-12s  %-6d  %-8d  %-6d  %-10d  %-5d  %-7d  %-6s  %s\n",
-			ch, t.sends, t.delivers, t.drops, t.bytes, len(t.nodes), t.fsyncs, fsPerOp, meanWidth)
+		fmt.Fprintf(w, "  %-12s  %-6d  %-8d  %-6d  %-10d  %d\n", ch, t.sends, t.delivers, t.drops, t.bytes, len(t.nodes))
 	}
-	fmt.Fprintln(w, "  (fsyncs: per-replica durability flushes; fs/op approximates ops by the busiest replica's appended entries; width: mean groups per covering device barrier)")
 	fmt.Fprintln(w)
 }
 

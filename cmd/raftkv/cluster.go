@@ -78,6 +78,13 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		fmt.Printf(" shard%d=%d", s, ops)
 	}
 	fmt.Println()
+	if disk {
+		fmt.Printf("  per-shard fsyncs")
+		for s, n := range res.PerShardFsyncs {
+			fmt.Printf(" shard%d=%d", s, n)
+		}
+		fmt.Println()
+	}
 	fmt.Printf("  leaders        ")
 	for s, node := range res.LeaderPlacement {
 		fmt.Printf(" shard%d→node%d", s, node)

@@ -53,8 +53,8 @@ var (
 // deviceLatency mirrors -device-latency: a modeled shared-device cost
 // per barrier for the bench (the E16 fixture). shardTrace is the bench's
 // protocol recorder (non-nil only when -shard-trace-out is set): it
-// captures mux-tagged message events plus per-flush fsync notes, the
-// input for ooctrace's per-channel fsyncs/width columns.
+// captures mux-tagged message events, the input for ooctrace's
+// per-channel traffic table.
 var (
 	deviceLatency time.Duration
 	shardTrace    *trace.Recorder
@@ -105,7 +105,7 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write sampled span timelines to this JSON file on exit (requires -trace-sample > 0)")
 		flightDir = flag.String("flight-dir", "", "arm per-node flight recorders dumping recent events to this directory on anomalies (elections, lease expiries, mux backlog drops)")
 		devLat    = flag.Duration("device-latency", 0, "bench mode: model one shared storage device per node with this latency per durability barrier (the E16 fixture; 0 disables)")
-		shardTr   = flag.String("shard-trace-out", "", "bench mode: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
+		shardTr   = flag.String("shard-trace-out", "", "bench mode: write the protocol trace (mux-tagged message events) to this JSON file for ooctrace's channel table")
 	)
 	flag.Parse()
 	deviceLatency = *devLat

@@ -20,6 +20,7 @@ import (
 
 	"ooc/internal/adapters"
 	"ooc/internal/core"
+	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
 )
 
@@ -53,8 +54,8 @@ func main() {
 
 	// Two independent adopt-commit objects per round, shared by all
 	// processors — the substrate the composite VAC is built from.
-	store1 := adapters.NewSharedACStore(n)
-	store2 := adapters.NewSharedACStore(n)
+	store1 := sharedmem.NewACStore(n)
+	store2 := sharedmem.NewACStore(n)
 	rng := sim.NewRNG(123)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

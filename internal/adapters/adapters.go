@@ -5,23 +5,13 @@
 //     vacillate/adopt distinction yields a correct adopt-commit object.
 //   - VACFromACs shows AC is "only slightly weaker": two adopt-commit
 //     objects chained per round implement a correct VAC.
-//
-// The package also provides instrumented wrappers that record every
-// (confidence, value) an object hands out, which the experiment suite
-// uses to count Ben-Or's three per-round outcome classes — the empirical
-// core of the paper's argument that one AC (or even two ACs composed the
-// way Aspnes's framework composes them, deciding on first commit) cannot
-// express Ben-Or.
 package adapters
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"ooc/internal/core"
-	"ooc/internal/metrics"
 )
 
 // ACFromVAC turns a vacillate-adopt-commit object into an adopt-commit
@@ -117,122 +107,4 @@ func (va *VACFromACs[V]) Propose(ctx context.Context, v V, round int) (core.Conf
 	default:
 		return core.Vacillate, w, nil
 	}
-}
-
-// Outcome is one recorded object return.
-type Outcome struct {
-	Node  int
-	Round int
-	Conf  core.Confidence
-	Value any
-}
-
-// OutcomeLog collects Outcome records from concurrent processors.
-// The zero value is ready to use.
-type OutcomeLog struct {
-	mu   sync.Mutex
-	outs []Outcome
-}
-
-// Add appends one record.
-func (l *OutcomeLog) Add(o Outcome) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.outs = append(l.outs, o)
-}
-
-// All returns a copy of the records.
-func (l *OutcomeLog) All() []Outcome {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Outcome, len(l.outs))
-	copy(out, l.outs)
-	return out
-}
-
-// PerRound groups records by round.
-func (l *OutcomeLog) PerRound() map[int][]Outcome {
-	grouped := make(map[int][]Outcome)
-	for _, o := range l.All() {
-		grouped[o.Round] = append(grouped[o.Round], o)
-	}
-	return grouped
-}
-
-// ClassCounts tallies how many of the records carry each confidence.
-func ClassCounts(outs []Outcome) map[core.Confidence]int {
-	counts := make(map[core.Confidence]int, 3)
-	for _, o := range outs {
-		counts[o.Conf]++
-	}
-	return counts
-}
-
-// InstrumentedVAC records every return of the wrapped VAC into log.
-type InstrumentedVAC[V comparable] struct {
-	vac  core.VacillateAdoptCommit[V]
-	log  *OutcomeLog
-	node int
-}
-
-var _ core.VacillateAdoptCommit[int] = (*InstrumentedVAC[int])(nil)
-
-// NewInstrumentedVAC wraps vac, attributing records to node.
-func NewInstrumentedVAC[V comparable](vac core.VacillateAdoptCommit[V], log *OutcomeLog, node int) *InstrumentedVAC[V] {
-	return &InstrumentedVAC[V]{vac: vac, log: log, node: node}
-}
-
-// Propose implements core.VacillateAdoptCommit.
-func (iv *InstrumentedVAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence, V, error) {
-	x, u, err := iv.vac.Propose(ctx, v, round)
-	if err == nil {
-		iv.log.Add(Outcome{Node: iv.node, Round: round, Conf: x, Value: u})
-	}
-	return x, u, err
-}
-
-// MeteredVAC is InstrumentedVAC's telemetry sibling: instead of an
-// in-memory OutcomeLog it feeds a metrics.Registry — one outcome counter
-// and one invoke-latency histogram per confidence level, under the given
-// object name. Use it to watch a VAC that is not run through the core
-// templates (which meter their objects themselves).
-type MeteredVAC[V comparable] struct {
-	vac      core.VacillateAdoptCommit[V]
-	node     int
-	outcomes [core.Commit + 1]*metrics.Counter
-	latency  [core.Commit + 1]*metrics.Histogram
-	errors   *metrics.Counter
-}
-
-var _ core.VacillateAdoptCommit[int] = (*MeteredVAC[int])(nil)
-
-// NewMeteredVAC wraps vac, registering its instruments under
-// object=<name> with per-outcome labels. A nil registry produces a
-// transparent wrapper (nil instruments no-op).
-func NewMeteredVAC[V comparable](vac core.VacillateAdoptCommit[V], reg *metrics.Registry, name string, node int) *MeteredVAC[V] {
-	mv := &MeteredVAC[V]{vac: vac, node: node}
-	if reg == nil {
-		return mv
-	}
-	for c := core.Vacillate; c <= core.Commit; c++ {
-		mv.outcomes[c] = reg.Counter(metrics.Label("adapters_vac_outcomes_total", "object", name, "outcome", c.String()))
-		mv.latency[c] = reg.Histogram(metrics.Label("adapters_vac_invoke_seconds", "object", name, "outcome", c.String()), nil)
-	}
-	mv.errors = reg.Counter(metrics.Label("adapters_vac_errors_total", "object", name))
-	return mv
-}
-
-// Propose implements core.VacillateAdoptCommit.
-func (mv *MeteredVAC[V]) Propose(ctx context.Context, v V, round int) (core.Confidence, V, error) {
-	start := time.Now()
-	x, u, err := mv.vac.Propose(ctx, v, round)
-	if err != nil {
-		mv.errors.Inc(mv.node)
-		return x, u, err
-	}
-	if x.Valid() {
-		mv.outcomes[x].Inc(mv.node)
-		mv.latency[x].ObserveSince(mv.node, start)
-	}
-	return x, u, err
 }

@@ -9,8 +9,8 @@ import (
 
 	"ooc/internal/benor"
 	"ooc/internal/core"
-	"ooc/internal/metrics"
 	"ooc/internal/netsim"
+	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
 )
 
@@ -98,54 +98,6 @@ func checkACProperties(t *testing.T, outs []acResult, inputs []int) {
 	}
 }
 
-func TestSharedACProperties(t *testing.T) {
-	for seed := uint64(0); seed < 30; seed++ {
-		rng := sim.NewRNG(seed)
-		n := 2 + rng.Intn(7)
-		inputs := make([]int, n)
-		for i := range inputs {
-			inputs[i] = rng.Bit()
-		}
-		store := NewSharedACStore(n)
-		outs := concurrentACRound(t, n, store.Object, inputs, 1)
-		checkACProperties(t, outs, inputs)
-	}
-}
-
-func TestSharedACUnanimousCommits(t *testing.T) {
-	const n = 6
-	store := NewSharedACStore(n)
-	inputs := []int{1, 1, 1, 1, 1, 1}
-	outs := concurrentACRound(t, n, store.Object, inputs, 1)
-	for id, o := range outs {
-		if o.conf != core.Commit || o.val != 1 {
-			t.Fatalf("processor %d: (%v, %d)", id, o.conf, o.val)
-		}
-	}
-}
-
-func TestSharedACSeparateRoundsIndependent(t *testing.T) {
-	store := NewSharedACStore(2)
-	// Round 1 is contended; round 2 is unanimous and must still commit.
-	outs1 := concurrentACRound(t, 2, store.Object, []int{0, 1}, 1)
-	checkACProperties(t, outs1, []int{0, 1})
-	outs2 := concurrentACRound(t, 2, store.Object, []int{1, 1}, 2)
-	for _, o := range outs2 {
-		if o.conf != core.Commit || o.val != 1 {
-			t.Fatalf("round 2 not fresh: %+v", o)
-		}
-	}
-}
-
-func TestSharedACContextCancelled(t *testing.T) {
-	store := NewSharedACStore(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := store.Object(0).Propose(ctx, 1, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // vacResult is one processor's VAC output.
 type vacResult struct {
 	conf core.Confidence
@@ -227,8 +179,8 @@ func TestVACFromACsProperties(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = rng.Bit()
 		}
-		store1 := NewSharedACStore(n)
-		store2 := NewSharedACStore(n)
+		store1 := sharedmem.NewACStore(n)
+		store2 := sharedmem.NewACStore(n)
 		outs := make([]vacResult, n)
 		var wg sync.WaitGroup
 		for id := 0; id < n; id++ {
@@ -272,8 +224,8 @@ func TestVACFromACsConsensusUnderTemplate(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = rng.Bit()
 		}
-		store1 := NewSharedACStore(n)
-		store2 := NewSharedACStore(n)
+		store1 := sharedmem.NewACStore(n)
+		store2 := sharedmem.NewACStore(n)
 		decisions := make([]core.Decision[int], n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
@@ -341,101 +293,5 @@ func TestACFromVACPropagatesErrors(t *testing.T) {
 	ac := NewACFromVAC[int](vac)
 	if _, _, err := ac.Propose(context.Background(), 1, 1); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestOutcomeLogAndClassCounts(t *testing.T) {
-	var log OutcomeLog
-	log.Add(Outcome{Node: 0, Round: 1, Conf: core.Vacillate, Value: 0})
-	log.Add(Outcome{Node: 1, Round: 1, Conf: core.Adopt, Value: 1})
-	log.Add(Outcome{Node: 2, Round: 2, Conf: core.Commit, Value: 1})
-	if got := len(log.All()); got != 3 {
-		t.Fatalf("All() has %d entries", got)
-	}
-	per := log.PerRound()
-	if len(per[1]) != 2 || len(per[2]) != 1 {
-		t.Fatalf("PerRound = %v", per)
-	}
-	counts := ClassCounts(log.All())
-	if counts[core.Vacillate] != 1 || counts[core.Adopt] != 1 || counts[core.Commit] != 1 {
-		t.Fatalf("ClassCounts = %v", counts)
-	}
-}
-
-func TestInstrumentedVACRecords(t *testing.T) {
-	var log OutcomeLog
-	inner := core.VACFunc[int](func(_ context.Context, v int, round int) (core.Confidence, int, error) {
-		if round < 2 {
-			return core.Vacillate, v, nil
-		}
-		return core.Commit, v, nil
-	})
-	iv := NewInstrumentedVAC[int](inner, &log, 9)
-	rec := core.ReconciliatorFunc[int](func(_ context.Context, _ core.Confidence, v int, _ int) (int, error) {
-		return v, nil
-	})
-	if _, err := core.RunVAC[int](context.Background(), iv, rec, 1); err != nil {
-		t.Fatal(err)
-	}
-	outs := log.All()
-	if len(outs) != 2 {
-		t.Fatalf("recorded %d outcomes, want 2", len(outs))
-	}
-	if outs[0].Conf != core.Vacillate || outs[1].Conf != core.Commit || outs[1].Node != 9 {
-		t.Fatalf("outcomes = %+v", outs)
-	}
-}
-
-func TestMeteredVACCountsOutcomes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	inner := core.VACFunc[int](func(_ context.Context, v int, round int) (core.Confidence, int, error) {
-		switch round {
-		case 1:
-			return core.Vacillate, v, nil
-		case 2:
-			return core.Adopt, v, nil
-		default:
-			return core.Commit, v, nil
-		}
-	})
-	mv := NewMeteredVAC[int](inner, reg, "stub", 4)
-	rec := core.ReconciliatorFunc[int](func(_ context.Context, _ core.Confidence, v int, _ int) (int, error) {
-		return v, nil
-	})
-	if _, err := core.RunVAC[int](context.Background(), mv, rec, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for conf, want := range map[string]int64{"vacillate": 1, "adopt": 1, "commit": 1} {
-		name := metrics.Label("adapters_vac_outcomes_total", "object", "stub", "outcome", conf)
-		if got := snap.Counters[name]; got != want {
-			t.Fatalf("%s = %d, want %d", name, got, want)
-		}
-		hist := metrics.Label("adapters_vac_invoke_seconds", "object", "stub", "outcome", conf)
-		if got := snap.Histograms[hist].Count; got != want {
-			t.Fatalf("%s count = %d, want %d", hist, got, want)
-		}
-	}
-
-	// A nil registry must yield a transparent wrapper.
-	plain := NewMeteredVAC[int](inner, nil, "stub", 4)
-	if x, _, err := plain.Propose(context.Background(), 1, 3); err != nil || x != core.Commit {
-		t.Fatalf("transparent wrapper: (%v, %v)", x, err)
-	}
-}
-
-func TestMeteredVACCountsErrors(t *testing.T) {
-	reg := metrics.NewRegistry()
-	boom := errors.New("boom")
-	inner := core.VACFunc[int](func(_ context.Context, _ int, _ int) (core.Confidence, int, error) {
-		return 0, 0, boom
-	})
-	mv := NewMeteredVAC[int](inner, reg, "err", 0)
-	if _, _, err := mv.Propose(context.Background(), 1, 1); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	name := metrics.Label("adapters_vac_errors_total", "object", "err")
-	if got := reg.Snapshot().Counters[name]; got != 1 {
-		t.Fatalf("%s = %d, want 1", name, got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ooc/internal/adapters"
 	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/core"
@@ -22,7 +21,7 @@ type benorTrial struct {
 	outcomes  []checker.RunOutcome[int]
 	stats     trace.Stats
 	maxRound  int
-	instrLog  *adapters.OutcomeLog
+	record    trace.Trace // network events and the template's object calls
 	decidedAt map[int]int
 }
 
@@ -43,7 +42,6 @@ func runBenOr(
 	crashes []workload.CrashSpec,
 	seed uint64,
 	maxRounds int,
-	instrument bool,
 	reg *metrics.Registry,
 ) (benorTrial, error) {
 	rec := trace.NewRecorder()
@@ -63,9 +61,6 @@ func runBenOr(
 	defer cancel()
 
 	trial := benorTrial{decidedAt: make(map[int]int, n)}
-	if instrument {
-		trial.instrLog = &adapters.OutcomeLog{}
-	}
 	outcomes := make([]checker.RunOutcome[int], n)
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -79,19 +74,8 @@ func runBenOr(
 			)
 			switch variant {
 			case variantDecomposed:
-				if trial.instrLog != nil {
-					vac, vErr := benor.NewVAC(nw.Node(id), tFaults)
-					if vErr != nil {
-						err = vErr
-						break
-					}
-					iv := adapters.NewInstrumentedVAC[int](vac, trial.instrLog, id)
-					d, err = core.RunVAC[int](ctx, iv, benor.NewReconciliator(nodeRNG), inputs[id],
-						core.WithMaxRounds(maxRounds), core.WithMetrics(reg))
-				} else {
-					d, err = benor.RunDecomposed(ctx, nw.Node(id), nodeRNG, tFaults, inputs[id],
-						core.WithMaxRounds(maxRounds), core.WithMetrics(reg))
-				}
+				d, err = benor.RunDecomposed(ctx, nw.Node(id), nodeRNG, tFaults, inputs[id],
+					core.WithMaxRounds(maxRounds), core.WithMetrics(reg), core.WithRecorder(rec, id))
 			case variantMonolithic:
 				d, err = benor.RunMonolithic(ctx, nw.Node(id), nodeRNG, tFaults, inputs[id], maxRounds, nil)
 			}
@@ -116,7 +100,8 @@ func runBenOr(
 			}
 		}
 	}
-	trial.stats = trace.Summarize(rec.Snapshot())
+	trial.record = rec.Snapshot()
+	trial.stats = trace.Summarize(trial.record)
 	return trial, nil
 }
 
@@ -163,7 +148,7 @@ func RunE1(s Suite) (Table, error) {
 			if c.crashCount > 0 {
 				crashes = workload.CrashPlan(c.n, c.crashCount, rng)
 			}
-			tr, err := runBenOr(variantDecomposed, c.n, c.tFaults, inputs, crashes, seed, 2000, false, reg)
+			tr, err := runBenOr(variantDecomposed, c.n, c.tFaults, inputs, crashes, seed, 2000, reg)
 			if err != nil {
 				return meteredRow{}, err
 			}
@@ -227,7 +212,7 @@ func RunE2(s Suite) (Table, error) {
 			seed := s.BaseSeed + uint64(int(c.split)*100+trial)
 			rng := sim.NewRNG(seed)
 			inputs := workload.BinaryInputs(c.split, n, rng)
-			tr, err := runBenOr(c.variant, n, tFaults, inputs, nil, seed, 2000, false, reg)
+			tr, err := runBenOr(c.variant, n, tFaults, inputs, nil, seed, 2000, reg)
 			if err != nil {
 				return meteredRow{}, err
 			}
@@ -302,7 +287,7 @@ func RunE9(s Suite) (Table, error) {
 				seed := s.BaseSeed + uint64(c.n*10000+trial)
 				rng := sim.NewRNG(seed)
 				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				tr, err = runBenOr(variantDecomposed, c.n, c.tFaults, inputs, nil, seed, 5000, false, reg)
+				tr, err = runBenOr(variantDecomposed, c.n, c.tFaults, inputs, nil, seed, 5000, reg)
 			}
 			if err != nil {
 				return meteredRow{}, err

@@ -68,10 +68,8 @@ type MultiShardConfig struct {
 	// whatever the host's disk felt like this minute. The node-wide
 	// syncer coalesces its groups' flushes onto those barriers.
 	DeviceLatency time.Duration
-	// Recorder, when set, captures the run's protocol trace: mux-tagged
-	// message events from the simulated network plus per-flush fsync
-	// notes from every replica's storage (shard.Config.Recorder), the
-	// input behind ooctrace's fsyncs/width channel columns.
+	// Recorder, when set, captures the simulated network's mux-tagged
+	// message events, the input behind ooctrace's channel table.
 	Recorder *trace.Recorder
 }
 
@@ -101,10 +99,11 @@ type MultiShardResult struct {
 	// and flush once (raft.SyncCoalescer). MeanWidth is
 	// how many group flushes the average barrier covered (Requests /
 	// Barriers; 1.0 when nothing coalesced).
-	Barriers      int64
-	BarriersPerOp float64
-	MeanWidth     float64
-	PerShardOps   []int // completed ops attributed to each shard
+	Barriers       int64
+	BarriersPerOp  float64
+	MeanWidth      float64
+	PerShardOps    []int   // completed ops attributed to each shard
+	PerShardFsyncs []int64 // fdatasync calls on each shard's replicas' files (file storage only)
 	// Leader placement at window end: which node led each shard, how
 	// many distinct nodes led at least one, and how many rebalance
 	// campaigns the placement watcher issued.
@@ -160,7 +159,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	}
 	var (
 		filesMu sync.Mutex
-		files   []*raft.FileStorage
+		files   = map[*raft.FileStorage]int{} // each replica's file and its shard
 	)
 	storage := func(int, int) (raft.Storage, error) { return raft.NewMemStorage(), nil }
 	if cfg.FileStorage {
@@ -174,7 +173,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 				return nil, err
 			}
 			filesMu.Lock()
-			files = append(files, fs)
+			files[fs] = s
 			filesMu.Unlock()
 			return fs, nil
 		}
@@ -192,7 +191,6 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Storage:           storage,
 		Metrics:           cfg.Metrics,
 		DeviceLatency:     cfg.DeviceLatency,
-		Recorder:          cfg.Recorder,
 	})
 	if err != nil {
 		return MultiShardResult{}, err
@@ -204,7 +202,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		cluster.Wait()
 		filesMu.Lock()
 		defer filesMu.Unlock()
-		for _, fs := range files {
+		for fs := range files {
 			_ = fs.Close()
 		}
 	}()
@@ -261,10 +259,15 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		return MultiShardResult{}, fmt.Errorf("warmup: %w", err)
 	}
 
-	var startSyncs int64
-	for _, fs := range files {
-		startSyncs += fs.Syncs()
+	// shardSyncs sums each shard's fdatasync calls over its replicas.
+	shardSyncs := func() []int64 {
+		per := make([]int64, cfg.Shards)
+		for fs, s := range files {
+			per[s] += fs.Syncs()
+		}
+		return per
 	}
+	startSyncs := shardSyncs()
 	// A cell registry outlives the trial, and ReadStats reads its series,
 	// so the window's reads are a difference like the syncers' rounds.
 	startReads := clusterReads(cluster)
@@ -364,10 +367,11 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 	// both calls harmlessly).
 	cancel()
 	cluster.Wait()
-	for _, fs := range files {
-		res.Fsyncs += fs.Syncs()
+	res.PerShardFsyncs = shardSyncs()
+	for s, n := range startSyncs {
+		res.PerShardFsyncs[s] -= n
+		res.Fsyncs += res.PerShardFsyncs[s]
 	}
-	res.Fsyncs -= startSyncs
 	var requests int64
 	for n := 0; n < cfg.Nodes; n++ {
 		if sc := cluster.Syncer(n); sc != nil {

@@ -11,7 +11,9 @@ import (
 	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/netsim"
+	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
+	"ooc/internal/trace"
 	"ooc/internal/workload"
 )
 
@@ -122,8 +124,8 @@ func RunE7(s Suite) (Table, error) {
 }
 
 func oneCompositeVACRound(n int, inputs []int) ([]checker.ObjectOutcome[int], error) {
-	store1 := adapters.NewSharedACStore(n)
-	store2 := adapters.NewSharedACStore(n)
+	store1 := sharedmem.NewACStore(n)
+	store2 := sharedmem.NewACStore(n)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	outs := make([]checker.ObjectOutcome[int], n)
@@ -149,8 +151,8 @@ func oneCompositeVACRound(n int, inputs []int) ([]checker.ObjectOutcome[int], er
 }
 
 func compositeVACConsensus(n int, inputs []int, rng *sim.RNG) ([]checker.RunOutcome[int], int, error) {
-	store1 := adapters.NewSharedACStore(n)
-	store2 := adapters.NewSharedACStore(n)
+	store1 := sharedmem.NewACStore(n)
+	store2 := sharedmem.NewACStore(n)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	outs := make([]checker.RunOutcome[int], n)
@@ -211,6 +213,22 @@ func oneACFromVACRound(n, tFaults int, inputs []int, seed uint64) ([]checker.Obj
 	return outs, nil
 }
 
+// OutcomeClasses counts, per round, how many of the named detector's
+// returns in a template trace (core.WithRecorder) carried each
+// confidence level. It reads an in-memory trace, whose detector returns
+// carry [2]any{x, σ}.
+func OutcomeClasses(tr trace.Trace, detector string) map[int][core.Commit + 1]int {
+	perRound := make(map[int][core.Commit + 1]int)
+	for _, ev := range trace.Returns(tr, detector) {
+		if x := ev.Value.([2]any)[0].(core.Confidence); x.Valid() {
+			counts := perRound[ev.Round]
+			counts[x]++
+			perRound[ev.Round] = counts
+		}
+	}
+	return perRound
+}
+
 // RunE8 gathers the empirical core of Section 5's separation argument:
 // Ben-Or's rounds genuinely produce all three outcome classes, and an
 // adopt value observed mid-run can differ from the final decision — the
@@ -220,7 +238,7 @@ func oneACFromVACRound(n, tFaults int, inputs []int, seed uint64) ([]checker.Obj
 func RunE8(s Suite) (Table, error) {
 	tbl := Table{
 		ID:    "E8",
-		Title: "Ben-Or outcome classes per round (instrumented VAC)",
+		Title: "Ben-Or outcome classes per round (the template's trace)",
 		Columns: []string{"n", "trials", "rounds", "vacillate", "adopt", "commit",
 			"mixed_rounds", "adopt_ne_decision_runs", "violations"},
 	}
@@ -237,7 +255,7 @@ func RunE8(s Suite) (Table, error) {
 			seed := s.BaseSeed + uint64(n*100+trial)
 			rng := sim.NewRNG(seed)
 			inputs := workload.BinaryInputs(workload.SplitHalf, n, rng)
-			tr, err := runBenOr(variantDecomposed, n, tFaults, inputs, nil, seed, 2000, true, nil)
+			tr, err := runBenOr(variantDecomposed, n, tFaults, inputs, nil, seed, 2000, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -249,10 +267,7 @@ func RunE8(s Suite) (Table, error) {
 					decided = o.Value
 				}
 			}
-			perRound := tr.instrLog.PerRound()
-			prematureHere := false
-			for _, outs := range perRound {
-				counts := adapters.ClassCounts(outs)
+			for _, counts := range OutcomeClasses(tr.record, "vac") {
 				totalRounds++
 				vacN += counts[core.Vacillate]
 				adoptN += counts[core.Adopt]
@@ -260,14 +275,12 @@ func RunE8(s Suite) (Table, error) {
 				if counts[core.Vacillate] > 0 && counts[core.Adopt] > 0 {
 					mixed++
 				}
-				for _, o := range outs {
-					if o.Conf == core.Adopt && o.Value != decided {
-						prematureHere = true
-					}
-				}
 			}
-			if prematureHere {
-				premature++
+			for _, ev := range trace.Returns(tr.record, "vac") {
+				if ret := ev.Value.([2]any); ret[0] == core.Adopt && ret[1] != decided {
+					premature++ // one run, counted once
+					break
+				}
 			}
 		}
 		if !report.Ok() {
@@ -319,7 +332,7 @@ func RunE10(s Suite) (Table, error) {
 				seed := s.BaseSeed + uint64(c.n*17+trial)
 				rng := sim.NewRNG(seed)
 				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				tr, err := runBenOr(variantDecomposed, c.n, c.t, inputs, nil, seed, 2000, false, nil)
+				tr, err := runBenOr(variantDecomposed, c.n, c.t, inputs, nil, seed, 2000, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -296,66 +296,9 @@ func RunVAC[V comparable](
 	v V,
 	opts ...Option,
 ) (Decision[V], error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Decision[V]{}, err
-	}
-	if err := initObjects(ctx, vac, rec); err != nil {
-		return Decision[V]{}, err
-	}
-	om := newObjectMetrics(o, "vac", "reconciliator")
-
-	var (
-		decision Decision[V]
-		decided  bool
-	)
-	for m := 1; ; m++ {
-		if o.MaxRounds > 0 && m > o.MaxRounds {
-			if decided {
-				return decision, nil
-			}
-			return Decision[V]{}, fmt.Errorf("after %d rounds: %w", o.MaxRounds, ErrNoDecision)
-		}
-		if err := ctx.Err(); err != nil {
-			return Decision[V]{}, err
-		}
-
-		o.Recorder.Invoke(o.Node, m, "vac", v)
-		t0 := om.now()
-		x, sigma, err := vac.Propose(ctx, v, m)
-		if err != nil {
-			return Decision[V]{}, fmt.Errorf("round %d: vac: %w", m, err)
-		}
-		om.observeDetector(x, t0)
-		o.Recorder.Return(o.Node, m, "vac", [2]any{x, sigma})
-		if !x.Valid() {
-			return Decision[V]{}, fmt.Errorf("round %d: vac returned %v: %w", m, x, ErrContractViolation)
-		}
-
-		switch x {
-		case Vacillate:
-			o.Recorder.Invoke(o.Node, m, "reconciliator", sigma)
-			t0 = om.now()
-			v, err = rec.Reconcile(ctx, x, sigma, m)
-			if err != nil {
-				return Decision[V]{}, fmt.Errorf("round %d: reconciliator: %w", m, err)
-			}
-			om.observeBreaker(t0)
-			o.Recorder.Return(o.Node, m, "reconciliator", v)
-		case Adopt:
-			v = sigma
-		case Commit:
-			v = sigma
-			if !decided {
-				decided = true
-				decision = Decision[V]{Value: sigma, Round: m}
-				o.Recorder.Decide(o.Node, m, sigma)
-			}
-			if !o.KeepParticipating {
-				return decision, nil
-			}
-		}
-	}
+	return run(ctx, Vacillate, vac, rec, func(ctx context.Context, x Confidence, sigma V, m int) (V, error) {
+		return rec.Reconcile(ctx, x, sigma, m)
+	}, v, opts)
 }
 
 // RunAC is Algorithm 2, the template over Aspnes's earlier object pair:
@@ -370,6 +313,9 @@ func RunVAC[V comparable](
 //	    switch X:
 //	      adopt:  v ← Conciliator(X, σ, m)
 //	      commit: v ← σ; decide σ
+//
+// An AdoptCommit returning Vacillate breaks its contract: that is exactly
+// the expressiveness gap Section 5 of the paper is about.
 func RunAC[V comparable](
 	ctx context.Context,
 	ac AdoptCommit[V],
@@ -377,14 +323,42 @@ func RunAC[V comparable](
 	v V,
 	opts ...Option,
 ) (Decision[V], error) {
+	return run(ctx, Adopt, ac, con, func(ctx context.Context, x Confidence, sigma V, m int) (V, error) {
+		return con.Conciliate(ctx, x, sigma, m)
+	}, v, opts)
+}
+
+// objectNames are each template's detector and breaker names in traces
+// and metrics, indexed by the detector's floor.
+var objectNames = [Commit + 1][2]string{
+	Vacillate: {"vac", "reconciliator"},
+	Adopt:     {"ac", "conciliator"},
+}
+
+// run is the round loop both templates share. floor is the lowest level
+// the detector may return: that level hands the round to the breaker
+// (brk, called through breakTie), Commit decides, a level between the two
+// adopts σ, and any level outside [floor, Commit] is a contract violation.
+// An AdoptCommit satisfies VacillateAdoptCommit's method set, so det is
+// either template's detector.
+func run[V comparable](
+	ctx context.Context,
+	floor Confidence,
+	det VacillateAdoptCommit[V],
+	brk any,
+	breakTie func(ctx context.Context, x Confidence, sigma V, m int) (V, error),
+	v V,
+	opts []Option,
+) (Decision[V], error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return Decision[V]{}, err
 	}
-	if err := initObjects(ctx, ac, con); err != nil {
+	if err := initObjects(ctx, det, brk); err != nil {
 		return Decision[V]{}, err
 	}
-	om := newObjectMetrics(o, "ac", "conciliator")
+	detector, breaker := objectNames[floor][0], objectNames[floor][1]
+	om := newObjectMetrics(o, detector, breaker)
 
 	var (
 		decision Decision[V]
@@ -401,25 +375,28 @@ func RunAC[V comparable](
 			return Decision[V]{}, err
 		}
 
-		o.Recorder.Invoke(o.Node, m, "ac", v)
+		o.Recorder.Invoke(o.Node, m, detector, v)
 		t0 := om.now()
-		x, sigma, err := ac.Propose(ctx, v, m)
+		x, sigma, err := det.Propose(ctx, v, m)
 		if err != nil {
-			return Decision[V]{}, fmt.Errorf("round %d: ac: %w", m, err)
+			return Decision[V]{}, fmt.Errorf("round %d: %s: %w", m, detector, err)
 		}
 		om.observeDetector(x, t0)
-		o.Recorder.Return(o.Node, m, "ac", [2]any{x, sigma})
-		switch x {
-		case Adopt:
-			o.Recorder.Invoke(o.Node, m, "conciliator", sigma)
+		o.Recorder.Return(o.Node, m, detector, [2]any{x, sigma})
+
+		switch {
+		case x < floor || x > Commit:
+			return Decision[V]{}, fmt.Errorf("round %d: %s returned %v: %w", m, detector, x, ErrContractViolation)
+		case x == floor:
+			o.Recorder.Invoke(o.Node, m, breaker, sigma)
 			t0 = om.now()
-			v, err = con.Conciliate(ctx, x, sigma, m)
+			v, err = breakTie(ctx, x, sigma, m)
 			if err != nil {
-				return Decision[V]{}, fmt.Errorf("round %d: conciliator: %w", m, err)
+				return Decision[V]{}, fmt.Errorf("round %d: %s: %w", m, breaker, err)
 			}
 			om.observeBreaker(t0)
-			o.Recorder.Return(o.Node, m, "conciliator", v)
-		case Commit:
+			o.Recorder.Return(o.Node, m, breaker, v)
+		case x == Commit:
 			v = sigma
 			if !decided {
 				decided = true
@@ -430,10 +407,7 @@ func RunAC[V comparable](
 				return decision, nil
 			}
 		default:
-			// An AdoptCommit must never return Vacillate (or garbage):
-			// that is exactly the expressiveness gap Section 5 of the
-			// paper is about.
-			return Decision[V]{}, fmt.Errorf("round %d: ac returned %v: %w", m, x, ErrContractViolation)
+			v = sigma
 		}
 	}
 }

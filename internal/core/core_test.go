@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ooc/internal/metrics"
 	"ooc/internal/trace"
 )
 
@@ -133,13 +134,64 @@ func TestRunVACMaxRoundsNoDecision(t *testing.T) {
 	}
 }
 
+// ---- the shared round loop ----
+//
+// The contract cases below were first written against RunVAC; each now
+// runs against both templates, so breaking the shared loop fails it for
+// either.
+
+// breaker is a stalemate breaker either template accepts.
+type breaker interface {
+	Reconciliator[int]
+	Conciliator[int]
+}
+
+// breakFunc adapts a function to both breaker interfaces.
+type breakFunc func(ctx context.Context, conf Confidence, v int, round int) (int, error)
+
+func (f breakFunc) Reconcile(ctx context.Context, conf Confidence, v int, round int) (int, error) {
+	return f(ctx, conf, v, round)
+}
+
+func (f breakFunc) Conciliate(ctx context.Context, conf Confidence, v int, round int) (int, error) {
+	return f(ctx, conf, v, round)
+}
+
+func breakTo(out int) breakFunc {
+	return func(context.Context, Confidence, int, int) (int, error) { return out, nil }
+}
+
+// templates are Algorithm 1 and Algorithm 2 with their detector's floor
+// (the level that hands a round to the breaker) and object names. An
+// AdoptCommit has VacillateAdoptCommit's method set, so one detector
+// value serves both.
+var templates = []struct {
+	name              string
+	floor             Confidence
+	detector, breaker string
+	run               func(ctx context.Context, det VacillateAdoptCommit[int], brk breaker, v int, opts ...Option) (Decision[int], error)
+}{
+	{"RunVAC", Vacillate, "vac", "reconciliator",
+		func(ctx context.Context, det VacillateAdoptCommit[int], brk breaker, v int, opts ...Option) (Decision[int], error) {
+			return RunVAC[int](ctx, det, brk, v, opts...)
+		}},
+	{"RunAC", Adopt, "ac", "conciliator",
+		func(ctx context.Context, det VacillateAdoptCommit[int], brk breaker, v int, opts ...Option) (Decision[int], error) {
+			return RunAC[int](ctx, det, brk, v, opts...)
+		}},
+}
+
 func TestRunVACInvalidConfidence(t *testing.T) {
-	vac := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
-		return Confidence(99), v, nil
-	})
-	_, err := RunVAC[int](context.Background(), vac, fixedReconciliator(1), 0)
-	if !errors.Is(err, ErrContractViolation) {
-		t.Fatalf("err = %v, want ErrContractViolation", err)
+	for _, tpl := range templates {
+		for _, bad := range []Confidence{tpl.floor - 1, Commit + 1} {
+			det := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
+				return bad, v, nil
+			})
+			_, err := tpl.run(context.Background(), det, breakTo(1), 0, WithMaxRounds(3))
+			if !errors.Is(err, ErrContractViolation) {
+				t.Errorf("%s, detector returned %v: err = %v, want ErrContractViolation", tpl.name, bad, err)
+			}
+		}
 	}
 }
 
@@ -163,48 +215,53 @@ func TestRunVACKeepParticipating(t *testing.T) {
 }
 
 func TestRunVACKeepParticipatingRequiresBound(t *testing.T) {
-	vac := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
-		return Commit, v, nil
-	})
-	_, err := RunVAC[int](context.Background(), vac, fixedReconciliator(0), 4, WithKeepParticipating())
-	if err == nil {
-		t.Fatal("KeepParticipating without MaxRounds accepted")
+	// Options are checked before any object's Init runs.
+	for _, tpl := range templates {
+		det := &initVAC{VACFunc: func(_ context.Context, v int, _ int) (Confidence, int, error) {
+			return Commit, v, nil
+		}}
+		_, err := tpl.run(context.Background(), det, breakTo(0), 4, WithKeepParticipating())
+		if err == nil {
+			t.Errorf("%s: KeepParticipating without MaxRounds accepted", tpl.name)
+		}
+		if det.inits != 0 {
+			t.Errorf("%s: Init ran %d times before the options were rejected", tpl.name, det.inits)
+		}
 	}
 }
 
 func TestRunVACContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	vac := VACFunc[int](func(_ context.Context, v int, round int) (Confidence, int, error) {
-		if round == 3 {
-			cancel()
+	for _, tpl := range templates {
+		ctx, cancel := context.WithCancel(context.Background())
+		det := VACFunc[int](func(_ context.Context, v int, round int) (Confidence, int, error) {
+			if round == 3 {
+				cancel()
+			}
+			return tpl.floor, v, nil
+		})
+		_, err := tpl.run(ctx, det, breakTo(1), 0)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tpl.name, err)
 		}
-		return Vacillate, v, nil
-	})
-	_, err := RunVAC[int](ctx, vac, fixedReconciliator(1), 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRunVACPropagatesObjectErrors(t *testing.T) {
 	boom := errors.New("boom")
-	vac := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
-		return 0, 0, boom
-	})
-	_, err := RunVAC[int](context.Background(), vac, fixedReconciliator(1), 0)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-
-	vacOK := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
-		return Vacillate, v, nil
-	})
-	rec := ReconciliatorFunc[int](func(_ context.Context, _ Confidence, _ int, _ int) (int, error) {
-		return 0, boom
-	})
-	_, err = RunVAC[int](context.Background(), vacOK, rec, 0)
-	if !errors.Is(err, boom) {
-		t.Fatalf("reconciliator err = %v, want wrapped boom", err)
+	for _, tpl := range templates {
+		failing := VACFunc[int](func(context.Context, int, int) (Confidence, int, error) {
+			return 0, 0, boom
+		})
+		if _, err := tpl.run(context.Background(), failing, breakTo(1), 0); !errors.Is(err, boom) {
+			t.Errorf("%s: detector err = %v, want wrapped boom", tpl.name, err)
+		}
+		toBreaker := VACFunc[int](func(_ context.Context, v int, _ int) (Confidence, int, error) {
+			return tpl.floor, v, nil
+		})
+		brk := breakFunc(func(context.Context, Confidence, int, int) (int, error) { return 0, boom })
+		if _, err := tpl.run(context.Background(), toBreaker, brk, 0, WithMaxRounds(3)); !errors.Is(err, boom) {
+			t.Errorf("%s: breaker err = %v, want wrapped boom", tpl.name, err)
+		}
 	}
 }
 
@@ -218,63 +275,104 @@ func (i *initVAC) Init(context.Context) error {
 	return nil
 }
 
+type initBreaker struct {
+	breakFunc
+	inits int
+}
+
+func (i *initBreaker) Init(context.Context) error {
+	i.inits++
+	return nil
+}
+
 func TestRunVACCallsInit(t *testing.T) {
-	iv := &initVAC{VACFunc: func(_ context.Context, v int, _ int) (Confidence, int, error) {
-		return Commit, v, nil
-	}}
-	if _, err := RunVAC[int](context.Background(), iv, fixedReconciliator(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	if iv.inits != 1 {
-		t.Fatalf("Init called %d times, want 1", iv.inits)
+	for _, tpl := range templates {
+		det := &initVAC{VACFunc: func(_ context.Context, v int, _ int) (Confidence, int, error) {
+			return Commit, v, nil
+		}}
+		brk := &initBreaker{breakFunc: breakTo(0)}
+		if _, err := tpl.run(context.Background(), det, brk, 1); err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		if det.inits != 1 || brk.inits != 1 {
+			t.Errorf("%s: Init called %d times on the detector and %d on the breaker, want 1 and 1",
+				tpl.name, det.inits, brk.inits)
+		}
 	}
 }
 
 func TestRunVACInitError(t *testing.T) {
 	boom := errors.New("init failed")
-	failing := &failingInitter{err: boom}
-	_, err := RunVAC[int](context.Background(), failing, fixedReconciliator(0), 1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want init error", err)
+	for _, tpl := range templates {
+		failing := &failingInitter{err: boom}
+		_, err := tpl.run(context.Background(), failing, breakTo(0), 1)
+		if !errors.Is(err, boom) {
+			t.Errorf("%s: err = %v, want init error", tpl.name, err)
+		}
+		if failing.proposals != 0 {
+			t.Errorf("%s: Propose ran %d times after Init failed", tpl.name, failing.proposals)
+		}
 	}
 }
 
-type failingInitter struct{ err error }
+type failingInitter struct {
+	err       error
+	proposals int
+}
 
 func (f *failingInitter) Init(context.Context) error { return f.err }
 
 func (f *failingInitter) Propose(_ context.Context, v int, _ int) (Confidence, int, error) {
+	f.proposals++
 	return Commit, v, nil
 }
 
 func TestRunVACRecordsTrace(t *testing.T) {
-	rec := trace.NewRecorder()
-	s := &scriptedVAC{script: []struct {
-		x Confidence
-		v int
-	}{{Vacillate, 1}, {Adopt, 2}, {Commit, 2}}}
-	d, err := RunVAC[int](context.Background(), s, fixedReconciliator(2), 1,
-		WithRecorder(rec, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Value != 2 || d.Round != 3 {
-		t.Fatalf("decision = %+v", d)
-	}
-	tr := rec.Snapshot()
-	st := trace.Summarize(tr)
-	if st.ObjectInvocations["vac"] != 3 {
-		t.Fatalf("vac invocations = %d, want 3", st.ObjectInvocations["vac"])
-	}
-	if st.ObjectInvocations["reconciliator"] != 1 {
-		t.Fatalf("reconciliator invocations = %d, want 1", st.ObjectInvocations["reconciliator"])
-	}
-	if st.Decisions != 1 || st.DecideRound != 3 {
-		t.Fatalf("decision accounting: %+v", st)
-	}
-	for _, ev := range tr.Events {
-		if ev.Node != 3 {
-			t.Fatalf("event attributed to node %d, want 3: %+v", ev.Node, ev)
+	// The trace and the metrics record each object call under the
+	// template's object names.
+	for _, tpl := range templates {
+		rec := trace.NewRecorder()
+		reg := metrics.NewRegistry()
+		det := VACFunc[int](func(_ context.Context, v int, round int) (Confidence, int, error) {
+			if round == 1 {
+				return tpl.floor, 1, nil
+			}
+			return Commit, v, nil
+		})
+		d, err := tpl.run(context.Background(), det, breakTo(2), 1, WithRecorder(rec, 3), WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		if d.Value != 2 || d.Round != 2 {
+			t.Fatalf("%s: decision = %+v", tpl.name, d)
+		}
+		tr := rec.Snapshot()
+		st := trace.Summarize(tr)
+		if st.ObjectInvocations[tpl.detector] != 2 || st.ObjectInvocations[tpl.breaker] != 1 {
+			t.Fatalf("%s: invocations = %v, want %s 2 and %s 1", tpl.name, st.ObjectInvocations, tpl.detector, tpl.breaker)
+		}
+		if st.Decisions != 1 || st.DecideRound != 2 {
+			t.Fatalf("%s: decision accounting: %+v", tpl.name, st)
+		}
+		returns := trace.Returns(tr, tpl.detector)
+		if len(returns) != 2 || returns[0].Value != [2]any{tpl.floor, 1} || returns[1].Value != [2]any{Commit, 2} {
+			t.Fatalf("%s: detector returns = %+v", tpl.name, returns)
+		}
+		for _, ev := range tr.Events {
+			if ev.Node != 3 {
+				t.Fatalf("%s: event attributed to node %d, want 3: %+v", tpl.name, ev.Node, ev)
+			}
+		}
+		hists := reg.Snapshot().Histograms
+		for _, call := range [][2]string{
+			{tpl.detector, tpl.floor.String()},
+			{tpl.detector, "commit"},
+			{tpl.breaker, "value"},
+		} {
+			name := metrics.Label("ooc_object_invoke_seconds", "object", call[0], "outcome", call[1])
+			if got := hists[name].Count; got != 1 {
+				t.Errorf("%s: %s count = %d, want 1", tpl.name, name, got)
+			}
 		}
 	}
 }
@@ -333,7 +431,7 @@ func TestRunACRejectsVacillate(t *testing.T) {
 	con := ConciliatorFunc[int](func(_ context.Context, _ Confidence, v int, _ int) (int, error) {
 		return v, nil
 	})
-	_, err := RunAC[int](context.Background(), ac, con, 0)
+	_, err := RunAC[int](context.Background(), ac, con, 0, WithMaxRounds(3))
 	if !errors.Is(err, ErrContractViolation) {
 		t.Fatalf("err = %v, want ErrContractViolation", err)
 	}

@@ -283,26 +283,26 @@ type FileStorage struct {
 	inPlace             bool
 
 	// syncer is the SyncCoalescer every durability barrier goes through:
-	// the store's own from OpenFileStorage, or the node's shared one
-	// (SetSyncer), so one device barrier can cover several groups'
-	// flushes. lastWidth remembers the width of the barrier that covered
-	// the most recent flush; it is written and read only by the goroutine
-	// that owns this store's writes (the persist worker), like the rest of
-	// the struct.
+	// the node's shared one (SetSyncer), so one device barrier can cover
+	// several groups' flushes, or, when none was set, the store's own,
+	// made by the first flush that finds none. lastWidth remembers the
+	// width of the barrier that covered the most recent flush; both are
+	// written and read only by the goroutine that owns this store's
+	// writes (the persist worker), like the rest of the struct.
 	syncer    *SyncCoalescer
 	lastWidth int
 }
 
 var _ Storage = (*FileStorage)(nil)
 
-// OpenFileStorage opens (or creates) the store at path, on a
-// SyncCoalescer of its own until SetSyncer shares the node's.
+// OpenFileStorage opens (or creates) the store at path. Its flushes go
+// through the SyncCoalescer SetSyncer shares, or one of the store's own.
 func OpenFileStorage(path string) (*FileStorage, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open storage: %w", err)
 	}
-	return &FileStorage{path: path, f: f, syncer: NewSyncCoalescer(SyncerConfig{})}, nil
+	return &FileStorage{path: path, f: f}, nil
 }
 
 // Close writes any buffered records, truncates the unused run-ahead away
@@ -331,12 +331,7 @@ func (s *FileStorage) Syncs() int64 { return s.syncs.Load() }
 // SetSyncer routes this store's durability barriers through the node's
 // shared SyncCoalescer (see syncer.go). Call before the node starts
 // writing; a nil syncer gives the store a coalescer of its own again.
-func (s *FileStorage) SetSyncer(sc *SyncCoalescer) {
-	if sc == nil {
-		sc = NewSyncCoalescer(SyncerConfig{})
-	}
-	s.syncer = sc
-}
+func (s *FileStorage) SetSyncer(sc *SyncCoalescer) { s.syncer = sc }
 
 // SyncDevice implements SyncTarget: the per-file barrier, fdatasync — the
 // only place this store asks the device for durability. Unlike the rest
@@ -567,6 +562,9 @@ func (s *FileStorage) flush() error {
 		_, err = s.writeBack(opWriteBack)
 	}
 	if err == nil {
+		if s.syncer == nil {
+			s.syncer = NewSyncCoalescer(SyncerConfig{})
+		}
 		s.lastWidth, err = s.syncer.sync(s, s)
 	}
 	s.synced = s.pos

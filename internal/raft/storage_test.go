@@ -120,6 +120,29 @@ func TestFileStorageRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+func TestFileStorageFlushesThroughTheSharedSyncerOrItsOwn(t *testing.T) {
+	// A store flushes through the coalescer SetSyncer shares; with none
+	// set, or after SetSyncer(nil), through one of its own.
+	s, err := OpenFileStorage(filepath.Join(t.TempDir(), "raft.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	if _, err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	shared := NewSyncCoalescer(SyncerConfig{})
+	for term, sc := range []*SyncCoalescer{nil, shared, nil} {
+		s.SetSyncer(sc)
+		if err := s.SetState(term+1, none); err != nil {
+			t.Fatalf("flush %d: %v", term, err)
+		}
+	}
+	if shared.Requests() != 1 {
+		t.Fatalf("the shared syncer served %d flushes, want the one made while it was set", shared.Requests())
+	}
+}
+
 func TestFileStorageToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "raft.log")
 	s, err := OpenFileStorage(path)

@@ -13,7 +13,6 @@ import (
 	"ooc/internal/raft"
 	"ooc/internal/rtrace"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 // Config configures a Cluster.
@@ -49,12 +48,6 @@ type Config struct {
 	// there. This is the E16 fixture (one disk per node, not one per
 	// group). Zero models no device.
 	DeviceLatency time.Duration
-	// Recorder, if non-nil, has every replica's storage emit one trace
-	// note per durability flush ("fsync <channel> entries=E width=W"),
-	// which ooctrace folds into per-shard fsyncs_per_op and
-	// barrier-width columns in the mux-channel table. Only meaningful
-	// with Storage set.
-	Recorder *trace.Recorder
 	// StateMachine supplies each (node, shard) replica's state machine;
 	// nil means a fresh raft.KVStore. The front end requires whatever it
 	// returns to implement raft.KVGetter for reads.
@@ -255,16 +248,12 @@ func (c *Cluster) Start(ctx context.Context) error {
 			g.sms[id] = sm
 			var store raft.Storage
 			if c.cfg.Storage != nil {
-				st, err := c.cfg.Storage(id, s)
-				if err != nil {
+				var err error
+				if store, err = c.cfg.Storage(id, s); err != nil {
 					return fmt.Errorf("shard %d node %d storage: %w", s, id, err)
 				}
-				if ss, ok := st.(interface{ SetSyncer(*raft.SyncCoalescer) }); ok {
+				if ss, ok := store.(interface{ SetSyncer(*raft.SyncCoalescer) }); ok {
 					ss.SetSyncer(c.syncers[id])
-				}
-				store = st
-				if store != nil && c.cfg.Recorder != nil {
-					store = &noteStorage{inner: store, rec: c.cfg.Recorder, node: id, channel: ChannelName(s)}
 				}
 			}
 			node, err := raft.NewNode(raft.Config{

@@ -103,33 +103,57 @@ func TestArrayPanicsOnBadSize(t *testing.T) {
 	NewArray(0)
 }
 
+// acRound runs one concurrent round of store: processor id proposes
+// inputs[id].
+func acRound(t *testing.T, store *ACStore, inputs map[int]int, round int) []checker.ObjectOutcome[int] {
+	t.Helper()
+	outs := make([]checker.ObjectOutcome[int], len(inputs))
+	errs := make([]error, len(inputs))
+	var wg sync.WaitGroup
+	for id, v := range inputs {
+		wg.Add(1)
+		go func(id, v int) {
+			defer wg.Done()
+			c, u, err := store.Object(id).Propose(ctxT(t), v, round)
+			outs[id] = checker.ObjectOutcome[int]{Node: id, Conf: c, Value: u}
+			errs[id] = err
+		}(id, v)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outs
+}
+
 func TestACStoreProperties(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		rng := sim.NewRNG(seed)
 		n := 2 + rng.Intn(7)
-		store := NewACStore(n)
 		inputs := make(map[int]int, n)
-		outs := make([]checker.ObjectOutcome[int], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
 		for id := 0; id < n; id++ {
 			inputs[id] = rng.Bit()
-			wg.Add(1)
-			go func(id, v int) {
-				defer wg.Done()
-				c, u, err := store.Object(id).Propose(ctxT(t), v, 1)
-				outs[id] = checker.ObjectOutcome[int]{Node: id, Conf: c, Value: u}
-				errs[id] = err
-			}(id, inputs[id])
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		outs := acRound(t, NewACStore(n), inputs, 1)
 		if rep := checker.CheckACRound(outs, inputs); !rep.Ok() {
 			t.Fatalf("seed %d: %v", seed, rep)
+		}
+	}
+}
+
+func TestACStoreSeparateRoundsIndependent(t *testing.T) {
+	// Each round gets fresh arrays: after a contested round 1, a
+	// unanimous round 2 must commit.
+	store := NewACStore(2)
+	contested := map[int]int{0: 0, 1: 1}
+	if rep := checker.CheckACRound(acRound(t, store, contested, 1), contested); !rep.Ok() {
+		t.Fatalf("round 1: %v", rep)
+	}
+	for _, o := range acRound(t, store, map[int]int{0: 1, 1: 1}, 2) {
+		if o.Conf != core.Commit || o.Value != 1 {
+			t.Fatalf("round 2 not fresh: %+v", o)
 		}
 	}
 }
