@@ -8,6 +8,7 @@ package ooc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"ooc/internal/adapters"
 	"ooc/internal/bench"
 	"ooc/internal/benor"
+	"ooc/internal/checker"
 	"ooc/internal/codec"
 	"ooc/internal/core"
 	"ooc/internal/multivalue"
@@ -32,37 +34,17 @@ import (
 // benOrTrial runs one full Ben-Or consensus (decomposed or monolithic)
 // under the given seed.
 func benOrTrial(b *testing.B, decomposed bool, n int, split workload.Split, seed uint64) {
-	tFaults := (n - 1) / 2
 	rng := sim.NewRNG(seed)
 	inputs := workload.BinaryInputs(split, n, rng)
-	nw := netsim.New(n, netsim.WithSeed(seed))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	decisions := make([]core.Decision[int], n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if decomposed {
-				decisions[id], errs[id] = benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(5000))
-			} else {
-				decisions[id], errs[id] = benor.RunMonolithic(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id], 5000, nil)
-			}
-		}(id)
+	proc := benor.RunMonolithic
+	if decomposed {
+		proc = benor.RunDecomposed
 	}
-	wg.Wait()
-	cancel()
-	for id := 0; id < n; id++ {
-		if errs[id] != nil {
-			b.Errorf("node %d: %v", id, errs[id])
-			return
-		}
-		if decisions[id].Value != decisions[0].Value {
-			b.Error("agreement violated")
-			return
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res := benor.Run(ctx, benor.Config[int]{T: (n - 1) / 2, Inputs: inputs, MaxRounds: 5000, Seed: seed, RNG: rng}, proc)
+	if rep := checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), true); !rep.Ok() {
+		b.Errorf("%v (errors %v)", rep, res.Errs)
 	}
 }
 
@@ -297,23 +279,14 @@ func BenchmarkE8OutcomeClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i) + 1
 		rng := sim.NewRNG(seed)
-		inputs := workload.BinaryInputs(workload.SplitHalf, n, rng)
-		nw := netsim.New(n, netsim.WithSeed(seed))
 		rec := trace.NewRecorder()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				if _, err := benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(5000), core.WithRecorder(rec, id)); err != nil {
-					b.Error(err)
-				}
-			}(id)
-		}
-		wg.Wait()
+		res := benor.Run(ctx, benor.Config[int]{T: tFaults, Inputs: workload.BinaryInputs(workload.SplitHalf, n, rng),
+			MaxRounds: 5000, Seed: seed, RNG: rng, Recorder: rec}, benor.RunDecomposed)
 		cancel()
+		if err := errors.Join(res.Errs...); err != nil {
+			b.Fatal(err)
+		}
 		if len(bench.OutcomeClasses(rec.Snapshot(), "vac")) == 0 {
 			b.Fatal("no outcomes recorded")
 		}
@@ -436,30 +409,19 @@ func BenchmarkE11Multivalued(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i) + 1
 		rng := sim.NewRNG(seed)
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		inputs := make([]string, n)
 		for id := range inputs {
 			inputs[id] = fmt.Sprintf("v%d", rng.Intn(3))
 		}
-		decisions := make([]core.Decision[string], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				decisions[id], errs[id] = multivalue.RunDecomposed[string](ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(20000))
-			}(id)
-		}
-		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		res := benor.Run(ctx, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 20000, Seed: seed, RNG: rng},
+			multivalue.RunDecomposed[string])
 		cancel()
-		for id := 0; id < n; id++ {
-			if errs[id] != nil {
-				b.Fatal(errs[id])
-			}
-			if decisions[id].Value != decisions[0].Value {
+		if err := errors.Join(res.Errs...); err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range res.Decisions {
+			if d.Value != res.Decisions[0].Value {
 				b.Fatal("agreement violated")
 			}
 		}

@@ -14,15 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"ooc/internal/benor"
 	"ooc/internal/checker"
-	"ooc/internal/core"
 	"ooc/internal/explore"
 	"ooc/internal/multivalue"
-	"ooc/internal/netsim"
 	"ooc/internal/sim"
 	"ooc/internal/workload"
 )
@@ -86,41 +83,11 @@ func benOrScenario(n int) explore.Scenario {
 		rng := sim.NewRNG(seed)
 		inputs := workload.BinaryInputs(workload.SplitRandom, n, rng)
 		crashes := workload.CrashPlan(n, int(seed)%(tFaults+1), rng)
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		crashed := map[int]bool{}
-		for _, c := range crashes {
-			crashed[c.Node] = true
-			if c.AfterSends == 0 {
-				nw.Crash(c.Node)
-			} else {
-				nw.CrashAfterSends(c.Node, c.AfterSends)
-			}
-		}
 		runCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 		defer cancel()
-		results := make([]checker.RunOutcome[int], n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				d, err := benor.RunDecomposed(runCtx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(5000))
-				if err == nil {
-					results[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-				} else {
-					results[id] = checker.RunOutcome[int]{Node: id}
-				}
-			}(id)
-		}
-		wg.Wait()
-		var live []checker.RunOutcome[int]
-		for _, o := range results {
-			if !crashed[o.Node] {
-				live = append(live, o)
-			}
-		}
-		return checker.CheckConsensus(live, workload.InputsToMap(inputs), len(crashes) == 0)
+		res := benor.Run(runCtx, benor.Config[int]{T: tFaults, Inputs: inputs, Crashes: crashes,
+			MaxRounds: 5000, Seed: seed, RNG: rng}, benor.RunDecomposed)
+		return checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), len(crashes) == 0)
 	}
 }
 
@@ -135,25 +102,10 @@ func multivalueScenario(n int) explore.Scenario {
 			inputs[id] = fmt.Sprintf("v%d", rng.Intn(3))
 			inputMap[id] = inputs[id]
 		}
-		nw := netsim.New(n, netsim.WithSeed(seed))
 		runCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 		defer cancel()
-		results := make([]checker.RunOutcome[string], n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				d, err := multivalue.RunDecomposed[string](runCtx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(20000))
-				if err == nil {
-					results[id] = checker.RunOutcome[string]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-				} else {
-					results[id] = checker.RunOutcome[string]{Node: id}
-				}
-			}(id)
-		}
-		wg.Wait()
-		return checker.CheckConsensus(results, inputMap, true)
+		res := benor.Run(runCtx, benor.Config[string]{T: tFaults, Inputs: inputs,
+			MaxRounds: 20000, Seed: seed, RNG: rng}, multivalue.RunDecomposed[string])
+		return checker.CheckConsensus(res.Outcomes(), inputMap, true)
 	}
 }

@@ -174,44 +174,29 @@ func runBenOr(ctx context.Context, n int, seed uint64, splitName string, crashes
 	if crashes > tFaults {
 		return fmt.Errorf("%d crashes exceed tolerance t=%d", crashes, tFaults)
 	}
-	rec := newRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec), netsim.WithMetrics(metReg))
 	rng := sim.NewRNG(seed)
 	inputs := workload.BinaryInputs(split, n, rng)
-	for _, spec := range workload.CrashPlan(n, crashes, rng) {
-		if spec.AfterSends == 0 {
-			nw.Crash(spec.Node)
-		} else {
-			nw.CrashAfterSends(spec.Node, spec.AfterSends)
-		}
-		fmt.Printf("injecting crash: node %d after %d sends\n", spec.Node, spec.AfterSends)
-	}
-	type out struct {
-		d   core.Decision[int]
-		err error
-	}
-	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(maxRounds), core.WithRecorder(rec, id), core.WithMetrics(metReg))
-			outs[id] = out{d, err}
-		}(id)
-	}
-	wg.Wait()
+	cfg := benor.Config[int]{T: tFaults, Inputs: inputs, Crashes: workload.CrashPlan(n, crashes, rng),
+		MaxRounds: maxRounds, Seed: seed, RNG: rng, Recorder: newRecorder(), Metrics: metReg}
+	printCrashes(cfg.Crashes)
+	res := benor.Run(ctx, cfg, benor.RunDecomposed)
 	fmt.Printf("ben-or: n=%d t=%d split=%v inputs=%v\n", n, tFaults, split, inputs)
-	for id, o := range outs {
-		if o.err != nil {
-			fmt.Printf("  p%d: error: %v\n", id, o.err)
+	for id, d := range res.Decisions {
+		if res.Errs[id] != nil {
+			fmt.Printf("  p%d: error: %v\n", id, res.Errs[id])
 			continue
 		}
-		fmt.Printf("  p%d: decided %d in round %d\n", id, o.d.Value, o.d.Round)
+		fmt.Printf("  p%d: decided %d in round %d\n", id, d.Value, d.Round)
 	}
-	finishTrace(rec)
+	finishTrace(cfg.Recorder)
 	return nil
+}
+
+// printCrashes announces a crash plan before the run carries it out.
+func printCrashes(plan []workload.CrashSpec) {
+	for _, spec := range plan {
+		fmt.Printf("injecting crash: node %d after %d sends\n", spec.Node, spec.AfterSends)
+	}
 }
 
 func runPhaseKing(ctx context.Context, n int, seed uint64, splitName string, byzantine int, adversary, rule string) error {
@@ -338,46 +323,24 @@ func runMultivalue(ctx context.Context, n int, seed uint64, crashes, maxRounds i
 	if crashes > tFaults {
 		return fmt.Errorf("%d crashes exceed tolerance t=%d", crashes, tFaults)
 	}
-	rec := newRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec), netsim.WithMetrics(metReg))
 	rng := sim.NewRNG(seed)
 	inputs := make([]string, n)
 	for id := range inputs {
 		inputs[id] = fmt.Sprintf("candidate-%d", id)
 	}
-	for _, spec := range workload.CrashPlan(n, crashes, rng) {
-		if spec.AfterSends == 0 {
-			nw.Crash(spec.Node)
-		} else {
-			nw.CrashAfterSends(spec.Node, spec.AfterSends)
-		}
-		fmt.Printf("injecting crash: node %d after %d sends\n", spec.Node, spec.AfterSends)
-	}
-	type out struct {
-		d   core.Decision[string]
-		err error
-	}
-	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := multivalue.RunDecomposed[string](ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(maxRounds*10), core.WithRecorder(rec, id), core.WithMetrics(metReg))
-			outs[id] = out{d, err}
-		}(id)
-	}
-	wg.Wait()
+	cfg := benor.Config[string]{T: tFaults, Inputs: inputs, Crashes: workload.CrashPlan(n, crashes, rng),
+		MaxRounds: maxRounds * 10, Seed: seed, RNG: rng, Recorder: newRecorder(), Metrics: metReg}
+	printCrashes(cfg.Crashes)
+	res := benor.Run(ctx, cfg, multivalue.RunDecomposed[string])
 	fmt.Printf("multivalue: n=%d t=%d inputs=%v\n", n, tFaults, inputs)
-	for id, o := range outs {
-		if o.err != nil {
-			fmt.Printf("  p%d: error: %v\n", id, o.err)
+	for id, d := range res.Decisions {
+		if res.Errs[id] != nil {
+			fmt.Printf("  p%d: error: %v\n", id, res.Errs[id])
 			continue
 		}
-		fmt.Printf("  p%d: decided %q in round %d\n", id, o.d.Value, o.d.Round)
+		fmt.Printf("  p%d: decided %q in round %d\n", id, d.Value, d.Round)
 	}
-	finishTrace(rec)
+	finishTrace(cfg.Recorder)
 	return nil
 }
 

@@ -4,16 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"ooc/internal/bench"
 	"ooc/internal/benor"
 	"ooc/internal/core"
-	"ooc/internal/netsim"
 	"ooc/internal/sim"
 	"ooc/internal/trace"
 	"ooc/internal/workload"
@@ -24,23 +23,14 @@ import (
 func benOrTrace(t *testing.T, n int, seed uint64) trace.Trace {
 	t.Helper()
 	rec := trace.NewRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec))
 	rng := sim.NewRNG(seed)
-	inputs := workload.BinaryInputs(workload.SplitHalf, n, rng)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if _, err := benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), (n-1)/2, inputs[id],
-				core.WithMaxRounds(2000), core.WithRecorder(rec, id)); err != nil {
-				t.Errorf("p%d: %v", id, err)
-			}
-		}(id)
+	res := benor.Run(ctx, benor.Config[int]{T: (n - 1) / 2, Inputs: workload.BinaryInputs(workload.SplitHalf, n, rng),
+		MaxRounds: 2000, Seed: seed, RNG: rng, Recorder: rec}, benor.RunDecomposed)
+	if err := errors.Join(res.Errs...); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	return rec.Snapshot()
 }
 

@@ -11,13 +11,12 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
-	"ooc/internal/core"
+	"ooc/internal/benor"
 	"ooc/internal/multivalue"
-	"ooc/internal/netsim"
 	"ooc/internal/sim"
+	"ooc/internal/workload"
 )
 
 func main() {
@@ -27,40 +26,28 @@ func main() {
 	)
 	candidates := []string{"ada", "bob", "cleo", "dan", "eve", "finn", "gus"}
 
-	nw := netsim.New(n, netsim.WithSeed(42))
-	rng := sim.NewRNG(42)
-
-	// Two candidates crash during the election; the survivors must still
-	// agree on a single leader.
-	nw.CrashAfterSends(5, 10)
-	nw.Crash(6)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	var wg sync.WaitGroup
-	decisions := make([]core.Decision[string], n)
-	errs := make([]error, n)
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			decisions[id], errs[id] = multivalue.RunDecomposed[string](
-				ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, candidates[id],
-				core.WithMaxRounds(5000),
-			)
-		}(id)
-	}
-	wg.Wait()
+	// Two candidates crash during the election; the survivors must still
+	// agree on a single leader.
+	res := benor.Run(ctx, benor.Config[string]{
+		T:         tFaults,
+		Inputs:    candidates,
+		Crashes:   []workload.CrashSpec{{Node: 5, AfterSends: 10}, {Node: 6}},
+		MaxRounds: 5000,
+		Seed:      42,
+		RNG:       sim.NewRNG(42),
+	}, multivalue.RunDecomposed[string])
 
 	fmt.Printf("candidates: %v (finn and gus crash)\n", candidates)
 	leader := ""
 	for id := 0; id < n; id++ {
-		if errs[id] != nil {
+		if res.Errs[id] != nil {
 			fmt.Printf("  %s (p%d): crashed during election\n", candidates[id], id)
 			continue
 		}
-		d := decisions[id]
+		d := res.Decisions[id]
 		fmt.Printf("  %s (p%d): elects %q (round %d)\n", candidates[id], id, d.Value, d.Round)
 		if leader == "" {
 			leader = d.Value

@@ -3,14 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/metrics"
-	"ooc/internal/netsim"
+	"ooc/internal/msgnet"
 	"ooc/internal/sim"
 	"ooc/internal/trace"
 	"ooc/internal/workload"
@@ -21,88 +20,38 @@ type benorTrial struct {
 	outcomes  []checker.RunOutcome[int]
 	stats     trace.Stats
 	maxRound  int
-	record    trace.Trace // network events and the template's object calls
+	record    trace.Trace // network events and the processors' trace events
 	decidedAt map[int]int
 }
 
-// benOrVariant selects decomposed (the paper) or monolithic (baseline).
-type benOrVariant int
-
-const (
-	variantDecomposed benOrVariant = iota + 1
-	variantMonolithic
-)
-
-// runBenOr executes one trial: n processors, fault bound t, given inputs,
-// optional crash plan, on a seeded network.
+// runBenOr executes one trial of proc: fault bound t, given inputs,
+// optional crash plan, on a seeded network, with coins from a stream
+// derived from the seed.
 func runBenOr(
-	variant benOrVariant,
-	n, tFaults int,
+	proc benor.Processor[int],
+	tFaults int,
 	inputs []int,
 	crashes []workload.CrashSpec,
 	seed uint64,
 	maxRounds int,
 	reg *metrics.Registry,
-) (benorTrial, error) {
+) benorTrial {
 	rec := trace.NewRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec), netsim.WithMetrics(reg))
-	rng := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
-	crashed := make(map[int]bool, len(crashes))
-	for _, c := range crashes {
-		crashed[c.Node] = true
-		if c.AfterSends == 0 {
-			nw.Crash(c.Node)
-		} else {
-			nw.CrashAfterSends(c.Node, c.AfterSends)
-		}
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	res := benor.Run(ctx, benor.Config[int]{T: tFaults, Inputs: inputs, Crashes: crashes, MaxRounds: maxRounds,
+		Seed: seed, RNG: sim.NewRNG(seed ^ 0x9e3779b97f4a7c15), Recorder: rec, Metrics: reg}, proc)
 
-	trial := benorTrial{decidedAt: make(map[int]int, n)}
-	outcomes := make([]checker.RunOutcome[int], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			nodeRNG := rng.Fork(uint64(id))
-			var (
-				d   core.Decision[int]
-				err error
-			)
-			switch variant {
-			case variantDecomposed:
-				d, err = benor.RunDecomposed(ctx, nw.Node(id), nodeRNG, tFaults, inputs[id],
-					core.WithMaxRounds(maxRounds), core.WithMetrics(reg), core.WithRecorder(rec, id))
-			case variantMonolithic:
-				d, err = benor.RunMonolithic(ctx, nw.Node(id), nodeRNG, tFaults, inputs[id], maxRounds, nil)
-			}
-			if err == nil {
-				outcomes[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-			} else {
-				outcomes[id] = checker.RunOutcome[int]{Node: id}
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	for _, o := range outcomes {
-		if crashed[o.Node] {
-			continue // a crashed processor owes nothing
-		}
-		trial.outcomes = append(trial.outcomes, o)
+	trial := benorTrial{outcomes: res.Outcomes(), decidedAt: make(map[int]int, len(inputs))}
+	for _, o := range trial.outcomes {
 		if o.Decided {
 			trial.decidedAt[o.Node] = o.Round
-			if o.Round > trial.maxRound {
-				trial.maxRound = o.Round
-			}
+			trial.maxRound = max(trial.maxRound, o.Round)
 		}
 	}
 	trial.record = rec.Snapshot()
 	trial.stats = trace.Summarize(trial.record)
-	return trial, nil
+	return trial
 }
 
 // RunE1 validates Lemmas 1, 4 and 5: the decomposed Ben-Or under the
@@ -148,10 +97,7 @@ func RunE1(s Suite) (Table, error) {
 			if c.crashCount > 0 {
 				crashes = workload.CrashPlan(c.n, c.crashCount, rng)
 			}
-			tr, err := runBenOr(variantDecomposed, c.n, c.tFaults, inputs, crashes, seed, 2000, reg)
-			if err != nil {
-				return meteredRow{}, err
-			}
+			tr := runBenOr(benor.RunDecomposed, c.tFaults, inputs, crashes, seed, 2000, reg)
 			inputMap := workload.InputsToMap(inputs)
 			report.Merge(checker.CheckConsensus(tr.outcomes, inputMap, c.crashCount == 0))
 			rounds.add(float64(tr.maxRound))
@@ -191,15 +137,15 @@ func RunE2(s Suite) (Table, error) {
 	tFaults := 2
 	splits := []workload.Split{workload.SplitUnanimous1, workload.SplitHalf, workload.SplitRandom}
 	type cell struct {
-		split   workload.Split
-		name    string
-		variant benOrVariant
+		split workload.Split
+		name  string
+		proc  benor.Processor[int]
 	}
 	var cells []cell
 	for _, split := range splits {
 		cells = append(cells,
-			cell{split, "decomposed", variantDecomposed},
-			cell{split, "monolithic", variantMonolithic})
+			cell{split, "decomposed", benor.RunDecomposed},
+			cell{split, "monolithic", benor.RunMonolithic})
 	}
 	rows, err := runCells(len(cells), func(i int) (meteredRow, error) {
 		c := cells[i]
@@ -212,10 +158,7 @@ func RunE2(s Suite) (Table, error) {
 			seed := s.BaseSeed + uint64(int(c.split)*100+trial)
 			rng := sim.NewRNG(seed)
 			inputs := workload.BinaryInputs(c.split, n, rng)
-			tr, err := runBenOr(c.variant, n, tFaults, inputs, nil, seed, 2000, reg)
-			if err != nil {
-				return meteredRow{}, err
-			}
+			tr := runBenOr(c.proc, tFaults, inputs, nil, seed, 2000, reg)
 			report.Merge(checker.CheckConsensus(tr.outcomes, workload.InputsToMap(inputs), true))
 			rounds.add(float64(tr.maxRound))
 			msgs.add(float64(tr.stats.MessagesSent))
@@ -274,25 +217,12 @@ func RunE9(s Suite) (Table, error) {
 		reg := s.cellRegistry()
 		var rounds stats
 		for trial := 0; trial < trials; trial++ {
-			var (
-				tr  benorTrial
-				err error
-			)
+			proc, seed := benor.RunDecomposed, s.BaseSeed+uint64(c.n*10000+trial)
 			if c.biased {
-				seed := s.BaseSeed + uint64(trial) + uint64(c.p*1e4)
-				rng := sim.NewRNG(seed)
-				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				tr, err = runBenOrBiased(c.n, c.tFaults, inputs, seed, c.p, reg)
-			} else {
-				seed := s.BaseSeed + uint64(c.n*10000+trial)
-				rng := sim.NewRNG(seed)
-				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				tr, err = runBenOr(variantDecomposed, c.n, c.tFaults, inputs, nil, seed, 5000, reg)
+				proc, seed = biasedCoin(c.p), s.BaseSeed+uint64(trial)+uint64(c.p*1e4)
 			}
-			if err != nil {
-				return meteredRow{}, err
-			}
-			rounds.add(float64(tr.maxRound))
+			inputs := workload.BinaryInputs(workload.SplitHalf, c.n, sim.NewRNG(seed))
+			rounds.add(float64(runBenOr(proc, c.tFaults, inputs, nil, seed, 5000, reg).maxRound))
 		}
 		return meteredRow{
 			r: row{c.n, fmt.Sprintf("%.2f", c.p), trials, rounds.mean(),
@@ -310,42 +240,14 @@ func RunE9(s Suite) (Table, error) {
 	return tbl, nil
 }
 
-// runBenOrBiased is the coin-bias ablation variant of runBenOr.
-func runBenOrBiased(n, tFaults int, inputs []int, seed uint64, p float64, reg *metrics.Registry) (benorTrial, error) {
-	rec := trace.NewRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec), netsim.WithMetrics(reg))
-	rng := sim.NewRNG(seed ^ 0xabcdef)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	trial := benorTrial{decidedAt: make(map[int]int, n)}
-	outcomes := make([]checker.RunOutcome[int], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			vac, err := benor.NewVAC(nw.Node(id), tFaults)
-			if err != nil {
-				return
-			}
-			recon := benor.NewBiasedReconciliator(rng.Fork(uint64(id)), p)
-			d, err := core.RunVAC[int](ctx, vac, recon, inputs[id], core.WithMaxRounds(5000), core.WithMetrics(reg))
-			if err == nil {
-				outcomes[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-			}
-		}(id)
-	}
-	wg.Wait()
-	for _, o := range outcomes {
-		trial.outcomes = append(trial.outcomes, o)
-		if o.Decided {
-			trial.decidedAt[o.Node] = o.Round
-			if o.Round > trial.maxRound {
-				trial.maxRound = o.Round
-			}
+// biasedCoin is Ben-Or with a coin that shows 1 with probability p: the
+// paper's VAC under Algorithm 1 with a biased reconciliator.
+func biasedCoin(p float64) benor.Processor[int] {
+	return func(ctx context.Context, node msgnet.Endpoint, rng *sim.RNG, t, v int, opts ...core.Option) (core.Decision[int], error) {
+		vac, err := benor.NewVAC(node, t)
+		if err != nil {
+			return core.Decision[int]{}, err
 		}
+		return vac.Consensus(ctx, benor.NewBiasedReconciliator(rng, p), v, opts...)
 	}
-	trial.stats = trace.Summarize(rec.Snapshot())
-	return trial, nil
 }

@@ -6,10 +6,10 @@ import (
 	"sync"
 	"time"
 
+	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/multivalue"
-	"ooc/internal/netsim"
 	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
 )
@@ -46,24 +46,9 @@ func RunE11(s Suite) (Table, error) {
 				inputs[id] = fmt.Sprintf("v%d", rng.Intn(c.domain))
 				inputMap[id] = inputs[id]
 			}
-			nw := netsim.New(c.n, netsim.WithSeed(seed))
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			outs := make([]checker.RunOutcome[string], c.n)
-			var wg sync.WaitGroup
-			for id := 0; id < c.n; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					d, err := multivalue.RunDecomposed[string](ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-						core.WithMaxRounds(20000))
-					if err == nil {
-						outs[id] = checker.RunOutcome[string]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-					} else {
-						outs[id] = checker.RunOutcome[string]{Node: id}
-					}
-				}(id)
-			}
-			wg.Wait()
+			outs := benor.Run(ctx, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 20000,
+				Seed: seed, RNG: rng}, multivalue.RunDecomposed[string]).Outcomes()
 			cancel()
 			report.Merge(checker.CheckConsensus(outs, inputMap, true))
 			maxRound := 0

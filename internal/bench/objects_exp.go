@@ -255,10 +255,7 @@ func RunE8(s Suite) (Table, error) {
 			seed := s.BaseSeed + uint64(n*100+trial)
 			rng := sim.NewRNG(seed)
 			inputs := workload.BinaryInputs(workload.SplitHalf, n, rng)
-			tr, err := runBenOr(variantDecomposed, n, tFaults, inputs, nil, seed, 2000, nil)
-			if err != nil {
-				return nil, err
-			}
+			tr := runBenOr(benor.RunDecomposed, tFaults, inputs, nil, seed, 2000, nil)
 			report.Merge(checker.CheckConsensus(tr.outcomes, workload.InputsToMap(inputs), true))
 
 			decided := -1
@@ -332,10 +329,7 @@ func RunE10(s Suite) (Table, error) {
 				seed := s.BaseSeed + uint64(c.n*17+trial)
 				rng := sim.NewRNG(seed)
 				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				tr, err := runBenOr(variantDecomposed, c.n, c.t, inputs, nil, seed, 2000, nil)
-				if err != nil {
-					return nil, err
-				}
+				tr := runBenOr(benor.RunDecomposed, c.t, inputs, nil, seed, 2000, nil)
 				msgs.add(float64(tr.stats.MessagesSent))
 				rounds.add(float64(tr.maxRound))
 			}

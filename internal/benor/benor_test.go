@@ -3,108 +3,52 @@ package benor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/msgnet"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
+	"ooc/internal/trace"
+	"ooc/internal/workload"
 )
 
-// result is one processor's outcome in a cluster run.
-type result struct {
-	id       int
-	decision core.Decision[int]
-	err      error
-}
-
-// runCluster executes fn for every processor concurrently and returns the
-// per-processor results. fn is typically RunDecomposed or RunMonolithic.
-func runCluster(
-	t *testing.T,
-	n int,
-	fn func(ctx context.Context, id int) (core.Decision[int], error),
-) []result {
+// runT runs cfg through Run with a 30-second deadline.
+func runT(t *testing.T, cfg Config[int], proc Processor[int]) Result[int] {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	results := make([]result, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := fn(ctx, id)
-			results[id] = result{id: id, decision: d, err: err}
-		}(id)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(35 * time.Second):
-		t.Fatal("cluster run deadlocked")
-	}
-	return results
+	return Run(ctx, cfg, proc)
 }
 
-// checkAgreementValidity asserts consensus safety over the successful
-// results: all decided the same value, and that value was proposed.
-func checkAgreementValidity(t *testing.T, results []result, inputs []int) int {
+// mustAgree asserts agreement, validity and termination over the
+// processors the crash plan spared, and returns the decided value.
+func mustAgree(t *testing.T, res Result[int], inputs []int) int {
 	t.Helper()
-	decided := -1
-	count := 0
-	for _, r := range results {
-		if r.err != nil {
-			continue
-		}
-		count++
-		if decided == -1 {
-			decided = r.decision.Value
-		} else if r.decision.Value != decided {
-			t.Fatalf("agreement violated: node %d decided %d, others %d", r.id, r.decision.Value, decided)
-		}
+	outs := res.Outcomes()
+	if rep := checker.CheckConsensus(outs, workload.InputsToMap(inputs), true); !rep.Ok() {
+		t.Fatalf("%v (errors %v)", rep, res.Errs)
 	}
-	if count == 0 {
-		t.Fatal("no processor decided")
-	}
-	valid := false
-	for _, in := range inputs {
-		if in == decided {
-			valid = true
-		}
-	}
-	if !valid {
-		t.Fatalf("validity violated: decided %d, inputs %v", decided, inputs)
-	}
-	return decided
+	return outs[0].Value
 }
 
 func TestDecomposedAllSameInputCommitsRoundOne(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
-		tFaults := (n - 1) / 2
-		nw := netsim.New(n, netsim.WithSeed(uint64(n)))
-		rng := sim.NewRNG(99)
 		inputs := make([]int, n)
 		for i := range inputs {
 			inputs[i] = 1
 		}
-		results := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-			return RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(50))
-		})
-		v := checkAgreementValidity(t, results, inputs)
-		if v != 1 {
+		res := runT(t, Config[int]{T: (n - 1) / 2, Inputs: inputs, MaxRounds: 50, Seed: uint64(n), RNG: sim.NewRNG(99)}, RunDecomposed)
+		if v := mustAgree(t, res, inputs); v != 1 {
 			t.Fatalf("n=%d: decided %d with unanimous input 1", n, v)
 		}
-		for _, r := range results {
-			if r.err != nil {
-				t.Fatalf("n=%d node %d: %v", n, r.id, r.err)
-			}
-			if r.decision.Round != 1 {
-				t.Fatalf("n=%d node %d decided in round %d, convergence demands round 1", n, r.id, r.decision.Round)
+		for id, d := range res.Decisions {
+			if d.Round != 1 {
+				t.Fatalf("n=%d node %d decided in round %d, convergence demands round 1", n, id, d.Round)
 			}
 		}
 	}
@@ -112,67 +56,82 @@ func TestDecomposedAllSameInputCommitsRoundOne(t *testing.T) {
 
 func TestDecomposedSplitInputsReachConsensus(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
-		n := 5
-		tFaults := 2
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed * 31)
 		inputs := []int{0, 1, 0, 1, 0}
-		results := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-			return RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(200))
-		})
-		checkAgreementValidity(t, results, inputs)
-		for _, r := range results {
-			if r.err != nil {
-				t.Fatalf("seed %d node %d: %v", seed, r.id, r.err)
-			}
-		}
+		mustAgree(t, runT(t, Config[int]{T: 2, Inputs: inputs, MaxRounds: 200, Seed: seed, RNG: sim.NewRNG(seed * 31)}, RunDecomposed), inputs)
 	}
 }
 
 func TestDecomposedToleratesCrashes(t *testing.T) {
-	const n, tFaults = 7, 3
 	for seed := uint64(0); seed < 5; seed++ {
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed)
 		inputs := []int{0, 1, 0, 1, 0, 1, 0}
 		// Crash 3 processors: one immediately, one after 5 sends (mid
 		// first broadcast), one after 20 sends.
-		nw.Crash(6)
-		nw.CrashAfterSends(5, 5)
-		nw.CrashAfterSends(4, 20)
-		results := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-			return RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(300))
-		})
-		live := results[:4]
-		for _, r := range live {
-			if r.err != nil {
-				t.Fatalf("seed %d: live node %d failed: %v", seed, r.id, r.err)
-			}
-		}
-		checkAgreementValidity(t, live, inputs)
+		crashes := []workload.CrashSpec{{Node: 6}, {Node: 5, AfterSends: 5}, {Node: 4, AfterSends: 20}}
+		mustAgree(t, runT(t, Config[int]{T: 3, Inputs: inputs, Crashes: crashes, MaxRounds: 300, Seed: seed, RNG: sim.NewRNG(seed)}, RunDecomposed), inputs)
 	}
 }
 
 func TestMonolithicMatchesDecomposedSafety(t *testing.T) {
-	const n, tFaults = 5, 2
 	inputs := []int{1, 0, 1, 0, 1}
 	for seed := uint64(0); seed < 6; seed++ {
-		nwM := netsim.New(n, netsim.WithSeed(seed))
-		rngM := sim.NewRNG(seed)
-		mono := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-			return RunMonolithic(ctx, nwM.Node(id), rngM.Fork(uint64(id)), tFaults, inputs[id], 200, nil)
-		})
-		checkAgreementValidity(t, mono, inputs)
+		for _, proc := range []Processor[int]{RunMonolithic, RunDecomposed} {
+			mustAgree(t, runT(t, Config[int]{T: 2, Inputs: inputs, MaxRounds: 200, Seed: seed, RNG: sim.NewRNG(seed)}, proc), inputs)
+		}
+	}
+}
 
-		nwD := netsim.New(n, netsim.WithSeed(seed))
-		rngD := sim.NewRNG(seed)
-		dec := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-			return RunDecomposed(ctx, nwD.Node(id), rngD.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(200))
-		})
-		checkAgreementValidity(t, dec, inputs)
+// TestRunLeavesCrashedProcessorsOut: the plan's processors are missing
+// from Outcomes but keep their errors; every other one is listed.
+func TestRunLeavesCrashedProcessorsOut(t *testing.T) {
+	inputs := []int{0, 1, 0, 1, 0}
+	res := runT(t, Config[int]{T: 2, Inputs: inputs, Crashes: []workload.CrashSpec{{Node: 3}, {Node: 1, AfterSends: 2}},
+		MaxRounds: 200, Seed: 4, RNG: sim.NewRNG(4)}, RunDecomposed)
+	mustAgree(t, res, inputs)
+	var listed []int
+	for _, o := range res.Outcomes() {
+		listed = append(listed, o.Node)
+	}
+	if fmt.Sprint(listed) != "[0 2 4]" || !res.Crashed[1] || !res.Crashed[3] {
+		t.Fatalf("outcomes list nodes %v, crashed %v; want [0 2 4] with 1 and 3 crashed", listed, res.Crashed)
+	}
+	for _, id := range []int{1, 3} {
+		if !errors.Is(res.Errs[id], msgnet.ErrCrashed) {
+			t.Errorf("crashed node %d: err = %v, want ErrCrashed", id, res.Errs[id])
+		}
+	}
+}
+
+// TestRunForksEachProcessorsCoins: processor id draws from RNG.Fork(id),
+// the stream every harness forked by hand before the runner.
+func TestRunForksEachProcessorsCoins(t *testing.T) {
+	draw := func(_ context.Context, _ msgnet.Endpoint, rng *sim.RNG, _ int, _ int, _ ...core.Option) (core.Decision[int], error) {
+		return core.Decision[int]{Value: rng.Intn(1 << 30), Round: rng.Intn(1 << 30)}, nil
+	}
+	res := runT(t, Config[int]{Inputs: make([]int, 4), RNG: sim.NewRNG(7)}, draw)
+	for id, d := range res.Decisions {
+		want := sim.NewRNG(7).Fork(uint64(id))
+		if d != (core.Decision[int]{Value: want.Intn(1 << 30), Round: want.Intn(1 << 30)}) {
+			t.Errorf("node %d drew %+v, not RNG.Fork(%d)'s stream", id, d, id)
+		}
+	}
+}
+
+// TestRunRecordsEveryProcessor: the recorder gets each processor's
+// template calls and decision under its own id, and the network's sends.
+func TestRunRecordsEveryProcessor(t *testing.T) {
+	rec := trace.NewRecorder()
+	runT(t, Config[int]{T: 2, Inputs: []int{0, 1, 0, 1, 1}, MaxRounds: 200, Seed: 9, RNG: sim.NewRNG(9), Recorder: rec}, RunDecomposed)
+	tr := rec.Snapshot()
+	returns, decides := map[int]bool{}, map[int]bool{}
+	for _, ev := range trace.Returns(tr, "vac") {
+		returns[ev.Node] = true
+	}
+	for _, ev := range trace.Decisions(tr) {
+		decides[ev.Node] = true
+	}
+	if len(returns) != 5 || len(decides) != 5 || trace.Summarize(tr).MessagesSent == 0 {
+		t.Fatalf("vac returns from %v, decisions from %v, %d sends; want all 5 nodes and the network's sends",
+			returns, decides, trace.Summarize(tr).MessagesSent)
 	}
 }
 
@@ -196,10 +155,10 @@ func TestVACRejectsBadParameters(t *testing.T) {
 func TestMonolithicRejectsBadParameters(t *testing.T) {
 	nw := netsim.New(4)
 	rng := sim.NewRNG(1)
-	if _, err := RunMonolithic(context.Background(), nw.Node(0), rng, 2, 0, 10, nil); err == nil {
+	if _, err := RunMonolithic(context.Background(), nw.Node(0), rng, 2, 0, core.WithMaxRounds(10)); err == nil {
 		t.Fatal("t=2, n=4 accepted")
 	}
-	if _, err := RunMonolithic(context.Background(), nw.Node(0), rng, 1, 5, 10, nil); err == nil {
+	if _, err := RunMonolithic(context.Background(), nw.Node(0), rng, 1, 5, core.WithMaxRounds(10)); err == nil {
 		t.Fatal("non-binary input accepted")
 	}
 }
@@ -213,9 +172,9 @@ type vacOutcome struct {
 }
 
 // oneVACRound runs a single VAC.Propose on every processor concurrently.
-func oneVACRound(t *testing.T, n, tFaults int, inputs []int, seed uint64) []vacOutcome {
+func oneVACRound(t *testing.T, n, tFaults int, inputs []int, seed uint64, opts ...netsim.Option) []vacOutcome {
 	t.Helper()
-	nw := netsim.New(n, netsim.WithSeed(seed))
+	nw := netsim.New(n, append([]netsim.Option{netsim.WithSeed(seed)}, opts...)...)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	outs := make([]vacOutcome, n)
@@ -321,21 +280,10 @@ func TestVACConvergence(t *testing.T) {
 
 func TestVACSurvivesDuplicatedMessages(t *testing.T) {
 	// Per-sender deduplication must keep thresholds honest even when the
-	// network duplicates every message.
-	const n, tFaults = 5, 2
-	nw := netsim.New(n, netsim.WithSeed(3), netsim.WithDupRate(1))
-	rng := sim.NewRNG(17)
-	inputs := []int{1, 1, 1, 1, 1}
-	results := runCluster(t, n, func(ctx context.Context, id int) (core.Decision[int], error) {
-		return RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-			core.WithMaxRounds(50))
-	})
-	for _, r := range results {
-		if r.err != nil {
-			t.Fatalf("node %d: %v", r.id, r.err)
-		}
-		if r.decision.Value != 1 {
-			t.Fatalf("node %d decided %d", r.id, r.decision.Value)
+	// network duplicates every message: unanimity still commits at once.
+	for _, o := range oneVACRound(t, 5, 2, []int{1, 1, 1, 1, 1}, 3, netsim.WithDupRate(1)) {
+		if o.err != nil || o.conf != core.Commit || o.val != 1 {
+			t.Fatalf("node %d: (%v, %d, %v), want (commit, 1)", o.id, o.conf, o.val, o.err)
 		}
 	}
 }

@@ -3,41 +3,22 @@ package benor_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ooc/internal/benor"
-	"ooc/internal/core"
-	"ooc/internal/netsim"
 	"ooc/internal/sim"
 )
 
 // ExampleRunDecomposed runs the paper's Ben-Or decomposition — VAC plus
-// coin-flip reconciliator under Algorithm 1 — for three processors with
-// unanimous inputs, which must commit in round one by VAC convergence.
+// coin-flip reconciliator under Algorithm 1 — on three simulated
+// processors with unanimous inputs, which must commit in round one by VAC
+// convergence.
 func ExampleRunDecomposed() {
-	const n, tFaults = 3, 1
-	nw := netsim.New(n, netsim.WithSeed(1))
-	rng := sim.NewRNG(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-
-	decisions := make([]core.Decision[int], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := benor.RunDecomposed(ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, 1,
-				core.WithMaxRounds(100))
-			if err != nil {
-				return
-			}
-			decisions[id] = d
-		}(id)
-	}
-	wg.Wait()
-	for id, d := range decisions {
+	res := benor.Run(ctx, benor.Config[int]{T: 1, Inputs: []int{1, 1, 1}, MaxRounds: 100, Seed: 1, RNG: sim.NewRNG(1)},
+		benor.RunDecomposed)
+	for id, d := range res.Decisions {
 		fmt.Printf("p%d: %d@%d\n", id, d.Value, d.Round)
 	}
 	// Output:

@@ -7,7 +7,6 @@ import (
 	"ooc/internal/core"
 	"ooc/internal/msgnet"
 	"ooc/internal/sim"
-	"ooc/internal/trace"
 )
 
 // RunMonolithic executes classic Ben-Or exactly as the survey
@@ -16,16 +15,18 @@ import (
 // variants exchange byte-identical message sequences, so any divergence
 // in rounds or message counts is attributable to the decomposition.
 //
-// maxRounds bounds the run (0 = unbounded); rec/node feed the trace.
+// Of the template's options it reads core.WithMaxRounds and
+// core.WithRecorder; the trace gets round starts and the decision.
 func RunMonolithic(
 	ctx context.Context,
 	node msgnet.Endpoint,
 	rng *sim.RNG,
 	t int,
 	v int,
-	maxRounds int,
-	rec *trace.Recorder,
+	opts ...core.Option,
 ) (core.Decision[int], error) {
+	o := core.OptionsFrom(opts...)
+	maxRounds, rec := o.MaxRounds, o.Recorder
 	n := node.N()
 	if 2*t >= n {
 		return core.Decision[int]{}, fmt.Errorf("benor: t=%d violates 2t < n with n=%d", t, n)
@@ -43,7 +44,7 @@ func RunMonolithic(
 		if err := ctx.Err(); err != nil {
 			return core.Decision[int]{}, err
 		}
-		rec.RoundStart(node.ID(), round)
+		rec.RoundStart(o.Node, round)
 		col.advance(round)
 
 		if err := node.Broadcast(Report[int]{Round: round, Value: v}); err != nil {
@@ -99,7 +100,7 @@ func RunMonolithic(
 			if err := node.Broadcast(Ratify[int]{Round: round + 1, Value: u, HasValue: true}); err != nil {
 				return core.Decision[int]{}, fmt.Errorf("benor: round %d commit echo: %w", round, err)
 			}
-			rec.Decide(node.ID(), round, u)
+			rec.Decide(o.Node, round, u)
 			return core.Decision[int]{Value: u, Round: round}, nil
 		case sawRatify:
 			v = u
@@ -125,6 +126,5 @@ func RunDecomposed(
 	if err != nil {
 		return core.Decision[int]{}, err
 	}
-	vac.Instrument(core.OptionsFrom(opts...).Metrics)
-	return core.RunVAC[int](ctx, vac, NewReconciliator(rng), v, opts...)
+	return vac.Consensus(ctx, NewReconciliator(rng), v, opts...)
 }

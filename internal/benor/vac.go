@@ -50,8 +50,8 @@ type VAC[V comparable] struct {
 	// ordered by sender.
 	counted []V
 
-	// Protocol-level counters; nil without Instrument, and nil counters
-	// no-op, so Propose carries no metric branches.
+	// Protocol-level counters; nil until Consensus runs with a registry,
+	// and nil counters no-op, so Propose carries no metric branches.
 	rounds    *metrics.Counter
 	ratified  *metrics.Counter // phase-2 broadcasts that carried a value
 	questions *metrics.Counter // phase-2 broadcasts that asked "?"
@@ -80,16 +80,18 @@ func newVAC[V comparable](node msgnet.Endpoint, t int, in func(V) bool) (*VAC[V]
 	return &VAC[V]{node: node, t: t, in: in, col: newCollector[V](node)}, nil
 }
 
-// Instrument attaches protocol-level counters: rounds run, and how often
-// phase 2 ratified a majority value versus asking "?". The ratio is the
-// protocol's own view of how close it is to convergence.
-func (va *VAC[V]) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
+// Consensus runs Algorithm 1, the core.RunVAC template, over this VAC and
+// rec. With core.WithMetrics it first attaches the VAC's own counters,
+// for either value domain: rounds run, and how often phase 2 ratified a
+// majority value versus asking "?" — the protocol's own view of how close
+// it is to convergence.
+func (va *VAC[V]) Consensus(ctx context.Context, rec core.Reconciliator[V], v V, opts ...core.Option) (core.Decision[V], error) {
+	if reg := core.OptionsFrom(opts...).Metrics; reg != nil {
+		va.rounds = reg.Counter("benor_vac_rounds_total")
+		va.ratified = reg.Counter("benor_vac_ratify_value_total")
+		va.questions = reg.Counter("benor_vac_ratify_question_total")
 	}
-	va.rounds = reg.Counter("benor_vac_rounds_total")
-	va.ratified = reg.Counter("benor_vac_ratify_value_total")
-	va.questions = reg.Counter("benor_vac_ratify_question_total")
+	return core.RunVAC[V](ctx, va, rec, v, opts...)
 }
 
 // Reports returns the values of the phase-1 reports the last round

@@ -159,6 +159,11 @@ type Options struct {
 	// requires ("every algorithm continues to participate in the overall
 	// consensus template even after deciding"). Requires MaxRounds > 0.
 	KeepParticipating bool
+	// FinalValue is the classical Phase-King rule: a commit does not
+	// decide; after all MaxRounds rounds the processor decides the
+	// preference it then holds, whether or not any round committed.
+	// Implies KeepParticipating, so it requires MaxRounds > 0.
+	FinalValue bool
 	// Recorder, if non-nil, receives invoke/return/decide events.
 	Recorder *trace.Recorder
 	// Node identifies this processor in trace events.
@@ -179,6 +184,10 @@ func WithMaxRounds(m int) Option { return func(o *Options) { o.MaxRounds = m } }
 // WithKeepParticipating keeps the processor in the protocol after it
 // decides, until MaxRounds elapse.
 func WithKeepParticipating() Option { return func(o *Options) { o.KeepParticipating = true } }
+
+// WithFinalValue decides the preference held after round MaxRounds; see
+// Options.FinalValue.
+func WithFinalValue() Option { return func(o *Options) { o.FinalValue = true } }
 
 // WithRecorder attaches a trace recorder identifying this processor as
 // node.
@@ -215,8 +224,9 @@ func OptionsFrom(opts ...Option) Options {
 
 func buildOptions(opts []Option) (Options, error) {
 	o := OptionsFrom(opts...)
+	o.KeepParticipating = o.KeepParticipating || o.FinalValue
 	if o.KeepParticipating && o.MaxRounds <= 0 {
-		return o, errors.New("core: KeepParticipating requires MaxRounds > 0")
+		return o, errors.New("core: KeepParticipating and FinalValue require MaxRounds > 0")
 	}
 	return o, nil
 }
@@ -233,14 +243,15 @@ type objectMetrics struct {
 }
 
 // newObjectMetrics resolves instruments for a detector ("vac"/"ac") and
-// its stalemate breaker ("reconciliator"/"conciliator").
-func newObjectMetrics(o Options, detector, breaker string) objectMetrics {
+// its stalemate breaker ("reconciliator"/"conciliator"), one per level
+// the detector may return: floor through Commit.
+func newObjectMetrics(o Options, floor Confidence, detector, breaker string) objectMetrics {
 	om := objectMetrics{node: o.Node}
 	if o.Metrics == nil {
 		return om
 	}
 	om.enabled = true
-	for c := Vacillate; c <= Commit; c++ {
+	for c := floor; c <= Commit; c++ {
 		om.detector[c] = o.Metrics.Histogram(
 			metrics.Label("ooc_object_invoke_seconds", "object", detector, "outcome", c.String()), nil)
 	}
@@ -358,7 +369,7 @@ func run[V comparable](
 		return Decision[V]{}, err
 	}
 	detector, breaker := objectNames[floor][0], objectNames[floor][1]
-	om := newObjectMetrics(o, detector, breaker)
+	om := newObjectMetrics(o, floor, detector, breaker)
 
 	var (
 		decision Decision[V]
@@ -366,6 +377,10 @@ func run[V comparable](
 	)
 	for m := 1; ; m++ {
 		if o.MaxRounds > 0 && m > o.MaxRounds {
+			if o.FinalValue {
+				o.Recorder.Decide(o.Node, o.MaxRounds, v)
+				return Decision[V]{Value: v, Round: o.MaxRounds}, nil
+			}
 			if decided {
 				return decision, nil
 			}
@@ -398,7 +413,7 @@ func run[V comparable](
 			o.Recorder.Return(o.Node, m, breaker, v)
 		case x == Commit:
 			v = sigma
-			if !decided {
+			if !decided && !o.FinalValue {
 				decided = true
 				decision = Decision[V]{Value: sigma, Round: m}
 				o.Recorder.Decide(o.Node, m, sigma)

@@ -217,15 +217,57 @@ func TestRunVACKeepParticipating(t *testing.T) {
 func TestRunVACKeepParticipatingRequiresBound(t *testing.T) {
 	// Options are checked before any object's Init runs.
 	for _, tpl := range templates {
-		det := &initVAC{VACFunc: func(_ context.Context, v int, _ int) (Confidence, int, error) {
-			return Commit, v, nil
-		}}
-		_, err := tpl.run(context.Background(), det, breakTo(0), 4, WithKeepParticipating())
-		if err == nil {
-			t.Errorf("%s: KeepParticipating without MaxRounds accepted", tpl.name)
+		for name, opt := range map[string]Option{"KeepParticipating": WithKeepParticipating(), "FinalValue": WithFinalValue()} {
+			det := &initVAC{VACFunc: func(_ context.Context, v int, _ int) (Confidence, int, error) {
+				return Commit, v, nil
+			}}
+			_, err := tpl.run(context.Background(), det, breakTo(0), 4, opt)
+			if err == nil {
+				t.Errorf("%s: %s without MaxRounds accepted", tpl.name, name)
+			}
+			if det.inits != 0 {
+				t.Errorf("%s: Init ran %d times before %s was rejected", tpl.name, det.inits, name)
+			}
 		}
-		if det.inits != 0 {
-			t.Errorf("%s: Init ran %d times before the options were rejected", tpl.name, det.inits)
+	}
+}
+
+// TestFinalValueDecidesAfterTheLastRound: under the classical rule a
+// commit does not decide; the preference held after round MaxRounds is
+// decided there, once, even when no round committed.
+func TestFinalValueDecidesAfterTheLastRound(t *testing.T) {
+	for _, tpl := range templates {
+		for _, tc := range []struct {
+			name string
+			det  VACFunc[int]
+		}{
+			{"commit 0 then adopt 1", func(_ context.Context, _ int, round int) (Confidence, int, error) {
+				if round == 1 {
+					return Commit, 0, nil
+				}
+				return Adopt, 1, nil
+			}},
+			{"never commits", func(_ context.Context, v int, _ int) (Confidence, int, error) {
+				return tpl.floor, v, nil
+			}},
+		} {
+			rec := trace.NewRecorder()
+			calls := 0
+			det := VACFunc[int](func(ctx context.Context, v int, round int) (Confidence, int, error) {
+				calls++
+				return tc.det(ctx, v, round)
+			})
+			d, err := tpl.run(context.Background(), det, breakTo(1), 0,
+				WithMaxRounds(4), WithFinalValue(), WithRecorder(rec, 0))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tpl.name, tc.name, err)
+			}
+			if d != (Decision[int]{Value: 1, Round: 4}) || calls != 4 {
+				t.Errorf("%s, %s: decision %+v after %d rounds, want {1 4} after 4", tpl.name, tc.name, d, calls)
+			}
+			if decides := trace.Decisions(rec.Snapshot()); len(decides) != 1 || decides[0].Round != 4 {
+				t.Errorf("%s, %s: decide events %+v, want one at round 4", tpl.name, tc.name, decides)
+			}
 		}
 	}
 }
@@ -364,6 +406,14 @@ func TestRunVACRecordsTrace(t *testing.T) {
 			}
 		}
 		hists := reg.Snapshot().Histograms
+		// A detector's series are the levels it may return: an AC's
+		// vacillate series would only ever count a contract violation.
+		for c := Vacillate; c <= Commit; c++ {
+			name := metrics.Label("ooc_object_invoke_seconds", "object", tpl.detector, "outcome", c.String())
+			if _, ok := hists[name]; ok != (c >= tpl.floor) {
+				t.Errorf("%s: %s registered = %v, want %v", tpl.name, name, ok, c >= tpl.floor)
+			}
+		}
 		for _, call := range [][2]string{
 			{tpl.detector, tpl.floor.String()},
 			{tpl.detector, "commit"},

@@ -8,8 +8,6 @@ import (
 
 	"ooc/internal/benor"
 	"ooc/internal/checker"
-	"ooc/internal/core"
-	"ooc/internal/netsim"
 	"ooc/internal/sim"
 	"ooc/internal/workload"
 )
@@ -83,41 +81,11 @@ func benOrScenario(n int) Scenario {
 		rng := sim.NewRNG(seed)
 		inputs := workload.BinaryInputs(workload.SplitRandom, n, rng)
 		crashes := workload.CrashPlan(n, int(seed)%(tFaults+1), rng)
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		crashed := map[int]bool{}
-		for _, c := range crashes {
-			crashed[c.Node] = true
-			if c.AfterSends == 0 {
-				nw.Crash(c.Node)
-			} else {
-				nw.CrashAfterSends(c.Node, c.AfterSends)
-			}
-		}
 		runCtx, cancel := context.WithTimeout(ctx, time.Minute)
 		defer cancel()
-		outs := make([]checker.RunOutcome[int], 0, n)
-		results := make([]checker.RunOutcome[int], n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				d, err := benor.RunDecomposed(runCtx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-					core.WithMaxRounds(3000))
-				if err == nil {
-					results[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-				} else {
-					results[id] = checker.RunOutcome[int]{Node: id}
-				}
-			}(id)
-		}
-		wg.Wait()
-		for _, o := range results {
-			if !crashed[o.Node] {
-				outs = append(outs, o)
-			}
-		}
-		return checker.CheckConsensus(outs, workload.InputsToMap(inputs), len(crashes) == 0)
+		res := benor.Run(runCtx, benor.Config[int]{T: tFaults, Inputs: inputs, Crashes: crashes,
+			MaxRounds: 3000, Seed: seed, RNG: rng}, benor.RunDecomposed)
+		return checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), len(crashes) == 0)
 	}
 }
 

@@ -63,5 +63,5 @@ func RunDecomposed[V comparable](
 	if err != nil {
 		return core.Decision[V]{}, err
 	}
-	return core.RunVAC[V](ctx, vac, NewReconciliator[V](vac, rng), v, opts...)
+	return vac.Consensus(ctx, NewReconciliator[V](vac, rng), v, opts...)
 }

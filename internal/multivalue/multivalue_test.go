@@ -11,40 +11,25 @@ import (
 	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/core"
+	"ooc/internal/metrics"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
+	"ooc/internal/workload"
 )
 
-func runCluster[V comparable](
-	t *testing.T,
-	nw *netsim.Network,
-	tFaults int,
-	inputs []V,
-	rng *sim.RNG,
-	maxRounds int,
-) []checker.RunOutcome[V] {
+// runCluster runs the multivalued protocol through benor.Run and returns
+// the outcomes of the processors the crash plan spared.
+func runCluster[V comparable](t *testing.T, cfg benor.Config[V]) []checker.RunOutcome[V] {
 	t.Helper()
-	n := len(inputs)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	outs := make([]checker.RunOutcome[V], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := RunDecomposed[V](ctx, nw.Node(id), rng.Fork(uint64(id)), tFaults, inputs[id],
-				core.WithMaxRounds(maxRounds))
-			if err == nil {
-				outs[id] = checker.RunOutcome[V]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-			} else {
-				t.Logf("node %d: %v", id, err)
-				outs[id] = checker.RunOutcome[V]{Node: id}
-			}
-		}(id)
+	res := benor.Run(ctx, cfg, RunDecomposed[V])
+	for id, err := range res.Errs {
+		if err != nil {
+			t.Logf("node %d: %v", id, err)
+		}
 	}
-	wg.Wait()
-	return outs
+	return res.Outcomes()
 }
 
 func inputMap[V comparable](inputs []V) map[int]V {
@@ -58,13 +43,11 @@ func inputMap[V comparable](inputs []V) map[int]V {
 func TestAllDistinctValuesReachConsensus(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		const n, tFaults = 5, 2
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed * 13)
 		inputs := make([]string, n)
 		for id := range inputs {
 			inputs[id] = fmt.Sprintf("value-%d", id)
 		}
-		outs := runCluster(t, nw, tFaults, inputs, rng, 3000)
+		outs := runCluster(t, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 3000, Seed: seed, RNG: sim.NewRNG(seed * 13)})
 		if rep := checker.CheckConsensus(outs, inputMap(inputs), true); !rep.Ok() {
 			t.Fatalf("seed %d: %v", seed, rep)
 		}
@@ -73,13 +56,11 @@ func TestAllDistinctValuesReachConsensus(t *testing.T) {
 
 func TestUnanimousCommitsRoundOne(t *testing.T) {
 	const n, tFaults = 7, 3
-	nw := netsim.New(n, netsim.WithSeed(3))
-	rng := sim.NewRNG(4)
 	inputs := make([]string, n)
 	for id := range inputs {
 		inputs[id] = "same"
 	}
-	outs := runCluster(t, nw, tFaults, inputs, rng, 100)
+	outs := runCluster(t, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 100, Seed: 3, RNG: sim.NewRNG(4)})
 	for _, o := range outs {
 		if !o.Decided || o.Value != "same" || o.Round != 1 {
 			t.Fatalf("convergence violated: %+v", o)
@@ -90,25 +71,12 @@ func TestUnanimousCommitsRoundOne(t *testing.T) {
 func TestToleratesCrashes(t *testing.T) {
 	const n, tFaults = 7, 3
 	for seed := uint64(0); seed < 5; seed++ {
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed + 100)
 		inputs := make([]string, n)
 		for id := range inputs {
 			inputs[id] = fmt.Sprintf("v%d", id%3)
 		}
-		nw.Crash(6)
-		nw.CrashAfterSends(5, 4)
-		nw.CrashAfterSends(4, 15)
-		outs := runCluster(t, nw, tFaults, inputs, rng, 3000)
-		var live []checker.RunOutcome[string]
-		for _, o := range outs {
-			if o.Node < 4 {
-				if !o.Decided {
-					t.Fatalf("seed %d: live node %d undecided", seed, o.Node)
-				}
-				live = append(live, o)
-			}
-		}
+		crashes := []workload.CrashSpec{{Node: 6}, {Node: 5, AfterSends: 4}, {Node: 4, AfterSends: 15}}
+		live := runCluster(t, benor.Config[string]{T: tFaults, Inputs: inputs, Crashes: crashes, MaxRounds: 3000, Seed: seed, RNG: sim.NewRNG(seed + 100)})
 		if rep := checker.CheckConsensus(live, inputMap(inputs), true); !rep.Ok() {
 			t.Fatalf("seed %d: %v", seed, rep)
 		}
@@ -117,10 +85,8 @@ func TestToleratesCrashes(t *testing.T) {
 
 func TestIntValuesWork(t *testing.T) {
 	const n, tFaults = 4, 1
-	nw := netsim.New(n, netsim.WithSeed(11))
-	rng := sim.NewRNG(11)
 	inputs := []int{100, 200, 300, 100}
-	outs := runCluster(t, nw, tFaults, inputs, rng, 3000)
+	outs := runCluster(t, benor.Config[int]{T: tFaults, Inputs: inputs, MaxRounds: 3000, Seed: 11, RNG: sim.NewRNG(11)})
 	if rep := checker.CheckConsensus(outs, inputMap(inputs), true); !rep.Ok() {
 		t.Fatal(rep)
 	}
@@ -270,14 +236,23 @@ func TestNewVACRejectsBadBounds(t *testing.T) {
 
 func TestLargeDomainManyNodes(t *testing.T) {
 	const n, tFaults = 9, 4
-	nw := netsim.New(n, netsim.WithSeed(21))
-	rng := sim.NewRNG(21)
 	inputs := make([]string, n)
 	for id := range inputs {
 		inputs[id] = fmt.Sprintf("candidate-%d", id)
 	}
-	outs := runCluster(t, nw, tFaults, inputs, rng, 10000)
+	outs := runCluster(t, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 10000, Seed: 21, RNG: sim.NewRNG(21)})
 	if rep := checker.CheckConsensus(outs, inputMap(inputs), true); !rep.Ok() {
 		t.Fatal(rep)
+	}
+}
+
+// TestVACCountsMultivaluedRounds: the multivalued run attaches the VAC's
+// protocol counters to the run's registry, as the binary one does.
+func TestVACCountsMultivaluedRounds(t *testing.T) {
+	reg := metrics.NewRegistry()
+	inputs := []string{"a", "b", "c", "a", "b"}
+	runCluster(t, benor.Config[string]{T: 2, Inputs: inputs, MaxRounds: 3000, Seed: 3, RNG: sim.NewRNG(3), Metrics: reg})
+	if got := reg.Snapshot().Counters["benor_vac_rounds_total"]; got <= 0 {
+		t.Fatalf("benor_vac_rounds_total = %v after a multivalued run, want > 0", got)
 	}
 }

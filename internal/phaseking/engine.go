@@ -10,8 +10,9 @@
 // Every phase costs three synchronous exchanges: two inside the
 // AdoptCommit and one king broadcast inside the Conciliator. The paper
 // notes that, unlike the generic template, Phase-King processors keep
-// participating after they decide; the runner uses
-// core.WithKeepParticipating accordingly.
+// participating after they decide; the runner keeps them in under either
+// decision rule (core.WithKeepParticipating, or core.WithFinalValue for
+// the classical rule), so both rules run the template's one round loop.
 //
 // # A soundness caveat found during reproduction
 //

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ooc/internal/core"
+	"ooc/internal/metrics"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
 )
@@ -207,6 +208,25 @@ func TestBaselineMatchesDecomposed(t *testing.T) {
 	}
 }
 
+// TestBothRulesExportObjectMetrics: both decision rules run the
+// template's round loop, so both export its per-object invoke histograms.
+func TestBothRulesExportObjectMetrics(t *testing.T) {
+	inputs := correctInputs([]int{0, 1, 2, 3}, []int{0, 1, 1, 0})
+	for _, rule := range []DecisionRule{RuleFirstCommit, RuleFinalValue} {
+		reg := metrics.NewRegistry()
+		mustRun(t, Config{N: 4, T: 1, Inputs: inputs, Rule: rule, Metrics: reg})
+		hists := reg.Snapshot().Histograms
+		// Round 1 splits 2–2, so all adopt and take the king's value;
+		// rounds 2 and 3 commit it.
+		for call, want := range map[[2]string]int64{{"ac", "adopt"}: 4, {"ac", "commit"}: 8, {"conciliator", "value"}: 4} {
+			name := metrics.Label("ooc_object_invoke_seconds", "object", call[0], "outcome", call[1])
+			if got := hists[name].Count; got != want {
+				t.Errorf("rule %d: %s count = %d, want %d", rule, name, got, want)
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -231,6 +251,11 @@ func TestConfigValidation(t *testing.T) {
 			want: "exceed",
 		},
 		{
+			name: "unknown rule",
+			cfg:  Config{N: 4, T: 1, Inputs: map[int]int{0: 0, 1: 0, 2: 0, 3: 0}, Rule: RuleFinalValue + 1},
+			want: "unknown decision rule",
+		},
+		{
 			name: "overlap",
 			cfg: Config{N: 4, T: 1,
 				Inputs:    map[int]int{0: 0, 1: 0, 2: 0, 3: 0},
@@ -241,8 +266,9 @@ func TestConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(ctxT(t), tc.cfg)
-			if err == nil {
-				// The fault-bound case surfaces per-processor.
+			if err == nil && tc.name == "fault bound" {
+				// The fault bound surfaces per-processor; every other
+				// case is rejected before the run.
 				bad := false
 				for _, e := range res.Errs {
 					if e != nil {
@@ -254,7 +280,7 @@ func TestConfigValidation(t *testing.T) {
 				}
 				return
 			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})

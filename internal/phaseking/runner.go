@@ -2,7 +2,6 @@ package phaseking
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -26,6 +25,15 @@ const (
 	RuleFinalValue
 )
 
+// option is the template setting that carries out the rule: both keep
+// the processor in every phase.
+func (r DecisionRule) option() core.Option {
+	if r == RuleFinalValue {
+		return core.WithFinalValue()
+	}
+	return core.WithKeepParticipating()
+}
+
 // Config describes one Phase-King execution.
 type Config struct {
 	// N is the total processor count; T the Byzantine bound, 3T < N.
@@ -43,8 +51,8 @@ type Config struct {
 	Rule DecisionRule
 	// Recorder, if non-nil, receives the run's trace.
 	Recorder *trace.Recorder
-	// Metrics, if non-nil, receives exchange counters and per-object
-	// invoke-latency histograms.
+	// Metrics, if non-nil, receives exchange counters and, under Run with
+	// either rule, the template's per-object invoke-latency histograms.
 	Metrics *metrics.Registry
 }
 
@@ -54,6 +62,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Rule == 0 {
 		c.Rule = RuleFirstCommit
+	}
+	if c.Rule != RuleFirstCommit && c.Rule != RuleFinalValue {
+		return fmt.Errorf("phaseking: unknown decision rule %d", c.Rule)
 	}
 	if len(c.Inputs)+len(c.Byzantine) != c.N {
 		return fmt.Errorf("phaseking: %d inputs + %d byzantine != n=%d",
@@ -175,52 +186,19 @@ func runDecomposedProcessor(ctx context.Context, net *netsim.SyncNetwork, id int
 		return core.Decision[int]{}, err
 	}
 	ac.e.instrument(cfg.Metrics)
-	switch cfg.Rule {
-	case RuleFirstCommit:
-		d, err := core.RunAC[int](ctx, ac, con, cfg.Inputs[id],
-			core.WithMaxRounds(cfg.Rounds),
-			core.WithKeepParticipating(),
-			core.WithRecorder(cfg.Recorder, id),
-			core.WithMetrics(cfg.Metrics),
-		)
-		if err != nil {
-			return core.Decision[int]{}, err
-		}
-		// If the final round committed, its king exchange was skipped;
-		// perform it so every processor leaves the barrier aligned.
-		if err := ac.syncToEnd(ctx, cfg.Rounds, d.Value); err != nil {
-			return core.Decision[int]{}, err
-		}
-		return d, nil
-
-	case RuleFinalValue:
-		v := cfg.Inputs[id]
-		for m := 1; m <= cfg.Rounds; m++ {
-			cfg.Recorder.Invoke(id, m, "ac", v)
-			x, sigma, err := ac.Propose(ctx, v, m)
-			if err != nil {
-				return core.Decision[int]{}, err
-			}
-			cfg.Recorder.Return(id, m, "ac", [2]any{x, sigma})
-			if x == core.Commit {
-				v = sigma
-				continue
-			}
-			cfg.Recorder.Invoke(id, m, "conciliator", sigma)
-			v, err = con.Conciliate(ctx, x, sigma, m)
-			if err != nil {
-				return core.Decision[int]{}, err
-			}
-			cfg.Recorder.Return(id, m, "conciliator", v)
-		}
-		if err := ac.syncToEnd(ctx, cfg.Rounds, v); err != nil {
-			return core.Decision[int]{}, err
-		}
-		d := core.Decision[int]{Value: clampBinary(v), Round: cfg.Rounds}
-		cfg.Recorder.Decide(id, cfg.Rounds, d.Value)
-		return d, nil
-
-	default:
-		return core.Decision[int]{}, errors.New("phaseking: unknown decision rule")
+	d, err := core.RunAC[int](ctx, ac, con, cfg.Inputs[id],
+		core.WithMaxRounds(cfg.Rounds),
+		cfg.Rule.option(),
+		core.WithRecorder(cfg.Recorder, id),
+		core.WithMetrics(cfg.Metrics),
+	)
+	if err != nil {
+		return core.Decision[int]{}, err
 	}
+	// If the final round committed, its king exchange was skipped;
+	// perform it so every processor leaves the barrier aligned.
+	if err := ac.syncToEnd(ctx, cfg.Rounds, d.Value); err != nil {
+		return core.Decision[int]{}, err
+	}
+	return d, nil
 }
