@@ -20,7 +20,6 @@ import (
 	"ooc/internal/benor"
 	"ooc/internal/checker"
 	"ooc/internal/codec"
-	"ooc/internal/core"
 	"ooc/internal/multivalue"
 	"ooc/internal/netsim"
 	"ooc/internal/phaseking"
@@ -54,6 +53,19 @@ func benchBenOr(b *testing.B, decomposed bool, n int, split workload.Split) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benOrTrial(b, decomposed, n, split, uint64(i)+1)
+	}
+}
+
+// mustAgreeAll fails b unless every processor of res decided one value.
+func mustAgreeAll[V comparable](b *testing.B, res checker.Execution[V]) {
+	b.Helper()
+	if err := errors.Join(res.Errs...); err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range res.Decisions {
+		if d.Value != res.Decisions[0].Value {
+			b.Fatal("agreement violated")
+		}
 	}
 }
 
@@ -162,87 +174,24 @@ func BenchmarkEAKingDiversion(b *testing.B) {
 // BenchmarkE5RaftConsensus: experiment E5 — Raft single-decree consensus
 // via D&S (n=3, real timers on the simulated network).
 func BenchmarkE5RaftConsensus(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		const n = 3
-		seed := uint64(i) + 1
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cns := make([]*raft.ConsensusNode, n)
-		for id := 0; id < n; id++ {
-			cn, err := raft.NewConsensusNode(raft.Config{
-				ID:                id,
-				Endpoint:          nw.Node(id),
-				RNG:               rng.Fork(uint64(id)),
-				ElectionTimeout:   20 * time.Millisecond,
-				HeartbeatInterval: 4 * time.Millisecond,
-			}, fmt.Sprintf("v%d", id))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cns[id] = cn
-		}
-		results := make([]any, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				results[id], _ = cns[id].Run(ctx)
-			}(id)
-		}
-		wg.Wait()
-		cancel()
-		for id := 1; id < n; id++ {
-			if results[id] != results[0] {
-				b.Fatal("agreement violated")
-			}
-		}
-	}
+	benchmarkRaft(b, raft.Decree[string]{})
 }
 
 // BenchmarkE6RaftVAC: experiment E6 — the VAC view of Raft under the
 // generic template (n=3).
 func BenchmarkE6RaftVAC(b *testing.B) {
+	benchmarkRaft(b, raft.VACConsensus[string]{})
+}
+
+// benchmarkRaft runs one n=3 execution of proc per iteration.
+func benchmarkRaft(b *testing.B, proc raft.Processor[string]) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		const n = 3
-		seed := uint64(i) + 1
-		nw := netsim.New(n, netsim.WithSeed(seed))
-		rng := sim.NewRNG(seed)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		decisions := make([]core.Decision[string], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			node, err := raft.NewNode(raft.Config{
-				ID:                id,
-				Endpoint:          nw.Node(id),
-				RNG:               rng.Fork(uint64(id)),
-				ElectionTimeout:   20 * time.Millisecond,
-				HeartbeatInterval: 4 * time.Millisecond,
-				ManualCampaign:    true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wg.Add(1)
-			go func(id int, node *raft.Node) {
-				defer wg.Done()
-				decisions[id], errs[id] = raft.RunVACConsensus[string](ctx, node, fmt.Sprintf("v%d", id))
-			}(id, node)
-		}
-		wg.Wait()
+		res := raft.Run(ctx, raft.RunConfig[string]{Inputs: []string{"v0", "v1", "v2"}, Seed: uint64(i) + 1,
+			ElectionTimeout: 20 * time.Millisecond, HeartbeatInterval: 4 * time.Millisecond}, proc)
 		cancel()
-		for id := 0; id < n; id++ {
-			if errs[id] != nil {
-				b.Fatal(errs[id])
-			}
-			if decisions[id].Value != decisions[0].Value {
-				b.Fatal("agreement violated")
-			}
-		}
+		mustAgreeAll(b, res)
 	}
 }
 
@@ -417,14 +366,7 @@ func BenchmarkE11Multivalued(b *testing.B) {
 		res := benor.Run(ctx, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 20000, Seed: seed, RNG: rng},
 			multivalue.RunDecomposed[string])
 		cancel()
-		if err := errors.Join(res.Errs...); err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range res.Decisions {
-			if d.Value != res.Decisions[0].Value {
-				b.Fatal("agreement violated")
-			}
-		}
+		mustAgreeAll(b, res)
 	}
 }
 
@@ -433,32 +375,16 @@ func BenchmarkE11Multivalued(b *testing.B) {
 func BenchmarkE12SharedMemory(b *testing.B) {
 	b.ReportAllocs()
 	const n = 8
+	inputs := make([]int, n)
+	for id := range inputs {
+		inputs[id] = id % 2
+	}
 	for i := 0; i < b.N; i++ {
-		seed := uint64(i) + 1
-		rng := sim.NewRNG(seed)
-		cons := sharedmem.NewConsensus(n)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		decisions := make([]core.Decision[int], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				decisions[id], errs[id] = cons.Run(ctx, id, rng.Fork(uint64(id)), id%2,
-					core.WithMaxRounds(20000))
-			}(id)
-		}
-		wg.Wait()
+		res := sharedmem.Run(ctx, sharedmem.Config{Inputs: inputs, RNG: sim.NewRNG(uint64(i) + 1), MaxRounds: 20000},
+			sharedmem.NewConsensus(n).Run)
 		cancel()
-		for id := 0; id < n; id++ {
-			if errs[id] != nil {
-				b.Fatal(errs[id])
-			}
-			if decisions[id].Value != decisions[0].Value {
-				b.Fatal("agreement violated")
-			}
-		}
+		mustAgreeAll(b, res)
 	}
 }
 

@@ -22,14 +22,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"ooc/internal/benor"
-	"ooc/internal/core"
 	"ooc/internal/metrics"
 	"ooc/internal/multivalue"
-	"ooc/internal/netsim"
 	"ooc/internal/phaseking"
 	"ooc/internal/raft"
 	"ooc/internal/sharedmem"
@@ -262,59 +259,26 @@ func runPhaseKing(ctx context.Context, n int, seed uint64, splitName string, byz
 }
 
 func runRaft(ctx context.Context, n int, seed uint64, crashLeader bool) error {
-	rec := newRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec), netsim.WithMetrics(metReg))
-	rng := sim.NewRNG(seed)
-	cns := make([]*raft.ConsensusNode, n)
-	for id := 0; id < n; id++ {
-		cn, err := raft.NewConsensusNode(raft.Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   50 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			Metrics:           metReg,
-		}, fmt.Sprintf("value-of-p%d", id))
-		if err != nil {
-			return err
-		}
-		cns[id] = cn
+	inputs := make([]string, n)
+	for id := range inputs {
+		inputs[id] = fmt.Sprintf("value-of-p%d", id)
 	}
-	if crashLeader {
-		go func() {
-			for ctx.Err() == nil {
-				for id := range cns {
-					if cns[id].Node().Status().State == raft.Leader {
-						fmt.Printf("injecting crash of leader p%d\n", id)
-						nw.Crash(id)
-						return
-					}
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
-	}
-	results := make([]any, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	cfg := raft.RunConfig[string]{Inputs: inputs, Seed: seed, ElectionTimeout: 50 * time.Millisecond,
+		HeartbeatInterval: 10 * time.Millisecond, CrashLeader: crashLeader, Recorder: newRecorder(), Metrics: metReg}
 	start := time.Now()
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			results[id], errs[id] = cns[id].Run(ctx)
-		}(id)
-	}
-	wg.Wait()
+	res := raft.Run(ctx, cfg, raft.Decree[string]{})
 	fmt.Printf("raft single-decree: n=%d crash-leader=%v elapsed=%v\n", n, crashLeader, time.Since(start).Round(time.Millisecond))
-	for id := range cns {
-		if errs[id] != nil {
-			fmt.Printf("  p%d: error: %v (crashed=%v)\n", id, errs[id], nw.Crashed(id))
-			continue
+	for id, d := range res.Decisions {
+		switch {
+		case res.Crashed[id]:
+			fmt.Printf("  p%d: crashed as the first leader\n", id)
+		case res.Errs[id] != nil:
+			fmt.Printf("  p%d: error: %v\n", id, res.Errs[id])
+		default:
+			fmt.Printf("  p%d: decided %v (term %d)\n", id, d.Value, d.Round)
 		}
-		fmt.Printf("  p%d: decided %v (term %d)\n", id, results[id], cns[id].Node().Status().Term)
 	}
-	finishTrace(rec)
+	finishTrace(cfg.Recorder)
 	return nil
 }
 
@@ -351,29 +315,14 @@ func runSharedMem(ctx context.Context, n int, seed uint64, splitName string, max
 	}
 	rng := sim.NewRNG(seed)
 	inputs := workload.BinaryInputs(split, n, rng)
-	cons := sharedmem.NewConsensus(n)
-	type out struct {
-		d   core.Decision[int]
-		err error
-	}
-	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := cons.Run(ctx, id, rng.Fork(uint64(id)), inputs[id], core.WithMaxRounds(maxRounds*10))
-			outs[id] = out{d, err}
-		}(id)
-	}
-	wg.Wait()
+	res := sharedmem.Run(ctx, sharedmem.Config{Inputs: inputs, RNG: rng, MaxRounds: maxRounds * 10}, sharedmem.NewConsensus(n).Run)
 	fmt.Printf("shared-memory: n=%d split=%v inputs=%v\n", n, split, inputs)
-	for id, o := range outs {
-		if o.err != nil {
-			fmt.Printf("  p%d: error: %v\n", id, o.err)
+	for id, d := range res.Decisions {
+		if res.Errs[id] != nil {
+			fmt.Printf("  p%d: error: %v\n", id, res.Errs[id])
 			continue
 		}
-		fmt.Printf("  p%d: decided %d in round %d\n", id, o.d.Value, o.d.Round)
+		fmt.Printf("  p%d: decided %d in round %d\n", id, d.Value, d.Round)
 	}
 	return nil
 }

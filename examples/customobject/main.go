@@ -13,9 +13,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"ooc/internal/adapters"
@@ -56,29 +56,22 @@ func main() {
 	// processors — the substrate the composite VAC is built from.
 	store1 := sharedmem.NewACStore(n)
 	store2 := sharedmem.NewACStore(n)
-	rng := sim.NewRNG(123)
+	proc := func(ctx context.Context, id int, rng *sim.RNG, v int, opts ...core.Option) (core.Decision[int], error) {
+		// The Section 5 construction: commit iff both ACs commit,
+		// adopt iff only the second does, vacillate otherwise.
+		vac := adapters.NewVACFromACs[int](store1.Object(id), store2.Object(id))
+		return core.RunVAC[int](ctx, vac, &driftingCoin{rng: rng}, v, opts...)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	var wg sync.WaitGroup
-	decisions := make([]core.Decision[int], n)
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// The Section 5 construction: commit iff both ACs commit,
-			// adopt iff only the second does, vacillate otherwise.
-			vac := adapters.NewVACFromACs[int](store1.Object(id), store2.Object(id))
-			rec := &driftingCoin{rng: rng.Fork(uint64(id))}
-			d, err := core.RunVAC[int](ctx, vac, rec, inputs[id], core.WithMaxRounds(500))
-			if err != nil {
-				log.Fatalf("p%d: %v", id, err)
-			}
-			decisions[id] = d
-		}(id)
+	// sharedmem.Run runs proc on every processor at once, each with its
+	// own coin stream.
+	res := sharedmem.Run(ctx, sharedmem.Config{Inputs: inputs, RNG: sim.NewRNG(123), MaxRounds: 500}, proc)
+	if err := errors.Join(res.Errs...); err != nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
+	decisions := res.Decisions
 
 	fmt.Printf("inputs: %v\n", inputs)
 	for id, d := range decisions {

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"ooc/internal/benor"
+	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/netsim"
 	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
+	"ooc/internal/workload"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -226,38 +228,13 @@ func TestVACFromACsConsensusUnderTemplate(t *testing.T) {
 		}
 		store1 := sharedmem.NewACStore(n)
 		store2 := sharedmem.NewACStore(n)
-		decisions := make([]core.Decision[int], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				vac := NewVACFromACs[int](store1.Object(id), store2.Object(id))
-				rec := benor.NewReconciliator(rng.Fork(uint64(id)))
-				decisions[id], errs[id] = core.RunVAC[int](ctxT(t), vac, rec, inputs[id],
-					core.WithMaxRounds(500))
-			}(id)
+		proc := func(ctx context.Context, id int, rng *sim.RNG, v int, opts ...core.Option) (core.Decision[int], error) {
+			vac := NewVACFromACs[int](store1.Object(id), store2.Object(id))
+			return core.RunVAC[int](ctx, vac, benor.NewReconciliator(rng), v, opts...)
 		}
-		wg.Wait()
-		for id, err := range errs {
-			if err != nil {
-				t.Fatalf("seed %d processor %d: %v", seed, id, err)
-			}
-		}
-		for id := 1; id < n; id++ {
-			if decisions[id].Value != decisions[0].Value {
-				t.Fatalf("seed %d: agreement violated: %v", seed, decisions)
-			}
-		}
-		valid := false
-		for _, in := range inputs {
-			if in == decisions[0].Value {
-				valid = true
-			}
-		}
-		if !valid {
-			t.Fatalf("seed %d: validity violated: decided %d of %v", seed, decisions[0].Value, inputs)
+		res := sharedmem.Run(ctxT(t), sharedmem.Config{Inputs: inputs, RNG: rng, MaxRounds: 500}, proc)
+		if rep := checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), true); !rep.Ok() {
+			t.Fatalf("seed %d: %v (errors %v)", seed, rep, res.Errs)
 		}
 	}
 }

@@ -42,11 +42,10 @@ func runBenOr(
 	res := benor.Run(ctx, benor.Config[int]{T: tFaults, Inputs: inputs, Crashes: crashes, MaxRounds: maxRounds,
 		Seed: seed, RNG: sim.NewRNG(seed ^ 0x9e3779b97f4a7c15), Recorder: rec, Metrics: reg}, proc)
 
-	trial := benorTrial{outcomes: res.Outcomes(), decidedAt: make(map[int]int, len(inputs))}
+	trial := benorTrial{outcomes: res.Outcomes(), maxRound: res.MaxRound(), decidedAt: make(map[int]int, len(inputs))}
 	for _, o := range trial.outcomes {
 		if o.Decided {
 			trial.decidedAt[o.Node] = o.Round
-			trial.maxRound = max(trial.maxRound, o.Round)
 		}
 	}
 	trial.record = rec.Snapshot()

@@ -3,15 +3,14 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ooc/internal/benor"
 	"ooc/internal/checker"
-	"ooc/internal/core"
 	"ooc/internal/multivalue"
 	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
+	"ooc/internal/workload"
 )
 
 // RunE11 measures the framework extension of internal/multivalue:
@@ -47,20 +46,17 @@ func RunE11(s Suite) (Table, error) {
 				inputMap[id] = inputs[id]
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			outs := benor.Run(ctx, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 20000,
-				Seed: seed, RNG: rng}, multivalue.RunDecomposed[string]).Outcomes()
+			res := benor.Run(ctx, benor.Config[string]{T: tFaults, Inputs: inputs, MaxRounds: 20000,
+				Seed: seed, RNG: rng}, multivalue.RunDecomposed[string])
 			cancel()
+			outs := res.Outcomes()
 			report.Merge(checker.CheckConsensus(outs, inputMap, true))
-			maxRound := 0
 			for _, o := range outs {
 				if o.Decided {
 					decided++
-					if o.Round > maxRound {
-						maxRound = o.Round
-					}
 				}
 			}
-			rounds.add(float64(maxRound))
+			rounds.add(float64(res.MaxRound()))
 		}
 		if !report.Ok() {
 			return nil, fmt.Errorf("E11: %v", report.Violations[0])
@@ -111,38 +107,18 @@ func RunE12(s Suite) (Table, error) {
 		for trial := 0; trial < s.Trials; trial++ {
 			seed := s.BaseSeed + uint64(c.n*100+trial)
 			rng := sim.NewRNG(seed)
-			cons := sharedmem.NewConsensus(c.n)
-			inputs := make(map[int]int, c.n)
-			outs := make([]checker.RunOutcome[int], c.n)
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			var wg sync.WaitGroup
-			for id := 0; id < c.n; id++ {
-				v := id % 2
+			inputs := make([]int, c.n)
+			for id := range inputs {
+				inputs[id] = id % 2
 				if c.split == "unanimous" {
-					v = 1
+					inputs[id] = 1
 				}
-				inputs[id] = v
-				wg.Add(1)
-				go func(id, v int) {
-					defer wg.Done()
-					d, err := cons.Run(ctx, id, rng.Fork(uint64(id)), v, core.WithMaxRounds(20000))
-					if err == nil {
-						outs[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-					} else {
-						outs[id] = checker.RunOutcome[int]{Node: id}
-					}
-				}(id, v)
 			}
-			wg.Wait()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			res := sharedmem.Run(ctx, sharedmem.Config{Inputs: inputs, RNG: rng, MaxRounds: 20000}, sharedmem.NewConsensus(c.n).Run)
 			cancel()
-			report.Merge(checker.CheckConsensus(outs, inputs, true))
-			maxRound := 0
-			for _, o := range outs {
-				if o.Decided && o.Round > maxRound {
-					maxRound = o.Round
-				}
-			}
-			rounds.add(float64(maxRound))
+			report.Merge(checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), true))
+			rounds.add(float64(res.MaxRound()))
 		}
 		if !report.Ok() {
 			return nil, fmt.Errorf("E12: %v", report.Violations[0])

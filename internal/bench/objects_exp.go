@@ -11,6 +11,7 @@ import (
 	"ooc/internal/checker"
 	"ooc/internal/core"
 	"ooc/internal/netsim"
+	"ooc/internal/raft"
 	"ooc/internal/sharedmem"
 	"ooc/internal/sim"
 	"ooc/internal/trace"
@@ -79,12 +80,11 @@ func RunE7(s Suite) (Table, error) {
 				seed := s.BaseSeed + uint64(c.n*77+trial)
 				rng := sim.NewRNG(seed)
 				inputs := workload.BinaryInputs(workload.SplitHalf, c.n, rng)
-				outs, maxRound, err := compositeVACConsensus(c.n, inputs, rng)
-				if err != nil {
-					return nil, err
-				}
-				report.Merge(checker.CheckConsensus(outs, workload.InputsToMap(inputs), true))
-				roundsStat.add(float64(maxRound))
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				res := sharedmem.Run(ctx, sharedmem.Config{Inputs: inputs, RNG: rng, MaxRounds: 2000}, compositeVAC(c.n))
+				cancel()
+				report.Merge(checker.CheckConsensus(res.Outcomes(), workload.InputsToMap(inputs), true))
+				roundsStat.add(float64(res.MaxRound()))
 			}
 			if !report.Ok() {
 				return nil, fmt.Errorf("E7 composite consensus: %v", report.Violations[0])
@@ -150,36 +150,14 @@ func oneCompositeVACRound(n int, inputs []int) ([]checker.ObjectOutcome[int], er
 	return outs, nil
 }
 
-func compositeVACConsensus(n int, inputs []int, rng *sim.RNG) ([]checker.RunOutcome[int], int, error) {
-	store1 := sharedmem.NewACStore(n)
-	store2 := sharedmem.NewACStore(n)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	outs := make([]checker.RunOutcome[int], n)
-	maxRound := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			vac := adapters.NewVACFromACs[int](store1.Object(id), store2.Object(id))
-			rec := benor.NewReconciliator(rng.Fork(uint64(id)))
-			d, err := core.RunVAC[int](ctx, vac, rec, inputs[id], core.WithMaxRounds(2000))
-			if err == nil {
-				outs[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-				mu.Lock()
-				if d.Round > maxRound {
-					maxRound = d.Round
-				}
-				mu.Unlock()
-			} else {
-				outs[id] = checker.RunOutcome[int]{Node: id}
-			}
-		}(id)
+// compositeVAC is Algorithm 1 over the Section 5 composite — a VAC from
+// two shared-memory ACs — with Ben-Or's coin as the reconciliator.
+func compositeVAC(n int) sharedmem.Processor {
+	store1, store2 := sharedmem.NewACStore(n), sharedmem.NewACStore(n)
+	return func(ctx context.Context, id int, rng *sim.RNG, v int, opts ...core.Option) (core.Decision[int], error) {
+		vac := adapters.NewVACFromACs[int](store1.Object(id), store2.Object(id))
+		return core.RunVAC[int](ctx, vac, benor.NewReconciliator(rng), v, opts...)
 	}
-	wg.Wait()
-	return outs, maxRound, nil
 }
 
 func oneACFromVACRound(n, tFaults int, inputs []int, seed uint64) ([]checker.ObjectOutcome[int], error) {
@@ -368,12 +346,9 @@ func RunE10(s Suite) (Table, error) {
 		var msgs, terms stats
 		for trial := 0; trial < min(s.Trials, 10); trial++ {
 			seed := s.BaseSeed + uint64(n*7+trial)
-			_, st, maxTerm, _, err := runRaftConsensusTrial(n, seed, false)
-			if err != nil {
-				return tbl, err
-			}
-			msgs.add(float64(st.msgs))
-			terms.add(float64(maxTerm))
+			tr := runRaft(raft.Decree[string]{}, n, seed, false)
+			msgs.add(float64(trace.Summarize(tr.record).MessagesSent))
+			terms.add(float64(tr.res.MaxRound()))
 		}
 		mpr := 0.0
 		if terms.mean() > 0 {

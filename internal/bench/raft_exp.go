@@ -3,14 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ooc/internal/checker"
 	"ooc/internal/core"
-	"ooc/internal/netsim"
 	"ooc/internal/raft"
-	"ooc/internal/sim"
 	"ooc/internal/trace"
 )
 
@@ -18,6 +15,34 @@ const (
 	benchElection  = 30 * time.Millisecond
 	benchHeartbeat = 6 * time.Millisecond
 )
+
+// raftTrial is one simulated Raft execution's accounting.
+type raftTrial struct {
+	res     checker.Execution[string]
+	inputs  map[int]string
+	elapsed time.Duration
+	record  trace.Trace // network events and the processors' trace events
+}
+
+// runRaft executes one trial of proc on n nodes with inputs "v<id>", the
+// experiments' timers and, with crashLeader, the first leader crashed.
+func runRaft(proc raft.Processor[string], n int, seed uint64, crashLeader bool) raftTrial {
+	tr := raftTrial{inputs: make(map[int]string, n)}
+	inputs := make([]string, n)
+	for id := range inputs {
+		inputs[id] = fmt.Sprintf("v%d", id)
+		tr.inputs[id] = inputs[id]
+	}
+	rec := trace.NewRecorder()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	tr.res = raft.Run(ctx, raft.RunConfig[string]{Inputs: inputs, Seed: seed, ElectionTimeout: benchElection,
+		HeartbeatInterval: benchHeartbeat, CrashLeader: crashLeader, Recorder: rec}, proc)
+	tr.elapsed = time.Since(start)
+	tr.record = rec.Snapshot()
+	return tr
+}
 
 // RunE5 validates Lemma 6: Raft with the D&S command solves single-decree
 // consensus, with and without a leader crash mid-run.
@@ -37,27 +62,17 @@ func RunE5(s Suite) (Table, error) {
 			)
 			for trial := 0; trial < s.Trials; trial++ {
 				seed := s.BaseSeed + uint64(n*100+trial)
-				outs, st, maxTerm, crashed, err := runRaftConsensusTrial(n, seed, fault == "leader-crash")
-				if err != nil {
-					return tbl, err
-				}
-				inputs := map[int]string{}
-				for id := 0; id < n; id++ {
-					inputs[id] = fmt.Sprintf("v%d", id)
-				}
-				var live []checker.RunOutcome[string]
+				tr := runRaft(raft.Decree[string]{}, n, seed, fault == "leader-crash")
+				outs := tr.res.Outcomes()
 				for _, o := range outs {
-					if !crashed[o.Node] {
-						live = append(live, o)
-						if o.Decided {
-							decidedTotal++
-						}
+					if o.Decided {
+						decidedTotal++
 					}
 				}
-				report.Merge(checker.CheckConsensus(live, inputs, true))
-				ms.add(st.elapsed.Seconds() * 1000)
-				msgs.add(float64(st.msgs))
-				terms.add(float64(maxTerm))
+				report.Merge(checker.CheckConsensus(outs, tr.inputs, true))
+				ms.add(tr.elapsed.Seconds() * 1000)
+				msgs.add(float64(trace.Summarize(tr.record).MessagesSent))
+				terms.add(float64(tr.res.MaxRound()))
 			}
 			tbl.AddRow(n, fault, s.Trials, decidedTotal, ms.mean(), msgs.mean(), int(terms.max()), len(report.Violations))
 			if !report.Ok() {
@@ -69,79 +84,6 @@ func RunE5(s Suite) (Table, error) {
 		"election timeout 30ms, heartbeat 6ms; time-to-decision is dominated by the first successful election",
 		"leader-crash trials crash the first elected leader; survivors re-elect and still agree")
 	return tbl, nil
-}
-
-type raftTrialStats struct {
-	elapsed time.Duration
-	msgs    int
-}
-
-func runRaftConsensusTrial(n int, seed uint64, crashLeader bool) ([]checker.RunOutcome[string], raftTrialStats, int, map[int]bool, error) {
-	rec := trace.NewRecorder()
-	nw := netsim.New(n, netsim.WithSeed(seed), netsim.WithRecorder(rec))
-	rng := sim.NewRNG(seed)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	cns := make([]*raft.ConsensusNode, n)
-	for id := 0; id < n; id++ {
-		cn, err := raft.NewConsensusNode(raft.Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   benchElection,
-			HeartbeatInterval: benchHeartbeat,
-		}, fmt.Sprintf("v%d", id))
-		if err != nil {
-			return nil, raftTrialStats{}, 0, nil, err
-		}
-		cns[id] = cn
-	}
-	crashed := make(map[int]bool)
-	if crashLeader {
-		go func() {
-			for ctx.Err() == nil {
-				for id := range cns {
-					if cns[id].Node().Status().State == raft.Leader {
-						nw.Crash(id)
-						return
-					}
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
-	}
-
-	start := time.Now()
-	outs := make([]checker.RunOutcome[string], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			v, err := cns[id].Run(ctx)
-			if err == nil {
-				outs[id] = checker.RunOutcome[string]{Node: id, Decided: true, Value: v.(string)}
-			} else {
-				outs[id] = checker.RunOutcome[string]{Node: id}
-			}
-		}(id)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for id := 0; id < n; id++ {
-		if nw.Crashed(id) {
-			crashed[id] = true
-		}
-	}
-	maxTerm := 0
-	for _, cn := range cns {
-		if st := cn.Node().Status(); st.Term > maxTerm {
-			maxTerm = st.Term
-		}
-	}
-	st := trace.Summarize(rec.Snapshot())
-	return outs, raftTrialStats{elapsed: elapsed, msgs: st.MessagesSent}, maxTerm, crashed, nil
 }
 
 // RunE6 validates Lemma 7 operationally: the VAC view of Raft under the
@@ -164,23 +106,19 @@ func RunE6(s Suite) (Table, error) {
 		)
 		for trial := 0; trial < trials; trial++ {
 			seed := s.BaseSeed + uint64(n*10+trial)
-			outs, classes, err := runRaftVACTrial(n, seed)
-			if err != nil {
-				return tbl, err
-			}
-			inputs := map[int]string{}
-			for id := 0; id < n; id++ {
-				inputs[id] = fmt.Sprintf("v%d", id)
-			}
-			report.Merge(checker.CheckConsensus(outs, inputs, true))
+			tr := runRaft(raft.VACConsensus[string]{}, n, seed, false)
+			outs := tr.res.Outcomes()
+			report.Merge(checker.CheckConsensus(outs, tr.inputs, true))
 			for _, o := range outs {
 				if o.Decided {
 					decided++
 				}
 			}
-			vac += classes[core.Vacillate]
-			adopt += classes[core.Adopt]
-			commit += classes[core.Commit]
+			for _, counts := range OutcomeClasses(tr.record, "vac") {
+				vac += counts[core.Vacillate]
+				adopt += counts[core.Adopt]
+				commit += counts[core.Commit]
+			}
 		}
 		tbl.AddRow(n, trials, decided, vac, adopt, commit, len(report.Violations))
 		if !report.Ok() {
@@ -191,55 +129,4 @@ func RunE6(s Suite) (Table, error) {
 		"every processor vacillates at least once (the timer must fire before anyone campaigns)",
 		"commits terminate each processor's template; adopts mark tentative log landings")
 	return tbl, nil
-}
-
-func runRaftVACTrial(n int, seed uint64) ([]checker.RunOutcome[string], map[core.Confidence]int, error) {
-	nw := netsim.New(n, netsim.WithSeed(seed))
-	rng := sim.NewRNG(seed)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	classes := make(map[core.Confidence]int)
-	var classMu sync.Mutex
-	outs := make([]checker.RunOutcome[string], n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		node, err := raft.NewNode(raft.Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   benchElection,
-			HeartbeatInterval: benchHeartbeat,
-			ManualCampaign:    true,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		wg.Add(1)
-		go func(id int, node *raft.Node) {
-			defer wg.Done()
-			vacObj, err := raft.NewVAC[string](node)
-			if err != nil {
-				return
-			}
-			counting := core.VACFunc[string](func(ctx context.Context, v string, round int) (core.Confidence, string, error) {
-				c, u, err := vacObj.Propose(ctx, v, round)
-				if err == nil {
-					classMu.Lock()
-					classes[c]++
-					classMu.Unlock()
-				}
-				return c, u, err
-			})
-			node.Start(ctx)
-			d, err := core.RunVAC[string](ctx, counting, raft.NewReconciliator[string](node), fmt.Sprintf("v%d", id))
-			if err == nil {
-				outs[id] = checker.RunOutcome[string]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-			} else {
-				outs[id] = checker.RunOutcome[string]{Node: id}
-			}
-		}(id, node)
-	}
-	wg.Wait()
-	return outs, classes, nil
 }

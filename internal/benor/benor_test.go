@@ -18,7 +18,7 @@ import (
 )
 
 // runT runs cfg through Run with a 30-second deadline.
-func runT(t *testing.T, cfg Config[int], proc Processor[int]) Result[int] {
+func runT(t *testing.T, cfg Config[int], proc Processor[int]) checker.Execution[int] {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -27,7 +27,7 @@ func runT(t *testing.T, cfg Config[int], proc Processor[int]) Result[int] {
 
 // mustAgree asserts agreement, validity and termination over the
 // processors the crash plan spared, and returns the decided value.
-func mustAgree(t *testing.T, res Result[int], inputs []int) int {
+func mustAgree(t *testing.T, res checker.Execution[int], inputs []int) int {
 	t.Helper()
 	outs := res.Outcomes()
 	if rep := checker.CheckConsensus(outs, workload.InputsToMap(inputs), true); !rep.Ok() {

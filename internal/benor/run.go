@@ -41,38 +41,13 @@ type Config[V comparable] struct {
 	Metrics *metrics.Registry
 }
 
-// Result is an execution's outcome, indexed by processor id.
-type Result[V comparable] struct {
-	Decisions []core.Decision[V]
-	Errs      []error
-	// Crashed marks the processors the crash plan named.
-	Crashed []bool
-}
-
-// Outcomes returns the checker's view of the processors the crash plan
-// spared: a crashed processor owes no decision.
-func (r Result[V]) Outcomes() []checker.RunOutcome[V] {
-	var outs []checker.RunOutcome[V]
-	for id, d := range r.Decisions {
-		if r.Crashed[id] {
-			continue
-		}
-		o := checker.RunOutcome[V]{Node: id}
-		if r.Errs[id] == nil {
-			o.Decided, o.Value, o.Round = true, d.Value, d.Round
-		}
-		outs = append(outs, o)
-	}
-	return outs
-}
-
 // Run builds a seeded simulated network of len(cfg.Inputs) processors,
 // applies the crash plan, runs proc on every processor at once, and
 // returns when all of them have returned.
-func Run[V comparable](ctx context.Context, cfg Config[V], proc Processor[V]) Result[V] {
+func Run[V comparable](ctx context.Context, cfg Config[V], proc Processor[V]) checker.Execution[V] {
 	n := len(cfg.Inputs)
 	nw := netsim.New(n, netsim.WithSeed(cfg.Seed), netsim.WithRecorder(cfg.Recorder), netsim.WithMetrics(cfg.Metrics))
-	res := Result[V]{
+	res := checker.Execution[V]{
 		Decisions: make([]core.Decision[V], n),
 		Errs:      make([]error, n),
 		Crashed:   make([]bool, n),

@@ -59,6 +59,45 @@ type RunOutcome[V comparable] struct {
 	Round   int
 }
 
+// Execution is one simulated run's record, indexed by processor id:
+// what every protocol's runner (benor.Run, raft.Run, sharedmem.Run)
+// returns.
+type Execution[V comparable] struct {
+	Decisions []core.Decision[V]
+	Errs      []error
+	// Crashed marks the processors the run crashed.
+	Crashed []bool
+}
+
+// Outcomes returns the checker's view of the processors the run spared:
+// a crashed processor owes no decision.
+func (e Execution[V]) Outcomes() []RunOutcome[V] {
+	var outs []RunOutcome[V]
+	for id, d := range e.Decisions {
+		if e.Crashed[id] {
+			continue
+		}
+		o := RunOutcome[V]{Node: id}
+		if e.Errs[id] == nil {
+			o.Decided, o.Value, o.Round = true, d.Value, d.Round
+		}
+		outs = append(outs, o)
+	}
+	return outs
+}
+
+// MaxRound returns the latest round in which a spared processor decided,
+// or 0 if none did.
+func (e Execution[V]) MaxRound() int {
+	latest := 0
+	for _, o := range e.Outcomes() {
+		if o.Decided {
+			latest = max(latest, o.Round)
+		}
+	}
+	return latest
+}
+
 // CheckConsensus verifies one run: agreement among deciders, validity of
 // the decided value against the correct processors' inputs, and — when
 // expectAll is set — termination (every listed processor decided).

@@ -175,3 +175,26 @@ func TestReportMergeAndString(t *testing.T) {
 		t.Fatalf("Error() = %q", v.Error())
 	}
 }
+
+// TestExecutionCountsOnlySparedDeciders: Outcomes leaves the crashed out
+// and lists the undecided; MaxRound reads only the spared deciders.
+func TestExecutionCountsOnlySparedDeciders(t *testing.T) {
+	ex := Execution[int]{
+		Decisions: []core.Decision[int]{{Value: 1, Round: 2}, {Value: 1, Round: 9}, {Value: 0, Round: 7}, {Value: 1, Round: 3}},
+		Errs:      []error{nil, nil, core.ErrNoDecision, nil},
+		Crashed:   []bool{false, true, false, false},
+	}
+	outs := ex.Outcomes()
+	want := []RunOutcome[int]{{Node: 0, Decided: true, Value: 1, Round: 2}, {Node: 2}, {Node: 3, Decided: true, Value: 1, Round: 3}}
+	if len(outs) != len(want) {
+		t.Fatalf("outcomes %+v, want %+v", outs, want)
+	}
+	for i := range want {
+		if outs[i] != want[i] {
+			t.Fatalf("outcomes %+v, want %+v", outs, want)
+		}
+	}
+	if got := ex.MaxRound(); got != 3 {
+		t.Fatalf("MaxRound = %d, want 3", got)
+	}
+}

@@ -600,7 +600,7 @@ func (s *Subscription) Next(ctx context.Context) (Event, error) {
 }
 
 // Subscribe registers a new event stream carrying only the given kinds;
-// with none it carries every event (what the VAC view and ConsensusNode
+// with none it carries every event (what the VAC view and Decree
 // need). Events emitted before the subscription are not replayed. A
 // kind nobody subscribed to is never queued.
 func (nd *Node) Subscribe(kinds ...EventKind) *Subscription {

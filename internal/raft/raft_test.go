@@ -3,13 +3,13 @@ package raft
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"ooc/internal/core"
+	"ooc/internal/checker"
 	"ooc/internal/netsim"
 	"ooc/internal/sim"
+	"ooc/internal/trace"
 )
 
 const (
@@ -386,161 +386,93 @@ func TestLaggardLogRepair(t *testing.T) {
 
 // ---- single-decree consensus (Algorithm 7) ----
 
-func runConsensusCluster(t *testing.T, n int, seed uint64, inputs []any, faults func(nw *netsim.Network, nodes []*ConsensusNode)) []any {
+// runDecree runs Algorithm 7 through Run with the tests' timers.
+func runDecree(t *testing.T, cfg RunConfig[string]) checker.Execution[string] {
 	t.Helper()
-	nw := netsim.New(n, netsim.WithSeed(seed))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
-	rng := sim.NewRNG(seed)
-	cns := make([]*ConsensusNode, n)
-	for id := 0; id < n; id++ {
-		cn, err := NewConsensusNode(Config{
-			ID:                id,
-			Endpoint:          nw.Node(id),
-			RNG:               rng.Fork(uint64(id)),
-			ElectionTimeout:   testElection,
-			HeartbeatInterval: testHeartbeat,
-		}, inputs[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cns[id] = cn
+	defer cancel()
+	cfg.ElectionTimeout, cfg.HeartbeatInterval = testElection, testHeartbeat
+	return Run(ctx, cfg, Decree[string]{})
+}
+
+// mustAgree asserts agreement, validity and termination over the
+// processors the run spared.
+func mustAgree(t *testing.T, res checker.Execution[string], inputs []string) {
+	t.Helper()
+	byID := make(map[int]string, len(inputs))
+	for id, v := range inputs {
+		byID[id] = v
 	}
-	if faults != nil {
-		faults(nw, cns)
+	if rep := checker.CheckConsensus(res.Outcomes(), byID, true); !rep.Ok() {
+		t.Fatalf("%v (errors %v)", rep, res.Errs)
 	}
-	results := make([]any, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			results[id], errs[id] = cns[id].Run(ctx)
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil && !nw.Crashed(id) {
-			t.Fatalf("node %d: %v", id, err)
-		}
-	}
-	return results
 }
 
 func TestConsensusAgreementAndValidity(t *testing.T) {
+	inputs := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for seed := uint64(0); seed < 3; seed++ {
-		inputs := []any{"alpha", "beta", "gamma", "delta", "epsilon"}
-		results := runConsensusCluster(t, 5, seed, inputs, nil)
-		first := results[0]
-		valid := false
-		for _, in := range inputs {
-			if in == first {
-				valid = true
-			}
-		}
-		if !valid {
-			t.Fatalf("seed %d: decided %v, not an input", seed, first)
-		}
-		for id, r := range results {
-			if r != first {
-				t.Fatalf("seed %d: agreement violated: node %d decided %v, node 0 decided %v", seed, id, r, first)
+		mustAgree(t, runDecree(t, RunConfig[string]{Inputs: inputs, Seed: seed}), inputs)
+	}
+}
+
+// TestConsensusSurvivesLeaderCrash: with CrashLeader every run marks
+// exactly one processor crashed, and every survivor decides and agrees.
+func TestConsensusSurvivesLeaderCrash(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		inputs := []string{"a", "b", "c", "d", "e"}[:n]
+		for seed := uint64(20); seed < 24; seed++ {
+			res := runDecree(t, RunConfig[string]{Inputs: inputs, Seed: seed, CrashLeader: true})
+			mustAgree(t, res, inputs)
+			if outs := res.Outcomes(); len(outs) != n-1 {
+				t.Fatalf("n=%d seed %d: %d survivors (crashed %v)", n, seed, len(outs), res.Crashed)
 			}
 		}
 	}
 }
 
-func TestConsensusSurvivesLeaderCrash(t *testing.T) {
-	inputs := []any{"a", "b", "c", "d", "e"}
-	var nwRef *netsim.Network
-	var cnsRef []*ConsensusNode
-	results := runConsensusCluster(t, 5, 23, inputs, func(nw *netsim.Network, cns []*ConsensusNode) {
-		nwRef, cnsRef = nw, cns
-		// Crash whichever node first becomes leader, before it can finish
-		// driving a decision everywhere (races allowed: the test only
-		// requires eventual agreement among survivors).
-		go func() {
-			for {
-				for id := range cns {
-					if cns[id].Node().Status().State == Leader {
-						nw.Crash(id)
-						return
-					}
-				}
-				time.Sleep(time.Millisecond)
+// TestDecreeRecordsItsDecision: a recorded run holds one Decide per
+// deciding processor, carrying its decision and term.
+func TestDecreeRecordsItsDecision(t *testing.T) {
+	rec := trace.NewRecorder()
+	res := runDecree(t, RunConfig[string]{Inputs: []string{"x", "y", "z"}, Seed: 4, CrashLeader: true, Recorder: rec})
+	decides := make(map[int]trace.Event)
+	for _, ev := range rec.Snapshot().Events {
+		if ev.Kind == trace.KindDecide {
+			if _, dup := decides[ev.Node]; dup {
+				t.Fatalf("node %d recorded two decisions", ev.Node)
 			}
-		}()
-	})
-	_ = cnsRef
-	var agreed any
-	count := 0
-	for id, r := range results {
-		if nwRef.Crashed(id) {
-			continue
+			decides[ev.Node] = ev
 		}
-		if count == 0 {
-			agreed = r
-		} else if r != agreed {
-			t.Fatalf("agreement violated among survivors: %v vs %v", r, agreed)
-		}
-		count++
 	}
-	if count < 4 {
-		t.Fatalf("only %d survivors decided", count)
+	for id, d := range res.Decisions {
+		ev, recorded := decides[id]
+		if recorded != (res.Errs[id] == nil) {
+			t.Fatalf("node %d: recorded %v, err %v", id, recorded, res.Errs[id])
+		}
+		if recorded && (ev.Value != d.Value || ev.Round != d.Round || d.Round < 1) {
+			t.Fatalf("node %d: recorded %v in round %d, decided %+v", id, ev.Value, ev.Round, d)
+		}
 	}
 }
 
 // ---- the VAC view (Algorithms 10–11) ----
 
 func TestVACConsensus(t *testing.T) {
-	for seed := uint64(0); seed < 3; seed++ {
-		const n = 3
-		nw := netsim.New(n, netsim.WithSeed(seed+100))
+	inputs := []string{"red", "green", "blue"}
+	for seed := uint64(100); seed < 103; seed++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		rng := sim.NewRNG(seed + 100)
-		inputs := []string{"red", "green", "blue"}
-		decisions := make([]core.Decision[string], n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
-			node, err := NewNode(Config{
-				ID:                id,
-				Endpoint:          nw.Node(id),
-				RNG:               rng.Fork(uint64(id)),
-				ElectionTimeout:   testElection,
-				HeartbeatInterval: testHeartbeat,
-				ManualCampaign:    true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func(id int, node *Node) {
-				defer wg.Done()
-				decisions[id], errs[id] = RunVACConsensus[string](ctx, node, inputs[id])
-			}(id, node)
-		}
-		wg.Wait()
+		rec := trace.NewRecorder()
+		res := Run(ctx, RunConfig[string]{Inputs: inputs, Seed: seed, ElectionTimeout: testElection,
+			HeartbeatInterval: testHeartbeat, Recorder: rec}, VACConsensus[string]{})
 		cancel()
-		for id, err := range errs {
-			if err != nil {
-				t.Fatalf("seed %d node %d: %v", seed, id, err)
-			}
+		mustAgree(t, res, inputs)
+		// Every processor's template reaches the trace under its own id.
+		seen := make(map[int]bool)
+		for _, ev := range trace.Returns(rec.Snapshot(), "vac") {
+			seen[ev.Node] = true
 		}
-		first := decisions[0].Value
-		valid := false
-		for _, in := range inputs {
-			if in == first {
-				valid = true
-			}
-		}
-		if !valid {
-			t.Fatalf("seed %d: decided %q, not an input", seed, first)
-		}
-		for id, d := range decisions {
-			if d.Value != first {
-				t.Fatalf("seed %d: node %d decided %q, node 0 decided %q", seed, id, d.Value, first)
-			}
+		if len(seen) != len(inputs) {
+			t.Fatalf("seed %d: VAC returns traced for nodes %v", seed, seen)
 		}
 	}
 }
@@ -629,9 +561,6 @@ func TestNodeConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Endpoint: nw.Node(0), RNG: sim.NewRNG(1), ID: 5}); err == nil {
 		t.Fatal("out-of-range id accepted")
-	}
-	if _, err := NewConsensusNode(Config{Endpoint: nw.Node(0), RNG: sim.NewRNG(1), StateMachine: &KVStore{}}, 1); err == nil {
-		t.Fatal("ConsensusNode accepted a pre-set state machine")
 	}
 }
 

@@ -111,18 +111,3 @@ func (r *Reconciliator[V]) Reconcile(_ context.Context, _ core.Confidence, v V, 
 	r.node.Campaign(DS{Value: v})
 	return v, nil
 }
-
-// RunVACConsensus wires Algorithms 10 and 11 under the generic template
-// (Algorithm 1): it constructs the VAC and Reconciliator over node,
-// starts the node, and runs core.RunVAC. The node keeps serving the
-// cluster (heartbeats, commit propagation) until ctx ends, even after the
-// local decision — matching the paper's observation that the protocol is
-// unending while eventually everyone commits.
-func RunVACConsensus[V comparable](ctx context.Context, node *Node, v V, opts ...core.Option) (core.Decision[V], error) {
-	vac, err := NewVAC[V](node)
-	if err != nil {
-		return core.Decision[V]{}, err
-	}
-	node.Start(ctx)
-	return core.RunVAC[V](ctx, vac, NewReconciliator[V](node), v, opts...)
-}

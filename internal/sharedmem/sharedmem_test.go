@@ -247,53 +247,41 @@ func TestConciliatorContextCancelled(t *testing.T) {
 func TestSharedMemoryConsensus(t *testing.T) {
 	for seed := uint64(0); seed < 15; seed++ {
 		rng := sim.NewRNG(seed)
-		n := 2 + rng.Intn(7)
-		cons := NewConsensus(n)
-		inputs := make(map[int]int, n)
-		outs := make([]checker.RunOutcome[int], n)
-		var wg sync.WaitGroup
-		for id := 0; id < n; id++ {
+		inputs := make([]int, 2+rng.Intn(7))
+		for id := range inputs {
 			inputs[id] = rng.Bit()
-			wg.Add(1)
-			go func(id, v int) {
-				defer wg.Done()
-				d, err := cons.Run(ctxT(t), id, rng.Fork(uint64(id)), v, core.WithMaxRounds(10000))
-				if err != nil {
-					t.Errorf("p%d: %v", id, err)
-					return
-				}
-				outs[id] = checker.RunOutcome[int]{Node: id, Decided: true, Value: d.Value, Round: d.Round}
-			}(id, inputs[id])
 		}
-		wg.Wait()
-		if rep := checker.CheckConsensus(outs, inputs, true); !rep.Ok() {
-			t.Fatalf("seed %d: %v", seed, rep)
+		res := Run(ctxT(t), Config{Inputs: inputs, RNG: rng, MaxRounds: 10000}, NewConsensus(len(inputs)).Run)
+		byID := make(map[int]int, len(inputs))
+		for id, v := range inputs {
+			byID[id] = v
+		}
+		if rep := checker.CheckConsensus(res.Outcomes(), byID, true); !rep.Ok() {
+			t.Fatalf("seed %d: %v (errors %v)", seed, rep, res.Errs)
 		}
 	}
 }
 
 func TestConsensusUnanimousDecidesRoundOne(t *testing.T) {
 	const n = 5
-	cons := NewConsensus(n)
-	rng := sim.NewRNG(4)
-	var wg sync.WaitGroup
-	decisions := make([]core.Decision[int], n)
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			d, err := cons.Run(ctxT(t), id, rng.Fork(uint64(id)), 1, core.WithMaxRounds(100))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			decisions[id] = d
-		}(id)
+	res := Run(ctxT(t), Config{Inputs: []int{1, 1, 1, 1, 1}, RNG: sim.NewRNG(4), MaxRounds: 100}, NewConsensus(n).Run)
+	for id, d := range res.Decisions {
+		if res.Errs[id] != nil || d != (core.Decision[int]{Value: 1, Round: 1}) {
+			t.Fatalf("p%d decided %+v (err %v), convergence demands 1 in round 1", id, d, res.Errs[id])
+		}
 	}
-	wg.Wait()
-	for id, d := range decisions {
-		if d.Value != 1 {
-			t.Fatalf("p%d decided %d", id, d.Value)
+}
+
+// TestRunForksEachProcessorsCoins: processor id draws from RNG.Fork(id)
+// and gets the run's round bound.
+func TestRunForksEachProcessorsCoins(t *testing.T) {
+	draw := func(_ context.Context, _ int, rng *sim.RNG, _ int, opts ...core.Option) (core.Decision[int], error) {
+		return core.Decision[int]{Value: rng.Intn(1 << 30), Round: core.OptionsFrom(opts...).MaxRounds}, nil
+	}
+	res := Run(ctxT(t), Config{Inputs: make([]int, 4), RNG: sim.NewRNG(7), MaxRounds: 9}, draw)
+	for id, d := range res.Decisions {
+		if want := sim.NewRNG(7).Fork(uint64(id)).Intn(1 << 30); d != (core.Decision[int]{Value: want, Round: 9}) {
+			t.Errorf("p%d got %+v, want RNG.Fork(%d)'s %d and bound 9", id, d, id, want)
 		}
 	}
 }
